@@ -16,6 +16,18 @@ sorted member list followed by one 64-byte signature per signer. Its size
 grows with the threshold t (bounded by t * 64 bytes + a small header)
 instead of being constant; the interface hides the representation so a
 constant-size scheme could replace it without touching callers.
+
+Signature checks are memoised. Ed25519 verification is a deterministic
+function of (verify key, digest, signature), and every booth member, plus
+the post-run audit, checks the same certificates and partials, so
+`verify_raw` keys a memo on that full triple and stores the bool the real
+check returned, for accepts and rejects alike. A flipped bit in any of the
+three inputs is a different key and gets a real check. Parsed public keys
+are kept beside it. Both memos hold at most `MEMO_SIZE` entries, are
+emptied when full, and are emptied by `clear_caches`, which
+`harness.run` calls at its start, so no run sees another run's entries.
+Modeled cost is unaffected: callers charge `CostMeter.verify` per check
+whether or not the memo answers it.
 """
 
 from __future__ import annotations
@@ -85,23 +97,40 @@ def make_identity(node_id: int, role: Role, seed: bytes,
     return Identity(node_id, role, key.verify_key, addr), key
 
 
+MEMO_SIZE = 1 << 14
+
 _pub_cache: dict[bytes, Ed25519PublicKey] = {}
+_verified: dict[tuple[bytes, bytes, bytes], bool] = {}
+
+
+def clear_caches() -> None:
+    _pub_cache.clear()
+    _verified.clear()
 
 
 def _public_key(raw: bytes) -> Ed25519PublicKey:
     key = _pub_cache.get(raw)
     if key is None:
         key = Ed25519PublicKey.from_public_bytes(raw)
+        if len(_pub_cache) >= MEMO_SIZE:
+            _pub_cache.clear()
         _pub_cache[raw] = key
     return key
 
 
 def verify_raw(verify_key: bytes, payload_digest: bytes, sig: bytes) -> bool:
-    try:
-        _public_key(verify_key).verify(sig, payload_digest)
-        return True
-    except (InvalidSignature, ValueError):
-        return False
+    triple = (verify_key, payload_digest, sig)
+    ok = _verified.get(triple)
+    if ok is None:
+        try:
+            _public_key(verify_key).verify(sig, payload_digest)
+            ok = True
+        except (InvalidSignature, ValueError):
+            ok = False
+        if len(_verified) >= MEMO_SIZE:
+            _verified.clear()
+        _verified[triple] = ok
+    return ok
 
 
 # -- partial signatures ---------------------------------------------------
@@ -125,14 +154,6 @@ class PartialSignature:
         booth = r.bytes_()
         r.expect_done()
         return individual, booth
-
-    @property
-    def individual_sig(self) -> bytes:
-        return self.components()[0]
-
-    @property
-    def booth_sig(self) -> bytes:
-        return self.components()[1]
 
 
 def make_partial(signer: SigningKey, payload_digest: bytes,
@@ -195,10 +216,6 @@ class BoothKeyMaterial:
     member_ids: tuple[int, ...]           # sorted ascending
     directory: Mapping[int, bytes]        # node_id -> booth-local verify key
     share_seeds: Mapping[int, bytes] = field(repr=False, default_factory=dict)
-
-    def directory_bytes(self) -> bytes:
-        return pack(self.threshold,
-                    [(m, self.directory[m]) for m in self.member_ids])
 
 
 def setup_booth_keys(member_ids: Sequence[int], threshold: int,

@@ -79,10 +79,6 @@ class InsufficientMembers(MembershipError):
 
 # -- protocol progress ---------------------------------------------------
 
-class RetriesExhausted(VGuardError):
-    """An instance aborted more times than the configured retry budget."""
-
-
 class UnknownCommit(VGuardError):
     """Ack received for a commit hash this node never initiated or served."""
 

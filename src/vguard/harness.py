@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import __version__
+from . import __version__, crypto, messages
 from .crypto import Identity, KeyService, Role, SigningKey, make_identity
 from .errors import ConfigInvalid, VerificationFailed
 from .gossip import GossipConfig
@@ -198,7 +198,11 @@ def _build_identities(spec: RunSpec, seed_seq: np.random.SeedSequence
 def run(spec: RunSpec, net=None) -> RunResult:
     """Execute one run. `net` defaults to a fresh simulated Network; pass a
     transport with the same surface (see bench.RealtimeNetwork) to reuse the
-    setup, workload, and audit machinery over a different clock."""
+    setup, workload, and audit machinery over a different clock. The
+    signature memo and the decode intern start empty, so no run sees
+    another run's entries."""
+    crypto.clear_caches()
+    messages.clear_caches()
     spec = spec.validate()
     master = np.random.SeedSequence(spec.seed)
     key_seq, net_seed_seq, workload_seq, mmu_seq = master.spawn(4)
@@ -269,7 +273,9 @@ def _byzantine_nodes(spec: RunSpec) -> set[int]:
 def _audit(spec: RunSpec, runtimes: dict[int, NodeRuntime],
            registry: KeyService) -> dict[tuple[int, int], ChainCheck]:
     """verify_chain on every ledger every correct node holds. Proposer
-    ledgers face the strict window-tiling audit when the run was clean."""
+    ledgers face the strict window-tiling audit when the run was clean;
+    ordering ids the proposer retired on a timeout or a lost booth are the
+    only gaps that audit accepts."""
     bad = _byzantine_nodes(spec)
     audits: dict[tuple[int, int], ChainCheck] = {}
     for plan in plan_instances(spec):
@@ -279,12 +285,13 @@ def _audit(spec: RunSpec, runtimes: dict[int, NodeRuntime],
                 continue
             strict = (spec.strict_audit and node_id == plan.proposer_id
                       and not bad and not spec.churn)
-            horizon = None
+            horizon, retired = None, frozenset()
             if strict:
                 prop = runtime.proposers[plan.instance_id]
                 horizon = prop.consensus.release_next_us
+                retired = prop.ordering.retired_ids
             check = verify_chain(ledger, registry, strict=strict,
-                                 horizon_us=horizon)
+                                 horizon_us=horizon, retired_ids=retired)
             audits[(plan.instance_id, node_id)] = check
             if not check.ok and node_id not in bad:
                 raise VerificationFailed(

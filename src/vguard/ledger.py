@@ -17,11 +17,10 @@ transaction hashes for the same input stream.
 from __future__ import annotations
 
 import json
-import logging
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Collection, Iterable, Optional, Sequence
 
 from .booths import BoothProfile
 from .codec import digest, pack, Reader
@@ -35,8 +34,6 @@ from .crypto import (
     verify_partial_set,
 )
 from .errors import DuplicateOrderingId, WindowError
-
-logger = logging.getLogger(__name__)
 
 
 # -- data entries and batches --------------------------------------------
@@ -405,12 +402,6 @@ class Ledger:
         if ts_us not in self._windows:
             self.covered_empty.add(ts_us)
 
-    def all_entries(self) -> list[TxEntry]:
-        out: list[TxEntry] = []
-        for ts in self._order:
-            out.extend(self._windows[ts].tx.entries)
-        return out
-
     # -- export / import --------------------------------------------------
 
     def export_jsonl(self, path, identities: Optional[Iterable[Identity]] = None) -> None:
@@ -508,7 +499,8 @@ class ChainCheck:
 
 
 def verify_chain(ledger: Ledger, registry: Optional[KeyService] = None,
-                 strict: bool = False, horizon_us: Optional[int] = None) -> ChainCheck:
+                 strict: bool = False, horizon_us: Optional[int] = None,
+                 retired_ids: Collection[int] = frozenset()) -> ChainCheck:
     """Audit a ledger.
 
     Always checked: commit certificates (validity, quorum subset and size,
@@ -519,7 +511,9 @@ def verify_chain(ledger: Ledger, registry: Optional[KeyService] = None,
 
     strict adds the proposer/auditor view: ordering ids must be gapless
     starting at 1 across the whole chain, and committed plus covered-empty
-    windows must tile [0, horizon_us) on the window grid.
+    windows must tile [0, horizon_us) on the window grid. The only gaps it
+    allows are the ids in retired_ids: the proposer's journal of rounds
+    retired on a timeout or a lost booth, which never reach any log.
     """
     check = ChainCheck(ok=True)
 
@@ -593,10 +587,11 @@ def verify_chain(ledger: Ledger, registry: Optional[KeyService] = None,
                 fail(f"window {ts}: entry ids not strictly increasing")
             if ids[0] <= prev_last_id:
                 fail(f"window {ts}: ordering ids overlap an earlier window")
-            if strict and ids[0] != expected_next_id:
+            if strict and _unexplained_gap(expected_next_id, ids[0], retired_ids):
                 fail(f"window {ts}: ordering ids skip "
                      f"{expected_next_id}..{ids[0] - 1}")
-            if any(b - a != 1 for a, b in zip(ids, ids[1:])) and strict:
+            if strict and any(b - a != 1 and _unexplained_gap(a + 1, b, retired_ids)
+                              for a, b in zip(ids, ids[1:])):
                 fail(f"window {ts}: gap inside window entry ids")
             prev_last_id = ids[-1]
             expected_next_id = ids[-1] + 1
@@ -611,6 +606,11 @@ def verify_chain(ledger: Ledger, registry: Optional[KeyService] = None,
             fail(f"coverage gap: windows {missing[:5]}"
                  f"{'...' if len(missing) > 5 else ''} neither committed nor covered")
     return check
+
+
+def _unexplained_gap(first: int, stop: int, retired_ids: Collection[int]) -> bool:
+    """True iff some id in [first, stop) was never retired."""
+    return any(oid not in retired_ids for oid in range(first, stop))
 
 
 # -- json helpers ---------------------------------------------------------

@@ -5,6 +5,20 @@ canonically packed fields, starting with the instance id and sender. Every
 carried structure reuses the canonical encodings of its type, so a digest
 computed over a message body is stable across nodes. Decoding failures
 raise ValueError and are treated as silent rejects by receivers.
+
+Both directions do their deterministic work once. `encode` stores the
+bytes on the frozen message the first time it runs, so a broadcast is
+packed once, not once per recipient; a rewritten message (say, a
+byzantine forgery made with `dataclasses.replace`) is a new object and is
+packed afresh. `decode_message` interns its result by the full raw bytes,
+so the copies of one broadcast that reach every booth member are parsed
+once, and the decoded booth profile, with its cached `booth_hash`, is
+shared by all of them. Decoded messages are immutable, so sharing them is
+safe. Only successful decodes are stored: malformed bytes raise on every
+call. The intern holds at most `INTERN_SIZE` entries, is emptied when
+full, and is emptied by `clear_caches` at the start of every
+`harness.run`. Wire bytes are charged by the network per delivery, so
+modeled cost does not change.
 """
 
 from __future__ import annotations
@@ -38,8 +52,12 @@ class _Message:
         raise NotImplementedError
 
     def encode(self) -> bytes:
-        return bytes((WIRE_VERSION, self.TAG)) + pack(
-            self.instance_id, self.sender, *self.body_fields())
+        wire = self.__dict__.get("_wire")
+        if wire is None:
+            wire = bytes((WIRE_VERSION, self.TAG)) + pack(
+                self.instance_id, self.sender, *self.body_fields())
+            object.__setattr__(self, "_wire", wire)
+        return wire
 
 
 @dataclass(frozen=True)
@@ -320,9 +338,27 @@ _BY_TAG = {cls.TAG: cls for cls in (
     PreOrder, OrderReply, OrderMsg, PreCommitSeen, PreCommitUnseen,
     CommitReply, CommitMsg, GossipMsg, GossipAck, Ping, Pong)}
 
+INTERN_SIZE = 1 << 12
+
+_interned: dict[bytes, _Message] = {}
+
+
+def clear_caches() -> None:
+    _interned.clear()
+
 
 def decode_message(raw: bytes):
     """Parse any protocol message; raises ValueError on malformation."""
+    msg = _interned.get(raw)
+    if msg is None:
+        msg = _parse(raw)
+        if len(_interned) >= INTERN_SIZE:
+            _interned.clear()
+        _interned[raw] = msg
+    return msg
+
+
+def _parse(raw: bytes):
     if len(raw) < 2:
         raise ValueError("message too short")
     if raw[0] != WIRE_VERSION:

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import logging
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Iterable, Optional
@@ -27,8 +26,6 @@ from typing import Callable, Iterable, Optional
 import numpy as np
 
 from .errors import ConfigInvalid, UnknownEndpoint
-
-logger = logging.getLogger(__name__)
 
 
 class Category(str, Enum):
@@ -153,17 +150,6 @@ class Scheduler:
                 fn()
         self.now = max(self.now, until_ms)
 
-    def run_while(self, predicate: Callable[[], bool], hard_stop_ms: float) -> None:
-        """Drain events until the predicate turns false or time runs out."""
-        while self._heap and predicate() and self._heap[0][0] <= hard_stop_ms:
-            when, _, timer, fn = heapq.heappop(self._heap)
-            self.now = when
-            if not timer.cancelled:
-                fn()
-
-    def pending(self) -> int:
-        return sum(1 for _, _, t, _ in self._heap if not t.cancelled)
-
 
 class CostMeter:
     """Counts billable work inside one handler invocation."""
@@ -260,13 +246,12 @@ class Network:
         self.config = config
         self.sched = Scheduler()
         root = np.random.SeedSequence(config.seed)
-        proto_seq, ping_seq, aux_seq, spare = root.spawn(4)
+        proto_seq, ping_seq, aux_seq, _ = root.spawn(4)
         self._lanes = {
             "protocol": _Lane(proto_seq),
             "ping": _Lane(ping_seq),
             "aux": _Lane(aux_seq),
         }
-        self.spare_seed = spare          # for callers needing more streams
         self._handlers: dict[int, Callable[[int, bytes, Category], None]] = {}
         self._up: dict[int, bool] = {}
         self._busy: dict[int, float] = {}
@@ -506,9 +491,6 @@ class Network:
 
     def run_until(self, until_ms: float) -> None:
         self.sched.run_until(until_ms)
-
-    def run_while(self, predicate: Callable[[], bool], hard_stop_ms: float) -> None:
-        self.sched.run_while(predicate, hard_stop_ms)
 
     @property
     def now(self) -> float:

@@ -5,7 +5,8 @@ import itertools
 import numpy as np
 import pytest
 
-from vguard.codec import digest
+from vguard import crypto
+from vguard.codec import digest, pack
 from vguard.crypto import (
     aggregate,
     make_identity,
@@ -15,6 +16,7 @@ from vguard.crypto import (
     verify_aggregate,
     verify_partial,
     verify_partial_set,
+    verify_raw,
     Role,
 )
 from vguard.errors import (
@@ -51,9 +53,15 @@ def test_any_bit_flip_breaks_verification():
     partial = make_partial(key, payload)
     flipped = bytes([payload[0] ^ 1]) + payload[1:]
     assert not verify_partial(partial, ident.verify_key, flipped)
-    # tampering with the signature bytes must fail too
-    bad = type(partial)(partial.signer, payload, partial.sig_bytes[:-1] + b"\x00")
-    assert not verify_partial(bad, ident.verify_key) or partial.sig_bytes[-1] == 0
+    # flipping any one bit of the signature must fail too, also after the
+    # untampered signature has been checked (and memoised)
+    assert verify_partial(partial, ident.verify_key)
+    individual, booth = partial.components()
+    for pos in range(len(individual)):
+        forged = bytearray(individual)
+        forged[pos] ^= 1 << (pos % 8)
+        bad = type(partial)(partial.signer, payload, pack(bytes(forged), booth))
+        assert not verify_partial(bad, ident.verify_key)
 
 
 def test_partial_rejected_under_wrong_key():
@@ -212,3 +220,35 @@ def test_tampered_aggregate_rejected(pool4, booth4):
     # claim a different signer set than the bitmap carries
     lied = type(agg)(agg.threshold, agg.sig_bytes, signer_set_digest([2, 4]))
     assert not verify_aggregate(lied, payload, booth.directory_map, booth.threshold)
+
+
+def test_verify_memo_keys_on_the_full_triple():
+    ident, key = make_identity(5, Role.VEHICLE, _rng(3).bytes(32))
+    other, _ = make_identity(6, Role.VEHICLE, _rng(4).bytes(32))
+    payload = digest("t", b"memo")
+    sig = key.sign(payload)
+    assert verify_raw(ident.verify_key, payload, sig)
+    assert verify_raw(ident.verify_key, payload, sig)
+    flipped_sig = sig[:-1] + bytes([sig[-1] ^ 1])
+    flipped_digest = bytes([payload[0] ^ 1]) + payload[1:]
+    # each rejection holds on the first check and on the memoised one
+    for _ in range(2):
+        assert not verify_raw(ident.verify_key, payload, flipped_sig)
+        assert not verify_raw(ident.verify_key, flipped_digest, sig)
+        assert not verify_raw(other.verify_key, payload, sig)
+        assert not verify_raw(b"\x00" * 31, payload, sig)   # unparsable key
+    assert verify_raw(ident.verify_key, payload, sig)
+
+
+def test_verify_memo_stays_bounded(monkeypatch):
+    monkeypatch.setattr(crypto, "MEMO_SIZE", 4)
+    crypto.clear_caches()
+    ident, key = make_identity(5, Role.VEHICLE, _rng(5).bytes(32))
+    payloads = [digest("t", i) for i in range(10)]
+    sigs = [key.sign(p) for p in payloads]
+    for idx, payload in enumerate(payloads):
+        assert verify_raw(ident.verify_key, payload, sigs[idx])
+        assert not verify_raw(ident.verify_key, payload, sigs[idx - 1])
+        assert len(crypto._verified) <= 4
+    crypto.clear_caches()
+    assert not crypto._verified and not crypto._pub_cache

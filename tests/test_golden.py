@@ -1,0 +1,92 @@
+"""Golden outputs: the sha256 of `report.json` and of every ledger export for
+three fixed seeded runs.
+
+A change that only restructures or speeds up the code must leave every one
+of these bytes unchanged. If a digest moves, behaviour moved: say so and
+re-pin on purpose, never to get a pass.
+"""
+
+from __future__ import annotations
+
+import hashlib
+from pathlib import Path
+
+import pytest
+
+from vguard.harness import RunSpec, run, write_artifacts
+from vguard.netsim import SimConfig
+
+SPECS = {
+    "clean_n4": RunSpec(booth_size=4, duration_ms=300.0, grace_ms=300.0,
+                        rate_per_s=100.0, seed=21),
+    "lossy_n7_byzantine": RunSpec(
+        booth_size=7, duration_ms=300.0, grace_ms=500.0, rate_per_s=60.0,
+        seed=22, byzantine=((5, ("silent",)),),
+        sim=SimConfig(seed=0, drop_rate=0.05, dup_rate=0.02, gst_ms=150.0)),
+    "pool8_gossip2": RunSpec(booth_size=4, pool=8, lambda0=2,
+                             duration_ms=300.0, grace_ms=300.0,
+                             rate_per_s=100.0, seed=23),
+}
+
+GOLDEN = {
+    "clean_n4": {
+        "ledger-1-1.jsonl":
+            "5e51cd9ccd3a4a37f12faf89b02dbcdc3e47ca26f75175877dce5139784335c9",
+        "ledger-1-2.jsonl":
+            "22c2705b3cf36ad711019649aff4fc9a72b70e57165a39863fcc5e4bd9e24f44",
+        "ledger-1-3.jsonl":
+            "a97c41a721528ff80b74fd13a595012a00acdb14a714153720bd991a7b77f856",
+        "ledger-1-4.jsonl":
+            "20419223ca6aee0f867858d9f80d132d54d44524cd3283ed75a2bc96733055d1",
+        "report.json":
+            "b0764973bbe738caf3619c425a19f0c8964dc5b0c92c63ad4230f0618c4c0e67",
+    },
+    "lossy_n7_byzantine": {
+        "ledger-1-1.jsonl":
+            "049cd6c1f2a3f12c5eebf3aa10f2620b8a8a2ce1fd9eee648b83b8eb67b680f3",
+        "ledger-1-2.jsonl":
+            "001a4a322dcd48c3b36510f5d5cd9b5640e64b241adfbbb378dc384de1046004",
+        "ledger-1-3.jsonl":
+            "a7e7d3e41d320042d6bdb81e1f08af23dcc37d990dee778a42d6e21ae92aebb1",
+        "ledger-1-4.jsonl":
+            "7954b0431534def18c0387c879c10f6b99583c3e64c6e186b6539fd5b46d5d60",
+        "ledger-1-5.jsonl":
+            "58aeae4ef7c5b1389e76ccbb39cebb05ce8d671a01c3199c5c763ffcc692d61a",
+        "ledger-1-6.jsonl":
+            "9575ab47eaa7cedc555bab393c0fe664d0819df7cfffceeafbf025c3028bada9",
+        "ledger-1-7.jsonl":
+            "e248857e7fb2fe0a192cbe353a3bbef996050b6907ed15d27115aaf41131ee4d",
+        "report.json":
+            "b51829045014ae1abcf3a2f37c2490a4b09fe1da34fee9979c06b5d2f526401c",
+    },
+    "pool8_gossip2": {
+        "ledger-1-1.jsonl":
+            "a973c66b5df384c2f397b48a1eb3aef67f2aa910162871ea3da9a8aa691e0b67",
+        "ledger-1-2.jsonl":
+            "4d28b11643bd9afeedd779d728b9ea18450c9fe10b626a6c826a955d61232cbe",
+        "ledger-1-3.jsonl":
+            "7e4dfab2dca6719b02bc9b6683754ba96cb6888c24bd06ff000194c91a24e298",
+        "ledger-1-4.jsonl":
+            "c66272f40c393745bcf812e794851a5ef6dcaa068484315e0f6390a8cd51a42c",
+        "ledger-1-5.jsonl":
+            "bc4172dd6f2d2216ccfd21d7cb3a9eb10867419028699fd63a3316c334335772",
+        "ledger-1-6.jsonl":
+            "450c95274e34ad6637c94f4d10b51c73bd4ea0736d7590c5603e61fca62446d4",
+        "ledger-1-7.jsonl":
+            "2407bd4f5d418be02f43aff2f540623c09fb6aab8f14cbb6025e1643e5901d8f",
+        "report.json":
+            "fab6ea0dd14cadeb2843bf8973e2592c50f42995421c46ac8553c0bad45ea4a1",
+    },
+}
+
+
+def artifact_digests(spec: RunSpec, outdir: Path) -> dict[str, str]:
+    """sha256 of report.json and of each ledger export of one run."""
+    paths = write_artifacts(run(spec), outdir)
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in paths
+            if p.name == "report.json" or p.name.startswith("ledger-")}
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_golden_artifacts_are_byte_identical(name, tmp_path):
+    assert artifact_digests(SPECS[name], tmp_path) == GOLDEN[name]

@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from vguard import cli
+from vguard import cli, crypto
 from vguard.bench import run_benchmark
 from vguard.errors import ConfigInvalid
 from vguard.harness import (RunSpec, load_spec_file, plan_instances, run,
@@ -66,6 +69,47 @@ def test_gossip_does_not_perturb_consensus(tmp_path):
     assert chatty.report["gossip"]        # but gossip did happen
     assert sum(s["stored"] for s in chatty.report["gossip"].values()) > 0
     assert quiet.report["gossip"] == {}
+
+
+def test_lossy_run_passes_strict_audit_over_retired_ids():
+    # loss before GST makes ordering rounds time out; their retired ids
+    # are gaps in the proposer's log that the strict audit must accept
+    spec = small_spec(seed=7, sim=SimConfig(seed=0, drop_rate=0.1, gst_ms=300.0))
+    assert spec.strict_audit
+    result = run(spec)
+    proposer = plan_instances(spec)[0].proposer_id
+    assert result.runtimes[proposer].proposers[1].ordering.retired_ids
+    assert all(result.report["audits"].values())
+    inst = result.report["instances"][0]
+    assert inst["committed_batches"] == inst["submitted_batches"]
+
+
+def test_back_to_back_runs_make_the_same_real_verifications(monkeypatch):
+    """harness.run starts with empty memos, so a repeated run cannot lean
+    on the previous run's signature checks."""
+    real = crypto.Ed25519PublicKey
+    calls = []
+
+    class CountingKey:
+        def __init__(self, key):
+            self._key = key
+
+        @classmethod
+        def from_public_bytes(cls, raw):
+            return cls(real.from_public_bytes(raw))
+
+        def verify(self, sig, data):
+            calls.append(1)
+            return self._key.verify(sig, data)
+
+    monkeypatch.setattr(crypto, "Ed25519PublicKey", CountingKey)
+    spec = small_spec(duration_ms=200.0, grace_ms=300.0)
+    counts = []
+    for _ in range(2):
+        calls.clear()
+        run(spec)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
 
 
 def test_churned_vehicle_triggers_rebooking_not_loss():
@@ -192,6 +236,16 @@ def test_benchmark_mode_rejects_fault_schedules():
     with pytest.raises(ConfigInvalid):
         run_benchmark(small_spec(
             churn=(ChurnEvent(at_ms=10.0, node_id=4, up=False),)))
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-m", "vguard", "--help"], env=env,
+                         capture_output=True, text=True, check=True)
+    assert "usage: vguard" in out.stdout
 
 
 def test_cli_run_and_sweep(tmp_path, capsys):

@@ -293,6 +293,50 @@ def test_strict_mode_needs_tiling_and_continuity(pool4, booth4):
     assert any("skip" in v for v in still.violations)
 
 
+def _ledger_with_ids(pool, booth, material, windows) -> Ledger:
+    """One committed window per list of ordering ids, on consecutive slots."""
+    ledger = Ledger(booth.proposer_id, DELTA_US)
+    ledger.note_booth(booth)
+    for w, ids in enumerate(windows):
+        entries = [certify_entry(pool, booth, material, oid,
+                                 make_batch(pool, start_seq=oid * 10),
+                                 appended_at_us=w * DELTA_US + 10)
+                   for oid in ids]
+        record, tx = commit_window(pool, booth, material, w * DELTA_US,
+                                   DELTA_US, entries)
+        ledger.append_commit(record, tx)
+    return ledger
+
+
+def test_strict_mode_steps_over_retired_ids(pool4, booth4):
+    booth, material = booth4
+    # id 1 retired before the first window, id 3 between windows, id 6
+    # inside the second window: every gap is one a timeout explains
+    ledger = _ledger_with_ids(pool4, booth, material, [[2], [4, 5, 7]])
+    horizon = 2 * DELTA_US
+    bare = verify_chain(ledger, pool4.registry, strict=True, horizon_us=horizon)
+    assert any("skip" in v for v in bare.violations)
+    assert any("gap inside" in v for v in bare.violations)
+    check = verify_chain(ledger, pool4.registry, strict=True, horizon_us=horizon,
+                         retired_ids={1, 3, 6})
+    assert check.ok, check.violations
+
+
+def test_strict_mode_rejects_gaps_no_retirement_explains(pool4, booth4):
+    booth, material = booth4
+    ledger = _ledger_with_ids(pool4, booth, material, [[1, 2], [4, 5, 8]])
+    horizon = 2 * DELTA_US
+    # 3 and 6 retired, 7 never was: only the gap at 7 must fail
+    check = verify_chain(ledger, pool4.registry, strict=True, horizon_us=horizon,
+                         retired_ids={3, 6})
+    assert check.violations == [f"window {DELTA_US}: gap inside window entry ids"]
+    # a retired id past the gap does not excuse a skip before it
+    ledger = _ledger_with_ids(pool4, booth, material, [[1], [4]])
+    check = verify_chain(ledger, pool4.registry, strict=True, horizon_us=horizon,
+                         retired_ids={2, 5})
+    assert check.violations == [f"window {DELTA_US}: ordering ids skip 2..3"]
+
+
 def test_export_import_roundtrip(tmp_path, pool4, booth4):
     booth, material = booth4
     ledger = _build_ledger(pool4, booth, material)

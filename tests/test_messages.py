@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from conftest import (certify_entry, commit_window, default_quorum, make_batch,
                       make_booth, make_pool)
+from vguard import messages
 from vguard.crypto import make_partial
 from vguard.ledger import commit_cert_digest, order_cert_digest
 from vguard.messages import (WIRE_VERSION, CommitMsg, CommitReply, GossipAck,
@@ -182,3 +185,45 @@ def test_quorum_order_changes_encoding(world):
     flipped = OrderMsg(instance_id=1, sender=1, ordering_id=1,
                        quorum=tuple(reversed(entry.quorum)), cert=entry.cert)
     assert base.encode() != flipped.encode()
+
+
+def test_malformed_bytes_raise_on_every_call(world):
+    pool, booth, material = world
+    entry = certify_entry(pool, booth, material, 4, make_batch(pool))
+    raw = OrderMsg(instance_id=1, sender=1, ordering_id=4,
+                   quorum=entry.quorum, cert=entry.cert).encode()
+    for bad in (raw[:-1], raw + b"\x00", bytes((WIRE_VERSION, 200)) + raw[2:]):
+        for _ in range(3):
+            with pytest.raises(ValueError):
+                decode_message(bad)
+    assert decode_message(raw).ordering_id == 4
+
+
+def test_decode_interns_by_bytes_and_stays_bounded(world, monkeypatch):
+    pool, booth, material = world
+    entry = certify_entry(pool, booth, material, 6, make_batch(pool))
+    msg = OrderMsg(instance_id=1, sender=1, ordering_id=6,
+                   quorum=entry.quorum, cert=entry.cert)
+    raw = msg.encode()
+    # a second copy of the bytes, as every booth member receives one
+    assert decode_message(bytes(bytearray(raw))) is decode_message(raw)
+    monkeypatch.setattr(messages, "INTERN_SIZE", 3)
+    messages.clear_caches()
+    for seq in range(10):
+        ping = Ping(instance_id=0, sender=2, seq=seq, sent_at_us=seq)
+        assert decode_message(ping.encode()) == ping
+        assert len(messages._interned) <= 3
+
+
+def test_encode_once_per_message_object(world):
+    pool, booth, material = world
+    entry = certify_entry(pool, booth, material, 7, make_batch(pool))
+    msg = OrderMsg(instance_id=1, sender=1, ordering_id=7,
+                   quorum=entry.quorum, cert=entry.cert)
+    wire = msg.encode()
+    assert msg.encode() is wire
+    # a rewritten copy, as a byzantine sender makes, is encoded afresh
+    forged = replace(msg, quorum=msg.quorum[:-1] + (99,))
+    assert forged.encode() != wire
+    assert decode_message(forged.encode()) == forged
+    assert msg == decode_message(wire) and repr(msg) == repr(decode_message(wire))
