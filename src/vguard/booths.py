@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
-from .codec import digest, pack, Reader
+from .codec import digest, pack, Packed, Reader
 from .crypto import Identity, Role
 
 
@@ -35,16 +35,23 @@ class BoothProfile:
             raise ValueError("booth must contain its proposer and pivot")
 
     @cached_property
-    def booth_hash(self) -> bytes:
-        return digest(
-            "booth",
+    def packed(self) -> bytes:
+        """Canonical bytes of the profile: packed once, or the slice it was
+        decoded from, which the canonical format makes the same bytes."""
+        return pack([
             self.proposer_id,
             self.pivot_id,
             self.threshold,
             self.created_at_us,
             [[m.node_id, m.role.value, m.verify_key, m.net_addr] for m in self.members],
             [[node_id, key] for node_id, key in self.directory],
-        )
+        ])
+
+    @cached_property
+    def booth_hash(self) -> bytes:
+        # digest("booth", <the six fields>): the packed fields are the
+        # canonical bytes after their 5-byte sequence header
+        return digest("booth", Packed(self.packed[5:]))
 
     @cached_property
     def member_ids(self) -> tuple[int, ...]:
@@ -71,21 +78,12 @@ class BoothProfile:
 
     # wire form -----------------------------------------------------------
 
-    def to_field(self) -> list:
-        return [
-            self.proposer_id,
-            self.pivot_id,
-            self.threshold,
-            self.created_at_us,
-            [[m.node_id, m.role.value, m.verify_key, m.net_addr] for m in self.members],
-            [[node_id, key] for node_id, key in self.directory],
-        ]
-
-    def encode(self) -> bytes:
-        return pack(self.to_field())
+    def to_field(self) -> Packed:
+        return Packed(self.packed)
 
     @classmethod
     def read_from(cls, r: Reader) -> "BoothProfile":
+        start = r.tell()
         if r.seq_len() != 6:
             raise ValueError("malformed booth profile")
         proposer_id = r.u64()
@@ -106,7 +104,7 @@ class BoothProfile:
             if r.seq_len() != 2:
                 raise ValueError("malformed booth directory entry")
             directory.append((r.u64(), r.bytes_()))
-        return cls(
+        profile = cls(
             members=tuple(members),
             proposer_id=proposer_id,
             pivot_id=pivot_id,
@@ -114,12 +112,7 @@ class BoothProfile:
             directory=tuple(directory),
             created_at_us=created,
         )
-
-    @classmethod
-    def decode(cls, raw: bytes) -> "BoothProfile":
-        r = Reader(raw)
-        profile = cls.read_from(r)
-        r.expect_done()
+        profile.__dict__["packed"] = r.slice_from(start)
         return profile
 
 

@@ -11,50 +11,100 @@ two nodes always derive identical bytes for identical values:
 Digests are sha256 over a packed tuple whose first field is a short
 domain-separation label, so a batch hash can never collide with, say, a
 commit-certificate digest of coincidentally equal fields.
+
+The format is canonical: a value has exactly one packing, and `Reader`
+accepts nothing else. So the bytes a value was decoded from are the bytes
+`pack` would make of it, and a value that already holds its packing can
+hand it over as a `Packed` field, which `pack` splices as-is instead of
+packing the value again. `Reader.skip` steps over one value without
+building it, and `Reader.slice_from` returns the bytes read since a
+position, so a decoder can capture the packing of what it just read.
 """
 
 from __future__ import annotations
 
 import hashlib
+import struct
 from typing import Iterable, Union
 
-Field = Union[int, bytes, str, Iterable["Field"]]
 
-_U64_MAX = (1 << 64) - 1
+class Packed:
+    """Bytes that are already the canonical packing of one or more fields."""
+
+    __slots__ = ("raw",)
+
+    def __init__(self, raw: bytes):
+        self.raw = raw
+
+
+Field = Union[int, bytes, str, Packed, Iterable["Field"]]
+
+_HEADER = struct.Struct(">cI").unpack_from    # tag, then a length or a count
+_U64 = struct.Struct(">cQ").unpack_from       # tag, then the value
+_LENGTH = struct.Struct(">I").unpack_from
 
 
 def pack(*fields: Field) -> bytes:
     """Serialize fields canonically, in the order given."""
     out = bytearray()
+    packers = _PACKERS
     for field in fields:
-        _pack_into(out, field)
+        packers.get(type(field), _pack_other)(out, field)
     return bytes(out)
 
 
-def _pack_into(out: bytearray, field: Field) -> None:
+def _pack_int(out: bytearray, field: int) -> None:
+    out += b"I"
+    try:
+        out += field.to_bytes(8, "big")
+    except OverflowError:
+        raise ValueError(f"integer field out of u64 range: {field}") from None
+
+
+def _pack_bytes(out: bytearray, field: bytes) -> None:
+    out += b"B"
+    out += len(field).to_bytes(4, "big")
+    out += field
+
+
+def _pack_str(out: bytearray, field: str) -> None:
+    raw = field.encode("utf-8")
+    out += b"S"
+    out += len(raw).to_bytes(4, "big")
+    out += raw
+
+
+def _pack_seq(out: bytearray, field) -> None:
+    out += b"L"
+    out += len(field).to_bytes(4, "big")
+    packers = _PACKERS
+    for item in field:
+        packers.get(type(item), _pack_other)(out, item)
+
+
+def _pack_packed(out: bytearray, field: Packed) -> None:
+    out += field.raw
+
+
+def _pack_other(out: bytearray, field) -> None:
+    """Subclasses of the field types pack as their base; anything else,
+    and bool in particular, is not a canonical field."""
     if isinstance(field, bool):
         raise TypeError("bool is not a canonical field type")
-    if isinstance(field, int):
-        if not 0 <= field <= _U64_MAX:
-            raise ValueError(f"integer field out of u64 range: {field}")
-        out += b"I"
-        out += field.to_bytes(8, "big")
-    elif isinstance(field, bytes):
-        out += b"B"
-        out += len(field).to_bytes(4, "big")
-        out += field
-    elif isinstance(field, str):
-        raw = field.encode("utf-8")
-        out += b"S"
-        out += len(raw).to_bytes(4, "big")
-        out += raw
-    elif isinstance(field, (list, tuple)):
-        out += b"L"
-        out += len(field).to_bytes(4, "big")
-        for item in field:
-            _pack_into(out, item)
-    else:
-        raise TypeError(f"cannot pack field of type {type(field).__name__}")
+    for base in (int, bytes, str, list, tuple):
+        if isinstance(field, base):
+            return _PACKERS[base](out, field)
+    raise TypeError(f"cannot pack field of type {type(field).__name__}")
+
+
+_PACKERS = {
+    int: _pack_int,
+    bytes: _pack_bytes,
+    str: _pack_str,
+    list: _pack_seq,
+    tuple: _pack_seq,
+    Packed: _pack_packed,
+}
 
 
 def digest(label: str, *fields: Field) -> bytes:
@@ -74,36 +124,76 @@ class Reader:
         self._buf = buf
         self._pos = pos
 
-    def _take(self, n: int) -> bytes:
-        end = self._pos + n
-        if end > len(self._buf):
-            raise ValueError("truncated field")
-        chunk = self._buf[self._pos:end]
-        self._pos = end
-        return chunk
-
-    def _expect_tag(self, tag: bytes) -> None:
-        got = self._take(1)
+    def _header(self, tag: bytes) -> int:
+        """Check one tag and read its 4-byte length or count, in one step."""
+        try:
+            got, n = _HEADER(self._buf, self._pos)
+        except struct.error:
+            raise ValueError("truncated field") from None
         if got != tag:
             raise ValueError(f"expected field tag {tag!r}, got {got!r}")
+        self._pos += 5
+        return n
+
+    def _body(self, tag: bytes) -> bytes:
+        n = self._header(tag)
+        start = self._pos
+        end = start + n
+        if end > len(self._buf):
+            raise ValueError("truncated field")
+        self._pos = end
+        return self._buf[start:end]
 
     def u64(self) -> int:
-        self._expect_tag(b"I")
-        return int.from_bytes(self._take(8), "big")
+        try:
+            got, value = _U64(self._buf, self._pos)
+        except struct.error:
+            raise ValueError("truncated field") from None
+        if got != b"I":
+            raise ValueError(f"expected field tag b'I', got {got!r}")
+        self._pos += 9
+        return value
 
     def bytes_(self) -> bytes:
-        self._expect_tag(b"B")
-        n = int.from_bytes(self._take(4), "big")
-        return self._take(n)
+        return self._body(b"B")
 
     def str_(self) -> str:
-        self._expect_tag(b"S")
-        n = int.from_bytes(self._take(4), "big")
-        return self._take(n).decode("utf-8")
+        return self._body(b"S").decode("utf-8")
 
     def seq_len(self) -> int:
-        self._expect_tag(b"L")
-        return int.from_bytes(self._take(4), "big")
+        return self._header(b"L")
+
+    def skip(self) -> None:
+        """Step over one packed value, checking its framing, without
+        building it. Iterative, so nesting depth costs no stack."""
+        buf = self._buf
+        pos = self._pos
+        pending = 1
+        try:
+            while pending:
+                pending -= 1
+                tag = buf[pos]
+                if tag == 0x42 or tag == 0x53:            # B, S
+                    pos += 5 + _LENGTH(buf, pos + 1)[0]
+                elif tag == 0x49:                         # I
+                    pos += 9
+                elif tag == 0x4C:                         # L
+                    pending += _LENGTH(buf, pos + 1)[0]
+                    pos += 5
+                else:
+                    raise ValueError(f"unknown field tag {bytes((tag,))!r}")
+        except (IndexError, struct.error):
+            raise ValueError("truncated field") from None
+        if pos > len(buf):
+            raise ValueError("truncated field")
+        self._pos = pos
+
+    def tell(self) -> int:
+        return self._pos
+
+    def slice_from(self, start: int) -> bytes:
+        """The bytes read since position `start`."""
+        return self._buf[start:self._pos]
 
     def done(self) -> bool:
         return self._pos >= len(self._buf)

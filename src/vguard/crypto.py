@@ -149,11 +149,15 @@ class PartialSignature:
     sig_bytes: bytes
 
     def components(self) -> tuple[bytes, bytes]:
-        r = Reader(self.sig_bytes)
-        individual = r.bytes_()
-        booth = r.bytes_()
-        r.expect_done()
-        return individual, booth
+        """(individual, booth) signatures, parsed once per object; malformed
+        sig_bytes raise ValueError on every call."""
+        parts = self.__dict__.get("_components")
+        if parts is None:
+            r = Reader(self.sig_bytes)
+            parts = (r.bytes_(), r.bytes_())
+            r.expect_done()
+            object.__setattr__(self, "_components", parts)
+        return parts
 
 
 def make_partial(signer: SigningKey, payload_digest: bytes,

@@ -113,6 +113,19 @@ def default_overlay(node_ids: list[int]) -> dict[int, list[int]]:
     return out
 
 
+def draw_payloads(rng: np.random.Generator, count: int, size: int) -> list[bytes]:
+    """`count` payloads of `size` bytes, the same bytes and the same
+    generator state as `count` calls of `rng.bytes(size)`, in one draw.
+
+    `Generator.bytes(size)` draws ceil(size / 4) 32-bit words, but at least
+    one, and keeps the first `size` bytes of them, so each payload is the
+    head of its own slot of whole words."""
+    slot = 4 * max(1, -(-size // 4))
+    raw = rng.integers(0, 1 << 32, size=count * slot // 4,
+                       dtype=np.uint32).astype("<u4").tobytes()
+    return [raw[i * slot:i * slot + size] for i in range(count)]
+
+
 class Workload:
     """Feeds one proposer instance with fixed-size batches."""
 
@@ -139,12 +152,12 @@ class Workload:
         self.stopped = True
 
     def _make_batch(self) -> DataBatch:
-        entries = []
-        for _ in range(self.spec.batch_size):
-            self.origin_seq += 1
-            entries.append(DataEntry(self.origin_seq,
-                                     self.rng.bytes(self.spec.payload_bytes)))
-        return DataBatch(tuple(entries))
+        count, size = self.spec.batch_size, self.spec.payload_bytes
+        first = self.origin_seq + 1
+        self.origin_seq += count
+        return DataBatch(tuple(
+            DataEntry(first + i, payload)
+            for i, payload in enumerate(draw_payloads(self.rng, count, size))))
 
     def _submit_one(self) -> None:
         if self.stopped:

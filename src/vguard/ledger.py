@@ -23,7 +23,7 @@ from functools import cached_property
 from typing import Callable, Collection, Iterable, Optional, Sequence
 
 from .booths import BoothProfile
-from .codec import digest, pack, Reader
+from .codec import digest, pack, Packed, Reader
 from .crypto import (
     AggregateSignature,
     Identity,
@@ -67,6 +67,7 @@ class DataBatch:
     def read_from(cls, r: Reader) -> "DataBatch":
         if r.seq_len() != 1:
             raise ValueError("malformed batch")
+        start = r.tell()
         entries = []
         for _ in range(r.seq_len()):
             if r.seq_len() != 2:
@@ -74,7 +75,11 @@ class DataBatch:
             seq = r.u64()
             payload = r.bytes_()
             entries.append(DataEntry(seq, payload))
-        return cls(entries=tuple(entries))
+        batch = cls(entries=tuple(entries))
+        # the entry list as read is its canonical packing: hash it as-is,
+        # and keep only the hash
+        batch.__dict__["batch_hash"] = digest("batch", Packed(r.slice_from(start)))
+        return batch
 
 
 def order_cert_digest(ordering_id: int, batch_hash: bytes, booth_hash: bytes) -> bytes:

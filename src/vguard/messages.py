@@ -10,15 +10,24 @@ Both directions do their deterministic work once. `encode` stores the
 bytes on the frozen message the first time it runs, so a broadcast is
 packed once, not once per recipient; a rewritten message (say, a
 byzantine forgery made with `dataclasses.replace`) is a new object and is
-packed afresh. `decode_message` interns its result by the full raw bytes,
-so the copies of one broadcast that reach every booth member are parsed
-once, and the decoded booth profile, with its cached `booth_hash`, is
-shared by all of them. Decoded messages are immutable, so sharing them is
-safe. Only successful decodes are stored: malformed bytes raise on every
-call. The intern holds at most `INTERN_SIZE` entries, is emptied when
-full, and is emptied by `clear_caches` at the start of every
-`harness.run`. Wire bytes are charged by the network per delivery, so
-modeled cost does not change.
+packed afresh. A carried booth profile is spliced into the message as the
+canonical bytes it keeps (see `codec.Packed`), not packed field by field.
+
+`decode_message` interns its result by the full raw bytes, so the copies
+of one broadcast that reach every booth member are parsed once. Below
+that, it interns the booth profiles and transactions a message carries
+by their own bytes, found with `Reader.skip`: messages that differ
+elsewhere (a PreOrder and a PreCommitSeen naming one booth, or a
+GossipMsg forwarded with one more hop) share one parse, one
+`BoothProfile` with its cached `booth_hash`, and one `Transaction`. A
+decoded profile keeps the slice it was read from as its canonical bytes,
+and a decoded batch hashes the slice it was read from and keeps only the
+hash. Decoded values are immutable, so sharing them is safe. Only
+successful decodes are stored: malformed bytes raise on every call. Each
+intern holds at most `INTERN_SIZE` entries, is emptied when full, and is
+emptied by `clear_caches` at the start of every `harness.run`. Wire
+bytes are charged by the network per delivery, so modeled cost does not
+change.
 """
 
 from __future__ import annotations
@@ -81,7 +90,7 @@ class PreOrder(_Message):
     @classmethod
     def read_body(cls, instance_id: int, sender: int, r: Reader) -> "PreOrder":
         return cls(instance_id, sender, r.u64(), DataBatch.read_from(r),
-                   r.bytes_(), BoothProfile.read_from(r), r.bytes_(),
+                   r.bytes_(), _read_booth(r), r.bytes_(),
                    _partial_read_from(r))
 
 
@@ -145,7 +154,7 @@ class PreCommitSeen(_Message):
     @classmethod
     def read_body(cls, instance_id: int, sender: int, r: Reader) -> "PreCommitSeen":
         return cls(instance_id, sender, r.u64(), r.u64(), r.bytes_(), r.u64(),
-                   r.u64(), BoothProfile.read_from(r), r.bytes_(),
+                   r.u64(), _read_booth(r), r.bytes_(),
                    _partial_read_from(r))
 
 
@@ -183,8 +192,8 @@ class PreCommitUnseen(_Message):
         start = r.u64()
         length = r.u64()
         tx_hash = r.bytes_()
-        tx = Transaction.read_from(r)
-        booth = BoothProfile.read_from(r)
+        tx = _read_tx(r)
+        booth = _read_booth(r)
         booth_hash = r.bytes_()
         reply_sets = []
         for _ in range(r.seq_len()):
@@ -278,7 +287,7 @@ class GossipMsg(_Message):
         if r.seq_len() != 5:
             raise ValueError("malformed embedded commit")
         commit = CommitMsg.read_body(instance_id, sender, r)
-        tx = Transaction.read_from(r)
+        tx = _read_tx(r)
         hops = []
         for _ in range(r.seq_len()):
             if r.seq_len() != 3:
@@ -341,21 +350,53 @@ _BY_TAG = {cls.TAG: cls for cls in (
 INTERN_SIZE = 1 << 12
 
 _interned: dict[bytes, _Message] = {}
+_booths: dict[bytes, BoothProfile] = {}
+_txs: dict[bytes, Transaction] = {}
 
 
 def clear_caches() -> None:
     _interned.clear()
+    _booths.clear()
+    _txs.clear()
+
+
+def _intern(table: dict, raw: bytes, parse):
+    """Look raw up in one intern table; parse and store it on a miss.
+    A parse that raises stores nothing."""
+    value = table.get(raw)
+    if value is None:
+        value = parse(raw)
+        if len(table) >= INTERN_SIZE:
+            table.clear()
+        table[raw] = value
+    return value
+
+
+def _read_sub(table: dict, r: Reader, read_from):
+    """Read one carried value through its intern, keyed by its bytes."""
+    start = r.tell()
+    r.skip()
+
+    def parse(raw: bytes):
+        sub = Reader(raw)
+        value = read_from(sub)
+        sub.expect_done()
+        return value
+
+    return _intern(table, r.slice_from(start), parse)
+
+
+def _read_booth(r: Reader) -> BoothProfile:
+    return _read_sub(_booths, r, BoothProfile.read_from)
+
+
+def _read_tx(r: Reader) -> Transaction:
+    return _read_sub(_txs, r, Transaction.read_from)
 
 
 def decode_message(raw: bytes):
     """Parse any protocol message; raises ValueError on malformation."""
-    msg = _interned.get(raw)
-    if msg is None:
-        msg = _parse(raw)
-        if len(_interned) >= INTERN_SIZE:
-            _interned.clear()
-        _interned[raw] = msg
-    return msg
+    return _intern(_interned, raw, _parse)
 
 
 def _parse(raw: bytes):

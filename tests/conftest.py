@@ -91,6 +91,14 @@ def make_booth(pool: Pool, member_ids, proposer_id: int, pivot_id: int,
     return profile, material
 
 
+def fresh_profile(booth: BoothProfile) -> BoothProfile:
+    """An equal profile that has neither packed nor hashed itself yet."""
+    return BoothProfile(members=booth.members, proposer_id=booth.proposer_id,
+                        pivot_id=booth.pivot_id, threshold=booth.threshold,
+                        directory=booth.directory,
+                        created_at_us=booth.created_at_us)
+
+
 def make_batch(pool: Pool, size: int = 3, payload_len: int = 16,
                start_seq: int = 0) -> DataBatch:
     entries = tuple(

@@ -9,14 +9,15 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from vguard import cli, crypto
 from vguard.bench import run_benchmark
 from vguard.errors import ConfigInvalid
-from vguard.harness import (RunSpec, load_spec_file, plan_instances, run,
-                            seed_for_cell, spec_from_dict, sweep,
-                            write_artifacts)
+from vguard.harness import (RunSpec, draw_payloads, load_spec_file,
+                            plan_instances, run, seed_for_cell, spec_from_dict,
+                            sweep, write_artifacts)
 from vguard.netsim import ChurnEvent, SimConfig
 
 
@@ -110,6 +111,21 @@ def test_back_to_back_runs_make_the_same_real_verifications(monkeypatch):
         run(spec)
         counts.append(len(calls))
     assert counts[0] == counts[1] > 0
+
+
+@pytest.mark.parametrize("size", [*range(10), *range(62, 67)])
+def test_one_draw_per_batch_matches_one_draw_per_entry(size):
+    """The workload draws a batch's payloads at once; they and the
+    generator state after them equal one `rng.bytes` call per entry."""
+    for count in (1, 3, 8, 64):
+        per_entry = np.random.default_rng([size, count])
+        per_batch = np.random.default_rng([size, count])
+        per_entry.bytes(3)        # start off a 64-bit boundary as well
+        per_batch.bytes(3)
+        expected = [per_entry.bytes(size) for _ in range(count)]
+        assert draw_payloads(per_batch, count, size) == expected
+        assert per_batch.bit_generator.state == per_entry.bit_generator.state
+        assert per_batch.bytes(7) == per_entry.bytes(7)
 
 
 def test_churned_vehicle_triggers_rebooking_not_loss():

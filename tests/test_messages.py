@@ -2,15 +2,19 @@
 
 from __future__ import annotations
 
+import json
 from dataclasses import replace
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import (certify_entry, commit_window, default_quorum, make_batch,
-                      make_booth, make_pool)
-from vguard import messages
-from vguard.crypto import make_partial
-from vguard.ledger import commit_cert_digest, order_cert_digest
+from conftest import (certify_entry, commit_window, default_quorum,
+                      fresh_profile, make_batch, make_booth, make_pool)
+from vguard import harness, messages
+from vguard.netsim import SimConfig
+from vguard.crypto import Role, make_partial
+from vguard.ledger import Transaction, commit_cert_digest, order_cert_digest
 from vguard.messages import (WIRE_VERSION, CommitMsg, CommitReply, GossipAck,
                              GossipMsg, OrderMsg, OrderReply, Ping, Pong,
                              PreCommitSeen, PreCommitUnseen, PreOrder,
@@ -227,3 +231,205 @@ def test_encode_once_per_message_object(world):
     assert forged.encode() != wire
     assert decode_message(forged.encode()) == forged
     assert msg == decode_message(wire) and repr(msg) == repr(decode_message(wire))
+
+
+# -- sub-value intern --------------------------------------------------------
+
+def _pre_order(pool, booth, ordering_id=5):
+    batch = make_batch(pool, size=2)
+    payload = order_cert_digest(ordering_id, batch.batch_hash, booth.booth_hash)
+    return PreOrder(instance_id=1, sender=1, ordering_id=ordering_id,
+                    batch=batch, batch_hash=batch.batch_hash, booth=booth,
+                    booth_hash=booth.booth_hash,
+                    proposer_partial=_proposer_partial(pool, booth, payload))
+
+
+def _gossip(pool, commit, tx, hops):
+    traverse = tuple(
+        TraverseHop(lifetime=life, node_id=node,
+                    sig=pool.keys[node].sign(
+                        traverse_digest(commit.commit_hash(), life)))
+        for node, life in hops)
+    return GossipMsg(instance_id=1, sender=hops[-1][0], commit=commit, tx=tx,
+                     traverse=traverse)
+
+
+def test_messages_carrying_one_booth_share_its_profile(world):
+    pool, booth, material = world
+    messages.clear_caches()
+    entry = certify_entry(pool, booth, material, 0, make_batch(pool))
+    _, tx = commit_window(pool, booth, material, 0, 100_000, [entry])
+    payload = commit_cert_digest(0, tx.tx_hash, booth.booth_hash)
+    seen = PreCommitSeen(instance_id=1, sender=1, window_start_us=0,
+                         window_len_us=100_000, tx_hash=tx.tx_hash, first_id=0,
+                         last_id=0, booth=booth, booth_hash=booth.booth_hash,
+                         proposer_partial=_proposer_partial(pool, booth, payload))
+    a = decode_message(_pre_order(pool, booth).encode())
+    b = decode_message(seen.encode())
+    assert a.booth == booth and a.booth is b.booth
+    assert a.booth.packed == booth.packed
+    assert a.booth.booth_hash == booth.booth_hash
+
+
+def test_forwarded_gossip_reuses_the_parsed_transaction(world, monkeypatch):
+    pool, booth, material = world
+    messages.clear_caches()
+    entries = [certify_entry(pool, booth, material, i, make_batch(pool))
+               for i in range(2)]
+    commit, tx = _commit_msg(pool, booth, material, entries)
+    first = decode_message(_gossip(pool, commit, tx, [(1, 2)]).encode())
+    parses = []
+    real = Transaction.read_from.__func__
+
+    def counting(cls, r):
+        parses.append(1)
+        return real(cls, r)
+
+    monkeypatch.setattr(Transaction, "read_from", classmethod(counting))
+    forwarded = decode_message(
+        _gossip(pool, commit, tx, [(1, 2), (3, 1)]).encode())
+    assert forwarded.tx is first.tx and forwarded.tx == tx
+    assert len(forwarded.traverse) == 2
+    assert parses == []
+
+
+def test_sub_value_interns_are_bounded_and_cleared(world, monkeypatch):
+    pool, _, material = world
+    monkeypatch.setattr(messages, "INTERN_SIZE", 2)
+    messages.clear_caches()
+    for created in range(5):
+        booth, material = make_booth(pool, [1, 2, 3, 4], proposer_id=1,
+                                     pivot_id=2, created_at_us=created)
+        decoded = decode_message(_pre_order(pool, booth).encode())
+        assert decoded.booth == booth
+        entry = certify_entry(pool, booth, material, 0, make_batch(pool))
+        commit, tx = _commit_msg(pool, booth, material, [entry])
+        assert decode_message(_gossip(pool, commit, tx, [(1, 2)]).encode()).tx == tx
+        assert len(messages._booths) <= 2 and len(messages._txs) <= 2
+    assert messages._booths and messages._txs and messages._interned
+    messages.clear_caches()
+    assert not (messages._booths or messages._txs or messages._interned)
+
+
+def test_malformed_booth_raises_on_every_call(world):
+    pool, booth, _ = world
+    messages.clear_caches()
+    raw = _pre_order(pool, booth).encode()
+    at = raw.index(booth.packed)
+    role = Role.PIVOT.value.encode()
+    bad_booth = booth.packed.replace(role, role[:-1] + b"X")
+    assert len(bad_booth) == len(booth.packed) and bad_booth != booth.packed
+    bad = raw[:at] + bad_booth + raw[at + len(bad_booth):]
+    for _ in range(3):
+        with pytest.raises(ValueError):
+            decode_message(bad)
+    assert not messages._booths and not messages._interned
+    assert decode_message(raw).booth == booth
+
+
+def test_back_to_back_runs_report_identically():
+    spec = harness.RunSpec(booth_size=4, pool=8, lambda0=2, rate_per_s=100.0,
+                           duration_ms=300.0, grace_ms=400.0, seed=5,
+                           sim=SimConfig(seed=0, drop_rate=0.05, dup_rate=0.02))
+    first = harness.run(spec)
+    assert messages._booths and messages._txs     # the interns were used
+    second = harness.run(spec)
+    assert json.dumps(first.report, sort_keys=True) == \
+        json.dumps(second.report, sort_keys=True)
+
+
+# -- decoder fuzzing ---------------------------------------------------------
+
+@lru_cache(maxsize=1)
+def _valid_wires() -> tuple[bytes, ...]:
+    pool = make_pool([1, 2, 3, 4], seed=31)
+    booth, material = make_booth(pool, [1, 2, 3, 4], proposer_id=1, pivot_id=2)
+    entries = [certify_entry(pool, booth, material, i, make_batch(pool, size=2))
+               for i in range(2)]
+    commit, tx = _commit_msg(pool, booth, material, entries)
+    payload = commit_cert_digest(0, tx.tx_hash, booth.booth_hash)
+    partial = _proposer_partial(pool, booth, payload)
+    msgs = [
+        _pre_order(pool, booth),
+        OrderReply(instance_id=1, sender=3, ordering_id=5, partial=partial),
+        OrderMsg(instance_id=1, sender=1, ordering_id=0,
+                 quorum=entries[0].quorum, cert=entries[0].cert),
+        PreCommitSeen(instance_id=1, sender=1, window_start_us=0,
+                      window_len_us=100_000, tx_hash=tx.tx_hash, first_id=0,
+                      last_id=1, booth=booth, booth_hash=booth.booth_hash,
+                      proposer_partial=partial),
+        PreCommitUnseen(instance_id=1, sender=1, window_start_us=0,
+                        window_len_us=100_000, tx_hash=tx.tx_hash, tx=tx,
+                        booth=booth, booth_hash=booth.booth_hash,
+                        reply_sets=tuple((e.ordering_id, e.reply_set)
+                                         for e in entries),
+                        proposer_partial=partial),
+        CommitReply(instance_id=1, sender=4, window_start_us=0, partial=partial),
+        commit,
+        _gossip(pool, commit, tx, [(1, 2), (3, 1)]),
+        GossipAck(instance_id=1, sender=5, commit_hash=commit.commit_hash(),
+                  propagator=5),
+        Ping(instance_id=0, sender=2, seq=9, sent_at_us=123),
+        Pong(instance_id=0, sender=3, seq=9, sent_at_us=123),
+    ]
+    return tuple(m.encode() for m in msgs)
+
+
+def _decodes_canonically_or_rejects(raw: bytes) -> None:
+    """decode_message returns a message or raises ValueError; whatever it
+    accepts packs back to the same bytes, also where a carried booth
+    profile is packed afresh instead of spliced from its decoded slice."""
+    try:
+        msg = decode_message(raw)
+    except ValueError:
+        return
+    assert replace(msg).encode() == raw
+    booths = [getattr(msg, "booth", None)]
+    tx = getattr(msg, "tx", None)
+    if tx is not None:
+        booths += [link.booth for link in tx.membership_links]
+    for booth in filter(None, booths):
+        assert fresh_profile(booth).packed == booth.packed
+
+
+_FUZZ = settings(max_examples=150, derandomize=True, deadline=None,
+                 database=None)
+
+
+@_FUZZ
+@given(st.one_of(
+    st.binary(max_size=200),
+    st.builds(lambda tag, body: bytes((WIRE_VERSION, tag)) + body,
+              st.integers(0, 12), st.binary(max_size=200))))
+def test_decode_arbitrary_bytes_returns_or_raises_value_error(raw):
+    _decodes_canonically_or_rejects(raw)
+
+
+@st.composite
+def _mutated_wire(draw) -> bytes:
+    wires = _valid_wires()
+    raw = bytearray(draw(st.sampled_from(wires)))
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(("flip", "truncate", "insert")))
+        pos = draw(st.integers(0, max(len(raw) - 1, 0)))
+        if kind == "flip" and raw:
+            raw[pos] ^= 1 << draw(st.integers(0, 7))
+        elif kind == "truncate":
+            del raw[pos:]
+        else:
+            raw[pos:pos] = draw(st.binary(min_size=1, max_size=9))
+    return bytes(raw)
+
+
+@_FUZZ
+@given(_mutated_wire())
+def test_decode_mutated_messages_returns_or_raises_value_error(raw):
+    _decodes_canonically_or_rejects(raw)
+
+
+def test_valid_wires_decode_to_themselves_and_no_prefix_decodes():
+    for raw in _valid_wires():
+        assert decode_message(raw).encode() == raw
+        for cut in range(len(raw)):
+            with pytest.raises(ValueError):
+                decode_message(raw[:cut])
