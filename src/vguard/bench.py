@@ -70,7 +70,7 @@ class RealtimeNetwork:
     """Network stand-in backed by threads and the process clock.
 
     Exposes the attribute surface the harness and NodeRuntime touch:
-    sched.now, meter, register, send, schedule, every, run_until,
+    sched.now, meter, register, send, schedule, every, run_until, close,
     instance_counts, totals_by_category, on_availability_change, config,
     trace, inject_churn, wrap_byzantine.
     """
@@ -215,6 +215,15 @@ class RealtimeNetwork:
         if errors:
             raise errors[0]
 
+    def close(self) -> None:
+        """Drop timers, handlers and workers once quiesced, as
+        `netsim.Network.close` does, so that reference counting frees the
+        finished run. Idempotent."""
+        self.quiesce()
+        self._timer_heap.clear()
+        self._handlers.clear()
+        self._workers.clear()
+
     # -- accounting ------------------------------------------------------
 
     def totals_by_category(self) -> dict[str, int]:
@@ -243,4 +252,4 @@ def run_benchmark(spec):
     try:
         return run(spec, net=net)
     finally:
-        net.quiesce()
+        net.close()

@@ -19,6 +19,10 @@ hand it over as a `Packed` field, which `pack` splices as-is instead of
 packing the value again. `Reader.skip` steps over one value without
 building it, and `Reader.slice_from` returns the bytes read since a
 position, so a decoder can capture the packing of what it just read.
+
+A list of [u64, bytes] pairs, the shape of a batch's entry list and the
+bulk of the data on the wire, has a fast path both ways: `pack_pairs`
+and `Reader.skip_pairs` frame or check each pair in one struct step.
 """
 
 from __future__ import annotations
@@ -42,6 +46,8 @@ Field = Union[int, bytes, str, Packed, Iterable["Field"]]
 _HEADER = struct.Struct(">cI").unpack_from    # tag, then a length or a count
 _U64 = struct.Struct(">cQ").unpack_from       # tag, then the value
 _LENGTH = struct.Struct(">I").unpack_from
+# the framing of one [u64, bytes] pair: list of 2, the u64, the byte length
+_PAIR = struct.Struct(">cIcQcI")
 
 
 def pack(*fields: Field) -> bytes:
@@ -107,6 +113,21 @@ _PACKERS = {
 }
 
 
+def pack_pairs(pairs: Iterable[tuple[int, bytes]]) -> bytes:
+    """`pack([[n, raw], ...])` for a list of (u64, bytes) pairs, the shape of
+    a batch's entry list, framed in one struct step per pair."""
+    parts = [b""]             # the list header, once the pairs are counted
+    frame = _PAIR.pack
+    try:
+        for n, raw in pairs:
+            parts.append(frame(b"L", 2, b"I", n, b"B", len(raw)))
+            parts.append(raw)
+    except struct.error:
+        raise ValueError("integer field out of u64 range") from None
+    parts[0] = b"L" + (len(parts) // 2).to_bytes(4, "big")
+    return b"".join(parts)
+
+
 def digest(label: str, *fields: Field) -> bytes:
     """32-byte domain-separated digest of the packed fields."""
     return hashlib.sha256(pack(label, *fields)).digest()
@@ -156,6 +177,26 @@ class Reader:
 
     def bytes_(self) -> bytes:
         return self._body(b"B")
+
+    def skip_pairs(self) -> int:
+        """Step over a list of [u64, bytes] pairs, as `pack_pairs` makes,
+        checking each pair's arity, tags and length; return the count."""
+        count = self.seq_len()
+        buf, pos = self._buf, self._pos
+        frame = _PAIR.unpack_from
+        try:
+            for _ in range(count):
+                list_tag, arity, int_tag, _, bytes_tag, n = frame(buf, pos)
+                if (list_tag != b"L" or arity != 2 or int_tag != b"I"
+                        or bytes_tag != b"B"):
+                    raise ValueError("malformed [u64, bytes] pair")
+                pos += 19 + n
+        except struct.error:
+            raise ValueError("truncated field") from None
+        if pos > len(buf):
+            raise ValueError("truncated field")
+        self._pos = pos
+        return count
 
     def str_(self) -> str:
         return self._body(b"S").decode("utf-8")

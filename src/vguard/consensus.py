@@ -122,32 +122,36 @@ class ConsensusCoordinator:
         last = tx.entries[-1].ordering_id
         contiguous = (last - first + 1) == len(tx.entries)
         member_sets = [set(link.booth.member_ids) for link in tx.membership_links]
-        any_unseen = False
+        # one message object per variant, so each is encoded once
+        seen_msg = unseen_msg = None
         for v in booth.validators():
             seen = (contiguous and v not in demoted
                     and all(v in ms for ms in member_sets))
             if seen:
-                msg = PreCommitSeen(
-                    instance_id=ctx.instance_id, sender=ctx.node_id,
-                    window_start_us=ts, window_len_us=tx.window_len_us,
-                    tx_hash=tx.tx_hash, first_id=first, last_id=last,
-                    booth=booth, booth_hash=booth.booth_hash,
-                    proposer_partial=own)
+                if seen_msg is None:
+                    seen_msg = PreCommitSeen(
+                        instance_id=ctx.instance_id, sender=ctx.node_id,
+                        window_start_us=ts, window_len_us=tx.window_len_us,
+                        tx_hash=tx.tx_hash, first_id=first, last_id=last,
+                        booth=booth, booth_hash=booth.booth_hash,
+                        proposer_partial=own)
+                msg = seen_msg
             else:
-                any_unseen = True
-                reply_sets = tuple(
-                    (e.ordering_id, ctx.log.get(e.ordering_id).reply_set)
-                    for e in tx.entries)
-                msg = PreCommitUnseen(
-                    instance_id=ctx.instance_id, sender=ctx.node_id,
-                    window_start_us=ts, window_len_us=tx.window_len_us,
-                    tx_hash=tx.tx_hash, tx=tx, booth=booth,
-                    booth_hash=booth.booth_hash, reply_sets=reply_sets,
-                    proposer_partial=own)
+                if unseen_msg is None:
+                    reply_sets = tuple(
+                        (e.ordering_id, ctx.log.get(e.ordering_id).reply_set)
+                        for e in tx.entries)
+                    unseen_msg = PreCommitUnseen(
+                        instance_id=ctx.instance_id, sender=ctx.node_id,
+                        window_start_us=ts, window_len_us=tx.window_len_us,
+                        tx_hash=tx.tx_hash, tx=tx, booth=booth,
+                        booth_hash=booth.booth_hash, reply_sets=reply_sets,
+                        proposer_partial=own)
+                msg = unseen_msg
             ctx.send(v, msg, Category.CONSENSUS, ts)
 
         timeout = self._timeout_ms(booth)
-        if any_unseen:
+        if unseen_msg is not None:
             timeout += len(tx.entries) * ctx.config.unseen_allowance_ms
         rnd.timer = ctx.env.after(timeout, lambda: self._timed_out(ts, attempt))
 

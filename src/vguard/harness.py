@@ -26,7 +26,7 @@ from . import __version__, crypto, messages
 from .crypto import Identity, KeyService, Role, SigningKey, make_identity
 from .errors import ConfigInvalid, VerificationFailed
 from .gossip import GossipConfig
-from .ledger import ChainCheck, DataBatch, DataEntry, Ledger, verify_chain
+from .ledger import ChainCheck, DataBatch, Ledger, verify_chain
 from .mmu import MembershipUnit, MmuConfig
 from .netsim import Category, ChurnEvent, Network, NodeEnv, SimConfig
 from .node import MetricSink, NodeRuntime, ProtocolConfig
@@ -155,9 +155,7 @@ class Workload:
         count, size = self.spec.batch_size, self.spec.payload_bytes
         first = self.origin_seq + 1
         self.origin_seq += count
-        return DataBatch(tuple(
-            DataEntry(first + i, payload)
-            for i, payload in enumerate(draw_payloads(self.rng, count, size))))
+        return DataBatch.from_payloads(first, draw_payloads(self.rng, count, size))
 
     def _submit_one(self) -> None:
         if self.stopped:
@@ -275,6 +273,11 @@ def run(spec: RunSpec, net=None) -> RunResult:
 
     audits = _audit(spec, runtimes, registry)
     report = _report(spec, net, runtimes, workloads, audits)
+    # a finished run is one web of callbacks; cutting it lets reference
+    # counting free the run as soon as its result is dropped
+    net.close()
+    for runtime in runtimes.values():
+        runtime.close()
     return RunResult(spec=spec, report=report, net=net, runtimes=runtimes,
                      workloads=workloads, audits=audits, identities=identities)
 

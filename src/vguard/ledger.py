@@ -1,5 +1,9 @@
 """Log entries, windowed transactions, and the two-chain ledger.
 
+A data batch is carried as the canonical bytes of its entry list from the
+moment the workload packs it: it is hashed, sent, logged and committed as
+those bytes, and its entries are parsed only to export them.
+
 The total order log holds what ordering produced: one certified entry per
 ordering id. Consensus slices the proposer's log into fixed windows, prunes
 repeated membership data into run-length links, and commits the result as a
@@ -23,7 +27,7 @@ from functools import cached_property
 from typing import Callable, Collection, Iterable, Optional, Sequence
 
 from .booths import BoothProfile
-from .codec import digest, pack, Packed, Reader
+from .codec import digest, pack, pack_pairs, Packed, Reader
 from .crypto import (
     AggregateSignature,
     Identity,
@@ -43,43 +47,82 @@ class DataEntry:
     origin_seq: int
     payload: bytes
 
-    def to_field(self) -> list:
-        return [self.origin_seq, self.payload]
 
-
-@dataclass(frozen=True)
 class DataBatch:
-    """Up to batch-size entries bound together by one hash."""
+    """Up to batch-size entries bound together by one hash.
 
-    entries: tuple[DataEntry, ...]
+    A batch holds only the canonical packing of its entry list, a list of
+    [origin_seq, payload] pairs, and the entry count. That packing is what
+    it is hashed by, carried on the wire in and compared by, so no entry
+    objects are kept; `entries` parses them on demand. A batch is
+    immutable.
+    """
 
-    @cached_property
+    __slots__ = ("packed", "count", "_hash")
+
+    def __init__(self, entries: Iterable[DataEntry] = ()):
+        pairs = [(e.origin_seq, e.payload) for e in entries]
+        self._set(pack_pairs(pairs), len(pairs))
+
+    def _set(self, packed: bytes, count: int) -> None:
+        self.packed = packed
+        self.count = count
+        self._hash = None
+
+    @classmethod
+    def _of(cls, packed: bytes, count: int) -> "DataBatch":
+        batch = cls.__new__(cls)
+        batch._set(packed, count)
+        return batch
+
+    @classmethod
+    def from_payloads(cls, first_seq: int, payloads: Sequence[bytes]) -> "DataBatch":
+        """Entries first_seq, first_seq + 1, ... carrying `payloads`,
+        packed straight into the batch's bytes."""
+        n = len(payloads)
+        return cls._of(pack_pairs(zip(range(first_seq, first_seq + n), payloads)), n)
+
+    @property
     def batch_hash(self) -> bytes:
-        return digest("batch", [e.to_field() for e in self.entries])
+        if self._hash is None:
+            self._hash = digest("batch", Packed(self.packed))
+        return self._hash
+
+    @property
+    def entries(self) -> tuple[DataEntry, ...]:
+        r = Reader(self.packed)
+        out = []
+        for _ in range(r.seq_len()):
+            r.seq_len()
+            out.append(DataEntry(r.u64(), r.bytes_()))
+        return tuple(out)
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return self.count
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, DataBatch):
+            return NotImplemented
+        return self.packed == other.packed
+
+    def __hash__(self) -> int:
+        return hash(self.packed)
+
+    def __repr__(self) -> str:
+        return f"DataBatch({self.count} entries, {len(self.packed)} bytes)"
 
     def to_field(self) -> list:
-        return [[e.to_field() for e in self.entries]]
+        return [Packed(self.packed)]
 
     @classmethod
     def read_from(cls, r: Reader) -> "DataBatch":
+        """Check every entry's framing and keep the entry list as read: it
+        is its own canonical packing."""
         if r.seq_len() != 1:
             raise ValueError("malformed batch")
         start = r.tell()
-        entries = []
-        for _ in range(r.seq_len()):
-            if r.seq_len() != 2:
-                raise ValueError("malformed data entry")
-            seq = r.u64()
-            payload = r.bytes_()
-            entries.append(DataEntry(seq, payload))
-        batch = cls(entries=tuple(entries))
-        # the entry list as read is its canonical packing: hash it as-is,
-        # and keep only the hash
-        batch.__dict__["batch_hash"] = digest("batch", Packed(r.slice_from(start)))
-        return batch
+        n = r.skip_pairs()
+        return cls._of(r.slice_from(start), n)
 
 
 def order_cert_digest(ordering_id: int, batch_hash: bytes, booth_hash: bytes) -> bytes:

@@ -10,8 +10,9 @@ Both directions do their deterministic work once. `encode` stores the
 bytes on the frozen message the first time it runs, so a broadcast is
 packed once, not once per recipient; a rewritten message (say, a
 byzantine forgery made with `dataclasses.replace`) is a new object and is
-packed afresh. A carried booth profile is spliced into the message as the
-canonical bytes it keeps (see `codec.Packed`), not packed field by field.
+packed afresh. A carried booth profile or data batch is spliced into the
+message as the canonical bytes it keeps (see `codec.Packed`), not packed
+field by field.
 
 `decode_message` interns its result by the full raw bytes, so the copies
 of one broadcast that reach every booth member are parsed once. Below
@@ -20,14 +21,14 @@ by their own bytes, found with `Reader.skip`: messages that differ
 elsewhere (a PreOrder and a PreCommitSeen naming one booth, or a
 GossipMsg forwarded with one more hop) share one parse, one
 `BoothProfile` with its cached `booth_hash`, and one `Transaction`. A
-decoded profile keeps the slice it was read from as its canonical bytes,
-and a decoded batch hashes the slice it was read from and keeps only the
-hash. Decoded values are immutable, so sharing them is safe. Only
-successful decodes are stored: malformed bytes raise on every call. Each
-intern holds at most `INTERN_SIZE` entries, is emptied when full, and is
-emptied by `clear_caches` at the start of every `harness.run`. Wire
-bytes are charged by the network per delivery, so modeled cost does not
-change.
+decoded profile or batch keeps the slice it was read from as its
+canonical bytes and hashes that slice; a batch checks its entries'
+framing but builds no entry objects. Decoded values are immutable, so
+sharing them is safe. Only successful decodes are stored: malformed bytes
+raise on every call. Each intern holds at most `INTERN_SIZE` entries, is
+emptied when full, and is emptied by `clear_caches` at the start of every
+`harness.run`. Wire bytes are charged by the network per delivery, so
+modeled cost does not change.
 """
 
 from __future__ import annotations

@@ -86,6 +86,10 @@ class MembershipUnit:
     def on_booth_invalidated(self, fn: Callable[[bytes], None]) -> None:
         self._invalidated_listeners.append(fn)
 
+    def drop_listeners(self) -> None:
+        self._available_listeners.clear()
+        self._invalidated_listeners.clear()
+
     # -- availability updates ---------------------------------------------
 
     def mark_availability(self, node_id: int, up: bool) -> None:

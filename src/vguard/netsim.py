@@ -150,6 +150,10 @@ class Scheduler:
                 fn()
         self.now = max(self.now, until_ms)
 
+    def clear(self) -> None:
+        """Drop every pending event."""
+        self._heap.clear()
+
 
 class CostMeter:
     """Counts billable work inside one handler invocation."""
@@ -444,16 +448,17 @@ class Network:
         only while the node is up."""
         timer = Timer()
         first = self.sched.now + period_ms if start_at_ms is None else start_at_ms
-
-        def tick(when: float):
-            if timer.cancelled:
-                return
-            if self._up.get(node_id, False):
-                self._invoke(node_id, fn)
-            self.sched.at(when + period_ms, lambda: tick(when + period_ms))
-
-        self.sched.at(first, lambda: tick(first))
+        self.sched.at(first, lambda: self._tick(node_id, period_ms, fn, timer, first))
         return timer
+
+    def _tick(self, node_id: int, period_ms: float, fn: Callable[[], None],
+              timer: Timer, when: float) -> None:
+        if timer.cancelled:
+            return
+        if self._up.get(node_id, False):
+            self._invoke(node_id, fn)
+        when += period_ms
+        self.sched.at(when, lambda: self._tick(node_id, period_ms, fn, timer, when))
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -491,6 +496,15 @@ class Network:
 
     def run_until(self, until_ms: float) -> None:
         self.sched.run_until(until_ms)
+
+    def close(self) -> None:
+        """End the simulation: drop pending events, handlers and listeners.
+        They close the reference cycles between the network and the nodes,
+        so without this a finished run lingers until the cyclic garbage
+        collector finds it. Counters, delivery tallies and the trace stay."""
+        self.sched.clear()
+        self._handlers.clear()
+        self._availability_listeners.clear()
 
     @property
     def now(self) -> float:

@@ -328,6 +328,25 @@ class NodeRuntime:
             self.validators[instance_id] = inst
         return inst
 
+    def close(self) -> None:
+        """Drop the callbacks wired between this runtime's parts: the
+        engines' send and commit hooks, the workload's capacity hook, the
+        membership units' listeners, the pingers, the byzantine actor and
+        the gossip agent's send. Each closes a reference cycle, so without
+        this a finished run lingers until the cyclic garbage collector
+        finds it. What the report and the audits read (logs, ledgers,
+        engines, counters) stays."""
+        for inst in (*self.proposers.values(), *self.validators.values()):
+            inst.ctx.send = None
+            inst.ctx.committed_hook = None
+            inst.ctx.metrics.on_capacity = None
+        for inst in self.proposers.values():
+            inst.mmu.drop_listeners()
+        self.pingers.clear()
+        self.actor = None
+        if self.gossip is not None:
+            self.gossip.send = None
+
     def _on_validator_commit(self, commit: CommitMsg, tx) -> None:
         # the pivot fields acks from gossip receivers, so it must know the
         # commit hashes it may be acked for

@@ -34,8 +34,10 @@ from .netsim import Category
 
 
 def batch_wire_bytes(batch: DataBatch) -> int:
-    # approximate canonical size; used to meter hashing cost
-    return sum(len(e.payload) + 16 for e in batch.entries) + 8
+    """Metered hashing size of a batch: 16 bytes per entry plus its payload,
+    plus 8. The canonical packing spends 19 bytes of framing per entry and
+    5 on the list, so this is arithmetic on its length."""
+    return len(batch.packed) - 3 * len(batch) + 3
 
 
 PROPOSED = "proposed"
@@ -60,6 +62,7 @@ class OrderingRound:
     started_at_us: int
     retries: int
     own_partial: PartialSignature
+    cert_digest: bytes               # what the booth countersigns
     replies: dict[int, PartialSignature] = field(default_factory=dict)
     timer: Optional[object] = None
     done: bool = False
@@ -115,7 +118,8 @@ class OrderingCoordinator:
         rnd = OrderingRound(
             ordering_id=oid, batch=pb.batch, booth=booth,
             submitted_at_us=pb.submitted_at_us,
-            started_at_us=ctx.env.now_us(), retries=pb.retries, own_partial=own)
+            started_at_us=ctx.env.now_us(), retries=pb.retries, own_partial=own,
+            cert_digest=payload)
         self.rounds[oid] = rnd
         self.journal.setdefault(pb.batch.batch_hash, []).append((oid, PROPOSED))
         msg = PreOrder(instance_id=ctx.instance_id, sender=ctx.node_id,
@@ -146,8 +150,7 @@ class OrderingCoordinator:
         if src == ctx.node_id or src not in rnd.booth:
             ctx.diag(RejectReason.UNKNOWN_BOOTH)
             return
-        expected = order_cert_digest(rnd.ordering_id, rnd.batch.batch_hash,
-                                     rnd.booth.booth_hash)
+        expected = rnd.cert_digest
         p = msg.partial
         if p.signer != src or p.payload_digest != expected:
             ctx.diag(RejectReason.BAD_SIG)
@@ -261,6 +264,7 @@ class PendingOrder:
     batch_hash: bytes
     booth: BoothProfile
     received_at_us: int
+    cert_digest: bytes               # what this node countersigned
 
 
 class ValidatorOrdering:
@@ -311,7 +315,7 @@ class ValidatorOrdering:
         if known is None:
             self.pending[msg.ordering_id] = PendingOrder(
                 batch=msg.batch, batch_hash=msg.batch_hash, booth=booth,
-                received_at_us=ctx.env.now_us())
+                received_at_us=ctx.env.now_us(), cert_digest=expected)
             ctx.booth_profiles.setdefault(booth.booth_hash, booth)
         ctx.env.meter.sign(2)
         reply = OrderReply(instance_id=ctx.instance_id, sender=ctx.node_id,
@@ -343,8 +347,7 @@ class ValidatorOrdering:
         if booth.pivot_id not in quorum:
             ctx.diag(RejectReason.PIVOT_MISSING)
             return
-        expected = order_cert_digest(msg.ordering_id, po.batch_hash,
-                                     booth.booth_hash)
+        expected = po.cert_digest
         ctx.env.meter.verify(booth.threshold)
         if not verify_aggregate(msg.cert, expected, booth.directory_map,
                                 booth.threshold):

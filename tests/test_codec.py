@@ -1,5 +1,6 @@
 """Canonical codec: per-type packing, spliced packed fields, the Reader and
-its skip, and the hashes computed from captured bytes."""
+its skip, the [u64, bytes] pair fast path, and the hashes computed from
+captured bytes."""
 
 from __future__ import annotations
 
@@ -10,8 +11,9 @@ import pytest
 from conftest import (certify_entry, commit_window, fresh_profile, make_batch,
                       make_booth, make_pool)
 from vguard.booths import BoothProfile
-from vguard.codec import Packed, Reader, digest, pack
-from vguard.ledger import DataBatch, Transaction
+from vguard.codec import Packed, Reader, digest, pack, pack_pairs
+from vguard.ledger import DataBatch, DataEntry, Transaction
+from vguard.ordering import batch_wire_bytes
 
 
 @pytest.fixture(scope="module")
@@ -98,9 +100,95 @@ def test_decoded_batch_hashes_the_slice_it_was_read_from(world):
     decoded = DataBatch.read_from(r)
     r.expect_done()
     assert decoded == batch
-    assert decoded.__dict__["batch_hash"] == expected
-    # the hash is kept, not a second copy of the bytes
-    assert set(decoded.__dict__) == {"entries", "batch_hash"}
+    # the batch keeps one copy of the bytes, the entry list as read (after
+    # the batch's own one-field list header), and hashes that slice
+    entry_list = raw[5:]
+    assert decoded.packed == entry_list
+    assert decoded.batch_hash == expected
+    assert not hasattr(decoded, "__dict__")
+    assert {name: getattr(decoded, name) for name in DataBatch.__slots__} == {
+        "packed": entry_list, "count": 5, "_hash": expected}
+
+
+@pytest.mark.parametrize("size", [*range(10), *range(62, 67)])
+def test_pack_pairs_equals_nested_pack(size):
+    for count in (0, 1, 3, 64):
+        pairs = [(7 + i, bytes([i]) * size) for i in range(count)]
+        raw = pack_pairs(pairs)
+        assert raw == pack([[n, payload] for n, payload in pairs])
+        r = Reader(raw)
+        assert r.skip_pairs() == count
+        assert r.done()
+    with pytest.raises(ValueError):
+        pack_pairs([(1 << 64, b"x")])
+
+
+def _batch_bytes(entries: list) -> bytes:
+    """A PreOrder's batch field: a list of one field, the entry list."""
+    return pack([entries])
+
+
+def test_batch_read_from_rejects_bad_entry_tag_arity_or_length():
+    good = [[1, b"ab"], [2, b"cd"]]
+    DataBatch.read_from(Reader(_batch_bytes(good)))
+    bad_shapes = [
+        [[1, b"ab"], [2, b"cd", 3]],          # arity 3
+        [[1, b"ab"], [2]],                    # arity 1
+        [[1, b"ab"], [b"2", b"cd"]],          # bytes where the u64 goes
+        [[1, b"ab"], [2, 3]],                 # u64 where the bytes go
+        [[1, b"ab"], [2, "cd"]],              # text where the bytes go
+        [[1, b"ab"], 2],                      # not a list
+    ]
+    for entries in bad_shapes:
+        with pytest.raises(ValueError):
+            DataBatch.read_from(Reader(_batch_bytes(entries)))
+    raw = _batch_bytes(good)
+    # the second entry's own tags and arity, one byte at a time: its list
+    # tag at 31, arity at 32..35, u64 tag at 36, bytes tag at 45
+    for pos, good_byte in ((31, b"L"), (36, b"I"), (45, b"B")):
+        assert raw[pos:pos + 1] == good_byte
+        for tag in (b"L", b"I", b"B", b"S", b"X"):
+            if tag != good_byte:
+                with pytest.raises(ValueError):
+                    DataBatch.read_from(Reader(raw[:pos] + tag + raw[pos + 1:]))
+    for arity in (0, 1, 3):
+        with pytest.raises(ValueError):
+            DataBatch.read_from(Reader(
+                raw[:32] + arity.to_bytes(4, "big") + raw[36:]))
+    for cut in range(len(raw)):
+        with pytest.raises(ValueError):
+            DataBatch.read_from(Reader(raw[:cut]))
+    # a payload length that runs past the end of the buffer
+    overlong = raw[:-7] + (3).to_bytes(4, "big") + b"cd"
+    with pytest.raises(ValueError):
+        DataBatch.read_from(Reader(overlong))
+    with pytest.raises(ValueError):
+        DataBatch.read_from(Reader(pack([good, good])))    # two fields
+
+
+def test_batch_entries_len_eq_and_hash_round_trip():
+    entries = (DataEntry(5, b"x" * 9), DataEntry(6, b""), DataEntry(9, b"zz"))
+    batch = DataBatch(entries)
+    assert batch.entries == entries
+    assert len(batch) == 3
+    decoded = DataBatch.read_from(Reader(pack(batch.to_field())))
+    assert decoded.entries == entries
+    assert len(decoded) == 3
+    assert decoded == batch and hash(decoded) == hash(batch)
+    assert DataBatch(entries=entries) == batch
+    assert DataBatch.from_payloads(5, [b"x" * 9]) == DataBatch(entries[:1])
+    assert DataBatch(entries[:2]) != batch
+    assert DataBatch(entries[::-1]) != batch
+    assert len({batch, decoded, DataBatch(entries[:2])}) == 2
+    assert DataBatch().entries == () and len(DataBatch()) == 0
+
+
+@pytest.mark.parametrize("size", [*range(10), *range(62, 67)])
+def test_batch_wire_bytes_equals_the_per_entry_sum(size):
+    for count in (1, 2, 8, 64):
+        batch = DataBatch.from_payloads(1, [b"\xa5" * size] * count)
+        assert batch_wire_bytes(batch) == \
+            sum(len(e.payload) + 16 for e in batch.entries) + 8
 
 
 def test_transaction_roundtrip_is_byte_identical(world):

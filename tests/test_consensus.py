@@ -340,3 +340,27 @@ def test_commit_quorum_claim_must_match_cert_signers(world):
     engine.handle_commit(1, msg)
     only_reject(ctx, "quorum_mismatch")
     assert not ctx.ledger.has_window(0)
+
+
+def test_pre_commit_is_built_once_per_attempt(monkeypatch):
+    """Every recipient of one pre-commit variant in one attempt gets the
+    same message object, so its wire bytes are packed once."""
+    from vguard.harness import RunSpec, run
+    from vguard.netsim import SimConfig
+    from vguard.node import NodeRuntime
+
+    sent: dict[bytes, list] = {}
+    send_msg = NodeRuntime.send_msg
+
+    def spy(self, dst, msg, category, instance_key):
+        if isinstance(msg, (PreCommitSeen, PreCommitUnseen)):
+            sent.setdefault(msg.encode(), []).append(msg)
+        send_msg(self, dst, msg, category, instance_key)
+
+    monkeypatch.setattr(NodeRuntime, "send_msg", spy)
+    run(RunSpec(booth_size=4, pool=8, lambda0=2, duration_ms=300.0,
+                grace_ms=400.0, rate_per_s=150.0, seed=23, strict_audit=False,
+                sim=SimConfig(seed=0, drop_rate=0.05, dup_rate=0.02)))
+    shared = [msgs for msgs in sent.values() if len(msgs) > 1]
+    assert any(isinstance(msgs[0], PreCommitUnseen) for msgs in shared)
+    assert all(m is msgs[0] for msgs in sent.values() for m in msgs)

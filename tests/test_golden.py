@@ -1,5 +1,5 @@
 """Golden outputs: the sha256 of `report.json` and of every ledger export for
-three fixed seeded runs.
+four fixed seeded runs.
 
 A change that only restructures or speeds up the code must leave every one
 of these bytes unchanged. If a digest moves, behaviour moved: say so and
@@ -26,6 +26,10 @@ SPECS = {
     "pool8_gossip2": RunSpec(booth_size=4, pool=8, lambda0=2,
                              duration_ms=300.0, grace_ms=300.0,
                              rate_per_s=100.0, seed=23),
+    "saturated_b64": RunSpec(
+        booth_size=4, batch_size=64, rate_per_s=None, duration_ms=150.0,
+        payload_bytes=65, seed=24,
+        sim=SimConfig(seed=0, delay_mean_ms=1.0, delay_sd_ms=0.0)),
 }
 
 GOLDEN = {
@@ -76,6 +80,18 @@ GOLDEN = {
             "2407bd4f5d418be02f43aff2f540623c09fb6aab8f14cbb6025e1643e5901d8f",
         "report.json":
             "fab6ea0dd14cadeb2843bf8973e2592c50f42995421c46ac8553c0bad45ea4a1",
+    },
+    "saturated_b64": {
+        "ledger-1-1.jsonl":
+            "0873779b71918523fd1416fe957419a0372e71e2f602d9f0e148e97d43687388",
+        "ledger-1-2.jsonl":
+            "d9b41dec29bf9c3cf429251772776c2bf003906a1292f218e73b302de2aabfb0",
+        "ledger-1-3.jsonl":
+            "c4d3fc96351ddb92232473c5cb793784af6f800688cb256f3cc703a3b831ef8b",
+        "ledger-1-4.jsonl":
+            "8c23be8065248d25d3a5816070aea98b397db6b0258f87f54038bd42608f7a75",
+        "report.json":
+            "8abd21fdbadbfe6a0e3afc5bfab77d956134bcee2eb6bff96477bcf5f81ccb1e",
     },
 }
 

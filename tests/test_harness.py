@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import subprocess
 import sys
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -244,6 +246,26 @@ def test_benchmark_mode_runs_and_audits():
     inst = result.report["instances"][0]
     assert inst["committed_batches"] > 0
     assert all(result.report["audits"].values())
+
+
+@pytest.mark.parametrize("mode", ["reference", "benchmark"])
+def test_finished_run_is_freed_by_reference_counting(mode):
+    """A finished run holds no reference cycles: with the cyclic collector
+    off, its network and its nodes die with the last reference to its
+    result."""
+    spec = small_spec(duration_ms=100.0, grace_ms=200.0, pool=5, lambda0=2)
+    runner = run_benchmark if mode == "benchmark" else run
+    gc.collect()
+    gc.disable()
+    try:
+        result = runner(spec)
+        assert result.report["instances"][0]["committed_batches"] > 0
+        net, node = weakref.ref(result.net), weakref.ref(result.runtimes[2])
+        del result
+        assert net() is None
+        assert node() is None
+    finally:
+        gc.enable()
 
 
 def test_benchmark_mode_rejects_fault_schedules():

@@ -279,3 +279,25 @@ def test_order_reject_matrix(world):
     only_reject(ctx, "quorum_mismatch")
 
     assert ctx.log.get(4) is None    # nothing above reached the log
+
+
+def test_order_cert_digest_is_computed_once_per_round_and_member(monkeypatch):
+    """The proposer computes each round's certificate digest when it starts
+    the round and every validator when it endorses the batch; replies and
+    the certified result reuse it."""
+    from vguard import ordering
+    from vguard.harness import RunSpec, run
+
+    calls = []
+    digest = ordering.order_cert_digest
+
+    def counted(*args):
+        calls.append(args)
+        return digest(*args)
+
+    monkeypatch.setattr(ordering, "order_cert_digest", counted)
+    result = run(RunSpec(booth_size=4, duration_ms=200.0, grace_ms=300.0,
+                         rate_per_s=100.0, seed=21))
+    rounds = result.report["instances"][0]["ordering_messages"]["rounds"]
+    assert rounds > 0
+    assert len(calls) == 4 * rounds
