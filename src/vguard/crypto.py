@@ -21,13 +21,17 @@ Signature checks are memoised. Ed25519 verification is a deterministic
 function of (verify key, digest, signature), and every booth member, plus
 the post-run audit, checks the same certificates and partials, so
 `verify_raw` keys a memo on that full triple and stores the bool the real
-check returned, for accepts and rejects alike. A flipped bit in any of the
-three inputs is a different key and gets a real check. Parsed public keys
-are kept beside it. Both memos hold at most `MEMO_SIZE` entries, are
-emptied when full, and are emptied by `clear_caches`, which
-`harness.run` calls at its start, so no run sees another run's entries.
-Modeled cost is unaffected: callers charge `CostMeter.verify` per check
-whether or not the memo answers it.
+check returned, for accepts and rejects alike. Signing fills the same memo:
+Ed25519 signing is deterministic too, and `sign(sk, m)` always verifies
+under `pk(sk)` (RFC 8032), so `SigningKey.sign` records its own triple as
+valid and a signature made in this process never needs a real check. A
+raw `Ed25519PrivateKey` records nothing. A flipped bit in any of the three
+inputs is a different key and gets a real check. Parsed public keys are
+kept beside it. Both memos hold at most `MEMO_SIZE` entries, are emptied
+when full, and are emptied by `clear_caches`, which `harness.run` calls at
+its start and its end, so no run sees another run's entries and none
+outlives its run. Modeled cost is unaffected: callers charge
+`CostMeter.verify` per check whether or not the memo answers it.
 """
 
 from __future__ import annotations
@@ -87,7 +91,9 @@ class SigningKey:
         self.verify_key = self._key.public_key().public_bytes_raw()
 
     def sign(self, payload_digest: bytes) -> bytes:
-        return self._key.sign(payload_digest)
+        sig = self._key.sign(payload_digest)
+        _remember((self.verify_key, payload_digest, sig), True)
+        return sig
 
 
 def make_identity(node_id: int, role: Role, seed: bytes,
@@ -118,6 +124,12 @@ def _public_key(raw: bytes) -> Ed25519PublicKey:
     return key
 
 
+def _remember(triple: tuple[bytes, bytes, bytes], ok: bool) -> None:
+    if len(_verified) >= MEMO_SIZE:
+        _verified.clear()
+    _verified[triple] = ok
+
+
 def verify_raw(verify_key: bytes, payload_digest: bytes, sig: bytes) -> bool:
     triple = (verify_key, payload_digest, sig)
     ok = _verified.get(triple)
@@ -127,9 +139,7 @@ def verify_raw(verify_key: bytes, payload_digest: bytes, sig: bytes) -> bool:
             ok = True
         except (InvalidSignature, ValueError):
             ok = False
-        if len(_verified) >= MEMO_SIZE:
-            _verified.clear()
-        _verified[triple] = ok
+        _remember(triple, ok)
     return ok
 
 
@@ -161,7 +171,8 @@ class PartialSignature:
 
 
 def make_partial(signer: SigningKey, payload_digest: bytes,
-                 booth_key: Optional[Ed25519PrivateKey] = None) -> PartialSignature:
+                 booth_key: Optional[SigningKey | Ed25519PrivateKey] = None,
+                 ) -> PartialSignature:
     individual = signer.sign(payload_digest)
     booth = booth_key.sign(payload_digest) if booth_key is not None else b""
     return PartialSignature(
@@ -359,7 +370,7 @@ class KeyService:
     def __init__(self):
         self.identities: dict[int, Identity] = {}
         self._materials: dict[bytes, BoothKeyMaterial] = {}
-        self._share_keys: dict[tuple[bytes, int], Ed25519PrivateKey] = {}
+        self._share_keys: dict[tuple[bytes, int], SigningKey] = {}
 
     def register(self, identity: Identity) -> None:
         self.identities[identity.node_id] = identity
@@ -379,8 +390,9 @@ class KeyService:
     def material(self, booth_id: bytes) -> Optional[BoothKeyMaterial]:
         return self._materials.get(booth_id)
 
-    def booth_share(self, booth_id: bytes, node_id: int) -> Optional[Ed25519PrivateKey]:
-        """The member's booth-local signing key, or None for non-members."""
+    def booth_share(self, booth_id: bytes, node_id: int) -> Optional[SigningKey]:
+        """The member's booth-local signing key, or None for non-members.
+        Its `verify_key` is the member's entry in the booth directory."""
         cached = self._share_keys.get((booth_id, node_id))
         if cached is not None:
             return cached
@@ -390,6 +402,6 @@ class KeyService:
         seed = material.share_seeds.get(node_id)
         if seed is None:
             return None
-        key = Ed25519PrivateKey.from_private_bytes(seed)
+        key = SigningKey(node_id, seed)
         self._share_keys[(booth_id, node_id)] = key
         return key

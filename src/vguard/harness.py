@@ -210,8 +210,9 @@ def run(spec: RunSpec, net=None) -> RunResult:
     """Execute one run. `net` defaults to a fresh simulated Network; pass a
     transport with the same surface (see bench.RealtimeNetwork) to reuse the
     setup, workload, and audit machinery over a different clock. The
-    signature memo and the decode intern start empty, so no run sees
-    another run's entries."""
+    signature memo and the decode interns start empty and are emptied again
+    at the end, so no run sees another run's entries and none outlives its
+    run."""
     crypto.clear_caches()
     messages.clear_caches()
     spec = spec.validate()
@@ -278,6 +279,8 @@ def run(spec: RunSpec, net=None) -> RunResult:
     net.close()
     for runtime in runtimes.values():
         runtime.close()
+    crypto.clear_caches()
+    messages.clear_caches()
     return RunResult(spec=spec, report=report, net=net, runtimes=runtimes,
                      workloads=workloads, audits=audits, identities=identities)
 

@@ -26,8 +26,8 @@ canonical bytes and hashes that slice; a batch checks its entries'
 framing but builds no entry objects. Decoded values are immutable, so
 sharing them is safe. Only successful decodes are stored: malformed bytes
 raise on every call. Each intern holds at most `INTERN_SIZE` entries, is
-emptied when full, and is emptied by `clear_caches` at the start of every
-`harness.run`. Wire bytes are charged by the network per delivery, so
+emptied when full, and is emptied by `clear_caches` at the start and the
+end of every `harness.run`. Wire bytes are charged by the network per delivery, so
 modeled cost does not change.
 """
 

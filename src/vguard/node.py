@@ -162,12 +162,20 @@ class PingDaemon:
 class ByzantineActor:
     """Rewrites outgoing traffic according to the configured behaviors.
     The actor holds the node's real key, so its forgeries are exactly as
-    strong as a compromised vehicle's could be."""
+    strong as a compromised vehicle's could be.
+
+    A broadcast hands one message object to `transform` once per
+    recipient, and every forgery below is deterministic, so each message is
+    forged once: the last message and its forgery stay in a one-slot cache.
+    The slot holds the message itself, so its id cannot be reused while
+    cached, and every recipient gets the same forged object, which is then
+    encoded once."""
 
     def __init__(self, runtime: "NodeRuntime",
                  behaviors: list[ByzantineBehavior]):
         self.runtime = runtime
         self.behaviors = set(behaviors)
+        self._last: Optional[tuple[object, object]] = None
 
     def transform(self, dst: int, msg) -> list[tuple[int, object]]:
         if (ByzantineBehavior.SILENT in self.behaviors
@@ -175,27 +183,32 @@ class ByzantineActor:
             return []
         if (ByzantineBehavior.EQUIVOCATE_ORDERING_ID in self.behaviors
                 and isinstance(msg, PreOrder)):
-            return [(dst, self._equivocate(dst, msg))]
+            # the pivot alone gets the true batch
+            if dst == msg.booth.pivot_id:
+                return [(dst, msg)]
+            return [(dst, self._once(msg, self._equivocate))]
         if (ByzantineBehavior.TAMPER_PAYLOAD in self.behaviors
                 and isinstance(msg, PreOrder)):
-            return [(dst, replace(msg, batch=_flip_first_byte(msg.batch)))]
+            return [(dst, self._once(msg, _tamper))]
         if ByzantineBehavior.FORGE_QUORUM in self.behaviors and isinstance(
                 msg, (OrderMsg, CommitMsg)):
-            foreign = 1_000_000 + self.runtime.node_id
-            quorum = msg.quorum[:-1] + (foreign,)
-            return [(dst, replace(msg, quorum=quorum))]
+            return [(dst, self._once(msg, self._forge_quorum))]
         if (ByzantineBehavior.MUTATE_GOSSIP_LIFETIME in self.behaviors
                 and isinstance(msg, GossipMsg) and msg.traverse):
-            return [(dst, self._inflate_lifetime(msg))]
+            return [(dst, self._once(msg, self._inflate_lifetime))]
         return [(dst, msg)]
 
-    def _equivocate(self, dst: int, msg: PreOrder) -> PreOrder:
+    def _once(self, msg, forge: Callable):
+        if self._last is None or self._last[0] is not msg:
+            self._last = (msg, forge(msg))
+        return self._last[1]
+
+    def _equivocate(self, msg: PreOrder) -> PreOrder:
         """Two-branch split under one ordering id: the pivot alone gets the
-        true batch, every other member a forged one. The forged branch can
-        reach a plain countersignature count, but never one that includes
-        the pivot; the true branch has the pivot and nobody else."""
-        if dst == msg.booth.pivot_id:
-            return msg
+        true batch, every other member this forged one. The forged branch
+        can reach a plain countersignature count, but never one that
+        includes the pivot; the true branch has the pivot and nobody
+        else."""
         forged = _flip_first_byte(msg.batch)
         digest = order_cert_digest(msg.ordering_id, forged.batch_hash,
                                    msg.booth_hash)
@@ -204,6 +217,10 @@ class ByzantineActor:
         partial = make_partial(self.runtime.key, digest, share)
         return replace(msg, batch=forged, batch_hash=forged.batch_hash,
                        proposer_partial=partial)
+
+    def _forge_quorum(self, msg):
+        foreign = 1_000_000 + self.runtime.node_id
+        return replace(msg, quorum=msg.quorum[:-1] + (foreign,))
 
     def _inflate_lifetime(self, msg: GossipMsg) -> GossipMsg:
         from .messages import TraverseHop, traverse_digest
@@ -217,6 +234,10 @@ class ByzantineActor:
                 traverse_digest(msg.commit.commit_hash(), lifted)),
             node_id=last.node_id)
         return replace(msg, traverse=msg.traverse[:-1] + (hop,))
+
+
+def _tamper(msg: PreOrder) -> PreOrder:
+    return replace(msg, batch=_flip_first_byte(msg.batch))
 
 
 def _flip_first_byte(batch: DataBatch) -> DataBatch:

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import pytest
 
+from vguard import crypto
 from vguard.booths import BoothProfile, build_profile
 from vguard.crypto import (
     BoothKeyMaterial,
@@ -174,3 +175,27 @@ def pool4() -> Pool:
 @pytest.fixture
 def booth4(pool4) -> tuple[BoothProfile, BoothKeyMaterial]:
     return make_booth(pool4, [1, 2, 3, 4], proposer_id=1, pivot_id=2)
+
+
+@pytest.fixture
+def real_checks(monkeypatch):
+    """Counts the real Ed25519 verifications `verify_raw` makes."""
+    real = crypto.Ed25519PublicKey
+    calls = []
+
+    class CountingKey:
+        def __init__(self, key):
+            self._key = key
+
+        @classmethod
+        def from_public_bytes(cls, raw):
+            return cls(real.from_public_bytes(raw))
+
+        def verify(self, sig, data):
+            calls.append((sig, data))
+            return self._key.verify(sig, data)
+
+    monkeypatch.setattr(crypto, "Ed25519PublicKey", CountingKey)
+    crypto.clear_caches()
+    yield calls
+    crypto.clear_caches()

@@ -252,3 +252,80 @@ def test_verify_memo_stays_bounded(monkeypatch):
         assert len(crypto._verified) <= 4
     crypto.clear_caches()
     assert not crypto._verified and not crypto._pub_cache
+
+
+def test_signing_records_its_triple_and_needs_no_real_check(real_checks):
+    ident, key = make_identity(5, Role.VEHICLE, _rng(6).bytes(32))
+    payload = digest("t", b"signed here")
+    sig = key.sign(payload)
+    assert crypto._verified == {(ident.verify_key, payload, sig): True}
+    assert verify_raw(ident.verify_key, payload, sig)
+    assert verify_partial(make_partial(key, payload), ident.verify_key)
+    assert real_checks == []
+
+
+def test_one_flipped_bit_after_signing_gets_a_real_check(real_checks):
+    ident, key = make_identity(5, Role.VEHICLE, _rng(7).bytes(32))
+    payload = digest("t", b"flip")
+    sig = key.sign(payload)
+    vk = ident.verify_key
+    for bit in (0, 77, 255):
+        byte, mask = bit // 8, 1 << (bit % 8)
+        flipped_key = vk[:byte] + bytes([vk[byte] ^ mask]) + vk[byte + 1:]
+        flipped_digest = (payload[:byte] + bytes([payload[byte] ^ mask])
+                          + payload[byte + 1:])
+        flipped_sig = sig[:byte] + bytes([sig[byte] ^ mask]) + sig[byte + 1:]
+        # a flipped key can be unparsable, which rejects before verify
+        for triple, checks in (((flipped_key, payload, sig), (0, 1)),
+                               ((vk, flipped_digest, sig), (1,)),
+                               ((vk, payload, flipped_sig), (1,))):
+            assert triple not in crypto._verified
+            before = len(real_checks)
+            assert not verify_raw(*triple)
+            assert crypto._verified[triple] is False
+            assert len(real_checks) - before in checks
+    assert verify_raw(vk, payload, sig)
+
+
+def test_foreign_and_garbage_signatures_get_real_checks(real_checks):
+    ident, key = make_identity(5, Role.VEHICLE, _rng(8).bytes(32))
+    other, other_key = make_identity(6, Role.VEHICLE, _rng(9).bytes(32))
+    payload = digest("t", b"foreign")
+    # made by a raw key, so nothing was recorded: a real check accepts it
+    raw = crypto.Ed25519PrivateKey.from_private_bytes(_rng(8).bytes(32))
+    foreign = raw.sign(payload)
+    assert crypto._verified == {}
+    assert verify_raw(ident.verify_key, payload, foreign)
+    assert len(real_checks) == 1
+    # another signer's signature, and garbage of the right length
+    assert not verify_raw(ident.verify_key, payload, other_key.sign(payload))
+    assert not verify_raw(ident.verify_key, payload, b"\x00" * 64)
+    assert not verify_raw(other.verify_key, payload, foreign)
+    assert len(real_checks) == 4
+    assert key.sign(payload) == foreign     # deterministic: the same bytes
+
+
+def test_booth_share_verifies_under_the_directory(pool4, booth4):
+    booth, material = booth4
+    for member in material.member_ids:
+        share = pool4.registry.booth_share(booth.booth_hash, member)
+        assert share.verify_key == material.directory[member]
+        assert share is pool4.registry.booth_share(booth.booth_hash, member)
+    outsider = max(pool4.keys) + 1
+    assert pool4.registry.booth_share(booth.booth_hash, outsider) is None
+
+
+def test_memo_stays_bounded_while_signing_records(monkeypatch, real_checks):
+    monkeypatch.setattr(crypto, "MEMO_SIZE", 4)
+    ident, key = make_identity(5, Role.VEHICLE, _rng(10).bytes(32))
+    payloads = [digest("t", i) for i in range(10)]
+    sigs = []
+    for payload in payloads:
+        sigs.append(key.sign(payload))
+        assert len(crypto._verified) <= 4
+    # the last sign is always remembered; evicted ones get a real check
+    assert verify_raw(ident.verify_key, payloads[-1], sigs[-1])
+    assert real_checks == []
+    assert verify_raw(ident.verify_key, payloads[0], sigs[0])
+    assert len(real_checks) == 1
+    assert len(crypto._verified) <= 4

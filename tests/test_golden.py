@@ -1,5 +1,5 @@
 """Golden outputs: the sha256 of `report.json` and of every ledger export for
-four fixed seeded runs.
+six fixed seeded runs.
 
 A change that only restructures or speeds up the code must leave every one
 of these bytes unchanged. If a digest moves, behaviour moved: say so and
@@ -12,7 +12,10 @@ import hashlib
 from pathlib import Path
 
 import pytest
+from cryptography.exceptions import InvalidSignature
+from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PublicKey
 
+from vguard import crypto
 from vguard.harness import RunSpec, run, write_artifacts
 from vguard.netsim import SimConfig
 
@@ -30,6 +33,16 @@ SPECS = {
         booth_size=4, batch_size=64, rate_per_s=None, duration_ms=150.0,
         payload_bytes=65, seed=24,
         sim=SimConfig(seed=0, delay_mean_ms=1.0, delay_sd_ms=0.0)),
+    # stalled proposers: every batch is forged, so nothing is ordered, and
+    # the report pins how each forgery is rejected
+    "equivocating_proposer_n4": RunSpec(
+        booth_size=4, duration_ms=300.0, grace_ms=500.0, rate_per_s=60.0,
+        seed=25, byzantine=((2, ("equivocate_ordering_id",)),),
+        sim=SimConfig(seed=0, drop_rate=0.03, dup_rate=0.02, gst_ms=150.0)),
+    "tampering_proposer_n7": RunSpec(
+        booth_size=7, duration_ms=300.0, grace_ms=500.0, rate_per_s=60.0,
+        seed=26, byzantine=((2, ("tamper_payload",)),),
+        sim=SimConfig(seed=0, drop_rate=0.03, dup_rate=0.02, gst_ms=150.0)),
 }
 
 GOLDEN = {
@@ -93,6 +106,36 @@ GOLDEN = {
         "report.json":
             "8abd21fdbadbfe6a0e3afc5bfab77d956134bcee2eb6bff96477bcf5f81ccb1e",
     },
+    "equivocating_proposer_n4": {
+        "ledger-1-1.jsonl":
+            "ba32376c0858e40621fa3086d2ea1693f44ffc37c807a73c6d4c49e416436bc0",
+        "ledger-1-2.jsonl":
+            "0a047fd868a3be8956d05222b4764ea6f55083efce27b8ea1346a7d6e4990b96",
+        "ledger-1-3.jsonl":
+            "a8dbb18197b47343d22ad755b81bc01d15ee3611682ac17e5539279154e6807f",
+        "ledger-1-4.jsonl":
+            "68b50a364f670441e33ad22113721b46eac868899eec8e00f73fb905ded0f3d7",
+        "report.json":
+            "7b84c295fd8b74e91a61972a2642e7cfabf2eab71448bd518ba856cb63912cf5",
+    },
+    "tampering_proposer_n7": {
+        "ledger-1-1.jsonl":
+            "71127788829a10d892f931fec8f401ebb9935a37d36f2176cc8bd373e823e584",
+        "ledger-1-2.jsonl":
+            "323c898012bf30b9b614bd477186c67287058e1053baa9cbfb9fe58df66e4533",
+        "ledger-1-3.jsonl":
+            "6179addf3194efcae0795849a5beab493fe19519531bb1b47511a4e2ddaf1532",
+        "ledger-1-4.jsonl":
+            "371934e900be25762b6467caf1d91d791140246c7a81bb8febb0ceeb47a327cc",
+        "ledger-1-5.jsonl":
+            "657050acc500a1e1e2d4a80859f2233095709602ef6b455c730b9a8940125399",
+        "ledger-1-6.jsonl":
+            "1283836b1f785b39e0151ef62696dd66dfb4fa7d2e80a4af9f01f4c2304b1862",
+        "ledger-1-7.jsonl":
+            "e4ca64ba000afdf98f38df978e54ebd2d4edc70270af90324eecb34ffe459bf1",
+        "report.json":
+            "91d20f52d2766abc9dddcb5fe39a155a14b6b61526277d04a8af15b91ec8f658",
+    },
 }
 
 
@@ -106,3 +149,36 @@ def artifact_digests(spec: RunSpec, outdir: Path) -> dict[str, str]:
 @pytest.mark.parametrize("name", sorted(SPECS))
 def test_golden_artifacts_are_byte_identical(name, tmp_path):
     assert artifact_digests(SPECS[name], tmp_path) == GOLDEN[name]
+
+
+def _really_verifies(key: bytes, payload: bytes, sig: bytes) -> bool:
+    try:
+        Ed25519PublicKey.from_public_bytes(key).verify(sig, payload)
+    except (InvalidSignature, ValueError):
+        return False
+    return True
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_memo_answers_what_a_real_verify_would(name, monkeypatch,
+                                               real_checks):
+    """Signing records its triples as valid, so no golden run makes a real
+    Ed25519 check: honest signatures were all made in this process, and
+    every forgery in these specs fails a digest, quorum or signer check
+    before its signature is looked at. Each memo entry left at the end of
+    the run, whether it came from signing or from a check, must be what a
+    fresh real verify returns."""
+    snapshots = []
+    clear = crypto.clear_caches
+
+    def snapshot_then_clear():
+        snapshots.append(dict(crypto._verified))
+        clear()
+
+    monkeypatch.setattr(crypto, "clear_caches", snapshot_then_clear)
+    run(SPECS[name])
+    assert real_checks == []
+    memo = snapshots[-1]          # taken by the clear at the end of the run
+    assert memo
+    for (key, payload, sig), ok in memo.items():
+        assert ok == _really_verifies(key, payload, sig)

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vguard import cli, crypto
+from vguard import cli, crypto, messages, node
 from vguard.bench import run_benchmark
 from vguard.errors import ConfigInvalid
 from vguard.harness import (RunSpec, draw_payloads, load_spec_file,
@@ -88,31 +88,58 @@ def test_lossy_run_passes_strict_audit_over_retired_ids():
 
 
 def test_back_to_back_runs_make_the_same_real_verifications(monkeypatch):
-    """harness.run starts with empty memos, so a repeated run cannot lean
-    on the previous run's signature checks."""
-    real = crypto.Ed25519PublicKey
-    calls = []
+    """harness.run empties the signature memo, so a repeated run cannot
+    lean on the previous run's signatures or checks: every memo hit is on a
+    triple the same run signed or verified, and both runs make the same
+    number of memo misses, each of which is a real check. Booth shares are
+    handed out as raw keys here; those record nothing when they sign, so
+    every booth-local signature needs a real check."""
 
-    class CountingKey:
-        def __init__(self, key):
-            self._key = key
+    class Memo(dict):
+        def reset_tally(self):
+            self.stored, self.hits, self.misses = set(), [], 0
 
-        @classmethod
-        def from_public_bytes(cls, raw):
-            return cls(real.from_public_bytes(raw))
+        def get(self, triple):
+            ok = super().get(triple)
+            if ok is None:
+                self.misses += 1
+            else:
+                self.hits.append(triple)
+            return ok
 
-        def verify(self, sig, data):
-            calls.append(1)
-            return self._key.verify(sig, data)
+        def __setitem__(self, triple, ok):
+            self.stored.add(triple)
+            super().__setitem__(triple, ok)
 
-    monkeypatch.setattr(crypto, "Ed25519PublicKey", CountingKey)
+    dealt = crypto.KeyService.booth_share
+
+    def raw_share(registry, booth_id, node_id):
+        if dealt(registry, booth_id, node_id) is None:
+            return None
+        seed = registry.material(booth_id).share_seeds[node_id]
+        return crypto.Ed25519PrivateKey.from_private_bytes(seed)
+
+    memo = Memo()
+    monkeypatch.setattr(crypto, "_verified", memo)
+    monkeypatch.setattr(crypto.KeyService, "booth_share", raw_share)
     spec = small_spec(duration_ms=200.0, grace_ms=300.0)
-    counts = []
+    tallies = []
     for _ in range(2):
-        calls.clear()
+        memo.reset_tally()        # the tally only: the entries stay
         run(spec)
-        counts.append(len(calls))
-    assert counts[0] == counts[1] > 0
+        assert set(memo.hits) <= memo.stored
+        tallies.append((len(memo.hits), memo.misses))
+    assert tallies[0] == tallies[1]
+    assert min(tallies[1]) > 0
+
+
+def test_finished_run_leaves_no_memo_or_intern_entries():
+    """The memo and the interns are emptied at the end of a run too, so a
+    finished run's decoded messages and checks do not outlive it."""
+    run(small_spec(duration_ms=200.0, grace_ms=300.0, lambda0=2, pool=6))
+    assert crypto._verified == {} and crypto._pub_cache == {}
+    assert messages._interned == {}
+    assert messages._booths == {} and messages._txs == {}
 
 
 @pytest.mark.parametrize("size", [*range(10), *range(62, 67)])
@@ -162,6 +189,37 @@ def test_equivocating_proposer_cannot_commit_anything():
     rejects = [c for counters in result.report["counters"].values()
                for c in counters]
     assert any(r in ("bad_sig", "reused_id", "bad_hash") for r in rejects)
+
+
+@pytest.mark.parametrize("behavior", ["equivocate_ordering_id",
+                                      "tamper_payload"])
+def test_byzantine_forgery_is_made_once_per_message(behavior, monkeypatch):
+    """A proposer hands each PreOrder to its actor once per recipient; the
+    forged batch is made once per message, and every forged recipient gets
+    the same object, so it is also encoded once."""
+    flips = []
+    flip = node._flip_first_byte
+    monkeypatch.setattr(node, "_flip_first_byte",
+                        lambda batch: flips.append(batch) or flip(batch))
+    sends = []
+    transform = node.ByzantineActor.transform
+
+    def spy(actor, dst, msg):
+        out = transform(actor, dst, msg)
+        if isinstance(msg, messages.PreOrder):
+            sends.append((msg, [m for _, m in out if m is not msg]))
+        return out
+
+    monkeypatch.setattr(node.ByzantineActor, "transform", spy)
+    run(small_spec(duration_ms=100.0, grace_ms=100.0,
+                   byzantine=((2, (behavior,)),)))
+    by_message: dict[int, tuple[object, list]] = {}
+    for msg, forged in sends:
+        by_message.setdefault(id(msg), (msg, []))[1].extend(forged)
+    assert len(flips) == len(by_message) > 0
+    assert len(sends) > len(by_message)
+    for msg, forged in by_message.values():
+        assert forged and all(f is forged[0] for f in forged)
 
 
 def test_saturation_keeps_pipe_full():

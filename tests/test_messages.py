@@ -327,12 +327,20 @@ def test_malformed_booth_raises_on_every_call(world):
     assert decode_message(raw).booth == booth
 
 
-def test_back_to_back_runs_report_identically():
+def test_back_to_back_runs_report_identically(monkeypatch):
     spec = harness.RunSpec(booth_size=4, pool=8, lambda0=2, rate_per_s=100.0,
                            duration_ms=300.0, grace_ms=400.0, seed=5,
                            sim=SimConfig(seed=0, drop_rate=0.05, dup_rate=0.02))
+    used = []
+    clear = messages.clear_caches
+
+    def note_then_clear():
+        used.append(bool(messages._booths and messages._txs))
+        clear()
+
+    monkeypatch.setattr(messages, "clear_caches", note_then_clear)
     first = harness.run(spec)
-    assert messages._booths and messages._txs     # the interns were used
+    assert used[-1]       # the interns were used, up to the end-of-run clear
     second = harness.run(spec)
     assert json.dumps(first.report, sort_keys=True) == \
         json.dumps(second.report, sort_keys=True)
