@@ -1,5 +1,5 @@
 """Golden outputs: the sha256 of `report.json` and of every ledger export for
-six fixed seeded runs.
+six fixed seeded runs, and of the network trace of two traced runs.
 
 A change that only restructures or speeds up the code must leave every one
 of these bytes unchanged. If a digest moves, behaviour moved: say so and
@@ -9,6 +9,8 @@ re-pin on purpose, never to get a pass.
 from __future__ import annotations
 
 import hashlib
+import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -17,7 +19,7 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PublicKey
 
 from vguard import crypto
 from vguard.harness import RunSpec, run, write_artifacts
-from vguard.netsim import SimConfig
+from vguard.netsim import ChurnEvent, Network, SimConfig
 
 SPECS = {
     "clean_n4": RunSpec(booth_size=4, duration_ms=300.0, grace_ms=300.0,
@@ -149,6 +151,57 @@ def artifact_digests(spec: RunSpec, outdir: Path) -> dict[str, str]:
 @pytest.mark.parametrize("name", sorted(SPECS))
 def test_golden_artifacts_are_byte_identical(name, tmp_path):
     assert artifact_digests(SPECS[name], tmp_path) == GOLDEN[name]
+
+
+# Send events are stamped with the start time of the handler that sent them,
+# so these digests pin the order in which each node's CPU runs invocations.
+# `saturated_b64` keeps the CPU queues deep; in `pivot_down_while_queued`
+# the pivot goes down while invocations wait behind its busy CPU.
+TRACED = {
+    "saturated_b64": SPECS["saturated_b64"],
+    "pivot_down_while_queued": replace(
+        SPECS["saturated_b64"],
+        churn=(ChurnEvent(at_ms=60.0, node_id=2, up=False),
+               ChurnEvent(at_ms=110.0, node_id=2, up=True))),
+}
+
+GOLDEN_TRACE = {
+    "saturated_b64":
+        "d4eedf8f1cae6a955d273bef74e1eb0e8622ab898311033d3c9d6dcaa39f331e",
+    "pivot_down_while_queued":
+        "c75442238fc396f476f0b72eb333ad0ea65cd0860beeef6e9d2286f1fcab88f6",
+}
+
+
+def trace_digest(spec: RunSpec) -> str:
+    result = run(replace(spec, sim=replace(spec.sim, trace=True)))
+    dump = json.dumps(result.net.trace, sort_keys=True)
+    return hashlib.sha256(dump.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(TRACED))
+def test_golden_traces_are_byte_identical(name):
+    assert trace_digest(TRACED[name]) == GOLDEN_TRACE[name]
+
+
+def test_pivot_down_spec_drops_invocations_waiting_behind_its_cpu(
+        monkeypatch):
+    """The churn trace pins what it claims to: when the pivot goes down,
+    invocations are waiting behind its busy CPU, and they never run."""
+    invoke = Network._invoke
+    waited, ran = {}, set()
+
+    def probe(net, node_id, fn, preload_ms=0.0):
+        if net._busy.get(node_id, 0.0) > net.now:
+            waited.setdefault(fn, node_id)
+        elif net.is_up(node_id):
+            ran.add(fn)
+        return invoke(net, node_id, fn, preload_ms)
+
+    monkeypatch.setattr(Network, "_invoke", probe)
+    run(TRACED["pivot_down_while_queued"])
+    dropped = [node for fn, node in waited.items() if fn not in ran]
+    assert dropped and set(dropped) == {2}
 
 
 def _really_verifies(key: bytes, payload: bytes, sig: bytes) -> bool:
