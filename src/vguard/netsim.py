@@ -9,6 +9,22 @@ sends and timers take effect at completion. Dissemination traffic (gossip
 and acks) runs on a separate lane with zero CPU charge and its own RNG
 streams, so enabling gossip cannot perturb the consensus path.
 
+An invocation that finds its node's CPU busy joins the node's run queue, a
+FIFO served by at most one heap "wake" event at the node's busy_until; so
+each delivery or timer costs one heap event however long it waits. The
+order is the one in which every waiting invocation would re-enter the heap
+at busy_until on its own:
+
+- An event that fires when busy_until <= now runs at once, even while
+  others wait; the pending wake then finds the CPU busy again and moves to
+  the new busy_until. Whatever arrives at that same instant, behind the
+  event that ran, goes in front of the older waiters.
+- When the wake runs the head of the queue, the head's sends and timers are
+  scheduled first and only then is the wake pushed at the new busy_until,
+  so a 0-delay timer set by the head runs ahead of the queue.
+- If the node is down when the wake fires, every waiting invocation is
+  dropped.
+
 Fault injection: per-message drops and duplicates, optional per-link FIFO,
 node churn (down nodes neither send nor receive), a global stabilization
 time after which delays clamp to a bound and losses stop, and Byzantine
@@ -19,8 +35,10 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 from typing import Callable, Iterable, Optional
 
 import numpy as np
@@ -45,6 +63,8 @@ class Category(str, Enum):
 # Categories that bypass the CPU queue and use the auxiliary RNG lane.
 _AUX = {Category.GOSSIP, Category.ACK}
 _PING = {Category.PING}
+# Counter and tally keys, looked up rather than formatted per message.
+_NAMES = {category: category.value for category in Category}
 
 
 @dataclass(frozen=True)
@@ -234,6 +254,22 @@ def load_byzantine_file(path) -> dict[int, list[ByzantineBehavior]]:
     return out
 
 
+class _RunQueue:
+    """Invocations waiting behind one node's busy CPU, as (fn, preload_ms).
+
+    `wake_at` is the time of the node's one pending wake event, or None
+    when nothing waits. `ahead` counts the invocations that arrived while
+    that wake was due but another invocation had run first; they queue in
+    front of the older waiters."""
+
+    __slots__ = ("waiting", "wake_at", "ahead")
+
+    def __init__(self):
+        self.waiting: deque[tuple[Callable[[], None], float]] = deque()
+        self.wake_at: Optional[float] = None
+        self.ahead = 0
+
+
 class _Lane:
     """Per-group RNG pair: one stream for delays, one for loss faults."""
 
@@ -256,9 +292,14 @@ class Network:
             "ping": _Lane(ping_seq),
             "aux": _Lane(aux_seq),
         }
+        self._lane_of = {category: self._lanes[
+            "aux" if category in _AUX else "ping" if category in _PING
+            else "protocol"] for category in Category}
+        self._tracing = config.trace
         self._handlers: dict[int, Callable[[int, bytes, Category], None]] = {}
         self._up: dict[int, bool] = {}
         self._busy: dict[int, float] = {}
+        self._queues: dict[int, _RunQueue] = {}
         self._meters: dict[int, CostMeter] = {}
         self._last_arrival: dict[tuple[int, int], float] = {}
         self._availability_listeners: list[Callable[[int, bool, float], None]] = []
@@ -278,6 +319,7 @@ class Network:
         self._handlers[node_id] = handler
         self._up.setdefault(node_id, True)
         self._busy.setdefault(node_id, 0.0)
+        self._queues.setdefault(node_id, _RunQueue())
         self._meters[node_id] = CostMeter()
 
     def is_up(self, node_id: int) -> bool:
@@ -296,14 +338,15 @@ class Network:
         if self._up.get(node_id) == up:
             return
         self._up[node_id] = up
-        self._trace("churn", node_id, node_id, None, 0, None, up=up)
+        if self._tracing:
+            self._trace("churn", node_id, node_id, None, 0, None, up=up)
         for fn in list(self._availability_listeners):
             fn(node_id, up, self.sched.now)
 
     def inject_churn(self, events: Iterable[ChurnEvent]) -> None:
         for event in events:
             self.sched.at(event.at_ms,
-                          lambda e=event: self.set_up(e.node_id, e.up))
+                          partial(self.set_up, event.node_id, event.up))
 
     def wrap_byzantine(self, node_id: int,
                        behaviors: Iterable[ByzantineBehavior | str]) -> None:
@@ -328,30 +371,38 @@ class Network:
 
     def _dispatch_send(self, at_ms: float, src: int, dst: int, payload: bytes,
                        category: Category, instance_key: object) -> None:
+        tracing = self._tracing
         if not self._up.get(src, False):
-            self._trace("send_suppressed", src, dst, category, len(payload),
-                        instance_key)
+            if tracing:
+                self._trace("send_suppressed", src, dst, category,
+                            len(payload), instance_key)
             return
         self._count(category, instance_key)
-        self._trace("send", src, dst, category, len(payload), instance_key)
-        lane = self._lane_for(category)
-        post_gst = (self.config.gst_ms is not None and at_ms >= self.config.gst_ms)
+        if tracing:
+            self._trace("send", src, dst, category, len(payload), instance_key)
+        config = self.config
+        lane = self._lane_of[category]
+        post_gst = (config.gst_ms is not None and at_ms >= config.gst_ms)
         if not post_gst:
-            if self.config.drop_rate and lane.faults.random() < self.config.drop_rate:
-                self._trace("drop", src, dst, category, len(payload), instance_key)
+            if config.drop_rate and lane.faults.random() < config.drop_rate:
+                if tracing:
+                    self._trace("drop", src, dst, category, len(payload),
+                                instance_key)
                 return
         arrivals = [self._sample_arrival(at_ms, lane, len(payload), post_gst)]
-        if not post_gst and self.config.dup_rate and \
-                lane.faults.random() < self.config.dup_rate:
+        if not post_gst and config.dup_rate and \
+                lane.faults.random() < config.dup_rate:
             arrivals.append(self._sample_arrival(at_ms, lane, len(payload), post_gst))
-            self._trace("dup", src, dst, category, len(payload), instance_key)
+            if tracing:
+                self._trace("dup", src, dst, category, len(payload),
+                            instance_key)
         for arrival in arrivals:
-            if not self.config.reorder:
+            if not config.reorder:
                 key = (src, dst)
                 arrival = max(arrival, self._last_arrival.get(key, 0.0))
                 self._last_arrival[key] = arrival
-            self.sched.at(arrival, lambda a=arrival, s=src, d=dst, p=payload,
-                          c=category, k=instance_key: self._deliver(s, d, p, c, k))
+            self.sched.at(arrival, partial(self._deliver, src, dst, payload,
+                                           category, instance_key))
 
     def _sample_arrival(self, at_ms: float, lane: _Lane, size: int,
                         post_gst: bool) -> float:
@@ -364,36 +415,46 @@ class Network:
             delay += size / self.config.bandwidth_bytes_per_ms
         return at_ms + delay
 
-    def _lane_for(self, category: Category) -> _Lane:
-        if category in _AUX:
-            return self._lanes["aux"]
-        if category in _PING:
-            return self._lanes["ping"]
-        return self._lanes["protocol"]
-
     # -- delivery and CPU accounting --------------------------------------
 
     def _deliver(self, src: int, dst: int, payload: bytes, category: Category,
                  instance_key: object) -> None:
         if not self._up.get(dst, False):
-            self._trace("drop_down", src, dst, category, len(payload), instance_key)
+            if self._tracing:
+                self._trace("drop_down", src, dst, category, len(payload),
+                            instance_key)
             return
         handler = self._handlers[dst]
-        self._trace("deliver", src, dst, category, len(payload), instance_key)
-        self.delivered[str(category)] = self.delivered.get(str(category), 0) + 1
+        if self._tracing:
+            self._trace("deliver", src, dst, category, len(payload),
+                        instance_key)
+        name = _NAMES[category]
+        self.delivered[name] = self.delivered.get(name, 0) + 1
         if category in _AUX:
             # dissemination lane: no CPU contention
             handler(src, payload, category)
             return
         wire_cost = self.config.cost.wire_cost(len(payload))
-        self._invoke(dst, lambda: handler(src, payload, category), wire_cost)
+        self._invoke(dst, partial(handler, src, payload, category), wire_cost)
 
     def _invoke(self, node_id: int, fn: Callable[[], None],
                 preload_ms: float = 0.0) -> None:
-        """Run fn under the node's CPU model, possibly queueing behind it."""
-        start = self._busy.get(node_id, 0.0)
-        if start > self.sched.now:
-            self.sched.at(start, lambda: self._invoke(node_id, fn, preload_ms))
+        """Run fn under the node's CPU model, or queue it behind the busy
+        CPU until the node's wake event hands it back here."""
+        busy = self._busy.get(node_id, 0.0)
+        if busy > self.sched.now:
+            queue = self._queues[node_id]
+            if queue.wake_at is None:
+                queue.wake_at = busy
+                self.sched.at(busy, partial(self._wake, node_id))
+                queue.waiting.append((fn, preload_ms))
+            elif queue.wake_at < busy:
+                # due at the wake's instant, behind an invocation that ran
+                # at once: in arrival order, in front of the older waiters
+                queue.waiting.insert(queue.ahead, (fn, preload_ms))
+                queue.ahead += 1
+            else:
+                queue.waiting.append((fn, preload_ms))
             return
         if not self._up.get(node_id, False):
             return
@@ -420,6 +481,26 @@ class Network:
         for delay, timer_fn, timer in timers:
             self._schedule_at(node_id, done + delay, timer_fn, timer)
 
+    def _wake(self, node_id: int) -> None:
+        """The node's CPU was due to be free: hand the head of its run queue
+        to `_invoke`, then wait for the next free CPU if more are queued."""
+        queue = self._queues[node_id]
+        busy = self._busy[node_id]
+        queue.ahead = 0
+        if busy <= self.sched.now:
+            if not self._up.get(node_id, False):
+                queue.waiting.clear()
+                queue.wake_at = None
+                return
+            fn, preload_ms = queue.waiting.popleft()
+            self._invoke(node_id, fn, preload_ms)
+            if not queue.waiting:
+                queue.wake_at = None
+                return
+            busy = self._busy[node_id]
+        queue.wake_at = busy
+        self.sched.at(busy, partial(self._wake, node_id))
+
     # -- timers ------------------------------------------------------------
 
     def schedule(self, node_id: int, delay_ms: float,
@@ -436,11 +517,11 @@ class Network:
 
     def _schedule_at(self, node_id: int, when_ms: float, fn: Callable[[], None],
                      timer: Timer) -> None:
-        def fire():
-            if timer.cancelled:
-                return
+        self.sched.at(when_ms, partial(self._fire, node_id, fn, timer))
+
+    def _fire(self, node_id: int, fn: Callable[[], None], timer: Timer) -> None:
+        if not timer.cancelled:
             self._invoke(node_id, fn)
-        self.sched.at(when_ms, fire)
 
     def every(self, node_id: int, period_ms: float, fn: Callable[[], None],
               start_at_ms: Optional[float] = None) -> Timer:
@@ -448,7 +529,8 @@ class Network:
         only while the node is up."""
         timer = Timer()
         first = self.sched.now + period_ms if start_at_ms is None else start_at_ms
-        self.sched.at(first, lambda: self._tick(node_id, period_ms, fn, timer, first))
+        self.sched.at(first, partial(self._tick, node_id, period_ms, fn, timer,
+                                     first))
         return timer
 
     def _tick(self, node_id: int, period_ms: float, fn: Callable[[], None],
@@ -458,16 +540,17 @@ class Network:
         if self._up.get(node_id, False):
             self._invoke(node_id, fn)
         when += period_ms
-        self.sched.at(when, lambda: self._tick(node_id, period_ms, fn, timer, when))
+        self.sched.at(when, partial(self._tick, node_id, period_ms, fn, timer,
+                                    when))
 
     # -- bookkeeping -------------------------------------------------------
 
     def _count(self, category: Category, instance_key: object) -> None:
-        key = (str(category), instance_key)
+        key = (_NAMES[category], instance_key)
         self.counters[key] = self.counters.get(key, 0) + 1
 
     def messages_for(self, category: Category, instance_key: object) -> int:
-        return self.counters.get((str(category), instance_key), 0)
+        return self.counters.get((_NAMES[category], instance_key), 0)
 
     def totals_by_category(self) -> dict[str, int]:
         out: dict[str, int] = {}
@@ -477,15 +560,14 @@ class Network:
 
     def instance_counts(self, category: Category) -> dict[object, int]:
         out: dict[object, int] = {}
+        name = _NAMES[category]
         for (cat, key), count in self.counters.items():
-            if cat == str(category) and key is not None:
+            if cat == name and key is not None:
                 out[key] = out.get(key, 0) + count
         return out
 
     def _trace(self, kind: str, src: int, dst: int, category: Optional[Category],
                size: int, instance_key: object, **extra) -> None:
-        if not self.config.trace:
-            return
         event = {"t": round(self.sched.now, 6), "kind": kind, "src": src,
                  "dst": dst, "category": str(category) if category else None,
                  "size": size, "key": _key_repr(instance_key)}
@@ -498,11 +580,13 @@ class Network:
         self.sched.run_until(until_ms)
 
     def close(self) -> None:
-        """End the simulation: drop pending events, handlers and listeners.
-        They close the reference cycles between the network and the nodes,
-        so without this a finished run lingers until the cyclic garbage
-        collector finds it. Counters, delivery tallies and the trace stay."""
+        """End the simulation: drop pending events, run queues, handlers and
+        listeners. They close the reference cycles between the network and
+        the nodes, so without this a finished run lingers until the cyclic
+        garbage collector finds it. Counters, delivery tallies and the trace
+        stay."""
         self.sched.clear()
+        self._queues.clear()
         self._handlers.clear()
         self._availability_listeners.clear()
 

@@ -11,7 +11,7 @@ import pytest
 
 from vguard.errors import UnknownEndpoint
 from vguard.netsim import (Category, ChurnEvent, CostModel, Network,
-                           SimConfig)
+                           Scheduler, SimConfig)
 
 FREE = CostModel(base_ms=0.0, sign_ms=0.0, verify_ms=0.0, hash_byte_ms=0.0,
                  wire_byte_ms=0.0, wire_byte_quad_ms=0.0)
@@ -306,3 +306,101 @@ def test_byzantine_registration_lookup():
     net.wrap_byzantine(4, ["silent"])
     assert [str(b) for b in net.byzantine_behaviors(4)] == ["silent"]
     assert net.byzantine_behaviors(5) == []
+
+
+# -- per-node run queues ------------------------------------------------------
+
+def busy_node(net: Network, log: list, charge_ms: float = 5.0) -> None:
+    """Node 2 logs (payload, start time) and charges `charge_ms` per message."""
+
+    def handler(src, payload, category):
+        log.append((payload.decode(), net.now))
+        net.meter(2).charge_ms(charge_ms)
+
+    net.register(2, handler)
+
+
+def count_heap_pushes(monkeypatch) -> list:
+    pushes = []
+    at = Scheduler.at
+
+    def counted(sched, when_ms, fn):
+        pushes.append(when_ms)
+        return at(sched, when_ms, fn)
+
+    monkeypatch.setattr(Scheduler, "at", counted)
+    return pushes
+
+
+def test_waiting_invocations_run_fifo_one_per_busy_period(monkeypatch):
+    pushes = count_heap_pushes(monkeypatch)
+    net = Network(quiet())
+    log = []
+    wire(net, [1])
+    busy_node(net, log)
+    for i, name in enumerate("abcde"):
+        net.run_until(0.5 * i)
+        net.send(1, 2, name.encode(), Category.CONTROL)
+    net.run_until(40.0)
+    assert log == [("a", 1.0), ("b", 6.0), ("c", 11.0), ("d", 16.0),
+                   ("e", 21.0)]
+    # one event per delivery plus one wake per busy period that ends with
+    # work waiting, however long each invocation waited
+    assert len(pushes) == 5 + 4
+
+
+def test_zero_delay_timers_of_the_running_handler_go_ahead_of_the_queue():
+    net = Network(quiet())
+    log = []
+    wire(net, [1])
+
+    def handler(src, payload, category):
+        log.append((payload.decode(), net.now))
+        net.meter(2).charge_ms(5.0)
+        if payload == b"a":
+            for name in ("t1", "t2"):
+                net.schedule(2, 0.0, lambda name=name: (
+                    log.append((name, net.now)), net.meter(2).charge_ms(1.0)))
+
+    net.register(2, handler)
+    for name in "abc":
+        net.send(1, 2, name.encode(), Category.CONTROL)
+    net.run_until(40.0)
+    # b and c were queued before a set its timers, and still run after them
+    assert log == [("a", 1.0), ("t1", 6.0), ("t2", 7.0), ("b", 8.0),
+                   ("c", 13.0)]
+
+
+def test_node_that_goes_down_drops_its_queued_invocations():
+    net = Network(quiet())
+    log = []
+    wire(net, [1])
+    busy_node(net, log)
+    for name in "abc":
+        net.send(1, 2, name.encode(), Category.CONTROL)
+    net.inject_churn([ChurnEvent(at_ms=3.0, node_id=2, up=False),
+                      ChurnEvent(at_ms=10.0, node_id=2, up=True)])
+    net.run_until(12.0)
+    net.send(1, 2, b"d", Category.CONTROL)
+    net.send(1, 2, b"e", Category.CONTROL)
+    net.run_until(40.0)
+    # b and c waited behind a; the CPU came free at 6.0 with the node down,
+    # and they are gone, not ahead of e, once it is back up
+    assert log == [("a", 1.0), ("d", 13.0), ("e", 18.0)]
+
+
+def test_timer_cancelled_while_queued_still_runs_and_charges_base():
+    cost = CostModel(base_ms=0.5, sign_ms=0.0, verify_ms=0.0,
+                     hash_byte_ms=0.0, wire_byte_ms=0.0, wire_byte_quad_ms=0.0)
+    net = Network(quiet(cost=cost))
+    log = []
+    wire(net, [1])
+    busy_node(net, log)
+    net.send(1, 2, b"a", Category.CONTROL)              # busy 1.0 .. 6.5
+    timer = net.schedule(2, 2.0, lambda: log.append(("timer", net.now)))
+    net.run_until(3.0)
+    timer.cancel()                                      # fired at 2.0, queued
+    net.run_until(4.0)
+    net.send(1, 2, b"b", Category.CONTROL)              # arrives at 5.0
+    net.run_until(40.0)
+    assert log == [("a", 1.0), ("timer", 6.5), ("b", 7.0)]
