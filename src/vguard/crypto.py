@@ -107,11 +107,13 @@ MEMO_SIZE = 1 << 14
 
 _pub_cache: dict[bytes, Ed25519PublicKey] = {}
 _verified: dict[tuple[bytes, bytes, bytes], bool] = {}
+_signer_sets: dict[tuple[int, ...], bytes] = {}
 
 
 def clear_caches() -> None:
     _pub_cache.clear()
     _verified.clear()
+    _signer_sets.clear()
 
 
 def _public_key(raw: bytes) -> Ed25519PublicKey:
@@ -261,7 +263,16 @@ def setup_booth_keys(member_ids: Sequence[int], threshold: int,
 
 
 def signer_set_digest(signers: Iterable[int]) -> bytes:
-    return digest("signer-set", sorted(signers))
+    """Digest of a signer set, memoised: a run certifies with a handful of
+    distinct sets, thousands of times over."""
+    key = tuple(sorted(signers))
+    out = _signer_sets.get(key)
+    if out is None:
+        out = digest("signer-set", list(key))
+        if len(_signer_sets) >= MEMO_SIZE:
+            _signer_sets.clear()
+        _signer_sets[key] = out
+    return out
 
 
 @dataclass(frozen=True)

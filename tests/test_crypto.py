@@ -254,6 +254,26 @@ def test_verify_memo_stays_bounded(monkeypatch):
     assert not crypto._verified and not crypto._pub_cache
 
 
+def test_signer_set_digest_is_memoised_per_set_until_caches_clear(
+        monkeypatch):
+    calls = []
+
+    def counted(label, *fields):
+        calls.append(fields)
+        return digest(label, *fields)
+
+    monkeypatch.setattr(crypto, "digest", counted)
+    crypto.clear_caches()
+    want = digest("signer-set", [1, 2, 4])
+    for signers in ([4, 1, 2], (1, 2, 4), {2: b"", 4: b"", 1: b""}):
+        assert signer_set_digest(signers) == want
+    assert signer_set_digest([1, 2]) == digest("signer-set", [1, 2])
+    assert calls == [([1, 2, 4],), ([1, 2],)]
+    crypto.clear_caches()
+    assert signer_set_digest([2, 1, 4]) == want
+    assert len(calls) == 3
+
+
 def test_signing_records_its_triple_and_needs_no_real_check(real_checks):
     ident, key = make_identity(5, Role.VEHICLE, _rng(6).bytes(32))
     payload = digest("t", b"signed here")
