@@ -106,6 +106,7 @@ class RejectReason(str, Enum):
 
     BAD_HASH = "bad_hash"
     BAD_SIG = "bad_sig"
+    WRONG_DIGEST = "wrong_digest"
     BAD_CERT = "bad_cert"
     REUSED_ID = "reused_id"
     REUSED_WINDOW = "reused_window"

@@ -152,8 +152,11 @@ class OrderingCoordinator:
             return
         expected = rnd.cert_digest
         p = msg.partial
-        if p.signer != src or p.payload_digest != expected:
+        if p.signer != src:
             ctx.diag(RejectReason.BAD_SIG)
+            return
+        if p.payload_digest != expected:
+            ctx.diag(RejectReason.WRONG_DIGEST)
             return
         ctx.env.meter.verify(1)
         if not verify_partial(p, ctx.registry.verify_key(src), expected):

@@ -7,11 +7,13 @@ import pytest
 
 from conftest import (certify_entry, commit_window, default_quorum,
                       make_batch, make_booth, make_pool)
-from vguard.consensus import ValidatorConsensus
+from vguard.consensus import (ConsensusCoordinator, ConsensusRound,
+                              ValidatorConsensus)
 from vguard.crypto import make_partial, verify_partial
 from vguard.ledger import commit_cert_digest
-from vguard.messages import (CommitMsg, PreCommitSeen, PreCommitUnseen)
-from test_ordering import make_ctx
+from vguard.messages import (CommitMsg, CommitReply, PreCommitSeen,
+                             PreCommitUnseen)
+from test_ordering import FakeMmu, make_ctx
 
 DELTA = 100_000
 
@@ -364,3 +366,38 @@ def test_pre_commit_is_built_once_per_attempt(monkeypatch):
     shared = [msgs for msgs in sent.values() if len(msgs) > 1]
     assert any(isinstance(msgs[0], PreCommitUnseen) for msgs in shared)
     assert all(m is msgs[0] for msgs in sent.values() for m in msgs)
+
+
+# -- proposer side ------------------------------------------------------------
+
+def test_reply_endorsing_another_digest_is_wrong_digest_not_bad_sig(world):
+    """A partial over another window's digest is a different claim, not a
+    forged signature; a partial whose signer is not the sender is bad_sig."""
+    pool, booth, material = world
+    _, _, tx = window_of(pool, booth, material, [1, 2])
+    ctx, _ = make_ctx(pool, node_id=1)
+    ctx.mmu = FakeMmu(booth)
+    coord = ConsensusCoordinator(ctx)
+    own = proposer_partial(pool, booth, 0, tx.tx_hash)
+    rnd = ConsensusRound(window_start_us=0, tx=tx, booth=booth, attempt=0,
+                         own_partial=own, demoted=frozenset())
+    coord.rounds[0] = rnd
+
+    def reply(src, signer, ts):
+        payload = commit_cert_digest(ts, tx.tx_hash, booth.booth_hash)
+        partial = make_partial(
+            pool.keys[signer], payload,
+            pool.registry.booth_share(booth.booth_hash, signer))
+        return CommitReply(instance_id=1, sender=src, window_start_us=0,
+                           partial=partial)
+
+    for reason, msg in (("wrong_digest", reply(3, 3, DELTA)),
+                        ("bad_sig", reply(3, 4, 0))):
+        ctx.counters.clear()
+        coord.handle_reply(3, msg)
+        only_reject(ctx, reason)
+    assert rnd.replies == {}
+    ctx.counters.clear()
+    coord.handle_reply(3, reply(3, 3, 0))
+    assert not ctx.counters
+    assert set(rnd.replies) == {3}

@@ -117,8 +117,10 @@ GOLDEN = {
             "a8dbb18197b47343d22ad755b81bc01d15ee3611682ac17e5539279154e6807f",
         "ledger-1-4.jsonl":
             "68b50a364f670441e33ad22113721b46eac868899eec8e00f73fb905ded0f3d7",
+        # re-pinned when replies endorsing another digest moved from
+        # bad_sig to wrong_digest; the ledgers did not move
         "report.json":
-            "7b84c295fd8b74e91a61972a2642e7cfabf2eab71448bd518ba856cb63912cf5",
+            "c430a54b08639741936e8cc39157cf0e88472e0a75833169eb272bdd06abad89",
     },
     "tampering_proposer_n7": {
         "ledger-1-1.jsonl":
@@ -151,6 +153,15 @@ def artifact_digests(spec: RunSpec, outdir: Path) -> dict[str, str]:
 @pytest.mark.parametrize("name", sorted(SPECS))
 def test_golden_artifacts_are_byte_identical(name, tmp_path):
     assert artifact_digests(SPECS[name], tmp_path) == GOLDEN[name]
+
+
+def test_equivocation_split_is_wrong_digest_not_bad_sig():
+    """The equivocating proposer (node 2) gets replies that endorse the
+    other branch of its split. They were once counted as bad_sig; the total
+    is unchanged, and now all of them are wrong_digest."""
+    counters = run(SPECS["equivocating_proposer_n4"]).report["counters"]["2"]
+    assert counters.get("bad_sig", 0) + counters.get("wrong_digest", 0) == 473
+    assert counters.get("bad_sig", 0) == 0
 
 
 # Send events are stamped with the start time of the handler that sent them,

@@ -188,7 +188,8 @@ def test_equivocating_proposer_cannot_commit_anything():
     # honest members saw the two-faced proposals and refused both branches
     rejects = [c for counters in result.report["counters"].values()
                for c in counters]
-    assert any(r in ("bad_sig", "reused_id", "bad_hash") for r in rejects)
+    assert any(r in ("wrong_digest", "reused_id", "bad_hash")
+               for r in rejects)
 
 
 @pytest.mark.parametrize("behavior", ["equivocate_ordering_id",

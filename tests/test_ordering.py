@@ -14,10 +14,10 @@ from conftest import certify_entry, make_batch, make_booth, make_pool
 from vguard.booths import build_profile
 from vguard.crypto import make_partial, setup_booth_keys, verify_partial
 from vguard.ledger import Ledger, TotalOrderLog, order_cert_digest
-from vguard.messages import OrderMsg, PreOrder
-from vguard.netsim import CostMeter
+from vguard.messages import OrderMsg, OrderReply, PreOrder
+from vguard.netsim import CostMeter, Timer
 from vguard.node import InstanceContext, MetricSink, ProtocolConfig
-from vguard.ordering import ValidatorOrdering
+from vguard.ordering import OrderingCoordinator, ValidatorOrdering
 
 
 class FakeEnv:
@@ -32,6 +32,28 @@ class FakeEnv:
 
     def now_ms(self) -> float:
         return self.t_us / 1000.0
+
+    def after(self, delay_ms: float, fn) -> Timer:
+        return Timer()                   # timers never fire here
+
+
+class FakeMmu:
+    """A fixed head booth for a coordinator; membership never changes."""
+
+    def __init__(self, booth):
+        self.booth = booth
+
+    def on_booth_invalidated(self, fn) -> None:
+        pass
+
+    def on_booth_available(self, fn) -> None:
+        pass
+
+    def current_booth(self, phase: str):
+        return self.booth
+
+    def booth_latency(self, booth_hash: bytes) -> float:
+        return 1.0
 
 
 def make_ctx(pool, node_id: int, instance_id: int = 1,
@@ -301,3 +323,35 @@ def test_order_cert_digest_is_computed_once_per_round_and_member(monkeypatch):
     rounds = result.report["instances"][0]["ordering_messages"]["rounds"]
     assert rounds > 0
     assert len(calls) == 4 * rounds
+
+
+# -- proposer side ------------------------------------------------------------
+
+def test_reply_endorsing_another_digest_is_wrong_digest_not_bad_sig(world):
+    """A partial over another digest is a different claim, not a forged
+    signature; a partial whose signer is not the sender is bad_sig."""
+    pool, booth, _ = world
+    ctx, sent = make_ctx(pool, node_id=1)
+    ctx.mmu = FakeMmu(booth)
+    coord = OrderingCoordinator(ctx)
+    coord.submit(make_batch(pool, size=2))
+    rnd = coord.rounds[1]
+
+    def reply(src, signer, payload):
+        partial = make_partial(
+            pool.keys[signer], payload,
+            pool.registry.booth_share(booth.booth_hash, signer))
+        return OrderReply(instance_id=1, sender=src, ordering_id=1,
+                          partial=partial)
+
+    other = order_cert_digest(2, rnd.batch.batch_hash, booth.booth_hash)
+    for reason, msg in (("wrong_digest", reply(3, 3, other)),
+                        ("bad_sig", reply(3, 4, rnd.cert_digest))):
+        ctx.counters.clear()
+        coord.handle_reply(3, msg)
+        only_reject(ctx, reason)
+    assert rnd.replies == {}
+    ctx.counters.clear()
+    coord.handle_reply(3, reply(3, 3, rnd.cert_digest))
+    assert not ctx.counters
+    assert set(rnd.replies) == {3}
