@@ -320,7 +320,7 @@ def busy_node(net: Network, log: list, charge_ms: float = 5.0) -> None:
     net.register(2, handler)
 
 
-def count_heap_pushes(monkeypatch) -> list:
+def test_waiting_invocations_run_fifo_one_per_busy_period(monkeypatch):
     pushes = []
     at = Scheduler.at
 
@@ -329,11 +329,6 @@ def count_heap_pushes(monkeypatch) -> list:
         return at(sched, when_ms, fn)
 
     monkeypatch.setattr(Scheduler, "at", counted)
-    return pushes
-
-
-def test_waiting_invocations_run_fifo_one_per_busy_period(monkeypatch):
-    pushes = count_heap_pushes(monkeypatch)
     net = Network(quiet())
     log = []
     wire(net, [1])
