@@ -1,5 +1,5 @@
 """Golden outputs: the sha256 of `report.json` and of every ledger export for
-six fixed seeded runs, and of the network trace of two traced runs.
+seven fixed seeded runs, and of the network trace of two traced runs.
 
 A change that only restructures or speeds up the code must leave every one
 of these bytes unchanged. If a digest moves, behaviour moved: say so and
@@ -45,6 +45,13 @@ SPECS = {
         booth_size=7, duration_ms=300.0, grace_ms=500.0, rate_per_s=60.0,
         seed=26, byzantine=((2, ("tamper_payload",)),),
         sim=SimConfig(seed=0, drop_rate=0.03, dup_rate=0.02, gst_ms=150.0)),
+    # the proposer (node 2) swaps the last quorum member of every order and
+    # commit for a node outside the booth: the only spec whose report pins
+    # the quorum-shape rejections
+    "forging_quorum_n4": RunSpec(
+        booth_size=4, duration_ms=300.0, grace_ms=500.0, rate_per_s=60.0,
+        seed=27, byzantine=((2, ("forge_quorum",)),),
+        sim=SimConfig(seed=0, drop_rate=0.03, dup_rate=0.02, gst_ms=150.0)),
 }
 
 GOLDEN = {
@@ -59,6 +66,18 @@ GOLDEN = {
             "20419223ca6aee0f867858d9f80d132d54d44524cd3283ed75a2bc96733055d1",
         "report.json":
             "b0764973bbe738caf3619c425a19f0c8964dc5b0c92c63ad4230f0618c4c0e67",
+    },
+    "forging_quorum_n4": {
+        "ledger-1-1.jsonl":
+            "a07f52cacc91de17439ddb1cf2219c4f7ede503d8c29a16c094a99aa4186e507",
+        "ledger-1-2.jsonl":
+            "17b4bd5b6bca9a7061d8256c57b79abb9c41fa7a50ff390b9b6ea87f4077a01e",
+        "ledger-1-3.jsonl":
+            "14f57221547888ed9a88896f66710d78fefb7953be5e8fa42f4fc19375614fcc",
+        "ledger-1-4.jsonl":
+            "7fa3e61a1e8a8f6d92b7b6ba4bd1bcdafb9d3f2964e933287395f11ac4133907",
+        "report.json":
+            "71de887c640f6db8b363bb05f7b15ffcdd88cf8a14fd5970a095dcfe5fb0f401",
     },
     "lossy_n7_byzantine": {
         "ledger-1-1.jsonl":
