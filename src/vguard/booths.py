@@ -12,10 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .codec import digest, pack, Packed, Reader
-from .crypto import Identity, Role
+from .crypto import AggregateSignature, Identity, Role, verify_aggregate
+from .errors import RejectReason
 
 
 @dataclass(frozen=True)
@@ -75,6 +76,31 @@ class BoothProfile:
 
     def __contains__(self, node_id: int) -> bool:
         return node_id in self.member_ids
+
+    def check_certified(self, quorum: Sequence[int], cert: AggregateSignature,
+                        payload_digest: bytes, meter=None
+                        ) -> Optional[RejectReason]:
+        """Why `cert` over `payload_digest` does not count in this booth, or
+        None if it does: 2f distinct members with the pivot among them,
+        whose aggregate verifies and whose signers are exactly `quorum`.
+        The meter, if any, is charged one threshold verify, and only once
+        the quorum's shape holds."""
+        qset = set(quorum)
+        need = 2 * self.fault_budget
+        if len(qset) != need or len(quorum) != need:
+            return RejectReason.QUORUM_MISMATCH
+        if not qset <= set(self.member_ids):
+            return RejectReason.FOREIGN_QUORUM_MEMBER
+        if self.pivot_id not in qset:
+            return RejectReason.PIVOT_MISSING
+        if meter is not None:
+            meter.verify(self.threshold)
+        if not verify_aggregate(cert, payload_digest, self.directory_map,
+                                self.threshold):
+            return RejectReason.BAD_CERT
+        if set(cert.signers(self.member_ids)) != qset:
+            return RejectReason.QUORUM_MISMATCH
+        return None
 
     # wire form -----------------------------------------------------------
 

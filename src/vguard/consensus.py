@@ -16,6 +16,9 @@ can therefore still countersign on retry. The window timestamp binds each
 member to a single transaction hash, which is what makes the timestamp a
 safe dedup key across retries.
 
+Each commit round is a `QuorumRound`, the collector ordering uses too, and
+validators accept its certificate through `BoothProfile.check_certified`.
+
 Commits release in window order on the proposer, so its ledger tiles the
 timeline; validators append whatever commits reach them and may hold gaps.
 """
@@ -26,27 +29,30 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .booths import BoothProfile
-from .crypto import (PartialSignature, aggregate, make_partial,
-                     verify_aggregate, verify_partial, verify_partial_set)
+from .crypto import make_partial, verify_partial_set
 from .errors import RejectReason
-from .ledger import (CommitRecord, LogEntry, Transaction, TxEntry,
-                     commit_cert_digest, expand_memberships, order_cert_digest,
-                     prune_memberships, tx_hash_over)
+from .ledger import (CommitRecord, LogEntry, Transaction, commit_cert_digest,
+                     expand_memberships, order_cert_digest, tx_hash_over,
+                     window_transaction)
 from .messages import (CommitMsg, CommitReply, PreCommitSeen, PreCommitUnseen)
 from .netsim import Category
+from .ordering import QuorumRound, proposer_signed, round_timeout_ms
 
 
 @dataclass
-class ConsensusRound:
+class ConsensusRound(QuorumRound):
     window_start_us: int
     tx: Transaction
-    booth: BoothProfile
     attempt: int
-    own_partial: PartialSignature
     demoted: frozenset[int]
-    replies: dict[int, PartialSignature] = field(default_factory=dict)
-    timer: Optional[object] = None
-    done: bool = False
+
+
+def _booth_of(ctx, booth_hash: bytes) -> BoothProfile:
+    """A booth this node ordered in, else one its ledger has committed."""
+    booth = ctx.booth_profiles.get(booth_hash)
+    if booth is None:
+        booth = ctx.ledger.booth_table[booth_hash]
+    return booth
 
 
 class ConsensusCoordinator:
@@ -92,16 +98,8 @@ class ConsensusCoordinator:
             self._release()
             return
         entries = sorted(entries, key=lambda e: e.ordering_id)
-        links = prune_memberships(entries, self._booth_of)
-        tx = Transaction(
-            window_start_us=ts, window_len_us=delta,
-            entries=tuple(TxEntry(e.ordering_id, e.batch, e.cert)
-                          for e in entries),
-            membership_links=tuple(links))
+        tx = window_transaction(ts, delta, entries, lambda h: _booth_of(ctx, h))
         self._attempt(ts, tx, attempt=0, demoted=frozenset())
-
-    def _booth_of(self, booth_hash: bytes) -> BoothProfile:
-        return self.ctx.booth_profiles[booth_hash]
 
     def _attempt(self, ts: int, tx: Transaction, attempt: int,
                  demoted: frozenset[int]) -> None:
@@ -115,7 +113,8 @@ class ConsensusCoordinator:
         ctx.env.meter.sign(2)
         own = make_partial(ctx.key, payload, share)
         rnd = ConsensusRound(window_start_us=ts, tx=tx, booth=booth,
-                             attempt=attempt, own_partial=own, demoted=demoted)
+                             attempt=attempt, own_partial=own, demoted=demoted,
+                             cert_digest=payload)
         self.rounds[ts] = rnd
 
         first = tx.entries[0].ordering_id
@@ -150,15 +149,10 @@ class ConsensusCoordinator:
                 msg = unseen_msg
             ctx.send(v, msg, Category.CONSENSUS, ts)
 
-        timeout = self._timeout_ms(booth)
+        timeout = round_timeout_ms(ctx, booth)
         if unseen_msg is not None:
             timeout += len(tx.entries) * ctx.config.unseen_allowance_ms
         rnd.timer = ctx.env.after(timeout, lambda: self._timed_out(ts, attempt))
-
-    def _timeout_ms(self, booth: BoothProfile) -> float:
-        cfg = self.ctx.config
-        rtt = self.ctx.mmu.booth_latency(booth.booth_hash)
-        return max(cfg.timeout_factor * rtt, cfg.timeout_floor_ms)
 
     # -- replies and release ----------------------------------------------
 
@@ -172,43 +166,9 @@ class ConsensusCoordinator:
             else:
                 ctx.diag(RejectReason.STALE)
             return
-        if src == ctx.node_id or src not in rnd.booth:
-            ctx.diag(RejectReason.UNKNOWN_BOOTH)
+        if not rnd.add_reply(ctx, src, msg.partial):
             return
-        expected = commit_cert_digest(rnd.window_start_us, rnd.tx.tx_hash,
-                                      rnd.booth.booth_hash)
-        p = msg.partial
-        if p.signer != src:
-            ctx.diag(RejectReason.BAD_SIG)
-            return
-        if p.payload_digest != expected:
-            ctx.diag(RejectReason.WRONG_DIGEST)
-            return
-        ctx.env.meter.verify(1)
-        if not verify_partial(p, ctx.registry.verify_key(src), expected):
-            ctx.diag(RejectReason.BAD_SIG)
-            return
-        rnd.replies.setdefault(src, p)
-        need = 2 * rnd.booth.fault_budget
-        if len(rnd.replies) >= need and rnd.booth.pivot_id in rnd.replies:
-            self._finalize(rnd)
-
-    def _finalize(self, rnd: ConsensusRound) -> None:
-        ctx = self.ctx
-        rnd.done = True
-        if rnd.timer is not None:
-            rnd.timer.cancel()
-        need = 2 * rnd.booth.fault_budget
-        quorum_ids = [rnd.booth.pivot_id]
-        for signer in rnd.replies:
-            if signer != rnd.booth.pivot_id:
-                quorum_ids.append(signer)
-            if len(quorum_ids) == need:
-                break
-        quorum = tuple(sorted(quorum_ids))
-        parts = [rnd.replies[s] for s in quorum]
-        ctx.env.meter.verify(len(parts))
-        cert = aggregate(parts, ctx.registry.material(rnd.booth.booth_hash))
+        quorum, cert = rnd.certify(ctx)
         record = CommitRecord(
             consensus_id=rnd.window_start_us, quorum=quorum,
             booth_hash=rnd.booth.booth_hash, cert=cert,
@@ -329,12 +289,7 @@ class ValidatorConsensus:
             ctx.diag(RejectReason.REUSED_WINDOW)
             return
         expected = commit_cert_digest(ts, tx_hash, booth.booth_hash)
-        p = msg.proposer_partial
-        ctx.env.meter.verify(1)
-        if (p.signer != booth.proposer_id or p.payload_digest != expected
-                or not verify_partial(p, ctx.registry.verify_key(p.signer),
-                                      expected)):
-            ctx.diag(RejectReason.BAD_SIG)
+        if not proposer_signed(ctx, booth, msg.proposer_partial, expected):
             return
         share = ctx.registry.booth_share(booth.booth_hash, ctx.node_id)
         if share is None:
@@ -400,37 +355,23 @@ class ValidatorConsensus:
                 ctx.diag(RejectReason.MALFORMED)
                 return False
             link_booth, quorum = got
-            need = 2 * link_booth.fault_budget
-            qset = set(quorum)
-            if len(qset) != need or len(quorum) != need:
-                ctx.diag(RejectReason.QUORUM_MISMATCH)
-                return False
-            if not qset <= set(link_booth.member_ids):
-                ctx.diag(RejectReason.FOREIGN_QUORUM_MEMBER)
-                return False
-            if link_booth.pivot_id not in qset:
-                ctx.diag(RejectReason.PIVOT_MISSING)
-                return False
             cert_digest = order_cert_digest(
                 entry.ordering_id, entry.batch.batch_hash,
                 link_booth.booth_hash)
-            ctx.env.meter.verify(link_booth.threshold)
-            if not verify_aggregate(entry.cert, cert_digest,
-                                    link_booth.directory_map,
-                                    link_booth.threshold):
-                ctx.diag(RejectReason.BAD_CERT)
-                return False
-            if set(entry.cert.signers(link_booth.member_ids)) != qset:
-                ctx.diag(RejectReason.QUORUM_MISMATCH)
+            reason = link_booth.check_certified(quorum, entry.cert,
+                                                cert_digest, ctx.env.meter)
+            if reason is not None:
+                ctx.diag(reason)
                 return False
             replies = reply_sets.get(entry.ordering_id)
             if not replies:
                 ctx.diag(RejectReason.INSUFFICIENT_REPLIES)
                 return False
-            allowed = qset | {link_booth.proposer_id}
+            allowed = {*quorum, link_booth.proposer_id}
             usable = tuple(p for p in replies if p.signer in allowed)
             ctx.env.meter.verify(len(usable))
-            if not verify_partial_set(usable, cert_digest, need + 1,
+            if not verify_partial_set(usable, cert_digest,
+                                      2 * link_booth.fault_budget + 1,
                                       ctx.registry):
                 ctx.diag(RejectReason.INSUFFICIENT_REPLIES)
                 return False
@@ -467,25 +408,11 @@ class ValidatorConsensus:
         if src != booth.proposer_id or msg.sender != booth.proposer_id:
             ctx.diag(RejectReason.MALFORMED)
             return
-        need = 2 * booth.fault_budget
-        qset = set(msg.quorum)
-        if len(qset) != need or len(msg.quorum) != need:
-            ctx.diag(RejectReason.QUORUM_MISMATCH)
-            return
-        if not qset <= set(booth.member_ids):
-            ctx.diag(RejectReason.FOREIGN_QUORUM_MEMBER)
-            return
-        if booth.pivot_id not in qset:
-            ctx.diag(RejectReason.PIVOT_MISSING)
-            return
         expected = commit_cert_digest(ts, msg.tx_hash, booth.booth_hash)
-        ctx.env.meter.verify(booth.threshold)
-        if not verify_aggregate(msg.cert, expected, booth.directory_map,
-                                booth.threshold):
-            ctx.diag(RejectReason.BAD_CERT)
-            return
-        if set(msg.cert.signers(booth.member_ids)) != qset:
-            ctx.diag(RejectReason.QUORUM_MISMATCH)
+        reason = booth.check_certified(msg.quorum, msg.cert, expected,
+                                       ctx.env.meter)
+        if reason is not None:
+            ctx.diag(reason)
             return
 
         tx = pc.tx
@@ -494,14 +421,10 @@ class ValidatorConsensus:
             if entries is None:
                 ctx.diag(RejectReason.UNKNOWN_INSTANCE)
                 return
-            links = prune_memberships(entries, self._booth_of)
-            tx = Transaction(
-                window_start_us=ts, window_len_us=ctx.config.delta_us,
-                entries=tuple(TxEntry(e.ordering_id, e.batch, e.cert)
-                              for e in entries),
-                membership_links=tuple(links))
+            tx = window_transaction(ts, ctx.config.delta_us, entries,
+                                    lambda h: _booth_of(ctx, h))
         record = CommitRecord(
-            consensus_id=ts, quorum=tuple(sorted(qset)),
+            consensus_id=ts, quorum=tuple(sorted(msg.quorum)),
             booth_hash=msg.booth_hash, cert=msg.cert, tx_hash=msg.tx_hash,
             committed_at_us=ctx.env.now_us())
         ctx.ledger.note_booth(booth)
@@ -512,9 +435,3 @@ class ValidatorConsensus:
             smi.register_to_temp(tx, record, ctx.env.now_us())
         if ctx.committed_hook is not None:
             ctx.committed_hook(msg, tx)
-
-    def _booth_of(self, booth_hash: bytes) -> BoothProfile:
-        booth = self.ctx.booth_profiles.get(booth_hash)
-        if booth is None:
-            booth = self.ctx.ledger.booth_table[booth_hash]
-        return booth

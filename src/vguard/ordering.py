@@ -13,6 +13,10 @@ under a fresh id and the current head booth. Ids are never reused across
 attempts, so validator logs stay conflict-free; the journal keeps the
 id history per batch for post-run audits.
 
+`QuorumRound` collects the countersignatures of a round and builds its
+certificate, here and in consensus; validators accept a certificate only
+through `BoothProfile.check_certified`.
+
 The coordinator and the validator handler both lean on a context object
 supplied by the node runtime: clocks, transport, key material, the shared
 log, diagnostic counters, and metric sinks.
@@ -25,8 +29,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .booths import BoothProfile
-from .crypto import (PartialSignature, aggregate, make_partial,
-                     verify_aggregate, verify_partial)
+from .crypto import (AggregateSignature, PartialSignature, aggregate,
+                     make_partial, verify_partial)
 from .errors import RejectReason
 from .ledger import DataBatch, LogEntry, order_cert_digest
 from .messages import OrderMsg, OrderReply, PreOrder
@@ -53,21 +57,75 @@ class PendingBatch:
     retries: int = 0
 
 
-@dataclass
-class OrderingRound:
-    ordering_id: int
-    batch: DataBatch
+def round_timeout_ms(ctx, booth: BoothProfile) -> float:
+    """How long a proposer waits for a booth's quorum: a multiple of the
+    booth's round-trip latency, never under the configured floor."""
+    cfg = ctx.config
+    rtt = ctx.mmu.booth_latency(booth.booth_hash)
+    return max(cfg.timeout_factor * rtt, cfg.timeout_floor_ms)
+
+
+@dataclass(kw_only=True)
+class QuorumRound:
+    """A proposer's round of countersignatures over one digest."""
+
     booth: BoothProfile
-    submitted_at_us: int
-    started_at_us: int
-    retries: int
     own_partial: PartialSignature
     cert_digest: bytes               # what the booth countersigns
     replies: dict[int, PartialSignature] = field(default_factory=dict)
     timer: Optional[object] = None
     done: bool = False
+
+    def add_reply(self, ctx, src: int, partial: PartialSignature) -> bool:
+        """Screen one member's countersignature and keep it if it verifies;
+        True once 2f members, the pivot among them, have countersigned."""
+        if src == ctx.node_id or src not in self.booth:
+            ctx.diag(RejectReason.UNKNOWN_BOOTH)
+            return False
+        if partial.signer != src:
+            ctx.diag(RejectReason.BAD_SIG)
+            return False
+        if partial.payload_digest != self.cert_digest:
+            ctx.diag(RejectReason.WRONG_DIGEST)
+            return False
+        ctx.env.meter.verify(1)
+        if not verify_partial(partial, ctx.registry.verify_key(src),
+                              self.cert_digest):
+            ctx.diag(RejectReason.BAD_SIG)
+            return False
+        self.replies.setdefault(src, partial)
+        return (len(self.replies) >= 2 * self.booth.fault_budget
+                and self.booth.pivot_id in self.replies)
+
+    def certify(self, ctx) -> tuple[tuple[int, ...], AggregateSignature]:
+        """Close the round: the quorum is the pivot plus the first other
+        repliers up to 2f, and the certificate aggregates their partials."""
+        self.done = True
+        if self.timer is not None:
+            self.timer.cancel()
+        need = 2 * self.booth.fault_budget
+        quorum_ids = [self.booth.pivot_id]
+        for signer in self.replies:              # insertion order: first repliers
+            if signer != self.booth.pivot_id:
+                quorum_ids.append(signer)
+            if len(quorum_ids) == need:
+                break
+        quorum = tuple(sorted(quorum_ids))
+        parts = [self.replies[s] for s in quorum]
+        ctx.env.meter.verify(len(parts))
+        return quorum, aggregate(parts,
+                                 ctx.registry.material(self.booth.booth_hash))
+
+
+@dataclass
+class OrderingRound(QuorumRound):
+    ordering_id: int
+    batch: DataBatch
+    submitted_at_us: int
+    started_at_us: int
+    retries: int
     quorum: tuple[int, ...] = ()
-    cert: Optional[object] = None
+    cert: Optional[AggregateSignature] = None
 
 
 class OrderingCoordinator:
@@ -128,13 +186,8 @@ class OrderingCoordinator:
                        booth_hash=booth.booth_hash, proposer_partial=own)
         for member in booth.validators():
             ctx.send(member, msg, Category.ORDERING, oid)
-        rnd.timer = ctx.env.after(self._timeout_ms(booth),
+        rnd.timer = ctx.env.after(round_timeout_ms(ctx, booth),
                                   lambda: self._timed_out(oid))
-
-    def _timeout_ms(self, booth: BoothProfile, extra_ms: float = 0.0) -> float:
-        cfg = self.ctx.config
-        rtt = self.ctx.mmu.booth_latency(booth.booth_hash)
-        return max(cfg.timeout_factor * rtt, cfg.timeout_floor_ms) + extra_ms
 
     # -- replies -----------------------------------------------------------
 
@@ -147,42 +200,9 @@ class OrderingCoordinator:
             else:
                 ctx.diag(RejectReason.STALE)
             return
-        if src == ctx.node_id or src not in rnd.booth:
-            ctx.diag(RejectReason.UNKNOWN_BOOTH)
+        if not rnd.add_reply(ctx, src, msg.partial):
             return
-        expected = rnd.cert_digest
-        p = msg.partial
-        if p.signer != src:
-            ctx.diag(RejectReason.BAD_SIG)
-            return
-        if p.payload_digest != expected:
-            ctx.diag(RejectReason.WRONG_DIGEST)
-            return
-        ctx.env.meter.verify(1)
-        if not verify_partial(p, ctx.registry.verify_key(src), expected):
-            ctx.diag(RejectReason.BAD_SIG)
-            return
-        rnd.replies.setdefault(src, p)
-        need = 2 * rnd.booth.fault_budget
-        if len(rnd.replies) >= need and rnd.booth.pivot_id in rnd.replies:
-            self._finalize(rnd)
-
-    def _finalize(self, rnd: OrderingRound) -> None:
-        ctx = self.ctx
-        rnd.done = True
-        if rnd.timer is not None:
-            rnd.timer.cancel()
-        need = 2 * rnd.booth.fault_budget
-        quorum_ids = [rnd.booth.pivot_id]
-        for signer in rnd.replies:               # insertion order: first repliers
-            if signer != rnd.booth.pivot_id:
-                quorum_ids.append(signer)
-            if len(quorum_ids) == need:
-                break
-        rnd.quorum = tuple(sorted(quorum_ids))
-        parts = [rnd.replies[s] for s in rnd.quorum]
-        ctx.env.meter.verify(len(parts))
-        rnd.cert = aggregate(parts, ctx.registry.material(rnd.booth.booth_hash))
+        rnd.quorum, rnd.cert = rnd.certify(ctx)
         del self.rounds[rnd.ordering_id]
         self.completed.add(rnd.ordering_id)
         self.finished[rnd.ordering_id] = rnd
@@ -261,6 +281,19 @@ class OrderingCoordinator:
 
 # -- validator side -------------------------------------------------------
 
+def proposer_signed(ctx, booth: BoothProfile, p: PartialSignature,
+                    expected: bytes) -> bool:
+    """A validator's check that the booth's proposer endorsed `expected`;
+    a failure is counted as bad_sig."""
+    ctx.env.meter.verify(1)
+    if (p.signer != booth.proposer_id or p.payload_digest != expected
+            or not verify_partial(p, ctx.registry.verify_key(p.signer),
+                                  expected)):
+        ctx.diag(RejectReason.BAD_SIG)
+        return False
+    return True
+
+
 @dataclass
 class PendingOrder:
     batch: DataBatch
@@ -293,12 +326,7 @@ class ValidatorOrdering:
             return
         expected = order_cert_digest(msg.ordering_id, msg.batch_hash,
                                      msg.booth_hash)
-        p = msg.proposer_partial
-        ctx.env.meter.verify(1)
-        if (p.signer != booth.proposer_id or p.payload_digest != expected
-                or not verify_partial(p, ctx.registry.verify_key(p.signer),
-                                      expected)):
-            ctx.diag(RejectReason.BAD_SIG)
+        if not proposer_signed(ctx, booth, msg.proposer_partial, expected):
             return
 
         appended = ctx.log.get(msg.ordering_id)
@@ -339,29 +367,14 @@ class ValidatorOrdering:
         if src != booth.proposer_id or msg.sender != booth.proposer_id:
             ctx.diag(RejectReason.MALFORMED)
             return
-        need = 2 * booth.fault_budget
-        quorum = set(msg.quorum)
-        if len(quorum) != need or len(msg.quorum) != need:
-            ctx.diag(RejectReason.QUORUM_MISMATCH)
-            return
-        if not quorum <= set(booth.member_ids):
-            ctx.diag(RejectReason.FOREIGN_QUORUM_MEMBER)
-            return
-        if booth.pivot_id not in quorum:
-            ctx.diag(RejectReason.PIVOT_MISSING)
-            return
-        expected = po.cert_digest
-        ctx.env.meter.verify(booth.threshold)
-        if not verify_aggregate(msg.cert, expected, booth.directory_map,
-                                booth.threshold):
-            ctx.diag(RejectReason.BAD_CERT)
-            return
-        if set(msg.cert.signers(booth.member_ids)) != quorum:
-            ctx.diag(RejectReason.QUORUM_MISMATCH)
+        reason = booth.check_certified(msg.quorum, msg.cert, po.cert_digest,
+                                       ctx.env.meter)
+        if reason is not None:
+            ctx.diag(reason)
             return
         entry = LogEntry(
             ordering_id=msg.ordering_id, batch=po.batch,
-            quorum=tuple(sorted(quorum)), booth_hash=booth.booth_hash,
+            quorum=tuple(sorted(msg.quorum)), booth_hash=booth.booth_hash,
             cert=msg.cert, appended_at_us=ctx.env.now_us())
         ctx.log.append(entry)
         ctx.ledger.note_booth(booth)

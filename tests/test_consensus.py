@@ -380,7 +380,9 @@ def test_reply_endorsing_another_digest_is_wrong_digest_not_bad_sig(world):
     coord = ConsensusCoordinator(ctx)
     own = proposer_partial(pool, booth, 0, tx.tx_hash)
     rnd = ConsensusRound(window_start_us=0, tx=tx, booth=booth, attempt=0,
-                         own_partial=own, demoted=frozenset())
+                         own_partial=own, demoted=frozenset(),
+                         cert_digest=commit_cert_digest(0, tx.tx_hash,
+                                                        booth.booth_hash))
     coord.rounds[0] = rnd
 
     def reply(src, signer, ts):

@@ -1,11 +1,13 @@
 """Total order log, membership pruning, transactions, and chain audits."""
 
 import itertools
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from vguard.errors import DuplicateOrderingId, WindowError
+from vguard.harness import RunSpec, run
 from vguard.ledger import (
     CommitRecord,
     DataBatch,
@@ -231,6 +233,13 @@ def test_verify_chain_accepts_honest_ledger(pool4, booth4):
     assert check.ok, check.violations
     assert check.windows_checked == 3
     assert check.entries_checked == 6
+    # a validator on the seen path retains no reply sets: with a registry
+    # its ledger still audits clean
+    for ts in ledger.committed_windows():
+        ledger.window(ts).reply_sets.clear()
+    check = verify_chain(ledger, pool4.registry, strict=True,
+                         horizon_us=3 * DELTA_US)
+    assert check.ok, check.violations
 
 
 def test_verify_chain_localizes_tampering(pool4, booth4):
@@ -252,6 +261,13 @@ def test_verify_chain_localizes_tampering(pool4, booth4):
     assert not check.ok
     assert any("hash" in v or "certificate" in v for v in check.violations)
     assert check.first_violation is not None
+    # a retained reply set cut below 2f+1 signatures is caught on its own
+    ledger = _build_ledger(pool4, booth, material)
+    win = ledger.window(0)
+    oid = win.tx.entries[0].ordering_id
+    win.reply_sets[oid] = win.reply_sets[oid][:1]
+    check = verify_chain(ledger, pool4.registry)
+    assert check.violations == [f"entry {oid}: retained reply set under-signed"]
 
 
 def test_verify_chain_rejects_pivotless_quorum(pool4, booth4):
@@ -266,6 +282,36 @@ def test_verify_chain_rejects_pivotless_quorum(pool4, booth4):
     check = verify_chain(ledger, pool4.registry)
     assert not check.ok
     assert any("pivot" in v for v in check.violations)
+
+
+def test_audit_rejects_quorums_that_repeat_a_member(monkeypatch):
+    """A quorum naming one member twice has 2f ids but fewer than 2f
+    members. Every validator drops it; the audit must too, for the commit
+    quorum and for an ordering quorum carried in a membership link."""
+    # the clean_n4 golden run; node 1 is the pivot of instance 1
+    result = run(RunSpec(booth_size=4, duration_ms=300.0, grace_ms=300.0,
+                         rate_per_s=100.0, seed=21))
+    ledger = result.ledger(1, 1)
+    registry = result.runtimes[1].registry
+    assert verify_chain(ledger, registry).ok
+    ts = ledger.committed_windows()[0]
+    win = ledger.window(ts)
+    assert win.record.quorum == (1, 3)
+    monkeypatch.setattr(win, "record", replace(win.record, quorum=(1, 3, 3)))
+    check = verify_chain(ledger, registry)
+    assert check.violations == [
+        f"window {ts}: commit certificate rejected: quorum_mismatch"]
+    monkeypatch.undo()
+
+    first, *rest = win.tx.membership_links
+    assert first.quorum == (1, 4) and first.first_id == first.last_id
+    forged = replace(first, quorum=(1, 4, 4))
+    monkeypatch.setattr(win, "tx", replace(win.tx,
+                                           membership_links=(forged, *rest)))
+    check = verify_chain(ledger, registry)
+    assert check.violations == [
+        f"entry {first.first_id}: ordering certificate rejected: "
+        f"quorum_mismatch"]
 
 
 def test_strict_mode_needs_tiling_and_continuity(pool4, booth4):

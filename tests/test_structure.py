@@ -1,0 +1,49 @@
+"""Structural guards over the `vguard` sources.
+
+The quorum-certificate rule has one owner on each side: validators and the
+auditor accept a certificate only through `BoothProfile.check_certified`,
+and proposers build one only through `QuorumRound.certify`. A second caller
+of the crypto primitives would be a second copy of the rule.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import vguard
+
+SOURCES = sorted(Path(vguard.__file__).parent.glob("*.py"))
+
+
+def callers(name: str) -> set[str]:
+    """`module:Qualified.name` of every function in `vguard` that calls
+    `name`, as a bare name or as an attribute."""
+    found: set[str] = set()
+
+    def visit(node: ast.AST, scope: tuple[str, ...], module: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                visit(child, scope + (child.name,), module)
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                called = (func.id if isinstance(func, ast.Name)
+                          else func.attr if isinstance(func, ast.Attribute)
+                          else None)
+                if called == name:
+                    found.add(f"{module}:{'.'.join(scope) or '<module>'}")
+            visit(child, scope, module)
+
+    for path in SOURCES:
+        visit(ast.parse(path.read_text(encoding="utf-8")), (), path.stem)
+    return found
+
+
+def test_certificates_are_checked_in_one_place():
+    assert callers("verify_aggregate") == {"booths:BoothProfile.check_certified"}
+
+
+def test_certificates_are_built_in_one_place():
+    assert callers("aggregate") == {"ordering:QuorumRound.certify"}
