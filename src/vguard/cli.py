@@ -46,7 +46,7 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--mode", choices=("reference", "benchmark"),
                    default="reference",
                    help="reference = deterministic simulation, "
-                        "benchmark = threaded wall-clock transport")
+                        "benchmark = simulated network on the wall clock")
     p.add_argument("--label", default="")
     p.add_argument("--out", type=Path, help="artifact directory")
 

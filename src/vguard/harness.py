@@ -207,8 +207,8 @@ def _build_identities(spec: RunSpec, seed_seq: np.random.SeedSequence
 
 
 def run(spec: RunSpec, net=None) -> RunResult:
-    """Execute one run. `net` defaults to a fresh simulated Network; pass a
-    transport with the same surface (see bench.RealtimeNetwork) to reuse the
+    """Execute one run. `net` defaults to a fresh simulated Network; pass
+    one driven by another scheduler (see bench.WallClock) to reuse the
     setup, workload, and audit machinery over a different clock. The
     signature memo and the decode interns start empty and are emptied again
     at the end, so no run sees another run's entries and none outlives its
@@ -268,9 +268,6 @@ def run(spec: RunSpec, net=None) -> RunResult:
     for workload in workloads.values():
         workload.stop()
     net.run_until(spec.duration_ms + spec.grace_ms)
-    quiesce = getattr(net, "quiesce", None)
-    if quiesce is not None:
-        quiesce()
 
     audits = _audit(spec, runtimes, registry)
     report = _report(spec, net, runtimes, workloads, audits)

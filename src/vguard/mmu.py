@@ -16,7 +16,6 @@ its identity and keys.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -66,7 +65,6 @@ class MembershipUnit:
         self.config = config
         self._key_rng = key_rng
         self._now_us = now_us
-        self._lock = threading.RLock()
         self.status: dict[int, NodeStatus] = {
             node_id: NodeStatus() for node_id in self.pool}
         self.queue: list[QueuedBooth] = []
@@ -93,48 +91,43 @@ class MembershipUnit:
     # -- availability updates ---------------------------------------------
 
     def mark_availability(self, node_id: int, up: bool) -> None:
-        with self._lock:
-            status = self.status.get(node_id)
-            if status is None:
-                raise UnknownNode(f"node {node_id} is not in this pool")
-            if status.up == up:
-                return
-            status.up = up
-            status.missed_pings = 0
-            if up:
-                self._purge_and_refill()
-            else:
-                for booth in self.queue:
-                    if node_id in booth.profile:
-                        booth.down_members.add(node_id)
-                self._purge_and_refill()
+        status = self.status.get(node_id)
+        if status is None:
+            raise UnknownNode(f"node {node_id} is not in this pool")
+        if status.up == up:
+            return
+        status.up = up
+        status.missed_pings = 0
+        if not up:
+            for booth in self.queue:
+                if node_id in booth.profile:
+                    booth.down_members.add(node_id)
+        self._purge_and_refill()
 
     def note_rtt(self, node_id: int, rtt_ms: float) -> None:
         """Feed one measured round trip; revives nodes marked down by misses."""
-        with self._lock:
-            status = self.status.get(node_id)
-            if status is None:
-                return
-            alpha = self.config.ewma_alpha
-            if status.have_rtt:
-                status.rtt_ewma_ms = alpha * rtt_ms + (1 - alpha) * status.rtt_ewma_ms
-            else:
-                status.rtt_ewma_ms = rtt_ms
-                status.have_rtt = True
-            status.missed_pings = 0
-            if not status.up:
-                self.mark_availability(node_id, True)
-            else:
-                self._resort()
+        status = self.status.get(node_id)
+        if status is None:
+            return
+        alpha = self.config.ewma_alpha
+        if status.have_rtt:
+            status.rtt_ewma_ms = alpha * rtt_ms + (1 - alpha) * status.rtt_ewma_ms
+        else:
+            status.rtt_ewma_ms = rtt_ms
+            status.have_rtt = True
+        status.missed_pings = 0
+        if not status.up:
+            self.mark_availability(node_id, True)
+        else:
+            self._resort()
 
     def note_missed_ping(self, node_id: int) -> None:
-        with self._lock:
-            status = self.status.get(node_id)
-            if status is None or not status.up:
-                return
-            status.missed_pings += 1
-            if status.missed_pings >= self.config.ping_miss_limit:
-                self.mark_availability(node_id, False)
+        status = self.status.get(node_id)
+        if status is None or not status.up:
+            return
+        status.missed_pings += 1
+        if status.missed_pings >= self.config.ping_miss_limit:
+            self.mark_availability(node_id, False)
 
     # -- queue maintenance -------------------------------------------------
 
@@ -172,9 +165,8 @@ class MembershipUnit:
         ]
 
     def compose_booths(self) -> list[BoothProfile]:
-        with self._lock:
-            sets = self._compositions()[:self.config.queue_depth]
-            return [self._provision(members) for members in sets]
+        sets = self._compositions()[:self.config.queue_depth]
+        return [self._provision(members) for members in sets]
 
     def _provision(self, members: frozenset) -> BoothProfile:
         profile = self._profile_cache.get(members)
@@ -194,30 +186,29 @@ class MembershipUnit:
         return profile
 
     def refill(self) -> None:
-        with self._lock:
-            try:
-                sets = self._compositions()
-            except InsufficientMembers:
-                sets = []
-            queued = {frozenset(b.profile.member_ids) for b in self.queue}
-            had_none = not self._valid_queue()
-            filled = len(queued)
-            for members in sets:
-                if filled >= self.config.queue_depth:
-                    break
-                if members in queued:
-                    continue
-                profile = self._provision(members)
-                booth = QueuedBooth(profile=profile,
-                                    latency_ms=self._latency_of(profile),
-                                    down_members=set())
-                self.queue.append(booth)
-                queued.add(members)
-                filled += 1
-            self._resort()
-            if had_none and self._valid_queue():
-                for fn in list(self._available_listeners):
-                    fn()
+        try:
+            sets = self._compositions()
+        except InsufficientMembers:
+            sets = []
+        queued = {frozenset(b.profile.member_ids) for b in self.queue}
+        had_none = not self._valid_queue()
+        filled = len(queued)
+        for members in sets:
+            if filled >= self.config.queue_depth:
+                break
+            if members in queued:
+                continue
+            profile = self._provision(members)
+            booth = QueuedBooth(profile=profile,
+                                latency_ms=self._latency_of(profile),
+                                down_members=set())
+            self.queue.append(booth)
+            queued.add(members)
+            filled += 1
+        self._resort()
+        if had_none and self._valid_queue():
+            for fn in list(self._available_listeners):
+                fn()
 
     def _valid_queue(self) -> list[QueuedBooth]:
         return [b for b in self.queue if b.valid(b.profile.fault_budget)]
@@ -240,18 +231,17 @@ class MembershipUnit:
     def current_booth(self, kind: str = "ordering") -> Optional[BoothProfile]:
         """Head of the queue, or None when no valid booth exists (callers
         park their work and resume on the availability callback)."""
-        with self._lock:
+        valid = self._valid_queue()
+        if self.queue != valid:
+            self._purge_and_refill()
             valid = self._valid_queue()
-            if self.queue != valid:
-                self._purge_and_refill()
-                valid = self._valid_queue()
-            if not valid:
-                return None
-            profile = valid[0].profile
-            if profile.booth_hash != self._last_served:
-                self.booth_changes += 1
-                self._last_served = profile.booth_hash
-            return profile
+        if not valid:
+            return None
+        profile = valid[0].profile
+        if profile.booth_hash != self._last_served:
+            self.booth_changes += 1
+            self._last_served = profile.booth_hash
+        return profile
 
     def profile(self, booth_hash: bytes) -> Optional[BoothProfile]:
         return self._profiles_by_hash.get(booth_hash)
@@ -260,11 +250,9 @@ class MembershipUnit:
         profile = self._profiles_by_hash.get(booth_hash)
         if profile is None:
             return 0.0
-        with self._lock:
-            return self._latency_of(profile)
+        return self._latency_of(profile)
 
     def queue_snapshot(self) -> list[tuple[bytes, float, int]]:
         """(booth hash, latency, down members) per queued booth, for tests."""
-        with self._lock:
-            return [(b.profile.booth_hash, b.latency_ms, len(b.down_members))
-                    for b in self.queue]
+        return [(b.profile.booth_hash, b.latency_ms, len(b.down_members))
+                for b in self.queue]

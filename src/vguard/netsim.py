@@ -280,11 +280,12 @@ class _Lane:
 
 
 class Network:
-    """Reference-mode transport plus node CPU accounting."""
+    """Simulated transport plus node CPU accounting. `sched` drives it;
+    the default is the reference discrete-event clock."""
 
-    def __init__(self, config: SimConfig):
+    def __init__(self, config: SimConfig, sched: Optional[Scheduler] = None):
         self.config = config
-        self.sched = Scheduler()
+        self.sched = sched or Scheduler()
         root = np.random.SeedSequence(config.seed)
         proto_seq, ping_seq, aux_seq, _ = root.spawn(4)
         self._lanes = {
@@ -324,9 +325,6 @@ class Network:
 
     def is_up(self, node_id: int) -> bool:
         return self._up.get(node_id, False)
-
-    def node_ids(self) -> list[int]:
-        return sorted(self._handlers)
 
     def meter(self, node_id: int) -> CostMeter:
         return self._meters[node_id]

@@ -306,6 +306,19 @@ def test_benchmark_mode_runs_and_audits():
     assert inst["committed_batches"] > 0
     assert all(result.report["audits"].values())
 
+    # loss and duplication are simulation faults: benchmark mode delivers
+    # every protocol message once, and only pings sent after the cutoff
+    # can still be in flight
+    result = run_benchmark(small_spec(
+        duration_ms=300.0, grace_ms=300.0,
+        sim=SimConfig(drop_rate=0.2, dup_rate=0.1)))
+    inst = result.report["instances"][0]
+    assert inst["committed_batches"] == inst["submitted_batches"]
+    sent = result.net.totals_by_category()
+    for category in ("ordering", "consensus"):
+        assert result.net.delivered[category] == sent[category]
+    assert all(result.report["audits"].values())
+
 
 @pytest.mark.parametrize("mode", ["reference", "benchmark"])
 def test_finished_run_is_freed_by_reference_counting(mode):
@@ -352,6 +365,13 @@ def test_cli_run_and_sweep(tmp_path, capsys):
     assert code == 0
     assert (out / "report.json").exists()
     summary = json.loads(capsys.readouterr().out.split("\n", 1)[1])
+    assert summary["audits_ok"] is True
+
+    code = cli.main(["run", "--mode", "benchmark", "--duration-ms", "200",
+                     "--rate", "100", "--seed", "5"])
+    assert code == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["mode"] == "benchmark"
     assert summary["audits_ok"] is True
 
     code = cli.main(["sweep", "--dimension", "batch_size", "--values", "4,8",

@@ -7,8 +7,12 @@ tolerances.
 
 from __future__ import annotations
 
+import time
+from functools import partial
+
 import pytest
 
+from vguard.bench import WallClock
 from vguard.errors import UnknownEndpoint
 from vguard.netsim import (Category, ChurnEvent, CostModel, Network,
                            Scheduler, SimConfig)
@@ -277,6 +281,24 @@ def test_negative_delay_clamps_to_now():
     net.schedule(1, -10.0, lambda: fired.append(net.now))
     net.run_until(5.0)
     assert fired == [4.0]
+
+
+def test_wall_clock_runs_events_when_due_on_the_process_clock():
+    clock = WallClock()
+    seen = []
+
+    def stamp(due):
+        seen.append((due, clock.now, (time.perf_counter() - start) * 1000.0))
+
+    clock.at(30.0, partial(stamp, 30.0))
+    clock.at(10.0, partial(stamp, 10.0))
+    start = time.perf_counter()
+    clock.run_until(50.0)
+    took_ms = (time.perf_counter() - start) * 1000.0
+    assert [due for due, _, _ in seen] == [10.0, 30.0]
+    for due, now, elapsed in seen:
+        assert due <= now <= elapsed
+    assert took_ms >= 50.0
 
 
 def test_send_to_unknown_endpoint_raises():

@@ -4,6 +4,9 @@ The quorum-certificate rule has one owner on each side: validators and the
 auditor accept a certificate only through `BoothProfile.check_certified`,
 and proposers build one only through `QuorumRound.certify`. A second caller
 of the crypto primitives would be a second copy of the rule.
+
+Every run is single-threaded, so `MembershipUnit` and the network hold no
+locks; no module may bring threads in.
 """
 
 from __future__ import annotations
@@ -47,3 +50,18 @@ def test_certificates_are_checked_in_one_place():
 
 def test_certificates_are_built_in_one_place():
     assert callers("aggregate") == {"ordering:QuorumRound.certify"}
+
+
+def test_no_module_imports_threads():
+    found: set[str] = set()
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found.update(f"{path.stem}:{name}" for name in names
+                         if name.split(".")[0] in ("threading", "queue"))
+    assert found == set()
