@@ -16,9 +16,8 @@ The format is canonical: a value has exactly one packing, and `Reader`
 accepts nothing else. So the bytes a value was decoded from are the bytes
 `pack` would make of it, and a value that already holds its packing can
 hand it over as a `Packed` field, which `pack` splices as-is instead of
-packing the value again. `Reader.skip` steps over one value without
-building it, and `Reader.slice_from` returns the bytes read since a
-position, so a decoder can capture the packing of what it just read.
+packing the value again. `Reader.slice_from` returns the bytes read
+since a position, so a decoder can keep the packing of what it just read.
 
 A list of [u64, bytes] pairs, the shape of a batch's entry list and the
 bulk of the data on the wire, has a fast path both ways: `pack_pairs`
@@ -45,7 +44,6 @@ Field = Union[int, bytes, str, Packed, Iterable["Field"]]
 
 _HEADER = struct.Struct(">cI").unpack_from    # tag, then a length or a count
 _U64 = struct.Struct(">cQ").unpack_from       # tag, then the value
-_LENGTH = struct.Struct(">I").unpack_from
 # the framing of one [u64, bytes] pair: list of 2, the u64, the byte length
 _PAIR = struct.Struct(">cIcQcI")
 
@@ -203,31 +201,6 @@ class Reader:
 
     def seq_len(self) -> int:
         return self._header(b"L")
-
-    def skip(self) -> None:
-        """Step over one packed value, checking its framing, without
-        building it. Iterative, so nesting depth costs no stack."""
-        buf = self._buf
-        pos = self._pos
-        pending = 1
-        try:
-            while pending:
-                pending -= 1
-                tag = buf[pos]
-                if tag == 0x42 or tag == 0x53:            # B, S
-                    pos += 5 + _LENGTH(buf, pos + 1)[0]
-                elif tag == 0x49:                         # I
-                    pos += 9
-                elif tag == 0x4C:                         # L
-                    pending += _LENGTH(buf, pos + 1)[0]
-                    pos += 5
-                else:
-                    raise ValueError(f"unknown field tag {bytes((tag,))!r}")
-        except (IndexError, struct.error):
-            raise ValueError("truncated field") from None
-        if pos > len(buf):
-            raise ValueError("truncated field")
-        self._pos = pos
 
     def tell(self) -> int:
         return self._pos

@@ -349,27 +349,36 @@ class Transaction:
     def entry_count(self) -> int:
         return sum(len(e.batch) for e in self.entries)
 
-    def to_field(self) -> list:
-        return [
+    @cached_property
+    def packed(self) -> bytes:
+        """Canonical bytes of the transaction: packed once, or the slice it
+        was decoded from, which the canonical format makes the same bytes."""
+        return pack([
             self.window_start_us,
             self.window_len_us,
             [e.to_field() for e in self.entries],
             [l.to_field() for l in self.membership_links],
-        ]
+        ])
+
+    def to_field(self) -> Packed:
+        return Packed(self.packed)
 
     def encode(self) -> bytes:
-        return pack(self.to_field())
+        return self.packed
 
     @classmethod
     def read_from(cls, r: Reader) -> "Transaction":
+        at = r.tell()
         if r.seq_len() != 4:
             raise ValueError("malformed transaction")
         start = r.u64()
         length = r.u64()
         entries = tuple(TxEntry.read_from(r) for _ in range(r.seq_len()))
         links = tuple(MembershipLink.read_from(r) for _ in range(r.seq_len()))
-        return cls(window_start_us=start, window_len_us=length,
-                   entries=entries, membership_links=links)
+        tx = cls(window_start_us=start, window_len_us=length,
+                 entries=entries, membership_links=links)
+        tx.__dict__["packed"] = r.slice_from(at)
+        return tx
 
     @classmethod
     def decode(cls, raw: bytes) -> "Transaction":

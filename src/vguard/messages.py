@@ -10,31 +10,31 @@ Both directions do their deterministic work once. `encode` stores the
 bytes on the frozen message the first time it runs, so a broadcast is
 packed once, not once per recipient; a rewritten message (say, a
 byzantine forgery made with `dataclasses.replace`) is a new object and is
-packed afresh. A carried booth profile or data batch is spliced into the
-message as the canonical bytes it keeps (see `codec.Packed`), not packed
-field by field.
+packed afresh. A carried booth profile, data batch or transaction is
+spliced into the message as the canonical bytes it keeps (see
+`codec.Packed`), not packed field by field.
 
-`decode_message` interns its result by the full raw bytes, so the copies
-of one broadcast that reach every booth member are parsed once. Below
-that, it interns the booth profiles and transactions a message carries
-by their own bytes, found with `Reader.skip`: messages that differ
-elsewhere (a PreOrder and a PreCommitSeen naming one booth, or a
-GossipMsg forwarded with one more hop) share one parse, one
-`BoothProfile` with its cached `booth_hash`, and one `Transaction`. A
-decoded profile or batch keeps the slice it was read from as its
-canonical bytes and hashes that slice; a batch checks its entries'
-framing but builds no entry objects. Decoded values are immutable, so
-sharing them is safe. Only successful decodes are stored: malformed bytes
-raise on every call. Each intern holds at most `INTERN_SIZE` entries, is
-emptied when full, and is emptied by `clear_caches` at the start and the
-end of every `harness.run`. Wire bytes are charged by the network per delivery, so
+`encode` also puts the message into the decode intern under its bytes.
+The codec is canonical, so those bytes parse to a message equal to the
+one encoded, and `decode_message` hands every receiver the sender's own
+object: a run parses none of the messages it sends. Only bytes this
+process did not encode are parsed (tests, fuzzing, or a message still in
+flight when the intern was emptied), and the result is interned by the
+raw bytes, so the copies that reach every booth member are parsed once.
+A parsed profile, batch or transaction keeps the slice it was read from
+as its canonical bytes; a batch checks its entries' framing but builds no
+entry objects. Messages and all they carry are frozen, so sharing them is
+safe. Only successful decodes are stored: malformed bytes raise on every
+call. The intern holds at most `INTERN_SIZE` entries, is emptied when
+full, and is emptied by `clear_caches` at the start and the end of every
+`harness.run`. Wire bytes are charged by the network per delivery, so
 modeled cost does not change.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import ClassVar, Optional
+from dataclasses import dataclass, replace
+from typing import ClassVar
 
 from .booths import BoothProfile
 from .codec import pack, Reader, digest
@@ -67,6 +67,7 @@ class _Message:
             wire = bytes((WIRE_VERSION, self.TAG)) + pack(
                 self.instance_id, self.sender, *self.body_fields())
             object.__setattr__(self, "_wire", wire)
+            _intern(wire, self)
         return wire
 
 
@@ -91,7 +92,7 @@ class PreOrder(_Message):
     @classmethod
     def read_body(cls, instance_id: int, sender: int, r: Reader) -> "PreOrder":
         return cls(instance_id, sender, r.u64(), DataBatch.read_from(r),
-                   r.bytes_(), _read_booth(r), r.bytes_(),
+                   r.bytes_(), BoothProfile.read_from(r), r.bytes_(),
                    _partial_read_from(r))
 
 
@@ -155,7 +156,7 @@ class PreCommitSeen(_Message):
     @classmethod
     def read_body(cls, instance_id: int, sender: int, r: Reader) -> "PreCommitSeen":
         return cls(instance_id, sender, r.u64(), r.u64(), r.bytes_(), r.u64(),
-                   r.u64(), _read_booth(r), r.bytes_(),
+                   r.u64(), BoothProfile.read_from(r), r.bytes_(),
                    _partial_read_from(r))
 
 
@@ -193,8 +194,8 @@ class PreCommitUnseen(_Message):
         start = r.u64()
         length = r.u64()
         tx_hash = r.bytes_()
-        tx = _read_tx(r)
-        booth = _read_booth(r)
+        tx = Transaction.read_from(r)
+        booth = BoothProfile.read_from(r)
         booth_hash = r.bytes_()
         reply_sets = []
         for _ in range(r.seq_len()):
@@ -279,6 +280,16 @@ class GossipMsg(_Message):
     tx: Transaction
     traverse: tuple[TraverseHop, ...]
 
+    def __post_init__(self):
+        # The wire carries only the commit's body, which a receiver reads
+        # with the gossip's instance and sender. Holding the commit with
+        # them too makes a gossip equal to what its bytes decode to.
+        commit = self.commit
+        if (commit.instance_id, commit.sender) != (self.instance_id,
+                                                   self.sender):
+            object.__setattr__(self, "commit", replace(
+                commit, instance_id=self.instance_id, sender=self.sender))
+
     def body_fields(self) -> list:
         return [self.commit.body_fields(), self.tx.to_field(),
                 [hop.to_field() for hop in self.traverse]]
@@ -288,7 +299,7 @@ class GossipMsg(_Message):
         if r.seq_len() != 5:
             raise ValueError("malformed embedded commit")
         commit = CommitMsg.read_body(instance_id, sender, r)
-        tx = _read_tx(r)
+        tx = Transaction.read_from(r)
         hops = []
         for _ in range(r.seq_len()):
             if r.seq_len() != 3:
@@ -351,53 +362,26 @@ _BY_TAG = {cls.TAG: cls for cls in (
 INTERN_SIZE = 1 << 12
 
 _interned: dict[bytes, _Message] = {}
-_booths: dict[bytes, BoothProfile] = {}
-_txs: dict[bytes, Transaction] = {}
 
 
 def clear_caches() -> None:
     _interned.clear()
-    _booths.clear()
-    _txs.clear()
 
 
-def _intern(table: dict, raw: bytes, parse):
-    """Look raw up in one intern table; parse and store it on a miss.
-    A parse that raises stores nothing."""
-    value = table.get(raw)
-    if value is None:
-        value = parse(raw)
-        if len(table) >= INTERN_SIZE:
-            table.clear()
-        table[raw] = value
-    return value
-
-
-def _read_sub(table: dict, r: Reader, read_from):
-    """Read one carried value through its intern, keyed by its bytes."""
-    start = r.tell()
-    r.skip()
-
-    def parse(raw: bytes):
-        sub = Reader(raw)
-        value = read_from(sub)
-        sub.expect_done()
-        return value
-
-    return _intern(table, r.slice_from(start), parse)
-
-
-def _read_booth(r: Reader) -> BoothProfile:
-    return _read_sub(_booths, r, BoothProfile.read_from)
-
-
-def _read_tx(r: Reader) -> Transaction:
-    return _read_sub(_txs, r, Transaction.read_from)
+def _intern(raw: bytes, msg: _Message) -> None:
+    if len(_interned) >= INTERN_SIZE:
+        _interned.clear()
+    _interned[raw] = msg
 
 
 def decode_message(raw: bytes):
-    """Parse any protocol message; raises ValueError on malformation."""
-    return _intern(_interned, raw, _parse)
+    """Parse any protocol message; raises ValueError on malformation.
+    A parse that raises stores nothing."""
+    msg = _interned.get(raw)
+    if msg is None:
+        msg = _parse(raw)
+        _intern(raw, msg)
+    return msg
 
 
 def _parse(raw: bytes):

@@ -209,37 +209,16 @@ def _sample() -> bytes:
     return pack(3, b"abc", "xy", [1, [b"", 2], []])
 
 
-def test_skip_steps_over_exactly_one_value():
-    raw = _sample()
-    r = Reader(raw)
-    for _ in range(4):
-        start = r.tell()
-        r.skip()
-        assert r.tell() > start
-    assert r.done()
-    r = Reader(raw)
-    r.u64()
-    r.bytes_()
-    r.str_()
-    start = r.tell()
-    r.skip()
-    assert r.slice_from(start) == pack([1, [b"", 2], []])
-
-
 def _read_sample(r: Reader) -> None:
     r.u64(), r.bytes_(), r.str_(), r.seq_len()
     r.u64(), r.seq_len(), r.bytes_(), r.u64(), r.seq_len()
     r.expect_done()
 
 
-def test_readers_and_skip_reject_truncation_and_wrong_tags():
+def test_readers_reject_truncation_and_wrong_tags():
     raw = _sample()
     _read_sample(Reader(raw))
     for cut in range(len(raw)):
-        r = Reader(raw[:cut])
-        with pytest.raises(ValueError):
-            for _ in range(4):
-                r.skip()
         with pytest.raises(ValueError):
             _read_sample(Reader(raw[:cut]))
     for read in (Reader.bytes_, Reader.str_, Reader.seq_len):
@@ -247,19 +226,6 @@ def test_readers_and_skip_reject_truncation_and_wrong_tags():
             read(Reader(pack(1)))
     with pytest.raises(ValueError):
         Reader(pack(b"x" * 9)).u64()
-    for bad in (b"X", b"\x00" * 9, b"Z\x00\x00\x00\x00"):
-        with pytest.raises(ValueError):
-            Reader(bad).skip()
-
-
-def test_skip_handles_deep_nesting_without_recursion():
-    depth = 100_000
-    raw = b"L\x00\x00\x00\x01" * depth + pack(1)
-    r = Reader(raw)
-    r.skip()
-    assert r.done()
-    with pytest.raises(ValueError):
-        Reader(raw[:-1]).skip()
 
 
 def test_digest_is_sha256_of_the_packed_label_and_fields():

@@ -17,7 +17,7 @@ import pytest
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PublicKey
 
-from vguard import crypto
+from vguard import crypto, messages, node
 from vguard.harness import RunSpec, run, write_artifacts
 from vguard.netsim import ChurnEvent, Network, SimConfig
 
@@ -265,3 +265,25 @@ def test_memo_answers_what_a_real_verify_would(name, monkeypatch,
     assert memo
     for (key, payload, sig), ok in memo.items():
         assert ok == _really_verifies(key, payload, sig)
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_decoded_messages_equal_a_fresh_parse(name, monkeypatch):
+    """What a node gets from `decode_message` for bytes encoded in this
+    process is the sender's own object. For every payload delivered in the
+    run, byzantine forgeries included, a fresh parse of the bytes must equal
+    that object and print the same, so sharing it changes nothing."""
+    decode = node.decode_message
+    checked = set()
+
+    def decode_and_compare(raw):
+        msg = decode(raw)
+        if raw not in checked:
+            fresh = messages._parse(raw)
+            assert fresh == msg and repr(fresh) == repr(msg)
+            checked.add(raw)
+        return msg
+
+    monkeypatch.setattr(node, "decode_message", decode_and_compare)
+    run(SPECS[name])
+    assert checked

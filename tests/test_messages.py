@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (certify_entry, commit_window, default_quorum,
                       fresh_profile, make_batch, make_booth, make_pool)
-from vguard import harness, messages
+from vguard import harness, messages, node
 from vguard.netsim import SimConfig
 from vguard.crypto import Role, make_partial
 from vguard.ledger import Transaction, commit_cert_digest, order_cert_digest
@@ -45,7 +45,11 @@ def _commit_msg(pool, booth, material, entries, window_start=0,
 
 
 def roundtrip(msg):
-    decoded = decode_message(msg.encode())
+    """A fresh parse of the bytes, which must equal the message:
+    `decode_message` hands back the encoded object itself."""
+    raw = msg.encode()
+    assert decode_message(raw) is msg
+    decoded = messages._parse(raw)
     assert decoded == msg
     return decoded
 
@@ -229,11 +233,12 @@ def test_encode_once_per_message_object(world):
     # a rewritten copy, as a byzantine sender makes, is encoded afresh
     forged = replace(msg, quorum=msg.quorum[:-1] + (99,))
     assert forged.encode() != wire
-    assert decode_message(forged.encode()) == forged
-    assert msg == decode_message(wire) and repr(msg) == repr(decode_message(wire))
+    assert messages._parse(forged.encode()) == forged
+    parsed = messages._parse(wire)
+    assert msg == parsed and repr(msg) == repr(parsed)
 
 
-# -- sub-value intern --------------------------------------------------------
+# -- the decode intern ---------------------------------------------------
 
 def _pre_order(pool, booth, ordering_id=5):
     batch = make_batch(pool, size=2)
@@ -271,6 +276,18 @@ def test_messages_carrying_one_booth_share_its_profile(world):
     assert a.booth.booth_hash == booth.booth_hash
 
 
+def test_forwarded_gossip_holds_its_commit_as_its_bytes_decode_it(world):
+    """The wire carries a gossip's commit without the commit's own instance
+    and sender; a receiver reads them from the gossip. A forwarder's gossip
+    holds the commit that way too, so it equals what its bytes parse to."""
+    pool, booth, material = world
+    entry = certify_entry(pool, booth, material, 0, make_batch(pool))
+    commit, tx = _commit_msg(pool, booth, material, [entry])
+    forwarded = _gossip(pool, commit, tx, [(1, 2), (3, 1)])
+    assert commit.sender == 1 and forwarded.commit.sender == 3
+    assert messages._parse(forwarded.encode()) == forwarded
+
+
 def test_forwarded_gossip_reuses_the_parsed_transaction(world, monkeypatch):
     pool, booth, material = world
     messages.clear_caches()
@@ -302,13 +319,14 @@ def test_sub_value_interns_are_bounded_and_cleared(world, monkeypatch):
                                      pivot_id=2, created_at_us=created)
         decoded = decode_message(_pre_order(pool, booth).encode())
         assert decoded.booth == booth
+        assert len(messages._interned) <= 2
         entry = certify_entry(pool, booth, material, 0, make_batch(pool))
         commit, tx = _commit_msg(pool, booth, material, [entry])
         assert decode_message(_gossip(pool, commit, tx, [(1, 2)]).encode()).tx == tx
-        assert len(messages._booths) <= 2 and len(messages._txs) <= 2
-    assert messages._booths and messages._txs and messages._interned
+        assert len(messages._interned) <= 2
+    assert messages._interned
     messages.clear_caches()
-    assert not (messages._booths or messages._txs or messages._interned)
+    assert not messages._interned
 
 
 def test_malformed_booth_raises_on_every_call(world):
@@ -323,7 +341,7 @@ def test_malformed_booth_raises_on_every_call(world):
     for _ in range(3):
         with pytest.raises(ValueError):
             decode_message(bad)
-    assert not messages._booths and not messages._interned
+    assert bad not in messages._interned
     assert decode_message(raw).booth == booth
 
 
@@ -335,15 +353,41 @@ def test_back_to_back_runs_report_identically(monkeypatch):
     clear = messages.clear_caches
 
     def note_then_clear():
-        used.append(bool(messages._booths and messages._txs))
+        used.append(bool(messages._interned))
         clear()
 
     monkeypatch.setattr(messages, "clear_caches", note_then_clear)
     first = harness.run(spec)
-    assert used[-1]       # the interns were used, up to the end-of-run clear
+    assert used[-1]       # the intern was used, up to the end-of-run clear
     second = harness.run(spec)
     assert json.dumps(first.report, sort_keys=True) == \
         json.dumps(second.report, sort_keys=True)
+
+
+def test_a_run_parses_no_message(monkeypatch):
+    """Every payload in a run is encoded in this process, byzantine
+    forgeries included, so no delivery parses: a message path that
+    bypassed `encode` would show here."""
+    parsed, decoded = [], set()
+    parse, decode = messages._parse, node.decode_message
+
+    def counting_parse(raw):
+        parsed.append(raw)
+        return parse(raw)
+
+    def noting_decode(raw):
+        msg = decode(raw)
+        decoded.add(type(msg))
+        return msg
+
+    monkeypatch.setattr(messages, "_parse", counting_parse)
+    monkeypatch.setattr(node, "decode_message", noting_decode)
+    harness.run(harness.RunSpec(
+        pool=6, lambda0=2, duration_ms=400.0, grace_ms=400.0,
+        rate_per_s=100.0, seed=3,
+        byzantine=((2, ("forge_quorum", "mutate_gossip_lifetime")),)))
+    assert decoded == set(messages._BY_TAG.values())
+    assert parsed == []
 
 
 # -- decoder fuzzing ---------------------------------------------------------
@@ -437,7 +481,7 @@ def test_decode_mutated_messages_returns_or_raises_value_error(raw):
 
 def test_valid_wires_decode_to_themselves_and_no_prefix_decodes():
     for raw in _valid_wires():
-        assert decode_message(raw).encode() == raw
+        assert replace(messages._parse(raw)).encode() == raw
         for cut in range(len(raw)):
             with pytest.raises(ValueError):
                 decode_message(raw[:cut])

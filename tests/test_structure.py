@@ -7,14 +7,22 @@ of the crypto primitives would be a second copy of the rule.
 
 Every run is single-threaded, so `MembershipUnit` and the network hold no
 locks; no module may bring threads in.
+
+A receiver decodes bytes encoded in this process to the sender's own
+message object, so every class a message carries is a frozen dataclass.
 """
 
 from __future__ import annotations
 
 import ast
+import dataclasses
 from pathlib import Path
 
 import vguard
+from vguard.booths import BoothProfile
+from vguard.crypto import AggregateSignature, Identity, PartialSignature
+from vguard.ledger import MembershipLink, Transaction, TxEntry
+from vguard.messages import TraverseHop, _Message
 
 SOURCES = sorted(Path(vguard.__file__).parent.glob("*.py"))
 
@@ -65,3 +73,13 @@ def test_no_module_imports_threads():
             found.update(f"{path.stem}:{name}" for name in names
                          if name.split(".")[0] in ("threading", "queue"))
     assert found == set()
+
+
+def test_message_contents_are_frozen_dataclasses():
+    carried = [*_Message.__subclasses__(), BoothProfile, Identity,
+               PartialSignature, AggregateSignature, Transaction, TxEntry,
+               MembershipLink, TraverseHop]
+    thawed = [cls.__name__ for cls in carried
+              if not (dataclasses.is_dataclass(cls)
+                      and cls.__dataclass_params__.frozen)]
+    assert thawed == []
