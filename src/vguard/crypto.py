@@ -32,10 +32,18 @@ when full, and are emptied by `clear_caches`, which `harness.run` calls at
 its start and its end, so no run sees another run's entries and none
 outlives its run. Modeled cost is unaffected: callers charge
 `CostMeter.verify` per check whether or not the memo answers it.
+
+`SigningKey.sign` signs through libsodium (`crypto_sign_ed25519_detached`)
+when it loads at import, else through `cryptography`: RFC 8032 signing is
+deterministic, so only speed differs. Verification stays on `cryptography`:
+libsodium rejects some non-canonical or small-order inputs OpenSSL accepts,
+and the memo stores what the one real check returned.
 """
 
 from __future__ import annotations
 
+from ctypes import (CDLL, CFUNCTYPE, c_char_p, c_int, c_ulonglong, c_void_p,
+                    create_string_buffer)
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Mapping, Optional, Sequence
@@ -80,18 +88,44 @@ class Identity:
             raise ValueError("verify_key must be 32 raw Ed25519 bytes")
 
 
+def _load_sodium_sign():
+    """libsodium's detached signer, or None if the library does not load."""
+    for soname in ("libsodium.so.23", "libsodium.so", "libsodium.dylib"):
+        try:
+            lib = CDLL(soname)
+        except OSError:
+            continue
+        if CFUNCTYPE(c_int)(("sodium_init", lib))() < 0:
+            return None
+        proto = CFUNCTYPE(c_int, c_char_p, c_void_p, c_char_p, c_ulonglong,
+                          c_char_p)
+        return proto(("crypto_sign_ed25519_detached", lib))
+    return None
+
+
+_sodium_sign = _load_sodium_sign()
+
+
 class SigningKey:
     """Private half of an identity. Signing is deterministic (RFC 8032)."""
 
-    __slots__ = ("node_id", "_key", "verify_key")
+    __slots__ = ("node_id", "_key", "_secret", "verify_key")
 
     def __init__(self, node_id: int, seed: bytes):
         self.node_id = node_id
         self._key = Ed25519PrivateKey.from_private_bytes(seed)
         self.verify_key = self._key.public_key().public_bytes_raw()
+        self._secret = seed + self.verify_key
 
     def sign(self, payload_digest: bytes) -> bytes:
-        sig = self._key.sign(payload_digest)
+        if _sodium_sign is None:
+            sig = self._key.sign(payload_digest)
+        else:
+            out = create_string_buffer(SIG_LEN)
+            if _sodium_sign(out, None, payload_digest, len(payload_digest),
+                            self._secret):
+                raise RuntimeError("crypto_sign_ed25519_detached failed")
+            sig = out.raw
         _remember((self.verify_key, payload_digest, sig), True)
         return sig
 

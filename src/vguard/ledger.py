@@ -346,9 +346,6 @@ class Transaction:
             self.window_start_us, self.window_len_us,
             [(e.ordering_id, e.batch.batch_hash) for e in self.entries])
 
-    def entry_count(self) -> int:
-        return sum(len(e.batch) for e in self.entries)
-
     @cached_property
     def packed(self) -> bytes:
         """Canonical bytes of the transaction: packed once, or the slice it

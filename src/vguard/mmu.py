@@ -131,9 +131,6 @@ class MembershipUnit:
 
     # -- queue maintenance -------------------------------------------------
 
-    def up_members(self) -> list[int]:
-        return [n for n, s in sorted(self.status.items()) if s.up]
-
     def _latency_of(self, profile: BoothProfile) -> float:
         return max(self.status[m].rtt_ewma_ms for m in profile.member_ids
                    if m in self.status)

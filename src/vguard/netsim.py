@@ -109,24 +109,6 @@ class SimConfig:
         if self.delay_mean_ms < 0 or self.delay_sd_ms < 0:
             raise ConfigInvalid("delay parameters must be non-negative")
 
-    def to_dict(self) -> dict:
-        out = {
-            "seed": self.seed,
-            "delay_mean_ms": self.delay_mean_ms,
-            "delay_sd_ms": self.delay_sd_ms,
-            "drop_rate": self.drop_rate,
-            "dup_rate": self.dup_rate,
-            "reorder": self.reorder,
-            "gst_ms": self.gst_ms,
-            "gst_bound_ms": self.gst_bound_ms,
-            "bandwidth_bytes_per_ms": self.bandwidth_bytes_per_ms,
-            "trace": self.trace,
-        }
-        out["cost"] = {k: getattr(self.cost, k) for k in (
-            "base_ms", "sign_ms", "verify_ms", "hash_byte_ms",
-            "wire_byte_ms", "wire_byte_quad_ms")}
-        return out
-
     @classmethod
     def from_dict(cls, obj: dict) -> "SimConfig":
         obj = dict(obj)

@@ -199,3 +199,29 @@ def real_checks(monkeypatch):
     crypto.clear_caches()
     yield calls
     crypto.clear_caches()
+
+
+@pytest.fixture
+def cryptography_signs(monkeypatch):
+    """Counts the signatures made through `cryptography`'s
+    `Ed25519PrivateKey.sign` by keys built after the fixture starts."""
+    real = crypto.Ed25519PrivateKey
+    calls = []
+
+    class CountingKey:
+        def __init__(self, key):
+            self._key = key
+
+        @classmethod
+        def from_private_bytes(cls, seed):
+            return cls(real.from_private_bytes(seed))
+
+        def public_key(self):
+            return self._key.public_key()
+
+        def sign(self, data):
+            calls.append(data)
+            return self._key.sign(data)
+
+    monkeypatch.setattr(crypto, "Ed25519PrivateKey", CountingKey)
+    return calls

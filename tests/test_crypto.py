@@ -8,6 +8,8 @@ import pytest
 from vguard import crypto
 from vguard.codec import digest, pack
 from vguard.crypto import (
+    Ed25519PrivateKey,
+    KeyService,
     aggregate,
     make_identity,
     make_partial,
@@ -26,6 +28,7 @@ from vguard.errors import (
     MixedDigests,
     UnknownSigner,
 )
+from vguard.harness import RunSpec, run
 
 from conftest import make_pool, make_booth
 
@@ -349,3 +352,68 @@ def test_memo_stays_bounded_while_signing_records(monkeypatch, real_checks):
     assert verify_raw(ident.verify_key, payloads[0], sigs[0])
     assert len(real_checks) == 1
     assert len(crypto._verified) <= 4
+
+
+# Digest lengths a signer must handle: empty, short, a sha256, and longer.
+SIGNED_LENGTHS = (0, 1, 32, 33, 64, 200)
+
+
+def _seeded_signers(count: int):
+    """(seed, SigningKey) for `count` identity keys and as many booth
+    shares, dealt through `KeyService` four members at a time."""
+    out = []
+    for pool_seed in range(count // 4):
+        rng = _rng(1000 + pool_seed)
+        registry = KeyService()
+        members = list(range(1, 5))
+        for node_id in members:
+            seed = rng.bytes(32)
+            ident, key = make_identity(node_id, Role.VEHICLE, seed)
+            registry.register(ident)
+            out.append((seed, key))
+        material = setup_booth_keys(members, 2, rng)
+        registry.install_booth(b"booth", material)
+        for node_id in members:
+            out.append((material.share_seeds[node_id],
+                        registry.booth_share(b"booth", node_id)))
+    return out
+
+
+@pytest.fixture(params=["loaded", "fallback"])
+def signer_backend(request, monkeypatch):
+    """Runs a test once with the signer found at import and once with the
+    `cryptography` fallback forced, and empties the memo signing fills."""
+    if request.param == "loaded":
+        if crypto._sodium_sign is None:
+            pytest.skip("libsodium did not load")
+    else:
+        monkeypatch.setattr(crypto, "_sodium_sign", None)
+    yield request.param
+    crypto.clear_caches()
+
+
+def test_signing_key_matches_cryptography_byte_for_byte(signer_backend):
+    rng = _rng(99)
+    messages = [rng.bytes(n) for n in SIGNED_LENGTHS]
+    signers = _seeded_signers(200)
+    assert len(signers) == 400
+    for seed, key in signers:
+        reference = Ed25519PrivateKey.from_private_bytes(seed)
+        assert key.verify_key == reference.public_key().public_bytes_raw()
+        for message in messages:
+            assert key.sign(message) == reference.sign(message)
+
+
+@pytest.mark.skipif(crypto._sodium_sign is None,
+                    reason="libsodium did not load")
+def test_loaded_signer_never_falls_back(cryptography_signs):
+    """Keys and a whole seeded run sign without touching `cryptography`'s
+    signer, so a silent fallback cannot hide the fast path."""
+    signers = _seeded_signers(8)
+    for _, key in signers:
+        for n in SIGNED_LENGTHS:
+            key.sign(b"\x5a" * n)
+    result = run(RunSpec(booth_size=4, duration_ms=100.0, grace_ms=100.0,
+                         rate_per_s=100.0, seed=3))
+    assert result.report["instances"][0]["committed_entries"] > 0
+    assert cryptography_signs == []

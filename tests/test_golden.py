@@ -174,6 +174,17 @@ def test_golden_artifacts_are_byte_identical(name, tmp_path):
     assert artifact_digests(SPECS[name], tmp_path) == GOLDEN[name]
 
 
+@pytest.mark.parametrize("name", ["clean_n4", "equivocating_proposer_n4"])
+def test_fallback_signer_reproduces_golden_artifacts(name, tmp_path,
+                                                     monkeypatch,
+                                                     cryptography_signs):
+    """With libsodium treated as absent, every signature comes from
+    `cryptography` and the pinned bytes do not move."""
+    monkeypatch.setattr(crypto, "_sodium_sign", None)
+    assert artifact_digests(SPECS[name], tmp_path) == GOLDEN[name]
+    assert cryptography_signs
+
+
 def test_equivocation_split_is_wrong_digest_not_bad_sig():
     """The equivocating proposer (node 2) gets replies that endorse the
     other branch of its split. They were once counted as bad_sig; the total

@@ -8,6 +8,9 @@ of the crypto primitives would be a second copy of the rule.
 Every run is single-threaded, so `MembershipUnit` and the network hold no
 locks; no module may bring threads in.
 
+Signing may go through libsodium by `ctypes`; the foreign library stays
+behind `vguard.crypto`, the one module that owns signing.
+
 A receiver decodes bytes encoded in this process to the sender's own
 message object, so every class a message carries is a frozen dataclass.
 """
@@ -60,7 +63,9 @@ def test_certificates_are_built_in_one_place():
     assert callers("aggregate") == {"ordering:QuorumRound.certify"}
 
 
-def test_no_module_imports_threads():
+def importers(*packages: str) -> set[str]:
+    """`module:package` for every `vguard` module that imports one of
+    `packages` or a submodule of it."""
     found: set[str] = set()
     for path in SOURCES:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -71,8 +76,16 @@ def test_no_module_imports_threads():
             else:
                 continue
             found.update(f"{path.stem}:{name}" for name in names
-                         if name.split(".")[0] in ("threading", "queue"))
-    assert found == set()
+                         if name.split(".")[0] in packages)
+    return found
+
+
+def test_no_module_imports_threads():
+    assert importers("threading", "queue") == set()
+
+
+def test_only_crypto_imports_ctypes():
+    assert importers("ctypes") == {"crypto:ctypes"}
 
 
 def test_message_contents_are_frozen_dataclasses():
