@@ -9,9 +9,8 @@ from dataclasses import replace
 from pathlib import Path
 
 from .errors import ConfigInvalid, VGuardError
-from .harness import (RunSpec, load_spec_file, run, seed_for_cell, sweep,
-                      write_artifacts)
-from .netsim import SimConfig, load_byzantine_file, load_churn_file
+from .harness import RunSpec, load_spec_file, run, sweep, write_artifacts
+from .netsim import load_byzantine_file, load_churn_file
 
 _SWEEPABLE = ("booth_size", "pool", "batch_size", "gamma", "lambda0",
               "rate_per_s", "duration_ms")

@@ -70,15 +70,9 @@ class ConsensusCoordinator:
         self.stalled_windows: list[int] = []
         ctx.mmu.on_booth_invalidated(self._booth_lost)
         ctx.mmu.on_booth_available(self._unpark)
-        self._timer = None
 
     def start(self) -> None:
-        delta_ms = self.ctx.config.delta_us / 1000.0
-        self._timer = self.ctx.env.every(delta_ms, self._tick)
-
-    def stop(self) -> None:
-        if self._timer is not None:
-            self._timer.cancel()
+        self.ctx.env.every(self.ctx.config.delta_us / 1000.0, self._tick)
 
     # -- window opening ----------------------------------------------------
 
@@ -104,7 +98,7 @@ class ConsensusCoordinator:
     def _attempt(self, ts: int, tx: Transaction, attempt: int,
                  demoted: frozenset[int]) -> None:
         ctx = self.ctx
-        booth = ctx.mmu.current_booth("consensus")
+        booth = ctx.mmu.current_booth()
         if booth is None:
             self.parked[ts] = (tx, attempt, demoted)
             return
@@ -159,7 +153,7 @@ class ConsensusCoordinator:
     def handle_reply(self, src: int, msg: CommitReply) -> None:
         ctx = self.ctx
         rnd = self.rounds.get(msg.window_start_us)
-        if rnd is None or rnd.done:
+        if rnd is None:
             ts = msg.window_start_us
             if ts in self.ready or ts < self.release_next_us:
                 ctx.counters["late_reply"] += 1
@@ -213,7 +207,7 @@ class ConsensusCoordinator:
 
     def _timed_out(self, ts: int, attempt: int) -> None:
         rnd = self.rounds.get(ts)
-        if rnd is None or rnd.done or rnd.attempt != attempt:
+        if rnd is None or rnd.attempt != attempt:
             return
         del self.rounds[ts]
         silent = {v for v in rnd.booth.validators()} - set(rnd.replies)
@@ -226,7 +220,7 @@ class ConsensusCoordinator:
 
     def _booth_lost(self, booth_hash: bytes) -> None:
         hit = [ts for ts, r in self.rounds.items()
-               if r.booth.booth_hash == booth_hash and not r.done]
+               if r.booth.booth_hash == booth_hash]
         for ts in hit:
             rnd = self.rounds.pop(ts)
             if rnd.timer is not None:
@@ -236,7 +230,7 @@ class ConsensusCoordinator:
 
     def _unpark(self) -> None:
         for ts in sorted(self.parked):
-            if self.ctx.mmu.current_booth("consensus") is None:
+            if self.ctx.mmu.current_booth() is None:
                 return
             tx, attempt, demoted = self.parked.pop(ts)
             self._attempt(ts, tx, attempt, demoted)

@@ -429,9 +429,6 @@ class KeyService:
     def install_booth(self, booth_id: bytes, material: BoothKeyMaterial) -> None:
         self._materials[booth_id] = material
 
-    def has_booth(self, booth_id: bytes) -> bool:
-        return booth_id in self._materials
-
     def material(self, booth_id: bytes) -> Optional[BoothKeyMaterial]:
         return self._materials.get(booth_id)
 

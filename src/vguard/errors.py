@@ -77,12 +77,6 @@ class InsufficientMembers(MembershipError):
     """Too few available members to compose a booth of the requested size."""
 
 
-# -- protocol progress ---------------------------------------------------
-
-class UnknownCommit(VGuardError):
-    """Ack received for a commit hash this node never initiated or served."""
-
-
 # -- storage -------------------------------------------------------------
 
 class StorageError(VGuardError):

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .crypto import KeyService, SigningKey, verify_raw
-from .errors import RejectReason, UnknownCommit
+from .errors import RejectReason, UnknownNode
 from .ledger import CommitRecord
 from .messages import CommitMsg, GossipAck, GossipMsg, TraverseHop, traverse_digest
 from .storage import GOSSIPER, StorageMaster
@@ -132,7 +132,7 @@ class GossipAgent:
             prev = hop.lifetime
             try:
                 key = self.registry.verify_key(hop.node_id)
-            except Exception:
+            except UnknownNode:
                 self.stats.reject(RejectReason.UNKNOWN_BOOTH)
                 return False
             if not verify_raw(key, traverse_digest(commit_hash, hop.lifetime),
@@ -176,14 +176,6 @@ class GossipAgent:
             bucket.append(msg.propagator)
         self.stats.acks_received += 1
         return True
-
-    def register_ack(self, commit_hash: bytes, propagator: int) -> None:
-        """Direct form of handle_ack that raises on unknown commits."""
-        if commit_hash not in self.propagators:
-            raise UnknownCommit(f"no gossip initiated for {commit_hash.hex()[:12]}")
-        bucket = self.propagators[commit_hash]
-        if propagator not in bucket:
-            bucket.append(propagator)
 
     def _remember(self, commit_hash: bytes) -> None:
         self.seen[commit_hash] = True

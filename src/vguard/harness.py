@@ -362,7 +362,7 @@ def _report(spec: RunSpec, net: Network, runtimes: dict[int, NodeRuntime],
             "consensus_tps": round(metrics.committed_entries / duration_s, 3),
             "ordering_latency_ms": _percentiles_ms(metrics.ordering_latency_us),
             "commit_latency_ms": _percentiles_ms(metrics.commit_latency_us),
-            "booth_changes": inst.mmu.booth_changes,
+            "booth_changes": inst.ctx.mmu.booth_changes,
             "covered_empty_windows": len(ledger.covered_empty),
             "ordering_messages": _ordering_message_stats(net, plan.instance_id),
         })
@@ -485,7 +485,7 @@ def spec_from_dict(data: dict) -> RunSpec:
         kwargs["mmu"] = MmuConfig(**kwargs["mmu"])
     if "churn" in kwargs and kwargs["churn"]:
         kwargs["churn"] = tuple(
-            ChurnEvent(**event) if isinstance(event, dict) else event
+            ChurnEvent.from_dict(event) if isinstance(event, dict) else event
             for event in kwargs["churn"])
     if "byzantine" in kwargs and isinstance(kwargs["byzantine"], dict):
         kwargs["byzantine"] = tuple(

@@ -172,7 +172,6 @@ class TotalOrderLog:
 
     def __init__(self):
         self._entries: dict[int, LogEntry] = {}
-        self._ids: list[int] = []          # sorted, for range scans
         self._by_time: list[tuple[int, int]] = []   # (appended_at_us, id), proposer side
 
     def __len__(self) -> int:
@@ -193,12 +192,11 @@ class TotalOrderLog:
                     f"ordering id {entry.ordering_id} already bound to a different batch")
             return False
         self._entries[entry.ordering_id] = entry
-        insort(self._ids, entry.ordering_id)
         insort(self._by_time, (entry.appended_at_us, entry.ordering_id))
         return True
 
     def max_id(self) -> int:
-        return self._ids[-1] if self._ids else 0
+        return max(self._entries, default=0)
 
     def id_range(self, first_id: int, last_id: int) -> Optional[list[LogEntry]]:
         """Entries first_id..last_id inclusive; None if any id is missing."""
@@ -360,9 +358,6 @@ class Transaction:
     def to_field(self) -> Packed:
         return Packed(self.packed)
 
-    def encode(self) -> bytes:
-        return self.packed
-
     @classmethod
     def read_from(cls, r: Reader) -> "Transaction":
         at = r.tell()
@@ -375,13 +370,6 @@ class Transaction:
         tx = cls(window_start_us=start, window_len_us=length,
                  entries=entries, membership_links=links)
         tx.__dict__["packed"] = r.slice_from(at)
-        return tx
-
-    @classmethod
-    def decode(cls, raw: bytes) -> "Transaction":
-        r = Reader(raw)
-        tx = cls.read_from(r)
-        r.expect_done()
         return tx
 
 

@@ -69,7 +69,6 @@ class MembershipUnit:
             node_id: NodeStatus() for node_id in self.pool}
         self.queue: list[QueuedBooth] = []
         self._profile_cache: dict[frozenset, BoothProfile] = {}
-        self._profiles_by_hash: dict[bytes, BoothProfile] = {}
         self._available_listeners: list[Callable[[], None]] = []
         self._invalidated_listeners: list[Callable[[bytes], None]] = []
         self.booth_changes = 0
@@ -131,7 +130,8 @@ class MembershipUnit:
 
     # -- queue maintenance -------------------------------------------------
 
-    def _latency_of(self, profile: BoothProfile) -> float:
+    def latency_of(self, profile: BoothProfile) -> float:
+        """Worst smoothed round trip among the booth's members."""
         return max(self.status[m].rtt_ewma_ms for m in profile.member_ids
                    if m in self.status)
 
@@ -161,10 +161,6 @@ class MembershipUnit:
             for k in range(len(vehicles) - need + 1)
         ]
 
-    def compose_booths(self) -> list[BoothProfile]:
-        sets = self._compositions()[:self.config.queue_depth]
-        return [self._provision(members) for members in sets]
-
     def _provision(self, members: frozenset) -> BoothProfile:
         profile = self._profile_cache.get(members)
         if profile is None:
@@ -179,7 +175,6 @@ class MembershipUnit:
             )
             self.registry.install_booth(profile.booth_hash, material)
             self._profile_cache[members] = profile
-            self._profiles_by_hash[profile.booth_hash] = profile
         return profile
 
     def refill(self) -> None:
@@ -197,7 +192,7 @@ class MembershipUnit:
                 continue
             profile = self._provision(members)
             booth = QueuedBooth(profile=profile,
-                                latency_ms=self._latency_of(profile),
+                                latency_ms=self.latency_of(profile),
                                 down_members=set())
             self.queue.append(booth)
             queued.add(members)
@@ -220,12 +215,12 @@ class MembershipUnit:
 
     def _resort(self) -> None:
         for booth in self.queue:
-            booth.latency_ms = self._latency_of(booth.profile)
+            booth.latency_ms = self.latency_of(booth.profile)
         self.queue.sort(key=lambda b: b.latency_ms)   # stable: ties keep order
 
     # -- serving booths ----------------------------------------------------
 
-    def current_booth(self, kind: str = "ordering") -> Optional[BoothProfile]:
+    def current_booth(self) -> Optional[BoothProfile]:
         """Head of the queue, or None when no valid booth exists (callers
         park their work and resume on the availability callback)."""
         valid = self._valid_queue()
@@ -239,17 +234,3 @@ class MembershipUnit:
             self.booth_changes += 1
             self._last_served = profile.booth_hash
         return profile
-
-    def profile(self, booth_hash: bytes) -> Optional[BoothProfile]:
-        return self._profiles_by_hash.get(booth_hash)
-
-    def booth_latency(self, booth_hash: bytes) -> float:
-        profile = self._profiles_by_hash.get(booth_hash)
-        if profile is None:
-            return 0.0
-        return self._latency_of(profile)
-
-    def queue_snapshot(self) -> list[tuple[bytes, float, int]]:
-        """(booth hash, latency, down members) per queued booth, for tests."""
-        return [(b.profile.booth_hash, b.latency_ms, len(b.down_members))
-                for b in self.queue]

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import json
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
@@ -160,7 +161,7 @@ class Scheduler:
 class CostMeter:
     """Counts billable work inside one handler invocation."""
 
-    __slots__ = ("signs", "verifies", "hashed_bytes", "extra_ms")
+    __slots__ = ("signs", "verifies", "hashed_bytes")
 
     def __init__(self):
         self.reset()
@@ -169,7 +170,6 @@ class CostMeter:
         self.signs = 0
         self.verifies = 0
         self.hashed_bytes = 0
-        self.extra_ms = 0.0
 
     def sign(self, n: int = 1) -> None:
         self.signs += n
@@ -180,14 +180,10 @@ class CostMeter:
     def hash_bytes(self, n: int) -> None:
         self.hashed_bytes += n
 
-    def charge_ms(self, ms: float) -> None:
-        self.extra_ms += ms
-
     def drain(self, model: CostModel) -> float:
         total = (self.signs * model.sign_ms
                  + self.verifies * model.verify_ms
-                 + self.hashed_bytes * model.hash_byte_ms
-                 + self.extra_ms)
+                 + self.hashed_bytes * model.hash_byte_ms)
         self.reset()
         return total
 
@@ -200,16 +196,21 @@ class ChurnEvent:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ChurnEvent":
+        """One schedule entry: `status` "up" or "down", or a boolean `up`."""
         status = obj.get("status", obj.get("up"))
-        if isinstance(status, str):
-            up = status.lower() in ("up", "true", "1")
-        else:
-            up = bool(status)
-        return cls(at_ms=float(obj["at_ms"]), node_id=int(obj["node_id"]), up=up)
+        up = ({"up": True, "down": False}.get(status.lower())
+              if isinstance(status, str) else status)
+        if not isinstance(up, bool):
+            raise ConfigInvalid(f'churn entry needs status "up" or "down": {obj}')
+        try:
+            return cls(at_ms=float(obj["at_ms"]), node_id=int(obj["node_id"]),
+                       up=up)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigInvalid(
+                f"churn entry needs a numeric at_ms and node_id: {obj}") from exc
 
 
 def load_churn_file(path) -> list[ChurnEvent]:
-    import json
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     return [ChurnEvent.from_dict(obj) for obj in data]
@@ -225,14 +226,23 @@ class ByzantineBehavior(str, Enum):
     def __str__(self) -> str:
         return self.value
 
+    @classmethod
+    def _missing_(cls, value):
+        known = ", ".join(b.value for b in cls)
+        raise ConfigInvalid(f"unknown byzantine behavior {value!r}; known: {known}")
+
 
 def load_byzantine_file(path) -> dict[int, list[ByzantineBehavior]]:
-    import json
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     out: dict[int, list[ByzantineBehavior]] = {}
     for obj in data:
-        out[int(obj["node_id"])] = [ByzantineBehavior(b) for b in obj["behaviors"]]
+        try:
+            out[int(obj["node_id"])] = [ByzantineBehavior(b)
+                                        for b in obj["behaviors"]]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigInvalid(
+                f"byzantine entry needs a node_id and a behaviors list: {obj}") from exc
     return out
 
 
@@ -304,9 +314,6 @@ class Network:
         self._busy.setdefault(node_id, 0.0)
         self._queues.setdefault(node_id, _RunQueue())
         self._meters[node_id] = CostMeter()
-
-    def is_up(self, node_id: int) -> bool:
-        return self._up.get(node_id, False)
 
     def meter(self, node_id: int) -> CostMeter:
         return self._meters[node_id]
@@ -529,9 +536,6 @@ class Network:
         key = (_NAMES[category], instance_key)
         self.counters[key] = self.counters.get(key, 0) + 1
 
-    def messages_for(self, category: Category, instance_key: object) -> int:
-        return self.counters.get((_NAMES[category], instance_key), 0)
-
     def totals_by_category(self) -> dict[str, int]:
         out: dict[str, int] = {}
         for (category, _), count in self.counters.items():
@@ -591,9 +595,6 @@ class NodeEnv:
     def __init__(self, net: Network, node_id: int):
         self.net = net
         self.node_id = node_id
-
-    def now_ms(self) -> float:
-        return self.net.sched.now
 
     def now_us(self) -> int:
         return int(round(self.net.sched.now * 1000.0))

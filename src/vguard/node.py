@@ -14,7 +14,7 @@ receivers apply.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 from .booths import BoothProfile
@@ -111,7 +111,6 @@ class ProposerInstance:
     ctx: InstanceContext
     ordering: OrderingCoordinator
     consensus: ConsensusCoordinator
-    mmu: MembershipUnit
 
 
 @dataclass
@@ -293,28 +292,28 @@ class NodeRuntime:
 
     # -- instance wiring ---------------------------------------------------
 
-    def _shared_state(self, instance_id: int):
+    def _context(self, instance_id: int, **role) -> InstanceContext:
+        """A context for one engine side of an instance. Both sides share
+        the node's log and ledger of the instance, made on first use."""
         log = self.logs.get(instance_id)
         if log is None:
             log = self.logs[instance_id] = TotalOrderLog()
             self.ledgers[instance_id] = Ledger(self.node_id,
                                                self.config.delta_us)
-        return log, self.ledgers[instance_id]
-
-    def add_proposer(self, instance_id: int, mmu: MembershipUnit) -> ProposerInstance:
-        log, ledger = self._shared_state(instance_id)
-        metrics = MetricSink()
-        ctx = InstanceContext(
+        return InstanceContext(
             instance_id=instance_id, node_id=self.node_id, env=self.env,
             registry=self.registry, key=self.key, config=self.config,
             send=lambda dst, msg, cat, sub: self.send_msg(
                 dst, msg, cat, (instance_id, sub)),
-            log=log, ledger=ledger, booth_profiles=self.booth_profiles,
-            counters=self.counters, metrics=metrics, storage=self.storage,
-            gossip=self.gossip, mmu=mmu)
+            log=log, ledger=self.ledgers[instance_id],
+            booth_profiles=self.booth_profiles, counters=self.counters,
+            metrics=MetricSink(), storage=self.storage, **role)
+
+    def add_proposer(self, instance_id: int, mmu: MembershipUnit) -> ProposerInstance:
+        ctx = self._context(instance_id, gossip=self.gossip, mmu=mmu)
         inst = ProposerInstance(
             ctx=ctx, ordering=OrderingCoordinator(ctx),
-            consensus=ConsensusCoordinator(ctx), mmu=mmu)
+            consensus=ConsensusCoordinator(ctx))
         self.proposers[instance_id] = inst
         pinger = PingDaemon(self, mmu, instance_id)
         self.pingers[instance_id] = pinger
@@ -334,16 +333,8 @@ class NodeRuntime:
     def _validator_instance(self, instance_id: int) -> ValidatorInstance:
         inst = self.validators.get(instance_id)
         if inst is None:
-            log, ledger = self._shared_state(instance_id)
-            ctx = InstanceContext(
-                instance_id=instance_id, node_id=self.node_id, env=self.env,
-                registry=self.registry, key=self.key, config=self.config,
-                send=lambda dst, msg, cat, sub: self.send_msg(
-                    dst, msg, cat, (instance_id, sub)),
-                log=log, ledger=ledger, booth_profiles=self.booth_profiles,
-                counters=self.counters, metrics=MetricSink(),
-                storage=self.storage,
-                committed_hook=self._on_validator_commit)
+            ctx = self._context(instance_id,
+                                committed_hook=self._on_validator_commit)
             inst = ValidatorInstance(ctx=ctx, ordering=ValidatorOrdering(ctx),
                                      consensus=ValidatorConsensus(ctx))
             self.validators[instance_id] = inst
@@ -362,7 +353,7 @@ class NodeRuntime:
             inst.ctx.committed_hook = None
             inst.ctx.metrics.on_capacity = None
         for inst in self.proposers.values():
-            inst.mmu.drop_listeners()
+            inst.ctx.mmu.drop_listeners()
         self.pingers.clear()
         self.actor = None
         if self.gossip is not None:

@@ -61,8 +61,8 @@ def round_timeout_ms(ctx, booth: BoothProfile) -> float:
     """How long a proposer waits for a booth's quorum: a multiple of the
     booth's round-trip latency, never under the configured floor."""
     cfg = ctx.config
-    rtt = ctx.mmu.booth_latency(booth.booth_hash)
-    return max(cfg.timeout_factor * rtt, cfg.timeout_floor_ms)
+    return max(cfg.timeout_factor * ctx.mmu.latency_of(booth),
+               cfg.timeout_floor_ms)
 
 
 @dataclass(kw_only=True)
@@ -74,7 +74,6 @@ class QuorumRound:
     cert_digest: bytes               # what the booth countersigns
     replies: dict[int, PartialSignature] = field(default_factory=dict)
     timer: Optional[object] = None
-    done: bool = False
 
     def add_reply(self, ctx, src: int, partial: PartialSignature) -> bool:
         """Screen one member's countersignature and keep it if it verifies;
@@ -100,7 +99,6 @@ class QuorumRound:
     def certify(self, ctx) -> tuple[tuple[int, ...], AggregateSignature]:
         """Close the round: the quorum is the pivot plus the first other
         repliers up to 2f, and the certificate aggregates their partials."""
-        self.done = True
         if self.timer is not None:
             self.timer.cancel()
         need = 2 * self.booth.fault_budget
@@ -135,7 +133,6 @@ class OrderingCoordinator:
         self.ctx = ctx
         self.next_id = 1
         self.rounds: dict[int, OrderingRound] = {}
-        self.completed: set[int] = set()
         self.backlog: deque[PendingBatch] = deque()
         self.parked: deque[PendingBatch] = deque()
         self.failed: list[PendingBatch] = []
@@ -162,7 +159,7 @@ class OrderingCoordinator:
 
     def _start(self, pb: PendingBatch) -> None:
         ctx = self.ctx
-        booth = ctx.mmu.current_booth("ordering")
+        booth = ctx.mmu.current_booth()
         if booth is None:
             self.parked.append(pb)
             return
@@ -193,9 +190,11 @@ class OrderingCoordinator:
 
     def handle_reply(self, src: int, msg: OrderReply) -> None:
         ctx = self.ctx
-        rnd = self.rounds.get(msg.ordering_id)
-        if rnd is None or rnd.done:
-            if msg.ordering_id in self.completed:
+        oid = msg.ordering_id
+        rnd = self.rounds.get(oid)
+        if rnd is None:
+            # an issued id leaves `rounds` certified or retired
+            if 0 < oid < self.next_id and oid not in self.retired_ids:
                 ctx.counters["late_reply"] += 1   # round met quorum without it
             else:
                 ctx.diag(RejectReason.STALE)
@@ -204,7 +203,6 @@ class OrderingCoordinator:
             return
         rnd.quorum, rnd.cert = rnd.certify(ctx)
         del self.rounds[rnd.ordering_id]
-        self.completed.add(rnd.ordering_id)
         self.finished[rnd.ordering_id] = rnd
         self._drain_appends()
         self._pump()
@@ -240,13 +238,12 @@ class OrderingCoordinator:
 
     def _timed_out(self, oid: int) -> None:
         rnd = self.rounds.pop(oid, None)
-        if rnd is None or rnd.done:
-            return
-        self._retire(rnd, "timeout")
+        if rnd is not None:
+            self._retire(rnd, "timeout")
 
     def _booth_lost(self, booth_hash: bytes) -> None:
         for oid in [o for o, r in self.rounds.items()
-                    if r.booth.booth_hash == booth_hash and not r.done]:
+                    if r.booth.booth_hash == booth_hash]:
             rnd = self.rounds.pop(oid)
             if rnd.timer is not None:
                 rnd.timer.cancel()
@@ -268,7 +265,7 @@ class OrderingCoordinator:
 
     def _unpark(self) -> None:
         while self.parked:
-            if self.ctx.mmu.current_booth("ordering") is None:
+            if self.ctx.mmu.current_booth() is None:
                 return
             self._start(self.parked.popleft())
         self._pump()

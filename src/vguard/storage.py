@@ -12,7 +12,7 @@ pruned by age or, optionally, by a FIFO cap.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Optional
 

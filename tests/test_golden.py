@@ -235,7 +235,7 @@ def test_pivot_down_spec_drops_invocations_waiting_behind_its_cpu(
     def probe(net, node_id, fn, preload_ms=0.0):
         if net._busy.get(node_id, 0.0) > net.now:
             waited.setdefault(fn, node_id)
-        elif net.is_up(node_id):
+        elif net._up.get(node_id, False):
             ran.add(fn)
         return invoke(net, node_id, fn, preload_ms)
 

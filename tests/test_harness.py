@@ -382,3 +382,25 @@ def test_cli_run_and_sweep(tmp_path, capsys):
 
     assert cli.main(["sweep", "--dimension", "bogus", "--values", "1"]) == 2
     assert cli.main(["run", "--booth-size", "6"]) == 2
+
+
+@pytest.mark.parametrize("flag, entries", [
+    ("--churn", [{"at_ms": 100, "node_id": 3}]),
+    ("--churn", [{"at_ms": 100, "node_id": 3, "status": "dwon"}]),
+    ("--byzantine", [{"node_id": 3, "behaviors": ["silnet"]}]),
+    ("--spec", {"byzantine": {"3": ["silnet"]}}),
+], ids=["churn-no-status", "churn-misspelled-status", "byzantine-unknown",
+        "spec-byzantine-unknown"])
+def test_cli_rejects_bad_schedule_files(tmp_path, capsys, flag, entries):
+    path = tmp_path / "schedule.json"
+    path.write_text(json.dumps(entries))
+    assert cli.main(["run", "--duration-ms", "200", flag, str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_churn_entries_read_status_or_up():
+    parse = ChurnEvent.from_dict
+    assert parse({"at_ms": 1, "node_id": 3, "status": "down"}).up is False
+    assert parse({"at_ms": 2, "node_id": 3, "status": "Up"}).up is True
+    assert parse({"at_ms": 3, "node_id": 3, "up": False}) == \
+        ChurnEvent(at_ms=3.0, node_id=3, up=False)

@@ -6,6 +6,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from vguard.codec import Reader
 from vguard.errors import DuplicateOrderingId, WindowError
 from vguard.harness import RunSpec, run
 from vguard.ledger import (
@@ -202,7 +203,9 @@ def test_transaction_wire_roundtrip(pool4, booth4):
     entries = [certify_entry(pool4, booth, material, i, make_batch(pool4, start_seq=i * 10))
                for i in (1, 2)]
     _, tx = commit_window(pool4, booth, material, 0, DELTA_US, entries)
-    decoded = Transaction.decode(tx.encode())
+    r = Reader(tx.packed)
+    decoded = Transaction.read_from(r)
+    r.expect_done()
     assert decoded.tx_hash == tx.tx_hash
     assert decoded == tx
 

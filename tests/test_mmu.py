@@ -25,8 +25,13 @@ def make_mmu(queue_depth: int = 4, pool_ids=POOL_IDS, seed: int = 5,
 
 
 def members_of(mmu: MembershipUnit) -> list[frozenset]:
-    return [frozenset(mmu.profile(h).member_ids)
-            for h, _, _ in mmu.queue_snapshot()]
+    return [frozenset(b.profile.member_ids) for b in mmu.queue]
+
+
+def compose_booths(mmu: MembershipUnit) -> list:
+    """The booths a fresh queue would hold, nearest first."""
+    sets = mmu._compositions()[:mmu.config.queue_depth]
+    return [mmu._provision(members) for members in sets]
 
 
 def feed_descending_rtts(mmu: MembershipUnit) -> None:
@@ -57,7 +62,7 @@ def test_initial_queue_uses_id_order_when_no_rtt_yet():
 def test_compositions_slide_over_latency_sorted_vehicles():
     mmu, _ = make_mmu()
     feed_descending_rtts(mmu)
-    fresh = [frozenset(p.member_ids) for p in mmu.compose_booths()]
+    fresh = [frozenset(p.member_ids) for p in compose_booths(mmu)]
     assert fresh == [
         frozenset({1, 2, 7, 8}), frozenset({1, 2, 6, 7}),
         frozenset({1, 2, 5, 6}), frozenset({1, 2, 4, 5})]
@@ -66,8 +71,7 @@ def test_compositions_slide_over_latency_sorted_vehicles():
 def test_queue_resorts_by_worst_member_latency():
     mmu, _ = make_mmu()
     feed_descending_rtts(mmu)
-    snapshot = mmu.queue_snapshot()
-    latencies = [lat for _, lat, _ in snapshot]
+    latencies = [b.latency_ms for b in mmu.queue]
     assert latencies == sorted(latencies)
     # worst member dominates: the {6,7} window (max rtt 2.0) leads
     assert members_of(mmu)[0] == frozenset({1, 2, 6, 7})
@@ -81,7 +85,7 @@ def test_every_booth_contains_proposer_and_pivot():
     feed_descending_rtts(mmu)
     for members in members_of(mmu):
         assert {1, 2} <= members
-    for profile in mmu.compose_booths():
+    for profile in compose_booths(mmu):
         assert profile.proposer_id == 2
         assert profile.pivot_id == 1
 
@@ -110,7 +114,7 @@ def test_refill_restores_depth_after_churn():
     assert sorted(members_of(mmu), key=sorted) == sorted([
         frozenset({1, 2, 4, 5}), frozenset({1, 2, 5, 6}),
         frozenset({1, 2, 6, 7}), frozenset({1, 2, 7, 8})], key=sorted)
-    assert len(mmu.queue_snapshot()) == mmu.config.queue_depth
+    assert len(mmu.queue) == mmu.config.queue_depth
 
 
 def test_booth_identity_survives_flap():
@@ -118,14 +122,14 @@ def test_booth_identity_survives_flap():
     head = mmu.current_booth()
     victim = max(m for m in head.member_ids if m not in (1, 2))
     mmu.mark_availability(victim, False)
-    assert all(head.booth_hash != h for h, _, _ in mmu.queue_snapshot())
+    assert all(head.booth_hash != b.profile.booth_hash for b in mmu.queue)
     mmu.mark_availability(victim, True)
     # same member set re-forms with the same cached identity and keys
-    refreshed = mmu.compose_booths()[0]
+    refreshed = compose_booths(mmu)[0]
     assert frozenset(refreshed.member_ids) == frozenset(head.member_ids)
     assert refreshed.booth_hash == head.booth_hash
     assert refreshed is head
-    assert pool.registry.has_booth(head.booth_hash)
+    assert pool.registry.material(head.booth_hash) is not None
 
 
 def test_no_booth_parks_then_availability_listener_fires():
@@ -135,7 +139,7 @@ def test_no_booth_parks_then_availability_listener_fires():
     mmu.mark_availability(3, False)
     assert mmu.current_booth() is None  # 2 vehicles needed, 1 up
     with pytest.raises(InsufficientMembers):
-        mmu.compose_booths()
+        compose_booths(mmu)
     mmu.mark_availability(3, True)
     assert woke
     assert mmu.current_booth() is not None
@@ -186,8 +190,8 @@ def test_booth_changes_counts_head_switches():
 def test_same_seeds_build_identical_queues():
     a, _ = make_mmu(seed=5)
     b, _ = make_mmu(seed=5)
-    assert [h for h, _, _ in a.queue_snapshot()] == \
-        [h for h, _, _ in b.queue_snapshot()]
+    assert [q.profile.booth_hash for q in a.queue] == \
+        [q.profile.booth_hash for q in b.queue]
 
 
 def test_larger_booths_use_wider_windows():

@@ -17,8 +17,14 @@ from vguard.errors import UnknownEndpoint
 from vguard.netsim import (Category, ChurnEvent, CostModel, Network,
                            Scheduler, SimConfig)
 
-FREE = CostModel(base_ms=0.0, sign_ms=0.0, verify_ms=0.0, hash_byte_ms=0.0,
+# Nothing costs service time but what a handler bills through `charge_ms`,
+# which counts each billed millisecond as one 1 ms signature.
+FREE = CostModel(base_ms=0.0, sign_ms=1.0, verify_ms=0.0, hash_byte_ms=0.0,
                  wire_byte_ms=0.0, wire_byte_quad_ms=0.0)
+
+
+def charge_ms(net: Network, node_id: int, ms: float) -> None:
+    net.meter(node_id).sign(ms)
 
 
 def quiet(**over) -> SimConfig:
@@ -72,7 +78,7 @@ def test_cpu_queue_serializes_same_node():
 
     def slow_handler(src, payload, category):
         times.append(net.now)
-        net.meter(2).charge_ms(5.0)
+        charge_ms(net, 2, 5.0)
 
     net.register(1, lambda *a: None)
     net.register(3, lambda *a: None)
@@ -89,7 +95,7 @@ def test_sends_inside_handler_stamped_at_completion():
     recs = wire(net, [1, 3])
 
     def relay(src, payload, category):
-        net.meter(2).charge_ms(5.0)
+        charge_ms(net, 2, 5.0)
         net.send(2, 3, b"relayed", Category.CONTROL)
 
     net.register(2, relay)
@@ -104,7 +110,7 @@ def test_timer_set_inside_handler_counts_from_completion():
     fired = []
 
     def handler(src, payload, category):
-        net.meter(2).charge_ms(5.0)
+        charge_ms(net, 2, 5.0)
         net.schedule(2, 2.0, lambda: fired.append(net.now))
 
     net.register(1, lambda *a: None)
@@ -135,7 +141,7 @@ def test_aux_lane_bypasses_cpu_queue():
 
     def gossip_handler(src, payload, category):
         # aux lane must not bill this anywhere
-        net.meter(2).charge_ms(1000.0)
+        charge_ms(net, 2, 1000.0)
 
     def control_handler(src, payload, category):
         times.append(net.now)
@@ -317,7 +323,7 @@ def test_counters_track_sends_by_instance_key():
     net.run_until(50.0)
     counts = net.instance_counts(Category.ORDERING)
     assert counts == {("inst", 0): 10, ("inst", 1): 10}  # drops still count
-    assert net.messages_for(Category.ORDERING, ("inst", 0)) == 10
+    assert net.counters[("ordering", ("inst", 0))] == 10
     totals = net.totals_by_category()
     assert totals["ordering"] == 20
     assert totals["control"] == 1
@@ -332,12 +338,12 @@ def test_byzantine_registration_lookup():
 
 # -- per-node run queues ------------------------------------------------------
 
-def busy_node(net: Network, log: list, charge_ms: float = 5.0) -> None:
-    """Node 2 logs (payload, start time) and charges `charge_ms` per message."""
+def busy_node(net: Network, log: list, service_ms: float = 5.0) -> None:
+    """Node 2 logs (payload, start time) and charges `service_ms` per message."""
 
     def handler(src, payload, category):
         log.append((payload.decode(), net.now))
-        net.meter(2).charge_ms(charge_ms)
+        charge_ms(net, 2, service_ms)
 
     net.register(2, handler)
 
@@ -373,11 +379,11 @@ def test_zero_delay_timers_of_the_running_handler_go_ahead_of_the_queue():
 
     def handler(src, payload, category):
         log.append((payload.decode(), net.now))
-        net.meter(2).charge_ms(5.0)
+        charge_ms(net, 2, 5.0)
         if payload == b"a":
             for name in ("t1", "t2"):
                 net.schedule(2, 0.0, lambda name=name: (
-                    log.append((name, net.now)), net.meter(2).charge_ms(1.0)))
+                    log.append((name, net.now)), charge_ms(net, 2, 1.0)))
 
     net.register(2, handler)
     for name in "abc":
@@ -407,7 +413,7 @@ def test_node_that_goes_down_drops_its_queued_invocations():
 
 
 def test_timer_cancelled_while_queued_still_runs_and_charges_base():
-    cost = CostModel(base_ms=0.5, sign_ms=0.0, verify_ms=0.0,
+    cost = CostModel(base_ms=0.5, sign_ms=1.0, verify_ms=0.0,
                      hash_byte_ms=0.0, wire_byte_ms=0.0, wire_byte_quad_ms=0.0)
     net = Network(quiet(cost=cost))
     log = []

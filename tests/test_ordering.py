@@ -30,9 +30,6 @@ class FakeEnv:
     def now_us(self) -> int:
         return self.t_us
 
-    def now_ms(self) -> float:
-        return self.t_us / 1000.0
-
     def after(self, delay_ms: float, fn) -> Timer:
         return Timer()                   # timers never fire here
 
@@ -49,10 +46,10 @@ class FakeMmu:
     def on_booth_available(self, fn) -> None:
         pass
 
-    def current_booth(self, phase: str):
+    def current_booth(self):
         return self.booth
 
-    def booth_latency(self, booth_hash: bytes) -> float:
+    def latency_of(self, booth) -> float:
         return 1.0
 
 
@@ -355,3 +352,35 @@ def test_reply_endorsing_another_digest_is_wrong_digest_not_bad_sig(world):
     coord.handle_reply(3, reply(3, 3, rnd.cert_digest))
     assert not ctx.counters
     assert set(rnd.replies) == {3}
+
+
+def test_replies_after_a_round_closes_are_late_or_stale(world):
+    """A reply for a certified id counts late_reply; one for a retired id,
+    for id 0, or for an id not yet issued counts stale."""
+    pool, booth, _ = world
+    ctx, _ = make_ctx(pool, node_id=1)
+    ctx.mmu = FakeMmu(booth)
+    coord = OrderingCoordinator(ctx)
+    for seq in (0, 10):
+        coord.submit(make_batch(pool, size=2, start_seq=seq))
+    assert sorted(coord.rounds) == [1, 2]
+
+    def reply(src, oid):
+        digest = (coord.rounds[oid].cert_digest if oid in coord.rounds
+                  else b"\x00" * 32)
+        partial = make_partial(
+            pool.keys[src], digest,
+            pool.registry.booth_share(booth.booth_hash, src))
+        return OrderReply(instance_id=1, sender=src, ordering_id=oid,
+                          partial=partial)
+
+    for src in (2, 3):                   # the pivot and one more: quorum
+        coord.handle_reply(src, reply(src, 1))
+    coord._timed_out(2)                  # retired; its batch retries as id 3
+    assert 1 in ctx.log and 2 in coord.retired_ids
+    assert sorted(coord.rounds) == [3]
+    for oid, counter in ((1, "late_reply"), (2, "stale"), (0, "stale"),
+                         (4, "stale"), (99, "stale")):
+        ctx.counters.clear()
+        coord.handle_reply(4, reply(4, oid))
+        assert dict(ctx.counters) == {counter: 1}, oid
