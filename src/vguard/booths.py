@@ -14,19 +14,19 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
 
-from .codec import digest, pack, Packed, Reader
-from .crypto import AggregateSignature, Identity, Role, verify_aggregate
+from .codec import digest, pack, Packed, Reader, Wire
+from .crypto import AggregateSignature, Identity, verify_aggregate
 from .errors import RejectReason
 
 
 @dataclass(frozen=True)
-class BoothProfile:
-    members: tuple[Identity, ...]          # sorted by node_id
+class BoothProfile(Wire):
     proposer_id: int
     pivot_id: int
     threshold: int
+    created_at_us: int
+    members: tuple[Identity, ...]          # sorted by node_id
     directory: tuple[tuple[int, bytes], ...]   # booth-local verify keys
-    created_at_us: int = 0
 
     def __post_init__(self):
         ids = [m.node_id for m in self.members]
@@ -39,14 +39,7 @@ class BoothProfile:
     def packed(self) -> bytes:
         """Canonical bytes of the profile: packed once, or the slice it was
         decoded from, which the canonical format makes the same bytes."""
-        return pack([
-            self.proposer_id,
-            self.pivot_id,
-            self.threshold,
-            self.created_at_us,
-            [[m.node_id, m.role.value, m.verify_key, m.net_addr] for m in self.members],
-            [[node_id, key] for node_id, key in self.directory],
-        ])
+        return pack(super().to_field())
 
     @cached_property
     def booth_hash(self) -> bytes:
@@ -110,34 +103,7 @@ class BoothProfile:
     @classmethod
     def read_from(cls, r: Reader) -> "BoothProfile":
         start = r.tell()
-        if r.seq_len() != 6:
-            raise ValueError("malformed booth profile")
-        proposer_id = r.u64()
-        pivot_id = r.u64()
-        threshold = r.u64()
-        created = r.u64()
-        members = []
-        for _ in range(r.seq_len()):
-            if r.seq_len() != 4:
-                raise ValueError("malformed booth member")
-            node_id = r.u64()
-            role = Role(r.str_())
-            verify_key = r.bytes_()
-            net_addr = r.str_()
-            members.append(Identity(node_id, role, verify_key, net_addr))
-        directory = []
-        for _ in range(r.seq_len()):
-            if r.seq_len() != 2:
-                raise ValueError("malformed booth directory entry")
-            directory.append((r.u64(), r.bytes_()))
-        profile = cls(
-            members=tuple(members),
-            proposer_id=proposer_id,
-            pivot_id=pivot_id,
-            threshold=threshold,
-            directory=tuple(directory),
-            created_at_us=created,
-        )
+        profile = super().read_from(r)
         profile.__dict__["packed"] = r.slice_from(start)
         return profile
 

@@ -19,16 +19,23 @@ hand it over as a `Packed` field, which `pack` splices as-is instead of
 packing the value again. `Reader.slice_from` returns the bytes read
 since a position, so a decoder can keep the packing of what it just read.
 
-A list of [u64, bytes] pairs, the shape of a batch's entry list and the
-bulk of the data on the wire, has a fast path both ways: `pack_pairs`
-and `Reader.skip_pairs` frame or check each pair in one struct step.
+Each structured type on the wire declares its layout once, as its
+dataclass fields: a `Wire` subclass packs as the list of its fields in
+declaration order, and `Wire` derives both its encoder and its decoder
+from the field annotations. A list of [u64, bytes] pairs, the shape of a
+batch's entry list and the bulk of the data on the wire, has a fast path
+both ways instead: `pack_pairs` and `Reader.skip_pairs` frame or check
+each pair in one struct step.
 """
 
 from __future__ import annotations
 
 import hashlib
 import struct
-from typing import Iterable, Union
+from dataclasses import fields
+from enum import Enum
+from operator import attrgetter
+from typing import Iterable, Union, get_args, get_origin, get_type_hints
 
 
 class Packed:
@@ -215,3 +222,89 @@ class Reader:
     def expect_done(self) -> None:
         if not self.done():
             raise ValueError("trailing bytes after message")
+
+
+class Wire:
+    """Base of a frozen dataclass whose canonical packing is the list of its
+    fields, in declaration order, each packed by its annotation:
+
+    * `int`, `bytes`, `str` -> as themselves
+    * a `str` Enum          -> its value
+    * `tuple[T, ...]`       -> a list of T
+    * `tuple[A, B]`, ...    -> a list of exactly those fields
+    * any other type        -> its own `to_field` and `read_from`: a nested
+      `Wire`, or a type that keeps its own bytes
+
+    Reading checks the length of every list it reads, so a value of the
+    wrong arity raises ValueError. A class's layout is worked out from its
+    annotations once, on first use.
+    """
+
+    def to_field(self) -> list:
+        """The fields, in declaration order, as `pack` takes them."""
+        return _layout(type(self))[0](self)
+
+    @classmethod
+    def read_fields(cls, r: Reader, head: tuple = ()):
+        """Read the fields after `head`, which are given, with no list
+        header in front of them, and build the value."""
+        readers = _layout(cls)[1]
+        return cls(*head, *[read(r) for read in readers[len(head):]])
+
+    @classmethod
+    def read_from(cls, r: Reader):
+        if r.seq_len() != len(_layout(cls)[1]):
+            raise ValueError(f"malformed {cls.__name__}")
+        return cls.read_fields(r)
+
+
+_LAYOUTS: dict = {}
+_READERS = {int: Reader.u64, bytes: Reader.bytes_, str: Reader.str_}
+
+
+def _layout(cls: type) -> tuple:
+    """(encode, readers) of a `Wire` class: encode maps a value to its
+    field list, and readers holds one read per field."""
+    layout = _LAYOUTS.get(cls)
+    if layout is None:
+        hints = get_type_hints(cls)
+        names = [f.name for f in fields(cls)]
+        codecs = [_codec(hints[name]) for name in names]
+        get = (attrgetter(*names) if len(names) > 1
+               else lambda value: (getattr(value, names[0]),))
+        special = [(i, enc) for i, (enc, _) in enumerate(codecs) if enc]
+
+        def encode(value) -> list:
+            out = list(get(value))
+            for i, enc in special:
+                out[i] = enc(out[i])
+            return out
+
+        layout = _LAYOUTS[cls] = (encode, [read for _, read in codecs])
+    return layout
+
+
+def _codec(tp) -> tuple:
+    """(encode, read) for one annotation; encode is None where the value
+    packs as it is."""
+    if tp in _READERS:
+        return None, _READERS[tp]
+    if isinstance(tp, type) and issubclass(tp, Enum):
+        return attrgetter("value"), lambda r: tp(r.str_())
+    args = get_args(tp)
+    if get_origin(tp) is tuple and args[-1] is Ellipsis:
+        enc, read = _codec(args[0])
+        return (enc and (lambda value: [enc(item) for item in value]),
+                lambda r: tuple([read(r) for _ in range(r.seq_len())]))
+    if get_origin(tp) is tuple:
+        codecs = [_codec(arg) for arg in args]
+
+        def read_fixed(r: Reader) -> tuple:
+            if r.seq_len() != len(codecs):
+                raise ValueError(f"malformed {tp}")
+            return tuple([read(r) for _, read in codecs])
+
+        return (lambda value: [enc(item) if enc else item
+                               for (enc, _), item in zip(codecs, value)],
+                read_fixed)
+    return tp.to_field, lambda r: tp.read_from(r)

@@ -37,6 +37,7 @@ from .ledger import (CommitRecord, LogEntry, Transaction, commit_cert_digest,
 from .messages import (CommitMsg, CommitReply, PreCommitSeen, PreCommitUnseen)
 from .netsim import Category
 from .ordering import QuorumRound, proposer_signed, round_timeout_ms
+from .storage import PROPOSER, VALIDATOR
 
 
 @dataclass
@@ -196,7 +197,6 @@ class ConsensusCoordinator:
             for v in booth.validators():
                 ctx.send(v, commit, Category.CONSENSUS, ts)
             if ctx.storage is not None:
-                from .storage import PROPOSER
                 smi = ctx.storage.get(ctx.instance_id, PROPOSER)
                 smi.register_to_temp(tx, record, ctx.env.now_us())
             if ctx.gossip is not None:
@@ -424,7 +424,6 @@ class ValidatorConsensus:
         ctx.ledger.note_booth(booth)
         ctx.ledger.append_commit(record, tx, pc.reply_sets)
         if ctx.storage is not None:
-            from .storage import VALIDATOR
             smi = ctx.storage.get(ctx.instance_id, VALIDATOR)
             smi.register_to_temp(tx, record, ctx.env.now_us())
         if ctx.committed_hook is not None:

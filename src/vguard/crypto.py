@@ -54,7 +54,7 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PublicKey,
 )
 
-from .codec import digest, pack, Reader
+from .codec import digest, pack, Reader, Wire
 from .errors import (
     InsufficientPartials,
     InvalidPartial,
@@ -75,7 +75,7 @@ class Role(str, Enum):
 
 
 @dataclass(frozen=True)
-class Identity:
+class Identity(Wire):
     """Public face of a node: stable id, role hint, verify key, address."""
 
     node_id: int
@@ -182,7 +182,7 @@ def verify_raw(verify_key: bytes, payload_digest: bytes, sig: bytes) -> bool:
 # -- partial signatures ---------------------------------------------------
 
 @dataclass(frozen=True)
-class PartialSignature:
+class PartialSignature(Wire):
     """One member's endorsement of a payload digest.
 
     sig_bytes packs the individual-identity signature and, when the signer
@@ -310,7 +310,7 @@ def signer_set_digest(signers: Iterable[int]) -> bytes:
 
 
 @dataclass(frozen=True)
-class AggregateSignature:
+class AggregateSignature(Wire):
     """Quorum certificate over one payload digest.
 
     sig_bytes = signer bitmap over the booth's sorted member list, then the

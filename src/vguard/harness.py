@@ -28,7 +28,8 @@ from .errors import ConfigInvalid, VerificationFailed
 from .gossip import GossipConfig
 from .ledger import ChainCheck, DataBatch, Ledger, verify_chain
 from .mmu import MembershipUnit, MmuConfig
-from .netsim import Category, ChurnEvent, Network, NodeEnv, SimConfig
+from .netsim import (Category, ChurnEvent, Network, NodeEnv, SimConfig,
+                     churn_events)
 from .node import MetricSink, NodeRuntime, ProtocolConfig
 from .storage import RetentionPolicy, StorageMaster
 
@@ -484,9 +485,7 @@ def spec_from_dict(data: dict) -> RunSpec:
     if "mmu" in kwargs and isinstance(kwargs["mmu"], dict):
         kwargs["mmu"] = MmuConfig(**kwargs["mmu"])
     if "churn" in kwargs and kwargs["churn"]:
-        kwargs["churn"] = tuple(
-            ChurnEvent.from_dict(event) if isinstance(event, dict) else event
-            for event in kwargs["churn"])
+        kwargs["churn"] = tuple(churn_events(kwargs["churn"]))
     if "byzantine" in kwargs and isinstance(kwargs["byzantine"], dict):
         kwargs["byzantine"] = tuple(
             (int(node), tuple(behaviors))

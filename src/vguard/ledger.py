@@ -2,7 +2,10 @@
 
 A data batch is carried as the canonical bytes of its entry list from the
 moment the workload packs it: it is hashed, sent, logged and committed as
-those bytes, and its entries are parsed only to export them.
+those bytes, and its entries are parsed only to export them. The other
+types that go on the wire are `codec.Wire` dataclasses, whose layout is
+their field list; a transaction keeps the bytes it was packed as or read
+from. The JSON export is a separate format, written field by field.
 
 The total order log holds what ordering produced: one certified entry per
 ordering id. Consensus slices the proposer's log into fixed windows, prunes
@@ -27,7 +30,7 @@ from functools import cached_property
 from typing import Callable, Collection, Iterable, Optional, Sequence
 
 from .booths import BoothProfile
-from .codec import digest, pack, pack_pairs, Packed, Reader
+from .codec import digest, pack, pack_pairs, Packed, Reader, Wire
 from .crypto import (
     AggregateSignature,
     Identity,
@@ -220,26 +223,13 @@ class TotalOrderLog:
 # -- membership pruning ---------------------------------------------------
 
 @dataclass(frozen=True)
-class MembershipLink:
+class MembershipLink(Wire):
     """Run-length record: entries first_id..last_id share booth and quorum."""
 
     booth: BoothProfile
     quorum: tuple[int, ...]
     first_id: int
     last_id: int
-
-    def to_field(self) -> list:
-        return [self.booth.to_field(), list(self.quorum), self.first_id, self.last_id]
-
-    @classmethod
-    def read_from(cls, r: Reader) -> "MembershipLink":
-        if r.seq_len() != 4:
-            raise ValueError("malformed membership link")
-        booth = BoothProfile.read_from(r)
-        quorum = tuple(r.u64() for _ in range(r.seq_len()))
-        first_id = r.u64()
-        last_id = r.u64()
-        return cls(booth=booth, quorum=quorum, first_id=first_id, last_id=last_id)
 
 
 def prune_memberships(entries: Sequence[LogEntry],
@@ -280,47 +270,12 @@ def expand_memberships(links: Sequence[MembershipLink]
 # -- transactions and commit records -------------------------------------
 
 @dataclass(frozen=True)
-class TxEntry:
+class TxEntry(Wire):
     """Entry as carried inside a committed transaction."""
 
     ordering_id: int
     batch: DataBatch
     cert: AggregateSignature
-
-    def to_field(self) -> list:
-        return [self.ordering_id, self.batch.to_field(),
-                _agg_to_field(self.cert)]
-
-    @classmethod
-    def read_from(cls, r: Reader) -> "TxEntry":
-        if r.seq_len() != 3:
-            raise ValueError("malformed tx entry")
-        ordering_id = r.u64()
-        batch = DataBatch.read_from(r)
-        cert = _agg_read_from(r)
-        return cls(ordering_id=ordering_id, batch=batch, cert=cert)
-
-
-def _agg_to_field(agg: AggregateSignature) -> list:
-    return [agg.threshold, agg.sig_bytes, agg.signer_set_digest]
-
-
-def _agg_read_from(r: Reader) -> AggregateSignature:
-    if r.seq_len() != 3:
-        raise ValueError("malformed aggregate signature")
-    return AggregateSignature(threshold=r.u64(), sig_bytes=r.bytes_(),
-                              signer_set_digest=r.bytes_())
-
-
-def _partial_to_field(p: PartialSignature) -> list:
-    return [p.signer, p.payload_digest, p.sig_bytes]
-
-
-def _partial_read_from(r: Reader) -> PartialSignature:
-    if r.seq_len() != 3:
-        raise ValueError("malformed partial signature")
-    return PartialSignature(signer=r.u64(), payload_digest=r.bytes_(),
-                            sig_bytes=r.bytes_())
 
 
 def tx_hash_over(window_start_us: int, window_len_us: int,
@@ -330,7 +285,7 @@ def tx_hash_over(window_start_us: int, window_len_us: int,
 
 
 @dataclass(frozen=True)
-class Transaction:
+class Transaction(Wire):
     """All entries a consensus window agreed on, memberships pruned."""
 
     window_start_us: int
@@ -348,28 +303,16 @@ class Transaction:
     def packed(self) -> bytes:
         """Canonical bytes of the transaction: packed once, or the slice it
         was decoded from, which the canonical format makes the same bytes."""
-        return pack([
-            self.window_start_us,
-            self.window_len_us,
-            [e.to_field() for e in self.entries],
-            [l.to_field() for l in self.membership_links],
-        ])
+        return pack(super().to_field())
 
     def to_field(self) -> Packed:
         return Packed(self.packed)
 
     @classmethod
     def read_from(cls, r: Reader) -> "Transaction":
-        at = r.tell()
-        if r.seq_len() != 4:
-            raise ValueError("malformed transaction")
-        start = r.u64()
-        length = r.u64()
-        entries = tuple(TxEntry.read_from(r) for _ in range(r.seq_len()))
-        links = tuple(MembershipLink.read_from(r) for _ in range(r.seq_len()))
-        tx = cls(window_start_us=start, window_len_us=length,
-                 entries=entries, membership_links=links)
-        tx.__dict__["packed"] = r.slice_from(at)
+        start = r.tell()
+        tx = super().read_from(r)
+        tx.__dict__["packed"] = r.slice_from(start)
         return tx
 
 
@@ -567,7 +510,7 @@ def verify_chain(ledger: Ledger, registry: Optional[KeyService] = None,
     strict adds the proposer/auditor view: ordering ids must be gapless
     starting at 1 across the whole chain, and committed plus covered-empty
     windows must tile [0, horizon_us) on the window grid. The only gaps it
-    allows are the ids in retired_ids: the proposer's journal of rounds
+    allows are the ids in retired_ids: the proposer's record of rounds
     retired on a timeout or a lost booth, which never reach any log.
     """
     check = ChainCheck(ok=True)

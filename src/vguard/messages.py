@@ -1,10 +1,11 @@
 """Wire formats for every protocol message.
 
 Layout: two raw header bytes (wire version, message tag) followed by the
-canonically packed fields, starting with the instance id and sender. Every
-carried structure reuses the canonical encodings of its type, so a digest
-computed over a message body is stable across nodes. Decoding failures
-raise ValueError and are treated as silent rejects by receivers.
+message's dataclass fields, packed one after another in declaration order
+as `codec.Wire` derives them: instance id, sender, then the fields the
+class declares. A message carried inside another (a gossip's commit)
+packs as the list of its fields after instance and sender. Decoding
+failures raise ValueError and are treated as silent rejects by receivers.
 
 Both directions do their deterministic work once. `encode` stores the
 bytes on the frozen message the first time it runs, so a broadcast is
@@ -33,42 +34,51 @@ modeled cost does not change.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import ClassVar
 
 from .booths import BoothProfile
-from .codec import pack, Reader, digest
+from .codec import pack, Reader, digest, Wire
 from .crypto import AggregateSignature, PartialSignature
-from .ledger import (
-    DataBatch,
-    Transaction,
-    _agg_read_from,
-    _agg_to_field,
-    _partial_read_from,
-    _partial_to_field,
-)
+from .ledger import DataBatch, Transaction
 
 WIRE_VERSION = 1
 
 
 @dataclass(frozen=True)
-class _Message:
+class _Message(Wire):
     TAG: ClassVar[int] = 0
 
     instance_id: int
     sender: int
 
-    def body_fields(self) -> list:
-        raise NotImplementedError
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # what `_parse` reads a message of this type with: each message
+        # type has one, and nothing else does
+        cls.read_body = cls.read_fields
 
     def encode(self) -> bytes:
         wire = self.__dict__.get("_wire")
         if wire is None:
-            wire = bytes((WIRE_VERSION, self.TAG)) + pack(
-                self.instance_id, self.sender, *self.body_fields())
+            # every field, instance and sender too, one after another
+            wire = bytes((WIRE_VERSION, self.TAG)) + pack(*super().to_field())
             object.__setattr__(self, "_wire", wire)
             _intern(wire, self)
         return wire
+
+    def to_field(self) -> list:
+        """A message carried inside another packs as its body: the fields
+        after its instance and sender, which the carrier supplies."""
+        return super().to_field()[2:]
+
+    @classmethod
+    def read_from(cls, r: Reader) -> "_Message":
+        """Read a carried message's body. It holds instance and sender 0
+        until its carrier gives it the carrier's (see `GossipMsg`)."""
+        if r.seq_len() != len(fields(cls)) - 2:
+            raise ValueError(f"malformed embedded {cls.__name__}")
+        return cls.read_fields(r, (0, 0))
 
 
 @dataclass(frozen=True)
@@ -84,17 +94,6 @@ class PreOrder(_Message):
     booth_hash: bytes
     proposer_partial: PartialSignature
 
-    def body_fields(self) -> list:
-        return [self.ordering_id, self.batch.to_field(), self.batch_hash,
-                self.booth.to_field(), self.booth_hash,
-                _partial_to_field(self.proposer_partial)]
-
-    @classmethod
-    def read_body(cls, instance_id: int, sender: int, r: Reader) -> "PreOrder":
-        return cls(instance_id, sender, r.u64(), DataBatch.read_from(r),
-                   r.bytes_(), BoothProfile.read_from(r), r.bytes_(),
-                   _partial_read_from(r))
-
 
 @dataclass(frozen=True)
 class OrderReply(_Message):
@@ -104,13 +103,6 @@ class OrderReply(_Message):
 
     ordering_id: int
     partial: PartialSignature
-
-    def body_fields(self) -> list:
-        return [self.ordering_id, _partial_to_field(self.partial)]
-
-    @classmethod
-    def read_body(cls, instance_id: int, sender: int, r: Reader) -> "OrderReply":
-        return cls(instance_id, sender, r.u64(), _partial_read_from(r))
 
 
 @dataclass(frozen=True)
@@ -122,15 +114,6 @@ class OrderMsg(_Message):
     ordering_id: int
     quorum: tuple[int, ...]
     cert: AggregateSignature
-
-    def body_fields(self) -> list:
-        return [self.ordering_id, list(self.quorum), _agg_to_field(self.cert)]
-
-    @classmethod
-    def read_body(cls, instance_id: int, sender: int, r: Reader) -> "OrderMsg":
-        ordering_id = r.u64()
-        quorum = tuple(r.u64() for _ in range(r.seq_len()))
-        return cls(instance_id, sender, ordering_id, quorum, _agg_read_from(r))
 
 
 @dataclass(frozen=True)
@@ -147,17 +130,6 @@ class PreCommitSeen(_Message):
     booth: BoothProfile
     booth_hash: bytes
     proposer_partial: PartialSignature
-
-    def body_fields(self) -> list:
-        return [self.window_start_us, self.window_len_us, self.tx_hash,
-                self.first_id, self.last_id, self.booth.to_field(),
-                self.booth_hash, _partial_to_field(self.proposer_partial)]
-
-    @classmethod
-    def read_body(cls, instance_id: int, sender: int, r: Reader) -> "PreCommitSeen":
-        return cls(instance_id, sender, r.u64(), r.u64(), r.bytes_(), r.u64(),
-                   r.u64(), BoothProfile.read_from(r), r.bytes_(),
-                   _partial_read_from(r))
 
 
 @dataclass(frozen=True)
@@ -180,33 +152,6 @@ class PreCommitUnseen(_Message):
     reply_sets: tuple[tuple[int, tuple[PartialSignature, ...]], ...]
     proposer_partial: PartialSignature
 
-    def body_fields(self) -> list:
-        return [
-            self.window_start_us, self.window_len_us, self.tx_hash,
-            self.tx.to_field(), self.booth.to_field(), self.booth_hash,
-            [[oid, [_partial_to_field(p) for p in parts]]
-             for oid, parts in self.reply_sets],
-            _partial_to_field(self.proposer_partial),
-        ]
-
-    @classmethod
-    def read_body(cls, instance_id: int, sender: int, r: Reader) -> "PreCommitUnseen":
-        start = r.u64()
-        length = r.u64()
-        tx_hash = r.bytes_()
-        tx = Transaction.read_from(r)
-        booth = BoothProfile.read_from(r)
-        booth_hash = r.bytes_()
-        reply_sets = []
-        for _ in range(r.seq_len()):
-            if r.seq_len() != 2:
-                raise ValueError("malformed reply set")
-            oid = r.u64()
-            parts = tuple(_partial_read_from(r) for _ in range(r.seq_len()))
-            reply_sets.append((oid, parts))
-        return cls(instance_id, sender, start, length, tx_hash, tx, booth,
-                   booth_hash, tuple(reply_sets), _partial_read_from(r))
-
 
 @dataclass(frozen=True)
 class CommitReply(_Message):
@@ -216,13 +161,6 @@ class CommitReply(_Message):
 
     window_start_us: int
     partial: PartialSignature
-
-    def body_fields(self) -> list:
-        return [self.window_start_us, _partial_to_field(self.partial)]
-
-    @classmethod
-    def read_body(cls, instance_id: int, sender: int, r: Reader) -> "CommitReply":
-        return cls(instance_id, sender, r.u64(), _partial_read_from(r))
 
 
 @dataclass(frozen=True)
@@ -237,17 +175,6 @@ class CommitMsg(_Message):
     cert: AggregateSignature
     tx_hash: bytes
 
-    def body_fields(self) -> list:
-        return [self.window_start_us, list(self.quorum), self.booth_hash,
-                _agg_to_field(self.cert), self.tx_hash]
-
-    @classmethod
-    def read_body(cls, instance_id: int, sender: int, r: Reader) -> "CommitMsg":
-        start = r.u64()
-        quorum = tuple(r.u64() for _ in range(r.seq_len()))
-        return cls(instance_id, sender, start, quorum, r.bytes_(),
-                   _agg_read_from(r), r.bytes_())
-
     def commit_hash(self) -> bytes:
         """Identity of this commit in gossip: digest of the certified core."""
         return digest("gossip-commit", self.window_start_us, self.booth_hash,
@@ -255,15 +182,12 @@ class CommitMsg(_Message):
 
 
 @dataclass(frozen=True)
-class TraverseHop(object):
+class TraverseHop(Wire):
     """One gossip hop: remaining lifetime, signed by the forwarding node."""
 
     lifetime: int
     sig: bytes
     node_id: int
-
-    def to_field(self) -> list:
-        return [self.lifetime, self.sig, self.node_id]
 
 
 def traverse_digest(commit_hash: bytes, lifetime: int) -> bytes:
@@ -290,23 +214,6 @@ class GossipMsg(_Message):
             object.__setattr__(self, "commit", replace(
                 commit, instance_id=self.instance_id, sender=self.sender))
 
-    def body_fields(self) -> list:
-        return [self.commit.body_fields(), self.tx.to_field(),
-                [hop.to_field() for hop in self.traverse]]
-
-    @classmethod
-    def read_body(cls, instance_id: int, sender: int, r: Reader) -> "GossipMsg":
-        if r.seq_len() != 5:
-            raise ValueError("malformed embedded commit")
-        commit = CommitMsg.read_body(instance_id, sender, r)
-        tx = Transaction.read_from(r)
-        hops = []
-        for _ in range(r.seq_len()):
-            if r.seq_len() != 3:
-                raise ValueError("malformed traverse hop")
-            hops.append(TraverseHop(r.u64(), r.bytes_(), r.u64()))
-        return cls(instance_id, sender, commit, tx, tuple(hops))
-
 
 @dataclass(frozen=True)
 class GossipAck(_Message):
@@ -317,13 +224,6 @@ class GossipAck(_Message):
     commit_hash: bytes
     propagator: int
 
-    def body_fields(self) -> list:
-        return [self.commit_hash, self.propagator]
-
-    @classmethod
-    def read_body(cls, instance_id: int, sender: int, r: Reader) -> "GossipAck":
-        return cls(instance_id, sender, r.bytes_(), r.u64())
-
 
 @dataclass(frozen=True)
 class Ping(_Message):
@@ -332,13 +232,6 @@ class Ping(_Message):
     seq: int
     sent_at_us: int
 
-    def body_fields(self) -> list:
-        return [self.seq, self.sent_at_us]
-
-    @classmethod
-    def read_body(cls, instance_id: int, sender: int, r: Reader) -> "Ping":
-        return cls(instance_id, sender, r.u64(), r.u64())
-
 
 @dataclass(frozen=True)
 class Pong(_Message):
@@ -346,13 +239,6 @@ class Pong(_Message):
 
     seq: int
     sent_at_us: int
-
-    def body_fields(self) -> list:
-        return [self.seq, self.sent_at_us]
-
-    @classmethod
-    def read_body(cls, instance_id: int, sender: int, r: Reader) -> "Pong":
-        return cls(instance_id, sender, r.u64(), r.u64())
 
 
 _BY_TAG = {cls.TAG: cls for cls in (
@@ -393,8 +279,6 @@ def _parse(raw: bytes):
     if cls is None:
         raise ValueError(f"unknown message tag {raw[1]}")
     r = Reader(raw, pos=2)
-    instance_id = r.u64()
-    sender = r.u64()
-    msg = cls.read_body(instance_id, sender, r)
+    msg = cls.read_body(r)
     r.expect_done()
     return msg

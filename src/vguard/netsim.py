@@ -210,10 +210,20 @@ class ChurnEvent:
                 f"churn entry needs a numeric at_ms and node_id: {obj}") from exc
 
 
+def _json_objects(data, what: str) -> list:
+    if isinstance(data, list) and all(isinstance(o, dict) for o in data):
+        return data
+    raise ConfigInvalid(f"{what} must be a JSON list of objects")
+
+
+def churn_events(data) -> list[ChurnEvent]:
+    return [ChurnEvent.from_dict(obj)
+            for obj in _json_objects(data, "a churn schedule")]
+
+
 def load_churn_file(path) -> list[ChurnEvent]:
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    return [ChurnEvent.from_dict(obj) for obj in data]
+        return churn_events(json.load(fh))
 
 
 class ByzantineBehavior(str, Enum):
@@ -236,7 +246,7 @@ def load_byzantine_file(path) -> dict[int, list[ByzantineBehavior]]:
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     out: dict[int, list[ByzantineBehavior]] = {}
-    for obj in data:
+    for obj in _json_objects(data, "a byzantine schedule"):
         try:
             out[int(obj["node_id"])] = [ByzantineBehavior(b)
                                         for b in obj["behaviors"]]

@@ -25,7 +25,7 @@ from .gossip import GossipAgent, GossipConfig
 from .ledger import DataBatch, DataEntry, Ledger, TotalOrderLog, order_cert_digest
 from .messages import (CommitMsg, CommitReply, GossipAck, GossipMsg, OrderMsg,
                        OrderReply, Ping, Pong, PreCommitSeen, PreCommitUnseen,
-                       PreOrder, decode_message)
+                       PreOrder, TraverseHop, decode_message, traverse_digest)
 from .mmu import MembershipUnit
 from .netsim import ByzantineBehavior, Category, NodeEnv
 from .ordering import OrderingCoordinator, ValidatorOrdering
@@ -222,7 +222,6 @@ class ByzantineActor:
         return replace(msg, quorum=msg.quorum[:-1] + (foreign,))
 
     def _inflate_lifetime(self, msg: GossipMsg) -> GossipMsg:
-        from .messages import TraverseHop, traverse_digest
         last = msg.traverse[-1]
         if last.node_id != self.runtime.node_id:
             return msg

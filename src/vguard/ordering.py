@@ -10,8 +10,8 @@ log, and broadcasts the result so validators append too.
 
 A round that times out or loses its booth is retired and the batch retried
 under a fresh id and the current head booth. Ids are never reused across
-attempts, so validator logs stay conflict-free; the journal keeps the
-id history per batch for post-run audits.
+attempts, so validator logs stay conflict-free; the proposer keeps the
+retired ids, the only gaps its log and the post-run audit allow.
 
 `QuorumRound` collects the countersignatures of a round and builds its
 certificate, here and in consensus; validators accept a certificate only
@@ -42,12 +42,6 @@ def batch_wire_bytes(batch: DataBatch) -> int:
     plus 8. The canonical packing spends 19 bytes of framing per entry and
     5 on the list, so this is arithmetic on its length."""
     return len(batch.packed) - 3 * len(batch) + 3
-
-
-PROPOSED = "proposed"
-ORDERED = "ordered"
-RETIRED = "retired"
-FAILED = "failed"
 
 
 @dataclass
@@ -135,8 +129,6 @@ class OrderingCoordinator:
         self.rounds: dict[int, OrderingRound] = {}
         self.backlog: deque[PendingBatch] = deque()
         self.parked: deque[PendingBatch] = deque()
-        self.failed: list[PendingBatch] = []
-        self.journal: dict[bytes, list[tuple[int, str]]] = {}
         # certified rounds wait here until every smaller id is appended or
         # retired, so the log (and its windows) see ids in order
         self.finished: dict[int, OrderingRound] = {}
@@ -176,7 +168,6 @@ class OrderingCoordinator:
             started_at_us=ctx.env.now_us(), retries=pb.retries, own_partial=own,
             cert_digest=payload)
         self.rounds[oid] = rnd
-        self.journal.setdefault(pb.batch.batch_hash, []).append((oid, PROPOSED))
         msg = PreOrder(instance_id=ctx.instance_id, sender=ctx.node_id,
                        ordering_id=oid, batch=pb.batch,
                        batch_hash=pb.batch.batch_hash, booth=booth,
@@ -224,7 +215,6 @@ class OrderingCoordinator:
             ctx.log.append(entry)
             ctx.booth_profiles[rnd.booth.booth_hash] = rnd.booth
             ctx.ledger.note_booth(rnd.booth)
-            self.journal[rnd.batch.batch_hash].append((rnd.ordering_id, ORDERED))
             ctx.metrics.ordered(rnd.ordering_id, rnd.batch,
                                 rnd.submitted_at_us, ctx.env.now_us())
             out = OrderMsg(instance_id=ctx.instance_id, sender=ctx.node_id,
@@ -251,13 +241,10 @@ class OrderingCoordinator:
 
     def _retire(self, rnd: OrderingRound, why: str) -> None:
         ctx = self.ctx
-        self.journal[rnd.batch.batch_hash].append((rnd.ordering_id, RETIRED))
         self.retired_ids.add(rnd.ordering_id)
         self._drain_appends()
         pb = PendingBatch(rnd.batch, rnd.submitted_at_us, rnd.retries + 1)
         if pb.retries > ctx.config.max_retries:
-            self.journal[rnd.batch.batch_hash].append((rnd.ordering_id, FAILED))
-            self.failed.append(pb)
             ctx.metrics.abandoned(rnd.batch)
             self._pump()
             return

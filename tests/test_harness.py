@@ -389,8 +389,12 @@ def test_cli_run_and_sweep(tmp_path, capsys):
     ("--churn", [{"at_ms": 100, "node_id": 3, "status": "dwon"}]),
     ("--byzantine", [{"node_id": 3, "behaviors": ["silnet"]}]),
     ("--spec", {"byzantine": {"3": ["silnet"]}}),
+    ("--churn", {"at_ms": 100, "node_id": 3, "status": "down"}),
+    ("--byzantine", 5),
+    ("--spec", {"churn": {"at_ms": 100, "node_id": 3, "status": "down"}}),
 ], ids=["churn-no-status", "churn-misspelled-status", "byzantine-unknown",
-        "spec-byzantine-unknown"])
+        "spec-byzantine-unknown", "churn-one-object", "byzantine-not-a-list",
+        "spec-churn-one-object"])
 def test_cli_rejects_bad_schedule_files(tmp_path, capsys, flag, entries):
     path = tmp_path / "schedule.json"
     path.write_text(json.dumps(entries))

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import (certify_entry, commit_window, default_quorum,
                       fresh_profile, make_batch, make_booth, make_pool)
 from vguard import harness, messages, node
+from vguard.codec import pack
 from vguard.netsim import SimConfig
 from vguard.crypto import Role, make_partial
 from vguard.ledger import Transaction, commit_cert_digest, order_cert_digest
@@ -343,6 +344,46 @@ def test_malformed_booth_raises_on_every_call(world):
             decode_message(bad)
     assert bad not in messages._interned
     assert decode_message(raw).booth == booth
+
+
+def _with_arity(raw: bytes, good: list, bad: list) -> bytes:
+    """`raw` with the one packing of `good` in it swapped for `bad`."""
+    assert raw.count(pack(good)) == 1
+    return raw.replace(pack(good), pack(bad))
+
+
+def test_decode_rejects_a_fixed_list_of_the_wrong_arity(world):
+    pool, booth, material = world
+    entries = [certify_entry(pool, booth, material, i, make_batch(pool))
+               for i in range(2)]
+    commit, tx = _commit_msg(pool, booth, material, entries)
+    payload = commit_cert_digest(0, tx.tx_hash, booth.booth_hash)
+    unseen = PreCommitUnseen(
+        instance_id=1, sender=1, window_start_us=0, window_len_us=100_000,
+        tx_hash=tx.tx_hash, tx=tx, booth=booth, booth_hash=booth.booth_hash,
+        reply_sets=tuple((e.ordering_id, e.reply_set) for e in entries),
+        proposer_partial=_proposer_partial(pool, booth, payload))
+    oid, parts = unseen.reply_sets[1]
+    reply_set = [oid, [[p.signer, p.payload_digest, p.sig_bytes]
+                       for p in parts]]
+    key = booth.directory[0]
+    m = booth.members[0]
+    member = [m.node_id, m.role.value, m.verify_key, m.net_addr]
+    cert = commit.cert
+    body = [commit.window_start_us, list(commit.quorum), commit.booth_hash,
+            [cert.threshold, cert.sig_bytes, cert.signer_set_digest],
+            commit.tx_hash]
+    gossip = _gossip(pool, commit, tx, [(1, 2)]).encode()
+    pre_order = _pre_order(pool, booth).encode()
+    bad = [
+        _with_arity(unseen.encode(), reply_set, reply_set + [0]),
+        _with_arity(pre_order, list(key), [key[0]]),
+        _with_arity(pre_order, member, member[:3]),
+        _with_arity(gossip, body, body[:4]),
+    ]
+    for raw in bad:
+        with pytest.raises(ValueError):
+            decode_message(raw)
 
 
 def test_back_to_back_runs_report_identically(monkeypatch):

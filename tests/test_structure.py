@@ -13,6 +13,8 @@ behind `vguard.crypto`, the one module that owns signing.
 
 A receiver decodes bytes encoded in this process to the sender's own
 message object, so every class a message carries is a frozen dataclass.
+Each of them is a `codec.Wire`, whose layout is its field list, so no
+module writes a second, hand-made encoder or decoder for it.
 
 No linter runs on the sources, so two `ast` checks stand in for one: no
 module imports a name it never uses, and every function and method is
@@ -28,6 +30,7 @@ from pathlib import Path
 
 import vguard
 from vguard.booths import BoothProfile
+from vguard.codec import Wire
 from vguard.crypto import AggregateSignature, Identity, PartialSignature
 from vguard.ledger import MembershipLink, Transaction, TxEntry
 from vguard.messages import TraverseHop, _Message
@@ -95,14 +98,43 @@ def test_only_crypto_imports_ctypes():
     assert importers("ctypes") == {"crypto:ctypes"}
 
 
+CARRIED = [*_Message.__subclasses__(), BoothProfile, Identity,
+           PartialSignature, AggregateSignature, Transaction, TxEntry,
+           MembershipLink, TraverseHop]
+
+
 def test_message_contents_are_frozen_dataclasses():
-    carried = [*_Message.__subclasses__(), BoothProfile, Identity,
-               PartialSignature, AggregateSignature, Transaction, TxEntry,
-               MembershipLink, TraverseHop]
-    thawed = [cls.__name__ for cls in carried
+    thawed = [cls.__name__ for cls in CARRIED
               if not (dataclasses.is_dataclass(cls)
                       and cls.__dataclass_params__.frozen)]
     assert thawed == []
+
+
+# the types that keep their own bytes, and messages, which a carrier packs
+# as their body
+OWN_WIRE_FORM = {"DataBatch", "BoothProfile", "Transaction", "_Message"}
+
+
+def test_each_wire_layout_is_declared_once():
+    hand_made: list[str] = []
+    own_form: set[str] = set()
+    for path in SOURCES:
+        if path.stem == "codec":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef):
+                if any(isinstance(item, ast.FunctionDef)
+                       and item.name in ("to_field", "read_from")
+                       for item in node.body):
+                    own_form.add(node.name)
+            elif isinstance(node, ast.FunctionDef) and (
+                    node.name in ("body_fields", "read_body")
+                    or (node.name.startswith("_") and node.name.endswith(
+                        ("_to_field", "_read_from")))):
+                hand_made.append(f"{path.stem}:{node.name}")
+    assert hand_made == []
+    assert own_form <= OWN_WIRE_FORM
+    assert [cls.__name__ for cls in CARRIED if not issubclass(cls, Wire)] == []
 
 
 def test_no_module_imports_a_name_it_never_uses():
