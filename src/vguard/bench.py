@@ -47,10 +47,9 @@ class WallClock(Scheduler):
         heap = self._heap
         while heap and heap[0][0] <= until_ms:
             self._sleep_until(heap[0][0])
-            when, _, timer, fn = heapq.heappop(heap)
+            when, _, fn = heapq.heappop(heap)
             self.now = max(when, self._elapsed_ms())
-            if not timer.cancelled:
-                fn()
+            fn()
         self._sleep_until(until_ms)
         self.now = max(self.now, self._elapsed_ms())
 

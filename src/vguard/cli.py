@@ -68,10 +68,7 @@ def _spec_from_args(args: argparse.Namespace) -> RunSpec:
     if args.churn:
         spec = replace(spec, churn=tuple(load_churn_file(args.churn)))
     if args.byzantine:
-        byz = load_byzantine_file(args.byzantine)
-        spec = replace(spec, byzantine=tuple(
-            (node, tuple(str(b) for b in behaviors))
-            for node, behaviors in sorted(byz.items())))
+        spec = replace(spec, byzantine=load_byzantine_file(args.byzantine))
     return spec
 
 

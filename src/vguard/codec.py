@@ -25,7 +25,8 @@ declaration order, and `Wire` derives both its encoder and its decoder
 from the field annotations. A list of [u64, bytes] pairs, the shape of a
 batch's entry list and the bulk of the data on the wire, has a fast path
 both ways instead: `pack_pairs` and `Reader.skip_pairs` frame or check
-each pair in one struct step.
+each pair in one struct step. A layout of only `int` fields packs in one
+struct step too (`u64_packer`).
 """
 
 from __future__ import annotations
@@ -263,8 +264,8 @@ _READERS = {int: Reader.u64, bytes: Reader.bytes_, str: Reader.str_}
 
 
 def _layout(cls: type) -> tuple:
-    """(encode, readers) of a `Wire` class: encode maps a value to its
-    field list, and readers holds one read per field."""
+    """(encode, readers, u64 packer) of a `Wire` class: encode maps a
+    value to its field list, and readers holds one read per field."""
     layout = _LAYOUTS.get(cls)
     if layout is None:
         hints = get_type_hints(cls)
@@ -280,8 +281,30 @@ def _layout(cls: type) -> tuple:
                 out[i] = enc(out[i])
             return out
 
-        layout = _LAYOUTS[cls] = (encode, [read for _, read in codecs])
+        frame = struct.Struct(">" + "cQ" * len(names)).pack
+        tags = [b"I"] * (2 * len(names))
+
+        def pack_u64s(value) -> bytes:
+            fields = get(value)
+            if {int}.issuperset(map(type, fields)):      # no bool, for one
+                args = tags.copy()
+                args[1::2] = fields
+                try:
+                    return frame(*args)
+                except struct.error:                     # outside u64
+                    pass
+            return pack(*fields)        # packs, or raises as it always does
+
+        u64s = {hints[name] for name in names} == {int}
+        layout = _LAYOUTS[cls] = (encode, [read for _, read in codecs],
+                                  pack_u64s if u64s else None)
     return layout
+
+
+def u64_packer(cls: type):
+    """For a `Wire` class whose fields are all `int`, a function that packs
+    a value's fields as `pack` would, in one struct step; else None."""
+    return _layout(cls)[2]
 
 
 def _codec(tp) -> tuple:

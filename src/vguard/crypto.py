@@ -5,7 +5,9 @@ Two trust anchors coexist:
 * Every node has a long-lived Ed25519 identity key registered with the
   global key service. Anyone can verify an individual signature.
 * Every booth additionally gets a directory of booth-local Ed25519 keys,
-  dealt at composition time. A quorum certificate aggregates booth-local
+  dealt at composition time: each member's seed becomes a `SigningKey`
+  once, the directory takes its verify key, and `KeyService.booth_share`
+  hands that key to the member. A quorum certificate aggregates booth-local
   signatures, so only holders of a dealt share can contribute, and the
   certificate binds exactly which members signed. Outsiders can run the
   math on a directory that reaches them, but nothing anchors it, which is
@@ -260,13 +262,15 @@ class BoothKeyMaterial:
 
     directory is public within the protocol (it rides along in booth
     profiles); share_seeds are dealt member-by-member and never leave the
-    key service in serialized form.
+    key service in serialized form; share_keys holds their `SigningKey`s.
     """
 
     threshold: int
     member_ids: tuple[int, ...]           # sorted ascending
     directory: Mapping[int, bytes]        # node_id -> booth-local verify key
     share_seeds: Mapping[int, bytes] = field(repr=False, default_factory=dict)
+    share_keys: Mapping[int, SigningKey] = field(
+        repr=False, compare=False, default_factory=dict)
 
 
 def setup_booth_keys(member_ids: Sequence[int], threshold: int,
@@ -284,16 +288,12 @@ def setup_booth_keys(member_ids: Sequence[int], threshold: int,
     if not 2 * fault_budget <= threshold <= size:
         raise InvalidThreshold(
             f"threshold {threshold} outside [2f={2 * fault_budget}, n={size}]")
-    directory: dict[int, bytes] = {}
-    seeds: dict[int, bytes] = {}
-    for member in members:
-        seed = seed_source.bytes(KEY_LEN)
-        seeds[member] = seed
-        directory[member] = (
-            Ed25519PrivateKey.from_private_bytes(seed).public_key().public_bytes_raw()
-        )
-    return BoothKeyMaterial(threshold=threshold, member_ids=members,
-                            directory=directory, share_seeds=seeds)
+    seeds = {member: seed_source.bytes(KEY_LEN) for member in members}
+    keys = {member: SigningKey(member, seed) for member, seed in seeds.items()}
+    return BoothKeyMaterial(
+        threshold=threshold, member_ids=members,
+        directory={member: key.verify_key for member, key in keys.items()},
+        share_seeds=seeds, share_keys=keys)
 
 
 def signer_set_digest(signers: Iterable[int]) -> bytes:
@@ -415,7 +415,6 @@ class KeyService:
     def __init__(self):
         self.identities: dict[int, Identity] = {}
         self._materials: dict[bytes, BoothKeyMaterial] = {}
-        self._share_keys: dict[tuple[bytes, int], SigningKey] = {}
 
     def register(self, identity: Identity) -> None:
         self.identities[identity.node_id] = identity
@@ -435,15 +434,5 @@ class KeyService:
     def booth_share(self, booth_id: bytes, node_id: int) -> Optional[SigningKey]:
         """The member's booth-local signing key, or None for non-members.
         Its `verify_key` is the member's entry in the booth directory."""
-        cached = self._share_keys.get((booth_id, node_id))
-        if cached is not None:
-            return cached
         material = self._materials.get(booth_id)
-        if material is None:
-            return None
-        seed = material.share_seeds.get(node_id)
-        if seed is None:
-            return None
-        key = SigningKey(node_id, seed)
-        self._share_keys[(booth_id, node_id)] = key
-        return key
+        return None if material is None else material.share_keys.get(node_id)

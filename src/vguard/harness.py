@@ -29,7 +29,7 @@ from .gossip import GossipConfig
 from .ledger import ChainCheck, DataBatch, Ledger, verify_chain
 from .mmu import MembershipUnit, MmuConfig
 from .netsim import (Category, ChurnEvent, Network, NodeEnv, SimConfig,
-                     churn_events)
+                     byzantine_schedule, churn_events)
 from .node import MetricSink, NodeRuntime, ProtocolConfig
 from .storage import RetentionPolicy, StorageMaster
 
@@ -477,19 +477,29 @@ def load_spec_file(path: Path) -> RunSpec:
 
 
 def spec_from_dict(data: dict) -> RunSpec:
+    """RunSpec from a JSON object; `byzantine` maps node ids to behavior
+    lists, or is a list as in a `--byzantine` file."""
+    if not isinstance(data, dict):
+        raise ConfigInvalid("a spec must be a JSON object")
     kwargs = dict(data)
-    if "sim" in kwargs and isinstance(kwargs["sim"], dict):
-        kwargs["sim"] = SimConfig.from_dict({"seed": 0, **kwargs["sim"]})
-    if "protocol" in kwargs and isinstance(kwargs["protocol"], dict):
-        kwargs["protocol"] = ProtocolConfig(**kwargs["protocol"])
-    if "mmu" in kwargs and isinstance(kwargs["mmu"], dict):
-        kwargs["mmu"] = MmuConfig(**kwargs["mmu"])
+    for name, build in (("sim", lambda d: SimConfig.from_dict({"seed": 0, **d})),
+                        ("protocol", lambda d: ProtocolConfig(**d)),
+                        ("mmu", lambda d: MmuConfig(**d))):
+        if name in kwargs:
+            if not isinstance(kwargs[name], dict):
+                raise ConfigInvalid(f"spec field {name!r} must be a JSON object")
+            try:
+                kwargs[name] = build(kwargs[name])
+            except TypeError as exc:
+                raise ConfigInvalid(f"spec field {name!r}: {exc}") from None
     if "churn" in kwargs and kwargs["churn"]:
         kwargs["churn"] = tuple(churn_events(kwargs["churn"]))
-    if "byzantine" in kwargs and isinstance(kwargs["byzantine"], dict):
-        kwargs["byzantine"] = tuple(
-            (int(node), tuple(behaviors))
-            for node, behaviors in sorted(kwargs["byzantine"].items()))
+    byzantine = kwargs.get("byzantine")
+    if isinstance(byzantine, dict):
+        byzantine = [{"node_id": node, "behaviors": behaviors}
+                     for node, behaviors in byzantine.items()]
+    if byzantine:
+        kwargs["byzantine"] = byzantine_schedule(byzantine)
     unknown = set(kwargs) - set(RunSpec.__dataclass_fields__)
     if unknown:
         raise ConfigInvalid(f"unknown spec fields: {sorted(unknown)}")

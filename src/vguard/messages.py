@@ -38,7 +38,7 @@ from dataclasses import dataclass, fields, replace
 from typing import ClassVar
 
 from .booths import BoothProfile
-from .codec import pack, Reader, digest, Wire
+from .codec import pack, Reader, digest, u64_packer, Wire
 from .crypto import AggregateSignature, PartialSignature
 from .ledger import DataBatch, Transaction
 
@@ -62,7 +62,9 @@ class _Message(Wire):
         wire = self.__dict__.get("_wire")
         if wire is None:
             # every field, instance and sender too, one after another
-            wire = bytes((WIRE_VERSION, self.TAG)) + pack(*super().to_field())
+            packer = u64_packer(type(self))
+            wire = bytes((WIRE_VERSION, self.TAG)) + (
+                packer(self) if packer else pack(*super().to_field()))
             object.__setattr__(self, "_wire", wire)
             _intern(wire, self)
         return wire

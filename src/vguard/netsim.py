@@ -1,13 +1,16 @@
 """Deterministic network and CPU simulation.
 
 Reference mode is a single-threaded discrete-event loop: every delivery and
-timer is a heap event ordered by (time, insertion sequence), so equal seeds
-replay byte-identically. Each node is modeled as a single-server CPU queue:
-a handler starts at max(arrival, busy_until) and charges a service time
+timer is a heap entry (time, insertion sequence, callback), so equal seeds
+replay byte-identically; only node timers can be cancelled, and they carry
+their own `Timer`. Each node is modeled as a single-server CPU queue: a
+handler starts at max(arrival, busy_until) and charges a service time
 derived from counted work (signatures, hashing, wire bytes); its outbound
-sends and timers take effect at completion. Dissemination traffic (gossip
-and acks) runs on a separate lane with zero CPU charge and its own RNG
-streams, so enabling gossip cannot perturb the consensus path.
+sends and timers take effect at completion. A send's wire cost is computed
+once: the sender's charge and the receiver's preload are that one value.
+Dissemination traffic (gossip and acks) runs on a separate lane with zero
+CPU charge and its own RNG streams, so enabling gossip cannot perturb the
+consensus path.
 
 An invocation that finds its node's CPU busy joins the node's run queue, a
 FIFO served by at most one heap "wake" event at the node's busy_until; so
@@ -28,7 +31,10 @@ at busy_until on its own:
 Fault injection: per-message drops and duplicates, optional per-link FIFO,
 node churn (down nodes neither send nor receive), a global stabilization
 time after which delays clamp to a bound and losses stop, and Byzantine
-behavior registration consumed by the node runtime.
+behavior registration consumed by the node runtime. Each lane's delay and
+fault streams serve one distribution each, so they are drawn `LANE_BLOCK`
+values at a time: `Generator.normal(m, s, size=n)` and `random(size=n)`
+yield the values of n scalar calls, in the same order.
 """
 
 from __future__ import annotations
@@ -132,25 +138,20 @@ class Scheduler:
 
     def __init__(self):
         self.now: float = 0.0
-        self._heap: list[tuple[float, int, Timer, Callable[[], None]]] = []
+        self._heap: list[tuple[float, int, Callable[[], None]]] = []
         self._seq = itertools.count()
 
-    def at(self, when_ms: float, fn: Callable[[], None]) -> Timer:
+    def at(self, when_ms: float, fn: Callable[[], None]) -> None:
         if when_ms < self.now:
             when_ms = self.now
-        timer = Timer()
-        heapq.heappush(self._heap, (when_ms, next(self._seq), timer, fn))
-        return timer
-
-    def after(self, delay_ms: float, fn: Callable[[], None]) -> Timer:
-        return self.at(self.now + max(delay_ms, 0.0), fn)
+        heapq.heappush(self._heap, (when_ms, next(self._seq), fn))
 
     def run_until(self, until_ms: float) -> None:
-        while self._heap and self._heap[0][0] <= until_ms:
-            when, _, timer, fn = heapq.heappop(self._heap)
+        heap, pop = self._heap, heapq.heappop
+        while heap and heap[0][0] <= until_ms:
+            when, _, fn = pop(heap)
             self.now = when
-            if not timer.cancelled:
-                fn()
+            fn()
         self.now = max(self.now, until_ms)
 
     def clear(self) -> None:
@@ -242,18 +243,23 @@ class ByzantineBehavior(str, Enum):
         raise ConfigInvalid(f"unknown byzantine behavior {value!r}; known: {known}")
 
 
-def load_byzantine_file(path) -> dict[int, list[ByzantineBehavior]]:
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    out: dict[int, list[ByzantineBehavior]] = {}
+def byzantine_schedule(data) -> tuple[tuple[int, tuple[str, ...]], ...]:
+    """A JSON list of {node_id, behaviors} objects as `RunSpec.byzantine`:
+    (node, behaviors) pairs in node order."""
+    out: dict[int, tuple[str, ...]] = {}
     for obj in _json_objects(data, "a byzantine schedule"):
         try:
-            out[int(obj["node_id"])] = [ByzantineBehavior(b)
-                                        for b in obj["behaviors"]]
+            out[int(obj["node_id"])] = tuple(str(ByzantineBehavior(b))
+                                             for b in obj["behaviors"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigInvalid(
                 f"byzantine entry needs a node_id and a behaviors list: {obj}") from exc
-    return out
+    return tuple(sorted(out.items()))
+
+
+def load_byzantine_file(path) -> tuple[tuple[int, tuple[str, ...]], ...]:
+    with open(path, "r", encoding="utf-8") as fh:
+        return byzantine_schedule(json.load(fh))
 
 
 class _RunQueue:
@@ -272,13 +278,23 @@ class _RunQueue:
         self.ahead = 0
 
 
-class _Lane:
-    """Per-group RNG pair: one stream for delays, one for loss faults."""
+LANE_BLOCK = 512
 
-    def __init__(self, seed_seq: np.random.SeedSequence):
-        delay_seed, fault_seed = seed_seq.spawn(2)
-        self.delays = np.random.Generator(np.random.PCG64(delay_seed))
-        self.faults = np.random.Generator(np.random.PCG64(fault_seed))
+
+def _stream(draw: Callable[[], np.ndarray]) -> Callable[[], float]:
+    """The next value of an endless stream that `draw` makes in blocks."""
+    blocks = iter(lambda: draw().tolist(), None)
+    return itertools.chain.from_iterable(blocks).__next__
+
+
+def _lane(seed_seq: np.random.SeedSequence, mean_ms: float,
+          sd_ms: float) -> tuple[Callable[[], float], Callable[[], float]]:
+    """One group's (delay, fault) streams: normal delays and uniform fault
+    draws, each from its own generator, `LANE_BLOCK` values at a time."""
+    delays, faults = (np.random.Generator(np.random.PCG64(seed))
+                      for seed in seed_seq.spawn(2))
+    return (_stream(partial(delays.normal, mean_ms, sd_ms, LANE_BLOCK)),
+            _stream(partial(faults.random, LANE_BLOCK)))
 
 
 class Network:
@@ -288,16 +304,12 @@ class Network:
     def __init__(self, config: SimConfig, sched: Optional[Scheduler] = None):
         self.config = config
         self.sched = sched or Scheduler()
-        root = np.random.SeedSequence(config.seed)
-        proto_seq, ping_seq, aux_seq, _ = root.spawn(4)
-        self._lanes = {
-            "protocol": _Lane(proto_seq),
-            "ping": _Lane(ping_seq),
-            "aux": _Lane(aux_seq),
-        }
-        self._lane_of = {category: self._lanes[
-            "aux" if category in _AUX else "ping" if category in _PING
-            else "protocol"] for category in Category}
+        protocol, ping, aux = (
+            _lane(seq, config.delay_mean_ms, config.delay_sd_ms)
+            for seq in np.random.SeedSequence(config.seed).spawn(4)[:3])
+        self._lane_of = {category: aux if category in _AUX else
+                         ping if category in _PING else protocol
+                         for category in Category}
         self._tracing = config.trace
         self._handlers: dict[int, Callable[[int, bytes, Category], None]] = {}
         self._up: dict[int, bool] = {}
@@ -310,9 +322,9 @@ class Network:
         self.counters: dict[tuple[str, object], int] = {}
         self.delivered: dict[str, int] = {}
         self.trace: list[dict] = []
-        # pending effects of the handler currently executing, per node
+        # pending effects of the handler executing now (handlers never nest)
         self._active_node: Optional[int] = None
-        self._deferred_sends: list[tuple[int, int, bytes, Category, object]] = []
+        self._deferred_sends: list[tuple] = []     # send's arguments, wire cost
         self._deferred_timers: list[tuple[float, Callable[[], None], Timer]] = []
 
     # -- membership of the simulation ------------------------------------
@@ -360,78 +372,71 @@ class Network:
         src, the send takes effect when that handler's service completes."""
         if dst not in self._handlers:
             raise UnknownEndpoint(f"no endpoint for node {dst}")
+        send = (src, dst, payload, category, instance_key,
+                self.config.cost.wire_cost(len(payload)))
         if self._active_node == src:
-            self._deferred_sends.append((src, dst, payload, category, instance_key))
+            self._deferred_sends.append(send)
         else:
-            self._dispatch_send(self.sched.now, src, dst, payload, category,
-                                instance_key)
+            self._dispatch_send(self.sched.now, *send)
 
     def _dispatch_send(self, at_ms: float, src: int, dst: int, payload: bytes,
-                       category: Category, instance_key: object) -> None:
-        tracing = self._tracing
+                       category: Category, instance_key: object,
+                       wire_cost: float) -> None:
+        note = self._tracing and partial(self._trace, src=src, dst=dst,
+                                         category=category, size=len(payload),
+                                         instance_key=instance_key)
         if not self._up.get(src, False):
-            if tracing:
-                self._trace("send_suppressed", src, dst, category,
-                            len(payload), instance_key)
+            if note:
+                note("send_suppressed")
             return
-        self._count(category, instance_key)
-        if tracing:
-            self._trace("send", src, dst, category, len(payload), instance_key)
+        key = (_NAMES[category], instance_key)
+        self.counters[key] = self.counters.get(key, 0) + 1
+        if note:
+            note("send")
         config = self.config
-        lane = self._lane_of[category]
-        post_gst = (config.gst_ms is not None and at_ms >= config.gst_ms)
-        if not post_gst:
-            if config.drop_rate and lane.faults.random() < config.drop_rate:
-                if tracing:
-                    self._trace("drop", src, dst, category, len(payload),
-                                instance_key)
-                return
-        arrivals = [self._sample_arrival(at_ms, lane, len(payload), post_gst)]
-        if not post_gst and config.dup_rate and \
-                lane.faults.random() < config.dup_rate:
-            arrivals.append(self._sample_arrival(at_ms, lane, len(payload), post_gst))
-            if tracing:
-                self._trace("dup", src, dst, category, len(payload),
-                            instance_key)
-        for arrival in arrivals:
+        next_delay, next_fault = self._lane_of[category]
+        faulty = config.gst_ms is None or at_ms < config.gst_ms
+        copies = 1
+        if faulty and config.drop_rate and next_fault() < config.drop_rate:
+            if note:
+                note("drop")
+            return
+        if faulty and config.dup_rate and next_fault() < config.dup_rate:
+            copies = 2
+            if note:
+                note("dup")
+        deliver = partial(self._deliver, src, dst, payload, category,
+                          instance_key, wire_cost)
+        for _ in range(copies):
+            delay = max(next_delay() if config.delay_sd_ms > 0
+                        else config.delay_mean_ms, 0.0)
+            if not faulty:
+                delay = min(delay, config.gst_bound_ms)
+            if config.bandwidth_bytes_per_ms:
+                delay += len(payload) / config.bandwidth_bytes_per_ms
+            arrival = at_ms + delay
             if not config.reorder:
-                key = (src, dst)
-                arrival = max(arrival, self._last_arrival.get(key, 0.0))
-                self._last_arrival[key] = arrival
-            self.sched.at(arrival, partial(self._deliver, src, dst, payload,
-                                           category, instance_key))
-
-    def _sample_arrival(self, at_ms: float, lane: _Lane, size: int,
-                        post_gst: bool) -> float:
-        delay = lane.delays.normal(self.config.delay_mean_ms, self.config.delay_sd_ms) \
-            if self.config.delay_sd_ms > 0 else self.config.delay_mean_ms
-        delay = max(float(delay), 0.0)
-        if post_gst:
-            delay = min(delay, self.config.gst_bound_ms)
-        if self.config.bandwidth_bytes_per_ms:
-            delay += size / self.config.bandwidth_bytes_per_ms
-        return at_ms + delay
+                arrival = max(arrival, self._last_arrival.get((src, dst), 0.0))
+                self._last_arrival[src, dst] = arrival
+            self.sched.at(arrival, deliver)
 
     # -- delivery and CPU accounting --------------------------------------
 
     def _deliver(self, src: int, dst: int, payload: bytes, category: Category,
-                 instance_key: object) -> None:
-        if not self._up.get(dst, False):
-            if self._tracing:
-                self._trace("drop_down", src, dst, category, len(payload),
-                            instance_key)
+                 instance_key: object, wire_cost: float) -> None:
+        up = self._up.get(dst, False)
+        if self._tracing:
+            self._trace("deliver" if up else "drop_down", src, dst, category,
+                        len(payload), instance_key)
+        if not up:
             return
         handler = self._handlers[dst]
-        if self._tracing:
-            self._trace("deliver", src, dst, category, len(payload),
-                        instance_key)
         name = _NAMES[category]
         self.delivered[name] = self.delivered.get(name, 0) + 1
         if category in _AUX:
             # dissemination lane: no CPU contention
             handler(src, payload, category)
             return
-        wire_cost = self.config.cost.wire_cost(len(payload))
         self._invoke(dst, partial(handler, src, payload, category), wire_cost)
 
     def _invoke(self, node_id: int, fn: Callable[[], None],
@@ -457,26 +462,22 @@ class Network:
             return
         meter = self._meters[node_id]
         meter.reset()
-        prev_active = self._active_node
-        prev_sends, prev_timers = self._deferred_sends, self._deferred_timers
         self._active_node = node_id
-        self._deferred_sends, self._deferred_timers = [], []
+        sends, timers = self._deferred_sends, self._deferred_timers = [], []
         try:
             fn()
         finally:
-            sends, timers = self._deferred_sends, self._deferred_timers
-            self._active_node = prev_active
-            self._deferred_sends, self._deferred_timers = prev_sends, prev_timers
-        wire_out = sum(self.config.cost.wire_cost(len(p))
-                       for _, _, p, c, _ in sends if c not in _AUX)
+            self._active_node = None
+        wire_out = sum([send[5] for send in sends if send[3] not in _AUX])
         cost = self.config.cost.base_ms + preload_ms + wire_out \
             + meter.drain(self.config.cost)
         done = self.sched.now + cost
         self._busy[node_id] = done
-        for src, dst, payload, category, key in sends:
-            self._dispatch_send(done, src, dst, payload, category, key)
+        for send in sends:
+            self._dispatch_send(done, *send)
         for delay, timer_fn, timer in timers:
-            self._schedule_at(node_id, done + delay, timer_fn, timer)
+            self.sched.at(done + delay, partial(self._fire, node_id, timer_fn,
+                                                timer))
 
     def _wake(self, node_id: int) -> None:
         """The node's CPU was due to be free: hand the head of its run queue
@@ -504,17 +505,13 @@ class Network:
                  fn: Callable[[], None]) -> Timer:
         """One-shot timer owned by a node; skipped if the node is down when
         it fires, queued behind the node's CPU like any other event."""
-        if self._active_node == node_id:
-            timer = Timer()
-            self._deferred_timers.append((max(delay_ms, 0.0), fn, timer))
-            return timer
         timer = Timer()
-        self._schedule_at(node_id, self.sched.now + max(delay_ms, 0.0), fn, timer)
+        if self._active_node == node_id:
+            self._deferred_timers.append((max(delay_ms, 0.0), fn, timer))
+        else:
+            self.sched.at(self.sched.now + max(delay_ms, 0.0),
+                          partial(self._fire, node_id, fn, timer))
         return timer
-
-    def _schedule_at(self, node_id: int, when_ms: float, fn: Callable[[], None],
-                     timer: Timer) -> None:
-        self.sched.at(when_ms, partial(self._fire, node_id, fn, timer))
 
     def _fire(self, node_id: int, fn: Callable[[], None], timer: Timer) -> None:
         if not timer.cancelled:
@@ -541,10 +538,6 @@ class Network:
                                     when))
 
     # -- bookkeeping -------------------------------------------------------
-
-    def _count(self, category: Category, instance_key: object) -> None:
-        key = (_NAMES[category], instance_key)
-        self.counters[key] = self.counters.get(key, 0) + 1
 
     def totals_by_category(self) -> dict[str, int]:
         out: dict[str, int] = {}
@@ -612,10 +605,6 @@ class NodeEnv:
     @property
     def meter(self) -> CostMeter:
         return self.net.meter(self.node_id)
-
-    def send(self, dst: int, payload: bytes, category: Category,
-             instance_key: object = None) -> None:
-        self.net.send(self.node_id, dst, payload, category, instance_key)
 
     def after(self, delay_ms: float, fn: Callable[[], None]) -> Timer:
         return self.net.schedule(self.node_id, delay_ms, fn)

@@ -22,7 +22,7 @@ from .consensus import ConsensusCoordinator, ValidatorConsensus
 from .crypto import KeyService, SigningKey, make_partial
 from .errors import RejectReason
 from .gossip import GossipAgent, GossipConfig
-from .ledger import DataBatch, DataEntry, Ledger, TotalOrderLog, order_cert_digest
+from .ledger import DataBatch, Ledger, TotalOrderLog, order_cert_digest
 from .messages import (CommitMsg, CommitReply, GossipAck, GossipMsg, OrderMsg,
                        OrderReply, Ping, Pong, PreCommitSeen, PreCommitUnseen,
                        PreOrder, TraverseHop, decode_message, traverse_digest)
@@ -239,10 +239,12 @@ def _tamper(msg: PreOrder) -> PreOrder:
 
 
 def _flip_first_byte(batch: DataBatch) -> DataBatch:
-    entry = batch.entries[0]
-    payload = bytes([entry.payload[0] ^ 0xFF]) + entry.payload[1:]
-    return DataBatch(entries=(DataEntry(entry.origin_seq, payload),
-                              *batch.entries[1:]))
+    """The first byte of the first payload inverted, in the packed bytes:
+    5 of list header, then 19 of pair framing ending in the payload length.
+    An empty payload has its origin seq's low byte (18) inverted instead."""
+    packed = bytearray(batch.packed)
+    packed[24 if any(packed[20:24]) else 18] ^= 0xFF
+    return DataBatch._of(bytes(packed), batch.count)
 
 
 class NodeRuntime:
@@ -283,7 +285,8 @@ class NodeRuntime:
         pairs = [(dst, msg)] if self.actor is None else \
             self.actor.transform(dst, msg)
         for to, out in pairs:
-            self.env.send(to, out.encode(), category, instance_key)
+            self.env.net.send(self.node_id, to, out.encode(), category,
+                              instance_key)
 
     def _send_gossip(self, dst: int, msg) -> None:
         category = Category.ACK if isinstance(msg, GossipAck) else Category.GOSSIP

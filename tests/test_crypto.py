@@ -328,6 +328,30 @@ def test_foreign_and_garbage_signatures_get_real_checks(real_checks):
     assert key.sign(payload) == foreign     # deterministic: the same bytes
 
 
+def test_booth_keys_are_derived_once_when_dealt(monkeypatch):
+    derived = []
+    real = crypto.Ed25519PrivateKey.from_private_bytes
+
+    class Counting:
+        @staticmethod
+        def from_private_bytes(seed):
+            derived.append(seed)
+            return real(seed)
+
+    monkeypatch.setattr(crypto, "Ed25519PrivateKey", Counting)
+    material = setup_booth_keys([1, 2, 3, 4], 2, _rng(7))
+    assert sorted(derived) == sorted(material.share_seeds.values())
+    registry = KeyService()
+    registry.install_booth(b"booth", material)
+    derived.clear()
+    for member in material.member_ids:
+        key = registry.booth_share(b"booth", member)
+        assert key is material.share_keys[member]
+        assert key.verify_key == material.directory[member] == \
+            real(material.share_seeds[member]).public_key().public_bytes_raw()
+    assert derived == []
+
+
 def test_booth_share_verifies_under_the_directory(pool4, booth4):
     booth, material = booth4
     for member in material.member_ids:

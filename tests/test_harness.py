@@ -16,10 +16,12 @@ import pytest
 
 from vguard import cli, crypto, messages, node
 from vguard.bench import run_benchmark
+from vguard.codec import Reader, pack
 from vguard.errors import ConfigInvalid
 from vguard.harness import (RunSpec, draw_payloads, load_spec_file,
                             plan_instances, run, seed_for_cell, spec_from_dict,
                             sweep, write_artifacts)
+from vguard.ledger import DataBatch, DataEntry
 from vguard.netsim import ChurnEvent, SimConfig
 
 
@@ -222,6 +224,31 @@ def test_byzantine_forgery_is_made_once_per_message(behavior, monkeypatch):
         assert forged and all(f is forged[0] for f in forged)
 
 
+def _flip_by_repacking(batch: DataBatch) -> DataBatch:
+    """The forgery as a parse of the batch, a new first entry and a repack."""
+    entry = batch.entries[0]
+    payload = bytes([entry.payload[0] ^ 0xFF]) + entry.payload[1:]
+    return DataBatch(entries=(DataEntry(entry.origin_seq, payload),
+                              *batch.entries[1:]))
+
+
+@pytest.mark.parametrize("size", [*range(1, 10), *range(62, 67)])
+@pytest.mark.parametrize("count", [1, 3, 64])
+def test_forgery_edits_the_packed_bytes_as_a_repack_would(size, count):
+    batch = DataBatch.from_payloads(
+        2**40 + 7, draw_payloads(np.random.default_rng(size), count, size))
+    forged = node._flip_first_byte(batch)
+    assert forged == _flip_by_repacking(batch)
+    assert len(forged) == count
+
+
+def test_forgery_of_an_empty_first_payload_flips_its_origin_seq():
+    batch = DataBatch.from_payloads(5, [b"", b"ab"])
+    forged = node._flip_first_byte(batch)
+    assert forged.entries == (DataEntry(5 ^ 0xFF, b""), DataEntry(6, b"ab"))
+    assert DataBatch.read_from(Reader(pack(forged.to_field()))) == forged
+
+
 def test_saturation_keeps_pipe_full():
     result = run(small_spec(rate_per_s=None, duration_ms=300.0))
     inst = result.report["instances"][0]
@@ -400,6 +427,37 @@ def test_cli_rejects_bad_schedule_files(tmp_path, capsys, flag, entries):
     path.write_text(json.dumps(entries))
     assert cli.main(["run", "--duration-ms", "200", flag, str(path)]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("data", [[1, 2], {"sim": [1]}, {"protocol": 3},
+                                  {"mmu": "deep"}, {"protocol": {"bogus": 1}},
+                                  {"sim": {"cost": 5}}],
+                         ids=["list", "sim-list", "protocol-int", "mmu-str",
+                              "protocol-unknown-field", "sim-cost-int"])
+def test_cli_rejects_spec_files_of_the_wrong_shape(tmp_path, capsys, data):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(data))
+    assert cli.main(["run", "--duration-ms", "200", "--spec", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_spec_takes_byzantine_in_the_schedule_file_form():
+    listed = spec_from_dict(
+        {"byzantine": [{"node_id": 3, "behaviors": ["silent"]}]})
+    keyed = spec_from_dict({"byzantine": {"3": ["silent"]}})
+    assert listed.byzantine == keyed.byzantine == ((3, ("silent",)),)
+    with pytest.raises(ConfigInvalid):
+        spec_from_dict({"byzantine": [{"node_id": 3}]})
+
+
+def test_tampering_proposer_runs_with_empty_payloads(tmp_path, capsys):
+    """With no payload byte to flip, the forgery still makes a batch."""
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({
+        "payload_bytes": 0, "duration_ms": 100.0, "grace_ms": 100.0,
+        "byzantine": {"2": ["tamper_payload"]}}))
+    assert cli.main(["run", "--spec", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["audits_ok"]
 
 
 def test_churn_entries_read_status_or_up():

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (certify_entry, commit_window, default_quorum,
                       fresh_profile, make_batch, make_booth, make_pool)
-from vguard import harness, messages, node
+from vguard import codec, harness, messages, node
 from vguard.codec import pack
 from vguard.netsim import SimConfig
 from vguard.crypto import Role, make_partial
@@ -148,6 +148,42 @@ def test_gossip_roundtrip(world):
 def test_ping_pong_roundtrip():
     roundtrip(Ping(instance_id=0, sender=2, seq=9, sent_at_us=123_456))
     roundtrip(Pong(instance_id=0, sender=3, seq=9, sent_at_us=123_456))
+
+
+class _Seq(int):
+    """An int subclass: `pack` takes it as an int."""
+
+
+@pytest.mark.parametrize("cls", [Ping, Pong])
+@pytest.mark.parametrize("values", [(0, 0, 0, 0), (1, 2, 3, 4),
+                                    (2**64 - 1, 7, 2**63, 1),
+                                    (1, 2, _Seq(5), 4)])
+def test_all_u64_messages_pack_as_pack_does(cls, values):
+    msg = cls(*values)
+    assert msg.encode() == bytes((WIRE_VERSION, cls.TAG)) + pack(*values)
+    assert messages._parse(msg.encode()) == msg
+
+
+@pytest.mark.parametrize("bad", [True, False, -1, 2**64, 1.5, None])
+def test_all_u64_messages_reject_what_pack_rejects(bad):
+    with pytest.raises((TypeError, ValueError)) as expected:
+        pack(1, 2, bad, 4)
+    with pytest.raises(expected.type) as got:
+        Ping(1, 2, bad, 4).encode()
+    assert str(got.value) == str(expected.value)
+
+
+def test_all_u64_layouts_pack_in_one_struct_step(monkeypatch):
+    def no_pack(*fields):
+        raise AssertionError("packed field by field")
+
+    monkeypatch.setattr(codec, "pack", no_pack)
+    monkeypatch.setattr(messages, "pack", no_pack)
+    assert Pong(3, 4, 5, 6).encode() == bytes((WIRE_VERSION, Pong.TAG)) + b"".join(
+        b"I" + v.to_bytes(8, "big") for v in (3, 4, 5, 6))
+    assert codec.u64_packer(Ping) is not None
+    assert codec.u64_packer(TraverseHop) is None          # carries bytes
+    assert codec.u64_packer(OrderReply) is None
 
 
 def test_decode_rejects_short_and_bad_header():

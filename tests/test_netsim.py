@@ -10,12 +10,13 @@ from __future__ import annotations
 import time
 from functools import partial
 
+import numpy as np
 import pytest
 
 from vguard.bench import WallClock
 from vguard.errors import UnknownEndpoint
-from vguard.netsim import (Category, ChurnEvent, CostModel, Network,
-                           Scheduler, SimConfig)
+from vguard.netsim import (LANE_BLOCK, Category, ChurnEvent, CostModel,
+                           Network, Scheduler, SimConfig, _lane)
 
 # Nothing costs service time but what a handler bills through `charge_ms`,
 # which counts each billed millisecond as one 1 ms signature.
@@ -160,6 +161,28 @@ def test_aux_lane_bypasses_cpu_queue():
     net.run_until(20.0)
     # the control message is not queued behind any phantom gossip cost
     assert times == [1.0]
+
+
+@pytest.mark.parametrize("mean, sd", [(1.0, 0.2), (0.8, 1.2), (2.5, 0.2),
+                                      (1.65, 0.7), (0.05, 3.0), (40.0, 0.001)])
+def test_lane_draws_in_blocks_what_scalar_draws_would(mean, sd):
+    """A lane's streams give the values of one scalar `Generator` call per
+    message, in order, across block boundaries and whatever the other
+    stream has drawn. The scalar loop is the reference."""
+    count = 2 * LANE_BLOCK + 7
+    next_delay, next_fault = _lane(np.random.SeedSequence(41), mean, sd)
+    delay_seed, fault_seed = np.random.SeedSequence(41).spawn(2)
+    delays = np.random.Generator(np.random.PCG64(delay_seed))
+    faults = np.random.Generator(np.random.PCG64(fault_seed))
+    got_delays, got_faults = [], []
+    for i in range(count):
+        got_delays.append(next_delay())
+        if i % 3:
+            got_faults.append(next_fault())
+    assert got_delays == [delays.normal(mean, sd) for _ in range(count)]
+    assert got_faults == [faults.random() for _ in range(len(got_faults))]
+    assert len(got_faults) > LANE_BLOCK
+    assert all(type(v) is float for v in got_delays + got_faults)
 
 
 def test_same_seed_identical_trace_different_seed_diverges():

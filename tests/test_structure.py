@@ -20,20 +20,30 @@ No linter runs on the sources, so two `ast` checks stand in for one: no
 module imports a name it never uses, and every function and method is
 referenced from `vguard` or from `perfbench`, the benchmark that drives it.
 API kept for its tests alone is dead code to a reader of the sources.
+
+The benchmark's tracer (`perfbench/tracer.py`) patches functions and
+methods of the sources by name. A rename it does not follow breaks only the
+traced benchmark run, so one short traced run is checked here: the tracer
+covers every binding it needs, records spans in each layer it names, and
+leaves the run's report as it was.
 """
 
 from __future__ import annotations
 
 import ast
 import dataclasses
+import importlib.util
+import json
 from pathlib import Path
 
 import vguard
+from vguard import harness
 from vguard.booths import BoothProfile
 from vguard.codec import Wire
 from vguard.crypto import AggregateSignature, Identity, PartialSignature
 from vguard.ledger import MembershipLink, Transaction, TxEntry
 from vguard.messages import TraverseHop, _Message
+from vguard.netsim import SimConfig
 
 SOURCES = sorted(Path(vguard.__file__).parent.glob("*.py"))
 PERFBENCH = sorted((Path(__file__).resolve().parent.parent / "perfbench")
@@ -197,3 +207,37 @@ def test_every_function_is_referenced_from_the_sources_or_perfbench():
     for path in SOURCES:
         visit(ast.parse(path.read_text(encoding="utf-8")), (), path.stem)
     assert unreferenced == UNREFERENCED_API
+
+
+def _load_tracer():
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_tracer_covers_the_sources_and_changes_no_report():
+    tracer_mod = _load_tracer()
+    spec = harness.RunSpec(booth_size=4, duration_ms=60.0, grace_ms=120.0,
+                   rate_per_s=100.0, seed=5, strict_audit=False,
+                   byzantine=((3, ("tamper_payload",)),),
+                   sim=SimConfig(seed=0, drop_rate=0.05, dup_rate=0.05,
+                                 delay_sd_ms=0.3, gst_ms=40.0))
+    untraced = harness.run(spec).report
+    tracer = tracer_mod.Tracer()
+    tracer.install()
+    try:
+        assert tracer.coverage_problems() == []
+        traced = harness.run(spec).report      # through the wrapper
+    finally:
+        tracer.uninstall()
+    assert json.dumps(traced, sort_keys=True) == json.dumps(untraced,
+                                                            sort_keys=True)
+    calls = tracer.summarize()[0]
+    for name in (*tracer_mod.NETSIM_SPANS, "node.callback", "codec.pack",
+                 "messages.encode.Ping", "messages.decode.PreOrder",
+                 "crypto.sign", "crypto.verify", "harness.run"):
+        assert calls[name] > 0, name
+    metrics = tracer_mod.layer_metrics(tracer, 1.0, 0.0)
+    assert metrics["netsim.events"][0] >= calls["netsim.deliver"]
