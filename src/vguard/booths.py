@@ -15,7 +15,7 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 from .codec import digest, pack, Packed, Reader, Wire
-from .crypto import AggregateSignature, Identity, verify_aggregate
+from .crypto import AggregateSignature, Identity, recall, verify_aggregate
 from .errors import RejectReason
 
 
@@ -77,7 +77,8 @@ class BoothProfile(Wire):
         None if it does: 2f distinct members with the pivot among them,
         whose aggregate verifies and whose signers are exactly `quorum`.
         The meter, if any, is charged one threshold verify, and only once
-        the quorum's shape holds."""
+        the quorum's shape holds. The shape is checked on every call; only
+        the aggregate and signer verdict is memoised (`crypto.recall`)."""
         qset = set(quorum)
         need = 2 * self.fault_budget
         if len(qset) != need or len(quorum) != need:
@@ -88,12 +89,12 @@ class BoothProfile(Wire):
             return RejectReason.PIVOT_MISSING
         if meter is not None:
             meter.verify(self.threshold)
-        if not verify_aggregate(cert, payload_digest, self.directory_map,
-                                self.threshold):
-            return RejectReason.BAD_CERT
-        if set(cert.signers(self.member_ids)) != qset:
-            return RejectReason.QUORUM_MISMATCH
-        return None
+        key = ("cert", self.booth_hash, cert, payload_digest, tuple(sorted(qset)))
+        return recall(key, lambda: (
+            RejectReason.BAD_CERT if not verify_aggregate(
+                cert, payload_digest, self.directory_map, self.threshold)
+            else RejectReason.QUORUM_MISMATCH
+            if set(cert.signers(self.member_ids)) != qset else None))
 
     # wire form -----------------------------------------------------------
 

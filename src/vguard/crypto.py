@@ -29,11 +29,20 @@ under `pk(sk)` (RFC 8032), so `SigningKey.sign` records its own triple as
 valid and a signature made in this process never needs a real check. A
 raw `Ed25519PrivateKey` records nothing. A flipped bit in any of the three
 inputs is a different key and gets a real check. Parsed public keys are
-kept beside it. Both memos hold at most `MEMO_SIZE` entries, are emptied
-when full, and are emptied by `clear_caches`, which `harness.run` calls at
-its start and its end, so no run sees another run's entries and none
-outlives its run. Modeled cost is unaffected: callers charge
-`CostMeter.verify` per check whether or not the memo answers it.
+kept beside it.
+
+Verdicts are memoised one level up (`recall`), since the same certificate
+reaches every booth member and then the audit. Each key holds every input
+of its result: `BoothProfile.check_certified` keys its aggregate verdict
+on the booth hash (which pins members, threshold and directory), the
+certificate, the digest and the sorted quorum; `verify_partial_set` on the
+partials, the digest, `required` and each signer's registered key, not on
+the registry object; the certificate digests of `ledger` and
+`signer_set_digest` on their arguments. Every memo holds at most
+`MEMO_SIZE` entries and is emptied when full and by `clear_caches`, which
+`harness.run` calls at its start and end, so no run sees another run's
+entries and none outlives its run. Callers charge modeled cost
+(`CostMeter.verify`) before the lookup.
 
 `SigningKey.sign` signs through libsodium (`crypto_sign_ed25519_detached`)
 when it loads at import, else through `cryptography`: RFC 8032 signing is
@@ -48,7 +57,7 @@ from ctypes import (CDLL, CFUNCTYPE, c_char_p, c_int, c_ulonglong, c_void_p,
                     create_string_buffer)
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
@@ -143,13 +152,28 @@ MEMO_SIZE = 1 << 14
 
 _pub_cache: dict[bytes, Ed25519PublicKey] = {}
 _verified: dict[tuple[bytes, bytes, bytes], bool] = {}
-_signer_sets: dict[tuple[int, ...], bytes] = {}
+_verdicts: dict[tuple, object] = {}
 
 
 def clear_caches() -> None:
     _pub_cache.clear()
     _verified.clear()
-    _signer_sets.clear()
+    _verdicts.clear()
+
+
+_UNSET = object()
+
+
+def recall(key: tuple, compute: Callable[[], object]):
+    """`compute()`, or what it returned for `key` earlier in this run. The
+    key must hold every input of the result."""
+    out = _verdicts.get(key, _UNSET)
+    if out is _UNSET:
+        out = compute()
+        if len(_verdicts) >= MEMO_SIZE:
+            _verdicts.clear()
+        _verdicts[key] = out
+    return out
 
 
 def _public_key(raw: bytes) -> Ed25519PublicKey:
@@ -240,14 +264,20 @@ def verify_partial_set(partials: Iterable[PartialSignature], payload_digest: byt
     This is the cross-booth fallback: it relies only on globally anchored
     identity keys, never on booth-local material.
     """
+    partials = tuple(partials)
+    keys = tuple(getattr(registry.identities.get(p.signer), "verify_key", None)
+                 for p in partials)
+    return recall(("partial-set", partials, payload_digest, required, keys),
+                  lambda: _endorsed(partials, payload_digest, required, keys))
+
+
+def _endorsed(partials: tuple[PartialSignature, ...], payload_digest: bytes,
+              required: int, keys: tuple[Optional[bytes], ...]) -> bool:
     seen: set[int] = set()
-    for partial in partials:
-        if partial.signer in seen:
+    for partial, key in zip(partials, keys):
+        if partial.signer in seen or key is None:
             continue
-        key = registry.identities.get(partial.signer)
-        if key is None:
-            continue
-        if verify_partial(partial, key.verify_key, payload_digest):
+        if verify_partial(partial, key, payload_digest):
             seen.add(partial.signer)
             if len(seen) >= required:
                 return True
@@ -300,13 +330,7 @@ def signer_set_digest(signers: Iterable[int]) -> bytes:
     """Digest of a signer set, memoised: a run certifies with a handful of
     distinct sets, thousands of times over."""
     key = tuple(sorted(signers))
-    out = _signer_sets.get(key)
-    if out is None:
-        out = digest("signer-set", list(key))
-        if len(_signer_sets) >= MEMO_SIZE:
-            _signer_sets.clear()
-        _signer_sets[key] = out
-    return out
+    return recall(("signer-set", key), lambda: digest("signer-set", list(key)))
 
 
 @dataclass(frozen=True)

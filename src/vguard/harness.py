@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
+from numbers import Integral, Real
 from pathlib import Path
 from typing import Optional
 
@@ -34,6 +35,8 @@ from .node import MetricSink, NodeRuntime, ProtocolConfig
 from .storage import RetentionPolicy, StorageMaster
 
 PIVOT_ID = 1
+_NUMERIC = {"int": Integral, "Optional[int]": Integral, "float": Real,
+            "Optional[float]": Real}
 
 
 @dataclass(frozen=True)
@@ -60,6 +63,11 @@ class RunSpec:
     label: str = ""
 
     def validate(self) -> "RunSpec":
+        for f in fields(self):          # the int and float fields, by annotation
+            value, kind = getattr(self, f.name), _NUMERIC.get(f.type)
+            if kind and (value is not None or "Optional" not in f.type) and (
+                    not isinstance(value, kind) or isinstance(value, bool)):
+                raise ConfigInvalid(f"{f.name} must be {kind.__name__.lower()}, got {value!r}")
         if self.booth_size < 4 or (self.booth_size - 1) % 3 != 0:
             raise ConfigInvalid(
                 f"booth size must be 3f+1 with f >= 1, got {self.booth_size}")
@@ -76,6 +84,8 @@ class RunSpec:
             raise ConfigInvalid("gossip lifetime cannot be negative")
         if self.duration_ms <= 0 or self.grace_ms < 0:
             raise ConfigInvalid("duration must be positive, grace non-negative")
+        if (self.rate_per_s is not None and self.rate_per_s <= 0) or self.payload_bytes < 0:
+            raise ConfigInvalid("rate must be positive, payload size non-negative")
         if self.protocol.delta_us != self.delta_us:
             return replace(self, protocol=replace(self.protocol,
                                                   delta_us=self.delta_us))
@@ -211,9 +221,9 @@ def run(spec: RunSpec, net=None) -> RunResult:
     """Execute one run. `net` defaults to a fresh simulated Network; pass
     one driven by another scheduler (see bench.WallClock) to reuse the
     setup, workload, and audit machinery over a different clock. The
-    signature memo and the decode interns start empty and are emptied again
-    at the end, so no run sees another run's entries and none outlives its
-    run."""
+    signature and verdict memos and the decode interns start empty and are
+    emptied again at the end, so no run sees another run's entries and none
+    outlives its run."""
     crypto.clear_caches()
     messages.clear_caches()
     spec = spec.validate()
@@ -289,10 +299,10 @@ def _byzantine_nodes(spec: RunSpec) -> set[int]:
 
 def _audit(spec: RunSpec, runtimes: dict[int, NodeRuntime],
            registry: KeyService) -> dict[tuple[int, int], ChainCheck]:
-    """verify_chain on every ledger every correct node holds. Proposer
-    ledgers face the strict window-tiling audit when the run was clean;
-    ordering ids the proposer retired on a timeout or a lost booth are the
-    only gaps that audit accepts."""
+    """verify_chain on every ledger every correct node holds. An honest
+    proposer's ledger faces the strict window-tiling audit when the run had
+    no churn, whatever other nodes did; ordering ids the proposer retired
+    on a timeout or a lost booth are the only gaps that audit accepts."""
     bad = _byzantine_nodes(spec)
     audits: dict[tuple[int, int], ChainCheck] = {}
     for plan in plan_instances(spec):
@@ -301,7 +311,7 @@ def _audit(spec: RunSpec, runtimes: dict[int, NodeRuntime],
             if ledger is None:
                 continue
             strict = (spec.strict_audit and node_id == plan.proposer_id
-                      and not bad and not spec.churn)
+                      and node_id not in bad and not spec.churn)
             horizon, retired = None, frozenset()
             if strict:
                 prop = runtime.proposers[plan.instance_id]

@@ -37,6 +37,7 @@ from .crypto import (
     KeyService,
     PartialSignature,
     Role,
+    recall,
     verify_partial_set,
 )
 from .errors import DuplicateOrderingId, WindowError
@@ -129,12 +130,14 @@ class DataBatch:
 
 def order_cert_digest(ordering_id: int, batch_hash: bytes, booth_hash: bytes) -> bytes:
     """Digest certified by ordering: binds id, data, and ordering booth."""
-    return digest("order-cert", ordering_id, batch_hash, booth_hash)
+    args = ("order-cert", ordering_id, batch_hash, booth_hash)
+    return recall(args, lambda: digest(*args))
 
 
 def commit_cert_digest(window_start_us: int, tx_hash: bytes, booth_hash: bytes) -> bytes:
     """Digest certified by consensus: binds window, data, consensus booth."""
-    return digest("commit-cert", window_start_us, tx_hash, booth_hash)
+    args = ("commit-cert", window_start_us, tx_hash, booth_hash)
+    return recall(args, lambda: digest(*args))
 
 
 # -- total order log ------------------------------------------------------

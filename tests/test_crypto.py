@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from vguard import crypto
+from vguard import crypto, ledger
 from vguard.codec import digest, pack
 from vguard.crypto import (
     Ed25519PrivateKey,
@@ -22,6 +22,7 @@ from vguard.crypto import (
     Role,
 )
 from vguard.errors import (
+    RejectReason,
     InsufficientPartials,
     InvalidPartial,
     InvalidThreshold,
@@ -441,3 +442,119 @@ def test_loaded_signer_never_falls_back(cryptography_signs):
                          rate_per_s=100.0, seed=3))
     assert result.report["instances"][0]["committed_entries"] > 0
     assert cryptography_signs == []
+
+
+# -- the verdict memo ------------------------------------------------------
+
+class CountingMeter:
+    def __init__(self):
+        self.verifies = []
+
+    def verify(self, count):
+        self.verifies.append(count)
+
+
+def _certified(pool, booth, material, payload, quorum=(2, 3)):
+    partials = [make_partial(pool.keys[m], payload,
+                             pool.registry.booth_share(booth.booth_hash, m))
+                for m in quorum]
+    return aggregate(partials, material)
+
+
+def _own_verdict(check):
+    """`check()` twice: first beside what the memo holds now, where it must
+    add an entry of its own, then with every memo emptied."""
+    held = set(crypto._verdicts)
+    memoised = check()
+    assert held and set(crypto._verdicts) > held
+    crypto.clear_caches()
+    return memoised, check()
+
+
+def test_certificate_variants_get_their_own_verdicts(pool4, booth4,
+                                                     real_checks):
+    """Once an honest certificate is memoised as valid, each variant of it
+    is a new key, gets a fresh verdict and is rejected as without a memo."""
+    booth, material = booth4
+    payload = digest("t", b"cert")
+    cert = _certified(pool4, booth, material, payload)
+    assert booth.check_certified((2, 3), cert, payload) is None
+    assert booth.check_certified((3, 2), cert, payload) is None   # a hit
+    assert [k[0] for k in crypto._verdicts].count("cert") == 1
+    assert real_checks == []
+    raw = bytearray(cert.sig_bytes)
+    raw[-1] ^= 1
+    flipped = type(cert)(cert.threshold, bytes(raw), cert.signer_set_digest)
+    other_booth, _ = make_booth(pool4, [1, 2, 3, 4], proposer_id=1, pivot_id=2)
+    assert other_booth.booth_hash != booth.booth_hash
+    other_digest = digest("t", b"other")
+    variants = [
+        (lambda: booth.check_certified((2, 3), flipped, payload), "BAD_CERT"),
+        (lambda: booth.check_certified((2, 4), cert, payload),
+         "QUORUM_MISMATCH"),
+        (lambda: other_booth.check_certified((2, 3), cert, payload),
+         "BAD_CERT"),
+        (lambda: booth.check_certified((2, 3), cert, other_digest),
+         "BAD_CERT"),
+    ]
+    for check, reason in variants:
+        crypto.clear_caches()
+        assert booth.check_certified((2, 3), cert, payload) is None
+        memoised, fresh = _own_verdict(check)
+        assert memoised is fresh is RejectReason[reason]
+    assert real_checks          # the flipped bit needed a real check
+
+
+def test_partial_set_verdict_follows_the_registered_keys(pool4):
+    payload = digest("t", b"replies")
+    partials = tuple(make_partial(pool4.keys[m], payload) for m in (1, 2, 3))
+    assert verify_partial_set(partials, payload, 3, pool4.registry)
+    rekeyed = KeyService()
+    for node_id, ident in pool4.registry.identities.items():
+        if node_id == 3:
+            ident, _ = make_identity(3, ident.role, _rng(77).bytes(32))
+        rekeyed.register(ident)
+    memoised, fresh = _own_verdict(
+        lambda: verify_partial_set(partials, payload, 3, rekeyed))
+    assert memoised is fresh is False
+    assert verify_partial_set(partials, payload, 3, pool4.registry)
+    assert not verify_partial_set(partials, payload, 4, pool4.registry)
+    assert not verify_partial_set(partials, digest("t", b"x"), 3,
+                                  pool4.registry)
+
+
+def test_memo_hit_charges_the_meter_as_a_miss_does(pool4, booth4):
+    booth, material = booth4
+    payload = digest("t", b"meter")
+    cert = _certified(pool4, booth, material, payload)
+    crypto.clear_caches()
+    charges = []
+    for quorum in [(2, 3), (2, 3), (2, 4), (2, 4), (3, 4), (2,)]:
+        meter = CountingMeter()
+        booth.check_certified(quorum, cert, payload, meter)
+        charges.append(meter.verifies)
+    # miss, hit, miss, hit; the last two fail their shape and charge nothing
+    assert charges == [[2], [2], [2], [2], [], []]
+
+
+def test_certificate_digests_are_memoised_on_all_their_arguments(monkeypatch):
+    calls = []
+
+    def counted(label, *fields):
+        calls.append((label, *fields))
+        return digest(label, *fields)
+
+    monkeypatch.setattr(ledger, "digest", counted)
+    crypto.clear_caches()
+    args = [(1, b"a" * 32, b"b" * 32), (2, b"a" * 32, b"b" * 32),
+            (1, b"c" * 32, b"b" * 32), (1, b"a" * 32, b"d" * 32)]
+    for _ in range(2):
+        for oid, data, booth in args:
+            assert ledger.order_cert_digest(oid, data, booth) == \
+                digest("order-cert", oid, data, booth)
+            assert ledger.commit_cert_digest(oid, data, booth) == \
+                digest("commit-cert", oid, data, booth)
+    assert len(calls) == 2 * len(args)
+    crypto.clear_caches()
+    ledger.order_cert_digest(*args[0])
+    assert len(calls) == 2 * len(args) + 1

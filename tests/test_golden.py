@@ -18,6 +18,9 @@ from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PublicKey
 
 from vguard import crypto, messages, node
+from vguard.booths import BoothProfile
+from vguard.codec import digest
+from vguard.crypto import KeyService
 from vguard.harness import RunSpec, run, write_artifacts
 from vguard.netsim import ChurnEvent, Network, SimConfig
 
@@ -276,6 +279,47 @@ def test_memo_answers_what_a_real_verify_would(name, monkeypatch,
     assert memo
     for (key, payload, sig), ok in memo.items():
         assert ok == _really_verifies(key, payload, sig)
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_verdict_memo_answers_what_a_fresh_check_would(name, monkeypatch):
+    """Every certificate verdict, partial-set verdict, certificate digest
+    and signer-set digest the verdict memo holds at the end of the run
+    equals the same check made with every memo emptied, so with real Ed25519
+    verifications. A partial set's key carries the keys the run's registry
+    holds for its signers."""
+    snapshots, profiles = [], {}
+    clear, check = crypto.clear_caches, BoothProfile.check_certified
+
+    def snapshot_then_clear():
+        snapshots.append(dict(crypto._verdicts))
+        clear()
+
+    def recording(profile, *args, **kwargs):
+        profiles[profile.booth_hash] = profile
+        return check(profile, *args, **kwargs)
+
+    monkeypatch.setattr(crypto, "clear_caches", snapshot_then_clear)
+    monkeypatch.setattr(BoothProfile, "check_certified", recording)
+    result = run(SPECS[name])
+    memo = snapshots[-1]          # taken by the clear at the end of the run
+    assert memo
+    registry = KeyService()
+    for ident in result.identities:
+        registry.register(ident)
+    for key, verdict in memo.items():
+        clear()
+        if key[0] == "cert":
+            _, booth_hash, cert, payload, quorum = key
+            fresh = check(profiles[booth_hash], quorum, cert, payload)
+        elif key[0] == "partial-set":
+            _, partials, payload, required, keys = key
+            assert keys == tuple(registry.verify_key(p.signer) for p in partials)
+            fresh = crypto.verify_partial_set(partials, payload, required,
+                                              registry)
+        else:
+            fresh = digest(*key)
+        assert fresh == verdict, key
 
 
 @pytest.mark.parametrize("name", sorted(SPECS))

@@ -3,18 +3,20 @@
 from __future__ import annotations
 
 import gc
+import importlib.util
 import json
 import os
 import subprocess
 import sys
 import weakref
+from copy import copy
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from vguard import cli, crypto, messages, node
+from vguard import cli, crypto, harness, messages, node
 from vguard.bench import run_benchmark
 from vguard.codec import Reader, pack
 from vguard.errors import ConfigInvalid
@@ -135,12 +137,71 @@ def test_back_to_back_runs_make_the_same_real_verifications(monkeypatch):
     assert min(tallies[1]) > 0
 
 
-def test_finished_run_leaves_no_memo_or_intern_entries():
-    """The memo and the interns are emptied at the end of a run too, so a
-    finished run's decoded messages and checks do not outlive it."""
-    run(small_spec(duration_ms=200.0, grace_ms=300.0, lambda0=2, pool=6))
-    assert crypto._verified == {} and crypto._pub_cache == {}
-    assert messages._interned == {}
+PROCESS_MEMOS = ((crypto, "_verified"), (crypto, "_pub_cache"),
+                 (crypto, "_verdicts"), (messages, "_interned"))
+
+
+def _module_containers() -> dict[str, object]:
+    """A copy of every dict, set and list bound at the top level of a
+    `vguard` module."""
+    modules = [mod for name, mod in sys.modules.items()
+               if name == "vguard" or name.startswith("vguard.")]
+    return {f"{mod.__name__}.{attr}": copy(value)
+            for mod in modules for attr, value in vars(mod).items()
+            if isinstance(value, (dict, set, list)) and not attr.startswith("__")}
+
+
+def _unrecorded_signing(monkeypatch):
+    """Signs the same bytes through `cryptography` and records nothing, so
+    every check in a run is a real one and parsed keys are memoised too."""
+    monkeypatch.setattr(crypto.SigningKey, "sign",
+                        lambda self, payload: self._key.sign(payload))
+
+
+def test_finished_run_leaves_no_memo_or_intern_entries(monkeypatch):
+    """The memos and the interns are emptied at the end of a run too, so a
+    finished run's decoded messages and checks do not outlive it: each
+    holds entries when the run ends and none once it has returned. No
+    top-level dict, set or list of `vguard` differs after a run from before
+    it, so a memo left out of `clear_caches` fails here too."""
+    _unrecorded_signing(monkeypatch)
+    spec = small_spec(duration_ms=100.0, grace_ms=200.0, lambda0=2, pool=6)
+    run(replace(spec, seed=4))      # fills one-time tables: codec layouts
+    before = _module_containers()
+    at_end = []
+    clear = crypto.clear_caches
+
+    def measure_then_clear():
+        at_end.append({attr: len(getattr(mod, attr))
+                       for mod, attr in PROCESS_MEMOS})
+        clear()
+
+    monkeypatch.setattr(crypto, "clear_caches", measure_then_clear)
+    run(spec)
+    assert min(at_end[-1].values()) > 0, at_end[-1]
+    assert not any(getattr(mod, attr) for mod, attr in PROCESS_MEMOS)
+    assert _module_containers() == before
+
+
+def test_every_process_wide_memo_stays_within_its_bound(monkeypatch):
+    class HighWater(dict):
+        high = stores = 0
+
+        def __setitem__(self, key, value):
+            super().__setitem__(key, value)
+            self.stores += 1
+            self.high = max(self.high, len(self))
+
+    _unrecorded_signing(monkeypatch)
+    monkeypatch.setattr(crypto, "MEMO_SIZE", 2)
+    monkeypatch.setattr(messages, "INTERN_SIZE", 2)
+    memos = {attr: HighWater() for _, attr in PROCESS_MEMOS}
+    for mod, attr in PROCESS_MEMOS:
+        monkeypatch.setattr(mod, attr, memos[attr])
+    run(small_spec(duration_ms=100.0, grace_ms=200.0, lambda0=2, pool=6))
+    for attr, memo in memos.items():
+        assert memo.stores > 2 and memo.high <= 2, (attr, memo.stores,
+                                                    memo.high)
 
 
 @pytest.mark.parametrize("size", [*range(10), *range(62, 67)])
@@ -175,6 +236,30 @@ def test_silent_validator_within_fault_budget_is_absorbed():
     result = run(spec)
     inst = result.report["instances"][0]
     assert inst["committed_batches"] == inst["submitted_batches"] >= 39
+
+
+@pytest.mark.parametrize("byzantine, strict_node", [
+    (((4, ("silent",)),), 2), (((3, ("tamper_payload",)),), 2),
+    (((2, ("silent",)),), None)], ids=["silent-4", "tamper-3", "proposer"])
+def test_strict_audit_reaches_an_honest_proposer_beside_byzantine_nodes(
+        monkeypatch, byzantine, strict_node):
+    """Only a byzantine proposer, or churn, exempts the proposer's ledger
+    from the strict audit; a byzantine validator does not. A failed audit
+    of an honest node's ledger would end the run with VerificationFailed."""
+    strict_ledgers = []
+    audit = harness.verify_chain
+
+    def recording(ledger, registry=None, strict=False, **kw):
+        if strict:
+            strict_ledgers.append(ledger)
+        return audit(ledger, registry, strict=strict, **kw)
+
+    monkeypatch.setattr(harness, "verify_chain", recording)
+    result = run(small_spec(pool=5, byzantine=byzantine))
+    assert result.spec.strict_audit
+    strict = [node_id for node_id, runtime in result.runtimes.items()
+              if any(runtime.ledgers.get(1) is l for l in strict_ledgers)]
+    assert strict == ([strict_node] if strict_node else [])
 
 
 def test_equivocating_proposer_cannot_commit_anything():
@@ -439,6 +524,54 @@ def test_cli_rejects_spec_files_of_the_wrong_shape(tmp_path, capsys, data):
     path.write_text(json.dumps(data))
     assert cli.main(["run", "--duration-ms", "200", "--spec", str(path)]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+BAD_FIELDS = {
+    "booth-size-str": {"booth_size": "4"}, "pool-float": {"pool": 8.0},
+    "batch-size-bool": {"batch_size": True}, "gamma-none": {"gamma": None},
+    "delta-float": {"delta_us": 1e5}, "lambda0-str": {"lambda0": "2"},
+    "tau-list": {"tau_us": [1]}, "payload-float": {"payload_bytes": 6.5},
+    "seed-str": {"seed": "1"}, "duration-str": {"duration_ms": "300"},
+    "grace-none": {"grace_ms": None}, "rate-str": {"rate_per_s": "fast"},
+    "rate-bool": {"rate_per_s": True}, "rate-zero": {"rate_per_s": 0},
+    "rate-negative": {"rate_per_s": -5.0},
+    "payload-negative": {"payload_bytes": -1},
+}
+
+
+@pytest.mark.parametrize("data", BAD_FIELDS.values(), ids=BAD_FIELDS.keys())
+def test_cli_rejects_spec_fields_of_the_wrong_type_or_range(tmp_path, capsys,
+                                                           data):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"duration_ms": 50.0, "grace_ms": 50.0, **data}))
+    assert cli.main(["run", "--spec", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_cli_rejects_a_zero_rate_flag(capsys):
+    assert cli.main(["run", "--duration-ms", "50", "--rate", "0"]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_numeric_spec_fields_accept_ints_floats_and_numpy_scalars():
+    spec = RunSpec(duration_ms=300, grace_ms=0, rate_per_s=np.float64(60.5),
+                   payload_bytes=0, seed=np.int64(7), pool=None)
+    assert spec.validate() == spec
+    assert RunSpec(rate_per_s=None).validate().rate_per_s is None
+
+
+@pytest.mark.parametrize("seed", [1, 7919])
+def test_every_benchmark_spec_validates(seed, monkeypatch):
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    loader = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(loader)
+    monkeypatch.setitem(sys.modules, loader.name, module)   # for @dataclass
+    loader.loader.exec_module(module)
+    for build in module.WORKLOADS.values():
+        for tiny in (False, True):
+            workload = build(seed, tiny=tiny)
+            for spec in (*workload.specs, workload.warmup):
+                spec.validate()
 
 
 def test_spec_takes_byzantine_in_the_schedule_file_form():
