@@ -48,14 +48,6 @@ class ConsensusRound(QuorumRound):
     demoted: frozenset[int]
 
 
-def _booth_of(ctx, booth_hash: bytes) -> BoothProfile:
-    """A booth this node ordered in, else one its ledger has committed."""
-    booth = ctx.booth_profiles.get(booth_hash)
-    if booth is None:
-        booth = ctx.ledger.booth_table[booth_hash]
-    return booth
-
-
 class ConsensusCoordinator:
     """Proposer side: slices the log into windows and drives commit rounds."""
 
@@ -93,7 +85,8 @@ class ConsensusCoordinator:
             self._release()
             return
         entries = sorted(entries, key=lambda e: e.ordering_id)
-        tx = window_transaction(ts, delta, entries, lambda h: _booth_of(ctx, h))
+        tx = window_transaction(ts, delta, entries,
+                                ctx.ledger.booth_table.__getitem__)
         self._attempt(ts, tx, attempt=0, demoted=frozenset())
 
     def _attempt(self, ts: int, tx: Transaction, attempt: int,
@@ -378,7 +371,6 @@ class ValidatorConsensus:
                 booth_hash=link_booth.booth_hash, cert=entry.cert,
                 appended_at_us=ctx.env.now_us(),
                 reply_set=tuple(reply_sets.get(entry.ordering_id, ()))))
-            ctx.booth_profiles.setdefault(link_booth.booth_hash, link_booth)
             ctx.ledger.note_booth(link_booth)
         return True
 
@@ -416,7 +408,7 @@ class ValidatorConsensus:
                 ctx.diag(RejectReason.UNKNOWN_INSTANCE)
                 return
             tx = window_transaction(ts, ctx.config.delta_us, entries,
-                                    lambda h: _booth_of(ctx, h))
+                                    ctx.ledger.booth_table.__getitem__)
         record = CommitRecord(
             consensus_id=ts, quorum=tuple(sorted(msg.quorum)),
             booth_hash=msg.booth_hash, cert=msg.cert, tx_hash=msg.tx_hash,

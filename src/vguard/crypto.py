@@ -19,30 +19,24 @@ grows with the threshold t (bounded by t * 64 bytes + a small header)
 instead of being constant; the interface hides the representation so a
 constant-size scheme could replace it without touching callers.
 
-Signature checks are memoised. Ed25519 verification is a deterministic
-function of (verify key, digest, signature), and every booth member, plus
-the post-run audit, checks the same certificates and partials, so
-`verify_raw` keys a memo on that full triple and stores the bool the real
-check returned, for accepts and rejects alike. Signing fills the same memo:
-Ed25519 signing is deterministic too, and `sign(sk, m)` always verifies
-under `pk(sk)` (RFC 8032), so `SigningKey.sign` records its own triple as
-valid and a signature made in this process never needs a real check. A
-raw `Ed25519PrivateKey` records nothing. A flipped bit in any of the three
-inputs is a different key and gets a real check. Parsed public keys are
-kept beside it.
-
-Verdicts are memoised one level up (`recall`), since the same certificate
-reaches every booth member and then the audit. Each key holds every input
-of its result: `BoothProfile.check_certified` keys its aggregate verdict
-on the booth hash (which pins members, threshold and directory), the
-certificate, the digest and the sorted quorum; `verify_partial_set` on the
-partials, the digest, `required` and each signer's registered key, not on
-the registry object; the certificate digests of `ledger` and
-`signer_set_digest` on their arguments. Every memo holds at most
-`MEMO_SIZE` entries and is emptied when full and by `clear_caches`, which
-`harness.run` calls at its start and end, so no run sees another run's
-entries and none outlives its run. Callers charge modeled cost
-(`CostMeter.verify`) before the lookup.
+A run does its deterministic work once: `recall(key, compute, *args)`
+returns what `compute(*args)` returned for `key` earlier in the run, from
+one memo. Each key names its kind first and holds every input of its
+result. A "sig" key (verify key, digest, signature) holds the bool one
+real Ed25519 check returned, for accepts and rejects alike; that check
+parses the key through a "pub" key. Signing fills the memo too: Ed25519
+signing is deterministic and `sign(sk, m)` always verifies under `pk(sk)`
+(RFC 8032), so `SigningKey.sign` `remember`s its own "sig" key as True. A
+raw `Ed25519PrivateKey` records nothing, and a flipped bit in any input is
+another key. The other kinds are "cert" (`BoothProfile.check_certified`:
+booth hash, certificate, digest, sorted quorum), "partial-set"
+(`verify_partial_set`: each signer's registered key, not the registry),
+the digests "order-cert", "commit-cert" and "signer-set", and "msg"
+(decoded messages, see `messages`). A compute that raises stores nothing.
+The memo holds at most `MEMO_SIZE` entries and is emptied when full and by
+`clear_caches`, which `harness.run` calls at its start and end, so no run
+sees another run's entries and none outlives its run. Callers charge
+modeled cost (`CostMeter.verify`) before the lookup.
 
 `SigningKey.sign` signs through libsodium (`crypto_sign_ed25519_detached`)
 when it loads at import, else through `cryptography`: RFC 8032 signing is
@@ -137,7 +131,7 @@ class SigningKey:
                             self._secret):
                 raise RuntimeError("crypto_sign_ed25519_detached failed")
             sig = out.raw
-        _remember((self.verify_key, payload_digest, sig), True)
+        remember(("sig", self.verify_key, payload_digest, sig), True)
         return sig
 
 
@@ -150,59 +144,46 @@ def make_identity(node_id: int, role: Role, seed: bytes,
 
 MEMO_SIZE = 1 << 14
 
-_pub_cache: dict[bytes, Ed25519PublicKey] = {}
-_verified: dict[tuple[bytes, bytes, bytes], bool] = {}
-_verdicts: dict[tuple, object] = {}
+_memo: dict[tuple, object] = {}
 
 
 def clear_caches() -> None:
-    _pub_cache.clear()
-    _verified.clear()
-    _verdicts.clear()
+    _memo.clear()
+
+
+def remember(key: tuple, value) -> None:
+    """Record `value` as what `key`'s computation returns in this run."""
+    if len(_memo) >= MEMO_SIZE:
+        _memo.clear()
+    _memo[key] = value
 
 
 _UNSET = object()
 
 
-def recall(key: tuple, compute: Callable[[], object]):
-    """`compute()`, or what it returned for `key` earlier in this run. The
-    key must hold every input of the result."""
-    out = _verdicts.get(key, _UNSET)
+def recall(key: tuple, compute: Callable[..., object], *args):
+    """`compute(*args)`, or what it returned for `key` earlier in this run.
+    The key must hold every input of the result."""
+    out = _memo.get(key, _UNSET)
     if out is _UNSET:
-        out = compute()
-        if len(_verdicts) >= MEMO_SIZE:
-            _verdicts.clear()
-        _verdicts[key] = out
+        out = compute(*args)
+        remember(key, out)
     return out
 
 
-def _public_key(raw: bytes) -> Ed25519PublicKey:
-    key = _pub_cache.get(raw)
-    if key is None:
-        key = Ed25519PublicKey.from_public_bytes(raw)
-        if len(_pub_cache) >= MEMO_SIZE:
-            _pub_cache.clear()
-        _pub_cache[raw] = key
-    return key
-
-
-def _remember(triple: tuple[bytes, bytes, bytes], ok: bool) -> None:
-    if len(_verified) >= MEMO_SIZE:
-        _verified.clear()
-    _verified[triple] = ok
-
-
 def verify_raw(verify_key: bytes, payload_digest: bytes, sig: bytes) -> bool:
-    triple = (verify_key, payload_digest, sig)
-    ok = _verified.get(triple)
-    if ok is None:
-        try:
-            _public_key(verify_key).verify(sig, payload_digest)
-            ok = True
-        except (InvalidSignature, ValueError):
-            ok = False
-        _remember(triple, ok)
-    return ok
+    return recall(("sig", verify_key, payload_digest, sig), _really_verifies,
+                  verify_key, payload_digest, sig)
+
+
+def _really_verifies(verify_key: bytes, payload_digest: bytes,
+                     sig: bytes) -> bool:
+    try:
+        recall(("pub", verify_key), Ed25519PublicKey.from_public_bytes,
+               verify_key).verify(sig, payload_digest)
+        return True
+    except (InvalidSignature, ValueError):
+        return False
 
 
 # -- partial signatures ---------------------------------------------------
@@ -268,7 +249,7 @@ def verify_partial_set(partials: Iterable[PartialSignature], payload_digest: byt
     keys = tuple(getattr(registry.identities.get(p.signer), "verify_key", None)
                  for p in partials)
     return recall(("partial-set", partials, payload_digest, required, keys),
-                  lambda: _endorsed(partials, payload_digest, required, keys))
+                  _endorsed, partials, payload_digest, required, keys)
 
 
 def _endorsed(partials: tuple[PartialSignature, ...], payload_digest: bytes,

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field, fields, replace
 from numbers import Integral, Real
 from pathlib import Path
@@ -23,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import __version__, crypto, messages
+from . import __version__, crypto
 from .crypto import Identity, KeyService, Role, SigningKey, make_identity
 from .errors import ConfigInvalid, VerificationFailed
 from .gossip import GossipConfig
@@ -68,6 +69,8 @@ class RunSpec:
             if kind and (value is not None or "Optional" not in f.type) and (
                     not isinstance(value, kind) or isinstance(value, bool)):
                 raise ConfigInvalid(f"{f.name} must be {kind.__name__.lower()}, got {value!r}")
+            if kind is Real and value is not None and not math.isfinite(value):
+                raise ConfigInvalid(f"{f.name} must be finite, got {value!r}")
         if self.booth_size < 4 or (self.booth_size - 1) % 3 != 0:
             raise ConfigInvalid(
                 f"booth size must be 3f+1 with f >= 1, got {self.booth_size}")
@@ -220,12 +223,10 @@ def _build_identities(spec: RunSpec, seed_seq: np.random.SeedSequence
 def run(spec: RunSpec, net=None) -> RunResult:
     """Execute one run. `net` defaults to a fresh simulated Network; pass
     one driven by another scheduler (see bench.WallClock) to reuse the
-    setup, workload, and audit machinery over a different clock. The
-    signature and verdict memos and the decode interns start empty and are
-    emptied again at the end, so no run sees another run's entries and none
-    outlives its run."""
+    setup, workload, and audit machinery over a different clock. The run
+    memo (`crypto.recall`) starts empty and is emptied again at the end, so
+    no run sees another run's entries and none outlives its run."""
     crypto.clear_caches()
-    messages.clear_caches()
     spec = spec.validate()
     master = np.random.SeedSequence(spec.seed)
     key_seq, net_seed_seq, workload_seq, mmu_seq = master.spawn(4)
@@ -288,7 +289,6 @@ def run(spec: RunSpec, net=None) -> RunResult:
     for runtime in runtimes.values():
         runtime.close()
     crypto.clear_caches()
-    messages.clear_caches()
     return RunResult(spec=spec, report=report, net=net, runtimes=runtimes,
                      workloads=workloads, audits=audits, identities=identities)
 

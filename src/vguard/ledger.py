@@ -131,13 +131,13 @@ class DataBatch:
 def order_cert_digest(ordering_id: int, batch_hash: bytes, booth_hash: bytes) -> bytes:
     """Digest certified by ordering: binds id, data, and ordering booth."""
     args = ("order-cert", ordering_id, batch_hash, booth_hash)
-    return recall(args, lambda: digest(*args))
+    return recall(args, digest, *args)
 
 
 def commit_cert_digest(window_start_us: int, tx_hash: bytes, booth_hash: bytes) -> bytes:
     """Digest certified by consensus: binds window, data, consensus booth."""
     args = ("commit-cert", window_start_us, tx_hash, booth_hash)
-    return recall(args, lambda: digest(*args))
+    return recall(args, digest, *args)
 
 
 # -- total order log ------------------------------------------------------

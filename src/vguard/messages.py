@@ -15,21 +15,19 @@ packed afresh. A carried booth profile, data batch or transaction is
 spliced into the message as the canonical bytes it keeps (see
 `codec.Packed`), not packed field by field.
 
-`encode` also puts the message into the decode intern under its bytes.
-The codec is canonical, so those bytes parse to a message equal to the
-one encoded, and `decode_message` hands every receiver the sender's own
-object: a run parses none of the messages it sends. Only bytes this
-process did not encode are parsed (tests, fuzzing, or a message still in
-flight when the intern was emptied), and the result is interned by the
-raw bytes, so the copies that reach every booth member are parsed once.
-A parsed profile, batch or transaction keeps the slice it was read from
-as its canonical bytes; a batch checks its entries' framing but builds no
-entry objects. Messages and all they carry are frozen, so sharing them is
-safe. Only successful decodes are stored: malformed bytes raise on every
-call. The intern holds at most `INTERN_SIZE` entries, is emptied when
-full, and is emptied by `clear_caches` at the start and the end of every
-`harness.run`. Wire bytes are charged by the network per delivery, so
-modeled cost does not change.
+`encode` also `remember`s the message under its bytes in the run memo
+(`crypto.recall`). The codec is canonical, so those bytes parse to a
+message equal to the one encoded, and `decode_message` hands every
+receiver the sender's own object: a run parses none of the messages it
+sends. Only bytes this process did not encode are parsed (tests, fuzzing,
+or a message still in flight when the memo was emptied), and the result is
+memoised under the raw bytes, so the copies that reach every booth member
+are parsed once. A parsed profile, batch or transaction keeps the slice it
+was read from as its canonical bytes; a batch checks its entries' framing
+but builds no entry objects. Messages and all they carry are frozen, so
+sharing them is safe. A parse that raises stores nothing: malformed bytes
+raise on every call. Wire bytes are charged by the network per delivery,
+so modeled cost does not change.
 """
 
 from __future__ import annotations
@@ -39,7 +37,7 @@ from typing import ClassVar
 
 from .booths import BoothProfile
 from .codec import pack, Reader, digest, u64_packer, Wire
-from .crypto import AggregateSignature, PartialSignature
+from .crypto import AggregateSignature, PartialSignature, recall, remember
 from .ledger import DataBatch, Transaction
 
 WIRE_VERSION = 1
@@ -66,7 +64,7 @@ class _Message(Wire):
             wire = bytes((WIRE_VERSION, self.TAG)) + (
                 packer(self) if packer else pack(*super().to_field()))
             object.__setattr__(self, "_wire", wire)
-            _intern(wire, self)
+            remember(("msg", wire), self)
         return wire
 
     def to_field(self) -> list:
@@ -247,29 +245,10 @@ _BY_TAG = {cls.TAG: cls for cls in (
     PreOrder, OrderReply, OrderMsg, PreCommitSeen, PreCommitUnseen,
     CommitReply, CommitMsg, GossipMsg, GossipAck, Ping, Pong)}
 
-INTERN_SIZE = 1 << 12
-
-_interned: dict[bytes, _Message] = {}
-
-
-def clear_caches() -> None:
-    _interned.clear()
-
-
-def _intern(raw: bytes, msg: _Message) -> None:
-    if len(_interned) >= INTERN_SIZE:
-        _interned.clear()
-    _interned[raw] = msg
-
 
 def decode_message(raw: bytes):
-    """Parse any protocol message; raises ValueError on malformation.
-    A parse that raises stores nothing."""
-    msg = _interned.get(raw)
-    if msg is None:
-        msg = _parse(raw)
-        _intern(raw, msg)
-    return msg
+    """Parse any protocol message; raises ValueError on malformation."""
+    return recall(("msg", raw), _parse, raw)
 
 
 def _parse(raw: bytes):

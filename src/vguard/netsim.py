@@ -42,8 +42,9 @@ from __future__ import annotations
 import heapq
 import itertools
 import json
+import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from functools import partial
 from typing import Callable, Iterable, Optional
@@ -109,6 +110,10 @@ class SimConfig:
     trace: bool = False
 
     def __post_init__(self):
+        for f in fields(self):          # the float fields, by annotation
+            value = getattr(self, f.name)
+            if "float" in f.type and value is not None and not math.isfinite(value):
+                raise ConfigInvalid(f"{f.name} must be finite, got {value!r}")
         if not 0.0 <= self.drop_rate < 1.0:
             raise ConfigInvalid("drop_rate must be in [0, 1)")
         if not 0.0 <= self.dup_rate < 1.0:

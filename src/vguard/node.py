@@ -17,7 +17,6 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
-from .booths import BoothProfile
 from .consensus import ConsensusCoordinator, ValidatorConsensus
 from .crypto import KeyService, SigningKey, make_partial
 from .errors import RejectReason
@@ -94,7 +93,6 @@ class InstanceContext:
     send: Callable[[int, object, Category, object], None]
     log: TotalOrderLog
     ledger: Ledger
-    booth_profiles: dict[bytes, BoothProfile]
     counters: Counter
     metrics: MetricSink
     storage: Optional[StorageMaster] = None
@@ -265,7 +263,6 @@ class NodeRuntime:
         self.pingers: dict[int, PingDaemon] = {}
         self.logs: dict[int, TotalOrderLog] = {}
         self.ledgers: dict[int, Ledger] = {}
-        self.booth_profiles: dict[bytes, BoothProfile] = {}
         self.actor: Optional[ByzantineActor] = None
         self.gossip: Optional[GossipAgent] = None
         if gossip_config is not None and gossip_config.initial_lifetime > 0:
@@ -308,7 +305,7 @@ class NodeRuntime:
             send=lambda dst, msg, cat, sub: self.send_msg(
                 dst, msg, cat, (instance_id, sub)),
             log=log, ledger=self.ledgers[instance_id],
-            booth_profiles=self.booth_profiles, counters=self.counters,
+            counters=self.counters,
             metrics=MetricSink(), storage=self.storage, **role)
 
     def add_proposer(self, instance_id: int, mmu: MembershipUnit) -> ProposerInstance:

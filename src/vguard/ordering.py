@@ -114,7 +114,6 @@ class OrderingRound(QuorumRound):
     ordering_id: int
     batch: DataBatch
     submitted_at_us: int
-    started_at_us: int
     retries: int
     quorum: tuple[int, ...] = ()
     cert: Optional[AggregateSignature] = None
@@ -164,9 +163,8 @@ class OrderingCoordinator:
         own = make_partial(ctx.key, payload, share)
         rnd = OrderingRound(
             ordering_id=oid, batch=pb.batch, booth=booth,
-            submitted_at_us=pb.submitted_at_us,
-            started_at_us=ctx.env.now_us(), retries=pb.retries, own_partial=own,
-            cert_digest=payload)
+            submitted_at_us=pb.submitted_at_us, retries=pb.retries,
+            own_partial=own, cert_digest=payload)
         self.rounds[oid] = rnd
         msg = PreOrder(instance_id=ctx.instance_id, sender=ctx.node_id,
                        ordering_id=oid, batch=pb.batch,
@@ -213,7 +211,6 @@ class OrderingCoordinator:
                 appended_at_us=ctx.env.now_us(),
                 reply_set=(rnd.own_partial, *rnd.replies.values()))
             ctx.log.append(entry)
-            ctx.booth_profiles[rnd.booth.booth_hash] = rnd.booth
             ctx.ledger.note_booth(rnd.booth)
             ctx.metrics.ordered(rnd.ordering_id, rnd.batch,
                                 rnd.submitted_at_us, ctx.env.now_us())
@@ -281,10 +278,7 @@ def proposer_signed(ctx, booth: BoothProfile, p: PartialSignature,
 @dataclass
 class PendingOrder:
     batch: DataBatch
-    batch_hash: bytes
     booth: BoothProfile
-    received_at_us: int
-    cert_digest: bytes               # what this node countersigned
 
 
 class ValidatorOrdering:
@@ -318,7 +312,7 @@ class ValidatorOrdering:
             ctx.diag(RejectReason.REUSED_ID)
             return
         known = self.pending.get(msg.ordering_id)
-        if known is not None and (known.batch_hash != msg.batch_hash
+        if known is not None and (known.batch.batch_hash != msg.batch_hash
                                   or known.booth.booth_hash != msg.booth_hash):
             ctx.diag(RejectReason.REUSED_ID)
             return
@@ -328,10 +322,7 @@ class ValidatorOrdering:
             ctx.diag(RejectReason.NO_SHARE)
             return
         if known is None:
-            self.pending[msg.ordering_id] = PendingOrder(
-                batch=msg.batch, batch_hash=msg.batch_hash, booth=booth,
-                received_at_us=ctx.env.now_us(), cert_digest=expected)
-            ctx.booth_profiles.setdefault(booth.booth_hash, booth)
+            self.pending[msg.ordering_id] = PendingOrder(msg.batch, booth)
         ctx.env.meter.sign(2)
         reply = OrderReply(instance_id=ctx.instance_id, sender=ctx.node_id,
                            ordering_id=msg.ordering_id,
@@ -351,7 +342,9 @@ class ValidatorOrdering:
         if src != booth.proposer_id or msg.sender != booth.proposer_id:
             ctx.diag(RejectReason.MALFORMED)
             return
-        reason = booth.check_certified(msg.quorum, msg.cert, po.cert_digest,
+        expected = order_cert_digest(msg.ordering_id, po.batch.batch_hash,
+                                     booth.booth_hash)
+        reason = booth.check_certified(msg.quorum, msg.cert, expected,
                                        ctx.env.meter)
         if reason is not None:
             ctx.diag(reason)

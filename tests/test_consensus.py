@@ -69,7 +69,7 @@ def seed_log(ctx, entries, booth) -> None:
     """Mimic the ordering phase: entries in the log, booth known locally."""
     for entry in entries:
         ctx.log.append(entry)
-    ctx.booth_profiles[booth.booth_hash] = booth
+    ctx.ledger.note_booth(booth)
 
 
 def only_reject(ctx, reason: str) -> None:

@@ -253,9 +253,9 @@ def test_verify_memo_stays_bounded(monkeypatch):
     for idx, payload in enumerate(payloads):
         assert verify_raw(ident.verify_key, payload, sigs[idx])
         assert not verify_raw(ident.verify_key, payload, sigs[idx - 1])
-        assert len(crypto._verified) <= 4
+        assert len(crypto._memo) <= 4
     crypto.clear_caches()
-    assert not crypto._verified and not crypto._pub_cache
+    assert not crypto._memo
 
 
 def test_signer_set_digest_is_memoised_per_set_until_caches_clear(
@@ -282,7 +282,7 @@ def test_signing_records_its_triple_and_needs_no_real_check(real_checks):
     ident, key = make_identity(5, Role.VEHICLE, _rng(6).bytes(32))
     payload = digest("t", b"signed here")
     sig = key.sign(payload)
-    assert crypto._verified == {(ident.verify_key, payload, sig): True}
+    assert crypto._memo == {("sig", ident.verify_key, payload, sig): True}
     assert verify_raw(ident.verify_key, payload, sig)
     assert verify_partial(make_partial(key, payload), ident.verify_key)
     assert real_checks == []
@@ -303,10 +303,10 @@ def test_one_flipped_bit_after_signing_gets_a_real_check(real_checks):
         for triple, checks in (((flipped_key, payload, sig), (0, 1)),
                                ((vk, flipped_digest, sig), (1,)),
                                ((vk, payload, flipped_sig), (1,))):
-            assert triple not in crypto._verified
+            assert ("sig", *triple) not in crypto._memo
             before = len(real_checks)
             assert not verify_raw(*triple)
-            assert crypto._verified[triple] is False
+            assert crypto._memo[("sig", *triple)] is False
             assert len(real_checks) - before in checks
     assert verify_raw(vk, payload, sig)
 
@@ -318,7 +318,7 @@ def test_foreign_and_garbage_signatures_get_real_checks(real_checks):
     # made by a raw key, so nothing was recorded: a real check accepts it
     raw = crypto.Ed25519PrivateKey.from_private_bytes(_rng(8).bytes(32))
     foreign = raw.sign(payload)
-    assert crypto._verified == {}
+    assert crypto._memo == {}
     assert verify_raw(ident.verify_key, payload, foreign)
     assert len(real_checks) == 1
     # another signer's signature, and garbage of the right length
@@ -327,6 +327,24 @@ def test_foreign_and_garbage_signatures_get_real_checks(real_checks):
     assert not verify_raw(other.verify_key, payload, foreign)
     assert len(real_checks) == 4
     assert key.sign(payload) == foreign     # deterministic: the same bytes
+
+
+def _held(kind: str) -> set:
+    return {key for key in crypto._memo if key[0] == kind}
+
+
+def test_real_checks_parse_each_key_once_and_store_no_bad_key(real_checks):
+    ident, _ = make_identity(5, Role.VEHICLE, _rng(11).bytes(32))
+    raw = crypto.Ed25519PrivateKey.from_private_bytes(_rng(11).bytes(32))
+    payloads = [digest("t", i) for i in range(3)]
+    for payload in payloads:
+        assert verify_raw(ident.verify_key, payload, raw.sign(payload))
+    assert len(real_checks) == 3
+    assert _held("pub") == {("pub", ident.verify_key)}
+    unparsable = b"\x00" * 31
+    assert not verify_raw(unparsable, payloads[0], b"\x00" * 64)
+    assert _held("pub") == {("pub", ident.verify_key)}
+    assert crypto._memo[("sig", unparsable, payloads[0], b"\x00" * 64)] is False
 
 
 def test_booth_keys_are_derived_once_when_dealt(monkeypatch):
@@ -370,13 +388,13 @@ def test_memo_stays_bounded_while_signing_records(monkeypatch, real_checks):
     sigs = []
     for payload in payloads:
         sigs.append(key.sign(payload))
-        assert len(crypto._verified) <= 4
+        assert len(crypto._memo) <= 4
     # the last sign is always remembered; evicted ones get a real check
     assert verify_raw(ident.verify_key, payloads[-1], sigs[-1])
     assert real_checks == []
     assert verify_raw(ident.verify_key, payloads[0], sigs[0])
     assert len(real_checks) == 1
-    assert len(crypto._verified) <= 4
+    assert len(crypto._memo) <= 4
 
 
 # Digest lengths a signer must handle: empty, short, a sha256, and longer.
@@ -444,7 +462,7 @@ def test_loaded_signer_never_falls_back(cryptography_signs):
     assert cryptography_signs == []
 
 
-# -- the verdict memo ------------------------------------------------------
+# -- verdicts in the run memo ---------------------------------------------
 
 class CountingMeter:
     def __init__(self):
@@ -461,12 +479,12 @@ def _certified(pool, booth, material, payload, quorum=(2, 3)):
     return aggregate(partials, material)
 
 
-def _own_verdict(check):
+def _own_verdict(kind, check):
     """`check()` twice: first beside what the memo holds now, where it must
-    add an entry of its own, then with every memo emptied."""
-    held = set(crypto._verdicts)
+    add a `kind` entry of its own, then with the memo emptied."""
+    held = _held(kind)
     memoised = check()
-    assert held and set(crypto._verdicts) > held
+    assert held and _held(kind) > held
     crypto.clear_caches()
     return memoised, check()
 
@@ -480,7 +498,7 @@ def test_certificate_variants_get_their_own_verdicts(pool4, booth4,
     cert = _certified(pool4, booth, material, payload)
     assert booth.check_certified((2, 3), cert, payload) is None
     assert booth.check_certified((3, 2), cert, payload) is None   # a hit
-    assert [k[0] for k in crypto._verdicts].count("cert") == 1
+    assert len(_held("cert")) == 1
     assert real_checks == []
     raw = bytearray(cert.sig_bytes)
     raw[-1] ^= 1
@@ -500,7 +518,7 @@ def test_certificate_variants_get_their_own_verdicts(pool4, booth4,
     for check, reason in variants:
         crypto.clear_caches()
         assert booth.check_certified((2, 3), cert, payload) is None
-        memoised, fresh = _own_verdict(check)
+        memoised, fresh = _own_verdict("cert", check)
         assert memoised is fresh is RejectReason[reason]
     assert real_checks          # the flipped bit needed a real check
 
@@ -515,7 +533,7 @@ def test_partial_set_verdict_follows_the_registered_keys(pool4):
             ident, _ = make_identity(3, ident.role, _rng(77).bytes(32))
         rekeyed.register(ident)
     memoised, fresh = _own_verdict(
-        lambda: verify_partial_set(partials, payload, 3, rekeyed))
+        "partial-set", lambda: verify_partial_set(partials, payload, 3, rekeyed))
     assert memoised is fresh is False
     assert verify_partial_set(partials, payload, 3, pool4.registry)
     assert not verify_partial_set(partials, payload, 4, pool4.registry)

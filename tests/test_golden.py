@@ -269,13 +269,14 @@ def test_memo_answers_what_a_real_verify_would(name, monkeypatch,
     clear = crypto.clear_caches
 
     def snapshot_then_clear():
-        snapshots.append(dict(crypto._verified))
+        snapshots.append(dict(crypto._memo))
         clear()
 
     monkeypatch.setattr(crypto, "clear_caches", snapshot_then_clear)
     run(SPECS[name])
     assert real_checks == []
-    memo = snapshots[-1]          # taken by the clear at the end of the run
+    memo = {key[1:]: ok for key, ok in snapshots[-1].items()  # at run end
+            if key[0] == "sig"}
     assert memo
     for (key, payload, sig), ok in memo.items():
         assert ok == _really_verifies(key, payload, sig)
@@ -284,15 +285,15 @@ def test_memo_answers_what_a_real_verify_would(name, monkeypatch,
 @pytest.mark.parametrize("name", sorted(SPECS))
 def test_verdict_memo_answers_what_a_fresh_check_would(name, monkeypatch):
     """Every certificate verdict, partial-set verdict, certificate digest
-    and signer-set digest the verdict memo holds at the end of the run
-    equals the same check made with every memo emptied, so with real Ed25519
+    and signer-set digest the run memo holds at the end of the run equals
+    the same check made with the memo emptied, so with real Ed25519
     verifications. A partial set's key carries the keys the run's registry
     holds for its signers."""
     snapshots, profiles = [], {}
     clear, check = crypto.clear_caches, BoothProfile.check_certified
 
     def snapshot_then_clear():
-        snapshots.append(dict(crypto._verdicts))
+        snapshots.append(dict(crypto._memo))
         clear()
 
     def recording(profile, *args, **kwargs):
@@ -302,7 +303,9 @@ def test_verdict_memo_answers_what_a_fresh_check_would(name, monkeypatch):
     monkeypatch.setattr(crypto, "clear_caches", snapshot_then_clear)
     monkeypatch.setattr(BoothProfile, "check_certified", recording)
     result = run(SPECS[name])
-    memo = snapshots[-1]          # taken by the clear at the end of the run
+    memo = {key: verdict for key, verdict in snapshots[-1].items()  # at run end
+            if key[0] in ("cert", "partial-set", "order-cert", "commit-cert",
+                          "signer-set")}
     assert memo
     registry = KeyService()
     for ident in result.identities:

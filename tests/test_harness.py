@@ -92,10 +92,10 @@ def test_lossy_run_passes_strict_audit_over_retired_ids():
 
 
 def test_back_to_back_runs_make_the_same_real_verifications(monkeypatch):
-    """harness.run empties the signature memo, so a repeated run cannot
-    lean on the previous run's signatures or checks: every memo hit is on a
-    triple the same run signed or verified, and both runs make the same
-    number of memo misses, each of which is a real check. Booth shares are
+    """harness.run empties the run memo, so a repeated run cannot lean on
+    the previous run's signatures or checks: every signature hit is on a
+    key the same run signed or verified, and both runs make the same number
+    of signature misses, each of which is a real check. Booth shares are
     handed out as raw keys here; those record nothing when they sign, so
     every booth-local signature needs a real check."""
 
@@ -103,17 +103,19 @@ def test_back_to_back_runs_make_the_same_real_verifications(monkeypatch):
         def reset_tally(self):
             self.stored, self.hits, self.misses = set(), [], 0
 
-        def get(self, triple):
-            ok = super().get(triple)
-            if ok is None:
-                self.misses += 1
-            else:
-                self.hits.append(triple)
-            return ok
+        def get(self, key, default=None):
+            out = super().get(key, default)
+            if key[0] == "sig":
+                if out is default:
+                    self.misses += 1
+                else:
+                    self.hits.append(key)
+            return out
 
-        def __setitem__(self, triple, ok):
-            self.stored.add(triple)
-            super().__setitem__(triple, ok)
+        def __setitem__(self, key, value):
+            if key[0] == "sig":
+                self.stored.add(key)
+            super().__setitem__(key, value)
 
     dealt = crypto.KeyService.booth_share
 
@@ -124,7 +126,7 @@ def test_back_to_back_runs_make_the_same_real_verifications(monkeypatch):
         return crypto.Ed25519PrivateKey.from_private_bytes(seed)
 
     memo = Memo()
-    monkeypatch.setattr(crypto, "_verified", memo)
+    monkeypatch.setattr(crypto, "_memo", memo)
     monkeypatch.setattr(crypto.KeyService, "booth_share", raw_share)
     spec = small_spec(duration_ms=200.0, grace_ms=300.0)
     tallies = []
@@ -137,8 +139,9 @@ def test_back_to_back_runs_make_the_same_real_verifications(monkeypatch):
     assert min(tallies[1]) > 0
 
 
-PROCESS_MEMOS = ((crypto, "_verified"), (crypto, "_pub_cache"),
-                 (crypto, "_verdicts"), (messages, "_interned"))
+# every kind of key the run memo holds
+MEMO_KINDS = {"sig", "pub", "cert", "partial-set", "order-cert", "commit-cert",
+              "signer-set", "msg"}
 
 
 def _module_containers() -> dict[str, object]:
@@ -159,9 +162,9 @@ def _unrecorded_signing(monkeypatch):
 
 
 def test_finished_run_leaves_no_memo_or_intern_entries(monkeypatch):
-    """The memos and the interns are emptied at the end of a run too, so a
-    finished run's decoded messages and checks do not outlive it: each
-    holds entries when the run ends and none once it has returned. No
+    """The run memo is emptied at the end of a run too, so a finished run's
+    decoded messages and checks do not outlive it: it holds entries of
+    every kind when the run ends and none once the run has returned. No
     top-level dict, set or list of `vguard` differs after a run from before
     it, so a memo left out of `clear_caches` fails here too."""
     _unrecorded_signing(monkeypatch)
@@ -172,36 +175,36 @@ def test_finished_run_leaves_no_memo_or_intern_entries(monkeypatch):
     clear = crypto.clear_caches
 
     def measure_then_clear():
-        at_end.append({attr: len(getattr(mod, attr))
-                       for mod, attr in PROCESS_MEMOS})
+        at_end.append({key[0] for key in crypto._memo})
         clear()
 
     monkeypatch.setattr(crypto, "clear_caches", measure_then_clear)
     run(spec)
-    assert min(at_end[-1].values()) > 0, at_end[-1]
-    assert not any(getattr(mod, attr) for mod, attr in PROCESS_MEMOS)
+    assert at_end[-1] == MEMO_KINDS
+    assert not crypto._memo
     assert _module_containers() == before
 
 
 def test_every_process_wide_memo_stays_within_its_bound(monkeypatch):
+    """A run stores keys of every kind in the one memo, and the memo never
+    holds more than `MEMO_SIZE` of them."""
     class HighWater(dict):
-        high = stores = 0
+        def __init__(self):
+            super().__init__()
+            self.high, self.kinds = 0, set()
 
         def __setitem__(self, key, value):
             super().__setitem__(key, value)
-            self.stores += 1
+            self.kinds.add(key[0])
             self.high = max(self.high, len(self))
 
     _unrecorded_signing(monkeypatch)
     monkeypatch.setattr(crypto, "MEMO_SIZE", 2)
-    monkeypatch.setattr(messages, "INTERN_SIZE", 2)
-    memos = {attr: HighWater() for _, attr in PROCESS_MEMOS}
-    for mod, attr in PROCESS_MEMOS:
-        monkeypatch.setattr(mod, attr, memos[attr])
+    memo = HighWater()
+    monkeypatch.setattr(crypto, "_memo", memo)
     run(small_spec(duration_ms=100.0, grace_ms=200.0, lambda0=2, pool=6))
-    for attr, memo in memos.items():
-        assert memo.stores > 2 and memo.high <= 2, (attr, memo.stores,
-                                                    memo.high)
+    assert memo.kinds == MEMO_KINDS and memo.high <= 2, (memo.kinds,
+                                                         memo.high)
 
 
 @pytest.mark.parametrize("size", [*range(10), *range(62, 67)])
@@ -536,15 +539,42 @@ BAD_FIELDS = {
     "rate-bool": {"rate_per_s": True}, "rate-zero": {"rate_per_s": 0},
     "rate-negative": {"rate_per_s": -5.0},
     "payload-negative": {"payload_bytes": -1},
+    "duration-inf": {"duration_ms": float("inf")},
+    "grace-nan": {"grace_ms": float("nan")},
+    "rate-nan": {"rate_per_s": float("nan")},
+    "rate-inf": {"rate_per_s": float("inf")},
+    "sim-delay-mean-nan": {"sim": {"delay_mean_ms": float("nan")}},
+    "sim-delay-sd-inf": {"sim": {"delay_sd_ms": float("inf")}},
+    "sim-gst-nan": {"sim": {"gst_ms": float("nan")}},
+    "sim-gst-bound-inf": {"sim": {"gst_bound_ms": float("inf")}},
+    "sim-bandwidth-nan": {"sim": {"bandwidth_bytes_per_ms": float("nan")}},
 }
+
+
+@pytest.fixture
+def no_run_starts(monkeypatch):
+    """A bad spec must be refused before its run builds anything: a run
+    with an infinite duration would never return."""
+    def refuse(*args):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(harness, "_build_identities", refuse)
 
 
 @pytest.mark.parametrize("data", BAD_FIELDS.values(), ids=BAD_FIELDS.keys())
 def test_cli_rejects_spec_fields_of_the_wrong_type_or_range(tmp_path, capsys,
-                                                           data):
+                                                           data, no_run_starts):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps({"duration_ms": 50.0, "grace_ms": 50.0, **data}))
     assert cli.main(["run", "--spec", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--duration-ms", "inf"), ("--rate", "nan"), ("--rate", "inf"),
+    ("--delay-mean-ms", "nan"), ("--gst-ms", "nan"), ("--delay-sd-ms", "inf")])
+def test_cli_rejects_non_finite_flags(capsys, no_run_starts, flag, value):
+    assert cli.main(["run", "--duration-ms", "50", flag, value]) == 2
     assert capsys.readouterr().err.startswith("error:")
 
 

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (certify_entry, commit_window, default_quorum,
                       fresh_profile, make_batch, make_booth, make_pool)
-from vguard import codec, harness, messages, node
+from vguard import codec, crypto, harness, messages, node
 from vguard.codec import pack
 from vguard.netsim import SimConfig
 from vguard.crypto import Role, make_partial
@@ -252,12 +252,12 @@ def test_decode_interns_by_bytes_and_stays_bounded(world, monkeypatch):
     raw = msg.encode()
     # a second copy of the bytes, as every booth member receives one
     assert decode_message(bytes(bytearray(raw))) is decode_message(raw)
-    monkeypatch.setattr(messages, "INTERN_SIZE", 3)
-    messages.clear_caches()
+    monkeypatch.setattr(crypto, "MEMO_SIZE", 3)
+    crypto.clear_caches()
     for seq in range(10):
         ping = Ping(instance_id=0, sender=2, seq=seq, sent_at_us=seq)
         assert decode_message(ping.encode()) == ping
-        assert len(messages._interned) <= 3
+        assert len(crypto._memo) <= 3
 
 
 def test_encode_once_per_message_object(world):
@@ -275,7 +275,7 @@ def test_encode_once_per_message_object(world):
     assert msg == parsed and repr(msg) == repr(parsed)
 
 
-# -- the decode intern ---------------------------------------------------
+# -- decoding through the run memo ---------------------------------------------------
 
 def _pre_order(pool, booth, ordering_id=5):
     batch = make_batch(pool, size=2)
@@ -298,7 +298,7 @@ def _gossip(pool, commit, tx, hops):
 
 def test_messages_carrying_one_booth_share_its_profile(world):
     pool, booth, material = world
-    messages.clear_caches()
+    crypto.clear_caches()
     entry = certify_entry(pool, booth, material, 0, make_batch(pool))
     _, tx = commit_window(pool, booth, material, 0, 100_000, [entry])
     payload = commit_cert_digest(0, tx.tx_hash, booth.booth_hash)
@@ -327,7 +327,7 @@ def test_forwarded_gossip_holds_its_commit_as_its_bytes_decode_it(world):
 
 def test_forwarded_gossip_reuses_the_parsed_transaction(world, monkeypatch):
     pool, booth, material = world
-    messages.clear_caches()
+    crypto.clear_caches()
     entries = [certify_entry(pool, booth, material, i, make_batch(pool))
                for i in range(2)]
     commit, tx = _commit_msg(pool, booth, material, entries)
@@ -349,26 +349,26 @@ def test_forwarded_gossip_reuses_the_parsed_transaction(world, monkeypatch):
 
 def test_sub_value_interns_are_bounded_and_cleared(world, monkeypatch):
     pool, _, material = world
-    monkeypatch.setattr(messages, "INTERN_SIZE", 2)
-    messages.clear_caches()
+    monkeypatch.setattr(crypto, "MEMO_SIZE", 2)
+    crypto.clear_caches()
     for created in range(5):
         booth, material = make_booth(pool, [1, 2, 3, 4], proposer_id=1,
                                      pivot_id=2, created_at_us=created)
         decoded = decode_message(_pre_order(pool, booth).encode())
         assert decoded.booth == booth
-        assert len(messages._interned) <= 2
+        assert len(crypto._memo) <= 2
         entry = certify_entry(pool, booth, material, 0, make_batch(pool))
         commit, tx = _commit_msg(pool, booth, material, [entry])
         assert decode_message(_gossip(pool, commit, tx, [(1, 2)]).encode()).tx == tx
-        assert len(messages._interned) <= 2
-    assert messages._interned
-    messages.clear_caches()
-    assert not messages._interned
+        assert len(crypto._memo) <= 2
+    assert any(key[0] == "msg" for key in crypto._memo)
+    crypto.clear_caches()
+    assert not crypto._memo
 
 
 def test_malformed_booth_raises_on_every_call(world):
     pool, booth, _ = world
-    messages.clear_caches()
+    crypto.clear_caches()
     raw = _pre_order(pool, booth).encode()
     at = raw.index(booth.packed)
     role = Role.PIVOT.value.encode()
@@ -378,7 +378,7 @@ def test_malformed_booth_raises_on_every_call(world):
     for _ in range(3):
         with pytest.raises(ValueError):
             decode_message(bad)
-    assert bad not in messages._interned
+    assert ("msg", bad) not in crypto._memo
     assert decode_message(raw).booth == booth
 
 
@@ -427,15 +427,15 @@ def test_back_to_back_runs_report_identically(monkeypatch):
                            duration_ms=300.0, grace_ms=400.0, seed=5,
                            sim=SimConfig(seed=0, drop_rate=0.05, dup_rate=0.02))
     used = []
-    clear = messages.clear_caches
+    clear = crypto.clear_caches
 
     def note_then_clear():
-        used.append(bool(messages._interned))
+        used.append(any(key[0] == "msg" for key in crypto._memo))
         clear()
 
-    monkeypatch.setattr(messages, "clear_caches", note_then_clear)
+    monkeypatch.setattr(crypto, "clear_caches", note_then_clear)
     first = harness.run(spec)
-    assert used[-1]       # the intern was used, up to the end-of-run clear
+    assert used[-1]       # messages were memoised, up to the end-of-run clear
     second = harness.run(spec)
     assert json.dumps(first.report, sort_keys=True) == \
         json.dumps(second.report, sort_keys=True)

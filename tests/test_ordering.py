@@ -62,7 +62,7 @@ def make_ctx(pool, node_id: int, instance_id: int = 1,
         config=ProtocolConfig(delta_us=delta_us),
         send=lambda dst, msg, cat, sub=None: sent.append((dst, msg, cat)),
         log=TotalOrderLog(), ledger=Ledger(node_id, delta_us),
-        booth_profiles={}, counters=Counter(), metrics=MetricSink())
+        counters=Counter(), metrics=MetricSink())
     return ctx, sent
 
 
@@ -107,7 +107,7 @@ def test_valid_pre_order_yields_anchored_reply(world):
     expected = order_cert_digest(0, msg.batch_hash, booth.booth_hash)
     assert verify_partial(reply.partial, pool.registry.verify_key(3), expected)
     assert 0 in engine.pending
-    assert ctx.booth_profiles[booth.booth_hash] == booth
+    assert engine.pending[0].booth == booth
 
 
 def test_repeated_pre_order_replies_again_without_new_state(world):
@@ -300,26 +300,27 @@ def test_order_reject_matrix(world):
     assert ctx.log.get(4) is None    # nothing above reached the log
 
 
-def test_order_cert_digest_is_computed_once_per_round_and_member(monkeypatch):
+def test_order_cert_digest_is_computed_once_per_round(monkeypatch):
     """The proposer computes each round's certificate digest when it starts
-    the round and every validator when it endorses the batch; replies and
-    the certified result reuse it."""
-    from vguard import ordering
+    the round; each validator's endorsement, its check of the certified
+    result and the audit find the digest in the run memo."""
+    from vguard import ledger
     from vguard.harness import RunSpec, run
 
-    calls = []
-    digest = ordering.order_cert_digest
+    computed = []
+    digest = ledger.digest
 
-    def counted(*args):
-        calls.append(args)
-        return digest(*args)
+    def counted(label, *fields):
+        if label == "order-cert":
+            computed.append(fields)
+        return digest(label, *fields)
 
-    monkeypatch.setattr(ordering, "order_cert_digest", counted)
+    monkeypatch.setattr(ledger, "digest", counted)
     result = run(RunSpec(booth_size=4, duration_ms=200.0, grace_ms=300.0,
                          rate_per_s=100.0, seed=21))
     rounds = result.report["instances"][0]["ordering_messages"]["rounds"]
     assert rounds > 0
-    assert len(calls) == 4 * rounds
+    assert len(computed) == len(set(computed)) == rounds
 
 
 # -- proposer side ------------------------------------------------------------

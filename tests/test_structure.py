@@ -11,6 +11,11 @@ locks; no module may bring threads in.
 Signing may go through libsodium by `ctypes`; the foreign library stays
 behind `vguard.crypto`, the one module that owns signing.
 
+A run memoises its deterministic work (signature checks, parsed keys,
+certificate verdicts and digests, decoded messages) in one memo behind
+`crypto.recall`: no other module keeps a memo to clear, and only
+`harness.run` clears it.
+
 A receiver decodes bytes encoded in this process to the sender's own
 message object, so every class a message carries is a frozen dataclass.
 Each of them is a `codec.Wire`, whose layout is its field list, so no
@@ -106,6 +111,15 @@ def test_no_module_imports_threads():
 
 def test_only_crypto_imports_ctypes():
     assert importers("ctypes") == {"crypto:ctypes"}
+
+
+def test_one_module_owns_the_run_memo():
+    owners = [path.stem for path in SOURCES
+              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+              if isinstance(node, ast.FunctionDef)
+              and node.name == "clear_caches"]
+    assert owners == ["crypto"]
+    assert callers("clear_caches") == {"harness:run"}
 
 
 CARRIED = [*_Message.__subclasses__(), BoothProfile, Identity,
