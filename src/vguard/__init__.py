@@ -14,7 +14,6 @@ from .errors import (
     DuplicateOrderingId,
     InsufficientMembers,
     InsufficientPartials,
-    InvalidThreshold,
     MixedDigests,
     RejectReason,
     UnknownNode,
@@ -28,7 +27,6 @@ __all__ = [
     "DuplicateOrderingId",
     "InsufficientMembers",
     "InsufficientPartials",
-    "InvalidThreshold",
     "MixedDigests",
     "RejectReason",
     "UnknownNode",

@@ -4,8 +4,11 @@ A booth is one membership configuration: the proposer, the pivot validator
 (the manufacturer's always-on presence), and enough vehicle validators to
 reach size 3f+1. Profiles are value objects: the mutable bookkeeping that
 decides when a booth is still usable lives in the membership unit, not here.
-The profile digest pins members, roles, threshold, and the booth-local key
-directory, so any two nodes naming the same digest mean the same booth.
+The profile digest pins the proposer, pivot, threshold, creation time and
+members (their identities), so any two nodes naming the same digest mean
+the same booth. A profile holds no keys of its own: its certificates are
+checked against the identity registry (`crypto.KeyService`), and the booth
+hash inside every certified digest binds them to this booth.
 """
 
 from __future__ import annotations
@@ -15,7 +18,8 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 from .codec import digest, pack, Packed, Reader, Wire
-from .crypto import AggregateSignature, Identity, recall, verify_aggregate
+from .crypto import (AggregateSignature, Identity, KeyService, recall,
+                     verify_aggregate)
 from .errors import RejectReason
 
 
@@ -26,7 +30,6 @@ class BoothProfile(Wire):
     threshold: int
     created_at_us: int
     members: tuple[Identity, ...]          # sorted by node_id
-    directory: tuple[tuple[int, bytes], ...]   # booth-local verify keys
 
     def __post_init__(self):
         ids = [m.node_id for m in self.members]
@@ -34,6 +37,8 @@ class BoothProfile(Wire):
             raise ValueError("members must be unique and sorted by node_id")
         if self.proposer_id not in ids or self.pivot_id not in ids:
             raise ValueError("booth must contain its proposer and pivot")
+        if not 2 * self.fault_budget <= self.threshold <= self.size:
+            raise ValueError(f"threshold {self.threshold} outside [2f, n]")
 
     @cached_property
     def packed(self) -> bytes:
@@ -43,17 +48,13 @@ class BoothProfile(Wire):
 
     @cached_property
     def booth_hash(self) -> bytes:
-        # digest("booth", <the six fields>): the packed fields are the
+        # digest("booth", <the five fields>): the packed fields are the
         # canonical bytes after their 5-byte sequence header
         return digest("booth", Packed(self.packed[5:]))
 
     @cached_property
     def member_ids(self) -> tuple[int, ...]:
         return tuple(m.node_id for m in self.members)
-
-    @cached_property
-    def directory_map(self) -> dict[int, bytes]:
-        return dict(self.directory)
 
     @property
     def size(self) -> int:
@@ -71,14 +72,15 @@ class BoothProfile(Wire):
         return node_id in self.member_ids
 
     def check_certified(self, quorum: Sequence[int], cert: AggregateSignature,
-                        payload_digest: bytes, meter=None
-                        ) -> Optional[RejectReason]:
+                        payload_digest: bytes, registry: KeyService,
+                        meter=None) -> Optional[RejectReason]:
         """Why `cert` over `payload_digest` does not count in this booth, or
         None if it does: 2f distinct members with the pivot among them,
-        whose aggregate verifies and whose signers are exactly `quorum`.
-        The meter, if any, is charged one threshold verify, and only once
-        the quorum's shape holds. The shape is checked on every call; only
-        the aggregate and signer verdict is memoised (`crypto.recall`)."""
+        whose aggregate verifies under their keys in `registry` and whose
+        signers are exactly `quorum`. The meter, if any, is charged one
+        threshold verify, and only once the quorum's shape holds. The shape
+        is checked on every call; only the aggregate and signer verdict is
+        memoised (`crypto.recall`), keyed on the members' registered keys."""
         qset = set(quorum)
         need = 2 * self.fault_budget
         if len(qset) != need or len(quorum) != need:
@@ -89,10 +91,12 @@ class BoothProfile(Wire):
             return RejectReason.PIVOT_MISSING
         if meter is not None:
             meter.verify(self.threshold)
-        key = ("cert", self.booth_hash, cert, payload_digest, tuple(sorted(qset)))
+        key = ("cert", self.booth_hash, cert, payload_digest,
+               tuple(sorted(qset)), registry.keys_of(self.member_ids))
         return recall(key, lambda: (
             RejectReason.BAD_CERT if not verify_aggregate(
-                cert, payload_digest, self.directory_map, self.threshold)
+                cert, payload_digest, self.member_ids, self.threshold,
+                registry)
             else RejectReason.QUORUM_MISMATCH
             if set(cert.signers(self.member_ids)) != qset else None))
 
@@ -110,14 +114,12 @@ class BoothProfile(Wire):
 
 
 def build_profile(members: Sequence[Identity], proposer_id: int, pivot_id: int,
-                  threshold: int, directory: dict[int, bytes],
-                  created_at_us: int = 0) -> BoothProfile:
+                  threshold: int, created_at_us: int = 0) -> BoothProfile:
     ordered = tuple(sorted(members, key=lambda m: m.node_id))
     return BoothProfile(
         members=ordered,
         proposer_id=proposer_id,
         pivot_id=pivot_id,
         threshold=threshold,
-        directory=tuple((m.node_id, directory[m.node_id]) for m in ordered),
         created_at_us=created_at_us,
     )

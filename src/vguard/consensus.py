@@ -97,9 +97,8 @@ class ConsensusCoordinator:
             self.parked[ts] = (tx, attempt, demoted)
             return
         payload = commit_cert_digest(ts, tx.tx_hash, booth.booth_hash)
-        share = ctx.registry.booth_share(booth.booth_hash, ctx.node_id)
-        ctx.env.meter.sign(2)
-        own = make_partial(ctx.key, payload, share)
+        ctx.env.meter.sign(1)
+        own = make_partial(ctx.key, payload)
         rnd = ConsensusRound(window_start_us=ts, tx=tx, booth=booth,
                              attempt=attempt, own_partial=own, demoted=demoted,
                              cert_digest=payload)
@@ -278,16 +277,12 @@ class ValidatorConsensus:
         expected = commit_cert_digest(ts, tx_hash, booth.booth_hash)
         if not proposer_signed(ctx, booth, msg.proposer_partial, expected):
             return
-        share = ctx.registry.booth_share(booth.booth_hash, ctx.node_id)
-        if share is None:
-            ctx.diag(RejectReason.NO_SHARE)
-            return
         self.binding[ts] = tx_hash
         self.pending[ts] = pc
-        ctx.env.meter.sign(2)
+        ctx.env.meter.sign(1)
         reply = CommitReply(instance_id=ctx.instance_id, sender=ctx.node_id,
                             window_start_us=ts,
-                            partial=make_partial(ctx.key, expected, share))
+                            partial=make_partial(ctx.key, expected))
         ctx.send(src, reply, Category.CONSENSUS, ts)
 
     def handle_seen(self, src: int, msg: PreCommitSeen) -> None:
@@ -346,7 +341,8 @@ class ValidatorConsensus:
                 entry.ordering_id, entry.batch.batch_hash,
                 link_booth.booth_hash)
             reason = link_booth.check_certified(quorum, entry.cert,
-                                                cert_digest, ctx.env.meter)
+                                                cert_digest, ctx.registry,
+                                                ctx.env.meter)
             if reason is not None:
                 ctx.diag(reason)
                 return False
@@ -396,7 +392,7 @@ class ValidatorConsensus:
             return
         expected = commit_cert_digest(ts, msg.tx_hash, booth.booth_hash)
         reason = booth.check_certified(msg.quorum, msg.cert, expected,
-                                       ctx.env.meter)
+                                       ctx.registry, ctx.env.meter)
         if reason is not None:
             ctx.diag(reason)
             return

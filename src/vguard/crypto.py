@@ -1,23 +1,20 @@
-"""Identities, signatures, and booth-scoped aggregate certificates.
+"""Identities, signatures, and quorum certificates.
 
-Two trust anchors coexist:
-
-* Every node has a long-lived Ed25519 identity key registered with the
-  global key service. Anyone can verify an individual signature.
-* Every booth additionally gets a directory of booth-local Ed25519 keys,
-  dealt at composition time: each member's seed becomes a `SigningKey`
-  once, the directory takes its verify key, and `KeyService.booth_share`
-  hands that key to the member. A quorum certificate aggregates booth-local
-  signatures, so only holders of a dealt share can contribute, and the
-  certificate binds exactly which members signed. Outsiders can run the
-  math on a directory that reaches them, but nothing anchors it, which is
-  why cross-booth verification falls back to individual signatures.
-
-The aggregate is a certified multisig: a signer bitmap over the booth's
-sorted member list followed by one 64-byte signature per signer. Its size
-grows with the threshold t (bounded by t * 64 bytes + a small header)
-instead of being constant; the interface hides the representation so a
-constant-size scheme could replace it without touching callers.
+There is one trust anchor: every node has a long-lived Ed25519 identity key
+registered with the global key service (`KeyService`), and every signature
+in the protocol is made with one. A partial is one member's identity
+signature over a payload digest. A quorum certificate is a certified
+multisig: a signer bitmap over the booth's sorted member list followed by
+each signer's 64-byte identity signature, in member order. `aggregate` and
+`verify_aggregate` check every signer against the key the registry holds
+for it, never against keys a booth profile carries, so a profile cannot
+bring its own keys. The certified digests (`ledger.order_cert_digest`,
+`ledger.commit_cert_digest`) include the booth hash, so a certificate
+still binds its entry to exactly one booth, and anyone holding the
+registry can check it, inside the booth or not. Its size grows with the
+threshold t (t * 64 bytes plus the bitmap) instead of being constant; the
+interface hides the representation so a constant-size scheme could replace
+it without touching callers.
 
 A run does its deterministic work once: `recall(key, compute, *args)`
 returns what `compute(*args)` returned for `key` earlier in the run, from
@@ -29,14 +26,14 @@ signing is deterministic and `sign(sk, m)` always verifies under `pk(sk)`
 (RFC 8032), so `SigningKey.sign` `remember`s its own "sig" key as True. A
 raw `Ed25519PrivateKey` records nothing, and a flipped bit in any input is
 another key. The other kinds are "cert" (`BoothProfile.check_certified`:
-booth hash, certificate, digest, sorted quorum), "partial-set"
-(`verify_partial_set`: each signer's registered key, not the registry),
-the digests "order-cert", "commit-cert" and "signer-set", and "msg"
-(decoded messages, see `messages`). A compute that raises stores nothing.
-The memo holds at most `MEMO_SIZE` entries and is emptied when full and by
-`clear_caches`, which `harness.run` calls at its start and end, so no run
-sees another run's entries and none outlives its run. Callers charge
-modeled cost (`CostMeter.verify`) before the lookup.
+booth hash, certificate, digest, sorted quorum, and the registry's keys for
+the booth's members), "partial-set" (`verify_partial_set`: each signer's
+registered key), the digests "order-cert", "commit-cert" and "signer-set",
+and "msg" (decoded messages, see `messages`). A compute that raises stores
+nothing. The memo holds at most `MEMO_SIZE` entries and is emptied when
+full and by `clear_caches`, which `harness.run` calls at its start and end,
+so no run sees another run's entries and none outlives its run. Callers
+charge modeled cost (`CostMeter.verify`) before the lookup.
 
 `SigningKey.sign` signs through libsodium (`crypto_sign_ed25519_detached`)
 when it loads at import, else through `cryptography`: RFC 8032 signing is
@@ -49,9 +46,9 @@ from __future__ import annotations
 
 from ctypes import (CDLL, CFUNCTYPE, c_char_p, c_int, c_ulonglong, c_void_p,
                     create_string_buffer)
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
@@ -59,11 +56,10 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PublicKey,
 )
 
-from .codec import digest, pack, Reader, Wire
+from .codec import digest, pack, Wire   # pack: bound for perfbench's tracer
 from .errors import (
     InsufficientPartials,
     InvalidPartial,
-    InvalidThreshold,
     MixedDigests,
     UnknownNode,
     UnknownSigner,
@@ -190,64 +186,34 @@ def _really_verifies(verify_key: bytes, payload_digest: bytes,
 
 @dataclass(frozen=True)
 class PartialSignature(Wire):
-    """One member's endorsement of a payload digest.
-
-    sig_bytes packs the individual-identity signature and, when the signer
-    holds a share for the relevant booth, the booth-local signature used
-    for aggregation. Either component can be checked on its own.
-    """
+    """One member's endorsement of a payload digest: sig_bytes is its
+    identity key's 64-byte signature over the digest."""
 
     signer: int
     payload_digest: bytes
     sig_bytes: bytes
 
-    def components(self) -> tuple[bytes, bytes]:
-        """(individual, booth) signatures, parsed once per object; malformed
-        sig_bytes raise ValueError on every call."""
-        parts = self.__dict__.get("_components")
-        if parts is None:
-            r = Reader(self.sig_bytes)
-            parts = (r.bytes_(), r.bytes_())
-            r.expect_done()
-            object.__setattr__(self, "_components", parts)
-        return parts
 
-
-def make_partial(signer: SigningKey, payload_digest: bytes,
-                 booth_key: Optional[SigningKey | Ed25519PrivateKey] = None,
-                 ) -> PartialSignature:
-    individual = signer.sign(payload_digest)
-    booth = booth_key.sign(payload_digest) if booth_key is not None else b""
-    return PartialSignature(
-        signer=signer.node_id,
-        payload_digest=payload_digest,
-        sig_bytes=pack(individual, booth),
-    )
+def make_partial(signer: SigningKey, payload_digest: bytes) -> PartialSignature:
+    return PartialSignature(signer=signer.node_id,
+                            payload_digest=payload_digest,
+                            sig_bytes=signer.sign(payload_digest))
 
 
 def verify_partial(partial: PartialSignature, verify_key: bytes,
                    payload_digest: Optional[bytes] = None) -> bool:
-    """Check the individual-signature component against a registered key."""
+    """Check the partial's signature against a registered key."""
     expected = partial.payload_digest if payload_digest is None else payload_digest
-    if partial.payload_digest != expected:
-        return False
-    try:
-        individual, _ = partial.components()
-    except ValueError:
-        return False
-    return verify_raw(verify_key, expected, individual)
+    return (partial.payload_digest == expected
+            and verify_raw(verify_key, expected, partial.sig_bytes))
 
 
 def verify_partial_set(partials: Iterable[PartialSignature], payload_digest: bytes,
                        required: int, registry: "KeyService") -> bool:
-    """True iff >= required distinct signers validly endorsed the digest.
-
-    This is the cross-booth fallback: it relies only on globally anchored
-    identity keys, never on booth-local material.
-    """
+    """True iff >= required distinct signers validly endorsed the digest,
+    each under the key the registry holds for it."""
     partials = tuple(partials)
-    keys = tuple(getattr(registry.identities.get(p.signer), "verify_key", None)
-                 for p in partials)
+    keys = registry.keys_of(p.signer for p in partials)
     return recall(("partial-set", partials, payload_digest, required, keys),
                   _endorsed, partials, payload_digest, required, keys)
 
@@ -265,47 +231,7 @@ def _endorsed(partials: tuple[PartialSignature, ...], payload_digest: bytes,
     return len(seen) >= required
 
 
-# -- booth key material and aggregation ----------------------------------
-
-@dataclass(frozen=True)
-class BoothKeyMaterial:
-    """Output of the dealer for one booth.
-
-    directory is public within the protocol (it rides along in booth
-    profiles); share_seeds are dealt member-by-member and never leave the
-    key service in serialized form; share_keys holds their `SigningKey`s.
-    """
-
-    threshold: int
-    member_ids: tuple[int, ...]           # sorted ascending
-    directory: Mapping[int, bytes]        # node_id -> booth-local verify key
-    share_seeds: Mapping[int, bytes] = field(repr=False, default_factory=dict)
-    share_keys: Mapping[int, SigningKey] = field(
-        repr=False, compare=False, default_factory=dict)
-
-
-def setup_booth_keys(member_ids: Sequence[int], threshold: int,
-                     seed_source) -> BoothKeyMaterial:
-    """Deal booth-local keys for a membership.
-
-    seed_source is any object with a ``bytes(n)`` method (a seeded numpy
-    Generator in practice), keeping the dealt material reproducible.
-    """
-    members = tuple(sorted(set(member_ids)))
-    if len(members) != len(member_ids):
-        raise InvalidThreshold("duplicate member ids in booth")
-    size = len(members)
-    fault_budget = (size - 1) // 3
-    if not 2 * fault_budget <= threshold <= size:
-        raise InvalidThreshold(
-            f"threshold {threshold} outside [2f={2 * fault_budget}, n={size}]")
-    seeds = {member: seed_source.bytes(KEY_LEN) for member in members}
-    keys = {member: SigningKey(member, seed) for member, seed in seeds.items()}
-    return BoothKeyMaterial(
-        threshold=threshold, member_ids=members,
-        directory={member: key.verify_key for member, key in keys.items()},
-        share_seeds=seeds, share_keys=keys)
-
+# -- quorum certificates --------------------------------------------------
 
 def signer_set_digest(signers: Iterable[int]) -> bytes:
     """Digest of a signer set, memoised: a run certifies with a handful of
@@ -319,7 +245,7 @@ class AggregateSignature(Wire):
     """Quorum certificate over one payload digest.
 
     sig_bytes = signer bitmap over the booth's sorted member list, then the
-    contributing booth-local signatures in member order.
+    signers' identity signatures in member order.
     """
 
     threshold: int
@@ -338,13 +264,13 @@ class AggregateSignature(Wire):
         return out
 
 
-def aggregate(partials: Sequence[PartialSignature],
-              material: BoothKeyMaterial) -> AggregateSignature:
-    """Combine booth-local partials into a quorum certificate.
+def aggregate(partials: Sequence[PartialSignature], member_ids: Sequence[int],
+              threshold: int, registry: "KeyService") -> AggregateSignature:
+    """Combine members' partials into a quorum certificate.
 
     Raises MixedDigests, UnknownSigner, InvalidPartial, or
     InsufficientPartials; on success the certificate verifies against the
-    booth directory.
+    registry's identity keys for `member_ids`.
     """
     if not partials:
         raise InsufficientPartials("no partials given")
@@ -354,21 +280,17 @@ def aggregate(partials: Sequence[PartialSignature],
         if partial.payload_digest != payload:
             raise MixedDigests(
                 "partials span multiple payload digests")
-        if partial.signer not in material.directory:
-            raise UnknownSigner(f"node {partial.signer} holds no share here")
-        try:
-            _, booth_sig = partial.components()
-        except ValueError as exc:
-            raise InvalidPartial(str(exc)) from exc
-        if not booth_sig:
-            raise InvalidPartial(f"partial from {partial.signer} lacks booth component")
-        if not verify_raw(material.directory[partial.signer], payload, booth_sig):
-            raise InvalidPartial(f"booth signature from {partial.signer} invalid")
-        by_signer.setdefault(partial.signer, booth_sig)
-    if len(by_signer) < material.threshold:
+        if partial.signer not in member_ids:
+            raise UnknownSigner(f"node {partial.signer} is not a member")
+        sig = partial.sig_bytes
+        if len(sig) != SIG_LEN or not verify_raw(
+                registry.verify_key(partial.signer), payload, sig):
+            raise InvalidPartial(f"signature from {partial.signer} invalid")
+        by_signer.setdefault(partial.signer, sig)
+    if len(by_signer) < threshold:
         raise InsufficientPartials(
-            f"{len(by_signer)} distinct partials < threshold {material.threshold}")
-    members = list(material.member_ids)
+            f"{len(by_signer)} distinct partials < threshold {threshold}")
+    members = sorted(member_ids)
     bitmap = bytearray((len(members) + 7) // 8)
     sigs = bytearray()
     for idx, member in enumerate(members):
@@ -376,18 +298,19 @@ def aggregate(partials: Sequence[PartialSignature],
             bitmap[idx // 8] |= 1 << (idx % 8)
             sigs += by_signer[member]
     return AggregateSignature(
-        threshold=material.threshold,
+        threshold=threshold,
         sig_bytes=bytes(bitmap) + bytes(sigs),
         signer_set_digest=signer_set_digest(by_signer),
     )
 
 
 def verify_aggregate(agg: AggregateSignature, payload_digest: bytes,
-                     directory: Mapping[int, bytes], threshold: int) -> bool:
-    """True iff the certificate carries >= threshold valid booth-local
-    signatures from distinct directory members and its signer-set digest
-    matches the bitmap."""
-    members = sorted(directory)
+                     member_ids: Sequence[int], threshold: int,
+                     registry: "KeyService") -> bool:
+    """True iff the certificate carries >= threshold valid signatures from
+    distinct members, each under the key the registry holds for it, and
+    its signer-set digest matches the bitmap."""
+    members = sorted(member_ids)
     bitmap_len = (len(members) + 7) // 8
     raw = agg.sig_bytes
     if len(raw) < bitmap_len:
@@ -400,9 +323,9 @@ def verify_aggregate(agg: AggregateSignature, payload_digest: bytes,
         return False
     if agg.signer_set_digest != signer_set_digest(signers):
         return False
-    for idx, signer in enumerate(signers):
+    for idx, key in enumerate(registry.keys_of(signers)):
         sig = sig_blob[idx * SIG_LEN:(idx + 1) * SIG_LEN]
-        if not verify_raw(directory[signer], payload_digest, sig):
+        if key is None or not verify_raw(key, payload_digest, sig):
             return False
     return True
 
@@ -410,16 +333,11 @@ def verify_aggregate(agg: AggregateSignature, payload_digest: bytes,
 # -- key service ----------------------------------------------------------
 
 class KeyService:
-    """In-process stand-in for the global key generation service.
-
-    Holds the identity registry (the PKI every node trusts) and dealt booth
-    material. Booth shares are handed out only to the member they were dealt
-    to, mirroring member-only share distribution.
-    """
+    """In-process stand-in for the global key generation service: the
+    identity registry, the one PKI every node trusts."""
 
     def __init__(self):
         self.identities: dict[int, Identity] = {}
-        self._materials: dict[bytes, BoothKeyMaterial] = {}
 
     def register(self, identity: Identity) -> None:
         self.identities[identity.node_id] = identity
@@ -430,14 +348,7 @@ class KeyService:
         except KeyError:
             raise UnknownNode(f"node {node_id} is not registered") from None
 
-    def install_booth(self, booth_id: bytes, material: BoothKeyMaterial) -> None:
-        self._materials[booth_id] = material
-
-    def material(self, booth_id: bytes) -> Optional[BoothKeyMaterial]:
-        return self._materials.get(booth_id)
-
-    def booth_share(self, booth_id: bytes, node_id: int) -> Optional[SigningKey]:
-        """The member's booth-local signing key, or None for non-members.
-        Its `verify_key` is the member's entry in the booth directory."""
-        material = self._materials.get(booth_id)
-        return None if material is None else material.share_keys.get(node_id)
+    def keys_of(self, node_ids: Iterable[int]) -> tuple[Optional[bytes], ...]:
+        """Each node's registered verify key, or None if it has none."""
+        get = self.identities.get
+        return tuple(getattr(get(n), "verify_key", None) for n in node_ids)

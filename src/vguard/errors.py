@@ -19,14 +19,15 @@ class ConfigInvalid(VGuardError):
     """A run or module configuration violates a structural constraint."""
 
 
+# Metadata of a numeric config field that must be above zero; every other
+# numeric field must be at least zero (see `harness.RunSpec.validate`).
+POSITIVE = {"positive": True}
+
+
 # -- crypto --------------------------------------------------------------
 
 class CryptoError(VGuardError):
     pass
-
-
-class InvalidThreshold(CryptoError):
-    """Aggregation threshold outside [2f, booth size]."""
 
 
 class AggregationError(CryptoError):
@@ -116,7 +117,6 @@ class RejectReason(str, Enum):
     DUPLICATE = "duplicate"
     EXPIRED = "expired"
     NON_MONOTONE_LIFETIME = "non_monotone_lifetime"
-    NO_SHARE = "no_share"
 
     def __str__(self) -> str:  # keep counter keys terse
         return self.value

@@ -17,7 +17,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from numbers import Integral, Real
 from pathlib import Path
 from typing import Optional
@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__, crypto
 from .crypto import Identity, KeyService, Role, SigningKey, make_identity
-from .errors import ConfigInvalid, VerificationFailed
+from .errors import POSITIVE, ConfigInvalid, VerificationFailed
 from .gossip import GossipConfig
 from .ledger import ChainCheck, DataBatch, Ledger, verify_chain
 from .mmu import MembershipUnit, MmuConfig
@@ -44,14 +44,15 @@ _NUMERIC = {"int": Integral, "Optional[int]": Integral, "float": Real,
 class RunSpec:
     booth_size: int = 4                  # 3f+1 members per booth
     pool: Optional[int] = None           # total vehicles; defaults to booth_size
-    batch_size: int = 8                  # data entries per ordering round
+    batch_size: int = field(default=8, metadata=POSITIVE)  # entries per round
     gamma: int = 1                       # co-located proposer instances
-    delta_us: int = 100_000              # consensus window length
+    delta_us: int = field(default=100_000, metadata=POSITIVE)  # window length
     lambda0: int = 0                     # gossip lifetime; 0 disables gossip
     tau_us: int = 24 * 3600 * 1_000_000  # temp storage age bound
-    duration_ms: float = 1_000.0         # workload window
+    duration_ms: float = field(default=1_000.0, metadata=POSITIVE)  # workload
     grace_ms: float = 400.0              # drain time after workload stops
-    rate_per_s: Optional[float] = 200.0  # batches per second; None saturates
+    # batches per second; None saturates
+    rate_per_s: Optional[float] = field(default=200.0, metadata=POSITIVE)
     payload_bytes: int = 64
     seed: int = 1
     sim: SimConfig = field(default_factory=lambda: SimConfig(seed=0))
@@ -64,13 +65,7 @@ class RunSpec:
     label: str = ""
 
     def validate(self) -> "RunSpec":
-        for f in fields(self):          # the int and float fields, by annotation
-            value, kind = getattr(self, f.name), _NUMERIC.get(f.type)
-            if kind and (value is not None or "Optional" not in f.type) and (
-                    not isinstance(value, kind) or isinstance(value, bool)):
-                raise ConfigInvalid(f"{f.name} must be {kind.__name__.lower()}, got {value!r}")
-            if kind is Real and value is not None and not math.isfinite(value):
-                raise ConfigInvalid(f"{f.name} must be finite, got {value!r}")
+        _check_numbers(self)
         if self.booth_size < 4 or (self.booth_size - 1) % 3 != 0:
             raise ConfigInvalid(
                 f"booth size must be 3f+1 with f >= 1, got {self.booth_size}")
@@ -79,16 +74,6 @@ class RunSpec:
             raise ConfigInvalid(f"pool {pool} smaller than booth {self.booth_size}")
         if self.gamma < 1 or self.gamma > pool - 1:
             raise ConfigInvalid(f"gamma must be in [1, pool-1], got {self.gamma}")
-        if self.batch_size < 1:
-            raise ConfigInvalid("batch size must be positive")
-        if self.delta_us <= 0:
-            raise ConfigInvalid("window length must be positive")
-        if self.lambda0 < 0:
-            raise ConfigInvalid("gossip lifetime cannot be negative")
-        if self.duration_ms <= 0 or self.grace_ms < 0:
-            raise ConfigInvalid("duration must be positive, grace non-negative")
-        if (self.rate_per_s is not None and self.rate_per_s <= 0) or self.payload_bytes < 0:
-            raise ConfigInvalid("rate must be positive, payload size non-negative")
         if self.protocol.delta_us != self.delta_us:
             return replace(self, protocol=replace(self.protocol,
                                                   delta_us=self.delta_us))
@@ -101,6 +86,28 @@ class RunSpec:
     @property
     def fault_budget(self) -> int:
         return (self.booth_size - 1) // 3
+
+
+def _check_numbers(config, prefix: str = "") -> None:
+    """Check each int and float field of a config dataclass, and of the
+    config dataclasses nested in it, by annotation: its type, that it is
+    finite, and that it is at least zero, or above zero if its metadata is
+    `POSITIVE`. A message names the field by its dotted path."""
+    for f in fields(config):
+        value, kind = getattr(config, f.name), _NUMERIC.get(f.type)
+        name = prefix + f.name
+        if is_dataclass(value):
+            _check_numbers(value, name + ".")
+        if not kind or (value is None and "Optional" in f.type):
+            continue
+        if not isinstance(value, kind) or isinstance(value, bool):
+            raise ConfigInvalid(f"{name} must be {kind.__name__.lower()}, got {value!r}")
+        if not math.isfinite(value):
+            raise ConfigInvalid(f"{name} must be finite, got {value!r}")
+        if f.metadata.get("positive") and value <= 0:
+            raise ConfigInvalid(f"{name} must be positive, got {value!r}")
+        if value < 0:
+            raise ConfigInvalid(f"{name} must not be negative, got {value!r}")
 
 
 @dataclass
@@ -229,7 +236,7 @@ def run(spec: RunSpec, net=None) -> RunResult:
     crypto.clear_caches()
     spec = spec.validate()
     master = np.random.SeedSequence(spec.seed)
-    key_seq, net_seed_seq, workload_seq, mmu_seq = master.spawn(4)
+    key_seq, net_seed_seq, workload_seq = master.spawn(3)
     net_seed = int(net_seed_seq.generate_state(1)[0])
 
     identities, keys, registry = _build_identities(spec, key_seq)
@@ -255,16 +262,13 @@ def run(spec: RunSpec, net=None) -> RunResult:
             gossip_config=gossip_cfg)
 
     workloads: dict[int, Workload] = {}
-    mmu_children = mmu_seq.spawn(spec.gamma)
     wl_children = workload_seq.spawn(spec.gamma)
-    for plan, mmu_child, wl_child in zip(plan_instances(spec), mmu_children,
-                                         wl_children):
+    for plan, wl_child in zip(plan_instances(spec), wl_children):
         runtime = runtimes[plan.proposer_id]
         mmu = MembershipUnit(
             instance_id=plan.instance_id, proposer_id=plan.proposer_id,
-            pivot_id=plan.pivot_id, pool=identities, registry=registry,
+            pivot_id=plan.pivot_id, pool=identities,
             config=replace(spec.mmu, booth_size=spec.booth_size),
-            key_rng=np.random.default_rng(mmu_child),
             now_us=runtime.env.now_us)
         instance = runtime.add_proposer(plan.instance_id, mmu)
         workloads[plan.instance_id] = Workload(
@@ -369,6 +373,7 @@ def _report(spec: RunSpec, net: Network, runtimes: dict[int, NodeRuntime],
             "committed_batches": metrics.committed_batches,
             "committed_entries": metrics.committed_entries,
             "abandoned_batches": metrics.abandoned_batches,
+            "stalled_windows": len(inst.consensus.stalled_windows),
             "ordering_tps": round(metrics.ordered_entries / duration_s, 3),
             "consensus_tps": round(metrics.committed_entries / duration_s, 3),
             "ordering_latency_ms": _percentiles_ms(metrics.ordering_latency_us),
@@ -402,6 +407,8 @@ def _report(spec: RunSpec, net: Network, runtimes: dict[int, NodeRuntime],
             "rate_per_s": spec.rate_per_s,
             "gst_ms": spec.sim.gst_ms,
             "drop_rate": spec.sim.drop_rate,
+            "byzantine": {str(node_id): list(behaviors)
+                          for node_id, behaviors in spec.byzantine},
         },
         "instances": instances,
         "messages_by_category": dict(sorted(net.totals_by_category().items())),

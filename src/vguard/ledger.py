@@ -497,17 +497,17 @@ class ChainCheck:
         return self.violations[0] if self.violations else None
 
 
-def verify_chain(ledger: Ledger, registry: Optional[KeyService] = None,
-                 strict: bool = False, horizon_us: Optional[int] = None,
+def verify_chain(ledger: Ledger, registry: KeyService, strict: bool = False,
+                 horizon_us: Optional[int] = None,
                  retired_ids: Collection[int] = frozenset()) -> ChainCheck:
-    """Audit a ledger.
+    """Audit a ledger against the identity registry.
 
     Always checked: commit certificates and per-entry ordering certificates
     against their membership link, both by `BoothProfile.check_certified`
     (the rule validators apply), pivots in every membership link,
     transaction hashes, window monotonicity, and non-overlapping increasing
-    ordering-id ranges. Given a registry, retained reply sets are
-    cross-checked with individually anchored signatures. A missing reply
+    ordering-id ranges. Retained reply sets are cross-checked with the
+    same identity signatures. A missing reply
     set is no violation, by design: validators on the seen path store none.
 
     strict adds the proposer/auditor view: ordering ids must be gapless
@@ -544,7 +544,7 @@ def verify_chain(ledger: Ledger, registry: Optional[KeyService] = None,
             fail(f"window {ts}: unknown consensus booth")
         else:
             reason = booth.check_certified(record.quorum, record.cert,
-                                           record.cert_digest())
+                                           record.cert_digest(), registry)
             if reason is not None:
                 fail(f"window {ts}: commit certificate rejected: {reason}")
         memberships = expand_memberships(tx.membership_links)
@@ -562,12 +562,13 @@ def verify_chain(ledger: Ledger, registry: Optional[KeyService] = None,
             link_booth, quorum = got
             cert_digest = order_cert_digest(
                 entry.ordering_id, entry.batch.batch_hash, link_booth.booth_hash)
-            reason = link_booth.check_certified(quorum, entry.cert, cert_digest)
+            reason = link_booth.check_certified(quorum, entry.cert,
+                                                cert_digest, registry)
             if reason is not None:
                 fail(f"entry {entry.ordering_id}: ordering certificate "
                      f"rejected: {reason}")
             replies = win.reply_sets.get(entry.ordering_id)
-            if replies and registry is not None:
+            if replies:
                 if not verify_partial_set(replies, cert_digest,
                                           2 * link_booth.fault_budget + 1, registry):
                     fail(f"entry {entry.ordering_id}: retained reply set under-signed")
@@ -638,7 +639,6 @@ def _booth_to_json(booth: BoothProfile) -> dict:
              "verify_key": m.verify_key.hex(), "net_addr": m.net_addr}
             for m in booth.members
         ],
-        "directory": {str(i): k.hex() for i, k in booth.directory},
     }
 
 
@@ -653,8 +653,6 @@ def _booth_from_json(obj: dict) -> BoothProfile:
         proposer_id=obj["proposer"],
         pivot_id=obj["pivot"],
         threshold=obj["threshold"],
-        directory=tuple((int(i), bytes.fromhex(k))
-                        for i, k in sorted(obj["directory"].items(), key=lambda kv: int(kv[0]))),
         created_at_us=obj["created_at_us"],
     )
 

@@ -9,9 +9,8 @@ enough members fall away the booth is dropped from the queue and listeners
 
 Booth composition slides a window over the latency-sorted vehicle list, so
 adjacent queued booths overlap in membership; the proposer and the pivot
-are mandatory members of every booth. Key material is dealt at composition
-time and cached by member set, so a booth that re-forms after a flap keeps
-its identity and keys.
+are mandatory members of every booth. Profiles are cached by member set,
+so a booth that re-forms after a flap keeps its hash.
 """
 
 from __future__ import annotations
@@ -20,17 +19,17 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .booths import BoothProfile, build_profile
-from .crypto import Identity, KeyService, setup_booth_keys
-from .errors import InsufficientMembers, UnknownNode
+from .crypto import Identity
+from .errors import POSITIVE, InsufficientMembers, UnknownNode
 
 
 @dataclass
 class MmuConfig:
     booth_size: int = 4
-    queue_depth: int = 4
+    queue_depth: int = field(default=4, metadata=POSITIVE)
     ewma_alpha: float = 0.2
-    ping_period_ms: float = 20.0
-    ping_miss_limit: int = 3
+    ping_period_ms: float = field(default=20.0, metadata=POSITIVE)
+    ping_miss_limit: int = field(default=3, metadata=POSITIVE)
 
 
 @dataclass
@@ -53,17 +52,15 @@ class QueuedBooth:
 
 class MembershipUnit:
     def __init__(self, instance_id: int, proposer_id: int, pivot_id: int,
-                 pool: list[Identity], registry: KeyService,
-                 config: MmuConfig, key_rng, now_us: Callable[[], int] = lambda: 0):
+                 pool: list[Identity], config: MmuConfig,
+                 now_us: Callable[[], int] = lambda: 0):
         self.instance_id = instance_id
         self.proposer_id = proposer_id
         self.pivot_id = pivot_id
         self.pool = {ident.node_id: ident for ident in pool}
         if proposer_id not in self.pool or pivot_id not in self.pool:
             raise UnknownNode("proposer and pivot must be in the pool")
-        self.registry = registry
         self.config = config
-        self._key_rng = key_rng
         self._now_us = now_us
         self.status: dict[int, NodeStatus] = {
             node_id: NodeStatus() for node_id in self.pool}
@@ -165,15 +162,12 @@ class MembershipUnit:
         profile = self._profile_cache.get(members)
         if profile is None:
             member_ids = sorted(members)
-            fault_budget = (len(member_ids) - 1) // 3
-            material = setup_booth_keys(member_ids, 2 * fault_budget, self._key_rng)
             profile = build_profile(
                 members=[self.pool[m] for m in member_ids],
                 proposer_id=self.proposer_id, pivot_id=self.pivot_id,
-                threshold=material.threshold, directory=dict(material.directory),
+                threshold=2 * ((len(member_ids) - 1) // 3),
                 created_at_us=self._now_us(),
             )
-            self.registry.install_booth(profile.booth_hash, material)
             self._profile_cache[members] = profile
         return profile
 

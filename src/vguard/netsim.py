@@ -42,9 +42,8 @@ from __future__ import annotations
 import heapq
 import itertools
 import json
-import math
 from collections import deque
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
 from typing import Callable, Iterable, Optional
@@ -110,16 +109,11 @@ class SimConfig:
     trace: bool = False
 
     def __post_init__(self):
-        for f in fields(self):          # the float fields, by annotation
-            value = getattr(self, f.name)
-            if "float" in f.type and value is not None and not math.isfinite(value):
-                raise ConfigInvalid(f"{f.name} must be finite, got {value!r}")
+        # types, finiteness and signs: `harness.RunSpec.validate`
         if not 0.0 <= self.drop_rate < 1.0:
             raise ConfigInvalid("drop_rate must be in [0, 1)")
         if not 0.0 <= self.dup_rate < 1.0:
             raise ConfigInvalid("dup_rate must be in [0, 1)")
-        if self.delay_mean_ms < 0 or self.delay_sd_ms < 0:
-            raise ConfigInvalid("delay parameters must be non-negative")
 
     @classmethod
     def from_dict(cls, obj: dict) -> "SimConfig":

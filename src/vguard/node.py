@@ -14,12 +14,12 @@ receivers apply.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 from .consensus import ConsensusCoordinator, ValidatorConsensus
 from .crypto import KeyService, SigningKey, make_partial
-from .errors import RejectReason
+from .errors import POSITIVE, RejectReason
 from .gossip import GossipAgent, GossipConfig
 from .ledger import DataBatch, Ledger, TotalOrderLog, order_cert_digest
 from .messages import (CommitMsg, CommitReply, GossipAck, GossipMsg, OrderMsg,
@@ -37,7 +37,7 @@ class ProtocolConfig:
     timeout_floor_ms: float = 25.0
     timeout_factor: float = 4.0
     max_retries: int = 50
-    max_inflight: int = 8
+    max_inflight: int = field(default=8, metadata=POSITIVE)
     unseen_allowance_ms: float = 0.5   # extra wait per entry on the full path
 
 
@@ -209,11 +209,8 @@ class ByzantineActor:
         forged = _flip_first_byte(msg.batch)
         digest = order_cert_digest(msg.ordering_id, forged.batch_hash,
                                    msg.booth_hash)
-        share = self.runtime.registry.booth_share(msg.booth_hash,
-                                                  self.runtime.node_id)
-        partial = make_partial(self.runtime.key, digest, share)
         return replace(msg, batch=forged, batch_hash=forged.batch_hash,
-                       proposer_partial=partial)
+                       proposer_partial=make_partial(self.runtime.key, digest))
 
     def _forge_quorum(self, msg):
         foreign = 1_000_000 + self.runtime.node_id

@@ -105,8 +105,8 @@ class QuorumRound:
         quorum = tuple(sorted(quorum_ids))
         parts = [self.replies[s] for s in quorum]
         ctx.env.meter.verify(len(parts))
-        return quorum, aggregate(parts,
-                                 ctx.registry.material(self.booth.booth_hash))
+        return quorum, aggregate(parts, self.booth.member_ids,
+                                 self.booth.threshold, ctx.registry)
 
 
 @dataclass
@@ -157,10 +157,9 @@ class OrderingCoordinator:
         oid = self.next_id
         self.next_id += 1
         payload = order_cert_digest(oid, pb.batch.batch_hash, booth.booth_hash)
-        share = ctx.registry.booth_share(booth.booth_hash, ctx.node_id)
         ctx.env.meter.hash_bytes(batch_wire_bytes(pb.batch))
-        ctx.env.meter.sign(2)
-        own = make_partial(ctx.key, payload, share)
+        ctx.env.meter.sign(1)
+        own = make_partial(ctx.key, payload)
         rnd = OrderingRound(
             ordering_id=oid, batch=pb.batch, booth=booth,
             submitted_at_us=pb.submitted_at_us, retries=pb.retries,
@@ -317,16 +316,12 @@ class ValidatorOrdering:
             ctx.diag(RejectReason.REUSED_ID)
             return
 
-        share = ctx.registry.booth_share(msg.booth_hash, ctx.node_id)
-        if share is None:
-            ctx.diag(RejectReason.NO_SHARE)
-            return
         if known is None:
             self.pending[msg.ordering_id] = PendingOrder(msg.batch, booth)
-        ctx.env.meter.sign(2)
+        ctx.env.meter.sign(1)
         reply = OrderReply(instance_id=ctx.instance_id, sender=ctx.node_id,
                            ordering_id=msg.ordering_id,
-                           partial=make_partial(ctx.key, expected, share))
+                           partial=make_partial(ctx.key, expected))
         ctx.send(src, reply, Category.ORDERING, msg.ordering_id)
 
     def handle_order(self, src: int, msg: OrderMsg) -> None:
@@ -345,7 +340,7 @@ class ValidatorOrdering:
         expected = order_cert_digest(msg.ordering_id, po.batch.batch_hash,
                                      booth.booth_hash)
         reason = booth.check_certified(msg.quorum, msg.cert, expected,
-                                       ctx.env.meter)
+                                       ctx.registry, ctx.env.meter)
         if reason is not None:
             ctx.diag(reason)
             return

@@ -15,7 +15,6 @@ import pytest
 from vguard import crypto
 from vguard.booths import BoothProfile, build_profile
 from vguard.crypto import (
-    BoothKeyMaterial,
     Identity,
     KeyService,
     Role,
@@ -23,7 +22,6 @@ from vguard.crypto import (
     aggregate,
     make_identity,
     make_partial,
-    setup_booth_keys,
 )
 from vguard.ledger import (
     CommitRecord,
@@ -76,27 +74,20 @@ def make_pool(node_ids, seed: int = 7, pivot_id: int | None = None,
 
 
 def make_booth(pool: Pool, member_ids, proposer_id: int, pivot_id: int,
-               threshold: int | None = None, created_at_us: int = 0
-               ) -> tuple[BoothProfile, BoothKeyMaterial]:
+               created_at_us: int = 0) -> BoothProfile:
     member_ids = sorted(member_ids)
-    f = (len(member_ids) - 1) // 3
-    t = 2 * f if threshold is None else threshold
-    material = setup_booth_keys(member_ids, t, pool.rng)
-    profile = build_profile(
+    return build_profile(
         members=[pool.identity(i) for i in member_ids],
         proposer_id=proposer_id, pivot_id=pivot_id,
-        threshold=t, directory=dict(material.directory),
+        threshold=2 * ((len(member_ids) - 1) // 3),
         created_at_us=created_at_us,
     )
-    pool.registry.install_booth(profile.booth_hash, material)
-    return profile, material
 
 
 def fresh_profile(booth: BoothProfile) -> BoothProfile:
     """An equal profile that has neither packed nor hashed itself yet."""
     return BoothProfile(members=booth.members, proposer_id=booth.proposer_id,
                         pivot_id=booth.pivot_id, threshold=booth.threshold,
-                        directory=booth.directory,
                         created_at_us=booth.created_at_us)
 
 
@@ -119,21 +110,22 @@ def default_quorum(booth: BoothProfile) -> tuple[int, ...]:
     return tuple(sorted(quorum))
 
 
-def certify_entry(pool: Pool, booth: BoothProfile, material: BoothKeyMaterial,
+def certify(pool: Pool, booth: BoothProfile, payload: bytes,
+            quorum: tuple[int, ...]):
+    """The quorum's identity partials over `payload`, and their certificate."""
+    partials = [make_partial(pool.keys[m], payload) for m in quorum]
+    return partials, aggregate(partials, booth.member_ids, booth.threshold,
+                               pool.registry)
+
+
+def certify_entry(pool: Pool, booth: BoothProfile,
                   ordering_id: int, batch: DataBatch,
                   quorum: tuple[int, ...] | None = None,
                   appended_at_us: int = 0) -> LogEntry:
     quorum = default_quorum(booth) if quorum is None else quorum
     payload = order_cert_digest(ordering_id, batch.batch_hash, booth.booth_hash)
-    partials = [
-        make_partial(pool.keys[m], payload,
-                     pool.registry.booth_share(booth.booth_hash, m))
-        for m in quorum
-    ]
-    cert = aggregate(partials, material)
-    proposer_partial = make_partial(
-        pool.keys[booth.proposer_id], payload,
-        pool.registry.booth_share(booth.booth_hash, booth.proposer_id))
+    partials, cert = certify(pool, booth, payload, quorum)
+    proposer_partial = make_partial(pool.keys[booth.proposer_id], payload)
     return LogEntry(
         ordering_id=ordering_id, batch=batch, quorum=tuple(sorted(quorum)),
         booth_hash=booth.booth_hash, cert=cert, appended_at_us=appended_at_us,
@@ -141,9 +133,8 @@ def certify_entry(pool: Pool, booth: BoothProfile, material: BoothKeyMaterial,
     )
 
 
-def commit_window(pool: Pool, booth: BoothProfile, material: BoothKeyMaterial,
-                  window_start_us: int, window_len_us: int,
-                  entries: list[LogEntry],
+def commit_window(pool: Pool, booth: BoothProfile, window_start_us: int,
+                  window_len_us: int, entries: list[LogEntry],
                   booth_lookup=None) -> tuple[CommitRecord, Transaction]:
     lookup = booth_lookup or (lambda h: booth)
     links = prune_memberships(entries, lookup)
@@ -154,14 +145,10 @@ def commit_window(pool: Pool, booth: BoothProfile, material: BoothKeyMaterial,
     )
     quorum = default_quorum(booth)
     payload = commit_cert_digest(window_start_us, tx.tx_hash, booth.booth_hash)
-    partials = [
-        make_partial(pool.keys[m], payload,
-                     pool.registry.booth_share(booth.booth_hash, m))
-        for m in quorum
-    ]
     record = CommitRecord(
         consensus_id=window_start_us, quorum=quorum,
-        booth_hash=booth.booth_hash, cert=aggregate(partials, material),
+        booth_hash=booth.booth_hash,
+        cert=certify(pool, booth, payload, quorum)[1],
         tx_hash=tx.tx_hash, committed_at_us=window_start_us + window_len_us,
     )
     return record, tx
@@ -173,7 +160,7 @@ def pool4() -> Pool:
 
 
 @pytest.fixture
-def booth4(pool4) -> tuple[BoothProfile, BoothKeyMaterial]:
+def booth4(pool4) -> BoothProfile:
     return make_booth(pool4, [1, 2, 3, 4], proposer_id=1, pivot_id=2)
 
 

@@ -413,9 +413,9 @@ def test_criterion_08_dynamic_booths_match_static_reference():
 # -- criterion 9: gossip depth and isolation ------------------------------
 
 def gossip_commit(pool):
-    booth, material = make_booth(pool, [1, 2, 3, 4], proposer_id=1, pivot_id=2)
-    entry = certify_entry(pool, booth, material, 1, make_batch(pool))
-    record, tx = commit_window(pool, booth, material, 0, DELTA_US, [entry])
+    booth = make_booth(pool, [1, 2, 3, 4], proposer_id=1, pivot_id=2)
+    entry = certify_entry(pool, booth, 1, make_batch(pool))
+    record, tx = commit_window(pool, booth, 0, DELTA_US, [entry])
     msg = CommitMsg(instance_id=1, sender=1, window_start_us=0,
                     quorum=record.quorum, booth_hash=record.booth_hash,
                     cert=record.cert, tx_hash=record.tx_hash)

@@ -19,16 +19,15 @@ from vguard.ordering import batch_wire_bytes
 @pytest.fixture(scope="module")
 def world():
     pool = make_pool([1, 2, 3, 4], seed=23)
-    booth, material = make_booth(pool, [1, 2, 3, 4], proposer_id=1, pivot_id=2)
-    return pool, booth, material
+    booth = make_booth(pool, [1, 2, 3, 4], proposer_id=1, pivot_id=2)
+    return pool, booth
 
 
 def _booth_fields(booth: BoothProfile) -> list:
     return [booth.proposer_id, booth.pivot_id, booth.threshold,
             booth.created_at_us,
             [[m.node_id, m.role.value, m.verify_key, m.net_addr]
-             for m in booth.members],
-            [[node_id, key] for node_id, key in booth.directory]]
+             for m in booth.members]]
 
 
 def test_pack_layout_per_type():
@@ -70,7 +69,7 @@ def test_spliced_packed_field_equals_nested_pack():
 
 
 def test_decoded_booth_keeps_the_bytes_it_was_read_from(world):
-    _, booth, _ = world
+    _, booth = world
     raw = pack(_booth_fields(booth))
     assert fresh_profile(booth).packed == raw
     r = Reader(b"junk" + raw + b"more", pos=4)
@@ -82,7 +81,7 @@ def test_decoded_booth_keeps_the_bytes_it_was_read_from(world):
 
 
 def test_booth_hash_from_bytes_equals_fieldwise_digest(world):
-    _, booth, _ = world
+    _, booth = world
     expected = digest("booth", *_booth_fields(booth))
     assert fresh_profile(booth).booth_hash == expected
     decoded = BoothProfile.read_from(Reader(pack(_booth_fields(booth))))
@@ -90,7 +89,7 @@ def test_booth_hash_from_bytes_equals_fieldwise_digest(world):
 
 
 def test_decoded_batch_hashes_the_slice_it_was_read_from(world):
-    pool, _, _ = world
+    pool, _ = world
     batch = make_batch(pool, size=5, payload_len=13)
     fields = [[e.origin_seq, e.payload] for e in batch.entries]
     expected = digest("batch", fields)
@@ -192,10 +191,10 @@ def test_batch_wire_bytes_equals_the_per_entry_sum(size):
 
 
 def test_transaction_roundtrip_is_byte_identical(world):
-    pool, booth, material = world
-    entries = [certify_entry(pool, booth, material, oid, make_batch(pool))
+    pool, booth = world
+    entries = [certify_entry(pool, booth, oid, make_batch(pool))
                for oid in (1, 2, 3)]
-    _, tx = commit_window(pool, booth, material, 0, 100_000, entries)
+    _, tx = commit_window(pool, booth, 0, 100_000, entries)
     raw = pack(tx.to_field())
     decoded = Transaction.read_from(Reader(raw))
     assert decoded == tx

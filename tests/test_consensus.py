@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import (certify_entry, commit_window, default_quorum,
+from conftest import (certify, certify_entry, commit_window, default_quorum,
                       make_batch, make_booth, make_pool)
 from vguard.consensus import (ConsensusCoordinator, ConsensusRound,
                               ValidatorConsensus)
@@ -21,16 +21,13 @@ DELTA = 100_000
 @pytest.fixture
 def world():
     pool = make_pool([1, 2, 3, 4, 5, 6], seed=31, proposer_id=1, pivot_id=2)
-    booth, material = make_booth(pool, [1, 2, 3, 4], proposer_id=1,
-                                 pivot_id=2)
-    return pool, booth, material
+    booth = make_booth(pool, [1, 2, 3, 4], proposer_id=1, pivot_id=2)
+    return pool, booth
 
 
 def proposer_partial(pool, booth, ts, tx_hash):
     payload = commit_cert_digest(ts, tx_hash, booth.booth_hash)
-    return make_partial(pool.keys[booth.proposer_id], payload,
-                        pool.registry.booth_share(booth.booth_hash,
-                                                  booth.proposer_id))
+    return make_partial(pool.keys[booth.proposer_id], payload)
 
 
 def seen_msg(pool, booth, tx, first_id, last_id, ts=0, **over):
@@ -57,11 +54,11 @@ def unseen_msg(pool, booth, tx, entries, ts=0, **over):
     return PreCommitUnseen(**fields)
 
 
-def window_of(pool, booth, material, oids, ts=0):
-    entries = [certify_entry(pool, booth, material, oid,
+def window_of(pool, booth, oids, ts=0):
+    entries = [certify_entry(pool, booth, oid,
                              make_batch(pool, start_seq=10 * oid))
                for oid in oids]
-    record, tx = commit_window(pool, booth, material, ts, DELTA, entries)
+    record, tx = commit_window(pool, booth, ts, DELTA, entries)
     return entries, record, tx
 
 
@@ -80,8 +77,8 @@ def only_reject(ctx, reason: str) -> None:
 
 
 def test_seen_valid_binds_and_replies(world):
-    pool, booth, material = world
-    entries, _, tx = window_of(pool, booth, material, [0, 1])
+    pool, booth = world
+    entries, _, tx = window_of(pool, booth, [0, 1])
     ctx, sent = make_ctx(pool, node_id=3)
     engine = ValidatorConsensus(ctx)
     seed_log(ctx, entries, booth)
@@ -96,8 +93,8 @@ def test_seen_valid_binds_and_replies(world):
 
 
 def test_seen_with_log_gap_cannot_vouch(world):
-    pool, booth, material = world
-    entries, _, tx = window_of(pool, booth, material, [0, 1, 2])
+    pool, booth = world
+    entries, _, tx = window_of(pool, booth, [0, 1, 2])
     ctx, sent = make_ctx(pool, node_id=3)
     seed_log(ctx, [entries[0], entries[2]], booth)  # id 1 missing locally
     ValidatorConsensus(ctx).handle_seen(1, seen_msg(pool, booth, tx, 0, 2))
@@ -106,8 +103,8 @@ def test_seen_with_log_gap_cannot_vouch(world):
 
 
 def test_seen_hash_mismatch_rejected(world):
-    pool, booth, material = world
-    entries, _, tx = window_of(pool, booth, material, [0, 1])
+    pool, booth = world
+    entries, _, tx = window_of(pool, booth, [0, 1])
     ctx, sent = make_ctx(pool, node_id=3)
     seed_log(ctx, entries, booth)
     msg = seen_msg(pool, booth, tx, 0, 1, tx_hash=b"\x99" * 32)
@@ -117,8 +114,8 @@ def test_seen_hash_mismatch_rejected(world):
 
 
 def test_window_shape_must_match_protocol(world):
-    pool, booth, material = world
-    entries, _, tx = window_of(pool, booth, material, [0])
+    pool, booth = world
+    entries, _, tx = window_of(pool, booth, [0])
     ctx, _ = make_ctx(pool, node_id=3)
     seed_log(ctx, entries, booth)
     engine = ValidatorConsensus(ctx)
@@ -130,12 +127,12 @@ def test_window_shape_must_match_protocol(world):
 
 
 def test_second_proposal_for_bound_window_rejected(world):
-    pool, booth, material = world
-    shared = [certify_entry(pool, booth, material, oid,
+    pool, booth = world
+    shared = [certify_entry(pool, booth, oid,
                             make_batch(pool, start_seq=10 * oid))
               for oid in (0, 1)]
-    _, tx_a = commit_window(pool, booth, material, 0, DELTA, shared[:1])
-    _, tx_b = commit_window(pool, booth, material, 0, DELTA, shared)
+    _, tx_a = commit_window(pool, booth, 0, DELTA, shared[:1])
+    _, tx_b = commit_window(pool, booth, 0, DELTA, shared)
     assert tx_a.tx_hash != tx_b.tx_hash
     ctx, sent = make_ctx(pool, node_id=3)
     seed_log(ctx, shared, booth)
@@ -156,9 +153,9 @@ def consensus_booth(pool):
 
 
 def test_unseen_verifies_adopts_and_replies(world):
-    pool, booth, material = world
-    entries, _, tx = window_of(pool, booth, material, [0, 1])
-    cbooth, _ = consensus_booth(pool)
+    pool, booth = world
+    entries, _, tx = window_of(pool, booth, [0, 1])
+    cbooth = consensus_booth(pool)
     ctx, sent = make_ctx(pool, node_id=5)
     engine = ValidatorConsensus(ctx)
     engine.handle_unseen(1, unseen_msg(pool, cbooth, tx, entries))
@@ -173,9 +170,9 @@ def test_unseen_verifies_adopts_and_replies(world):
 
 
 def test_unseen_without_enough_anchored_replies(world):
-    pool, booth, material = world
-    entries, _, tx = window_of(pool, booth, material, [0])
-    cbooth, _ = consensus_booth(pool)
+    pool, booth = world
+    entries, _, tx = window_of(pool, booth, [0])
+    cbooth = consensus_booth(pool)
     need = 2 * booth.fault_budget + 1
     starved = tuple((e.ordering_id, e.reply_set[:need - 1]) for e in entries)
     ctx, sent = make_ctx(pool, node_id=5)
@@ -187,9 +184,9 @@ def test_unseen_without_enough_anchored_replies(world):
 
 
 def test_unseen_tampered_batch_fails_certificate(world):
-    pool, booth, material = world
+    pool, booth = world
     from vguard.ledger import DataBatch, DataEntry, Transaction, TxEntry
-    entries, _, tx = window_of(pool, booth, material, [0])
+    entries, _, tx = window_of(pool, booth, [0])
     entry = entries[0]
     first = entry.batch.entries[0]
     flipped = DataBatch(entries=(
@@ -200,7 +197,7 @@ def test_unseen_tampered_batch_fails_certificate(world):
         window_start_us=tx.window_start_us, window_len_us=tx.window_len_us,
         entries=(TxEntry(0, flipped, entry.cert),),
         membership_links=tx.membership_links)
-    cbooth, _ = consensus_booth(pool)
+    cbooth = consensus_booth(pool)
     ctx, sent = make_ctx(pool, node_id=5)
     ValidatorConsensus(ctx).handle_unseen(
         1, unseen_msg(pool, cbooth, tampered_tx, entries))
@@ -209,11 +206,11 @@ def test_unseen_tampered_batch_fails_certificate(world):
 
 
 def test_unseen_link_without_pivot_rejected(world):
-    pool, booth, material = world
-    pivotless = [certify_entry(pool, booth, material, 0, make_batch(pool),
+    pool, booth = world
+    pivotless = [certify_entry(pool, booth, 0, make_batch(pool),
                                quorum=(3, 4))]
-    _, tx = commit_window(pool, booth, material, 0, DELTA, pivotless)
-    cbooth, _ = consensus_booth(pool)
+    _, tx = commit_window(pool, booth, 0, DELTA, pivotless)
+    cbooth = consensus_booth(pool)
     ctx, sent = make_ctx(pool, node_id=5)
     ValidatorConsensus(ctx).handle_unseen(
         1, unseen_msg(pool, cbooth, tx, pivotless))
@@ -222,12 +219,12 @@ def test_unseen_link_without_pivot_rejected(world):
 
 
 def test_unseen_empty_transaction_rejected(world):
-    pool, booth, material = world
-    entries, _, tx = window_of(pool, booth, material, [0])
+    pool, booth = world
+    entries, _, tx = window_of(pool, booth, [0])
     from vguard.ledger import Transaction
     hollow = Transaction(window_start_us=0, window_len_us=DELTA,
                          entries=(), membership_links=())
-    cbooth, _ = consensus_booth(pool)
+    cbooth = consensus_booth(pool)
     ctx, _ = make_ctx(pool, node_id=5)
     ValidatorConsensus(ctx).handle_unseen(
         1, unseen_msg(pool, cbooth, hollow, entries))
@@ -247,20 +244,20 @@ def commit_msg(record, **over) -> CommitMsg:
 
 
 def bound_engine(world, hooked=None):
-    pool, booth, material = world
-    entries, record, tx = window_of(pool, booth, material, [0, 1])
+    pool, booth = world
+    entries, record, tx = window_of(pool, booth, [0, 1])
     ctx, sent = make_ctx(pool, node_id=3)
     ctx.committed_hook = hooked
     engine = ValidatorConsensus(ctx)
     seed_log(ctx, entries, booth)
     engine.handle_seen(1, seen_msg(pool, booth, tx, 0, 1))
     assert len(sent) == 1
-    return pool, booth, material, engine, ctx, record, tx
+    return pool, booth, engine, ctx, record, tx
 
 
 def test_commit_lands_window_in_ledger(world):
     committed = []
-    pool, booth, material, engine, ctx, record, tx = bound_engine(
+    pool, booth, engine, ctx, record, tx = bound_engine(
         world, hooked=lambda msg, tx: committed.append((msg, tx)))
     engine.handle_commit(1, commit_msg(record))
     assert not ctx.counters
@@ -275,46 +272,46 @@ def test_commit_lands_window_in_ledger(world):
 
 
 def test_commit_without_bound_window(world):
-    pool, booth, material = world
-    _, record, _ = window_of(pool, booth, material, [0])
+    pool, booth = world
+    _, record, _ = window_of(pool, booth, [0])
     ctx, _ = make_ctx(pool, node_id=3)
     ValidatorConsensus(ctx).handle_commit(1, commit_msg(record))
     only_reject(ctx, "unknown_commit")
 
 
 def test_commit_reject_matrix(world):
-    pool, booth, material = world
+    pool, booth = world
 
     def fresh():
         return bound_engine(world)
 
-    _, _, _, engine, ctx, record, tx = fresh()
+    _, _, engine, ctx, record, tx = fresh()
     engine.handle_commit(1, commit_msg(record, tx_hash=b"\x01" * 32))
     only_reject(ctx, "reused_window")
 
-    _, _, _, engine, ctx, record, _ = fresh()
+    _, _, engine, ctx, record, _ = fresh()
     engine.handle_commit(1, commit_msg(record, booth_hash=b"\x02" * 32))
     only_reject(ctx, "unknown_booth")
 
-    _, _, _, engine, ctx, record, _ = fresh()
+    _, _, engine, ctx, record, _ = fresh()
     engine.handle_commit(4, commit_msg(record))
     only_reject(ctx, "malformed")
 
-    _, _, _, engine, ctx, record, _ = fresh()
+    _, _, engine, ctx, record, _ = fresh()
     engine.handle_commit(1, commit_msg(record, quorum=(2, 3, 4)))
     only_reject(ctx, "quorum_mismatch")
 
-    _, _, _, engine, ctx, record, _ = fresh()
+    _, _, engine, ctx, record, _ = fresh()
     engine.handle_commit(1, commit_msg(record, quorum=(2, 99)))
     only_reject(ctx, "foreign_quorum_member")
 
-    _, _, _, engine, ctx, record, _ = fresh()
+    _, _, engine, ctx, record, _ = fresh()
     engine.handle_commit(1, commit_msg(record, quorum=(3, 4)))
     only_reject(ctx, "pivot_missing")
 
     # certificate from a different window start
-    _, _, _, engine, ctx, record, _ = fresh()
-    _, other_record, _ = window_of(pool, booth, material, [0, 1], ts=DELTA)
+    _, _, engine, ctx, record, _ = fresh()
+    _, other_record, _ = window_of(pool, booth, [0, 1], ts=DELTA)
     engine.handle_commit(1, commit_msg(record, cert=other_record.cert))
     only_reject(ctx, "bad_cert")
 
@@ -323,19 +320,15 @@ def test_commit_reject_matrix(world):
 
 
 def test_commit_quorum_claim_must_match_cert_signers(world):
-    pool, booth, material = world
-    entries, _, tx = window_of(pool, booth, material, [0])
+    pool, booth = world
+    entries, _, tx = window_of(pool, booth, [0])
     ctx, _ = make_ctx(pool, node_id=3)
     engine = ValidatorConsensus(ctx)
     seed_log(ctx, entries, booth)
     engine.handle_seen(1, seen_msg(pool, booth, tx, 0, 0))
 
-    from vguard.crypto import aggregate
     payload = commit_cert_digest(0, tx.tx_hash, booth.booth_hash)
-    partials = [make_partial(pool.keys[m], payload,
-                             pool.registry.booth_share(booth.booth_hash, m))
-                for m in (2, 3)]
-    cert = aggregate(partials, material)
+    _, cert = certify(pool, booth, payload, (2, 3))
     msg = CommitMsg(instance_id=1, sender=1, window_start_us=0,
                     quorum=(2, 4), booth_hash=booth.booth_hash, cert=cert,
                     tx_hash=tx.tx_hash)
@@ -373,8 +366,8 @@ def test_pre_commit_is_built_once_per_attempt(monkeypatch):
 def test_reply_endorsing_another_digest_is_wrong_digest_not_bad_sig(world):
     """A partial over another window's digest is a different claim, not a
     forged signature; a partial whose signer is not the sender is bad_sig."""
-    pool, booth, material = world
-    _, _, tx = window_of(pool, booth, material, [1, 2])
+    pool, booth = world
+    _, _, tx = window_of(pool, booth, [1, 2])
     ctx, _ = make_ctx(pool, node_id=1)
     ctx.mmu = FakeMmu(booth)
     coord = ConsensusCoordinator(ctx)
@@ -387,9 +380,7 @@ def test_reply_endorsing_another_digest_is_wrong_digest_not_bad_sig(world):
 
     def reply(src, signer, ts):
         payload = commit_cert_digest(ts, tx.tx_hash, booth.booth_hash)
-        partial = make_partial(
-            pool.keys[signer], payload,
-            pool.registry.booth_share(booth.booth_hash, signer))
+        partial = make_partial(pool.keys[signer], payload)
         return CommitReply(instance_id=1, sender=src, window_start_us=0,
                            partial=partial)
 

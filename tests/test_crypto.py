@@ -1,4 +1,4 @@
-"""Identity signatures, booth key material, and aggregate certificates."""
+"""Identity signatures, the identity registry, and quorum certificates."""
 
 import itertools
 
@@ -6,14 +6,14 @@ import numpy as np
 import pytest
 
 from vguard import crypto, ledger
-from vguard.codec import digest, pack
+from vguard.booths import build_profile
+from vguard.codec import digest
 from vguard.crypto import (
     Ed25519PrivateKey,
     KeyService,
     aggregate,
     make_identity,
     make_partial,
-    setup_booth_keys,
     signer_set_digest,
     verify_aggregate,
     verify_partial,
@@ -25,13 +25,12 @@ from vguard.errors import (
     RejectReason,
     InsufficientPartials,
     InvalidPartial,
-    InvalidThreshold,
     MixedDigests,
     UnknownSigner,
 )
 from vguard.harness import RunSpec, run
 
-from conftest import make_pool, make_booth
+from conftest import certify, make_booth, make_pool
 
 # Aggregates are certified multisigs, not a constant-size threshold scheme:
 # the accepted size envelope is threshold * 64-byte signatures plus the
@@ -60,12 +59,20 @@ def test_any_bit_flip_breaks_verification():
     # flipping any one bit of the signature must fail too, also after the
     # untampered signature has been checked (and memoised)
     assert verify_partial(partial, ident.verify_key)
-    individual, booth = partial.components()
-    for pos in range(len(individual)):
-        forged = bytearray(individual)
+    for pos in range(len(partial.sig_bytes)):
+        forged = bytearray(partial.sig_bytes)
         forged[pos] ^= 1 << (pos % 8)
-        bad = type(partial)(partial.signer, payload, pack(bytes(forged), booth))
+        bad = type(partial)(partial.signer, payload, bytes(forged))
         assert not verify_partial(bad, ident.verify_key)
+
+
+def test_partial_is_one_identity_signature():
+    ident, key = make_identity(5, Role.VEHICLE, _rng(12).bytes(32))
+    payload = digest("t", b"one signature")
+    partial = make_partial(key, payload)
+    assert len(partial.sig_bytes) == crypto.SIG_LEN == 64
+    assert partial.sig_bytes == key.sign(payload)
+    assert verify_raw(ident.verify_key, payload, partial.sig_bytes)
 
 
 def test_partial_rejected_under_wrong_key():
@@ -76,23 +83,25 @@ def test_partial_rejected_under_wrong_key():
     assert not verify_partial(partial, other.verify_key)
 
 
-def test_threshold_bounds_rejected():
-    with pytest.raises(InvalidThreshold):
-        setup_booth_keys([1, 2, 3, 4], 5, _rng())       # above booth size
-    with pytest.raises(InvalidThreshold):
-        setup_booth_keys([1, 2, 3, 4], 1, _rng())       # below 2f
-    setup_booth_keys([1, 2, 3, 4], 2, _rng())           # t = 2f is the floor
+def test_threshold_bounds_rejected(pool4):
+    members = [pool4.identity(i) for i in (1, 2, 3, 4)]
+    with pytest.raises(ValueError):
+        build_profile(members, 1, 2, threshold=5)       # above booth size
+    with pytest.raises(ValueError):
+        build_profile(members, 1, 2, threshold=1)       # below 2f
+    build_profile(members, 1, 2, threshold=2)           # t = 2f is the floor
+
+
+def _verifies(agg, payload, booth, registry) -> bool:
+    return verify_aggregate(agg, payload, booth.member_ids, booth.threshold,
+                            registry)
 
 
 def test_aggregate_two_of_four_verifies(pool4, booth4):
-    booth, material = booth4
+    booth = booth4
     payload = digest("t", b"batch")
-    partials = [
-        make_partial(pool4.keys[m], payload, pool4.registry.booth_share(booth.booth_hash, m))
-        for m in (2, 3)
-    ]
-    agg = aggregate(partials, material)
-    assert verify_aggregate(agg, payload, booth.directory_map, booth.threshold)
+    _, agg = certify(pool4, booth, payload, (2, 3))
+    assert _verifies(agg, payload, booth, pool4.registry)
     assert agg.signers(booth.member_ids) == [2, 3]
     assert agg.signer_set_digest == signer_set_digest([2, 3])
 
@@ -100,66 +109,72 @@ def test_aggregate_two_of_four_verifies(pool4, booth4):
 def test_every_subthreshold_subset_fails(pool4, booth4):
     # Oracle: enumerate every subset smaller than t; each must refuse to
     # aggregate, and a certificate truncated to it must refuse to verify.
-    booth, material = booth4
+    booth = booth4
     payload = digest("t", b"batch")
-    all_partials = {
-        m: make_partial(pool4.keys[m], payload,
-                        pool4.registry.booth_share(booth.booth_hash, m))
-        for m in booth.member_ids
-    }
-    t = material.threshold
-    for size in range(t):
+    all_partials = {m: make_partial(pool4.keys[m], payload)
+                    for m in booth.member_ids}
+
+    def combine(parts):
+        return aggregate(parts, booth.member_ids, booth.threshold,
+                         pool4.registry)
+
+    for size in range(booth.threshold):
         for subset in itertools.combinations(booth.member_ids, size):
             with pytest.raises(InsufficientPartials):
-                aggregate([all_partials[m] for m in subset], material)
+                combine([all_partials[m] for m in subset])
     # duplicates of one signer never count twice
     with pytest.raises(InsufficientPartials):
-        aggregate([all_partials[2], all_partials[2]], material)
+        combine([all_partials[2], all_partials[2]])
 
 
 def test_aggregate_rejects_foreign_and_mixed(pool4, booth4):
-    booth, material = booth4
+    booth = booth4
     pool_b = make_pool([1, 2, 3, 4, 5, 6], seed=11)
-    booth_b, material_b = make_booth(pool_b, [1, 2, 5, 6], proposer_id=1, pivot_id=2)
     payload = digest("t", b"batch")
     other_payload = digest("t", b"other")
-    good = make_partial(pool4.keys[2], payload,
-                        pool4.registry.booth_share(booth.booth_hash, 2))
-    mixed = make_partial(pool4.keys[3], other_payload,
-                         pool4.registry.booth_share(booth.booth_hash, 3))
+    good = make_partial(pool4.keys[2], payload)
+    mixed = make_partial(pool4.keys[3], other_payload)
+
+    def combine(parts):
+        return aggregate(parts, booth.member_ids, booth.threshold,
+                         pool4.registry)
+
     with pytest.raises(MixedDigests):
-        aggregate([good, mixed], material)
-    foreign = make_partial(pool_b.keys[5], payload,
-                           pool_b.registry.booth_share(booth_b.booth_hash, 5))
+        combine([good, mixed])
+    foreign = make_partial(pool_b.keys[5], payload)
     with pytest.raises(UnknownSigner):
-        aggregate([good, foreign], material)
+        combine([good, foreign])
 
 
-def test_partial_without_share_cannot_aggregate(pool4, booth4):
-    booth, material = booth4
+def test_partial_that_is_not_one_valid_signature_cannot_aggregate(pool4,
+                                                                  booth4):
+    booth = booth4
     payload = digest("t", b"batch")
-    no_share = make_partial(pool4.keys[2], payload, booth_key=None)
-    with_share = make_partial(pool4.keys[3], payload,
-                              pool4.registry.booth_share(booth.booth_hash, 3))
-    with pytest.raises(InvalidPartial):
-        aggregate([no_share, with_share], material)
+    good = make_partial(pool4.keys[3], payload)
+    sig = make_partial(pool4.keys[2], payload).sig_bytes
+    impostor = make_partial(make_pool([2], seed=5, pivot_id=2).keys[2],
+                            payload)
+    for bad in (sig + sig, sig[:-1], impostor.sig_bytes, b""):
+        with pytest.raises(InvalidPartial):
+            aggregate([type(good)(2, payload, bad), good], booth.member_ids,
+                      booth.threshold, pool4.registry)
 
 
 def test_cross_booth_verification_fails(pool4):
-    # Same members, two independently dealt booths: a certificate from one
-    # must not verify against the other's directory.
-    booth_a, material_a = make_booth(pool4, [1, 2, 3, 4], 1, 2, created_at_us=1)
-    booth_b, _ = make_booth(pool4, [1, 2, 3, 4], 1, 2, created_at_us=2)
+    # Same members, two booths: a certificate over one booth's ordering
+    # digest does not certify the same entry in the other, because the
+    # booth hash is inside the certified digest.
+    booth_a = make_booth(pool4, [1, 2, 3, 4], 1, 2, created_at_us=1)
+    booth_b = make_booth(pool4, [1, 2, 3, 4], 1, 2, created_at_us=2)
     assert booth_a.booth_hash != booth_b.booth_hash
-    payload = digest("t", b"batch")
-    partials = [
-        make_partial(pool4.keys[m], payload,
-                     pool4.registry.booth_share(booth_a.booth_hash, m))
-        for m in (2, 3)
-    ]
-    agg = aggregate(partials, material_a)
-    assert verify_aggregate(agg, payload, booth_a.directory_map, booth_a.threshold)
-    assert not verify_aggregate(agg, payload, booth_b.directory_map, booth_b.threshold)
+    batch_hash = digest("t", b"batch")
+    digest_a = ledger.order_cert_digest(1, batch_hash, booth_a.booth_hash)
+    digest_b = ledger.order_cert_digest(1, batch_hash, booth_b.booth_hash)
+    _, agg = certify(pool4, booth_a, digest_a, (2, 3))
+    assert booth_a.check_certified((2, 3), agg, digest_a, pool4.registry) is None
+    assert booth_b.check_certified((2, 3), agg, digest_b, pool4.registry) \
+        is RejectReason.BAD_CERT
+    assert not _verifies(agg, digest_b, booth_b, pool4.registry)
 
 
 def test_aggregate_size_envelope_small_and_large():
@@ -171,20 +186,14 @@ def test_aggregate_size_envelope_small_and_large():
         pool = make_pool(members, seed=seed)
         f = (n - 1) // 3
         t = 2 * f
-        material = setup_booth_keys(members, t, rng)
-        payload = digest("t", b"batch")
-        keyed = []
-        for m in members[:t]:
-            import cryptography.hazmat.primitives.asymmetric.ed25519 as ed
-            booth_key = ed.Ed25519PrivateKey.from_private_bytes(material.share_seeds[m])
-            keyed.append(make_partial(pool.keys[m], payload, booth_key))
-        agg = aggregate(keyed, material)
+        payload = digest("t", rng.bytes(8))
+        keyed = [make_partial(pool.keys[m], payload) for m in members[:t]]
+        agg = aggregate(keyed, members, t, pool.registry)
         assert len(agg.sig_bytes) <= AGGREGATE_SIZE_BOUND(t, n)
-        assert verify_aggregate(agg, payload, dict(material.directory), t)
+        assert verify_aggregate(agg, payload, members, t, pool.registry)
 
 
-def test_verify_partial_set_counts_distinct_valid_signers(pool4, booth4):
-    booth, _ = booth4
+def test_verify_partial_set_counts_distinct_valid_signers(pool4):
     payload = digest("t", b"batch")
     partials = [make_partial(pool4.keys[m], payload) for m in (1, 2, 3)]
     assert verify_partial_set(partials, payload, required=3, registry=pool4.registry)
@@ -199,31 +208,32 @@ def test_verify_partial_set_counts_distinct_valid_signers(pool4, booth4):
 
 
 def test_setup_is_deterministic_per_seed():
-    a = setup_booth_keys([1, 2, 3, 4], 2, _rng(42))
-    b = setup_booth_keys([1, 2, 3, 4], 2, _rng(42))
-    assert a.directory == b.directory
-    assert a.share_seeds == b.share_seeds
-    c = setup_booth_keys([1, 2, 3, 4], 2, _rng(43))
-    assert c.directory != a.directory
+    """Identity keys, and the certificates they sign, follow the seed."""
+    def setup(seed):
+        pool = make_pool([1, 2, 3, 4], seed=seed)
+        booth = make_booth(pool, [1, 2, 3, 4], proposer_id=1, pivot_id=2)
+        cert = certify(pool, booth, digest("t", b"batch"), (2, 3))[1]
+        return pool.registry.keys_of([1, 2, 3, 4]), cert
+
+    assert setup(42) == setup(42)
+    keys, cert = setup(43)
+    assert keys != setup(42)[0] and cert != setup(42)[1]
 
 
 def test_tampered_aggregate_rejected(pool4, booth4):
-    booth, material = booth4
+    booth = booth4
     payload = digest("t", b"batch")
-    partials = [
-        make_partial(pool4.keys[m], payload,
-                     pool4.registry.booth_share(booth.booth_hash, m))
-        for m in (2, 3)
-    ]
-    agg = aggregate(partials, material)
+    _, agg = certify(pool4, booth, payload, (2, 3))
     # flip one signature bit
     raw = bytearray(agg.sig_bytes)
     raw[-1] ^= 1
     bad = type(agg)(agg.threshold, bytes(raw), agg.signer_set_digest)
-    assert not verify_aggregate(bad, payload, booth.directory_map, booth.threshold)
+    assert not _verifies(bad, payload, booth, pool4.registry)
     # claim a different signer set than the bitmap carries
     lied = type(agg)(agg.threshold, agg.sig_bytes, signer_set_digest([2, 4]))
-    assert not verify_aggregate(lied, payload, booth.directory_map, booth.threshold)
+    assert not _verifies(lied, payload, booth, pool4.registry)
+    # a signer the registry does not know never verifies
+    assert not _verifies(agg, payload, booth, KeyService())
 
 
 def test_verify_memo_keys_on_the_full_triple():
@@ -347,7 +357,7 @@ def test_real_checks_parse_each_key_once_and_store_no_bad_key(real_checks):
     assert crypto._memo[("sig", unparsable, payloads[0], b"\x00" * 64)] is False
 
 
-def test_booth_keys_are_derived_once_when_dealt(monkeypatch):
+def test_identity_keys_are_derived_once(monkeypatch):
     derived = []
     real = crypto.Ed25519PrivateKey.from_private_bytes
 
@@ -358,27 +368,28 @@ def test_booth_keys_are_derived_once_when_dealt(monkeypatch):
             return real(seed)
 
     monkeypatch.setattr(crypto, "Ed25519PrivateKey", Counting)
-    material = setup_booth_keys([1, 2, 3, 4], 2, _rng(7))
-    assert sorted(derived) == sorted(material.share_seeds.values())
-    registry = KeyService()
-    registry.install_booth(b"booth", material)
+    seeds = [_rng(7).bytes(32), _rng(8).bytes(32)]
+    keys = [make_identity(n, Role.VEHICLE, seed)[1]
+            for n, seed in enumerate(seeds)]
+    assert derived == seeds
     derived.clear()
-    for member in material.member_ids:
-        key = registry.booth_share(b"booth", member)
-        assert key is material.share_keys[member]
-        assert key.verify_key == material.directory[member] == \
-            real(material.share_seeds[member]).public_key().public_bytes_raw()
+    for key, seed in zip(keys, seeds):
+        for n in range(3):
+            make_partial(key, digest("t", n))
+        assert key.verify_key == \
+            real(seed).public_key().public_bytes_raw()
     assert derived == []
+    crypto.clear_caches()
 
 
-def test_booth_share_verifies_under_the_directory(pool4, booth4):
-    booth, material = booth4
-    for member in material.member_ids:
-        share = pool4.registry.booth_share(booth.booth_hash, member)
-        assert share.verify_key == material.directory[member]
-        assert share is pool4.registry.booth_share(booth.booth_hash, member)
-    outsider = max(pool4.keys) + 1
-    assert pool4.registry.booth_share(booth.booth_hash, outsider) is None
+def test_registry_gives_registered_keys_and_none_for_outsiders(pool4):
+    ids = sorted(pool4.keys)
+    outsider = max(ids) + 1
+    assert pool4.registry.keys_of(ids + [outsider]) == tuple(
+        pool4.keys[i].verify_key for i in ids) + (None,)
+    assert pool4.registry.verify_key(ids[0]) == pool4.keys[ids[0]].verify_key
+    with pytest.raises(crypto.UnknownNode):
+        pool4.registry.verify_key(outsider)
 
 
 def test_memo_stays_bounded_while_signing_records(monkeypatch, real_checks):
@@ -402,23 +413,14 @@ SIGNED_LENGTHS = (0, 1, 32, 33, 64, 200)
 
 
 def _seeded_signers(count: int):
-    """(seed, SigningKey) for `count` identity keys and as many booth
-    shares, dealt through `KeyService` four members at a time."""
+    """(seed, SigningKey) for `count` identity keys, drawn four to a seeded
+    generator."""
     out = []
     for pool_seed in range(count // 4):
         rng = _rng(1000 + pool_seed)
-        registry = KeyService()
-        members = list(range(1, 5))
-        for node_id in members:
+        for node_id in range(1, 5):
             seed = rng.bytes(32)
-            ident, key = make_identity(node_id, Role.VEHICLE, seed)
-            registry.register(ident)
-            out.append((seed, key))
-        material = setup_booth_keys(members, 2, rng)
-        registry.install_booth(b"booth", material)
-        for node_id in members:
-            out.append((material.share_seeds[node_id],
-                        registry.booth_share(b"booth", node_id)))
+            out.append((seed, make_identity(node_id, Role.VEHICLE, seed)[1]))
     return out
 
 
@@ -438,7 +440,7 @@ def signer_backend(request, monkeypatch):
 def test_signing_key_matches_cryptography_byte_for_byte(signer_backend):
     rng = _rng(99)
     messages = [rng.bytes(n) for n in SIGNED_LENGTHS]
-    signers = _seeded_signers(200)
+    signers = _seeded_signers(400)
     assert len(signers) == 400
     for seed, key in signers:
         reference = Ed25519PrivateKey.from_private_bytes(seed)
@@ -452,7 +454,7 @@ def test_signing_key_matches_cryptography_byte_for_byte(signer_backend):
 def test_loaded_signer_never_falls_back(cryptography_signs):
     """Keys and a whole seeded run sign without touching `cryptography`'s
     signer, so a silent fallback cannot hide the fast path."""
-    signers = _seeded_signers(8)
+    signers = _seeded_signers(16)
     for _, key in signers:
         for n in SIGNED_LENGTHS:
             key.sign(b"\x5a" * n)
@@ -472,11 +474,6 @@ class CountingMeter:
         self.verifies.append(count)
 
 
-def _certified(pool, booth, material, payload, quorum=(2, 3)):
-    partials = [make_partial(pool.keys[m], payload,
-                             pool.registry.booth_share(booth.booth_hash, m))
-                for m in quorum]
-    return aggregate(partials, material)
 
 
 def _own_verdict(kind, check):
@@ -493,45 +490,79 @@ def test_certificate_variants_get_their_own_verdicts(pool4, booth4,
                                                      real_checks):
     """Once an honest certificate is memoised as valid, each variant of it
     is a new key, gets a fresh verdict and is rejected as without a memo."""
-    booth, material = booth4
+    booth, registry = booth4, pool4.registry
     payload = digest("t", b"cert")
-    cert = _certified(pool4, booth, material, payload)
-    assert booth.check_certified((2, 3), cert, payload) is None
-    assert booth.check_certified((3, 2), cert, payload) is None   # a hit
+    _, cert = certify(pool4, booth, payload, (2, 3))
+    assert booth.check_certified((2, 3), cert, payload, registry) is None
+    assert booth.check_certified((3, 2), cert, payload, registry) is None  # hit
     assert len(_held("cert")) == 1
     assert real_checks == []
     raw = bytearray(cert.sig_bytes)
     raw[-1] ^= 1
     flipped = type(cert)(cert.threshold, bytes(raw), cert.signer_set_digest)
-    other_booth, _ = make_booth(pool4, [1, 2, 3, 4], proposer_id=1, pivot_id=2)
-    assert other_booth.booth_hash != booth.booth_hash
     other_digest = digest("t", b"other")
+    rekeyed = _rekeyed(registry, 3)
     variants = [
-        (lambda: booth.check_certified((2, 3), flipped, payload), "BAD_CERT"),
-        (lambda: booth.check_certified((2, 4), cert, payload),
-         "QUORUM_MISMATCH"),
-        (lambda: other_booth.check_certified((2, 3), cert, payload),
+        (lambda: booth.check_certified((2, 3), flipped, payload, registry),
          "BAD_CERT"),
-        (lambda: booth.check_certified((2, 3), cert, other_digest),
+        (lambda: booth.check_certified((2, 4), cert, payload, registry),
+         "QUORUM_MISMATCH"),
+        (lambda: booth.check_certified((2, 3), cert, payload, rekeyed),
+         "BAD_CERT"),
+        (lambda: booth.check_certified((2, 3), cert, other_digest, registry),
          "BAD_CERT"),
     ]
     for check, reason in variants:
         crypto.clear_caches()
-        assert booth.check_certified((2, 3), cert, payload) is None
+        assert booth.check_certified((2, 3), cert, payload, registry) is None
         memoised, fresh = _own_verdict("cert", check)
         assert memoised is fresh is RejectReason[reason]
     assert real_checks          # the flipped bit needed a real check
+
+
+def _impostor(node_id: int):
+    """Another identity (and its key) under `node_id`."""
+    return make_identity(node_id, Role.VEHICLE, _rng(77).bytes(32))
+
+
+def _rekeyed(registry: KeyService, node_id: int) -> KeyService:
+    """A copy of `registry` that holds another key for `node_id`."""
+    out = KeyService()
+    for ident in registry.identities.values():
+        out.register(_impostor(node_id)[0] if ident.node_id == node_id
+                     else ident)
+    return out
+
+
+def test_certificate_signed_by_another_key_is_bad_cert(pool4, booth4):
+    """Each signer is checked against its key in the registry, never
+    against a key the profile carries: a quorum member's signature made
+    with any other key is BAD_CERT, also when the profile lists that key
+    as the member's."""
+    booth, registry = booth4, pool4.registry
+    ident, key = _impostor(3)
+    swapped = build_profile(
+        [ident if m.node_id == 3 else m for m in booth.members],
+        booth.proposer_id, booth.pivot_id, booth.threshold)
+    for profile in (booth, swapped):
+        payload = ledger.order_cert_digest(1, digest("t", b"b"),
+                                           profile.booth_hash)
+        forged = aggregate([make_partial(pool4.keys[2], payload),
+                            make_partial(key, payload)],
+                           profile.member_ids, profile.threshold,
+                           _rekeyed(registry, 3))
+        assert profile.check_certified((2, 3), forged, payload, registry) \
+            is RejectReason.BAD_CERT
+        _, honest = certify(pool4, profile, payload, (2, 3))
+        assert profile.check_certified((2, 3), honest, payload,
+                                       registry) is None
 
 
 def test_partial_set_verdict_follows_the_registered_keys(pool4):
     payload = digest("t", b"replies")
     partials = tuple(make_partial(pool4.keys[m], payload) for m in (1, 2, 3))
     assert verify_partial_set(partials, payload, 3, pool4.registry)
-    rekeyed = KeyService()
-    for node_id, ident in pool4.registry.identities.items():
-        if node_id == 3:
-            ident, _ = make_identity(3, ident.role, _rng(77).bytes(32))
-        rekeyed.register(ident)
+    rekeyed = _rekeyed(pool4.registry, 3)
     memoised, fresh = _own_verdict(
         "partial-set", lambda: verify_partial_set(partials, payload, 3, rekeyed))
     assert memoised is fresh is False
@@ -542,14 +573,14 @@ def test_partial_set_verdict_follows_the_registered_keys(pool4):
 
 
 def test_memo_hit_charges_the_meter_as_a_miss_does(pool4, booth4):
-    booth, material = booth4
+    booth = booth4
     payload = digest("t", b"meter")
-    cert = _certified(pool4, booth, material, payload)
+    _, cert = certify(pool4, booth, payload, (2, 3))
     crypto.clear_caches()
     charges = []
     for quorum in [(2, 3), (2, 3), (2, 4), (2, 4), (3, 4), (2,)]:
         meter = CountingMeter()
-        booth.check_certified(quorum, cert, payload, meter)
+        booth.check_certified(quorum, cert, payload, pool4.registry, meter)
         charges.append(meter.verifies)
     # miss, hit, miss, hit; the last two fail their shape and charge nothing
     assert charges == [[2], [2], [2], [2], [], []]

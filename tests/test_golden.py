@@ -60,75 +60,75 @@ SPECS = {
 GOLDEN = {
     "clean_n4": {
         "ledger-1-1.jsonl":
-            "5e51cd9ccd3a4a37f12faf89b02dbcdc3e47ca26f75175877dce5139784335c9",
+            "e363ec8905cd47bbb8e0cc754442e5c1d9b49d564db5e3c927afbd5747bd7c9f",
         "ledger-1-2.jsonl":
-            "22c2705b3cf36ad711019649aff4fc9a72b70e57165a39863fcc5e4bd9e24f44",
+            "ad3f7e1f112048dd04c7ced6d2400481977553e559357c52ca591ae51953f153",
         "ledger-1-3.jsonl":
-            "a97c41a721528ff80b74fd13a595012a00acdb14a714153720bd991a7b77f856",
+            "d5c72a4f5c67a900460f9dbe25646a1f915233cc953a19377677bb93559637fe",
         "ledger-1-4.jsonl":
-            "20419223ca6aee0f867858d9f80d132d54d44524cd3283ed75a2bc96733055d1",
+            "c967837300d6701422c9d537013b812894a3753abc2b9a9b1d381d258fe9ddd4",
         "report.json":
-            "b0764973bbe738caf3619c425a19f0c8964dc5b0c92c63ad4230f0618c4c0e67",
+            "aa23584c53d5dd525c988a7abbd896b10e734cd2e7255c95759f00a49cc63200",
     },
     "forging_quorum_n4": {
         "ledger-1-1.jsonl":
-            "a07f52cacc91de17439ddb1cf2219c4f7ede503d8c29a16c094a99aa4186e507",
+            "9b4c904e660cc5a4e08c5c0ef0710f38b185f63de515e84a9cde8b79c2574c7b",
         "ledger-1-2.jsonl":
-            "17b4bd5b6bca9a7061d8256c57b79abb9c41fa7a50ff390b9b6ea87f4077a01e",
+            "400bf56fb17838a154cd3078ae36d35c309369f8e9e5cd258b1db122a9875e5a",
         "ledger-1-3.jsonl":
-            "14f57221547888ed9a88896f66710d78fefb7953be5e8fa42f4fc19375614fcc",
+            "43388aa107fe6e99bd34e25936f69d7200cab92f2c3af9df56c340b251d3f726",
         "ledger-1-4.jsonl":
-            "7fa3e61a1e8a8f6d92b7b6ba4bd1bcdafb9d3f2964e933287395f11ac4133907",
+            "91bd03992b863de578abe515aeab1452f3fef93313c065c28e4d7665357faa52",
         "report.json":
-            "71de887c640f6db8b363bb05f7b15ffcdd88cf8a14fd5970a095dcfe5fb0f401",
+            "f26f5fddbd4da886d90ce0f1e5e660211a91da5c2837e0901915a1b7271f6af5",
     },
     "lossy_n7_byzantine": {
         "ledger-1-1.jsonl":
-            "049cd6c1f2a3f12c5eebf3aa10f2620b8a8a2ce1fd9eee648b83b8eb67b680f3",
+            "72a607c38d44f5e3330fe8e080f6b863843331caef1498e786ea2558d0e9d4cb",
         "ledger-1-2.jsonl":
-            "001a4a322dcd48c3b36510f5d5cd9b5640e64b241adfbbb378dc384de1046004",
+            "0fb1b6f1e4f6b02963a522fa2b4568d4523c920c39f49d952243893f27aa12e4",
         "ledger-1-3.jsonl":
-            "a7e7d3e41d320042d6bdb81e1f08af23dcc37d990dee778a42d6e21ae92aebb1",
+            "6a2284585315f8e1f40b4e2632e0a254df3ad3fdd09455cd244a482d1a12bb96",
         "ledger-1-4.jsonl":
-            "7954b0431534def18c0387c879c10f6b99583c3e64c6e186b6539fd5b46d5d60",
+            "94dd85db67a445635b0cab10b7c4b86a46deaf2af647512a0709422b7c6efb4b",
         "ledger-1-5.jsonl":
-            "58aeae4ef7c5b1389e76ccbb39cebb05ce8d671a01c3199c5c763ffcc692d61a",
+            "12478027de48356cdc8e54205fb549e978c0bc1200aedc9243314d7ef080d1fb",
         "ledger-1-6.jsonl":
-            "9575ab47eaa7cedc555bab393c0fe664d0819df7cfffceeafbf025c3028bada9",
+            "a170d18e6de70155f6971ecf1483bb85aef5f7cc152f1bec8e26331d072afd80",
         "ledger-1-7.jsonl":
-            "e248857e7fb2fe0a192cbe353a3bbef996050b6907ed15d27115aaf41131ee4d",
+            "33a3de58df76072963ff9dc368c5b1ebce505fcbb6ef971dc588122e0265202b",
         "report.json":
-            "b51829045014ae1abcf3a2f37c2490a4b09fe1da34fee9979c06b5d2f526401c",
+            "7b06bf7a45a7c96e2dd20924d5f50768531056c9f772562639495fe5d74b9e5d",
     },
     "pool8_gossip2": {
         "ledger-1-1.jsonl":
-            "a973c66b5df384c2f397b48a1eb3aef67f2aa910162871ea3da9a8aa691e0b67",
+            "d1bb48264d387ef4bd8b139b8ed503cc94142d75dafed59dcd3eaddf14043faf",
         "ledger-1-2.jsonl":
-            "4d28b11643bd9afeedd779d728b9ea18450c9fe10b626a6c826a955d61232cbe",
+            "8fa1886f21e686bbf10cc7083649ccc9546dd741c5a11c7957f292c270656e09",
         "ledger-1-3.jsonl":
-            "7e4dfab2dca6719b02bc9b6683754ba96cb6888c24bd06ff000194c91a24e298",
+            "1a1fe2974b015a1e646cb53584964227f3c77292f4b0d8fc7be46330774ae979",
         "ledger-1-4.jsonl":
-            "c66272f40c393745bcf812e794851a5ef6dcaa068484315e0f6390a8cd51a42c",
+            "c0a7b6be48291023e0951ed348dd551af02807ffdda05603adafeeed8981fe36",
         "ledger-1-5.jsonl":
-            "bc4172dd6f2d2216ccfd21d7cb3a9eb10867419028699fd63a3316c334335772",
+            "d63cdf873565fc9d48ba11472c6ddf65007b7655f31889bdc46340547f63b861",
         "ledger-1-6.jsonl":
-            "450c95274e34ad6637c94f4d10b51c73bd4ea0736d7590c5603e61fca62446d4",
+            "f1f9d32acaafd1c765125c20ab7253a9b20f91d99eaa9a2caf42048d0b5b4733",
         "ledger-1-7.jsonl":
-            "2407bd4f5d418be02f43aff2f540623c09fb6aab8f14cbb6025e1643e5901d8f",
+            "1bcccd86bc382131c66f9647824d4a95b1547d265711eb010c08d050fe0bb989",
         "report.json":
-            "fab6ea0dd14cadeb2843bf8973e2592c50f42995421c46ac8553c0bad45ea4a1",
+            "8ac8afd0e57e15143ad763dbc57d3b0fb53a1d7f8f557cd9be8159a1aed94a8f",
     },
     "saturated_b64": {
         "ledger-1-1.jsonl":
-            "0873779b71918523fd1416fe957419a0372e71e2f602d9f0e148e97d43687388",
+            "d36afd50bc86f835e2c533ee5f942b7862f3b84b6cc9983a35cff2e33618b46c",
         "ledger-1-2.jsonl":
-            "d9b41dec29bf9c3cf429251772776c2bf003906a1292f218e73b302de2aabfb0",
+            "2a2336e50017efc404a0c3c0ceeda11dd53a6c8d0c3c86ce08c0b94c7f010b3d",
         "ledger-1-3.jsonl":
-            "c4d3fc96351ddb92232473c5cb793784af6f800688cb256f3cc703a3b831ef8b",
+            "1532a54f8f0e8a1221d49e7e128cf594bc890c17c868a6e5fcbcc558256dfd87",
         "ledger-1-4.jsonl":
-            "8c23be8065248d25d3a5816070aea98b397db6b0258f87f54038bd42608f7a75",
+            "ff40238aac10dcd73a228717df5a64665455c52fed47333b369b0a0134d0b618",
         "report.json":
-            "8abd21fdbadbfe6a0e3afc5bfab77d956134bcee2eb6bff96477bcf5f81ccb1e",
+            "9d6923a706fc0906c07428dc24feb5b867c634a3457dcab5f44cd023173536aa",
     },
     "equivocating_proposer_n4": {
         "ledger-1-1.jsonl":
@@ -142,7 +142,7 @@ GOLDEN = {
         # re-pinned when replies endorsing another digest moved from
         # bad_sig to wrong_digest; the ledgers did not move
         "report.json":
-            "c430a54b08639741936e8cc39157cf0e88472e0a75833169eb272bdd06abad89",
+            "3184b8a1d0abb918ea0cde60caa0ab30cf289889462e9f86c9fb78b7e3be8d0b",
     },
     "tampering_proposer_n7": {
         "ledger-1-1.jsonl":
@@ -160,7 +160,7 @@ GOLDEN = {
         "ledger-1-7.jsonl":
             "e4ca64ba000afdf98f38df978e54ebd2d4edc70270af90324eecb34ffe459bf1",
         "report.json":
-            "91d20f52d2766abc9dddcb5fe39a155a14b6b61526277d04a8af15b91ec8f658",
+            "21eba7cd66c4f61c82b9a4560af715453800999a9b82ffc4d62f0d953206a1b9",
     },
 }
 
@@ -190,10 +190,10 @@ def test_fallback_signer_reproduces_golden_artifacts(name, tmp_path,
 
 def test_equivocation_split_is_wrong_digest_not_bad_sig():
     """The equivocating proposer (node 2) gets replies that endorse the
-    other branch of its split. They were once counted as bad_sig; the total
-    is unchanged, and now all of them are wrong_digest."""
+    other branch of its split. They were once counted as bad_sig; now all
+    of them are wrong_digest, as many as the pinned report counts."""
     counters = run(SPECS["equivocating_proposer_n4"]).report["counters"]["2"]
-    assert counters.get("bad_sig", 0) + counters.get("wrong_digest", 0) == 473
+    assert counters.get("bad_sig", 0) + counters.get("wrong_digest", 0) == 471
     assert counters.get("bad_sig", 0) == 0
 
 
@@ -211,9 +211,9 @@ TRACED = {
 
 GOLDEN_TRACE = {
     "saturated_b64":
-        "d4eedf8f1cae6a955d273bef74e1eb0e8622ab898311033d3c9d6dcaa39f331e",
+        "3c2042ce0b8945b6f55284ee19790a074495d47d30607e1be319a79d20e66851",
     "pivot_down_while_queued":
-        "c75442238fc396f476f0b72eb333ad0ea65cd0860beeef6e9d2286f1fcab88f6",
+        "e04e52a56cad7b77b129cfe9ae231b3d78951a0eb1cd8c87cb3f659a10f8dcc1",
 }
 
 
@@ -287,8 +287,9 @@ def test_verdict_memo_answers_what_a_fresh_check_would(name, monkeypatch):
     """Every certificate verdict, partial-set verdict, certificate digest
     and signer-set digest the run memo holds at the end of the run equals
     the same check made with the memo emptied, so with real Ed25519
-    verifications. A partial set's key carries the keys the run's registry
-    holds for its signers."""
+    verifications. A certificate's key carries the keys the run's registry
+    holds for the booth's members, and a partial set's key those of its
+    signers."""
     snapshots, profiles = [], {}
     clear, check = crypto.clear_caches, BoothProfile.check_certified
 
@@ -313,8 +314,10 @@ def test_verdict_memo_answers_what_a_fresh_check_would(name, monkeypatch):
     for key, verdict in memo.items():
         clear()
         if key[0] == "cert":
-            _, booth_hash, cert, payload, quorum = key
-            fresh = check(profiles[booth_hash], quorum, cert, payload)
+            _, booth_hash, cert, payload, quorum, keys = key
+            assert keys == registry.keys_of(profiles[booth_hash].member_ids)
+            fresh = check(profiles[booth_hash], quorum, cert, payload,
+                          registry)
         elif key[0] == "partial-set":
             _, partials, payload, required, keys = key
             assert keys == tuple(registry.verify_key(p.signer) for p in partials)

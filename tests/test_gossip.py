@@ -63,12 +63,11 @@ def bfs_depths(peers: dict[int, list[int]], root: int) -> dict[int, int]:
 @pytest.fixture(scope="module")
 def committed():
     pool = make_pool(list(range(1, 15)), seed=41, proposer_id=1, pivot_id=2)
-    booth, material = make_booth(pool, [1, 2, 3, 4], proposer_id=1,
-                                 pivot_id=2)
+    booth = make_booth(pool, [1, 2, 3, 4], proposer_id=1, pivot_id=2)
     def commit_at(ts: int):
-        entry = certify_entry(pool, booth, material, ts // 100_000,
+        entry = certify_entry(pool, booth, ts // 100_000,
                               make_batch(pool, start_seq=ts))
-        record, tx = commit_window(pool, booth, material, ts, 100_000, [entry])
+        record, tx = commit_window(pool, booth, ts, 100_000, [entry])
         msg = CommitMsg(instance_id=1, sender=1, window_start_us=ts,
                         quorum=record.quorum, booth_hash=record.booth_hash,
                         cert=record.cert, tx_hash=record.tx_hash)

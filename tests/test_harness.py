@@ -24,7 +24,9 @@ from vguard.harness import (RunSpec, draw_payloads, load_spec_file,
                             plan_instances, run, seed_for_cell, spec_from_dict,
                             sweep, write_artifacts)
 from vguard.ledger import DataBatch, DataEntry
-from vguard.netsim import ChurnEvent, SimConfig
+from vguard.mmu import MmuConfig
+from vguard.netsim import ChurnEvent, CostModel, SimConfig
+from vguard.node import ProtocolConfig
 
 
 def small_spec(**over) -> RunSpec:
@@ -95,9 +97,9 @@ def test_back_to_back_runs_make_the_same_real_verifications(monkeypatch):
     """harness.run empties the run memo, so a repeated run cannot lean on
     the previous run's signatures or checks: every signature hit is on a
     key the same run signed or verified, and both runs make the same number
-    of signature misses, each of which is a real check. Booth shares are
-    handed out as raw keys here; those record nothing when they sign, so
-    every booth-local signature needs a real check."""
+    of signature misses, each of which is a real check. Identity keys sign
+    through their raw `cryptography` key here, which records nothing, so
+    every signature needs a real check."""
 
     class Memo(dict):
         def reset_tally(self):
@@ -117,17 +119,12 @@ def test_back_to_back_runs_make_the_same_real_verifications(monkeypatch):
                 self.stored.add(key)
             super().__setitem__(key, value)
 
-    dealt = crypto.KeyService.booth_share
-
-    def raw_share(registry, booth_id, node_id):
-        if dealt(registry, booth_id, node_id) is None:
-            return None
-        seed = registry.material(booth_id).share_seeds[node_id]
-        return crypto.Ed25519PrivateKey.from_private_bytes(seed)
+    def raw_sign(key, payload_digest):
+        return key._key.sign(payload_digest)
 
     memo = Memo()
     monkeypatch.setattr(crypto, "_memo", memo)
-    monkeypatch.setattr(crypto.KeyService, "booth_share", raw_share)
+    monkeypatch.setattr(crypto.SigningKey, "sign", raw_sign)
     spec = small_spec(duration_ms=200.0, grace_ms=300.0)
     tallies = []
     for _ in range(2):
@@ -548,6 +545,12 @@ BAD_FIELDS = {
     "sim-gst-nan": {"sim": {"gst_ms": float("nan")}},
     "sim-gst-bound-inf": {"sim": {"gst_bound_ms": float("inf")}},
     "sim-bandwidth-nan": {"sim": {"bandwidth_bytes_per_ms": float("nan")}},
+    "mmu-ping-period-zero": {"mmu": {"ping_period_ms": 0}},
+    "mmu-ping-period-nan": {"mmu": {"ping_period_ms": float("nan")}},
+    "protocol-timeout-factor-nan": {"protocol": {"timeout_factor": float("nan")}},
+    "protocol-max-inflight-zero": {"protocol": {"max_inflight": 0}},
+    "sim-cost-verify-nan": {"sim": {"cost": {"verify_ms": float("nan")}}},
+    "sim-cost-base-negative": {"sim": {"cost": {"base_ms": -1}}},
 }
 
 
@@ -576,6 +579,58 @@ def test_cli_rejects_spec_fields_of_the_wrong_type_or_range(tmp_path, capsys,
 def test_cli_rejects_non_finite_flags(capsys, no_run_starts, flag, value):
     assert cli.main(["run", "--duration-ms", "50", flag, value]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("nested, path", [
+    (dict(mmu=MmuConfig(ping_period_ms=0)), "mmu.ping_period_ms"),
+    (dict(protocol=ProtocolConfig(max_inflight=0)), "protocol.max_inflight"),
+    (dict(protocol=ProtocolConfig(timeout_factor=float("nan"))),
+     "protocol.timeout_factor"),
+    (dict(sim=SimConfig(cost=CostModel(base_ms=-1.0))), "sim.cost.base_ms"),
+    (dict(sim=SimConfig(delay_sd_ms=-0.5)), "sim.delay_sd_ms"),
+    (dict(batch_size=0), "batch_size")])
+def test_nested_config_errors_name_the_dotted_path(nested, path):
+    with pytest.raises(ConfigInvalid, match=rf"^{path} must "):
+        RunSpec(**nested).validate()
+
+
+def test_report_names_byzantine_nodes_and_counts_stalled_windows():
+    """A silent vehicle beside heavy loss and a single retry leaves windows
+    that never commit; the report says which nodes were byzantine and how
+    many windows each instance gave up on."""
+    spec = small_spec(duration_ms=300.0, grace_ms=300.0, rate_per_s=60.0,
+                      seed=1, byzantine=((4, ("silent",)),),
+                      strict_audit=False,
+                      protocol=ProtocolConfig(max_retries=1),
+                      sim=SimConfig(seed=0, drop_rate=0.3))
+    result = run(spec)
+    assert result.report["config"]["byzantine"] == {"4": ["silent"]}
+    (inst,) = result.report["instances"]
+    stalled = result.runtimes[2].proposers[1].consensus.stalled_windows
+    assert inst["stalled_windows"] == len(stalled) > 0
+    assert run(small_spec()).report["config"]["byzantine"] == {}
+
+
+@pytest.mark.parametrize("behavior, reason, node", [
+    ("equivocate_ordering_id", "wrong_digest", 2),
+    ("tamper_payload", "bad_hash", 3),
+    ("forge_quorum", "foreign_quorum_member", 3)])
+def test_forging_proposer_gets_nothing_committed_at_validators(behavior,
+                                                               reason, node):
+    """Each forgery of a byzantine proposer (node 2) is still refused: the
+    named node counts it under `reason`, and no validator commits a
+    window. An equivocation orders nothing anywhere, a tampered batch is
+    never countersigned, and a forged quorum is never accepted."""
+    spec = small_spec(duration_ms=200.0, grace_ms=300.0, rate_per_s=60.0,
+                      byzantine=((2, (behavior,)),))
+    result = run(spec)
+    assert result.report["counters"][str(node)].get(reason, 0) > 0
+    for node_id in (1, 3, 4):
+        ledger = result.ledger(1, node_id)
+        assert ledger is None or not ledger.committed_windows()
+    if behavior != "forge_quorum":
+        assert not result.ledger(1, 2).committed_windows()
+    assert all(result.report["audits"].values())
 
 
 def test_cli_rejects_a_zero_rate_flag(capsys):

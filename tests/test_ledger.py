@@ -45,12 +45,12 @@ def test_batch_hash_depends_on_content_and_order():
 
 
 def test_log_append_and_conflict(pool4, booth4):
-    booth, material = booth4
+    booth = booth4
     log = TotalOrderLog()
-    entry = certify_entry(pool4, booth, material, 1, make_batch(pool4), appended_at_us=10)
+    entry = certify_entry(pool4, booth, 1, make_batch(pool4), appended_at_us=10)
     assert log.append(entry)
     assert not log.append(entry)            # identical replay is a no-op
-    other = certify_entry(pool4, booth, material, 1, make_batch(pool4, start_seq=50))
+    other = certify_entry(pool4, booth, 1, make_batch(pool4, start_seq=50))
     with pytest.raises(DuplicateOrderingId):
         log.append(other)
     assert log.get(1).batch_hash == entry.batch_hash
@@ -58,11 +58,11 @@ def test_log_append_and_conflict(pool4, booth4):
 
 def test_window_slice_half_open(pool4, booth4):
     # An entry appended exactly on a boundary belongs to the next window.
-    booth, material = booth4
+    booth = booth4
     log = TotalOrderLog()
-    at_99 = certify_entry(pool4, booth, material, 1, make_batch(pool4),
+    at_99 = certify_entry(pool4, booth, 1, make_batch(pool4),
                           appended_at_us=99_000)
-    at_100 = certify_entry(pool4, booth, material, 2, make_batch(pool4, start_seq=10),
+    at_100 = certify_entry(pool4, booth, 2, make_batch(pool4, start_seq=10),
                            appended_at_us=100_000)
     log.append(at_99)
     log.append(at_100)
@@ -73,19 +73,19 @@ def test_window_slice_half_open(pool4, booth4):
 
 
 def test_id_range_requires_contiguity(pool4, booth4):
-    booth, material = booth4
+    booth = booth4
     log = TotalOrderLog()
     for i in (1, 2, 4):
-        log.append(certify_entry(pool4, booth, material, i, make_batch(pool4, start_seq=i * 10)))
+        log.append(certify_entry(pool4, booth, i, make_batch(pool4, start_seq=i * 10)))
     assert [e.ordering_id for e in log.id_range(1, 2)] == [1, 2]
     assert log.id_range(1, 4) is None       # 3 is missing
 
 
 def _entries_with_memberships(pool, spec):
-    """spec: list of (ordering_id, booth, material, quorum)."""
+    """spec: list of (ordering_id, booth, quorum)."""
     out = []
-    for ordering_id, booth, material, quorum in spec:
-        out.append(certify_entry(pool, booth, material, ordering_id,
+    for ordering_id, booth, quorum in spec:
+        out.append(certify_entry(pool, booth, ordering_id,
                                  make_batch(pool, start_seq=ordering_id * 10),
                                  quorum=quorum))
     return out
@@ -105,16 +105,16 @@ def _oracle_prune(entries):
 
 
 def test_prune_collapses_runs_and_expand_inverts(pool4):
-    booth_a, mat_a = make_booth(pool4, [1, 2, 3, 4], 1, 2, created_at_us=1)
-    booth_b, mat_b = make_booth(pool4, [1, 2, 3, 4], 1, 2, created_at_us=2)
+    booth_a = make_booth(pool4, [1, 2, 3, 4], 1, 2, created_at_us=1)
+    booth_b = make_booth(pool4, [1, 2, 3, 4], 1, 2, created_at_us=2)
     q_a = default_quorum(booth_a)
     q_alt = tuple(sorted((booth_a.pivot_id, 4)))
     spec = [
-        (1, booth_a, mat_a, q_a),
-        (2, booth_a, mat_a, q_a),
-        (3, booth_a, mat_a, q_alt),      # quorum changes, booth does not
-        (4, booth_b, mat_b, default_quorum(booth_b)),
-        (5, booth_b, mat_b, default_quorum(booth_b)),
+        (1, booth_a, q_a),
+        (2, booth_a, q_a),
+        (3, booth_a, q_alt),      # quorum changes, booth does not
+        (4, booth_b, default_quorum(booth_b)),
+        (5, booth_b, default_quorum(booth_b)),
     ]
     entries = _entries_with_memberships(pool4, spec)
     table = {booth_a.booth_hash: booth_a, booth_b.booth_hash: booth_b}
@@ -132,10 +132,10 @@ def test_prune_collapses_runs_and_expand_inverts(pool4):
 
 
 def test_prune_does_not_merge_across_id_gaps(pool4, booth4):
-    booth, material = booth4
+    booth = booth4
     q = default_quorum(booth)
     entries = _entries_with_memberships(
-        pool4, [(1, booth, material, q), (3, booth, material, q)])
+        pool4, [(1, booth, q), (3, booth, q)])
     links = prune_memberships(entries, lambda h: booth)
     assert [(l.first_id, l.last_id) for l in links] == [(1, 1), (3, 3)]
 
@@ -184,13 +184,13 @@ def test_prune_expand_roundtrip_property(runs):
 def test_tx_hash_covers_data_not_membership(pool4):
     # Two booths order identical data: transaction hashes must agree, the
     # membership links may differ. This is the cross-booth base property.
-    booth_a, mat_a = make_booth(pool4, [1, 2, 3, 4], 1, 2, created_at_us=1)
-    booth_b, mat_b = make_booth(pool4, [1, 2, 3, 4], 1, 2, created_at_us=2)
+    booth_a = make_booth(pool4, [1, 2, 3, 4], 1, 2, created_at_us=1)
+    booth_b = make_booth(pool4, [1, 2, 3, 4], 1, 2, created_at_us=2)
     batch = make_batch(pool4)
-    entry_a = certify_entry(pool4, booth_a, mat_a, 1, batch)
-    entry_b = certify_entry(pool4, booth_b, mat_b, 1, batch)
-    _, tx_a = commit_window(pool4, booth_a, mat_a, 0, DELTA_US, [entry_a])
-    _, tx_b = commit_window(pool4, booth_b, mat_b, 0, DELTA_US, [entry_b])
+    entry_a = certify_entry(pool4, booth_a, 1, batch)
+    entry_b = certify_entry(pool4, booth_b, 1, batch)
+    _, tx_a = commit_window(pool4, booth_a, 0, DELTA_US, [entry_a])
+    _, tx_b = commit_window(pool4, booth_b, 0, DELTA_US, [entry_b])
     assert tx_a.tx_hash == tx_b.tx_hash
     assert tx_a.membership_links[0].booth.booth_hash != \
         tx_b.membership_links[0].booth.booth_hash
@@ -199,10 +199,10 @@ def test_tx_hash_covers_data_not_membership(pool4):
 
 
 def test_transaction_wire_roundtrip(pool4, booth4):
-    booth, material = booth4
-    entries = [certify_entry(pool4, booth, material, i, make_batch(pool4, start_seq=i * 10))
+    booth = booth4
+    entries = [certify_entry(pool4, booth, i, make_batch(pool4, start_seq=i * 10))
                for i in (1, 2)]
-    _, tx = commit_window(pool4, booth, material, 0, DELTA_US, entries)
+    _, tx = commit_window(pool4, booth, 0, DELTA_US, entries)
     r = Reader(tx.packed)
     decoded = Transaction.read_from(r)
     r.expect_done()
@@ -210,7 +210,7 @@ def test_transaction_wire_roundtrip(pool4, booth4):
     assert decoded == tx
 
 
-def _build_ledger(pool, booth, material, n_windows=3, entries_per_window=2):
+def _build_ledger(pool, booth, n_windows=3, entries_per_window=2):
     ledger = Ledger(booth.proposer_id, DELTA_US)
     ledger.note_booth(booth)
     next_id = 1
@@ -218,19 +218,19 @@ def _build_ledger(pool, booth, material, n_windows=3, entries_per_window=2):
         entries = []
         for _ in range(entries_per_window):
             entries.append(certify_entry(
-                pool, booth, material, next_id,
+                pool, booth, next_id,
                 make_batch(pool, start_seq=next_id * 10),
                 appended_at_us=w * DELTA_US + 10))
             next_id += 1
-        record, tx = commit_window(pool, booth, material, w * DELTA_US, DELTA_US, entries)
+        record, tx = commit_window(pool, booth, w * DELTA_US, DELTA_US, entries)
         ledger.append_commit(record, tx,
                              {e.ordering_id: e.reply_set for e in entries})
     return ledger
 
 
 def test_verify_chain_accepts_honest_ledger(pool4, booth4):
-    booth, material = booth4
-    ledger = _build_ledger(pool4, booth, material)
+    booth = booth4
+    ledger = _build_ledger(pool4, booth)
     check = verify_chain(ledger, pool4.registry, strict=True,
                          horizon_us=3 * DELTA_US)
     assert check.ok, check.violations
@@ -246,8 +246,8 @@ def test_verify_chain_accepts_honest_ledger(pool4, booth4):
 
 
 def test_verify_chain_localizes_tampering(pool4, booth4):
-    booth, material = booth4
-    ledger = _build_ledger(pool4, booth, material)
+    booth = booth4
+    ledger = _build_ledger(pool4, booth)
     win = ledger.window(DELTA_US)
     tampered_entry = TxEntry(
         ordering_id=win.tx.entries[0].ordering_id,
@@ -265,7 +265,7 @@ def test_verify_chain_localizes_tampering(pool4, booth4):
     assert any("hash" in v or "certificate" in v for v in check.violations)
     assert check.first_violation is not None
     # a retained reply set cut below 2f+1 signatures is caught on its own
-    ledger = _build_ledger(pool4, booth, material)
+    ledger = _build_ledger(pool4, booth)
     win = ledger.window(0)
     oid = win.tx.entries[0].ordering_id
     win.reply_sets[oid] = win.reply_sets[oid][:1]
@@ -274,13 +274,13 @@ def test_verify_chain_localizes_tampering(pool4, booth4):
 
 
 def test_verify_chain_rejects_pivotless_quorum(pool4, booth4):
-    booth, material = booth4
+    booth = booth4
     ledger = Ledger(1, DELTA_US)
     ledger.note_booth(booth)
     batch = make_batch(pool4)
     # quorum of the two vehicles, excluding the pivot
-    entry = certify_entry(pool4, booth, material, 1, batch, quorum=(3, 4))
-    record, tx = commit_window(pool4, booth, material, 0, DELTA_US, [entry])
+    entry = certify_entry(pool4, booth, 1, batch, quorum=(3, 4))
+    record, tx = commit_window(pool4, booth, 0, DELTA_US, [entry])
     ledger.append_commit(record, tx)
     check = verify_chain(ledger, pool4.registry)
     assert not check.ok
@@ -318,17 +318,17 @@ def test_audit_rejects_quorums_that_repeat_a_member(monkeypatch):
 
 
 def test_strict_mode_needs_tiling_and_continuity(pool4, booth4):
-    booth, material = booth4
+    booth = booth4
     ledger = Ledger(1, DELTA_US)
     ledger.note_booth(booth)
-    e1 = certify_entry(pool4, booth, material, 1, make_batch(pool4), appended_at_us=10)
-    r1, t1 = commit_window(pool4, booth, material, 0, DELTA_US, [e1])
+    e1 = certify_entry(pool4, booth, 1, make_batch(pool4), appended_at_us=10)
+    r1, t1 = commit_window(pool4, booth, 0, DELTA_US, [e1])
     ledger.append_commit(r1, t1)
     # skip window 1 without covering it; commit id 3 in window 2 (id 2 missing)
-    e3 = certify_entry(pool4, booth, material, 3,
+    e3 = certify_entry(pool4, booth, 3,
                        make_batch(pool4, start_seq=30),
                        appended_at_us=2 * DELTA_US + 10)
-    r3, t3 = commit_window(pool4, booth, material, 2 * DELTA_US, DELTA_US, [e3])
+    r3, t3 = commit_window(pool4, booth, 2 * DELTA_US, DELTA_US, [e3])
     ledger.append_commit(r3, t3)
     relaxed = verify_chain(ledger, pool4.registry, strict=False)
     assert relaxed.ok, relaxed.violations
@@ -342,26 +342,26 @@ def test_strict_mode_needs_tiling_and_continuity(pool4, booth4):
     assert any("skip" in v for v in still.violations)
 
 
-def _ledger_with_ids(pool, booth, material, windows) -> Ledger:
+def _ledger_with_ids(pool, booth, windows) -> Ledger:
     """One committed window per list of ordering ids, on consecutive slots."""
     ledger = Ledger(booth.proposer_id, DELTA_US)
     ledger.note_booth(booth)
     for w, ids in enumerate(windows):
-        entries = [certify_entry(pool, booth, material, oid,
+        entries = [certify_entry(pool, booth, oid,
                                  make_batch(pool, start_seq=oid * 10),
                                  appended_at_us=w * DELTA_US + 10)
                    for oid in ids]
-        record, tx = commit_window(pool, booth, material, w * DELTA_US,
+        record, tx = commit_window(pool, booth, w * DELTA_US,
                                    DELTA_US, entries)
         ledger.append_commit(record, tx)
     return ledger
 
 
 def test_strict_mode_steps_over_retired_ids(pool4, booth4):
-    booth, material = booth4
+    booth = booth4
     # id 1 retired before the first window, id 3 between windows, id 6
     # inside the second window: every gap is one a timeout explains
-    ledger = _ledger_with_ids(pool4, booth, material, [[2], [4, 5, 7]])
+    ledger = _ledger_with_ids(pool4, booth, [[2], [4, 5, 7]])
     horizon = 2 * DELTA_US
     bare = verify_chain(ledger, pool4.registry, strict=True, horizon_us=horizon)
     assert any("skip" in v for v in bare.violations)
@@ -372,23 +372,23 @@ def test_strict_mode_steps_over_retired_ids(pool4, booth4):
 
 
 def test_strict_mode_rejects_gaps_no_retirement_explains(pool4, booth4):
-    booth, material = booth4
-    ledger = _ledger_with_ids(pool4, booth, material, [[1, 2], [4, 5, 8]])
+    booth = booth4
+    ledger = _ledger_with_ids(pool4, booth, [[1, 2], [4, 5, 8]])
     horizon = 2 * DELTA_US
     # 3 and 6 retired, 7 never was: only the gap at 7 must fail
     check = verify_chain(ledger, pool4.registry, strict=True, horizon_us=horizon,
                          retired_ids={3, 6})
     assert check.violations == [f"window {DELTA_US}: gap inside window entry ids"]
     # a retired id past the gap does not excuse a skip before it
-    ledger = _ledger_with_ids(pool4, booth, material, [[1], [4]])
+    ledger = _ledger_with_ids(pool4, booth, [[1], [4]])
     check = verify_chain(ledger, pool4.registry, strict=True, horizon_us=horizon,
                          retired_ids={2, 5})
     assert check.violations == [f"window {DELTA_US}: ordering ids skip 2..3"]
 
 
 def test_export_import_roundtrip(tmp_path, pool4, booth4):
-    booth, material = booth4
-    ledger = _build_ledger(pool4, booth, material)
+    booth = booth4
+    ledger = _build_ledger(pool4, booth)
     ledger.mark_covered(3 * DELTA_US)
     path = tmp_path / "ledger-1.jsonl"
     ledger.export_jsonl(path, pool4.identities.values())
@@ -402,15 +402,15 @@ def test_export_import_roundtrip(tmp_path, pool4, booth4):
 
 
 def test_ledger_commit_conflict_detected(pool4, booth4):
-    booth, material = booth4
+    booth = booth4
     ledger = Ledger(1, DELTA_US)
     ledger.note_booth(booth)
-    e1 = certify_entry(pool4, booth, material, 1, make_batch(pool4), appended_at_us=5)
-    r1, t1 = commit_window(pool4, booth, material, 0, DELTA_US, [e1])
+    e1 = certify_entry(pool4, booth, 1, make_batch(pool4), appended_at_us=5)
+    r1, t1 = commit_window(pool4, booth, 0, DELTA_US, [e1])
     ledger.append_commit(r1, t1)
     ledger.append_commit(r1, t1)            # idempotent
-    e2 = certify_entry(pool4, booth, material, 2, make_batch(pool4, start_seq=9),
+    e2 = certify_entry(pool4, booth, 2, make_batch(pool4, start_seq=9),
                        appended_at_us=6)
-    r2, t2 = commit_window(pool4, booth, material, 0, DELTA_US, [e2])
+    r2, t2 = commit_window(pool4, booth, 0, DELTA_US, [e2])
     with pytest.raises(DuplicateOrderingId):
         ledger.append_commit(r2, t2)

@@ -25,19 +25,17 @@ from vguard.messages import (WIRE_VERSION, CommitMsg, CommitReply, GossipAck,
 @pytest.fixture(scope="module")
 def world():
     pool = make_pool([1, 2, 3, 4], seed=11)
-    booth, material = make_booth(pool, [1, 2, 3, 4], proposer_id=1, pivot_id=2)
-    return pool, booth, material
+    booth = make_booth(pool, [1, 2, 3, 4], proposer_id=1, pivot_id=2)
+    return pool, booth
 
 
 def _proposer_partial(pool, booth, payload):
-    return make_partial(pool.keys[booth.proposer_id], payload,
-                        pool.registry.booth_share(booth.booth_hash,
-                                                  booth.proposer_id))
+    return make_partial(pool.keys[booth.proposer_id], payload)
 
 
-def _commit_msg(pool, booth, material, entries, window_start=0,
+def _commit_msg(pool, booth, entries, window_start=0,
                 window_len=100_000):
-    record, tx = commit_window(pool, booth, material, window_start, window_len,
+    record, tx = commit_window(pool, booth, window_start, window_len,
                                entries)
     return CommitMsg(instance_id=1, sender=booth.proposer_id,
                      window_start_us=record.consensus_id, quorum=record.quorum,
@@ -56,7 +54,7 @@ def roundtrip(msg):
 
 
 def test_pre_order_roundtrip(world):
-    pool, booth, _ = world
+    pool, booth = world
     batch = make_batch(pool, size=2)
     payload = order_cert_digest(5, batch.batch_hash, booth.booth_hash)
     msg = PreOrder(instance_id=1, sender=1, ordering_id=5, batch=batch,
@@ -67,25 +65,24 @@ def test_pre_order_roundtrip(world):
 
 
 def test_order_reply_roundtrip(world):
-    pool, booth, _ = world
+    pool, booth = world
     payload = order_cert_digest(5, b"\x00" * 32, booth.booth_hash)
-    partial = make_partial(pool.keys[3], payload,
-                           pool.registry.booth_share(booth.booth_hash, 3))
+    partial = make_partial(pool.keys[3], payload)
     roundtrip(OrderReply(instance_id=1, sender=3, ordering_id=5,
                          partial=partial))
 
 
 def test_order_msg_roundtrip(world):
-    pool, booth, material = world
-    entry = certify_entry(pool, booth, material, 7, make_batch(pool))
+    pool, booth = world
+    entry = certify_entry(pool, booth, 7, make_batch(pool))
     roundtrip(OrderMsg(instance_id=1, sender=1, ordering_id=7,
                        quorum=entry.quorum, cert=entry.cert))
 
 
 def test_pre_commit_seen_roundtrip(world):
-    pool, booth, material = world
-    entry = certify_entry(pool, booth, material, 0, make_batch(pool))
-    _, tx = commit_window(pool, booth, material, 0, 100_000, [entry])
+    pool, booth = world
+    entry = certify_entry(pool, booth, 0, make_batch(pool))
+    _, tx = commit_window(pool, booth, 0, 100_000, [entry])
     payload = commit_cert_digest(0, tx.tx_hash, booth.booth_hash)
     msg = PreCommitSeen(instance_id=1, sender=1, window_start_us=0,
                         window_len_us=100_000, tx_hash=tx.tx_hash, first_id=0,
@@ -95,10 +92,10 @@ def test_pre_commit_seen_roundtrip(world):
 
 
 def test_pre_commit_unseen_roundtrip(world):
-    pool, booth, material = world
-    entries = [certify_entry(pool, booth, material, i, make_batch(pool))
+    pool, booth = world
+    entries = [certify_entry(pool, booth, i, make_batch(pool))
                for i in range(2)]
-    _, tx = commit_window(pool, booth, material, 0, 100_000, entries)
+    _, tx = commit_window(pool, booth, 0, 100_000, entries)
     payload = commit_cert_digest(0, tx.tx_hash, booth.booth_hash)
     msg = PreCommitUnseen(
         instance_id=1, sender=1, window_start_us=0, window_len_us=100_000,
@@ -111,29 +108,28 @@ def test_pre_commit_unseen_roundtrip(world):
 
 
 def test_commit_reply_roundtrip(world):
-    pool, booth, _ = world
+    pool, booth = world
     payload = commit_cert_digest(0, b"\x11" * 32, booth.booth_hash)
-    partial = make_partial(pool.keys[4], payload,
-                           pool.registry.booth_share(booth.booth_hash, 4))
+    partial = make_partial(pool.keys[4], payload)
     roundtrip(CommitReply(instance_id=2, sender=4, window_start_us=0,
                           partial=partial))
 
 
 def test_commit_msg_roundtrip_and_hash(world):
-    pool, booth, material = world
-    entry = certify_entry(pool, booth, material, 0, make_batch(pool))
-    msg, _ = _commit_msg(pool, booth, material, [entry])
+    pool, booth = world
+    entry = certify_entry(pool, booth, 0, make_batch(pool))
+    msg, _ = _commit_msg(pool, booth, [entry])
     decoded = roundtrip(msg)
     assert decoded.commit_hash() == msg.commit_hash()
-    other, _ = _commit_msg(pool, booth, material, [entry],
+    other, _ = _commit_msg(pool, booth, [entry],
                            window_start=100_000)
     assert other.commit_hash() != msg.commit_hash()
 
 
 def test_gossip_roundtrip(world):
-    pool, booth, material = world
-    entry = certify_entry(pool, booth, material, 0, make_batch(pool))
-    commit, tx = _commit_msg(pool, booth, material, [entry])
+    pool, booth = world
+    entry = certify_entry(pool, booth, 0, make_batch(pool))
+    commit, tx = _commit_msg(pool, booth, [entry])
     hop_payload = traverse_digest(commit.commit_hash(), 2)
     hop = TraverseHop(lifetime=2, sig=pool.keys[1].sign(hop_payload),
                       node_id=1)
@@ -198,8 +194,8 @@ def test_decode_rejects_short_and_bad_header():
 
 
 def test_decode_rejects_truncation_and_trailing(world):
-    pool, booth, material = world
-    entry = certify_entry(pool, booth, material, 3, make_batch(pool))
+    pool, booth = world
+    entry = certify_entry(pool, booth, 3, make_batch(pool))
     raw = OrderMsg(instance_id=1, sender=1, ordering_id=3,
                    quorum=entry.quorum, cert=entry.cert).encode()
     with pytest.raises(ValueError):
@@ -209,7 +205,7 @@ def test_decode_rejects_truncation_and_trailing(world):
 
 
 def test_decode_rejects_corrupt_interior(world):
-    pool, booth, _ = world
+    pool, booth = world
     batch = make_batch(pool, size=2)
     payload = order_cert_digest(5, batch.batch_hash, booth.booth_hash)
     raw = bytearray(PreOrder(
@@ -223,8 +219,8 @@ def test_decode_rejects_corrupt_interior(world):
 
 
 def test_quorum_order_changes_encoding(world):
-    pool, booth, material = world
-    entry = certify_entry(pool, booth, material, 1, make_batch(pool))
+    pool, booth = world
+    entry = certify_entry(pool, booth, 1, make_batch(pool))
     base = OrderMsg(instance_id=1, sender=1, ordering_id=1,
                     quorum=entry.quorum, cert=entry.cert)
     flipped = OrderMsg(instance_id=1, sender=1, ordering_id=1,
@@ -233,8 +229,8 @@ def test_quorum_order_changes_encoding(world):
 
 
 def test_malformed_bytes_raise_on_every_call(world):
-    pool, booth, material = world
-    entry = certify_entry(pool, booth, material, 4, make_batch(pool))
+    pool, booth = world
+    entry = certify_entry(pool, booth, 4, make_batch(pool))
     raw = OrderMsg(instance_id=1, sender=1, ordering_id=4,
                    quorum=entry.quorum, cert=entry.cert).encode()
     for bad in (raw[:-1], raw + b"\x00", bytes((WIRE_VERSION, 200)) + raw[2:]):
@@ -245,8 +241,8 @@ def test_malformed_bytes_raise_on_every_call(world):
 
 
 def test_decode_interns_by_bytes_and_stays_bounded(world, monkeypatch):
-    pool, booth, material = world
-    entry = certify_entry(pool, booth, material, 6, make_batch(pool))
+    pool, booth = world
+    entry = certify_entry(pool, booth, 6, make_batch(pool))
     msg = OrderMsg(instance_id=1, sender=1, ordering_id=6,
                    quorum=entry.quorum, cert=entry.cert)
     raw = msg.encode()
@@ -261,8 +257,8 @@ def test_decode_interns_by_bytes_and_stays_bounded(world, monkeypatch):
 
 
 def test_encode_once_per_message_object(world):
-    pool, booth, material = world
-    entry = certify_entry(pool, booth, material, 7, make_batch(pool))
+    pool, booth = world
+    entry = certify_entry(pool, booth, 7, make_batch(pool))
     msg = OrderMsg(instance_id=1, sender=1, ordering_id=7,
                    quorum=entry.quorum, cert=entry.cert)
     wire = msg.encode()
@@ -297,10 +293,10 @@ def _gossip(pool, commit, tx, hops):
 
 
 def test_messages_carrying_one_booth_share_its_profile(world):
-    pool, booth, material = world
+    pool, booth = world
     crypto.clear_caches()
-    entry = certify_entry(pool, booth, material, 0, make_batch(pool))
-    _, tx = commit_window(pool, booth, material, 0, 100_000, [entry])
+    entry = certify_entry(pool, booth, 0, make_batch(pool))
+    _, tx = commit_window(pool, booth, 0, 100_000, [entry])
     payload = commit_cert_digest(0, tx.tx_hash, booth.booth_hash)
     seen = PreCommitSeen(instance_id=1, sender=1, window_start_us=0,
                          window_len_us=100_000, tx_hash=tx.tx_hash, first_id=0,
@@ -317,20 +313,20 @@ def test_forwarded_gossip_holds_its_commit_as_its_bytes_decode_it(world):
     """The wire carries a gossip's commit without the commit's own instance
     and sender; a receiver reads them from the gossip. A forwarder's gossip
     holds the commit that way too, so it equals what its bytes parse to."""
-    pool, booth, material = world
-    entry = certify_entry(pool, booth, material, 0, make_batch(pool))
-    commit, tx = _commit_msg(pool, booth, material, [entry])
+    pool, booth = world
+    entry = certify_entry(pool, booth, 0, make_batch(pool))
+    commit, tx = _commit_msg(pool, booth, [entry])
     forwarded = _gossip(pool, commit, tx, [(1, 2), (3, 1)])
     assert commit.sender == 1 and forwarded.commit.sender == 3
     assert messages._parse(forwarded.encode()) == forwarded
 
 
 def test_forwarded_gossip_reuses_the_parsed_transaction(world, monkeypatch):
-    pool, booth, material = world
+    pool, booth = world
     crypto.clear_caches()
-    entries = [certify_entry(pool, booth, material, i, make_batch(pool))
+    entries = [certify_entry(pool, booth, i, make_batch(pool))
                for i in range(2)]
-    commit, tx = _commit_msg(pool, booth, material, entries)
+    commit, tx = _commit_msg(pool, booth, entries)
     first = decode_message(_gossip(pool, commit, tx, [(1, 2)]).encode())
     parses = []
     real = Transaction.read_from.__func__
@@ -348,17 +344,17 @@ def test_forwarded_gossip_reuses_the_parsed_transaction(world, monkeypatch):
 
 
 def test_sub_value_interns_are_bounded_and_cleared(world, monkeypatch):
-    pool, _, material = world
+    pool, _ = world
     monkeypatch.setattr(crypto, "MEMO_SIZE", 2)
     crypto.clear_caches()
     for created in range(5):
-        booth, material = make_booth(pool, [1, 2, 3, 4], proposer_id=1,
-                                     pivot_id=2, created_at_us=created)
+        booth = make_booth(pool, [1, 2, 3, 4], proposer_id=1, pivot_id=2,
+                           created_at_us=created)
         decoded = decode_message(_pre_order(pool, booth).encode())
         assert decoded.booth == booth
         assert len(crypto._memo) <= 2
-        entry = certify_entry(pool, booth, material, 0, make_batch(pool))
-        commit, tx = _commit_msg(pool, booth, material, [entry])
+        entry = certify_entry(pool, booth, 0, make_batch(pool))
+        commit, tx = _commit_msg(pool, booth, [entry])
         assert decode_message(_gossip(pool, commit, tx, [(1, 2)]).encode()).tx == tx
         assert len(crypto._memo) <= 2
     assert any(key[0] == "msg" for key in crypto._memo)
@@ -367,7 +363,7 @@ def test_sub_value_interns_are_bounded_and_cleared(world, monkeypatch):
 
 
 def test_malformed_booth_raises_on_every_call(world):
-    pool, booth, _ = world
+    pool, booth = world
     crypto.clear_caches()
     raw = _pre_order(pool, booth).encode()
     at = raw.index(booth.packed)
@@ -389,10 +385,10 @@ def _with_arity(raw: bytes, good: list, bad: list) -> bytes:
 
 
 def test_decode_rejects_a_fixed_list_of_the_wrong_arity(world):
-    pool, booth, material = world
-    entries = [certify_entry(pool, booth, material, i, make_batch(pool))
+    pool, booth = world
+    entries = [certify_entry(pool, booth, i, make_batch(pool))
                for i in range(2)]
-    commit, tx = _commit_msg(pool, booth, material, entries)
+    commit, tx = _commit_msg(pool, booth, entries)
     payload = commit_cert_digest(0, tx.tx_hash, booth.booth_hash)
     unseen = PreCommitUnseen(
         instance_id=1, sender=1, window_start_us=0, window_len_us=100_000,
@@ -402,7 +398,6 @@ def test_decode_rejects_a_fixed_list_of_the_wrong_arity(world):
     oid, parts = unseen.reply_sets[1]
     reply_set = [oid, [[p.signer, p.payload_digest, p.sig_bytes]
                        for p in parts]]
-    key = booth.directory[0]
     m = booth.members[0]
     member = [m.node_id, m.role.value, m.verify_key, m.net_addr]
     cert = commit.cert
@@ -410,10 +405,13 @@ def test_decode_rejects_a_fixed_list_of_the_wrong_arity(world):
             [cert.threshold, cert.sig_bytes, cert.signer_set_digest],
             commit.tx_hash]
     gossip = _gossip(pool, commit, tx, [(1, 2)]).encode()
-    pre_order = _pre_order(pool, booth).encode()
+    pre_order_msg = _pre_order(pool, booth)
+    pre_order = pre_order_msg.encode()
+    p = pre_order_msg.proposer_partial
+    partial = [p.signer, p.payload_digest, p.sig_bytes]
     bad = [
         _with_arity(unseen.encode(), reply_set, reply_set + [0]),
-        _with_arity(pre_order, list(key), [key[0]]),
+        _with_arity(pre_order, partial, partial[:2]),
         _with_arity(pre_order, member, member[:3]),
         _with_arity(gossip, body, body[:4]),
     ]
@@ -472,10 +470,10 @@ def test_a_run_parses_no_message(monkeypatch):
 @lru_cache(maxsize=1)
 def _valid_wires() -> tuple[bytes, ...]:
     pool = make_pool([1, 2, 3, 4], seed=31)
-    booth, material = make_booth(pool, [1, 2, 3, 4], proposer_id=1, pivot_id=2)
-    entries = [certify_entry(pool, booth, material, i, make_batch(pool, size=2))
+    booth = make_booth(pool, [1, 2, 3, 4], proposer_id=1, pivot_id=2)
+    entries = [certify_entry(pool, booth, i, make_batch(pool, size=2))
                for i in range(2)]
-    commit, tx = _commit_msg(pool, booth, material, entries)
+    commit, tx = _commit_msg(pool, booth, entries)
     payload = commit_cert_digest(0, tx.tx_hash, booth.booth_hash)
     partial = _proposer_partial(pool, booth, payload)
     msgs = [

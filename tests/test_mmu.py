@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from conftest import make_pool
@@ -12,15 +11,12 @@ from vguard.mmu import MembershipUnit, MmuConfig
 POOL_IDS = [1, 2, 3, 4, 5, 6, 7, 8]
 
 
-def make_mmu(queue_depth: int = 4, pool_ids=POOL_IDS, seed: int = 5,
-             booth_size: int = 4):
+def make_mmu(queue_depth: int = 4, pool_ids=POOL_IDS, booth_size: int = 4):
     pool = make_pool(pool_ids, seed=17, pivot_id=1, proposer_id=2)
     mmu = MembershipUnit(
         instance_id=1, proposer_id=2, pivot_id=1,
         pool=[pool.identities[i] for i in pool_ids],
-        registry=pool.registry,
-        config=MmuConfig(booth_size=booth_size, queue_depth=queue_depth),
-        key_rng=np.random.default_rng(seed))
+        config=MmuConfig(booth_size=booth_size, queue_depth=queue_depth))
     return mmu, pool
 
 
@@ -118,18 +114,17 @@ def test_refill_restores_depth_after_churn():
 
 
 def test_booth_identity_survives_flap():
-    mmu, pool = make_mmu()
+    mmu, _ = make_mmu()
     head = mmu.current_booth()
     victim = max(m for m in head.member_ids if m not in (1, 2))
     mmu.mark_availability(victim, False)
     assert all(head.booth_hash != b.profile.booth_hash for b in mmu.queue)
     mmu.mark_availability(victim, True)
-    # same member set re-forms with the same cached identity and keys
+    # same member set re-forms with the same cached profile
     refreshed = compose_booths(mmu)[0]
     assert frozenset(refreshed.member_ids) == frozenset(head.member_ids)
     assert refreshed.booth_hash == head.booth_hash
     assert refreshed is head
-    assert pool.registry.material(head.booth_hash) is not None
 
 
 def test_no_booth_parks_then_availability_listener_fires():
@@ -188,8 +183,8 @@ def test_booth_changes_counts_head_switches():
 
 
 def test_same_seeds_build_identical_queues():
-    a, _ = make_mmu(seed=5)
-    b, _ = make_mmu(seed=5)
+    a, _ = make_mmu()
+    b, _ = make_mmu()
     assert [q.profile.booth_hash for q in a.queue] == \
         [q.profile.booth_hash for q in b.queue]
 

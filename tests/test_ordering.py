@@ -12,7 +12,7 @@ import pytest
 
 from conftest import certify_entry, make_batch, make_booth, make_pool
 from vguard.booths import build_profile
-from vguard.crypto import make_partial, setup_booth_keys, verify_partial
+from vguard.crypto import make_partial, verify_partial
 from vguard.ledger import Ledger, TotalOrderLog, order_cert_digest
 from vguard.messages import OrderMsg, OrderReply, PreOrder
 from vguard.netsim import CostMeter, Timer
@@ -69,18 +69,15 @@ def make_ctx(pool, node_id: int, instance_id: int = 1,
 @pytest.fixture
 def world():
     pool = make_pool([1, 2, 3, 4, 5], seed=23, proposer_id=1, pivot_id=2)
-    booth, material = make_booth(pool, [1, 2, 3, 4], proposer_id=1,
-                                 pivot_id=2)
-    return pool, booth, material
+    booth = make_booth(pool, [1, 2, 3, 4], proposer_id=1, pivot_id=2)
+    return pool, booth
 
 
 def pre_order(pool, booth, ordering_id: int, batch=None, **over) -> PreOrder:
     batch = make_batch(pool, size=2) if batch is None else batch
     payload = order_cert_digest(ordering_id, batch.batch_hash,
                                 booth.booth_hash)
-    partial = make_partial(
-        pool.keys[booth.proposer_id], payload,
-        pool.registry.booth_share(booth.booth_hash, booth.proposer_id))
+    partial = make_partial(pool.keys[booth.proposer_id], payload)
     fields = dict(instance_id=1, sender=booth.proposer_id,
                   ordering_id=ordering_id, batch=batch,
                   batch_hash=batch.batch_hash, booth=booth,
@@ -94,7 +91,7 @@ def only_reject(ctx, reason: str) -> None:
 
 
 def test_valid_pre_order_yields_anchored_reply(world):
-    pool, booth, _ = world
+    pool, booth = world
     ctx, sent = make_ctx(pool, node_id=3)
     engine = ValidatorOrdering(ctx)
     msg = pre_order(pool, booth, 0)
@@ -111,7 +108,7 @@ def test_valid_pre_order_yields_anchored_reply(world):
 
 
 def test_repeated_pre_order_replies_again_without_new_state(world):
-    pool, booth, _ = world
+    pool, booth = world
     ctx, sent = make_ctx(pool, node_id=3)
     engine = ValidatorOrdering(ctx)
     msg = pre_order(pool, booth, 0)
@@ -123,7 +120,7 @@ def test_repeated_pre_order_replies_again_without_new_state(world):
 
 
 def test_pre_order_reject_matrix(world):
-    pool, booth, _ = world
+    pool, booth = world
     batch_a = make_batch(pool, size=2, start_seq=0)
     batch_b = make_batch(pool, size=2, start_seq=10)
 
@@ -145,9 +142,7 @@ def test_pre_order_reject_matrix(world):
 
     wrong_payload = order_cert_digest(99, batch_a.batch_hash,
                                       booth.booth_hash)
-    forged = make_partial(
-        pool.keys[1], wrong_payload,
-        pool.registry.booth_share(booth.booth_hash, 1))
+    forged = make_partial(pool.keys[1], wrong_payload)
     msg = pre_order(pool, booth, 0, batch=batch_a, proposer_partial=forged)
     cases.append(("bad_sig", 1, msg))
 
@@ -159,7 +154,7 @@ def test_pre_order_reject_matrix(world):
 
 
 def test_pre_order_for_nonmember_is_unknown_booth(world):
-    pool, booth, _ = world
+    pool, booth = world
     ctx, sent = make_ctx(pool, node_id=5)     # 5 is outside the booth
     ValidatorOrdering(ctx).handle_pre_order(1, pre_order(pool, booth, 0))
     only_reject(ctx, "unknown_booth")
@@ -167,7 +162,7 @@ def test_pre_order_for_nonmember_is_unknown_booth(world):
 
 
 def test_conflicting_batch_for_pending_id_is_rejected(world):
-    pool, booth, _ = world
+    pool, booth = world
     ctx, sent = make_ctx(pool, node_id=3)
     engine = ValidatorOrdering(ctx)
     engine.handle_pre_order(1, pre_order(pool, booth, 0,
@@ -179,10 +174,10 @@ def test_conflicting_batch_for_pending_id_is_rejected(world):
 
 
 def test_conflicting_batch_for_appended_id_is_rejected(world):
-    pool, booth, material = world
+    pool, booth = world
     ctx, sent = make_ctx(pool, node_id=3)
     engine = ValidatorOrdering(ctx)
-    entry = certify_entry(pool, booth, material, 7,
+    entry = certify_entry(pool, booth, 7,
                           make_batch(pool, start_seq=0))
     ctx.log.append(entry)
     engine.handle_pre_order(1, pre_order(pool, booth, 7,
@@ -191,19 +186,25 @@ def test_conflicting_batch_for_appended_id_is_rejected(world):
     assert sent == []
 
 
-def test_uninstalled_booth_keys_mean_no_share(world):
-    pool, _, _ = world
-    member_ids = [1, 2, 3, 4]
-    material = setup_booth_keys(member_ids, 2, pool.rng)
-    orphan = build_profile(
-        members=[pool.identity(i) for i in member_ids], proposer_id=1,
-        pivot_id=2, threshold=2, directory=dict(material.directory),
-        created_at_us=0)
-    # deliberately never installed into the registry
+def test_reply_is_one_identity_signature_whatever_keys_the_profile_carries(
+        world):
+    """A validator signs with its identity key alone: a profile whose
+    member entry carries another key changes nothing in the reply, which
+    is one 64-byte signature valid under the registered key."""
+    pool, booth = world
+    impostor = make_pool([3], seed=99, pivot_id=3).identity(3)
+    swapped = build_profile(
+        members=[impostor if m.node_id == 3 else m for m in booth.members],
+        proposer_id=1, pivot_id=2, threshold=2)
+    msg = pre_order(pool, swapped, 0)
     ctx, sent = make_ctx(pool, node_id=3)
-    ValidatorOrdering(ctx).handle_pre_order(1, pre_order(pool, orphan, 0))
-    only_reject(ctx, "no_share")
-    assert sent == []
+    ValidatorOrdering(ctx).handle_pre_order(1, msg)
+    assert not ctx.counters
+    (_, reply, _), = sent
+    assert len(reply.partial.sig_bytes) == 64
+    expected = order_cert_digest(0, msg.batch_hash, swapped.booth_hash)
+    assert verify_partial(reply.partial, pool.registry.verify_key(3), expected)
+    assert not verify_partial(reply.partial, impostor.verify_key, expected)
 
 
 # -- certified result (O3/O4) ----------------------------------------------
@@ -223,12 +224,12 @@ def order_msg(entry, **over) -> OrderMsg:
 
 
 def test_valid_order_appends_certified_entry(world):
-    pool, booth, material = world
+    pool, booth = world
     ctx, _ = make_ctx(pool, node_id=3)
     engine = ValidatorOrdering(ctx)
     batch = make_batch(pool, size=2)
     prime(pool, booth, engine, 4, batch)
-    entry = certify_entry(pool, booth, material, 4, batch)
+    entry = certify_entry(pool, booth, 4, batch)
     engine.handle_order(1, order_msg(entry))
     assert not ctx.counters
     stored = ctx.log.get(4)
@@ -240,10 +241,10 @@ def test_valid_order_appends_certified_entry(world):
 
 
 def test_order_without_pending_state(world):
-    pool, booth, material = world
+    pool, booth = world
     ctx, _ = make_ctx(pool, node_id=3)
     engine = ValidatorOrdering(ctx)
-    entry = certify_entry(pool, booth, material, 4, make_batch(pool))
+    entry = certify_entry(pool, booth, 4, make_batch(pool))
     engine.handle_order(1, order_msg(entry))
     only_reject(ctx, "unknown_instance")
 
@@ -253,9 +254,9 @@ def test_order_without_pending_state(world):
 
 
 def test_order_reject_matrix(world):
-    pool, booth, material = world
+    pool, booth = world
     batch = make_batch(pool, size=2)
-    entry = certify_entry(pool, booth, material, 4, batch)
+    entry = certify_entry(pool, booth, 4, batch)
 
     def fresh_engine():
         ctx, _ = make_ctx(pool, node_id=3)
@@ -280,19 +281,19 @@ def test_order_reject_matrix(world):
 
     # right size, inside the booth, but no pivot
     ctx, engine = fresh_engine()
-    no_pivot = certify_entry(pool, booth, material, 4, batch, quorum=(3, 4))
+    no_pivot = certify_entry(pool, booth, 4, batch, quorum=(3, 4))
     engine.handle_order(1, order_msg(no_pivot))
     only_reject(ctx, "pivot_missing")
 
     # certificate over a different ordering id
     ctx, engine = fresh_engine()
-    foreign_cert = certify_entry(pool, booth, material, 99, batch).cert
+    foreign_cert = certify_entry(pool, booth, 99, batch).cert
     engine.handle_order(1, order_msg(entry, cert=foreign_cert))
     only_reject(ctx, "bad_cert")
 
     # valid certificate whose signer set is not the claimed quorum
     ctx, engine = fresh_engine()
-    signed_by_23 = certify_entry(pool, booth, material, 4, batch,
+    signed_by_23 = certify_entry(pool, booth, 4, batch,
                                  quorum=(2, 3))
     engine.handle_order(1, order_msg(signed_by_23, quorum=(2, 4)))
     only_reject(ctx, "quorum_mismatch")
@@ -328,7 +329,7 @@ def test_order_cert_digest_is_computed_once_per_round(monkeypatch):
 def test_reply_endorsing_another_digest_is_wrong_digest_not_bad_sig(world):
     """A partial over another digest is a different claim, not a forged
     signature; a partial whose signer is not the sender is bad_sig."""
-    pool, booth, _ = world
+    pool, booth = world
     ctx, sent = make_ctx(pool, node_id=1)
     ctx.mmu = FakeMmu(booth)
     coord = OrderingCoordinator(ctx)
@@ -336,9 +337,7 @@ def test_reply_endorsing_another_digest_is_wrong_digest_not_bad_sig(world):
     rnd = coord.rounds[1]
 
     def reply(src, signer, payload):
-        partial = make_partial(
-            pool.keys[signer], payload,
-            pool.registry.booth_share(booth.booth_hash, signer))
+        partial = make_partial(pool.keys[signer], payload)
         return OrderReply(instance_id=1, sender=src, ordering_id=1,
                           partial=partial)
 
@@ -358,7 +357,7 @@ def test_reply_endorsing_another_digest_is_wrong_digest_not_bad_sig(world):
 def test_replies_after_a_round_closes_are_late_or_stale(world):
     """A reply for a certified id counts late_reply; one for a retired id,
     for id 0, or for an id not yet issued counts stale."""
-    pool, booth, _ = world
+    pool, booth = world
     ctx, _ = make_ctx(pool, node_id=1)
     ctx.mmu = FakeMmu(booth)
     coord = OrderingCoordinator(ctx)
@@ -369,9 +368,7 @@ def test_replies_after_a_round_closes_are_late_or_stale(world):
     def reply(src, oid):
         digest = (coord.rounds[oid].cert_digest if oid in coord.rounds
                   else b"\x00" * 32)
-        partial = make_partial(
-            pool.keys[src], digest,
-            pool.registry.booth_share(booth.booth_hash, src))
+        partial = make_partial(pool.keys[src], digest)
         return OrderReply(instance_id=1, sender=src, ordering_id=oid,
                           partial=partial)
 
