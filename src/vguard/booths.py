@@ -75,9 +75,10 @@ class BoothProfile(Wire):
                         payload_digest: bytes, registry: KeyService,
                         meter=None) -> Optional[RejectReason]:
         """Why `cert` over `payload_digest` does not count in this booth, or
-        None if it does: 2f distinct members with the pivot among them,
-        whose aggregate verifies under their keys in `registry` and whose
-        signers are exactly `quorum`. The meter, if any, is charged one
+        None if it does: 2f distinct members with the pivot among them, a
+        pivot the registry holds as one (`KeyService.is_pivot`), whose
+        aggregate verifies under their keys in `registry` and whose signers
+        are exactly `quorum`. The meter, if any, is charged one
         threshold verify, and only once the quorum's shape holds. The shape
         is checked on every call; only the aggregate and signer verdict is
         memoised (`crypto.recall`), keyed on the members' registered keys."""
@@ -89,6 +90,8 @@ class BoothProfile(Wire):
             return RejectReason.FOREIGN_QUORUM_MEMBER
         if self.pivot_id not in qset:
             return RejectReason.PIVOT_MISSING
+        if not registry.is_pivot(self.pivot_id):
+            return RejectReason.NOT_PIVOT
         if meter is not None:
             meter.verify(self.threshold)
         key = ("cert", self.booth_hash, cert, payload_digest,

@@ -47,7 +47,7 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
                    help="reference = deterministic simulation, "
                         "benchmark = simulated network on the wall clock")
     p.add_argument("--label", default="")
-    p.add_argument("--out", type=Path, help="folder for the run's artifacts")
+    p.add_argument("--out", type=Path, help="artifact directory")
 
 
 def _spec_from_args(args: argparse.Namespace) -> RunSpec:

@@ -36,7 +36,8 @@ from .ledger import (CommitRecord, LogEntry, Transaction, commit_cert_digest,
                      window_transaction)
 from .messages import (CommitMsg, CommitReply, PreCommitSeen, PreCommitUnseen)
 from .netsim import Category
-from .ordering import QuorumRound, proposer_signed, round_timeout_ms
+from .ordering import (QuorumRound, booth_admitted, proposer_signed,
+                       round_timeout_ms)
 from .storage import PROPOSER, VALIDATOR
 
 
@@ -251,14 +252,7 @@ class ValidatorConsensus:
         ctx = self.ctx
         booth = msg.booth
         ctx.env.meter.hash_bytes(64 * booth.size)
-        if booth.booth_hash != msg.booth_hash:
-            ctx.diag(RejectReason.BAD_HASH)
-            return None
-        if src != booth.proposer_id or msg.sender != booth.proposer_id:
-            ctx.diag(RejectReason.MALFORMED)
-            return None
-        if ctx.node_id not in booth:
-            ctx.diag(RejectReason.UNKNOWN_BOOTH)
+        if not booth_admitted(ctx, src, msg):
             return None
         delta = ctx.config.delta_us
         if msg.window_len_us != delta or msg.window_start_us % delta != 0:

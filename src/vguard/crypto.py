@@ -348,6 +348,13 @@ class KeyService:
         except KeyError:
             raise UnknownNode(f"node {node_id} is not registered") from None
 
+    def is_pivot(self, node_id: int) -> bool:
+        """Whether the registry names `node_id` a pivot validator. A profile
+        names its own pivot, so this is what keeps a proposer from passing
+        off any member (a colluder, say) as the manufacturer's node."""
+        ident = self.identities.get(node_id)
+        return ident is not None and ident.role == Role.PIVOT
+
     def keys_of(self, node_ids: Iterable[int]) -> tuple[Optional[bytes], ...]:
         """Each node's registered verify key, or None if it has none."""
         get = self.identities.get

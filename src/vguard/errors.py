@@ -108,6 +108,7 @@ class RejectReason(str, Enum):
     QUORUM_MISMATCH = "quorum_mismatch"
     FOREIGN_QUORUM_MEMBER = "foreign_quorum_member"
     PIVOT_MISSING = "pivot_missing"
+    NOT_PIVOT = "not_pivot"
     INSUFFICIENT_REPLIES = "insufficient_replies"
     UNKNOWN_BOOTH = "unknown_booth"
     UNKNOWN_INSTANCE = "unknown_instance"

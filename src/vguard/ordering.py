@@ -261,6 +261,26 @@ class OrderingCoordinator:
 
 # -- validator side -------------------------------------------------------
 
+def booth_admitted(ctx, src: int, msg) -> bool:
+    """A validator's shared screen of the booth a pre-order or pre-commit
+    proposes, before it countersigns for it: the hash matches, the proposer
+    sent it, this node is a member, and the registry holds the pivot as one.
+    A failure is counted under its reason."""
+    booth = msg.booth
+    if booth.booth_hash != msg.booth_hash:
+        reason = RejectReason.BAD_HASH
+    elif src != booth.proposer_id or msg.sender != booth.proposer_id:
+        reason = RejectReason.MALFORMED
+    elif ctx.node_id not in booth:
+        reason = RejectReason.UNKNOWN_BOOTH
+    elif not ctx.registry.is_pivot(booth.pivot_id):
+        reason = RejectReason.NOT_PIVOT
+    else:
+        return True
+    ctx.diag(reason)
+    return False
+
+
 def proposer_signed(ctx, booth: BoothProfile, p: PartialSignature,
                     expected: bytes) -> bool:
     """A validator's check that the booth's proposer endorsed `expected`;
@@ -289,14 +309,7 @@ class ValidatorOrdering:
         ctx = self.ctx
         booth = msg.booth
         ctx.env.meter.hash_bytes(batch_wire_bytes(msg.batch) + 64 * booth.size)
-        if booth.booth_hash != msg.booth_hash:
-            ctx.diag(RejectReason.BAD_HASH)
-            return
-        if src != booth.proposer_id or msg.sender != booth.proposer_id:
-            ctx.diag(RejectReason.MALFORMED)
-            return
-        if ctx.node_id not in booth:
-            ctx.diag(RejectReason.UNKNOWN_BOOTH)
+        if not booth_admitted(ctx, src, msg):
             return
         if msg.batch.batch_hash != msg.batch_hash:
             ctx.diag(RejectReason.BAD_HASH)

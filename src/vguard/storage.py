@@ -147,12 +147,12 @@ class StorageMaster:
                                       for s in self.instances.values()),
         }
 
-    def export(self, outdir: Path) -> list[Path]:
+    def export(self, directory: Path) -> list[Path]:
         """One snapshot file per interface, named <instance>.<role>.log."""
-        outdir.mkdir(parents=True, exist_ok=True)
+        directory.mkdir(parents=True, exist_ok=True)
         written = []
         for (instance_id, role), smi in sorted(self.instances.items()):
-            path = outdir / f"{instance_id}.{role}.log"
+            path = directory / f"{instance_id}.{role}.log"
             with path.open("w", encoding="utf-8") as fh:
                 for line in smi.snapshot_lines():
                     fh.write(line + "\n")

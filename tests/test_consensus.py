@@ -13,7 +13,7 @@ from vguard.crypto import make_partial, verify_partial
 from vguard.ledger import commit_cert_digest
 from vguard.messages import (CommitMsg, CommitReply, PreCommitSeen,
                              PreCommitUnseen)
-from test_ordering import FakeMmu, make_ctx
+from test_ordering import FakeMmu, make_ctx, pivot_posing_booth
 
 DELTA = 100_000
 
@@ -111,6 +111,24 @@ def test_seen_hash_mismatch_rejected(world):
     ValidatorConsensus(ctx).handle_seen(1, msg)
     only_reject(ctx, "bad_hash")
     assert sent == []
+
+
+def test_pre_commit_naming_a_pivot_the_registry_does_not_hold_is_refused(
+        world):
+    """Both pre-commit paths share the booth screen: a booth whose pivot
+    the registry does not hold as one earns no countersignature."""
+    pool, booth = world
+    entries, _, tx = window_of(pool, booth, [0])
+    posing = pivot_posing_booth(pool, booth)
+    for msg in (seen_msg(pool, posing, tx, 0, 0),
+                unseen_msg(pool, posing, tx, entries)):
+        ctx, sent = make_ctx(pool, node_id=3)
+        seed_log(ctx, entries, booth)
+        engine = ValidatorConsensus(ctx)
+        (engine.handle_seen if isinstance(msg, PreCommitSeen)
+         else engine.handle_unseen)(1, msg)
+        only_reject(ctx, "not_pivot")
+        assert sent == [] and not engine.binding
 
 
 def test_window_shape_must_match_protocol(world):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vguard.codec import Reader
-from vguard.errors import DuplicateOrderingId, WindowError
+from vguard.errors import DuplicateOrderingId, RejectReason, WindowError
 from vguard.harness import RunSpec, run
 from vguard.ledger import (
     CommitRecord,
@@ -285,6 +285,26 @@ def test_verify_chain_rejects_pivotless_quorum(pool4, booth4):
     check = verify_chain(ledger, pool4.registry)
     assert not check.ok
     assert any("pivot" in v for v in check.violations)
+
+
+def test_verify_chain_rejects_a_pivot_the_registry_does_not_hold(pool4,
+                                                                booth4):
+    """A booth naming vehicle 4 its pivot: every certificate is well signed
+    by a quorum holding that 'pivot', yet none counts, because the registry
+    holds node 2 as the pivot."""
+    booth = make_booth(pool4, [1, 2, 3, 4], proposer_id=1, pivot_id=4)
+    ledger = Ledger(1, DELTA_US)
+    ledger.note_booth(booth)
+    entry = certify_entry(pool4, booth, 1, make_batch(pool4), quorum=(3, 4))
+    record, tx = commit_window(pool4, booth, 0, DELTA_US, [entry])
+    ledger.append_commit(record, tx)
+    assert booth.check_certified(record.quorum, record.cert,
+                                 record.cert_digest(), pool4.registry) \
+        is RejectReason.NOT_PIVOT
+    check = verify_chain(ledger, pool4.registry)
+    assert check.violations == [
+        "window 0: commit certificate rejected: not_pivot",
+        "entry 1: ordering certificate rejected: not_pivot"]
 
 
 def test_audit_rejects_quorums_that_repeat_a_member(monkeypatch):

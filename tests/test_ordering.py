@@ -7,12 +7,13 @@ thing, so a reject can only be attributed to the tampered field.
 from __future__ import annotations
 
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
 from conftest import certify_entry, make_batch, make_booth, make_pool
 from vguard.booths import build_profile
-from vguard.crypto import make_partial, verify_partial
+from vguard.crypto import Role, make_partial, verify_partial
 from vguard.ledger import Ledger, TotalOrderLog, order_cert_digest
 from vguard.messages import OrderMsg, OrderReply, PreOrder
 from vguard.netsim import CostMeter, Timer
@@ -205,6 +206,30 @@ def test_reply_is_one_identity_signature_whatever_keys_the_profile_carries(
     expected = order_cert_digest(0, msg.batch_hash, swapped.booth_hash)
     assert verify_partial(reply.partial, pool.registry.verify_key(3), expected)
     assert not verify_partial(reply.partial, impostor.verify_key, expected)
+
+
+def pivot_posing_booth(pool, booth):
+    """The booth a byzantine proposer composes for itself: the same members,
+    with vehicle 4 named pivot and relabelled one in its own member entry.
+    The registry holds node 2 as the only pivot."""
+    posing = [replace(m, role=Role.PIVOT) if m.node_id == 4 else m
+              for m in booth.members]
+    return build_profile(members=posing, proposer_id=booth.proposer_id,
+                         pivot_id=4, threshold=booth.threshold)
+
+
+def test_pre_order_naming_a_pivot_the_registry_does_not_hold_is_refused(
+        world):
+    """No member, the real pivot included, countersigns for a booth whose
+    pivot the registry does not hold as one, whatever role the profile
+    gives it."""
+    pool, booth = world
+    msg = pre_order(pool, pivot_posing_booth(pool, booth), 0)
+    for node_id in (2, 3):
+        ctx, sent = make_ctx(pool, node_id=node_id)
+        ValidatorOrdering(ctx).handle_pre_order(1, msg)
+        only_reject(ctx, "not_pivot")
+        assert sent == []
 
 
 # -- certified result (O3/O4) ----------------------------------------------
