@@ -6,8 +6,11 @@ membership links. The proposer then runs a commit round in the head booth
 of the moment, which need not be any booth the window's entries were
 ordered in. Members who sat in every ordering booth of the window already
 hold the entries, so they get a hash-only request; everyone else gets the
-full transaction with the retained reply sets and re-verifies each entry
-from scratch before countersigning.
+full transaction and checks each entry's ordering certificate against its
+membership link with `BoothProfile.check_certified` before countersigning.
+The certificate is all the evidence an entry needs: its 2f signers are
+members of the entry's booth, the pivot among them, and each signed only
+after checking the proposer's own signature.
 
 A window that cannot gather its quorum is retried under a fresh booth with
 the same window timestamp, and members who failed to reply are demoted to
@@ -25,11 +28,11 @@ timeline; validators append whatever commits reach them and may hold gaps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .booths import BoothProfile
-from .crypto import make_partial, verify_partial_set
+from .crypto import make_partial
 from .errors import RejectReason
 from .ledger import (CommitRecord, LogEntry, Transaction, commit_cert_digest,
                      expand_memberships, order_cert_digest, tx_hash_over,
@@ -55,7 +58,7 @@ class ConsensusCoordinator:
     def __init__(self, ctx):
         self.ctx = ctx
         self.rounds: dict[int, ConsensusRound] = {}
-        # window ts -> (record, tx, reply_sets, booth), or None for an empty
+        # window ts -> (record, tx, booth), or None for an empty
         # window; drained in ts order by _release
         self.ready: dict[int, Optional[tuple]] = {}
         self.parked: dict[int, tuple[Transaction, int, frozenset[int]]] = {}
@@ -66,12 +69,12 @@ class ConsensusCoordinator:
         ctx.mmu.on_booth_available(self._unpark)
 
     def start(self) -> None:
-        self.ctx.env.every(self.ctx.config.delta_us / 1000.0, self._tick)
+        self.ctx.env.every(self.ctx.delta_us / 1000.0, self._tick)
 
     # -- window opening ----------------------------------------------------
 
     def _tick(self) -> None:
-        delta = self.ctx.config.delta_us
+        delta = self.ctx.delta_us
         now = self.ctx.env.now_us()
         while self.next_window_us + delta <= now:
             self._open_window(self.next_window_us)
@@ -79,7 +82,7 @@ class ConsensusCoordinator:
 
     def _open_window(self, ts: int) -> None:
         ctx = self.ctx
-        delta = ctx.config.delta_us
+        delta = ctx.delta_us
         entries = ctx.log.window_slice(ts, ts + delta)
         if not entries:
             self.ready[ts] = None
@@ -101,7 +104,7 @@ class ConsensusCoordinator:
         ctx.env.meter.sign(1)
         own = make_partial(ctx.key, payload)
         rnd = ConsensusRound(window_start_us=ts, tx=tx, booth=booth,
-                             attempt=attempt, own_partial=own, demoted=demoted,
+                             attempt=attempt, demoted=demoted,
                              cert_digest=payload)
         self.rounds[ts] = rnd
 
@@ -125,15 +128,11 @@ class ConsensusCoordinator:
                 msg = seen_msg
             else:
                 if unseen_msg is None:
-                    reply_sets = tuple(
-                        (e.ordering_id, ctx.log.get(e.ordering_id).reply_set)
-                        for e in tx.entries)
                     unseen_msg = PreCommitUnseen(
                         instance_id=ctx.instance_id, sender=ctx.node_id,
                         window_start_us=ts, window_len_us=tx.window_len_us,
                         tx_hash=tx.tx_hash, tx=tx, booth=booth,
-                        booth_hash=booth.booth_hash, reply_sets=reply_sets,
-                        proposer_partial=own)
+                        booth_hash=booth.booth_hash, proposer_partial=own)
                 msg = unseen_msg
             ctx.send(v, msg, Category.CONSENSUS, ts)
 
@@ -161,16 +160,13 @@ class ConsensusCoordinator:
             consensus_id=rnd.window_start_us, quorum=quorum,
             booth_hash=rnd.booth.booth_hash, cert=cert,
             tx_hash=rnd.tx.tx_hash, committed_at_us=ctx.env.now_us())
-        reply_sets = {
-            e.ordering_id: ctx.log.get(e.ordering_id).reply_set
-            for e in rnd.tx.entries}
-        self.ready[rnd.window_start_us] = (record, rnd.tx, reply_sets, rnd.booth)
+        self.ready[rnd.window_start_us] = (record, rnd.tx, rnd.booth)
         del self.rounds[rnd.window_start_us]
         self._release()
 
     def _release(self) -> None:
         ctx = self.ctx
-        delta = ctx.config.delta_us
+        delta = ctx.delta_us
         while self.release_next_us in self.ready:
             item = self.ready.pop(self.release_next_us)
             ts = self.release_next_us
@@ -178,9 +174,9 @@ class ConsensusCoordinator:
             if item is None:
                 ctx.ledger.mark_covered(ts)
                 continue
-            record, tx, reply_sets, booth = item
+            record, tx, booth = item
             ctx.ledger.note_booth(booth)
-            ctx.ledger.append_commit(record, tx, reply_sets)
+            ctx.ledger.append_commit(record, tx)
             ctx.metrics.committed(tx, ctx.env.now_us())
             commit = CommitMsg(
                 instance_id=ctx.instance_id, sender=ctx.node_id,
@@ -238,7 +234,6 @@ class PendingCommit:
     tx: Optional[Transaction]            # full tx on the unseen path
     first_id: int = 0
     last_id: int = 0
-    reply_sets: dict = field(default_factory=dict)
 
 
 class ValidatorConsensus:
@@ -254,7 +249,7 @@ class ValidatorConsensus:
         ctx.env.meter.hash_bytes(64 * booth.size)
         if not booth_admitted(ctx, src, msg):
             return None
-        delta = ctx.config.delta_us
+        delta = ctx.delta_us
         if msg.window_len_us != delta or msg.window_start_us % delta != 0:
             ctx.diag(RejectReason.MALFORMED)
             return None
@@ -313,16 +308,14 @@ class ValidatorConsensus:
         if tx.tx_hash != msg.tx_hash:
             ctx.diag(RejectReason.BAD_HASH)
             return
-        if not self._verify_foreign_entries(tx, dict(msg.reply_sets)):
+        if not self._verify_foreign_entries(tx):
             return
-        pc = PendingCommit(booth=booth, tx_hash=tx.tx_hash, tx=tx,
-                           reply_sets={i: tuple(parts)
-                                       for i, parts in msg.reply_sets})
+        pc = PendingCommit(booth=booth, tx_hash=tx.tx_hash, tx=tx)
         self._bind_and_reply(src, msg, booth, tx.tx_hash, pc)
 
-    def _verify_foreign_entries(self, tx: Transaction, reply_sets: dict) -> bool:
+    def _verify_foreign_entries(self, tx: Transaction) -> bool:
         """Full recheck of entries ordered in booths this node never sat in:
-        certificate, quorum shape, pivot, and the retained reply set."""
+        each entry's ordering certificate against its membership link."""
         ctx = self.ctx
         memberships = expand_memberships(tx.membership_links)
         for entry in tx.entries:
@@ -340,18 +333,6 @@ class ValidatorConsensus:
             if reason is not None:
                 ctx.diag(reason)
                 return False
-            replies = reply_sets.get(entry.ordering_id)
-            if not replies:
-                ctx.diag(RejectReason.INSUFFICIENT_REPLIES)
-                return False
-            allowed = {*quorum, link_booth.proposer_id}
-            usable = tuple(p for p in replies if p.signer in allowed)
-            ctx.env.meter.verify(len(usable))
-            if not verify_partial_set(usable, cert_digest,
-                                      2 * link_booth.fault_budget + 1,
-                                      ctx.registry):
-                ctx.diag(RejectReason.INSUFFICIENT_REPLIES)
-                return False
         # adopt: these entries are certified, make them local
         for entry in tx.entries:
             link_booth, quorum = memberships[entry.ordering_id]
@@ -359,8 +340,7 @@ class ValidatorConsensus:
                 ordering_id=entry.ordering_id, batch=entry.batch,
                 quorum=tuple(sorted(quorum)),
                 booth_hash=link_booth.booth_hash, cert=entry.cert,
-                appended_at_us=ctx.env.now_us(),
-                reply_set=tuple(reply_sets.get(entry.ordering_id, ()))))
+                appended_at_us=ctx.env.now_us()))
             ctx.ledger.note_booth(link_booth)
         return True
 
@@ -397,14 +377,14 @@ class ValidatorConsensus:
             if entries is None:
                 ctx.diag(RejectReason.UNKNOWN_INSTANCE)
                 return
-            tx = window_transaction(ts, ctx.config.delta_us, entries,
+            tx = window_transaction(ts, ctx.delta_us, entries,
                                     ctx.ledger.booth_table.__getitem__)
         record = CommitRecord(
             consensus_id=ts, quorum=tuple(sorted(msg.quorum)),
             booth_hash=msg.booth_hash, cert=msg.cert, tx_hash=msg.tx_hash,
             committed_at_us=ctx.env.now_us())
         ctx.ledger.note_booth(booth)
-        ctx.ledger.append_commit(record, tx, pc.reply_sets)
+        ctx.ledger.append_commit(record, tx)
         if ctx.storage is not None:
             smi = ctx.storage.get(ctx.instance_id, VALIDATOR)
             smi.register_to_temp(tx, record, ctx.env.now_us())

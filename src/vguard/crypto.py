@@ -27,13 +27,12 @@ signing is deterministic and `sign(sk, m)` always verifies under `pk(sk)`
 raw `Ed25519PrivateKey` records nothing, and a flipped bit in any input is
 another key. The other kinds are "cert" (`BoothProfile.check_certified`:
 booth hash, certificate, digest, sorted quorum, and the registry's keys for
-the booth's members), "partial-set" (`verify_partial_set`: each signer's
-registered key), the digests "order-cert", "commit-cert" and "signer-set",
-and "msg" (decoded messages, see `messages`). A compute that raises stores
-nothing. The memo holds at most `MEMO_SIZE` entries and is emptied when
-full and by `clear_caches`, which `harness.run` calls at its start and end,
-so no run sees another run's entries and none outlives its run. Callers
-charge modeled cost (`CostMeter.verify`) before the lookup.
+the booth's members), the digests "order-cert", "commit-cert" and
+"signer-set", and "msg" (decoded messages, see `messages`). A compute that
+raises stores nothing. The memo holds at most `MEMO_SIZE` entries and is
+emptied when full and by `clear_caches`, which `harness.run` calls at its
+start and end, so no run sees another run's entries and none outlives its
+run. Callers charge modeled cost (`CostMeter.verify`) before the lookup.
 
 `SigningKey.sign` signs through libsodium (`crypto_sign_ed25519_detached`)
 when it loads at import, else through `cryptography`: RFC 8032 signing is
@@ -206,29 +205,6 @@ def verify_partial(partial: PartialSignature, verify_key: bytes,
     expected = partial.payload_digest if payload_digest is None else payload_digest
     return (partial.payload_digest == expected
             and verify_raw(verify_key, expected, partial.sig_bytes))
-
-
-def verify_partial_set(partials: Iterable[PartialSignature], payload_digest: bytes,
-                       required: int, registry: "KeyService") -> bool:
-    """True iff >= required distinct signers validly endorsed the digest,
-    each under the key the registry holds for it."""
-    partials = tuple(partials)
-    keys = registry.keys_of(p.signer for p in partials)
-    return recall(("partial-set", partials, payload_digest, required, keys),
-                  _endorsed, partials, payload_digest, required, keys)
-
-
-def _endorsed(partials: tuple[PartialSignature, ...], payload_digest: bytes,
-              required: int, keys: tuple[Optional[bytes], ...]) -> bool:
-    seen: set[int] = set()
-    for partial, key in zip(partials, keys):
-        if partial.signer in seen or key is None:
-            continue
-        if verify_partial(partial, key, payload_digest):
-            seen.add(partial.signer)
-            if len(seen) >= required:
-                return True
-    return len(seen) >= required
 
 
 # -- quorum certificates --------------------------------------------------

@@ -74,9 +74,6 @@ class RunSpec:
             raise ConfigInvalid(f"pool {pool} smaller than booth {self.booth_size}")
         if self.gamma < 1 or self.gamma > pool - 1:
             raise ConfigInvalid(f"gamma must be in [1, pool-1], got {self.gamma}")
-        if self.protocol.delta_us != self.delta_us:
-            return replace(self, protocol=replace(self.protocol,
-                                                  delta_us=self.delta_us))
         return self
 
     @property
@@ -256,6 +253,7 @@ def run(spec: RunSpec, net=None) -> RunResult:
         env = NodeEnv(net, node_id)
         runtimes[node_id] = NodeRuntime(
             node_id, env, registry, keys[node_id], spec.protocol,
+            spec.delta_us,
             storage=StorageMaster(node_id,
                                   RetentionPolicy(temp_ttl_us=spec.tau_us)),
             gossip_peers=overlay.get(node_id, []),
@@ -268,7 +266,7 @@ def run(spec: RunSpec, net=None) -> RunResult:
         mmu = MembershipUnit(
             instance_id=plan.instance_id, proposer_id=plan.proposer_id,
             pivot_id=plan.pivot_id, pool=identities,
-            config=replace(spec.mmu, booth_size=spec.booth_size),
+            booth_size=spec.booth_size, config=spec.mmu,
             now_us=runtime.env.now_us)
         instance = runtime.add_proposer(plan.instance_id, mmu)
         workloads[plan.instance_id] = Workload(

@@ -35,10 +35,8 @@ from .crypto import (
     AggregateSignature,
     Identity,
     KeyService,
-    PartialSignature,
     Role,
     recall,
-    verify_partial_set,
 )
 from .errors import DuplicateOrderingId, WindowError
 
@@ -144,12 +142,9 @@ def commit_cert_digest(window_start_us: int, tx_hash: bytes, booth_hash: bytes) 
 
 @dataclass(frozen=True)
 class LogEntry:
-    """One ordered batch with its certificate.
-
-    reply_set is retained only where it was collected (the proposer); it
-    includes the proposer's own endorsement, so it carries 2f+1 individually
-    verifiable signatures for nodes outside the ordering booth.
-    """
+    """One ordered batch with its certificate. The certificate is the
+    entry's whole evidence: anyone holding the identity registry can check
+    it against the entry's booth, inside the booth or not."""
 
     ordering_id: int
     batch: DataBatch
@@ -157,7 +152,6 @@ class LogEntry:
     booth_hash: bytes
     cert: AggregateSignature
     appended_at_us: int = 0
-    reply_set: tuple[PartialSignature, ...] = ()
 
     @property
     def batch_hash(self) -> bytes:
@@ -338,7 +332,6 @@ class CommitRecord:
 class CommittedWindow:
     record: CommitRecord
     tx: Transaction
-    reply_sets: dict[int, tuple[PartialSignature, ...]] = field(default_factory=dict)
 
 
 class Ledger:
@@ -368,17 +361,14 @@ class Ledger:
     def note_booth(self, booth: BoothProfile) -> None:
         self.booth_table.setdefault(booth.booth_hash, booth)
 
-    def append_commit(self, record: CommitRecord, tx: Transaction,
-                      reply_sets: Optional[dict[int, tuple[PartialSignature, ...]]] = None
-                      ) -> None:
+    def append_commit(self, record: CommitRecord, tx: Transaction) -> None:
         ts = record.consensus_id
         if ts in self._windows:
             if self._windows[ts].record.tx_hash != record.tx_hash:
                 raise DuplicateOrderingId(
                     f"window {ts} already committed with a different transaction")
             return
-        self._windows[ts] = CommittedWindow(record=record, tx=tx,
-                                            reply_sets=dict(reply_sets or {}))
+        self._windows[ts] = CommittedWindow(record=record, tx=tx)
         insort(self._order, ts)
         for link in tx.membership_links:
             self.booth_table.setdefault(link.booth.booth_hash, link.booth)
@@ -418,10 +408,6 @@ class Ledger:
                 "kind": "commit",
                 "record": _record_to_json(win.record),
                 "tx": _tx_to_json(win.tx),
-                "reply_sets": {
-                    str(i): [_partial_to_json(p) for p in parts]
-                    for i, parts in sorted(win.reply_sets.items())
-                },
             }))
         if self.covered_empty:
             lines.append(dump({"kind": "covered", "ts": sorted(self.covered_empty)}))
@@ -451,13 +437,8 @@ class Ledger:
                     booth = _booth_from_json(obj["profile"])
                     ledger.note_booth(booth)
                 elif kind == "commit":
-                    record = _record_from_json(obj["record"])
-                    tx = _tx_from_json(obj["tx"])
-                    replies = {
-                        int(i): tuple(_partial_from_json(p) for p in parts)
-                        for i, parts in obj.get("reply_sets", {}).items()
-                    }
-                    ledger.append_commit(record, tx, replies)
+                    ledger.append_commit(_record_from_json(obj["record"]),
+                                         _tx_from_json(obj["tx"]))
                 elif kind == "covered":
                     for ts in obj["ts"]:
                         ledger.mark_covered(ts)
@@ -506,9 +487,9 @@ def verify_chain(ledger: Ledger, registry: KeyService, strict: bool = False,
     against their membership link, both by `BoothProfile.check_certified`
     (the rule validators apply), pivots in every membership link,
     transaction hashes, window monotonicity, and non-overlapping increasing
-    ordering-id ranges. Retained reply sets are cross-checked with the
-    same identity signatures. A missing reply
-    set is no violation, by design: validators on the seen path store none.
+    ordering-id ranges. An entry passes on its certificate alone, so every
+    node's ledger is audited by the same rule, whatever path its entries
+    took.
 
     strict adds the proposer/auditor view: ordering ids must be gapless
     starting at 1 across the whole chain, and committed plus covered-empty
@@ -567,11 +548,6 @@ def verify_chain(ledger: Ledger, registry: KeyService, strict: bool = False,
             if reason is not None:
                 fail(f"entry {entry.ordering_id}: ordering certificate "
                      f"rejected: {reason}")
-            replies = win.reply_sets.get(entry.ordering_id)
-            if replies:
-                if not verify_partial_set(replies, cert_digest,
-                                          2 * link_booth.fault_budget + 1, registry):
-                    fail(f"entry {entry.ordering_id}: retained reply set under-signed")
         ids = [e.ordering_id for e in tx.entries]
         if ids:
             if ids != sorted(ids) or len(set(ids)) != len(ids):
@@ -615,17 +591,6 @@ def _agg_from_json(obj: dict) -> AggregateSignature:
     return AggregateSignature(threshold=obj["threshold"],
                               sig_bytes=bytes.fromhex(obj["sig"]),
                               signer_set_digest=bytes.fromhex(obj["signers"]))
-
-
-def _partial_to_json(p: PartialSignature) -> dict:
-    return {"signer": p.signer, "digest": p.payload_digest.hex(),
-            "sig": p.sig_bytes.hex()}
-
-
-def _partial_from_json(obj: dict) -> PartialSignature:
-    return PartialSignature(signer=obj["signer"],
-                            payload_digest=bytes.fromhex(obj["digest"]),
-                            sig_bytes=bytes.fromhex(obj["sig"]))
 
 
 def _booth_to_json(booth: BoothProfile) -> dict:

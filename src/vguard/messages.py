@@ -134,12 +134,9 @@ class PreCommitSeen(_Message):
 
 @dataclass(frozen=True)
 class PreCommitUnseen(_Message):
-    """C1, members outside some ordering booth: full data plus evidence.
-
-    reply_sets maps ordering id to the retained replies (validators plus
-    the proposer's own), giving the receiver 2f+1 individually anchored
-    signatures per entry.
-    """
+    """C1, members outside some ordering booth: the full transaction. Its
+    entries' ordering certificates, checked against the membership links
+    it carries and the identity registry, are all the evidence needed."""
 
     TAG: ClassVar[int] = 5
 
@@ -149,7 +146,6 @@ class PreCommitUnseen(_Message):
     tx: Transaction
     booth: BoothProfile
     booth_hash: bytes
-    reply_sets: tuple[tuple[int, tuple[PartialSignature, ...]], ...]
     proposer_partial: PartialSignature
 
 

@@ -25,7 +25,6 @@ from .errors import POSITIVE, InsufficientMembers, UnknownNode
 
 @dataclass
 class MmuConfig:
-    booth_size: int = 4
     queue_depth: int = field(default=4, metadata=POSITIVE)
     ewma_alpha: float = 0.2
     ping_period_ms: float = field(default=20.0, metadata=POSITIVE)
@@ -52,11 +51,12 @@ class QueuedBooth:
 
 class MembershipUnit:
     def __init__(self, instance_id: int, proposer_id: int, pivot_id: int,
-                 pool: list[Identity], config: MmuConfig,
+                 pool: list[Identity], booth_size: int, config: MmuConfig,
                  now_us: Callable[[], int] = lambda: 0):
         self.instance_id = instance_id
         self.proposer_id = proposer_id
         self.pivot_id = pivot_id
+        self.booth_size = booth_size
         self.pool = {ident.node_id: ident for ident in pool}
         if proposer_id not in self.pool or pivot_id not in self.pool:
             raise UnknownNode("proposer and pivot must be in the pool")
@@ -144,7 +144,7 @@ class MembershipUnit:
     def _compositions(self) -> list[frozenset]:
         """Sliding-window member sets over the sorted vehicle list, nearest
         first. Raises InsufficientMembers when one booth cannot be seated."""
-        size = self.config.booth_size
+        size = self.booth_size
         anchors_up = (self.status[self.proposer_id].up
                       and self.status[self.pivot_id].up)
         vehicles = self._candidate_vehicles()

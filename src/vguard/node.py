@@ -33,7 +33,6 @@ from .storage import StorageMaster
 
 @dataclass(frozen=True)
 class ProtocolConfig:
-    delta_us: int = 100_000            # window length
     timeout_floor_ms: float = 25.0
     timeout_factor: float = 4.0
     max_retries: int = 50
@@ -90,6 +89,7 @@ class InstanceContext:
     registry: KeyService
     key: SigningKey
     config: ProtocolConfig
+    delta_us: int                      # window length
     send: Callable[[int, object, Category, object], None]
     log: TotalOrderLog
     ledger: Ledger
@@ -244,7 +244,7 @@ def _flip_first_byte(batch: DataBatch) -> DataBatch:
 
 class NodeRuntime:
     def __init__(self, node_id: int, env: NodeEnv, registry: KeyService,
-                 key: SigningKey, config: ProtocolConfig,
+                 key: SigningKey, config: ProtocolConfig, delta_us: int,
                  storage: Optional[StorageMaster] = None,
                  gossip_peers: Optional[list[int]] = None,
                  gossip_config: Optional[GossipConfig] = None):
@@ -253,6 +253,7 @@ class NodeRuntime:
         self.registry = registry
         self.key = key
         self.config = config
+        self.delta_us = delta_us
         self.storage = storage
         self.counters: Counter = Counter()
         self.proposers: dict[int, ProposerInstance] = {}
@@ -294,11 +295,11 @@ class NodeRuntime:
         log = self.logs.get(instance_id)
         if log is None:
             log = self.logs[instance_id] = TotalOrderLog()
-            self.ledgers[instance_id] = Ledger(self.node_id,
-                                               self.config.delta_us)
+            self.ledgers[instance_id] = Ledger(self.node_id, self.delta_us)
         return InstanceContext(
             instance_id=instance_id, node_id=self.node_id, env=self.env,
             registry=self.registry, key=self.key, config=self.config,
+            delta_us=self.delta_us,
             send=lambda dst, msg, cat, sub: self.send_msg(
                 dst, msg, cat, (instance_id, sub)),
             log=log, ledger=self.ledgers[instance_id],

@@ -64,7 +64,6 @@ class QuorumRound:
     """A proposer's round of countersignatures over one digest."""
 
     booth: BoothProfile
-    own_partial: PartialSignature
     cert_digest: bytes               # what the booth countersigns
     replies: dict[int, PartialSignature] = field(default_factory=dict)
     timer: Optional[object] = None
@@ -163,7 +162,7 @@ class OrderingCoordinator:
         rnd = OrderingRound(
             ordering_id=oid, batch=pb.batch, booth=booth,
             submitted_at_us=pb.submitted_at_us, retries=pb.retries,
-            own_partial=own, cert_digest=payload)
+            cert_digest=payload)
         self.rounds[oid] = rnd
         msg = PreOrder(instance_id=ctx.instance_id, sender=ctx.node_id,
                        ordering_id=oid, batch=pb.batch,
@@ -207,8 +206,7 @@ class OrderingCoordinator:
             entry = LogEntry(
                 ordering_id=rnd.ordering_id, batch=rnd.batch, quorum=rnd.quorum,
                 booth_hash=rnd.booth.booth_hash, cert=rnd.cert,
-                appended_at_us=ctx.env.now_us(),
-                reply_set=(rnd.own_partial, *rnd.replies.values()))
+                appended_at_us=ctx.env.now_us())
             ctx.log.append(entry)
             ctx.ledger.note_booth(rnd.booth)
             ctx.metrics.ordered(rnd.ordering_id, rnd.batch,

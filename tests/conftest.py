@@ -124,12 +124,10 @@ def certify_entry(pool: Pool, booth: BoothProfile,
                   appended_at_us: int = 0) -> LogEntry:
     quorum = default_quorum(booth) if quorum is None else quorum
     payload = order_cert_digest(ordering_id, batch.batch_hash, booth.booth_hash)
-    partials, cert = certify(pool, booth, payload, quorum)
-    proposer_partial = make_partial(pool.keys[booth.proposer_id], payload)
+    _, cert = certify(pool, booth, payload, quorum)
     return LogEntry(
         ordering_id=ordering_id, batch=batch, quorum=tuple(sorted(quorum)),
         booth_hash=booth.booth_hash, cert=cert, appended_at_us=appended_at_us,
-        reply_set=tuple(partials) + (proposer_partial,),
     )
 
 

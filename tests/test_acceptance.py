@@ -67,12 +67,9 @@ def safety_spec(booth_size: int, index: int) -> RunSpec:
         byz = [(int(node),
                 (BYZANTINE_PROFILES[int(rng.integers(0, len(BYZANTINE_PROFILES)))],))
                for node in sorted(nodes.tolist())]
-    # timeouts retire ordering ids under churn and loss, so the gapless-id
-    # strict audit only applies to loss-free runs; safety here is cross-node
-    # agreement plus certificate-level chain checks
     return RunSpec(booth_size=booth_size, duration_ms=300.0, grace_ms=500.0,
                    rate_per_s=60.0, seed=int(rng.integers(1, 2**31)),
-                   sim=sim, byzantine=tuple(byz), strict_audit=False)
+                   sim=sim, byzantine=tuple(byz))
 
 
 def order_agreement_violations(result) -> list[str]:
@@ -202,7 +199,7 @@ def liveness_spec(seed: int) -> RunSpec:
     # unbounded sampled delays, heavy loss and duplication before the
     # stabilization time; bounded clean network afterwards
     return RunSpec(booth_size=4, duration_ms=400.0, grace_ms=1100.0,
-                   rate_per_s=50.0, seed=seed, strict_audit=False,
+                   rate_per_s=50.0, seed=seed,
                    sim=SimConfig(seed=0, delay_mean_ms=8.0, delay_sd_ms=25.0,
                                  drop_rate=0.25, dup_rate=0.10, reorder=True,
                                  gst_ms=200.0, gst_bound_ms=20.0))

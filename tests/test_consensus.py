@@ -3,16 +3,20 @@ binding, and commit certificate checks."""
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from conftest import (certify, certify_entry, commit_window, default_quorum,
                       make_batch, make_booth, make_pool)
 from vguard.consensus import (ConsensusCoordinator, ConsensusRound,
                               ValidatorConsensus)
-from vguard.crypto import make_partial, verify_partial
-from vguard.ledger import commit_cert_digest
+from vguard.crypto import aggregate, make_partial, verify_partial
+from vguard.errors import RejectReason
+from vguard.ledger import LogEntry, commit_cert_digest, order_cert_digest
 from vguard.messages import (CommitMsg, CommitReply, PreCommitSeen,
                              PreCommitUnseen)
+from test_crypto import _impostor, _rekeyed
 from test_ordering import FakeMmu, make_ctx, pivot_posing_booth
 
 DELTA = 100_000
@@ -41,13 +45,11 @@ def seen_msg(pool, booth, tx, first_id, last_id, ts=0, **over):
     return PreCommitSeen(**fields)
 
 
-def unseen_msg(pool, booth, tx, entries, ts=0, **over):
+def unseen_msg(pool, booth, tx, ts=0, **over):
     fields = dict(instance_id=1, sender=booth.proposer_id,
                   window_start_us=ts, window_len_us=DELTA,
                   tx_hash=tx.tx_hash, tx=tx, booth=booth,
                   booth_hash=booth.booth_hash,
-                  reply_sets=tuple((e.ordering_id, e.reply_set)
-                                   for e in entries),
                   proposer_partial=proposer_partial(pool, booth, ts,
                                                     tx.tx_hash))
     fields.update(over)
@@ -121,7 +123,7 @@ def test_pre_commit_naming_a_pivot_the_registry_does_not_hold_is_refused(
     entries, _, tx = window_of(pool, booth, [0])
     posing = pivot_posing_booth(pool, booth)
     for msg in (seen_msg(pool, posing, tx, 0, 0),
-                unseen_msg(pool, posing, tx, entries)):
+                unseen_msg(pool, posing, tx)):
         ctx, sent = make_ctx(pool, node_id=3)
         seed_log(ctx, entries, booth)
         engine = ValidatorConsensus(ctx)
@@ -176,7 +178,7 @@ def test_unseen_verifies_adopts_and_replies(world):
     cbooth = consensus_booth(pool)
     ctx, sent = make_ctx(pool, node_id=5)
     engine = ValidatorConsensus(ctx)
-    engine.handle_unseen(1, unseen_msg(pool, cbooth, tx, entries))
+    engine.handle_unseen(1, unseen_msg(pool, cbooth, tx))
     assert not ctx.counters
     assert len(sent) == 1
     # certified entries become local state, closing the gap for later windows
@@ -187,16 +189,55 @@ def test_unseen_verifies_adopts_and_replies(world):
     assert engine.binding[0] == tx.tx_hash
 
 
-def test_unseen_without_enough_anchored_replies(world):
+def _one_signer_short(pool, booth, payload):
+    """2f - 1 signatures in a certificate that claims the booth's threshold,
+    under the full 2f quorum."""
+    quorum = default_quorum(booth)
+    parts = [make_partial(pool.keys[m], payload) for m in quorum[:-1]]
+    cert = aggregate(parts, booth.member_ids, len(parts), pool.registry)
+    return quorum, replace(cert, threshold=booth.threshold)
+
+
+def _unregistered_key(pool, booth, payload):
+    """The last quorum member's signature made under a key the registry
+    does not hold for it."""
+    quorum = default_quorum(booth)
+    rogue = _impostor(quorum[-1])[1]
+    parts = [make_partial(pool.keys[m], payload) for m in quorum[:-1]]
+    parts.append(make_partial(rogue, payload))
+    return quorum, aggregate(parts, booth.member_ids, booth.threshold,
+                             _rekeyed(pool.registry, quorum[-1]))
+
+
+def _without_pivot(pool, booth, payload):
+    """2f honest signatures, none of them the pivot's."""
+    quorum = tuple(m for m in booth.validators() if m != booth.pivot_id)
+    return quorum, certify(pool, booth, payload, quorum)[1]
+
+
+@pytest.mark.parametrize("fault, reason", [
+    (_one_signer_short, RejectReason.BAD_CERT),
+    (_unregistered_key, RejectReason.BAD_CERT),
+    (_without_pivot, RejectReason.PIVOT_MISSING),
+], ids=["2f-1_signers", "unregistered_key", "no_pivot"])
+def test_unseen_refuses_a_foreign_entry_whose_certificate_is_faulty(
+        world, fault, reason):
+    """The certificate is a foreign entry's whole evidence: whatever
+    `check_certified` finds wrong with it is the one reject, and nothing
+    is adopted or countersigned."""
     pool, booth = world
-    entries, _, tx = window_of(pool, booth, [0])
-    cbooth = consensus_booth(pool)
-    need = 2 * booth.fault_budget + 1
-    starved = tuple((e.ordering_id, e.reply_set[:need - 1]) for e in entries)
+    batch = make_batch(pool)
+    payload = order_cert_digest(0, batch.batch_hash, booth.booth_hash)
+    quorum, cert = fault(pool, booth, payload)
+    assert booth.check_certified(quorum, cert, payload,
+                                 pool.registry) is reason
+    entry = LogEntry(ordering_id=0, batch=batch, quorum=quorum,
+                     booth_hash=booth.booth_hash, cert=cert)
+    _, tx = commit_window(pool, booth, 0, DELTA, [entry])
     ctx, sent = make_ctx(pool, node_id=5)
     ValidatorConsensus(ctx).handle_unseen(
-        1, unseen_msg(pool, cbooth, tx, entries, reply_sets=starved))
-    only_reject(ctx, "insufficient_replies")
+        1, unseen_msg(pool, consensus_booth(pool), tx))
+    only_reject(ctx, str(reason))
     assert sent == []
     assert ctx.log.get(0) is None    # nothing adopted from bad evidence
 
@@ -218,21 +259,8 @@ def test_unseen_tampered_batch_fails_certificate(world):
     cbooth = consensus_booth(pool)
     ctx, sent = make_ctx(pool, node_id=5)
     ValidatorConsensus(ctx).handle_unseen(
-        1, unseen_msg(pool, cbooth, tampered_tx, entries))
+        1, unseen_msg(pool, cbooth, tampered_tx))
     only_reject(ctx, "bad_cert")
-    assert sent == []
-
-
-def test_unseen_link_without_pivot_rejected(world):
-    pool, booth = world
-    pivotless = [certify_entry(pool, booth, 0, make_batch(pool),
-                               quorum=(3, 4))]
-    _, tx = commit_window(pool, booth, 0, DELTA, pivotless)
-    cbooth = consensus_booth(pool)
-    ctx, sent = make_ctx(pool, node_id=5)
-    ValidatorConsensus(ctx).handle_unseen(
-        1, unseen_msg(pool, cbooth, tx, pivotless))
-    only_reject(ctx, "pivot_missing")
     assert sent == []
 
 
@@ -245,7 +273,7 @@ def test_unseen_empty_transaction_rejected(world):
     cbooth = consensus_booth(pool)
     ctx, _ = make_ctx(pool, node_id=5)
     ValidatorConsensus(ctx).handle_unseen(
-        1, unseen_msg(pool, cbooth, hollow, entries))
+        1, unseen_msg(pool, cbooth, hollow))
     only_reject(ctx, "malformed")
 
 
@@ -389,9 +417,8 @@ def test_reply_endorsing_another_digest_is_wrong_digest_not_bad_sig(world):
     ctx, _ = make_ctx(pool, node_id=1)
     ctx.mmu = FakeMmu(booth)
     coord = ConsensusCoordinator(ctx)
-    own = proposer_partial(pool, booth, 0, tx.tx_hash)
     rnd = ConsensusRound(window_start_us=0, tx=tx, booth=booth, attempt=0,
-                         own_partial=own, demoted=frozenset(),
+                         demoted=frozenset(),
                          cert_digest=commit_cert_digest(0, tx.tx_hash,
                                                         booth.booth_hash))
     coord.rounds[0] = rnd

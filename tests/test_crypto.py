@@ -17,7 +17,6 @@ from vguard.crypto import (
     signer_set_digest,
     verify_aggregate,
     verify_partial,
-    verify_partial_set,
     verify_raw,
     Role,
 )
@@ -191,20 +190,6 @@ def test_aggregate_size_envelope_small_and_large():
         agg = aggregate(keyed, members, t, pool.registry)
         assert len(agg.sig_bytes) <= AGGREGATE_SIZE_BOUND(t, n)
         assert verify_aggregate(agg, payload, members, t, pool.registry)
-
-
-def test_verify_partial_set_counts_distinct_valid_signers(pool4):
-    payload = digest("t", b"batch")
-    partials = [make_partial(pool4.keys[m], payload) for m in (1, 2, 3)]
-    assert verify_partial_set(partials, payload, required=3, registry=pool4.registry)
-    # replays of one signer do not add weight
-    assert not verify_partial_set(
-        [partials[0], partials[0], partials[1]], payload,
-        required=3, registry=pool4.registry)
-    # a corrupted third signature drops the count below the requirement
-    bad = type(partials[2])(partials[2].signer, payload, b"\x00" * len(partials[2].sig_bytes))
-    assert not verify_partial_set(
-        [partials[0], partials[1], bad], payload, required=3, registry=pool4.registry)
 
 
 def test_setup_is_deterministic_per_seed():
@@ -556,20 +541,6 @@ def test_certificate_signed_by_another_key_is_bad_cert(pool4, booth4):
         _, honest = certify(pool4, profile, payload, (2, 3))
         assert profile.check_certified((2, 3), honest, payload,
                                        registry) is None
-
-
-def test_partial_set_verdict_follows_the_registered_keys(pool4):
-    payload = digest("t", b"replies")
-    partials = tuple(make_partial(pool4.keys[m], payload) for m in (1, 2, 3))
-    assert verify_partial_set(partials, payload, 3, pool4.registry)
-    rekeyed = _rekeyed(pool4.registry, 3)
-    memoised, fresh = _own_verdict(
-        "partial-set", lambda: verify_partial_set(partials, payload, 3, rekeyed))
-    assert memoised is fresh is False
-    assert verify_partial_set(partials, payload, 3, pool4.registry)
-    assert not verify_partial_set(partials, payload, 4, pool4.registry)
-    assert not verify_partial_set(partials, digest("t", b"x"), 3,
-                                  pool4.registry)
 
 
 def test_memo_hit_charges_the_meter_as_a_miss_does(pool4, booth4):

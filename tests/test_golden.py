@@ -60,13 +60,13 @@ SPECS = {
 GOLDEN = {
     "clean_n4": {
         "ledger-1-1.jsonl":
-            "e363ec8905cd47bbb8e0cc754442e5c1d9b49d564db5e3c927afbd5747bd7c9f",
+            "90066c1cd9f39c6c515ef9ba29d852f4d7919c9dc40fec9abc1dafb4a3981374",
         "ledger-1-2.jsonl":
-            "ad3f7e1f112048dd04c7ced6d2400481977553e559357c52ca591ae51953f153",
+            "96d9d935c2a5d54ac1381ff938d284a3509561e39baa2d24342ec79f544a810d",
         "ledger-1-3.jsonl":
-            "d5c72a4f5c67a900460f9dbe25646a1f915233cc953a19377677bb93559637fe",
+            "d5ec6962810bb3e9ace01d5230eb908ba36e1ef2fb9c0d1e12cc9eff241d70fe",
         "ledger-1-4.jsonl":
-            "c967837300d6701422c9d537013b812894a3753abc2b9a9b1d381d258fe9ddd4",
+            "778f0a917b0f725dc8d04ed8d47d70dd5ba392a16cfd40d1aa1c33901532a875",
         "report.json":
             "aa23584c53d5dd525c988a7abbd896b10e734cd2e7255c95759f00a49cc63200",
     },
@@ -74,59 +74,57 @@ GOLDEN = {
         "ledger-1-1.jsonl":
             "9b4c904e660cc5a4e08c5c0ef0710f38b185f63de515e84a9cde8b79c2574c7b",
         "ledger-1-2.jsonl":
-            "400bf56fb17838a154cd3078ae36d35c309369f8e9e5cd258b1db122a9875e5a",
+            "c461f39fb38d79775156e48c27eb9867eec8d7340cc23d5a253b93438192d0cb",
         "ledger-1-3.jsonl":
             "43388aa107fe6e99bd34e25936f69d7200cab92f2c3af9df56c340b251d3f726",
         "ledger-1-4.jsonl":
             "91bd03992b863de578abe515aeab1452f3fef93313c065c28e4d7665357faa52",
         "report.json":
-            "f26f5fddbd4da886d90ce0f1e5e660211a91da5c2837e0901915a1b7271f6af5",
+            "0b7ce134bd09429bfee3fd3188b3306a7d52fb521f9992795aa9eb7f00cc71ca",
     },
     "lossy_n7_byzantine": {
         "ledger-1-1.jsonl":
-            "72a607c38d44f5e3330fe8e080f6b863843331caef1498e786ea2558d0e9d4cb",
+            "08edcd5c1d740a60e7f9caab67fb1cee567a7dd8d0c1e88c9c559f6427cb7455",
         "ledger-1-2.jsonl":
-            "0fb1b6f1e4f6b02963a522fa2b4568d4523c920c39f49d952243893f27aa12e4",
+            "a32559a24027983bf7b5f69e0b07cdef09e83d7f2e43885af5cc80eba645d9d6",
         "ledger-1-3.jsonl":
-            "6a2284585315f8e1f40b4e2632e0a254df3ad3fdd09455cd244a482d1a12bb96",
+            "f4af7a9d4a506707fa09c0e33806ede13baf13968099065dad8afb9fd45ecad5",
         "ledger-1-4.jsonl":
-            "94dd85db67a445635b0cab10b7c4b86a46deaf2af647512a0709422b7c6efb4b",
+            "aebc236a3feb6d75ed00d17d4b2ed91ec5c896b6ec1edb6b49f5e6e060c119f3",
         "ledger-1-5.jsonl":
-            "12478027de48356cdc8e54205fb549e978c0bc1200aedc9243314d7ef080d1fb",
+            "0c609abb79ee61587ec5bc4248aa526a196f60c5345471d3bd5915bdda7a79b7",
         "ledger-1-6.jsonl":
-            "a170d18e6de70155f6971ecf1483bb85aef5f7cc152f1bec8e26331d072afd80",
+            "7359d266072b38b958134553e28be0223782f212f92fa3c3f70715c617a958a9",
         "ledger-1-7.jsonl":
-            "33a3de58df76072963ff9dc368c5b1ebce505fcbb6ef971dc588122e0265202b",
+            "fe92d503dd6d55486afbef25f69fc39bd341b5c8c96a44a9b2798cdb7945e557",
         "report.json":
-            "7b06bf7a45a7c96e2dd20924d5f50768531056c9f772562639495fe5d74b9e5d",
+            "f5896002801ef09dca63150738c99726b6aeb862d0898f86ff49c46b074c49b1",
     },
     "pool8_gossip2": {
         "ledger-1-1.jsonl":
-            "d1bb48264d387ef4bd8b139b8ed503cc94142d75dafed59dcd3eaddf14043faf",
+            "e222ee8611490dcf5fdea8d712c560c514e0572acb263682355f490de0e7ed98",
         "ledger-1-2.jsonl":
-            "8fa1886f21e686bbf10cc7083649ccc9546dd741c5a11c7957f292c270656e09",
+            "0b0514afe47ffcf2992b28c0b2d642d0679c05212cfc89eb1f88c335e80de09b",
         "ledger-1-3.jsonl":
-            "1a1fe2974b015a1e646cb53584964227f3c77292f4b0d8fc7be46330774ae979",
+            "0f450c2d96f47ea28cec127eed497da17bfa3a4e2c16c937c473fa9a5623ddb3",
         "ledger-1-4.jsonl":
-            "c0a7b6be48291023e0951ed348dd551af02807ffdda05603adafeeed8981fe36",
-        "ledger-1-5.jsonl":
-            "d63cdf873565fc9d48ba11472c6ddf65007b7655f31889bdc46340547f63b861",
+            "2c5037bdb71411599b071607265eb717268815f62d9408bd217823ec412120c6",
         "ledger-1-6.jsonl":
-            "f1f9d32acaafd1c765125c20ab7253a9b20f91d99eaa9a2caf42048d0b5b4733",
+            "14d00f39de2b8cb3f3ffaf5084286bbfa85f35e01257911b4fd5a962b96b7cc1",
         "ledger-1-7.jsonl":
-            "1bcccd86bc382131c66f9647824d4a95b1547d265711eb010c08d050fe0bb989",
+            "d14e04e461ae71e70a41f5a48a15555c0257ed6523bbb8fbcb0db5c89740016a",
         "report.json":
-            "8ac8afd0e57e15143ad763dbc57d3b0fb53a1d7f8f557cd9be8159a1aed94a8f",
+            "cac37815df1f34cf5136fa19d9eff922aad6316b6ddbab5d0b321d52c3e5ada3",
     },
     "saturated_b64": {
         "ledger-1-1.jsonl":
-            "d36afd50bc86f835e2c533ee5f942b7862f3b84b6cc9983a35cff2e33618b46c",
+            "d3b45183bc5eeaf0dd01b7e4cd43afe78182276f7ccd260318fc4b89435899b7",
         "ledger-1-2.jsonl":
-            "2a2336e50017efc404a0c3c0ceeda11dd53a6c8d0c3c86ce08c0b94c7f010b3d",
+            "0717a44a3335810170f97a9ac0686199540570dee1ec07307e1b051f79937b4d",
         "ledger-1-3.jsonl":
-            "1532a54f8f0e8a1221d49e7e128cf594bc890c17c868a6e5fcbcc558256dfd87",
+            "5bb5ccb93229d8d79b82e2be46f4e9d229ee7eda9ad7b9a86c2978064eaeed0e",
         "ledger-1-4.jsonl":
-            "ff40238aac10dcd73a228717df5a64665455c52fed47333b369b0a0134d0b618",
+            "4cd6ebc2b78c7b73bd85f7432447a4756022f4c2638e92ce68fa0e9fcd55b600",
         "report.json":
             "9d6923a706fc0906c07428dc24feb5b867c634a3457dcab5f44cd023173536aa",
     },
@@ -284,12 +282,11 @@ def test_memo_answers_what_a_real_verify_would(name, monkeypatch,
 
 @pytest.mark.parametrize("name", sorted(SPECS))
 def test_verdict_memo_answers_what_a_fresh_check_would(name, monkeypatch):
-    """Every certificate verdict, partial-set verdict, certificate digest
-    and signer-set digest the run memo holds at the end of the run equals
-    the same check made with the memo emptied, so with real Ed25519
-    verifications. A certificate's key carries the keys the run's registry
-    holds for the booth's members, and a partial set's key those of its
-    signers."""
+    """Every certificate verdict, certificate digest and signer-set digest
+    the run memo holds at the end of the run equals the same check made
+    with the memo emptied, so with real Ed25519 verifications. A
+    certificate's key carries the keys the run's registry holds for the
+    booth's members."""
     snapshots, profiles = [], {}
     clear, check = crypto.clear_caches, BoothProfile.check_certified
 
@@ -305,8 +302,7 @@ def test_verdict_memo_answers_what_a_fresh_check_would(name, monkeypatch):
     monkeypatch.setattr(BoothProfile, "check_certified", recording)
     result = run(SPECS[name])
     memo = {key: verdict for key, verdict in snapshots[-1].items()  # at run end
-            if key[0] in ("cert", "partial-set", "order-cert", "commit-cert",
-                          "signer-set")}
+            if key[0] in ("cert", "order-cert", "commit-cert", "signer-set")}
     assert memo
     registry = KeyService()
     for ident in result.identities:
@@ -318,11 +314,6 @@ def test_verdict_memo_answers_what_a_fresh_check_would(name, monkeypatch):
             assert keys == registry.keys_of(profiles[booth_hash].member_ids)
             fresh = check(profiles[booth_hash], quorum, cert, payload,
                           registry)
-        elif key[0] == "partial-set":
-            _, partials, payload, required, keys = key
-            assert keys == tuple(registry.verify_key(p.signer) for p in partials)
-            fresh = crypto.verify_partial_set(partials, payload, required,
-                                              registry)
         else:
             fresh = digest(*key)
         assert fresh == verdict, key

@@ -136,8 +136,8 @@ def test_back_to_back_runs_make_the_same_real_verifications(monkeypatch):
 
 
 # every kind of key the run memo holds
-MEMO_KINDS = {"sig", "pub", "cert", "partial-set", "order-cert", "commit-cert",
-              "signer-set", "msg"}
+MEMO_KINDS = {"sig", "pub", "cert", "order-cert", "commit-cert", "signer-set",
+              "msg"}
 
 
 def _module_containers() -> dict[str, object]:
@@ -515,9 +515,12 @@ def test_cli_rejects_bad_schedule_files(tmp_path, capsys, flag, entries):
 
 @pytest.mark.parametrize("data", [[1, 2], {"sim": [1]}, {"protocol": 3},
                                   {"mmu": "deep"}, {"protocol": {"bogus": 1}},
-                                  {"sim": {"cost": 5}}],
+                                  {"sim": {"cost": 5}},
+                                  {"mmu": {"booth_size": 7}},
+                                  {"protocol": {"delta_us": 5000}}],
                          ids=["list", "sim-list", "protocol-int", "mmu-str",
-                              "protocol-unknown-field", "sim-cost-int"])
+                              "protocol-unknown-field", "sim-cost-int",
+                              "mmu-booth-size", "protocol-delta-us"])
 def test_cli_rejects_spec_files_of_the_wrong_shape(tmp_path, capsys, data):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(data))

@@ -100,11 +100,10 @@ def test_pre_commit_unseen_roundtrip(world):
     msg = PreCommitUnseen(
         instance_id=1, sender=1, window_start_us=0, window_len_us=100_000,
         tx_hash=tx.tx_hash, tx=tx, booth=booth, booth_hash=booth.booth_hash,
-        reply_sets=tuple((e.ordering_id, e.reply_set) for e in entries),
         proposer_partial=_proposer_partial(pool, booth, payload))
     decoded = roundtrip(msg)
-    assert decoded.reply_sets[1][0] == 1
-    assert len(decoded.reply_sets[0][1]) == len(entries[0].reply_set)
+    assert decoded.tx.tx_hash == tx.tx_hash
+    assert [e.cert for e in decoded.tx.entries] == [e.cert for e in entries]
 
 
 def test_commit_reply_roundtrip(world):
@@ -393,11 +392,9 @@ def test_decode_rejects_a_fixed_list_of_the_wrong_arity(world):
     unseen = PreCommitUnseen(
         instance_id=1, sender=1, window_start_us=0, window_len_us=100_000,
         tx_hash=tx.tx_hash, tx=tx, booth=booth, booth_hash=booth.booth_hash,
-        reply_sets=tuple((e.ordering_id, e.reply_set) for e in entries),
         proposer_partial=_proposer_partial(pool, booth, payload))
-    oid, parts = unseen.reply_sets[1]
-    reply_set = [oid, [[p.signer, p.payload_digest, p.sig_bytes]
-                       for p in parts]]
+    c = entries[1].cert
+    entry_cert = [c.threshold, c.sig_bytes, c.signer_set_digest]
     m = booth.members[0]
     member = [m.node_id, m.role.value, m.verify_key, m.net_addr]
     cert = commit.cert
@@ -410,7 +407,7 @@ def test_decode_rejects_a_fixed_list_of_the_wrong_arity(world):
     p = pre_order_msg.proposer_partial
     partial = [p.signer, p.payload_digest, p.sig_bytes]
     bad = [
-        _with_arity(unseen.encode(), reply_set, reply_set + [0]),
+        _with_arity(unseen.encode(), entry_cert, entry_cert + [0]),
         _with_arity(pre_order, partial, partial[:2]),
         _with_arity(pre_order, member, member[:3]),
         _with_arity(gossip, body, body[:4]),
@@ -488,8 +485,6 @@ def _valid_wires() -> tuple[bytes, ...]:
         PreCommitUnseen(instance_id=1, sender=1, window_start_us=0,
                         window_len_us=100_000, tx_hash=tx.tx_hash, tx=tx,
                         booth=booth, booth_hash=booth.booth_hash,
-                        reply_sets=tuple((e.ordering_id, e.reply_set)
-                                         for e in entries),
                         proposer_partial=partial),
         CommitReply(instance_id=1, sender=4, window_start_us=0, partial=partial),
         commit,

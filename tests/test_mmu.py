@@ -16,7 +16,7 @@ def make_mmu(queue_depth: int = 4, pool_ids=POOL_IDS, booth_size: int = 4):
     mmu = MembershipUnit(
         instance_id=1, proposer_id=2, pivot_id=1,
         pool=[pool.identities[i] for i in pool_ids],
-        config=MmuConfig(booth_size=booth_size, queue_depth=queue_depth))
+        booth_size=booth_size, config=MmuConfig(queue_depth=queue_depth))
     return mmu, pool
 
 

@@ -60,7 +60,7 @@ def make_ctx(pool, node_id: int, instance_id: int = 1,
     ctx = InstanceContext(
         instance_id=instance_id, node_id=node_id, env=FakeEnv(),
         registry=pool.registry, key=pool.keys[node_id],
-        config=ProtocolConfig(delta_us=delta_us),
+        config=ProtocolConfig(), delta_us=delta_us,
         send=lambda dst, msg, cat, sub=None: sent.append((dst, msg, cat)),
         log=TotalOrderLog(), ledger=Ledger(node_id, delta_us),
         counters=Counter(), metrics=MetricSink())

@@ -1,15 +1,19 @@
 """Write one point of the benchmark trajectory: BENCH_<n>.json.
 
-    python3 tools/bench_trajectory.py --out BENCH_16.json
+    python3 tools/bench_trajectory.py --out BENCH_17.json
 
 Run from anywhere inside a checkout. For each workload in BENCHMARK.json
 it runs `perfbench/run.py` as it stands (seed 1, `--trace 0`, then one
 `--trace 1` pass) and keeps each result line and notes line. Beside those
 it records what the traced benchmark cannot show:
 
-- `primitives_us`: median microseconds of one real `SigningKey.sign` and
-  one real `crypto.verify_raw`, with the run memo emptied between calls,
-  so no call is answered from the memo;
+- `primitives_us`: median microseconds of one real `SigningKey.sign`, one
+  real `crypto.verify_raw`, one `BoothProfile.check_certified` for a 4-
+  and a 7-member booth, and one `verify_chain` window of
+  `WINDOW_ENTRIES` entries (a 4-member booth), with the run memo emptied
+  between calls, so no call is answered from the memo. A certificate is
+  an entry's whole evidence, so the last three carry the whole cost of
+  checking one;
 - `signatures_per_unit`: the `SigningKey.sign` calls made by one pass
   over a workload's specs (one benchmark unit), counted in this process,
   with the batches that pass committed and the signatures per committed
@@ -36,11 +40,18 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from vguard import crypto, harness  # noqa: E402
+from vguard.booths import build_profile  # noqa: E402
 from vguard.codec import digest  # noqa: E402
-from vguard.crypto import Role, make_identity  # noqa: E402
+from vguard.crypto import (KeyService, Role, aggregate, make_identity,  # noqa: E402
+                           make_partial)
+from vguard.ledger import (CommitRecord, DataBatch, Ledger, LogEntry,  # noqa: E402
+                           commit_cert_digest, order_cert_digest,
+                           verify_chain, window_transaction)
 
 SEED = 1
 PRIMITIVE_CALLS = 200
+WINDOW_ENTRIES = 8
+WINDOW_US = 100_000
 
 
 def bench_run(workload: str, seconds: float, trace: int) -> dict:
@@ -75,8 +86,75 @@ def primitive_us() -> dict:
         verifies.append(time.perf_counter() - start)
         assert ok
     crypto.clear_caches()
-    return {name: _spread(samples) for name, samples in
-            (("sign", signs), ("verify_raw", verifies))}
+    out = {name: _spread(samples) for name, samples in
+           (("sign", signs), ("verify_raw", verifies))}
+    for size in (4, 7):
+        booth, registry, keys = _booth(size)
+        payload = digest("bench", size)
+        quorum, cert = _certify(booth, registry, keys, payload)
+        out[f"check_certified_n{size}"] = _timed(
+            lambda: booth.check_certified(quorum, cert, payload,
+                                          registry) is None)
+    ledger, registry = _one_window_ledger()
+    out["verify_chain_window"] = _timed(
+        lambda: verify_chain(ledger, registry).ok)
+    return out
+
+
+def _timed(check) -> dict:
+    """`_spread` of PRIMITIVE_CALLS calls of `check`, each after the run
+    memo is emptied; every call must return True."""
+    samples = []
+    for _ in range(PRIMITIVE_CALLS):
+        crypto.clear_caches()
+        start = time.perf_counter()
+        ok = check()
+        samples.append(time.perf_counter() - start)
+        assert ok
+    crypto.clear_caches()
+    return _spread(samples)
+
+
+def _booth(size: int):
+    """A booth of members 1..size (proposer 1, pivot 2), the registry that
+    holds them, and each member's signing key."""
+    registry, keys, members = KeyService(), {}, []
+    for node in range(1, size + 1):
+        role = {1: Role.PROPOSER, 2: Role.PIVOT}.get(node, Role.VEHICLE)
+        ident, keys[node] = make_identity(node, role, bytes([node]) * 32)
+        registry.register(ident)
+        members.append(ident)
+    booth = build_profile(members, proposer_id=1, pivot_id=2,
+                          threshold=2 * ((size - 1) // 3))
+    return booth, registry, keys
+
+
+def _certify(booth, registry, keys, payload: bytes):
+    """The quorum of the pivot and the next members up to 2f, and their
+    certificate over `payload`."""
+    quorum = booth.member_ids[1:1 + booth.threshold]
+    partials = [make_partial(keys[m], payload) for m in quorum]
+    return quorum, aggregate(partials, booth.member_ids, booth.threshold,
+                             registry)
+
+
+def _one_window_ledger():
+    """A ledger holding one committed window of WINDOW_ENTRIES certified
+    entries, all ordered and committed in one 4-member booth."""
+    booth, registry, keys = _booth(4)
+    entries = []
+    for oid in range(1, WINDOW_ENTRIES + 1):
+        batch = DataBatch.from_payloads(8 * oid, [bytes(64)] * 8)
+        quorum, cert = _certify(booth, registry, keys, order_cert_digest(
+            oid, batch.batch_hash, booth.booth_hash))
+        entries.append(LogEntry(oid, batch, quorum, booth.booth_hash, cert))
+    tx = window_transaction(0, WINDOW_US, entries, lambda _: booth)
+    quorum, cert = _certify(booth, registry, keys, commit_cert_digest(
+        0, tx.tx_hash, booth.booth_hash))
+    ledger = Ledger(1, WINDOW_US)
+    ledger.append_commit(CommitRecord(0, quorum, booth.booth_hash, cert,
+                                      tx.tx_hash), tx)
+    return ledger, registry
 
 
 def _spread(samples: list[float]) -> dict:
