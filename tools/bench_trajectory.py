@@ -70,24 +70,20 @@ def bench_run(workload: str, seconds: float, trace: int) -> dict:
 
 
 def primitive_us() -> dict:
-    """Median and quartiles, in us, of a real sign and a real verify."""
+    """Median and quartiles, in us, of a real sign, a real verify, and
+    the certificate checks."""
     _, key = make_identity(1, Role.VEHICLE, bytes(range(32)))
     payloads = [digest("bench", i) for i in range(PRIMITIVE_CALLS)]
-    sigs, signs, verifies = [], [], []
+    sigs, signs = [], []
     for payload in payloads:
         crypto.clear_caches()
         start = time.perf_counter()
         sigs.append(key.sign(payload))
         signs.append(time.perf_counter() - start)
-    for payload, sig in zip(payloads, sigs):
-        crypto.clear_caches()
-        start = time.perf_counter()
-        ok = crypto.verify_raw(key.verify_key, payload, sig)
-        verifies.append(time.perf_counter() - start)
-        assert ok
-    crypto.clear_caches()
-    out = {name: _spread(samples) for name, samples in
-           (("sign", signs), ("verify_raw", verifies))}
+    signed = iter(zip(payloads, sigs))
+    out = {"sign": _spread(signs),
+           "verify_raw": _timed(
+               lambda: crypto.verify_raw(key.verify_key, *next(signed)))}
     for size in (4, 7):
         booth, registry, keys = _booth(size)
         payload = digest("bench", size)
