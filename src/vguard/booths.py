@@ -75,10 +75,11 @@ class BoothProfile(Wire):
                         payload_digest: bytes, registry: KeyService,
                         meter=None) -> Optional[RejectReason]:
         """Why `cert` over `payload_digest` does not count in this booth, or
-        None if it does: 2f distinct members with the pivot among them, a
-        pivot the registry holds as one (`KeyService.is_pivot`), whose
-        aggregate verifies under their keys in `registry` and whose signers
-        are exactly `quorum`. The meter, if any, is charged one
+        None if it does: 2f distinct validators (members other than the
+        proposer, so each one checked the proposer's signature before
+        countersigning) with the pivot among them, a pivot the registry
+        holds as one (`KeyService.is_pivot`), whose aggregate verifies under
+        their keys in `registry` and whose signers are exactly `quorum`. The meter, if any, is charged one
         threshold verify, and only once the quorum's shape holds. The shape
         is checked on every call; only the aggregate and signer verdict is
         memoised (`crypto.recall`), keyed on the members' registered keys."""
@@ -86,7 +87,7 @@ class BoothProfile(Wire):
         need = 2 * self.fault_budget
         if len(qset) != need or len(quorum) != need:
             return RejectReason.QUORUM_MISMATCH
-        if not qset <= set(self.member_ids):
+        if self.proposer_id in qset or not qset <= set(self.member_ids):
             return RejectReason.FOREIGN_QUORUM_MEMBER
         if self.pivot_id not in qset:
             return RejectReason.PIVOT_MISSING

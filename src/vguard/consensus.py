@@ -9,8 +9,8 @@ hold the entries, so they get a hash-only request; everyone else gets the
 full transaction and checks each entry's ordering certificate against its
 membership link with `BoothProfile.check_certified` before countersigning.
 The certificate is all the evidence an entry needs: its 2f signers are
-members of the entry's booth, the pivot among them, and each signed only
-after checking the proposer's own signature.
+validators of the entry's booth, never its proposer, the pivot among them,
+and each signed only after checking the proposer's own signature.
 
 A window that cannot gather its quorum is retried under a fresh booth with
 the same window timestamp, and members who failed to reply are demoted to

@@ -73,6 +73,21 @@ def make_pool(node_ids, seed: int = 7, pivot_id: int | None = None,
     return Pool(registry=registry, keys=keys, rng=rng, identities=identities)
 
 
+def impostor_identity(node_id: int) -> tuple[Identity, SigningKey]:
+    """Another identity (and its key) under `node_id`."""
+    rng = np.random.Generator(np.random.PCG64(77))
+    return make_identity(node_id, Role.VEHICLE, rng.bytes(32))
+
+
+def rekeyed_registry(registry: KeyService, node_id: int) -> KeyService:
+    """A copy of `registry` that holds another key for `node_id`."""
+    out = KeyService()
+    for ident in registry.identities.values():
+        out.register(impostor_identity(node_id)[0]
+                     if ident.node_id == node_id else ident)
+    return out
+
+
 def make_booth(pool: Pool, member_ids, proposer_id: int, pivot_id: int,
                created_at_us: int = 0) -> BoothProfile:
     member_ids = sorted(member_ids)

@@ -8,7 +8,8 @@ from dataclasses import replace
 import pytest
 
 from conftest import (certify, certify_entry, commit_window, default_quorum,
-                      make_batch, make_booth, make_pool)
+                      impostor_identity, make_batch, make_booth, make_pool,
+                      rekeyed_registry)
 from vguard.consensus import (ConsensusCoordinator, ConsensusRound,
                               ValidatorConsensus)
 from vguard.crypto import aggregate, make_partial, verify_partial
@@ -16,7 +17,6 @@ from vguard.errors import RejectReason
 from vguard.ledger import LogEntry, commit_cert_digest, order_cert_digest
 from vguard.messages import (CommitMsg, CommitReply, PreCommitSeen,
                              PreCommitUnseen)
-from test_crypto import _impostor, _rekeyed
 from test_ordering import FakeMmu, make_ctx, pivot_posing_booth
 
 DELTA = 100_000
@@ -202,11 +202,11 @@ def _unregistered_key(pool, booth, payload):
     """The last quorum member's signature made under a key the registry
     does not hold for it."""
     quorum = default_quorum(booth)
-    rogue = _impostor(quorum[-1])[1]
+    rogue = impostor_identity(quorum[-1])[1]
     parts = [make_partial(pool.keys[m], payload) for m in quorum[:-1]]
     parts.append(make_partial(rogue, payload))
     return quorum, aggregate(parts, booth.member_ids, booth.threshold,
-                             _rekeyed(pool.registry, quorum[-1]))
+                             rekeyed_registry(pool.registry, quorum[-1]))
 
 
 def _without_pivot(pool, booth, payload):
@@ -215,11 +215,20 @@ def _without_pivot(pool, booth, payload):
     return quorum, certify(pool, booth, payload, quorum)[1]
 
 
+def _proposer_in_quorum(pool, booth, payload):
+    """The proposer's own signature standing in for a validator's: with
+    f = 1, the proposer and the pivot alone."""
+    quorum = tuple(sorted((booth.proposer_id, booth.pivot_id)))
+    return quorum, certify(pool, booth, payload, quorum)[1]
+
+
 @pytest.mark.parametrize("fault, reason", [
     (_one_signer_short, RejectReason.BAD_CERT),
     (_unregistered_key, RejectReason.BAD_CERT),
     (_without_pivot, RejectReason.PIVOT_MISSING),
-], ids=["2f-1_signers", "unregistered_key", "no_pivot"])
+    (_proposer_in_quorum, RejectReason.FOREIGN_QUORUM_MEMBER),
+], ids=["2f-1_signers", "unregistered_key", "no_pivot",
+        "proposer_in_quorum"])
 def test_unseen_refuses_a_foreign_entry_whose_certificate_is_faulty(
         world, fault, reason):
     """The certificate is a foreign entry's whole evidence: whatever

@@ -29,7 +29,8 @@ from vguard.errors import (
 )
 from vguard.harness import RunSpec, run
 
-from conftest import certify, make_booth, make_pool
+from conftest import (certify, impostor_identity, make_booth, make_pool,
+                      rekeyed_registry)
 
 # Aggregates are certified multisigs, not a constant-size threshold scheme:
 # the accepted size envelope is threshold * 64-byte signatures plus the
@@ -486,7 +487,7 @@ def test_certificate_variants_get_their_own_verdicts(pool4, booth4,
     raw[-1] ^= 1
     flipped = type(cert)(cert.threshold, bytes(raw), cert.signer_set_digest)
     other_digest = digest("t", b"other")
-    rekeyed = _rekeyed(registry, 3)
+    rekeyed = rekeyed_registry(registry, 3)
     variants = [
         (lambda: booth.check_certified((2, 3), flipped, payload, registry),
          "BAD_CERT"),
@@ -505,27 +506,13 @@ def test_certificate_variants_get_their_own_verdicts(pool4, booth4,
     assert real_checks          # the flipped bit needed a real check
 
 
-def _impostor(node_id: int):
-    """Another identity (and its key) under `node_id`."""
-    return make_identity(node_id, Role.VEHICLE, _rng(77).bytes(32))
-
-
-def _rekeyed(registry: KeyService, node_id: int) -> KeyService:
-    """A copy of `registry` that holds another key for `node_id`."""
-    out = KeyService()
-    for ident in registry.identities.values():
-        out.register(_impostor(node_id)[0] if ident.node_id == node_id
-                     else ident)
-    return out
-
-
 def test_certificate_signed_by_another_key_is_bad_cert(pool4, booth4):
     """Each signer is checked against its key in the registry, never
     against a key the profile carries: a quorum member's signature made
     with any other key is BAD_CERT, also when the profile lists that key
     as the member's."""
     booth, registry = booth4, pool4.registry
-    ident, key = _impostor(3)
+    ident, key = impostor_identity(3)
     swapped = build_profile(
         [ident if m.node_id == 3 else m for m in booth.members],
         booth.proposer_id, booth.pivot_id, booth.threshold)
@@ -535,7 +522,7 @@ def test_certificate_signed_by_another_key_is_bad_cert(pool4, booth4):
         forged = aggregate([make_partial(pool4.keys[2], payload),
                             make_partial(key, payload)],
                            profile.member_ids, profile.threshold,
-                           _rekeyed(registry, 3))
+                           rekeyed_registry(registry, 3))
         assert profile.check_certified((2, 3), forged, payload, registry) \
             is RejectReason.BAD_CERT
         _, honest = certify(pool4, profile, payload, (2, 3))

@@ -25,6 +25,7 @@ from vguard.ledger import (
 )
 
 from conftest import (
+    certify,
     certify_entry,
     commit_window,
     default_quorum,
@@ -270,6 +271,27 @@ def test_verify_chain_rejects_pivotless_quorum(pool4, booth4):
     check = verify_chain(ledger, pool4.registry)
     assert not check.ok
     assert any("pivot" in v for v in check.violations)
+
+
+def test_verify_chain_rejects_a_quorum_that_names_the_proposer(pool4,
+                                                              booth4):
+    """A certificate the proposer signed with the pivot alone is well
+    signed, yet no validator besides the pivot checked the proposer's
+    signature, so neither the ordering nor the commit certificate counts."""
+    booth = booth4
+    ledger = Ledger(1, DELTA_US)
+    ledger.note_booth(booth)
+    quorum = (booth.proposer_id, booth.pivot_id)
+    entry = certify_entry(pool4, booth, 1, make_batch(pool4), quorum=quorum)
+    record, tx = commit_window(pool4, booth, 0, DELTA_US, [entry])
+    payload = record.cert_digest()
+    record = replace(record, quorum=quorum,
+                     cert=certify(pool4, booth, payload, quorum)[1])
+    ledger.append_commit(record, tx)
+    check = verify_chain(ledger, pool4.registry)
+    assert check.violations == [
+        "window 0: commit certificate rejected: foreign_quorum_member",
+        "entry 1: ordering certificate rejected: foreign_quorum_member"]
 
 
 def test_verify_chain_rejects_a_pivot_the_registry_does_not_hold(pool4,
