@@ -163,6 +163,83 @@ GOLDEN = {
 }
 
 
+def size_blind(spec: RunSpec) -> RunSpec:
+    """The spec with no modeled cost that depends on a message's size: no
+    bandwidth term and no per-byte wire cost."""
+    cost = replace(spec.sim.cost, wire_byte_ms=0.0, wire_byte_quad_ms=0.0)
+    return replace(spec, sim=replace(spec.sim, bandwidth_bytes_per_ms=None,
+                                     cost=cost))
+
+
+def size_blind_digests(spec: RunSpec, outdir: Path) -> dict[str, str]:
+    """sha256 of the size-blind run's report.json and of its committed
+    (instance, node, [(window, tx hash)]) sequences."""
+    result = run(size_blind(spec))
+    report = outdir / "report.json"
+    write_artifacts(result, outdir)
+    chains = [[instance, node_id,
+               [[ts, ledger.window(ts).record.tx_hash.hex()]
+                for ts in ledger.committed_windows()]]
+              for node_id, runtime in sorted(result.runtimes.items())
+              for instance, ledger in sorted(runtime.ledgers.items())]
+    return {"report.json": hashlib.sha256(report.read_bytes()).hexdigest(),
+            "chains": hashlib.sha256(json.dumps(chains).encode()).hexdigest()}
+
+
+# What a run decides, apart from anything a message's size steers: a change
+# to wire bytes alone (a field added or deleted, a hash domain renamed)
+# leaves every one of these digests where it is.
+GOLDEN_SIZE_BLIND = {
+    "clean_n4": {
+        "report.json":
+            "dd511b2e090bdd4b2e2137a9c2283158378622bd4b23af4e5aae2b0f30505d3b",
+        "chains":
+            "c0646846aa64263e46cc54d096e5b95c18b383cdf93b13e912c15e19c85da981",
+    },
+    "equivocating_proposer_n4": {
+        "report.json":
+            "e58f3aa92c322613ccbdd3b9cf3fe798b14c5d55e4aac47c5aab435c633235c5",
+        "chains":
+            "1ae36a79bfaf48c087ef8a47053d007a87ec72f2de7574ab97a6cd3dbfce2fe7",
+    },
+    "forging_quorum_n4": {
+        "report.json":
+            "c6dbcd6d6034037f2f5560128a856dd77671f4818d6bb3528faf668d94b3cb7d",
+        "chains":
+            "922ea20f9f89545eb7f04c5a0dab6d61d2ed5a20db8e0959d04a321406cc9ac0",
+    },
+    "lossy_n7_byzantine": {
+        "report.json":
+            "4803b8a98ce389e33fb9ed93a65f81508a00107e8728f2a5d3a25036b592ce57",
+        "chains":
+            "92b6ec259dd186fc45058e251da6f72f1f1c194cc2ddfb1b882eb44c969ac3ff",
+    },
+    "pool8_gossip2": {
+        "report.json":
+            "f07d34f559ad7523ec2a3bfeb52386786b662a3fb2517659d72ccb1f45641a90",
+        "chains":
+            "bcb691ec0a371f3e02e3dd3f0167fc93e1691a7e6e329a5f9dd99024062520a2",
+    },
+    "saturated_b64": {
+        "report.json":
+            "13d3828bd5d95764b1947df8779dcab8634050fb18aaeb2a46b56f01f3c4f0f5",
+        "chains":
+            "2d6278afdd31763716bff8a3c4cb2f4ddd86ddece40b4d3eae4ce05528d88beb",
+    },
+    "tampering_proposer_n7": {
+        "report.json":
+            "21eba7cd66c4f61c82b9a4560af715453800999a9b82ffc4d62f0d953206a1b9",
+        "chains":
+            "e91c94bfbc4da0cb706e8a3287d9f74b959e458140f003fd4cfd4fe0bc19cd97",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_size_blind_runs_decide_the_same(name, tmp_path):
+    assert size_blind_digests(SPECS[name], tmp_path) == GOLDEN_SIZE_BLIND[name]
+
+
 def artifact_digests(spec: RunSpec, outdir: Path) -> dict[str, str]:
     """sha256 of report.json and of each ledger export of one run."""
     paths = write_artifacts(run(spec), outdir)
