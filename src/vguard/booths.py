@@ -4,11 +4,14 @@ A booth is one membership configuration: the proposer, the pivot validator
 (the manufacturer's always-on presence), and enough vehicle validators to
 reach size 3f+1. Profiles are value objects: the mutable bookkeeping that
 decides when a booth is still usable lives in the membership unit, not here.
-The profile digest pins the proposer, pivot, threshold, creation time and
-members (their identities), so any two nodes naming the same digest mean
-the same booth. A profile holds no keys of its own: its certificates are
-checked against the identity registry (`crypto.KeyService`), and the booth
-hash inside every certified digest binds them to this booth.
+The profile digest pins the proposer, pivot, creation time and members
+(their identities), so any two nodes naming the same digest mean the same
+booth. The quorum size is 2f by construction, so a profile stores none. A
+profile holds no keys of its own: its certificates are checked against the
+identity registry (`crypto.KeyService`), and the booth hash inside every
+certified digest binds them to this booth. A certificate's signer bitmap
+is its quorum: `check_certified` decodes the signers from it and holds
+them to the booth's shape rules.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ from .errors import RejectReason
 class BoothProfile(Wire):
     proposer_id: int
     pivot_id: int
-    threshold: int
     created_at_us: int
     members: tuple[Identity, ...]          # sorted by node_id
 
@@ -37,8 +39,6 @@ class BoothProfile(Wire):
             raise ValueError("members must be unique and sorted by node_id")
         if self.proposer_id not in ids or self.pivot_id not in ids:
             raise ValueError("booth must contain its proposer and pivot")
-        if not 2 * self.fault_budget <= self.threshold <= self.size:
-            raise ValueError(f"threshold {self.threshold} outside [2f, n]")
 
     @cached_property
     def packed(self) -> bytes:
@@ -48,7 +48,7 @@ class BoothProfile(Wire):
 
     @cached_property
     def booth_hash(self) -> bytes:
-        # digest("booth", <the five fields>): the packed fields are the
+        # digest("booth", <the four fields>): the packed fields are the
         # canonical bytes after their 5-byte sequence header
         return digest("booth", Packed(self.packed[5:]))
 
@@ -71,38 +71,38 @@ class BoothProfile(Wire):
     def __contains__(self, node_id: int) -> bool:
         return node_id in self.member_ids
 
-    def check_certified(self, quorum: Sequence[int], cert: AggregateSignature,
+    def check_certified(self, cert: AggregateSignature,
                         payload_digest: bytes, registry: KeyService,
                         meter=None) -> Optional[RejectReason]:
         """Why `cert` over `payload_digest` does not count in this booth, or
-        None if it does: 2f distinct validators (members other than the
-        proposer, so each one checked the proposer's signature before
-        countersigning) with the pivot among them, a pivot the registry
-        holds as one (`KeyService.is_pivot`), whose aggregate verifies under
-        their keys in `registry` and whose signers are exactly `quorum`. The meter, if any, is charged one
-        threshold verify, and only once the quorum's shape holds. The shape
-        is checked on every call; only the aggregate and signer verdict is
-        memoised (`crypto.recall`), keyed on the members' registered keys."""
-        qset = set(quorum)
+        None if it does. Its bitmap must be canonical and name 2f
+        validators (members other than the proposer, so each one checked
+        the proposer's signature before countersigning) with the pivot
+        among them, a pivot the registry holds as one
+        (`KeyService.is_pivot`); their signatures must verify under their
+        keys in `registry`. The meter, if any, is charged one 2f verify,
+        and only once the signers' shape holds. The shape is checked on
+        every call; only the signature verdict is memoised
+        (`crypto.recall`), keyed on the members' registered keys."""
+        signers = cert.signers(self.member_ids)
+        if signers is None:
+            return RejectReason.BAD_CERT
         need = 2 * self.fault_budget
-        if len(qset) != need or len(quorum) != need:
+        if len(signers) != need:
             return RejectReason.QUORUM_MISMATCH
-        if self.proposer_id in qset or not qset <= set(self.member_ids):
+        if self.proposer_id in signers:
             return RejectReason.FOREIGN_QUORUM_MEMBER
-        if self.pivot_id not in qset:
+        if self.pivot_id not in signers:
             return RejectReason.PIVOT_MISSING
         if not registry.is_pivot(self.pivot_id):
             return RejectReason.NOT_PIVOT
         if meter is not None:
-            meter.verify(self.threshold)
+            meter.verify(need)
         key = ("cert", self.booth_hash, cert, payload_digest,
-               tuple(sorted(qset)), registry.keys_of(self.member_ids))
-        return recall(key, lambda: (
-            RejectReason.BAD_CERT if not verify_aggregate(
-                cert, payload_digest, self.member_ids, self.threshold,
-                registry)
-            else RejectReason.QUORUM_MISMATCH
-            if set(cert.signers(self.member_ids)) != qset else None))
+               registry.keys_of(self.member_ids))
+        return recall(key, lambda: None if verify_aggregate(
+            cert, payload_digest, self.member_ids, registry)
+            else RejectReason.BAD_CERT)
 
     # wire form -----------------------------------------------------------
 
@@ -118,12 +118,11 @@ class BoothProfile(Wire):
 
 
 def build_profile(members: Sequence[Identity], proposer_id: int, pivot_id: int,
-                  threshold: int, created_at_us: int = 0) -> BoothProfile:
+                  created_at_us: int = 0) -> BoothProfile:
     ordered = tuple(sorted(members, key=lambda m: m.node_id))
     return BoothProfile(
         members=ordered,
         proposer_id=proposer_id,
         pivot_id=pivot_id,
-        threshold=threshold,
         created_at_us=created_at_us,
     )

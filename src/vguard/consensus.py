@@ -6,11 +6,12 @@ membership links. The proposer then runs a commit round in the head booth
 of the moment, which need not be any booth the window's entries were
 ordered in. Members who sat in every ordering booth of the window already
 hold the entries, so they get a hash-only request; everyone else gets the
-full transaction and checks each entry's ordering certificate against its
-membership link with `BoothProfile.check_certified` before countersigning.
-The certificate is all the evidence an entry needs: its 2f signers are
-validators of the entry's booth, never its proposer, the pivot among them,
-and each signed only after checking the proposer's own signature.
+full transaction and checks each entry's ordering certificate against the
+booth of its membership link (a run of entries ordered in one booth) with
+`BoothProfile.check_certified` before countersigning. The certificate is
+all the evidence an entry needs: its bitmap names 2f signers, validators
+of the entry's booth, never its proposer, the pivot among them, and each
+signed only after checking the proposer's own signature.
 
 A window that cannot gather its quorum is retried under a fresh booth with
 the same window timestamp, and members who failed to reply are demoted to
@@ -155,10 +156,9 @@ class ConsensusCoordinator:
             return
         if not rnd.add_reply(ctx, src, msg.partial):
             return
-        quorum, cert = rnd.certify(ctx)
         record = CommitRecord(
-            consensus_id=rnd.window_start_us, quorum=quorum,
-            booth_hash=rnd.booth.booth_hash, cert=cert,
+            consensus_id=rnd.window_start_us,
+            booth_hash=rnd.booth.booth_hash, cert=rnd.certify(ctx),
             tx_hash=rnd.tx.tx_hash, committed_at_us=ctx.env.now_us())
         self.ready[rnd.window_start_us] = (record, rnd.tx, rnd.booth)
         del self.rounds[rnd.window_start_us]
@@ -180,8 +180,7 @@ class ConsensusCoordinator:
             ctx.metrics.committed(tx, ctx.env.now_us())
             commit = CommitMsg(
                 instance_id=ctx.instance_id, sender=ctx.node_id,
-                window_start_us=ts, quorum=record.quorum,
-                booth_hash=record.booth_hash, cert=record.cert,
+                window_start_us=ts, booth_hash=record.booth_hash, cert=record.cert,
                 tx_hash=record.tx_hash)
             for v in booth.validators():
                 ctx.send(v, commit, Category.CONSENSUS, ts)
@@ -323,22 +322,18 @@ class ValidatorConsensus:
             if got is None:
                 ctx.diag(RejectReason.MALFORMED)
                 return False
-            link_booth, quorum = got
             cert_digest = order_cert_digest(
-                entry.ordering_id, entry.batch.batch_hash,
-                link_booth.booth_hash)
-            reason = link_booth.check_certified(quorum, entry.cert,
-                                                cert_digest, ctx.registry,
-                                                ctx.env.meter)
+                entry.ordering_id, entry.batch.batch_hash, got.booth_hash)
+            reason = got.check_certified(entry.cert, cert_digest,
+                                         ctx.registry, ctx.env.meter)
             if reason is not None:
                 ctx.diag(reason)
                 return False
         # adopt: these entries are certified, make them local
         for entry in tx.entries:
-            link_booth, quorum = memberships[entry.ordering_id]
+            link_booth = memberships[entry.ordering_id]
             ctx.log.append(LogEntry(
                 ordering_id=entry.ordering_id, batch=entry.batch,
-                quorum=tuple(sorted(quorum)),
                 booth_hash=link_booth.booth_hash, cert=entry.cert,
                 appended_at_us=ctx.env.now_us()))
             ctx.ledger.note_booth(link_booth)
@@ -365,8 +360,8 @@ class ValidatorConsensus:
             ctx.diag(RejectReason.MALFORMED)
             return
         expected = commit_cert_digest(ts, msg.tx_hash, booth.booth_hash)
-        reason = booth.check_certified(msg.quorum, msg.cert, expected,
-                                       ctx.registry, ctx.env.meter)
+        reason = booth.check_certified(msg.cert, expected, ctx.registry,
+                                       ctx.env.meter)
         if reason is not None:
             ctx.diag(reason)
             return
@@ -380,8 +375,7 @@ class ValidatorConsensus:
             tx = window_transaction(ts, ctx.delta_us, entries,
                                     ctx.ledger.booth_table.__getitem__)
         record = CommitRecord(
-            consensus_id=ts, quorum=tuple(sorted(msg.quorum)),
-            booth_hash=msg.booth_hash, cert=msg.cert, tx_hash=msg.tx_hash,
+            consensus_id=ts, booth_hash=msg.booth_hash, cert=msg.cert, tx_hash=msg.tx_hash,
             committed_at_us=ctx.env.now_us())
         ctx.ledger.note_booth(booth)
         ctx.ledger.append_commit(record, tx)

@@ -5,16 +5,20 @@ registered with the global key service (`KeyService`), and every signature
 in the protocol is made with one. A partial is one member's identity
 signature over a payload digest. A quorum certificate is a certified
 multisig: a signer bitmap over the booth's sorted member list followed by
-each signer's 64-byte identity signature, in member order. `aggregate` and
+each signer's 64-byte identity signature, in member order. The bitmap is
+the one record of who signed, as in the multisignatures of Boneh, Drijvers
+and Neven (ASIACRYPT 2018); `AggregateSignature.signers` decodes it and
+refuses any encoding but the canonical one. `aggregate` and
 `verify_aggregate` check every signer against the key the registry holds
 for it, never against keys a booth profile carries, so a profile cannot
-bring its own keys. The certified digests (`ledger.order_cert_digest`,
-`ledger.commit_cert_digest`) include the booth hash, so a certificate
-still binds its entry to exactly one booth, and anyone holding the
-registry can check it, inside the booth or not. Its size grows with the
-threshold t (t * 64 bytes plus the bitmap) instead of being constant; the
-interface hides the representation so a constant-size scheme could replace
-it without touching callers.
+bring its own keys; how many signers a certificate needs, and which, is
+`BoothProfile.check_certified`'s rule. The certified digests
+(`ledger.order_cert_digest`, `ledger.commit_cert_digest`) include the
+booth hash, so a certificate still binds its entry to exactly one booth,
+and anyone holding the registry can check it, inside the booth or not. Its
+size grows with the signers (64 bytes each plus the bitmap) instead of
+being constant; the interface hides the representation so a constant-size
+scheme could replace it without touching callers.
 
 A run does its deterministic work once: `recall(key, compute, *args)`
 returns what `compute(*args)` returned for `key` earlier in the run, from
@@ -26,13 +30,13 @@ signing is deterministic and `sign(sk, m)` always verifies under `pk(sk)`
 (RFC 8032), so `SigningKey.sign` `remember`s its own "sig" key as True. A
 raw `Ed25519PrivateKey` records nothing, and a flipped bit in any input is
 another key. The other kinds are "cert" (`BoothProfile.check_certified`:
-booth hash, certificate, digest, sorted quorum, and the registry's keys for
-the booth's members), the digests "order-cert", "commit-cert" and
-"signer-set", and "msg" (decoded messages, see `messages`). A compute that
-raises stores nothing. The memo holds at most `MEMO_SIZE` entries and is
-emptied when full and by `clear_caches`, which `harness.run` calls at its
-start and end, so no run sees another run's entries and none outlives its
-run. Callers charge modeled cost (`CostMeter.verify`) before the lookup.
+booth hash, certificate, digest, and the registry's keys for the booth's
+members), the digests "order-cert" and "commit-cert", and "msg" (decoded
+messages, see `messages`). A compute that raises stores nothing. The memo
+holds at most `MEMO_SIZE` entries and is emptied when full and by
+`clear_caches`, which `harness.run` calls at its start and end, so no run
+sees another run's entries and none outlives its run. Callers charge
+modeled cost (`CostMeter.verify`) before the lookup.
 
 `SigningKey.sign` signs through libsodium (`crypto_sign_ed25519_detached`)
 when it loads at import, else through `cryptography`: RFC 8032 signing is
@@ -55,7 +59,7 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PublicKey,
 )
 
-from .codec import digest, pack, Wire   # pack: bound for perfbench's tracer
+from .codec import digest, pack, Wire   # digest, pack: perfbench's tracer
 from .errors import (
     InsufficientPartials,
     InvalidPartial,
@@ -209,40 +213,38 @@ def verify_partial(partial: PartialSignature, verify_key: bytes,
 
 # -- quorum certificates --------------------------------------------------
 
-def signer_set_digest(signers: Iterable[int]) -> bytes:
-    """Digest of a signer set, memoised: a run certifies with a handful of
-    distinct sets, thousands of times over."""
-    key = tuple(sorted(signers))
-    return recall(("signer-set", key), lambda: digest("signer-set", list(key)))
-
-
 @dataclass(frozen=True)
 class AggregateSignature(Wire):
     """Quorum certificate over one payload digest.
 
     sig_bytes = signer bitmap over the booth's sorted member list, then the
-    signers' identity signatures in member order.
+    signers' identity signatures in member order. The bitmap is the one
+    record of who signed.
     """
 
-    threshold: int
     sig_bytes: bytes
-    signer_set_digest: bytes
 
-    def signers(self, member_ids: Sequence[int]) -> list[int]:
-        """Decode the signer bitmap against a booth's sorted member list."""
+    def signers(self, member_ids: Sequence[int]) -> Optional[list[int]]:
+        """The members the bitmap names, decoded against a booth's sorted
+        member list; None unless sig_bytes is a canonical bitmap (no bit
+        set past the last member) followed by one signature per signer."""
         members = sorted(member_ids)
+        raw = self.sig_bytes
         bitmap_len = (len(members) + 7) // 8
-        bitmap = self.sig_bytes[:bitmap_len]
-        out = []
-        for idx, member in enumerate(members):
-            if bitmap[idx // 8] & (1 << (idx % 8)):
-                out.append(member)
-        return out
+        if len(raw) < bitmap_len or int.from_bytes(
+                raw[:bitmap_len], "little") >> len(members):
+            return None
+        signers = [m for i, m in enumerate(members)
+                   if raw[i // 8] & (1 << (i % 8))]
+        if len(raw) != bitmap_len + SIG_LEN * len(signers):
+            return None
+        return signers
 
 
 def aggregate(partials: Sequence[PartialSignature], member_ids: Sequence[int],
-              threshold: int, registry: "KeyService") -> AggregateSignature:
-    """Combine members' partials into a quorum certificate.
+              registry: "KeyService") -> AggregateSignature:
+    """Combine members' partials into a quorum certificate naming every
+    distinct signer among them.
 
     Raises MixedDigests, UnknownSigner, InvalidPartial, or
     InsufficientPartials; on success the certificate verifies against the
@@ -263,9 +265,6 @@ def aggregate(partials: Sequence[PartialSignature], member_ids: Sequence[int],
                 registry.verify_key(partial.signer), payload, sig):
             raise InvalidPartial(f"signature from {partial.signer} invalid")
         by_signer.setdefault(partial.signer, sig)
-    if len(by_signer) < threshold:
-        raise InsufficientPartials(
-            f"{len(by_signer)} distinct partials < threshold {threshold}")
     members = sorted(member_ids)
     bitmap = bytearray((len(members) + 7) // 8)
     sigs = bytearray()
@@ -273,34 +272,22 @@ def aggregate(partials: Sequence[PartialSignature], member_ids: Sequence[int],
         if member in by_signer:
             bitmap[idx // 8] |= 1 << (idx % 8)
             sigs += by_signer[member]
-    return AggregateSignature(
-        threshold=threshold,
-        sig_bytes=bytes(bitmap) + bytes(sigs),
-        signer_set_digest=signer_set_digest(by_signer),
-    )
+    return AggregateSignature(sig_bytes=bytes(bitmap) + bytes(sigs))
 
 
 def verify_aggregate(agg: AggregateSignature, payload_digest: bytes,
-                     member_ids: Sequence[int], threshold: int,
+                     member_ids: Sequence[int],
                      registry: "KeyService") -> bool:
-    """True iff the certificate carries >= threshold valid signatures from
-    distinct members, each under the key the registry holds for it, and
-    its signer-set digest matches the bitmap."""
-    members = sorted(member_ids)
-    bitmap_len = (len(members) + 7) // 8
-    raw = agg.sig_bytes
-    if len(raw) < bitmap_len:
+    """True iff the certificate is canonical and every signer its bitmap
+    names signed `payload_digest` under the key the registry holds for it.
+    How many signers count is the caller's rule."""
+    signers = agg.signers(member_ids)
+    if signers is None:
         return False
-    bitmap, sig_blob = raw[:bitmap_len], raw[bitmap_len:]
-    signers = [m for i, m in enumerate(members) if bitmap[i // 8] & (1 << (i % 8))]
-    if len(sig_blob) != SIG_LEN * len(signers):
-        return False
-    if len(signers) < threshold or agg.threshold != threshold:
-        return False
-    if agg.signer_set_digest != signer_set_digest(signers):
-        return False
-    for idx, key in enumerate(registry.keys_of(signers)):
-        sig = sig_blob[idx * SIG_LEN:(idx + 1) * SIG_LEN]
+    start = (len(member_ids) + 7) // 8          # past the bitmap
+    for key in registry.keys_of(signers):
+        sig = agg.sig_bytes[start:start + SIG_LEN]
+        start += SIG_LEN
         if key is None or not verify_raw(key, payload_digest, sig):
             return False
     return True

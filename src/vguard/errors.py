@@ -43,7 +43,7 @@ class UnknownSigner(AggregationError):
 
 
 class InsufficientPartials(AggregationError):
-    """Fewer distinct valid partials than the threshold requires."""
+    """No partials to aggregate."""
 
 
 class InvalidPartial(AggregationError):

@@ -146,7 +146,6 @@ class GossipAgent:
             return
         record = CommitRecord(
             consensus_id=msg.commit.window_start_us,
-            quorum=msg.commit.quorum,
             booth_hash=msg.commit.booth_hash,
             cert=msg.commit.cert,
             tx_hash=msg.commit.tx_hash,

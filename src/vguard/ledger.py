@@ -10,9 +10,12 @@ from. The JSON export is a separate format, written field by field.
 The total order log holds what ordering produced: one certified entry per
 ordering id. Consensus slices the proposer's log into fixed windows, prunes
 repeated membership data into run-length links, and commits the result as a
-transaction plus a commit record. A node's ledger is therefore two chains
-that share links: the data chain (commit record + transaction per window)
-and the membership chain (the pruned booth/quorum runs, in commit order).
+transaction plus a commit record. A link is a run of one booth: consecutive
+entries ordered in the same booth share it, whoever signed them, because
+each entry's certificate names its own signers. A node's ledger is
+therefore two chains that share links: the data chain (commit record +
+transaction per window) and the membership chain, which is the links of
+the committed transactions, in commit order.
 
 The transaction hash deliberately covers only the agreed data: window
 bounds and the ordered (ordering id, batch hash) pairs. Membership is
@@ -25,7 +28,7 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left, insort
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable, Collection, Iterable, Optional, Sequence
 
@@ -148,7 +151,6 @@ class LogEntry:
 
     ordering_id: int
     batch: DataBatch
-    quorum: tuple[int, ...]
     booth_hash: bytes
     cert: AggregateSignature
     appended_at_us: int = 0
@@ -156,9 +158,6 @@ class LogEntry:
     @property
     def batch_hash(self) -> bytes:
         return self.batch.batch_hash
-
-    def cert_digest(self) -> bytes:
-        return order_cert_digest(self.ordering_id, self.batch_hash, self.booth_hash)
 
 
 class TotalOrderLog:
@@ -221,33 +220,25 @@ class TotalOrderLog:
 
 @dataclass(frozen=True)
 class MembershipLink(Wire):
-    """Run-length record: entries first_id..last_id share booth and quorum."""
+    """Run-length record: entries first_id..last_id share one booth."""
 
     booth: BoothProfile
-    quorum: tuple[int, ...]
     first_id: int
     last_id: int
 
 
 def prune_memberships(entries: Sequence[LogEntry],
                       booth_lookup: Callable[[bytes], BoothProfile]) -> list[MembershipLink]:
-    """Collapse consecutive entries sharing (booth, quorum) into links."""
+    """Collapse consecutive entries ordered in one booth into links."""
     links: list[MembershipLink] = []
     for entry in entries:
         if (links
                 and links[-1].booth.booth_hash == entry.booth_hash
-                and links[-1].quorum == entry.quorum
                 and links[-1].last_id + 1 == entry.ordering_id):
-            links[-1] = MembershipLink(
-                booth=links[-1].booth,
-                quorum=links[-1].quorum,
-                first_id=links[-1].first_id,
-                last_id=entry.ordering_id,
-            )
+            links[-1] = replace(links[-1], last_id=entry.ordering_id)
         else:
             links.append(MembershipLink(
                 booth=booth_lookup(entry.booth_hash),
-                quorum=entry.quorum,
                 first_id=entry.ordering_id,
                 last_id=entry.ordering_id,
             ))
@@ -255,13 +246,10 @@ def prune_memberships(entries: Sequence[LogEntry],
 
 
 def expand_memberships(links: Sequence[MembershipLink]
-                       ) -> dict[int, tuple[BoothProfile, tuple[int, ...]]]:
-    """Invert pruning: ordering id -> (booth, quorum)."""
-    out: dict[int, tuple[BoothProfile, tuple[int, ...]]] = {}
-    for link in links:
-        for ordering_id in range(link.first_id, link.last_id + 1):
-            out[ordering_id] = (link.booth, link.quorum)
-    return out
+                       ) -> dict[int, BoothProfile]:
+    """Invert pruning: ordering id -> booth."""
+    return {ordering_id: link.booth for link in links
+            for ordering_id in range(link.first_id, link.last_id + 1)}
 
 
 # -- transactions and commit records -------------------------------------
@@ -316,7 +304,6 @@ class Transaction(Wire):
 @dataclass(frozen=True)
 class CommitRecord:
     consensus_id: int                  # window start, microseconds
-    quorum: tuple[int, ...]
     booth_hash: bytes                  # consensus booth
     cert: AggregateSignature
     tx_hash: bytes
@@ -344,7 +331,6 @@ class Ledger:
         self._order: list[int] = []                   # committed ts, sorted
         self.covered_empty: set[int] = set()          # proposer-side only
         self.booth_table: dict[bytes, BoothProfile] = {}
-        self.membership_chain: list[MembershipLink] = []
 
     def __len__(self) -> int:
         return len(self._order)
@@ -372,7 +358,6 @@ class Ledger:
         insort(self._order, ts)
         for link in tx.membership_links:
             self.booth_table.setdefault(link.booth.booth_hash, link.booth)
-            self.membership_chain.append(link)
 
     def mark_covered(self, ts_us: int) -> None:
         """Record a window that held no entries and needed no round."""
@@ -391,7 +376,7 @@ class Ledger:
         def dump(obj) -> str:
             return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
-        lines = [dump({"kind": "meta", "version": 1, "node": self.node_id,
+        lines = [dump({"kind": "meta", "version": 2, "node": self.node_id,
                        "window_len_us": self.window_len_us})]
         for ident in identities or ():
             lines.append(dump({
@@ -484,9 +469,9 @@ def verify_chain(ledger: Ledger, registry: KeyService, strict: bool = False,
     """Audit a ledger against the identity registry.
 
     Always checked: commit certificates and per-entry ordering certificates
-    against their membership link, both by `BoothProfile.check_certified`
-    (the rule validators apply), pivots in every membership link,
-    transaction hashes, window monotonicity, and non-overlapping increasing
+    against the booth of their membership link, both by
+    `BoothProfile.check_certified` (the rule validators apply, which reads
+    each certificate's signers from its bitmap), transaction hashes, window monotonicity, and non-overlapping increasing
     ordering-id ranges. An entry passes on its certificate alone, so every
     node's ledger is audited by the same rule, whatever path its entries
     took.
@@ -524,27 +509,21 @@ def verify_chain(ledger: Ledger, registry: KeyService, strict: bool = False,
         if booth is None:
             fail(f"window {ts}: unknown consensus booth")
         else:
-            reason = booth.check_certified(record.quorum, record.cert,
-                                           record.cert_digest(), registry)
+            reason = booth.check_certified(record.cert, record.cert_digest(),
+                                           registry)
             if reason is not None:
                 fail(f"window {ts}: commit certificate rejected: {reason}")
         memberships = expand_memberships(tx.membership_links)
-        # the only check on a link that covers no entry of its window
-        for link in tx.membership_links:
-            if link.booth.pivot_id not in link.quorum:
-                fail(f"window {ts}: pivot missing from ordering quorum "
-                     f"{link.first_id}..{link.last_id}")
         for entry in tx.entries:
             check.entries_checked += 1
-            got = memberships.get(entry.ordering_id)
-            if got is None:
+            link_booth = memberships.get(entry.ordering_id)
+            if link_booth is None:
                 fail(f"entry {entry.ordering_id}: no membership link covers it")
                 continue
-            link_booth, quorum = got
             cert_digest = order_cert_digest(
                 entry.ordering_id, entry.batch.batch_hash, link_booth.booth_hash)
-            reason = link_booth.check_certified(quorum, entry.cert,
-                                                cert_digest, registry)
+            reason = link_booth.check_certified(entry.cert, cert_digest,
+                                                registry)
             if reason is not None:
                 fail(f"entry {entry.ordering_id}: ordering certificate "
                      f"rejected: {reason}")
@@ -583,21 +562,17 @@ def _unexplained_gap(first: int, stop: int, retired_ids: Collection[int]) -> boo
 # -- json helpers ---------------------------------------------------------
 
 def _agg_to_json(agg: AggregateSignature) -> dict:
-    return {"threshold": agg.threshold, "sig": agg.sig_bytes.hex(),
-            "signers": agg.signer_set_digest.hex()}
+    return {"sig": agg.sig_bytes.hex()}
 
 
 def _agg_from_json(obj: dict) -> AggregateSignature:
-    return AggregateSignature(threshold=obj["threshold"],
-                              sig_bytes=bytes.fromhex(obj["sig"]),
-                              signer_set_digest=bytes.fromhex(obj["signers"]))
+    return AggregateSignature(sig_bytes=bytes.fromhex(obj["sig"]))
 
 
 def _booth_to_json(booth: BoothProfile) -> dict:
     return {
         "proposer": booth.proposer_id,
         "pivot": booth.pivot_id,
-        "threshold": booth.threshold,
         "created_at_us": booth.created_at_us,
         "members": [
             {"node_id": m.node_id, "role": m.role.value,
@@ -617,7 +592,6 @@ def _booth_from_json(obj: dict) -> BoothProfile:
         members=members,
         proposer_id=obj["proposer"],
         pivot_id=obj["pivot"],
-        threshold=obj["threshold"],
         created_at_us=obj["created_at_us"],
     )
 
@@ -625,7 +599,6 @@ def _booth_from_json(obj: dict) -> BoothProfile:
 def _record_to_json(record: CommitRecord) -> dict:
     return {
         "consensus_id": record.consensus_id,
-        "quorum": list(record.quorum),
         "booth": record.booth_hash.hex(),
         "cert": _agg_to_json(record.cert),
         "tx_hash": record.tx_hash.hex(),
@@ -636,7 +609,6 @@ def _record_to_json(record: CommitRecord) -> dict:
 def _record_from_json(obj: dict) -> CommitRecord:
     return CommitRecord(
         consensus_id=obj["consensus_id"],
-        quorum=tuple(obj["quorum"]),
         booth_hash=bytes.fromhex(obj["booth"]),
         cert=_agg_from_json(obj["cert"]),
         tx_hash=bytes.fromhex(obj["tx_hash"]),
@@ -645,13 +617,12 @@ def _record_from_json(obj: dict) -> CommitRecord:
 
 
 def _link_to_json(link: MembershipLink) -> dict:
-    return {"booth": _booth_to_json(link.booth), "quorum": list(link.quorum),
+    return {"booth": _booth_to_json(link.booth),
             "first": link.first_id, "last": link.last_id}
 
 
 def _link_from_json(obj: dict) -> MembershipLink:
     return MembershipLink(booth=_booth_from_json(obj["booth"]),
-                          quorum=tuple(obj["quorum"]),
                           first_id=obj["first"], last_id=obj["last"])
 
 

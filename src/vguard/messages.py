@@ -112,7 +112,6 @@ class OrderMsg(_Message):
     TAG: ClassVar[int] = 3
 
     ordering_id: int
-    quorum: tuple[int, ...]
     cert: AggregateSignature
 
 
@@ -166,7 +165,6 @@ class CommitMsg(_Message):
     TAG: ClassVar[int] = 7
 
     window_start_us: int
-    quorum: tuple[int, ...]
     booth_hash: bytes
     cert: AggregateSignature
     tx_hash: bytes

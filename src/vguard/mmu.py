@@ -165,7 +165,6 @@ class MembershipUnit:
             profile = build_profile(
                 members=[self.pool[m] for m in member_ids],
                 proposer_id=self.proposer_id, pivot_id=self.pivot_id,
-                threshold=2 * ((len(member_ids) - 1) // 3),
                 created_at_us=self._now_us(),
             )
             self._profile_cache[members] = profile

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 from .consensus import ConsensusCoordinator, ValidatorConsensus
-from .crypto import KeyService, SigningKey, make_partial
+from .crypto import AggregateSignature, KeyService, SigningKey, make_partial
 from .errors import POSITIVE, RejectReason
 from .gossip import GossipAgent, GossipConfig
 from .ledger import DataBatch, Ledger, TotalOrderLog, order_cert_digest
@@ -213,8 +213,20 @@ class ByzantineActor:
                        proposer_partial=make_partial(self.runtime.key, digest))
 
     def _forge_quorum(self, msg):
-        foreign = 1_000_000 + self.runtime.node_id
-        return replace(msg, quorum=msg.quorum[:-1] + (foreign,))
+        """Move the bit of the last signer who is not the pivot to the
+        proposer's own: still 2f signers, the pivot among them, but one of
+        them the proposer, which no validator's signature stands behind."""
+        ctx = self.runtime.proposers[msg.instance_id].ctx
+        booth_hash = (msg.booth_hash if isinstance(msg, CommitMsg)
+                      else ctx.log.get(msg.ordering_id).booth_hash)
+        booth = ctx.ledger.booth_table[booth_hash]
+        members = booth.member_ids
+        moved = max(s for s in msg.cert.signers(members) if s != booth.pivot_id)
+        raw = bytearray(msg.cert.sig_bytes)
+        for member in (moved, booth.proposer_id):
+            idx = members.index(member)
+            raw[idx // 8] ^= 1 << (idx % 8)
+        return replace(msg, cert=AggregateSignature(bytes(raw)))
 
     def _inflate_lifetime(self, msg: GossipMsg) -> GossipMsg:
         last = msg.traverse[-1]

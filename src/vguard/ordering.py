@@ -89,23 +89,21 @@ class QuorumRound:
         return (len(self.replies) >= 2 * self.booth.fault_budget
                 and self.booth.pivot_id in self.replies)
 
-    def certify(self, ctx) -> tuple[tuple[int, ...], AggregateSignature]:
-        """Close the round: the quorum is the pivot plus the first other
-        repliers up to 2f, and the certificate aggregates their partials."""
+    def certify(self, ctx) -> AggregateSignature:
+        """Close the round: the certificate aggregates the partials of the
+        pivot plus the first other repliers up to 2f."""
         if self.timer is not None:
             self.timer.cancel()
         need = 2 * self.booth.fault_budget
-        quorum_ids = [self.booth.pivot_id]
-        for signer in self.replies:              # insertion order: first repliers
-            if signer != self.booth.pivot_id:
-                quorum_ids.append(signer)
-            if len(quorum_ids) == need:
+        pivot = self.booth.pivot_id
+        parts = [self.replies[pivot]]
+        for signer, partial in self.replies.items():  # first repliers first
+            if len(parts) == need:
                 break
-        quorum = tuple(sorted(quorum_ids))
-        parts = [self.replies[s] for s in quorum]
+            if signer != pivot:
+                parts.append(partial)
         ctx.env.meter.verify(len(parts))
-        return quorum, aggregate(parts, self.booth.member_ids,
-                                 self.booth.threshold, ctx.registry)
+        return aggregate(parts, self.booth.member_ids, ctx.registry)
 
 
 @dataclass
@@ -114,7 +112,6 @@ class OrderingRound(QuorumRound):
     batch: DataBatch
     submitted_at_us: int
     retries: int
-    quorum: tuple[int, ...] = ()
     cert: Optional[AggregateSignature] = None
 
 
@@ -188,7 +185,7 @@ class OrderingCoordinator:
             return
         if not rnd.add_reply(ctx, src, msg.partial):
             return
-        rnd.quorum, rnd.cert = rnd.certify(ctx)
+        rnd.cert = rnd.certify(ctx)
         del self.rounds[rnd.ordering_id]
         self.finished[rnd.ordering_id] = rnd
         self._drain_appends()
@@ -204,7 +201,7 @@ class OrderingCoordinator:
             if rnd is None:
                 return
             entry = LogEntry(
-                ordering_id=rnd.ordering_id, batch=rnd.batch, quorum=rnd.quorum,
+                ordering_id=rnd.ordering_id, batch=rnd.batch,
                 booth_hash=rnd.booth.booth_hash, cert=rnd.cert,
                 appended_at_us=ctx.env.now_us())
             ctx.log.append(entry)
@@ -212,8 +209,7 @@ class OrderingCoordinator:
             ctx.metrics.ordered(rnd.ordering_id, rnd.batch,
                                 rnd.submitted_at_us, ctx.env.now_us())
             out = OrderMsg(instance_id=ctx.instance_id, sender=ctx.node_id,
-                           ordering_id=rnd.ordering_id, quorum=rnd.quorum,
-                           cert=rnd.cert)
+                           ordering_id=rnd.ordering_id, cert=rnd.cert)
             for member in rnd.booth.validators():
                 ctx.send(member, out, Category.ORDERING, rnd.ordering_id)
             self.append_next += 1
@@ -350,15 +346,15 @@ class ValidatorOrdering:
             return
         expected = order_cert_digest(msg.ordering_id, po.batch.batch_hash,
                                      booth.booth_hash)
-        reason = booth.check_certified(msg.quorum, msg.cert, expected,
-                                       ctx.registry, ctx.env.meter)
+        reason = booth.check_certified(msg.cert, expected, ctx.registry,
+                                       ctx.env.meter)
         if reason is not None:
             ctx.diag(reason)
             return
         entry = LogEntry(
             ordering_id=msg.ordering_id, batch=po.batch,
-            quorum=tuple(sorted(msg.quorum)), booth_hash=booth.booth_hash,
-            cert=msg.cert, appended_at_us=ctx.env.now_us())
+            booth_hash=booth.booth_hash, cert=msg.cert,
+            appended_at_us=ctx.env.now_us())
         ctx.log.append(entry)
         ctx.ledger.note_booth(booth)
         del self.pending[msg.ordering_id]

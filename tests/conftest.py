@@ -94,7 +94,6 @@ def make_booth(pool: Pool, member_ids, proposer_id: int, pivot_id: int,
     return build_profile(
         members=[pool.identity(i) for i in member_ids],
         proposer_id=proposer_id, pivot_id=pivot_id,
-        threshold=2 * ((len(member_ids) - 1) // 3),
         created_at_us=created_at_us,
     )
 
@@ -102,7 +101,7 @@ def make_booth(pool: Pool, member_ids, proposer_id: int, pivot_id: int,
 def fresh_profile(booth: BoothProfile) -> BoothProfile:
     """An equal profile that has neither packed nor hashed itself yet."""
     return BoothProfile(members=booth.members, proposer_id=booth.proposer_id,
-                        pivot_id=booth.pivot_id, threshold=booth.threshold,
+                        pivot_id=booth.pivot_id,
                         created_at_us=booth.created_at_us)
 
 
@@ -129,8 +128,7 @@ def certify(pool: Pool, booth: BoothProfile, payload: bytes,
             quorum: tuple[int, ...]):
     """The quorum's identity partials over `payload`, and their certificate."""
     partials = [make_partial(pool.keys[m], payload) for m in quorum]
-    return partials, aggregate(partials, booth.member_ids, booth.threshold,
-                               pool.registry)
+    return partials, aggregate(partials, booth.member_ids, pool.registry)
 
 
 def certify_entry(pool: Pool, booth: BoothProfile,
@@ -141,8 +139,7 @@ def certify_entry(pool: Pool, booth: BoothProfile,
     payload = order_cert_digest(ordering_id, batch.batch_hash, booth.booth_hash)
     _, cert = certify(pool, booth, payload, quorum)
     return LogEntry(
-        ordering_id=ordering_id, batch=batch, quorum=tuple(sorted(quorum)),
-        booth_hash=booth.booth_hash, cert=cert, appended_at_us=appended_at_us,
+        ordering_id=ordering_id, batch=batch, booth_hash=booth.booth_hash, cert=cert, appended_at_us=appended_at_us,
     )
 
 
@@ -159,8 +156,7 @@ def commit_window(pool: Pool, booth: BoothProfile, window_start_us: int,
     quorum = default_quorum(booth)
     payload = commit_cert_digest(window_start_us, tx.tx_hash, booth.booth_hash)
     record = CommitRecord(
-        consensus_id=window_start_us, quorum=quorum,
-        booth_hash=booth.booth_hash,
+        consensus_id=window_start_us, booth_hash=booth.booth_hash,
         cert=certify(pool, booth, payload, quorum)[1],
         tx_hash=tx.tx_hash, committed_at_us=window_start_us + window_len_us,
     )

@@ -414,7 +414,7 @@ def gossip_commit(pool):
     entry = certify_entry(pool, booth, 1, make_batch(pool))
     record, tx = commit_window(pool, booth, 0, DELTA_US, [entry])
     msg = CommitMsg(instance_id=1, sender=1, window_start_us=0,
-                    quorum=record.quorum, booth_hash=record.booth_hash,
+                    booth_hash=record.booth_hash,
                     cert=record.cert, tx_hash=record.tx_hash)
     return msg, tx
 

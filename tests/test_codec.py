@@ -24,8 +24,7 @@ def world():
 
 
 def _booth_fields(booth: BoothProfile) -> list:
-    return [booth.proposer_id, booth.pivot_id, booth.threshold,
-            booth.created_at_us,
+    return [booth.proposer_id, booth.pivot_id, booth.created_at_us,
             [[m.node_id, m.role.value, m.verify_key, m.net_addr]
              for m in booth.members]]
 

@@ -12,7 +12,8 @@ from conftest import (certify, certify_entry, commit_window, default_quorum,
                       rekeyed_registry)
 from vguard.consensus import (ConsensusCoordinator, ConsensusRound,
                               ValidatorConsensus)
-from vguard.crypto import aggregate, make_partial, verify_partial
+from vguard.crypto import (SIG_LEN, AggregateSignature, aggregate,
+                           make_partial, verify_partial)
 from vguard.errors import RejectReason
 from vguard.ledger import LogEntry, commit_cert_digest, order_cert_digest
 from vguard.messages import (CommitMsg, CommitReply, PreCommitSeen,
@@ -184,18 +185,20 @@ def test_unseen_verifies_adopts_and_replies(world):
     # certified entries become local state, closing the gap for later windows
     assert ctx.log.get(0) is not None
     assert ctx.log.get(1) is not None
-    assert ctx.log.get(0).quorum == entries[0].quorum
+    assert ctx.log.get(0).cert == entries[0].cert
     assert booth.booth_hash in ctx.ledger.booth_table
     assert engine.binding[0] == tx.tx_hash
 
 
 def _one_signer_short(pool, booth, payload):
-    """2f - 1 signatures in a certificate that claims the booth's threshold,
-    under the full 2f quorum."""
-    quorum = default_quorum(booth)
-    parts = [make_partial(pool.keys[m], payload) for m in quorum[:-1]]
-    cert = aggregate(parts, booth.member_ids, len(parts), pool.registry)
-    return quorum, replace(cert, threshold=booth.threshold)
+    """2f - 1 signatures under a bitmap that names the full 2f."""
+    cert = certify(pool, booth, payload, default_quorum(booth))[1]
+    return AggregateSignature(cert.sig_bytes[:-SIG_LEN])
+
+
+def _one_signer_named(pool, booth, payload):
+    """An honest certificate of 2f - 1 signers."""
+    return certify(pool, booth, payload, default_quorum(booth)[:-1])[1]
 
 
 def _unregistered_key(pool, booth, payload):
@@ -205,30 +208,46 @@ def _unregistered_key(pool, booth, payload):
     rogue = impostor_identity(quorum[-1])[1]
     parts = [make_partial(pool.keys[m], payload) for m in quorum[:-1]]
     parts.append(make_partial(rogue, payload))
-    return quorum, aggregate(parts, booth.member_ids, booth.threshold,
-                             rekeyed_registry(pool.registry, quorum[-1]))
+    return aggregate(parts, booth.member_ids,
+                     rekeyed_registry(pool.registry, quorum[-1]))
 
 
 def _without_pivot(pool, booth, payload):
     """2f honest signatures, none of them the pivot's."""
     quorum = tuple(m for m in booth.validators() if m != booth.pivot_id)
-    return quorum, certify(pool, booth, payload, quorum)[1]
+    return certify(pool, booth, payload, quorum)[1]
 
 
 def _proposer_in_quorum(pool, booth, payload):
     """The proposer's own signature standing in for a validator's: with
     f = 1, the proposer and the pivot alone."""
     quorum = tuple(sorted((booth.proposer_id, booth.pivot_id)))
-    return quorum, certify(pool, booth, payload, quorum)[1]
+    return certify(pool, booth, payload, quorum)[1]
+
+
+def _padding_bit(pool, booth, payload):
+    """An honest certificate with a bitmap bit set past the last member:
+    a second encoding of the same signers."""
+    raw = certify(pool, booth, payload, default_quorum(booth))[1].sig_bytes
+    assert len(booth.member_ids) < 8
+    return AggregateSignature(bytes([raw[0] | 0x80]) + raw[1:])
+
+
+def _shorter_than_bitmap(pool, booth, payload):
+    """Fewer bytes than the bitmap of the booth's members takes."""
+    return AggregateSignature(b"")
 
 
 @pytest.mark.parametrize("fault, reason", [
     (_one_signer_short, RejectReason.BAD_CERT),
+    (_one_signer_named, RejectReason.QUORUM_MISMATCH),
     (_unregistered_key, RejectReason.BAD_CERT),
     (_without_pivot, RejectReason.PIVOT_MISSING),
     (_proposer_in_quorum, RejectReason.FOREIGN_QUORUM_MEMBER),
-], ids=["2f-1_signers", "unregistered_key", "no_pivot",
-        "proposer_in_quorum"])
+    (_padding_bit, RejectReason.BAD_CERT),
+    (_shorter_than_bitmap, RejectReason.BAD_CERT),
+], ids=["2f-1_signers", "2f-1_named", "unregistered_key", "no_pivot",
+        "proposer_in_quorum", "padding_bit", "short_bitmap"])
 def test_unseen_refuses_a_foreign_entry_whose_certificate_is_faulty(
         world, fault, reason):
     """The certificate is a foreign entry's whole evidence: whatever
@@ -237,10 +256,9 @@ def test_unseen_refuses_a_foreign_entry_whose_certificate_is_faulty(
     pool, booth = world
     batch = make_batch(pool)
     payload = order_cert_digest(0, batch.batch_hash, booth.booth_hash)
-    quorum, cert = fault(pool, booth, payload)
-    assert booth.check_certified(quorum, cert, payload,
-                                 pool.registry) is reason
-    entry = LogEntry(ordering_id=0, batch=batch, quorum=quorum,
+    cert = fault(pool, booth, payload)
+    assert booth.check_certified(cert, payload, pool.registry) is reason
+    entry = LogEntry(ordering_id=0, batch=batch,
                      booth_hash=booth.booth_hash, cert=cert)
     _, tx = commit_window(pool, booth, 0, DELTA, [entry])
     ctx, sent = make_ctx(pool, node_id=5)
@@ -291,7 +309,7 @@ def test_unseen_empty_transaction_rejected(world):
 
 def commit_msg(record, **over) -> CommitMsg:
     fields = dict(instance_id=1, sender=1,
-                  window_start_us=record.consensus_id, quorum=record.quorum,
+                  window_start_us=record.consensus_id,
                   booth_hash=record.booth_hash, cert=record.cert,
                   tx_hash=record.tx_hash)
     fields.update(over)
@@ -319,7 +337,7 @@ def test_commit_lands_window_in_ledger(world):
     assert ctx.ledger.has_window(0)
     window = ctx.ledger.window(0)
     assert window.tx.tx_hash == tx.tx_hash
-    assert window.record.quorum == record.quorum
+    assert window.record.cert == record.cert
     assert committed and committed[0][1].tx_hash == tx.tx_hash
     # replayed delivery of the identical commit is a no-op
     engine.handle_commit(1, commit_msg(record))
@@ -352,17 +370,13 @@ def test_commit_reject_matrix(world):
     engine.handle_commit(4, commit_msg(record))
     only_reject(ctx, "malformed")
 
-    _, _, engine, ctx, record, _ = fresh()
-    engine.handle_commit(1, commit_msg(record, quorum=(2, 3, 4)))
-    only_reject(ctx, "quorum_mismatch")
-
-    _, _, engine, ctx, record, _ = fresh()
-    engine.handle_commit(1, commit_msg(record, quorum=(2, 99)))
-    only_reject(ctx, "foreign_quorum_member")
-
-    _, _, engine, ctx, record, _ = fresh()
-    engine.handle_commit(1, commit_msg(record, quorum=(3, 4)))
-    only_reject(ctx, "pivot_missing")
+    for signers, reason in (((2, 3, 4), "quorum_mismatch"),
+                            ((1, 2), "foreign_quorum_member"),
+                            ((3, 4), "pivot_missing")):
+        _, _, engine, ctx, record, _ = fresh()
+        cert = certify(pool, booth, record.cert_digest(), signers)[1]
+        engine.handle_commit(1, commit_msg(record, cert=cert))
+        only_reject(ctx, reason)
 
     # certificate from a different window start
     _, _, engine, ctx, record, _ = fresh()
@@ -384,11 +398,13 @@ def test_commit_quorum_claim_must_match_cert_signers(world):
 
     payload = commit_cert_digest(0, tx.tx_hash, booth.booth_hash)
     _, cert = certify(pool, booth, payload, (2, 3))
+    # the bitmap claims 2 and 4; the signatures are 2's and 3's
+    claimed = AggregateSignature(bytes([0b1010]) + cert.sig_bytes[1:])
     msg = CommitMsg(instance_id=1, sender=1, window_start_us=0,
-                    quorum=(2, 4), booth_hash=booth.booth_hash, cert=cert,
+                    booth_hash=booth.booth_hash, cert=claimed,
                     tx_hash=tx.tx_hash)
     engine.handle_commit(1, msg)
-    only_reject(ctx, "quorum_mismatch")
+    only_reject(ctx, "bad_cert")
     assert not ctx.ledger.has_window(0)
 
 

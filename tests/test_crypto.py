@@ -4,17 +4,18 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vguard import crypto, ledger
 from vguard.booths import build_profile
 from vguard.codec import digest
 from vguard.crypto import (
+    AggregateSignature,
     Ed25519PrivateKey,
     KeyService,
     aggregate,
     make_identity,
     make_partial,
-    signer_set_digest,
     verify_aggregate,
     verify_partial,
     verify_raw,
@@ -33,7 +34,7 @@ from conftest import (certify, impostor_identity, make_booth, make_pool,
                       rekeyed_registry)
 
 # Aggregates are certified multisigs, not a constant-size threshold scheme:
-# the accepted size envelope is threshold * 64-byte signatures plus the
+# the accepted size envelope is t 64-byte signatures for t signers plus the
 # signer bitmap (one bit per booth member, byte-padded).
 AGGREGATE_SIZE_BOUND = lambda t, n: t * 64 + (n + 7) // 8
 
@@ -83,18 +84,8 @@ def test_partial_rejected_under_wrong_key():
     assert not verify_partial(partial, other.verify_key)
 
 
-def test_threshold_bounds_rejected(pool4):
-    members = [pool4.identity(i) for i in (1, 2, 3, 4)]
-    with pytest.raises(ValueError):
-        build_profile(members, 1, 2, threshold=5)       # above booth size
-    with pytest.raises(ValueError):
-        build_profile(members, 1, 2, threshold=1)       # below 2f
-    build_profile(members, 1, 2, threshold=2)           # t = 2f is the floor
-
-
 def _verifies(agg, payload, booth, registry) -> bool:
-    return verify_aggregate(agg, payload, booth.member_ids, booth.threshold,
-                            registry)
+    return verify_aggregate(agg, payload, booth.member_ids, registry)
 
 
 def test_aggregate_two_of_four_verifies(pool4, booth4):
@@ -103,28 +94,32 @@ def test_aggregate_two_of_four_verifies(pool4, booth4):
     _, agg = certify(pool4, booth, payload, (2, 3))
     assert _verifies(agg, payload, booth, pool4.registry)
     assert agg.signers(booth.member_ids) == [2, 3]
-    assert agg.signer_set_digest == signer_set_digest([2, 3])
 
 
 def test_every_subthreshold_subset_fails(pool4, booth4):
-    # Oracle: enumerate every subset smaller than t; each must refuse to
-    # aggregate, and a certificate truncated to it must refuse to verify.
+    # Oracle: enumerate every subset smaller than 2f; none aggregates into
+    # a certificate the booth counts, whatever its signatures.
     booth = booth4
     payload = digest("t", b"batch")
     all_partials = {m: make_partial(pool4.keys[m], payload)
                     for m in booth.member_ids}
 
     def combine(parts):
-        return aggregate(parts, booth.member_ids, booth.threshold,
-                         pool4.registry)
+        return aggregate(parts, booth.member_ids, pool4.registry)
 
-    for size in range(booth.threshold):
-        for subset in itertools.combinations(booth.member_ids, size):
-            with pytest.raises(InsufficientPartials):
-                combine([all_partials[m] for m in subset])
-    # duplicates of one signer never count twice
     with pytest.raises(InsufficientPartials):
-        combine([all_partials[2], all_partials[2]])
+        combine([])
+    for size in range(1, 2 * booth.fault_budget):
+        for subset in itertools.combinations(booth.member_ids, size):
+            cert = combine([all_partials[m] for m in subset])
+            assert cert.signers(booth.member_ids) == list(subset)
+            assert booth.check_certified(cert, payload, pool4.registry) \
+                is RejectReason.QUORUM_MISMATCH
+    # duplicates of one signer never count twice
+    cert = combine([all_partials[2], all_partials[2]])
+    assert cert.signers(booth.member_ids) == [2]
+    assert booth.check_certified(cert, payload, pool4.registry) \
+        is RejectReason.QUORUM_MISMATCH
 
 
 def test_aggregate_rejects_foreign_and_mixed(pool4, booth4):
@@ -136,8 +131,7 @@ def test_aggregate_rejects_foreign_and_mixed(pool4, booth4):
     mixed = make_partial(pool4.keys[3], other_payload)
 
     def combine(parts):
-        return aggregate(parts, booth.member_ids, booth.threshold,
-                         pool4.registry)
+        return aggregate(parts, booth.member_ids, pool4.registry)
 
     with pytest.raises(MixedDigests):
         combine([good, mixed])
@@ -157,7 +151,7 @@ def test_partial_that_is_not_one_valid_signature_cannot_aggregate(pool4,
     for bad in (sig + sig, sig[:-1], impostor.sig_bytes, b""):
         with pytest.raises(InvalidPartial):
             aggregate([type(good)(2, payload, bad), good], booth.member_ids,
-                      booth.threshold, pool4.registry)
+                      pool4.registry)
 
 
 def test_cross_booth_verification_fails(pool4):
@@ -171,8 +165,8 @@ def test_cross_booth_verification_fails(pool4):
     digest_a = ledger.order_cert_digest(1, batch_hash, booth_a.booth_hash)
     digest_b = ledger.order_cert_digest(1, batch_hash, booth_b.booth_hash)
     _, agg = certify(pool4, booth_a, digest_a, (2, 3))
-    assert booth_a.check_certified((2, 3), agg, digest_a, pool4.registry) is None
-    assert booth_b.check_certified((2, 3), agg, digest_b, pool4.registry) \
+    assert booth_a.check_certified(agg, digest_a, pool4.registry) is None
+    assert booth_b.check_certified(agg, digest_b, pool4.registry) \
         is RejectReason.BAD_CERT
     assert not _verifies(agg, digest_b, booth_b, pool4.registry)
 
@@ -188,9 +182,9 @@ def test_aggregate_size_envelope_small_and_large():
         t = 2 * f
         payload = digest("t", rng.bytes(8))
         keyed = [make_partial(pool.keys[m], payload) for m in members[:t]]
-        agg = aggregate(keyed, members, t, pool.registry)
+        agg = aggregate(keyed, members, pool.registry)
         assert len(agg.sig_bytes) <= AGGREGATE_SIZE_BOUND(t, n)
-        assert verify_aggregate(agg, payload, members, t, pool.registry)
+        assert verify_aggregate(agg, payload, members, pool.registry)
 
 
 def test_setup_is_deterministic_per_seed():
@@ -213,13 +207,39 @@ def test_tampered_aggregate_rejected(pool4, booth4):
     # flip one signature bit
     raw = bytearray(agg.sig_bytes)
     raw[-1] ^= 1
-    bad = type(agg)(agg.threshold, bytes(raw), agg.signer_set_digest)
+    bad = type(agg)(bytes(raw))
     assert not _verifies(bad, payload, booth, pool4.registry)
-    # claim a different signer set than the bitmap carries
-    lied = type(agg)(agg.threshold, agg.sig_bytes, signer_set_digest([2, 4]))
+    # a bitmap naming other signers than the signatures carry
+    lied = type(agg)(bytes([0b1010]) + agg.sig_bytes[1:])     # 2 and 4
+    assert lied.signers(booth.member_ids) == [2, 4]
     assert not _verifies(lied, payload, booth, pool4.registry)
     # a signer the registry does not know never verifies
     assert not _verifies(agg, payload, booth, KeyService())
+
+
+_POOL10 = make_pool(range(1, 11), seed=13)
+_BOOTHS = (make_booth(_POOL10, [1, 2, 3, 4], proposer_id=1, pivot_id=2),
+           make_booth(_POOL10, range(1, 11), proposer_id=1, pivot_id=2))
+
+# any bytes, and bytes shaped like a bitmap plus whole signatures
+_SIG_BYTES = st.one_of(
+    st.binary(max_size=300),
+    st.builds(lambda bitmap, sigs: bitmap + b"".join(sigs),
+              st.binary(max_size=3),
+              st.lists(st.binary(min_size=64, max_size=64), max_size=7)))
+
+
+@given(raw=_SIG_BYTES, booth_idx=st.integers(0, 1))
+@settings(max_examples=300, deadline=None)
+def test_check_certified_decides_any_bytes_without_raising(raw, booth_idx):
+    """Whatever a certificate's bytes, the check returns a reason or None:
+    a decode never raises inside a validator's handler."""
+    booth = _BOOTHS[booth_idx]
+    payload = digest("t", b"any bytes")
+    reason = booth.check_certified(AggregateSignature(raw), payload,
+                                   _POOL10.registry)
+    assert reason is None or isinstance(reason, RejectReason)
+    assert reason is not None    # none of these bytes was ever signed
 
 
 def test_verify_memo_keys_on_the_full_triple():
@@ -252,26 +272,6 @@ def test_verify_memo_stays_bounded(monkeypatch):
         assert len(crypto._memo) <= 4
     crypto.clear_caches()
     assert not crypto._memo
-
-
-def test_signer_set_digest_is_memoised_per_set_until_caches_clear(
-        monkeypatch):
-    calls = []
-
-    def counted(label, *fields):
-        calls.append(fields)
-        return digest(label, *fields)
-
-    monkeypatch.setattr(crypto, "digest", counted)
-    crypto.clear_caches()
-    want = digest("signer-set", [1, 2, 4])
-    for signers in ([4, 1, 2], (1, 2, 4), {2: b"", 4: b"", 1: b""}):
-        assert signer_set_digest(signers) == want
-    assert signer_set_digest([1, 2]) == digest("signer-set", [1, 2])
-    assert calls == [([1, 2, 4],), ([1, 2],)]
-    crypto.clear_caches()
-    assert signer_set_digest([2, 1, 4]) == want
-    assert len(calls) == 3
 
 
 def test_signing_records_its_triple_and_needs_no_real_check(real_checks):
@@ -479,28 +479,29 @@ def test_certificate_variants_get_their_own_verdicts(pool4, booth4,
     booth, registry = booth4, pool4.registry
     payload = digest("t", b"cert")
     _, cert = certify(pool4, booth, payload, (2, 3))
-    assert booth.check_certified((2, 3), cert, payload, registry) is None
-    assert booth.check_certified((3, 2), cert, payload, registry) is None  # hit
+    assert booth.check_certified(cert, payload, registry) is None
+    assert booth.check_certified(cert, payload, registry) is None  # hit
     assert len(_held("cert")) == 1
     assert real_checks == []
     raw = bytearray(cert.sig_bytes)
     raw[-1] ^= 1
-    flipped = type(cert)(cert.threshold, bytes(raw), cert.signer_set_digest)
+    flipped = type(cert)(bytes(raw))
+    moved = type(cert)(bytes([0b1010]) + cert.sig_bytes[1:])  # names 2 and 4
     other_digest = digest("t", b"other")
     rekeyed = rekeyed_registry(registry, 3)
     variants = [
-        (lambda: booth.check_certified((2, 3), flipped, payload, registry),
+        (lambda: booth.check_certified(flipped, payload, registry),
          "BAD_CERT"),
-        (lambda: booth.check_certified((2, 4), cert, payload, registry),
-         "QUORUM_MISMATCH"),
-        (lambda: booth.check_certified((2, 3), cert, payload, rekeyed),
+        (lambda: booth.check_certified(moved, payload, registry),
          "BAD_CERT"),
-        (lambda: booth.check_certified((2, 3), cert, other_digest, registry),
+        (lambda: booth.check_certified(cert, payload, rekeyed),
+         "BAD_CERT"),
+        (lambda: booth.check_certified(cert, other_digest, registry),
          "BAD_CERT"),
     ]
     for check, reason in variants:
         crypto.clear_caches()
-        assert booth.check_certified((2, 3), cert, payload, registry) is None
+        assert booth.check_certified(cert, payload, registry) is None
         memoised, fresh = _own_verdict("cert", check)
         assert memoised is fresh is RejectReason[reason]
     assert real_checks          # the flipped bit needed a real check
@@ -515,30 +516,29 @@ def test_certificate_signed_by_another_key_is_bad_cert(pool4, booth4):
     ident, key = impostor_identity(3)
     swapped = build_profile(
         [ident if m.node_id == 3 else m for m in booth.members],
-        booth.proposer_id, booth.pivot_id, booth.threshold)
+        booth.proposer_id, booth.pivot_id)
     for profile in (booth, swapped):
         payload = ledger.order_cert_digest(1, digest("t", b"b"),
                                            profile.booth_hash)
         forged = aggregate([make_partial(pool4.keys[2], payload),
                             make_partial(key, payload)],
-                           profile.member_ids, profile.threshold,
-                           rekeyed_registry(registry, 3))
-        assert profile.check_certified((2, 3), forged, payload, registry) \
+                           profile.member_ids, rekeyed_registry(registry, 3))
+        assert profile.check_certified(forged, payload, registry) \
             is RejectReason.BAD_CERT
         _, honest = certify(pool4, profile, payload, (2, 3))
-        assert profile.check_certified((2, 3), honest, payload,
-                                       registry) is None
+        assert profile.check_certified(honest, payload, registry) is None
 
 
 def test_memo_hit_charges_the_meter_as_a_miss_does(pool4, booth4):
     booth = booth4
     payload = digest("t", b"meter")
-    _, cert = certify(pool4, booth, payload, (2, 3))
+    certs = {signers: certify(pool4, booth, payload, signers)[1]
+             for signers in [(2, 3), (2, 4), (3, 4), (2,)]}
     crypto.clear_caches()
     charges = []
-    for quorum in [(2, 3), (2, 3), (2, 4), (2, 4), (3, 4), (2,)]:
+    for signers in [(2, 3), (2, 3), (2, 4), (2, 4), (3, 4), (2,)]:
         meter = CountingMeter()
-        booth.check_certified(quorum, cert, payload, pool4.registry, meter)
+        booth.check_certified(certs[signers], payload, pool4.registry, meter)
         charges.append(meter.verifies)
     # miss, hit, miss, hit; the last two fail their shape and charge nothing
     assert charges == [[2], [2], [2], [2], [], []]

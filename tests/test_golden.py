@@ -48,9 +48,9 @@ SPECS = {
         booth_size=7, duration_ms=300.0, grace_ms=500.0, rate_per_s=60.0,
         seed=26, byzantine=((2, ("tamper_payload",)),),
         sim=SimConfig(seed=0, drop_rate=0.03, dup_rate=0.02, gst_ms=150.0)),
-    # the proposer (node 2) swaps the last quorum member of every order and
-    # commit for a node outside the booth: the only spec whose report pins
-    # the quorum-shape rejections
+    # the proposer (node 2) moves the bit of the last non-pivot signer of
+    # every order and commit certificate to its own: the only spec whose
+    # report pins the quorum-shape rejections
     "forging_quorum_n4": RunSpec(
         booth_size=4, duration_ms=300.0, grace_ms=500.0, rate_per_s=60.0,
         seed=27, byzantine=((2, ("forge_quorum",)),),
@@ -60,83 +60,83 @@ SPECS = {
 GOLDEN = {
     "clean_n4": {
         "ledger-1-1.jsonl":
-            "90066c1cd9f39c6c515ef9ba29d852f4d7919c9dc40fec9abc1dafb4a3981374",
+            "85a7073deb4aea9362078de481ffb8d32fe69be1418e9ebc3b4098473370b266",
         "ledger-1-2.jsonl":
-            "96d9d935c2a5d54ac1381ff938d284a3509561e39baa2d24342ec79f544a810d",
+            "95a75093a9890c92f5ce0ce9a53cd4fbac97dda3819e331da81f73bf6158e23c",
         "ledger-1-3.jsonl":
-            "d5ec6962810bb3e9ace01d5230eb908ba36e1ef2fb9c0d1e12cc9eff241d70fe",
+            "136e135880d6062cbc896764871daf3a57a77f544ec06fab4a47b4b9a9e24321",
         "ledger-1-4.jsonl":
-            "778f0a917b0f725dc8d04ed8d47d70dd5ba392a16cfd40d1aa1c33901532a875",
+            "113e78c51b5c49a3cfd302c100ceba64316af3e1735adf6bd96842512f8778d4",
         "report.json":
-            "aa23584c53d5dd525c988a7abbd896b10e734cd2e7255c95759f00a49cc63200",
+            "b674f8237d0ba7a4cd5697f50ba4ac10f0a8b9f8aa7e70fc3be4b5377260c2f7",
     },
     "forging_quorum_n4": {
         "ledger-1-1.jsonl":
-            "9b4c904e660cc5a4e08c5c0ef0710f38b185f63de515e84a9cde8b79c2574c7b",
+            "7697e92884a48a0db4bddcae5899db1989ae75a91703ec9bec6433cf17bbe473",
         "ledger-1-2.jsonl":
-            "c461f39fb38d79775156e48c27eb9867eec8d7340cc23d5a253b93438192d0cb",
+            "a66c5bc50301fcfab3d7f3b50c1e4725e60a6da2a6ddcddbc19b99995371cedf",
         "ledger-1-3.jsonl":
-            "43388aa107fe6e99bd34e25936f69d7200cab92f2c3af9df56c340b251d3f726",
+            "f447999d00db54f58296bad547b32b67097b510c1df7bff8145ff7127d9c3af0",
         "ledger-1-4.jsonl":
-            "91bd03992b863de578abe515aeab1452f3fef93313c065c28e4d7665357faa52",
+            "77018b1bab044c858b19de15fa91db9419093ca085c640b154b949606553d9f4",
         "report.json":
-            "0b7ce134bd09429bfee3fd3188b3306a7d52fb521f9992795aa9eb7f00cc71ca",
+            "f712dd864d12395dc41770e88bb47b5c8ec115c3934f0c3353e5d8b0648419ac",
     },
     "lossy_n7_byzantine": {
         "ledger-1-1.jsonl":
-            "08edcd5c1d740a60e7f9caab67fb1cee567a7dd8d0c1e88c9c559f6427cb7455",
+            "dfb2080ccf041d21db444381e531e5daf14c83b15e89fc94063e579c83c319ff",
         "ledger-1-2.jsonl":
-            "a32559a24027983bf7b5f69e0b07cdef09e83d7f2e43885af5cc80eba645d9d6",
+            "f73c933410a6a675bd319c239e88968e505e2ae3bcbd908999cb5fd72fa08699",
         "ledger-1-3.jsonl":
-            "f4af7a9d4a506707fa09c0e33806ede13baf13968099065dad8afb9fd45ecad5",
+            "6456425435bff3d09f7224d0d4e6637c2754edda5b3a9b9c73cbfda4b919f605",
         "ledger-1-4.jsonl":
-            "aebc236a3feb6d75ed00d17d4b2ed91ec5c896b6ec1edb6b49f5e6e060c119f3",
+            "661710e810f9d6d22c659eec34f6d6221aac621f62aa197ba776f0f056f7e14d",
         "ledger-1-5.jsonl":
-            "0c609abb79ee61587ec5bc4248aa526a196f60c5345471d3bd5915bdda7a79b7",
+            "a330208b94f7d65a4570a69a1a349b97b6f5585403f0b5321b5e0bea074e4ffc",
         "ledger-1-6.jsonl":
-            "7359d266072b38b958134553e28be0223782f212f92fa3c3f70715c617a958a9",
+            "102bf6185849c4fa38dd9bba454da91e40a0e1f12ccb53474a2426a19faff035",
         "ledger-1-7.jsonl":
-            "fe92d503dd6d55486afbef25f69fc39bd341b5c8c96a44a9b2798cdb7945e557",
+            "3e91758db7f4f1a55678f5fbe2a02508ab83081fa45625ea2d4b546139c6dacc",
         "report.json":
-            "f5896002801ef09dca63150738c99726b6aeb862d0898f86ff49c46b074c49b1",
+            "93e6ae8eaafd083ac0132ebc41c82afa2cf2f1231e6efdcd75cccc5b26e68a47",
     },
     "pool8_gossip2": {
         "ledger-1-1.jsonl":
-            "e222ee8611490dcf5fdea8d712c560c514e0572acb263682355f490de0e7ed98",
+            "10766168b8c3a8d6cf0706cacd32a972e0ebc087edcc40ea1c64c2f027014cdf",
         "ledger-1-2.jsonl":
-            "0b0514afe47ffcf2992b28c0b2d642d0679c05212cfc89eb1f88c335e80de09b",
+            "2679dc9202e43509ce51315f3e2e403a6ce73a33e752540639b365159d2cf5b1",
         "ledger-1-3.jsonl":
-            "0f450c2d96f47ea28cec127eed497da17bfa3a4e2c16c937c473fa9a5623ddb3",
+            "120bc558d54ecbf0ca35c3af6a6699dcf5fbb0031484239672142860e58ca9cf",
         "ledger-1-4.jsonl":
-            "2c5037bdb71411599b071607265eb717268815f62d9408bd217823ec412120c6",
+            "5ebc08f80b72c6eac088129712d9f884c35ff893f6187b00f1854d1b8332fab1",
         "ledger-1-6.jsonl":
-            "14d00f39de2b8cb3f3ffaf5084286bbfa85f35e01257911b4fd5a962b96b7cc1",
+            "edf3dadaf4bcf33b4b1de918d57a2678630503bbe730adc9f0af3b9c5e9c947e",
         "ledger-1-7.jsonl":
-            "d14e04e461ae71e70a41f5a48a15555c0257ed6523bbb8fbcb0db5c89740016a",
+            "e44bc24c03e3b87d2619cf7b1512cbbf209d4056a1a78b50b3ae445531235f5b",
         "report.json":
-            "cac37815df1f34cf5136fa19d9eff922aad6316b6ddbab5d0b321d52c3e5ada3",
+            "f369389ce58eec52557f8f2071d5cdf518e4d11648f9f358d505530b99a9aaa8",
     },
     "saturated_b64": {
         "ledger-1-1.jsonl":
-            "d3b45183bc5eeaf0dd01b7e4cd43afe78182276f7ccd260318fc4b89435899b7",
+            "85776ab20857da672c127742495f65a98c66040096eeb55ea48586a6492686cf",
         "ledger-1-2.jsonl":
-            "0717a44a3335810170f97a9ac0686199540570dee1ec07307e1b051f79937b4d",
+            "b324db50e9058598b49f036e9c29fa530d19591b156e1984da4e36ea7bf32a0a",
         "ledger-1-3.jsonl":
-            "5bb5ccb93229d8d79b82e2be46f4e9d229ee7eda9ad7b9a86c2978064eaeed0e",
+            "f802c32fdc4dd100e6bfbd967bef6c337574f321f9857a7f102a8fbe1f2b0c69",
         "ledger-1-4.jsonl":
-            "4cd6ebc2b78c7b73bd85f7432447a4756022f4c2638e92ce68fa0e9fcd55b600",
+            "b338a488684d8d8e822a28ffc59af92dcb830de56b2ea56c3be83ce159e342aa",
         "report.json":
-            "9d6923a706fc0906c07428dc24feb5b867c634a3457dcab5f44cd023173536aa",
+            "3c95db1fae49bb2859bcb75156b78c0092651367badf310f196fe0e9e1ad095e",
     },
     "equivocating_proposer_n4": {
         "ledger-1-1.jsonl":
-            "ba32376c0858e40621fa3086d2ea1693f44ffc37c807a73c6d4c49e416436bc0",
+            "789d27c90e782600752509ca04736233cee7297146fe7a52abb5bf0a2f9a9812",
         "ledger-1-2.jsonl":
-            "0a047fd868a3be8956d05222b4764ea6f55083efce27b8ea1346a7d6e4990b96",
+            "8c9e5b064f8082a280695491121617f2c1feb70187867eca80e925808de4014e",
         "ledger-1-3.jsonl":
-            "a8dbb18197b47343d22ad755b81bc01d15ee3611682ac17e5539279154e6807f",
+            "908e2c0f1d3d0c4f3b6df6630404544b39c7f0fec635f301de34e6c2e4cb623b",
         "ledger-1-4.jsonl":
-            "68b50a364f670441e33ad22113721b46eac868899eec8e00f73fb905ded0f3d7",
+            "a998758b820a9b1c81683f904863e0e937e0ea27031d5f86535a11cf684c713c",
         # re-pinned when replies endorsing another digest moved from
         # bad_sig to wrong_digest; the ledgers did not move
         "report.json":
@@ -144,19 +144,19 @@ GOLDEN = {
     },
     "tampering_proposer_n7": {
         "ledger-1-1.jsonl":
-            "71127788829a10d892f931fec8f401ebb9935a37d36f2176cc8bd373e823e584",
+            "0b2470359e3e1fc78e0f8a8109c3e6b10888efdf352520f34d7fe95391b8a92f",
         "ledger-1-2.jsonl":
-            "323c898012bf30b9b614bd477186c67287058e1053baa9cbfb9fe58df66e4533",
+            "f62fcd8ee037e5294d88ce212345acb27f7b54f1f919ad9f9c54fcbf7cf9befd",
         "ledger-1-3.jsonl":
-            "6179addf3194efcae0795849a5beab493fe19519531bb1b47511a4e2ddaf1532",
+            "bbad6974eef4208d2c8713c59a6639da9921abe45d7f349827efd119bf8576ed",
         "ledger-1-4.jsonl":
-            "371934e900be25762b6467caf1d91d791140246c7a81bb8febb0ceeb47a327cc",
+            "24793c47bf5c474120b1fd6a0b4354a9fabe367e6174fd503ace4e72fa49e5df",
         "ledger-1-5.jsonl":
-            "657050acc500a1e1e2d4a80859f2233095709602ef6b455c730b9a8940125399",
+            "71ab391da79d8cc4b37e242f220b3fd54b98db26a74c7b5781cca4e870fa8121",
         "ledger-1-6.jsonl":
-            "1283836b1f785b39e0151ef62696dd66dfb4fa7d2e80a4af9f01f4c2304b1862",
+            "21f234121dfb31a99b05e75851348f7148296f9f5f3c2486667a2c963ab7b4d5",
         "ledger-1-7.jsonl":
-            "e4ca64ba000afdf98f38df978e54ebd2d4edc70270af90324eecb34ffe459bf1",
+            "f5aacf2c6e4290cbda03ed041859334ffbba95672060abbc95e15103d26cdbb8",
         "report.json":
             "21eba7cd66c4f61c82b9a4560af715453800999a9b82ffc4d62f0d953206a1b9",
     },
@@ -286,9 +286,9 @@ TRACED = {
 
 GOLDEN_TRACE = {
     "saturated_b64":
-        "3c2042ce0b8945b6f55284ee19790a074495d47d30607e1be319a79d20e66851",
+        "e7ff8807e16e04a1c2a3b283957432efd416f1d7833b4d31f043b44f838ecab8",
     "pivot_down_while_queued":
-        "e04e52a56cad7b77b129cfe9ae231b3d78951a0eb1cd8c87cb3f659a10f8dcc1",
+        "6d923f5d0e044f9cac45dde316da3a1964d30830c44d29faf2a3e5cfb4e88c21",
 }
 
 
@@ -359,11 +359,10 @@ def test_memo_answers_what_a_real_verify_would(name, monkeypatch,
 
 @pytest.mark.parametrize("name", sorted(SPECS))
 def test_verdict_memo_answers_what_a_fresh_check_would(name, monkeypatch):
-    """Every certificate verdict, certificate digest and signer-set digest
-    the run memo holds at the end of the run equals the same check made
-    with the memo emptied, so with real Ed25519 verifications. A
-    certificate's key carries the keys the run's registry holds for the
-    booth's members."""
+    """Every certificate verdict and certificate digest the run memo holds
+    at the end of the run equals the same check made with the memo
+    emptied, so with real Ed25519 verifications. A certificate's key
+    carries the keys the run's registry holds for the booth's members."""
     snapshots, profiles = [], {}
     clear, check = crypto.clear_caches, BoothProfile.check_certified
 
@@ -379,7 +378,7 @@ def test_verdict_memo_answers_what_a_fresh_check_would(name, monkeypatch):
     monkeypatch.setattr(BoothProfile, "check_certified", recording)
     result = run(SPECS[name])
     memo = {key: verdict for key, verdict in snapshots[-1].items()  # at run end
-            if key[0] in ("cert", "order-cert", "commit-cert", "signer-set")}
+            if key[0] in ("cert", "order-cert", "commit-cert")}
     assert memo
     registry = KeyService()
     for ident in result.identities:
@@ -387,10 +386,9 @@ def test_verdict_memo_answers_what_a_fresh_check_would(name, monkeypatch):
     for key, verdict in memo.items():
         clear()
         if key[0] == "cert":
-            _, booth_hash, cert, payload, quorum, keys = key
+            _, booth_hash, cert, payload, keys = key
             assert keys == registry.keys_of(profiles[booth_hash].member_ids)
-            fresh = check(profiles[booth_hash], quorum, cert, payload,
-                          registry)
+            fresh = check(profiles[booth_hash], cert, payload, registry)
         else:
             fresh = digest(*key)
         assert fresh == verdict, key

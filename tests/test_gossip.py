@@ -69,7 +69,7 @@ def committed():
                               make_batch(pool, start_seq=ts))
         record, tx = commit_window(pool, booth, ts, 100_000, [entry])
         msg = CommitMsg(instance_id=1, sender=1, window_start_us=ts,
-                        quorum=record.quorum, booth_hash=record.booth_hash,
+                        booth_hash=record.booth_hash,
                         cert=record.cert, tx_hash=record.tx_hash)
         return msg, tx
     return pool, commit_at

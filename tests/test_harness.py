@@ -136,8 +136,7 @@ def test_back_to_back_runs_make_the_same_real_verifications(monkeypatch):
 
 
 # every kind of key the run memo holds
-MEMO_KINDS = {"sig", "pub", "cert", "order-cert", "commit-cert", "signer-set",
-              "msg"}
+MEMO_KINDS = {"sig", "pub", "cert", "order-cert", "commit-cert", "msg"}
 
 
 def _module_containers() -> dict[str, object]:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vguard.codec import Reader
+from vguard.crypto import AggregateSignature
 from vguard.errors import DuplicateOrderingId, RejectReason, WindowError
 from vguard.harness import RunSpec, run
 from vguard.ledger import (
@@ -93,11 +94,11 @@ def _entries_with_memberships(pool, spec):
 
 
 def _oracle_prune(entries):
-    """Independent run-length oracle over (booth_hash, quorum), requiring
+    """Independent run-length oracle over booth hashes, requiring
     consecutive ordering ids."""
     runs = []
     for entry in entries:
-        key = (entry.booth_hash, entry.quorum)
+        key = entry.booth_hash
         if runs and runs[-1][0] == key and runs[-1][2] + 1 == entry.ordering_id:
             runs[-1][2] = entry.ordering_id
         else:
@@ -113,7 +114,7 @@ def test_prune_collapses_runs_and_expand_inverts(pool4):
     spec = [
         (1, booth_a, q_a),
         (2, booth_a, q_a),
-        (3, booth_a, q_alt),      # quorum changes, booth does not
+        (3, booth_a, q_alt),      # signers change, booth does not
         (4, booth_b, default_quorum(booth_b)),
         (5, booth_b, default_quorum(booth_b)),
     ]
@@ -121,15 +122,11 @@ def test_prune_collapses_runs_and_expand_inverts(pool4):
     table = {booth_a.booth_hash: booth_a, booth_b.booth_hash: booth_b}
     links = prune_memberships(entries, table.__getitem__)
     oracle = _oracle_prune(entries)
-    assert [(l.booth.booth_hash, l.quorum, l.first_id, l.last_id) for l in links] == [
-        (key[0], key[1], first, last) for key, first, last in oracle
-    ]
-    assert len(links) == 3
+    assert [(l.booth.booth_hash, l.first_id, l.last_id) for l in links] == oracle
+    assert len(links) == 2
     expanded = expand_memberships(links)
     for entry in entries:
-        booth, quorum = expanded[entry.ordering_id]
-        assert booth.booth_hash == entry.booth_hash
-        assert quorum == entry.quorum
+        assert expanded[entry.ordering_id].booth_hash == entry.booth_hash
 
 
 def test_prune_does_not_merge_across_id_gaps(pool4, booth4):
@@ -141,23 +138,21 @@ def test_prune_does_not_merge_across_id_gaps(pool4, booth4):
     assert [(l.first_id, l.last_id) for l in links] == [(1, 1), (3, 3)]
 
 
-@given(st.lists(st.tuples(st.integers(0, 2), st.booleans()), min_size=0, max_size=40))
+@given(st.lists(st.integers(0, 2), min_size=0, max_size=40))
 @settings(max_examples=200, deadline=None)
 def test_prune_expand_roundtrip_property(runs):
-    # Abstract the crypto away: pruning only looks at (booth, quorum, id)
-    # so synthetic hashes exercise the run-length logic itself.
+    # Abstract the crypto away: pruning only looks at (booth, id) so
+    # synthetic hashes exercise the run-length logic itself.
     class Stub:
-        def __init__(self, ordering_id, booth_hash, quorum):
+        def __init__(self, ordering_id, booth_hash):
             self.ordering_id = ordering_id
             self.booth_hash = booth_hash
-            self.quorum = quorum
 
     booths = {i: bytes([i]) * 32 for i in range(3)}
     entries = []
     next_id = 1
-    for booth_idx, alt_quorum in runs:
-        entries.append(Stub(next_id, booths[booth_idx],
-                            (1, 2) if not alt_quorum else (1, 3)))
+    for booth_idx in runs:
+        entries.append(Stub(next_id, booths[booth_idx]))
         next_id += 1
 
     class FakeBooth:
@@ -170,16 +165,14 @@ def test_prune_expand_roundtrip_property(runs):
     for link in links:
         assert link.first_id <= link.last_id
         for i in range(link.first_id, link.last_id + 1):
-            covered.append((i, link.booth.booth_hash
-                            if hasattr(link.booth, "booth_hash") else None, link.quorum))
+            covered.append((i, link.booth.booth_hash))
     assert [c[0] for c in covered] == [e.ordering_id for e in entries]
-    for (i, booth_hash, quorum), entry in zip(covered, entries):
+    for (i, booth_hash), entry in zip(covered, entries):
         assert booth_hash == entry.booth_hash
-        assert quorum == entry.quorum
-    # minimality: adjacent links never share both booth and quorum contiguously
+    # minimality: adjacent links never share a booth contiguously
     for a, b in zip(links, links[1:]):
-        same_key = (a.booth.booth_hash == b.booth.booth_hash and a.quorum == b.quorum)
-        assert not (same_key and a.last_id + 1 == b.first_id)
+        assert not (a.booth.booth_hash == b.booth.booth_hash
+                    and a.last_id + 1 == b.first_id)
 
 
 def test_tx_hash_covers_data_not_membership(pool4):
@@ -285,8 +278,7 @@ def test_verify_chain_rejects_a_quorum_that_names_the_proposer(pool4,
     entry = certify_entry(pool4, booth, 1, make_batch(pool4), quorum=quorum)
     record, tx = commit_window(pool4, booth, 0, DELTA_US, [entry])
     payload = record.cert_digest()
-    record = replace(record, quorum=quorum,
-                     cert=certify(pool4, booth, payload, quorum)[1])
+    record = replace(record, cert=certify(pool4, booth, payload, quorum)[1])
     ledger.append_commit(record, tx)
     check = verify_chain(ledger, pool4.registry)
     assert check.violations == [
@@ -305,8 +297,8 @@ def test_verify_chain_rejects_a_pivot_the_registry_does_not_hold(pool4,
     entry = certify_entry(pool4, booth, 1, make_batch(pool4), quorum=(3, 4))
     record, tx = commit_window(pool4, booth, 0, DELTA_US, [entry])
     ledger.append_commit(record, tx)
-    assert booth.check_certified(record.quorum, record.cert,
-                                 record.cert_digest(), pool4.registry) \
+    assert booth.check_certified(record.cert, record.cert_digest(),
+                                 pool4.registry) \
         is RejectReason.NOT_PIVOT
     check = verify_chain(ledger, pool4.registry)
     assert check.violations == [
@@ -315,9 +307,10 @@ def test_verify_chain_rejects_a_pivot_the_registry_does_not_hold(pool4,
 
 
 def test_audit_rejects_quorums_that_repeat_a_member(monkeypatch):
-    """A quorum naming one member twice has 2f ids but fewer than 2f
-    members. Every validator drops it; the audit must too, for the commit
-    quorum and for an ordering quorum carried in a membership link."""
+    """A certificate carrying one member's signature twice holds 2f
+    signatures but fewer than 2f signers. Every validator drops it; the
+    audit must too, for the commit certificate and for an entry's ordering
+    certificate."""
     # the clean_n4 golden run; node 1 is the pivot of instance 1
     result = run(RunSpec(booth_size=4, duration_ms=300.0, grace_ms=300.0,
                          rate_per_s=100.0, seed=21))
@@ -326,22 +319,26 @@ def test_audit_rejects_quorums_that_repeat_a_member(monkeypatch):
     assert verify_chain(ledger, registry).ok
     ts = ledger.committed_windows()[0]
     win = ledger.window(ts)
-    assert win.record.quorum == (1, 3)
-    monkeypatch.setattr(win, "record", replace(win.record, quorum=(1, 3, 3)))
+
+    def repeated(cert):
+        """The bitmap's lowest signer alone, its signature twice."""
+        raw = cert.sig_bytes            # a 1-byte bitmap for 4 members
+        return AggregateSignature(bytes([raw[0] & -raw[0]]) + raw[1:65] * 2)
+
+    monkeypatch.setattr(win, "record", replace(
+        win.record, cert=repeated(win.record.cert)))
     check = verify_chain(ledger, registry)
     assert check.violations == [
-        f"window {ts}: commit certificate rejected: quorum_mismatch"]
+        f"window {ts}: commit certificate rejected: bad_cert"]
     monkeypatch.undo()
 
-    first, *rest = win.tx.membership_links
-    assert first.quorum == (1, 4) and first.first_id == first.last_id
-    forged = replace(first, quorum=(1, 4, 4))
-    monkeypatch.setattr(win, "tx", replace(win.tx,
-                                           membership_links=(forged, *rest)))
+    first, *rest = win.tx.entries
+    forged = replace(first, cert=repeated(first.cert))
+    monkeypatch.setattr(win, "tx", replace(win.tx, entries=(forged, *rest)))
     check = verify_chain(ledger, registry)
     assert check.violations == [
-        f"entry {first.first_id}: ordering certificate rejected: "
-        f"quorum_mismatch"]
+        f"entry {first.ordering_id}: ordering certificate rejected: "
+        f"bad_cert"]
 
 
 def test_strict_mode_needs_tiling_and_continuity(pool4, booth4):

@@ -14,7 +14,7 @@ from conftest import (certify_entry, commit_window, default_quorum,
 from vguard import codec, crypto, harness, messages, node
 from vguard.codec import pack
 from vguard.netsim import SimConfig
-from vguard.crypto import Role, make_partial
+from vguard.crypto import AggregateSignature, Role, make_partial
 from vguard.ledger import Transaction, commit_cert_digest, order_cert_digest
 from vguard.messages import (WIRE_VERSION, CommitMsg, CommitReply, GossipAck,
                              GossipMsg, OrderMsg, OrderReply, Ping, Pong,
@@ -38,8 +38,7 @@ def _commit_msg(pool, booth, entries, window_start=0,
     record, tx = commit_window(pool, booth, window_start, window_len,
                                entries)
     return CommitMsg(instance_id=1, sender=booth.proposer_id,
-                     window_start_us=record.consensus_id, quorum=record.quorum,
-                     booth_hash=record.booth_hash, cert=record.cert,
+                     window_start_us=record.consensus_id, booth_hash=record.booth_hash, cert=record.cert,
                      tx_hash=record.tx_hash), tx
 
 
@@ -76,7 +75,7 @@ def test_order_msg_roundtrip(world):
     pool, booth = world
     entry = certify_entry(pool, booth, 7, make_batch(pool))
     roundtrip(OrderMsg(instance_id=1, sender=1, ordering_id=7,
-                       quorum=entry.quorum, cert=entry.cert))
+                       cert=entry.cert))
 
 
 def test_pre_commit_seen_roundtrip(world):
@@ -196,7 +195,7 @@ def test_decode_rejects_truncation_and_trailing(world):
     pool, booth = world
     entry = certify_entry(pool, booth, 3, make_batch(pool))
     raw = OrderMsg(instance_id=1, sender=1, ordering_id=3,
-                   quorum=entry.quorum, cert=entry.cert).encode()
+                   cert=entry.cert).encode()
     with pytest.raises(ValueError):
         decode_message(raw[:-1])
     with pytest.raises(ValueError):
@@ -217,21 +216,11 @@ def test_decode_rejects_corrupt_interior(world):
             decode_message(bytes(raw[:cut]))
 
 
-def test_quorum_order_changes_encoding(world):
-    pool, booth = world
-    entry = certify_entry(pool, booth, 1, make_batch(pool))
-    base = OrderMsg(instance_id=1, sender=1, ordering_id=1,
-                    quorum=entry.quorum, cert=entry.cert)
-    flipped = OrderMsg(instance_id=1, sender=1, ordering_id=1,
-                       quorum=tuple(reversed(entry.quorum)), cert=entry.cert)
-    assert base.encode() != flipped.encode()
-
-
 def test_malformed_bytes_raise_on_every_call(world):
     pool, booth = world
     entry = certify_entry(pool, booth, 4, make_batch(pool))
     raw = OrderMsg(instance_id=1, sender=1, ordering_id=4,
-                   quorum=entry.quorum, cert=entry.cert).encode()
+                   cert=entry.cert).encode()
     for bad in (raw[:-1], raw + b"\x00", bytes((WIRE_VERSION, 200)) + raw[2:]):
         for _ in range(3):
             with pytest.raises(ValueError):
@@ -243,7 +232,7 @@ def test_decode_interns_by_bytes_and_stays_bounded(world, monkeypatch):
     pool, booth = world
     entry = certify_entry(pool, booth, 6, make_batch(pool))
     msg = OrderMsg(instance_id=1, sender=1, ordering_id=6,
-                   quorum=entry.quorum, cert=entry.cert)
+                   cert=entry.cert)
     raw = msg.encode()
     # a second copy of the bytes, as every booth member receives one
     assert decode_message(bytes(bytearray(raw))) is decode_message(raw)
@@ -259,11 +248,12 @@ def test_encode_once_per_message_object(world):
     pool, booth = world
     entry = certify_entry(pool, booth, 7, make_batch(pool))
     msg = OrderMsg(instance_id=1, sender=1, ordering_id=7,
-                   quorum=entry.quorum, cert=entry.cert)
+                   cert=entry.cert)
     wire = msg.encode()
     assert msg.encode() is wire
     # a rewritten copy, as a byzantine sender makes, is encoded afresh
-    forged = replace(msg, quorum=msg.quorum[:-1] + (99,))
+    forged = replace(msg, cert=AggregateSignature(
+        bytes([msg.cert.sig_bytes[0] ^ 0b1000]) + msg.cert.sig_bytes[1:]))
     assert forged.encode() != wire
     assert messages._parse(forged.encode()) == forged
     parsed = messages._parse(wire)
@@ -394,12 +384,11 @@ def test_decode_rejects_a_fixed_list_of_the_wrong_arity(world):
         tx_hash=tx.tx_hash, tx=tx, booth=booth, booth_hash=booth.booth_hash,
         proposer_partial=_proposer_partial(pool, booth, payload))
     c = entries[1].cert
-    entry_cert = [c.threshold, c.sig_bytes, c.signer_set_digest]
+    entry_cert = [c.sig_bytes]
     m = booth.members[0]
     member = [m.node_id, m.role.value, m.verify_key, m.net_addr]
     cert = commit.cert
-    body = [commit.window_start_us, list(commit.quorum), commit.booth_hash,
-            [cert.threshold, cert.sig_bytes, cert.signer_set_digest],
+    body = [commit.window_start_us, commit.booth_hash, [cert.sig_bytes],
             commit.tx_hash]
     gossip = _gossip(pool, commit, tx, [(1, 2)]).encode()
     pre_order_msg = _pre_order(pool, booth)
@@ -410,7 +399,7 @@ def test_decode_rejects_a_fixed_list_of_the_wrong_arity(world):
         _with_arity(unseen.encode(), entry_cert, entry_cert + [0]),
         _with_arity(pre_order, partial, partial[:2]),
         _with_arity(pre_order, member, member[:3]),
-        _with_arity(gossip, body, body[:4]),
+        _with_arity(gossip, body, body[:3]),
     ]
     for raw in bad:
         with pytest.raises(ValueError):
@@ -477,7 +466,7 @@ def _valid_wires() -> tuple[bytes, ...]:
         _pre_order(pool, booth),
         OrderReply(instance_id=1, sender=3, ordering_id=5, partial=partial),
         OrderMsg(instance_id=1, sender=1, ordering_id=0,
-                 quorum=entries[0].quorum, cert=entries[0].cert),
+                 cert=entries[0].cert),
         PreCommitSeen(instance_id=1, sender=1, window_start_us=0,
                       window_len_us=100_000, tx_hash=tx.tx_hash, first_id=0,
                       last_id=1, booth=booth, booth_hash=booth.booth_hash,

@@ -196,4 +196,3 @@ def test_larger_booths_use_wider_windows():
         assert {1, 2} <= members
     head = mmu.current_booth()
     assert head.fault_budget == 2
-    assert head.threshold == 4

@@ -13,7 +13,7 @@ import pytest
 
 from conftest import certify_entry, make_batch, make_booth, make_pool
 from vguard.booths import build_profile
-from vguard.crypto import Role, make_partial, verify_partial
+from vguard.crypto import AggregateSignature, Role, make_partial, verify_partial
 from vguard.ledger import Ledger, TotalOrderLog, order_cert_digest
 from vguard.messages import OrderMsg, OrderReply, PreOrder
 from vguard.netsim import CostMeter, Timer
@@ -196,7 +196,7 @@ def test_reply_is_one_identity_signature_whatever_keys_the_profile_carries(
     impostor = make_pool([3], seed=99, pivot_id=3).identity(3)
     swapped = build_profile(
         members=[impostor if m.node_id == 3 else m for m in booth.members],
-        proposer_id=1, pivot_id=2, threshold=2)
+        proposer_id=1, pivot_id=2)
     msg = pre_order(pool, swapped, 0)
     ctx, sent = make_ctx(pool, node_id=3)
     ValidatorOrdering(ctx).handle_pre_order(1, msg)
@@ -215,7 +215,7 @@ def pivot_posing_booth(pool, booth):
     posing = [replace(m, role=Role.PIVOT) if m.node_id == 4 else m
               for m in booth.members]
     return build_profile(members=posing, proposer_id=booth.proposer_id,
-                         pivot_id=4, threshold=booth.threshold)
+                         pivot_id=4)
 
 
 def test_pre_order_naming_a_pivot_the_registry_does_not_hold_is_refused(
@@ -243,7 +243,7 @@ def prime(pool, booth, engine, ordering_id, batch):
 
 def order_msg(entry, **over) -> OrderMsg:
     fields = dict(instance_id=1, sender=1, ordering_id=entry.ordering_id,
-                  quorum=entry.quorum, cert=entry.cert)
+                  cert=entry.cert)
     fields.update(over)
     return OrderMsg(**fields)
 
@@ -260,7 +260,7 @@ def test_valid_order_appends_certified_entry(world):
     stored = ctx.log.get(4)
     assert stored is not None
     assert stored.batch.batch_hash == batch.batch_hash
-    assert stored.quorum == entry.quorum
+    assert stored.cert == entry.cert
     assert 4 not in engine.pending
     assert booth.booth_hash in ctx.ledger.booth_table
 
@@ -296,12 +296,14 @@ def test_order_reject_matrix(world):
 
     # quorum too large for 2f
     ctx, engine = fresh_engine()
-    engine.handle_order(1, order_msg(entry, quorum=(2, 3, 4)))
+    too_many = certify_entry(pool, booth, 4, batch, quorum=(2, 3, 4))
+    engine.handle_order(1, order_msg(too_many))
     only_reject(ctx, "quorum_mismatch")
 
-    # quorum member from outside the booth
+    # the proposer's own bit among the signers
     ctx, engine = fresh_engine()
-    engine.handle_order(1, order_msg(entry, quorum=(2, 99)))
+    with_proposer = certify_entry(pool, booth, 4, batch, quorum=(1, 2))
+    engine.handle_order(1, order_msg(with_proposer))
     only_reject(ctx, "foreign_quorum_member")
 
     # right size, inside the booth, but no pivot
@@ -316,12 +318,12 @@ def test_order_reject_matrix(world):
     engine.handle_order(1, order_msg(entry, cert=foreign_cert))
     only_reject(ctx, "bad_cert")
 
-    # valid certificate whose signer set is not the claimed quorum
+    # signatures of 2 and 3 under a bitmap that names 2 and 4
     ctx, engine = fresh_engine()
-    signed_by_23 = certify_entry(pool, booth, 4, batch,
-                                 quorum=(2, 3))
-    engine.handle_order(1, order_msg(signed_by_23, quorum=(2, 4)))
-    only_reject(ctx, "quorum_mismatch")
+    signed_by_23 = certify_entry(pool, booth, 4, batch, quorum=(2, 3)).cert
+    claimed = AggregateSignature(bytes([0b1010]) + signed_by_23.sig_bytes[1:])
+    engine.handle_order(1, order_msg(entry, cert=claimed))
+    only_reject(ctx, "bad_cert")
 
     assert ctx.log.get(4) is None    # nothing above reached the log
 

@@ -8,12 +8,17 @@ it runs `perfbench/run.py` as it stands (seed 1, `--trace 0`, then one
 it records what the traced benchmark cannot show:
 
 - `primitives_us`: median microseconds of one real `SigningKey.sign`, one
-  real `crypto.verify_raw`, one `BoothProfile.check_certified` for a 4-
-  and a 7-member booth, and one `verify_chain` window of
-  `WINDOW_ENTRIES` entries (a 4-member booth), with the run memo emptied
-  between calls, so no call is answered from the memo. A certificate is
-  an entry's whole evidence, so the last three carry the whole cost of
-  checking one;
+  real `crypto.verify_raw`, one `aggregate` and one
+  `BoothProfile.check_certified` for a 4- and a 7-member booth, one
+  `verify_chain` window of `WINDOW_ENTRIES` entries (a 4-member booth),
+  and one encode and one `messages._parse` of an `OrderMsg`, a
+  `CommitMsg` and a `PreCommitUnseen` carrying that window, with the run
+  memo emptied between calls, so no call is answered from the memo. Each
+  encode is of a fresh message whose transaction is packed afresh, as a
+  message's first encode in a run is. A certificate is an entry's whole
+  evidence, so `check_certified` and `verify_chain` carry the whole cost
+  of checking one;
+- `message_bytes`: the wire size of each of those three messages;
 - `signatures_per_unit`: the `SigningKey.sign` calls made by one pass
   over a workload's specs (one benchmark unit), counted in this process,
   with the batches that pass committed and the signatures per committed
@@ -39,7 +44,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from vguard import crypto, harness  # noqa: E402
+from vguard import crypto, harness, messages  # noqa: E402
 from vguard.booths import build_profile  # noqa: E402
 from vguard.codec import digest  # noqa: E402
 from vguard.crypto import (KeyService, Role, aggregate, make_identity,  # noqa: E402
@@ -47,6 +52,7 @@ from vguard.crypto import (KeyService, Role, aggregate, make_identity,  # noqa: 
 from vguard.ledger import (CommitRecord, DataBatch, Ledger, LogEntry,  # noqa: E402
                            commit_cert_digest, order_cert_digest,
                            verify_chain, window_transaction)
+from vguard.messages import CommitMsg, OrderMsg, PreCommitUnseen  # noqa: E402
 
 SEED = 1
 PRIMITIVE_CALLS = 200
@@ -70,8 +76,8 @@ def bench_run(workload: str, seconds: float, trace: int) -> dict:
 
 
 def primitive_us() -> dict:
-    """Median and quartiles, in us, of a real sign, a real verify, and
-    the certificate checks."""
+    """Median and quartiles, in us, of a real sign, a real verify, the
+    certificate work, and the encode and parse of three messages."""
     _, key = make_identity(1, Role.VEHICLE, bytes(range(32)))
     payloads = [digest("bench", i) for i in range(PRIMITIVE_CALLS)]
     sigs, signs = [], []
@@ -87,24 +93,39 @@ def primitive_us() -> dict:
     for size in (4, 7):
         booth, registry, keys = _booth(size)
         payload = digest("bench", size)
-        quorum, cert = _certify(booth, registry, keys, payload)
+        partials = _partials(booth, keys, payload)
+        out[f"aggregate_n{size}"] = _timed(
+            lambda: bool(aggregate(partials, booth.member_ids, registry)))
+        cert = _certify(booth, registry, keys, payload)
         out[f"check_certified_n{size}"] = _timed(
-            lambda: booth.check_certified(quorum, cert, payload,
-                                          registry) is None)
-    ledger, registry = _one_window_ledger()
+            lambda: booth.check_certified(cert, payload, registry) is None)
+    booth, registry, keys = _booth(4)
+    window = _one_window(booth, registry, keys)
+    ledger = Ledger(1, WINDOW_US)
+    ledger.append_commit(window[1], window[2]())
     out["verify_chain_window"] = _timed(
         lambda: verify_chain(ledger, registry).ok)
-    return out
+    sizes = {}
+    for name, build in _messages(booth, keys, *window).items():
+        raw = build().encode()
+        sizes[name] = len(raw)
+        out[f"encode_{name}"] = _timed(lambda msg: bool(msg.encode()),
+                                       lambda: (build(),))
+        out[f"parse_{name}"] = _timed(
+            lambda: messages._parse(raw) is not None)
+    return out, sizes
 
 
-def _timed(check) -> dict:
-    """`_spread` of PRIMITIVE_CALLS calls of `check`, each after the run
-    memo is emptied; every call must return True."""
+def _timed(check, setup=tuple) -> dict:
+    """`_spread` of PRIMITIVE_CALLS calls of `check(*setup())`, each after
+    the run memo is emptied, timing the check alone; every call must
+    return True."""
     samples = []
     for _ in range(PRIMITIVE_CALLS):
         crypto.clear_caches()
+        args = setup()
         start = time.perf_counter()
-        ok = check()
+        ok = check(*args)
         samples.append(time.perf_counter() - start)
         assert ok
     crypto.clear_caches()
@@ -120,37 +141,61 @@ def _booth(size: int):
         ident, keys[node] = make_identity(node, role, bytes([node]) * 32)
         registry.register(ident)
         members.append(ident)
-    booth = build_profile(members, proposer_id=1, pivot_id=2,
-                          threshold=2 * ((size - 1) // 3))
+    booth = build_profile(members, proposer_id=1, pivot_id=2)
     return booth, registry, keys
 
 
+def _partials(booth, keys, payload: bytes) -> list:
+    """The partials over `payload` of the pivot and the next members, 2f
+    in all."""
+    return [make_partial(keys[m], payload)
+            for m in booth.member_ids[1:1 + 2 * booth.fault_budget]]
+
+
 def _certify(booth, registry, keys, payload: bytes):
-    """The quorum of the pivot and the next members up to 2f, and their
-    certificate over `payload`."""
-    quorum = booth.member_ids[1:1 + booth.threshold]
-    partials = [make_partial(keys[m], payload) for m in quorum]
-    return quorum, aggregate(partials, booth.member_ids, booth.threshold,
-                             registry)
+    """The certificate of `_partials` over `payload`."""
+    return aggregate(_partials(booth, keys, payload), booth.member_ids,
+                     registry)
 
 
-def _one_window_ledger():
-    """A ledger holding one committed window of WINDOW_ENTRIES certified
-    entries, all ordered and committed in one 4-member booth."""
-    booth, registry, keys = _booth(4)
+def _one_window(booth, registry, keys):
+    """One window of WINDOW_ENTRIES certified entries, all ordered and
+    committed in `booth`: the entries, the commit record, and a builder of
+    a fresh copy of the window's transaction."""
     entries = []
     for oid in range(1, WINDOW_ENTRIES + 1):
         batch = DataBatch.from_payloads(8 * oid, [bytes(64)] * 8)
-        quorum, cert = _certify(booth, registry, keys, order_cert_digest(
+        cert = _certify(booth, registry, keys, order_cert_digest(
             oid, batch.batch_hash, booth.booth_hash))
-        entries.append(LogEntry(oid, batch, quorum, booth.booth_hash, cert))
-    tx = window_transaction(0, WINDOW_US, entries, lambda _: booth)
-    quorum, cert = _certify(booth, registry, keys, commit_cert_digest(
-        0, tx.tx_hash, booth.booth_hash))
-    ledger = Ledger(1, WINDOW_US)
-    ledger.append_commit(CommitRecord(0, quorum, booth.booth_hash, cert,
-                                      tx.tx_hash), tx)
-    return ledger, registry
+        entries.append(LogEntry(oid, batch, booth.booth_hash, cert))
+
+    def tx():
+        return window_transaction(0, WINDOW_US, entries, lambda _: booth)
+
+    tx_hash = tx().tx_hash
+    cert = _certify(booth, registry, keys, commit_cert_digest(
+        0, tx_hash, booth.booth_hash))
+    return entries, CommitRecord(0, booth.booth_hash, cert, tx_hash), tx
+
+
+def _messages(booth, keys, entries, record, tx) -> dict:
+    """A builder of a fresh copy of each timed message."""
+    partial = make_partial(keys[booth.proposer_id], commit_cert_digest(
+        0, record.tx_hash, booth.booth_hash))
+    return {
+        "OrderMsg": lambda: OrderMsg(
+            instance_id=1, sender=1, ordering_id=entries[0].ordering_id,
+            cert=entries[0].cert),
+        "CommitMsg": lambda: CommitMsg(
+            instance_id=1, sender=1, window_start_us=0,
+            booth_hash=record.booth_hash, cert=record.cert,
+            tx_hash=record.tx_hash),
+        "PreCommitUnseen": lambda: PreCommitUnseen(
+            instance_id=1, sender=1, window_start_us=0,
+            window_len_us=WINDOW_US, tx_hash=record.tx_hash, tx=tx(),
+            booth=booth, booth_hash=booth.booth_hash,
+            proposer_partial=partial),
+    }
 
 
 def _spread(samples: list[float]) -> dict:
@@ -214,6 +259,7 @@ def main(argv=None) -> int:
             for name in names}
     for name in names:
         runs[name]["trace1"] = bench_run(name, args.seconds, 1)
+    primitives, sizes = primitive_us()
     out = {
         "git_head": git("rev-parse", "HEAD") or "unknown",
         "tree_differs_from_head": bool(git("status", "--porcelain",
@@ -226,7 +272,8 @@ def main(argv=None) -> int:
         "seed": SEED,
         "seconds": args.seconds,
         "runs": runs,
-        "primitives_us": primitive_us(),
+        "primitives_us": primitives,
+        "message_bytes": sizes,
         "signatures_per_unit": signatures_per_unit(load_workloads()),
     }
     args.out.write_text(json.dumps(out, indent=1, sort_keys=True) + "\n",
