@@ -318,14 +318,15 @@ class ValidatorConsensus:
         ctx = self.ctx
         memberships = expand_memberships(tx.membership_links)
         for entry in tx.entries:
-            got = memberships.get(entry.ordering_id)
-            if got is None:
+            link_booth = memberships.get(entry.ordering_id)
+            if link_booth is None:
                 ctx.diag(RejectReason.MALFORMED)
                 return False
             cert_digest = order_cert_digest(
-                entry.ordering_id, entry.batch.batch_hash, got.booth_hash)
-            reason = got.check_certified(entry.cert, cert_digest,
-                                         ctx.registry, ctx.env.meter)
+                entry.ordering_id, entry.batch.batch_hash,
+                link_booth.booth_hash)
+            reason = link_booth.check_certified(entry.cert, cert_digest,
+                                                ctx.registry, ctx.env.meter)
             if reason is not None:
                 ctx.diag(reason)
                 return False

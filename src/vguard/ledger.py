@@ -471,8 +471,9 @@ def verify_chain(ledger: Ledger, registry: KeyService, strict: bool = False,
     Always checked: commit certificates and per-entry ordering certificates
     against the booth of their membership link, both by
     `BoothProfile.check_certified` (the rule validators apply, which reads
-    each certificate's signers from its bitmap), transaction hashes, window monotonicity, and non-overlapping increasing
-    ordering-id ranges. An entry passes on its certificate alone, so every
+    each certificate's signers from its bitmap), transaction hashes,
+    window monotonicity, and non-overlapping increasing ordering-id
+    ranges. An entry passes on its certificate alone, so every
     node's ledger is audited by the same rule, whatever path its entries
     took.
 

@@ -3,7 +3,6 @@ binding, and commit certificate checks."""
 
 from __future__ import annotations
 
-from dataclasses import replace
 
 import pytest
 
