@@ -77,7 +77,8 @@ def bench_run(workload: str, seconds: float, trace: int) -> dict:
 
 def primitive_us() -> dict:
     """Median and quartiles, in us, of a real sign, a real verify, the
-    certificate work, and the encode and parse of three messages."""
+    certificate work, and the encode and parse of three messages; and the
+    wire size of each of those messages."""
     _, key = make_identity(1, Role.VEHICLE, bytes(range(32)))
     payloads = [digest("bench", i) for i in range(PRIMITIVE_CALLS)]
     sigs, signs = [], []
@@ -100,13 +101,13 @@ def primitive_us() -> dict:
         out[f"check_certified_n{size}"] = _timed(
             lambda: booth.check_certified(cert, payload, registry) is None)
     booth, registry, keys = _booth(4)
-    window = _one_window(booth, registry, keys)
+    entries, record, tx = _one_window(booth, registry, keys)
     ledger = Ledger(1, WINDOW_US)
-    ledger.append_commit(window[1], window[2]())
+    ledger.append_commit(record, tx())
     out["verify_chain_window"] = _timed(
         lambda: verify_chain(ledger, registry).ok)
     sizes = {}
-    for name, build in _messages(booth, keys, *window).items():
+    for name, build in _messages(booth, keys, entries, record, tx).items():
         raw = build().encode()
         sizes[name] = len(raw)
         out[f"encode_{name}"] = _timed(lambda msg: bool(msg.encode()),
