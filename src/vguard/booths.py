@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
 
-from .codec import digest, pack, Packed, Reader, Wire
+from .codec import digest, pack, Packed, Reader, Wire  # pack: perfbench
 from .crypto import (AggregateSignature, Identity, KeyService, recall,
                      verify_aggregate)
 from .errors import RejectReason
@@ -44,7 +44,7 @@ class BoothProfile(Wire):
     def packed(self) -> bytes:
         """Canonical bytes of the profile: packed once, or the slice it was
         decoded from, which the canonical format makes the same bytes."""
-        return pack(super().to_field())
+        return super().to_field().raw
 
     @cached_property
     def booth_hash(self) -> bytes:
@@ -81,28 +81,35 @@ class BoothProfile(Wire):
         among them, a pivot the registry holds as one
         (`KeyService.is_pivot`); their signatures must verify under their
         keys in `registry`. The meter, if any, is charged one 2f verify,
-        and only once the signers' shape holds. The shape is checked on
-        every call; only the signature verdict is memoised
-        (`crypto.recall`), keyed on the members' registered keys."""
+        and only once the signers' shape holds. The verdict and its charge
+        are memoised (`crypto.recall`) on every input, the members'
+        registered keys and the pivot's role too, so a repeat is a lookup."""
+        is_pivot = registry.is_pivot(self.pivot_id)
+        reason, charge = recall(
+            ("cert", self.booth_hash, cert, payload_digest,
+             registry.keys_of(self.member_ids), is_pivot),
+            lambda: ((fault, 0) if (fault := self._misshapen(cert, is_pivot))
+                     else (None if verify_aggregate(
+                         cert, payload_digest, self.member_ids, registry)
+                         else RejectReason.BAD_CERT, 2 * self.fault_budget)))
+        if meter is not None and charge:
+            meter.verify(charge)
+        return reason
+
+    def _misshapen(self, cert, is_pivot: bool) -> Optional[RejectReason]:
+        """The first of `check_certified`'s rules on signers `cert` breaks."""
         signers = cert.signers(self.member_ids)
         if signers is None:
             return RejectReason.BAD_CERT
-        need = 2 * self.fault_budget
-        if len(signers) != need:
+        if len(signers) != 2 * self.fault_budget:
             return RejectReason.QUORUM_MISMATCH
         if self.proposer_id in signers:
             return RejectReason.FOREIGN_QUORUM_MEMBER
         if self.pivot_id not in signers:
             return RejectReason.PIVOT_MISSING
-        if not registry.is_pivot(self.pivot_id):
+        if not is_pivot:
             return RejectReason.NOT_PIVOT
-        if meter is not None:
-            meter.verify(need)
-        key = ("cert", self.booth_hash, cert, payload_digest,
-               registry.keys_of(self.member_ids))
-        return recall(key, lambda: None if verify_aggregate(
-            cert, payload_digest, self.member_ids, registry)
-            else RejectReason.BAD_CERT)
+        return None
 
     # wire form -----------------------------------------------------------
 

@@ -22,11 +22,11 @@ since a position, so a decoder can keep the packing of what it just read.
 Each structured type on the wire declares its layout once, as its
 dataclass fields: a `Wire` subclass packs as the list of its fields in
 declaration order, and `Wire` derives both its encoder and its decoder
-from the field annotations. A list of [u64, bytes] pairs, the shape of a
-batch's entry list and the bulk of the data on the wire, has a fast path
-both ways instead: `pack_pairs` and `Reader.skip_pairs` frame or check
-each pair in one struct step. A layout of only `int` fields packs in one
-struct step too (`u64_packer`).
+from the field annotations. The encoder is generated code, one flat
+function per class (`encoder`), that packs a value in one pass. A list of
+[u64, bytes] pairs, the shape of a batch's entry list and the bulk of the
+data on the wire, has a fast path both ways instead: `pack_pairs` and
+`Reader.skip_pairs` frame or check each pair in one struct step.
 """
 
 from __future__ import annotations
@@ -35,7 +35,8 @@ import hashlib
 import struct
 from dataclasses import fields
 from enum import Enum
-from operator import attrgetter
+from functools import cache
+from itertools import count
 from typing import Iterable, Union, get_args, get_origin, get_type_hints
 
 
@@ -50,8 +51,8 @@ class Packed:
 
 Field = Union[int, bytes, str, Packed, Iterable["Field"]]
 
-_HEADER = struct.Struct(">cI").unpack_from    # tag, then a length or a count
-_U64 = struct.Struct(">cQ").unpack_from       # tag, then the value
+_HEADER = struct.Struct(">cI")         # tag, then a length or a count
+_U64 = struct.Struct(">cQ")            # tag, then the value
 # the framing of one [u64, bytes] pair: list of 2, the u64, the byte length
 _PAIR = struct.Struct(">cIcQcI")
 
@@ -154,7 +155,7 @@ class Reader:
     def _header(self, tag: bytes) -> int:
         """Check one tag and read its 4-byte length or count, in one step."""
         try:
-            got, n = _HEADER(self._buf, self._pos)
+            got, n = _HEADER.unpack_from(self._buf, self._pos)
         except struct.error:
             raise ValueError("truncated field") from None
         if got != tag:
@@ -173,7 +174,7 @@ class Reader:
 
     def u64(self) -> int:
         try:
-            got, value = _U64(self._buf, self._pos)
+            got, value = _U64.unpack_from(self._buf, self._pos)
         except struct.error:
             raise ValueError("truncated field") from None
         if got != b"I":
@@ -232,102 +233,115 @@ class Wire:
     * `int`, `bytes`, `str` -> as themselves
     * a `str` Enum          -> its value
     * `tuple[T, ...]`       -> a list of T
-    * `tuple[A, B]`, ...    -> a list of exactly those fields
-    * any other type        -> its own `to_field` and `read_from`: a nested
-      `Wire`, or a type that keeps its own bytes
+    * another `Wire`        -> the list of its fields
+    * any other type        -> its own `to_field` and `read_from`: a type
+      that keeps its own bytes
 
     Reading checks the length of every list it reads, so a value of the
-    wrong arity raises ValueError. A class's layout is worked out from its
-    annotations once, on first use.
+    wrong arity raises ValueError. A class's encoder and readers are worked
+    out from its annotations once, on first use.
     """
 
-    def to_field(self) -> list:
-        """The fields, in declaration order, as `pack` takes them."""
-        return _layout(type(self))[0](self)
+    def to_field(self) -> Packed:
+        """The value as one field, as `pack` takes it: its packing."""
+        return Packed(encoder(type(self))(self))
 
     @classmethod
     def read_fields(cls, r: Reader, head: tuple = ()):
         """Read the fields after `head`, which are given, with no list
         header in front of them, and build the value."""
-        readers = _layout(cls)[1]
+        readers = _readers(cls)
         return cls(*head, *[read(r) for read in readers[len(head):]])
 
     @classmethod
     def read_from(cls, r: Reader):
-        if r.seq_len() != len(_layout(cls)[1]):
+        if r.seq_len() != len(_readers(cls)):
             raise ValueError(f"malformed {cls.__name__}")
         return cls.read_fields(r)
 
 
-_LAYOUTS: dict = {}
 _READERS = {int: Reader.u64, bytes: Reader.bytes_, str: Reader.str_}
 
 
-def _layout(cls: type) -> tuple:
-    """(encode, readers, u64 packer) of a `Wire` class: encode maps a
-    value to its field list, and readers holds one read per field."""
-    layout = _LAYOUTS.get(cls)
-    if layout is None:
-        hints = get_type_hints(cls)
-        names = [f.name for f in fields(cls)]
-        codecs = [_codec(hints[name]) for name in names]
-        get = (attrgetter(*names) if len(names) > 1
-               else lambda value: (getattr(value, names[0]),))
-        special = [(i, enc) for i, (enc, _) in enumerate(codecs) if enc]
-
-        def encode(value) -> list:
-            out = list(get(value))
-            for i, enc in special:
-                out[i] = enc(out[i])
-            return out
-
-        frame = struct.Struct(">" + "cQ" * len(names)).pack
-        tags = [b"I"] * (2 * len(names))
-
-        def pack_u64s(value) -> bytes:
-            fields = get(value)
-            if {int}.issuperset(map(type, fields)):      # no bool, for one
-                args = tags.copy()
-                args[1::2] = fields
-                try:
-                    return frame(*args)
-                except struct.error:                     # outside u64
-                    pass
-            return pack(*fields)        # packs, or raises as it always does
-
-        u64s = {hints[name] for name in names} == {int}
-        layout = _LAYOUTS[cls] = (encode, [read for _, read in codecs],
-                                  pack_u64s if u64s else None)
-    return layout
+@cache
+def _readers(cls: type) -> list:
+    """One read per field of a `Wire` class."""
+    hints = get_type_hints(cls)
+    return [_reader(hints[f.name]) for f in fields(cls)]
 
 
-def u64_packer(cls: type):
-    """For a `Wire` class whose fields are all `int`, a function that packs
-    a value's fields as `pack` would, in one struct step; else None."""
-    return _layout(cls)[2]
-
-
-def _codec(tp) -> tuple:
-    """(encode, read) for one annotation; encode is None where the value
-    packs as it is."""
+def _reader(tp):
     if tp in _READERS:
-        return None, _READERS[tp]
+        return _READERS[tp]
     if isinstance(tp, type) and issubclass(tp, Enum):
-        return attrgetter("value"), lambda r: tp(r.str_())
-    args = get_args(tp)
-    if get_origin(tp) is tuple and args[-1] is Ellipsis:
-        enc, read = _codec(args[0])
-        return (enc and (lambda value: [enc(item) for item in value]),
-                lambda r: tuple([read(r) for _ in range(r.seq_len())]))
+        return lambda r: tp(r.str_())
     if get_origin(tp) is tuple:
-        codecs = [_codec(arg) for arg in args]
+        read = _reader(_item(tp))
+        return lambda r: tuple([read(r) for _ in range(r.seq_len())])
+    return lambda r: tp.read_from(r)
 
-        def read_fixed(r: Reader) -> tuple:
-            if r.seq_len() != len(codecs):
-                raise ValueError(f"malformed {tp}")
-            return tuple([read(r) for _, read in codecs])
 
-        return (lambda value: [enc(item) if enc else item
-                               for (enc, _), item in zip(codecs, value)],
-                read_fixed)
-    return tp.to_field, lambda r: tp.read_from(r)
+def _item(tp):
+    """T of a `tuple[T, ...]` annotation."""
+    item, rest = get_args(tp)
+    if rest is not Ellipsis:
+        raise TypeError(f"unsupported wire annotation {tp}")
+    return item
+
+
+@cache
+def encoder(cls: type, head: bytes = None, skip: int = 0):
+    """The generated encoder of a `Wire` class: a function that packs a
+    value's fields after the first `skip`, behind `head` (by default the
+    header of the list they form), in one pass. It takes each field
+    straight from the value, writes an int or a header with `struct`,
+    inlines a nested `Wire` and splices a type with its own `to_field` as
+    the bytes that gives. A field whose value is not exactly its annotated
+    type (a bool, an int subclass, None, ...) goes through `pack`, so it
+    packs, or raises, as `pack` does."""
+    consts: dict = {}                       # value -> its name in the code
+
+    def const(value) -> str:
+        return consts.setdefault(value, f"c{len(consts)}")
+
+    body = _joined("v", cls, head, skip, const, (f"x{i}" for i in count()))
+    scope: dict = {}
+    exec(f"def make({', '.join(consts.values())}):\n return lambda v: {body}",
+         globals(), scope)
+    return scope["make"](*consts)
+
+
+def _joined(src: str, cls: type, head, skip: int, const, fresh) -> str:
+    """Source of an expression that packs the fields of `src`, a `cls`
+    value, after the first `skip`, behind `head`."""
+    hints = get_type_hints(cls)
+    names = [f.name for f in fields(cls)][skip:]
+    head = _HEADER.pack(b"L", len(names)) if head is None else head
+    return "b''.join((" + ", ".join([const(head)] + [
+        _packing(f"{src}.{name}", hints[name], const, fresh)
+        for name in names]) + ",))"
+
+
+def _packing(src: str, tp, const, fresh) -> str:
+    """Source of an expression that packs the value of `src`, annotated
+    `tp`: in one pass if its type is exactly `tp`, else with `pack`."""
+    x = next(fresh)
+    exact = f"type({x} := {src}) is {const(tuple if get_origin(tp) else tp)}"
+    header = const(_HEADER.pack)
+    if tp is int:
+        fast = f"{const(_U64.pack)}(b'I', {x})"
+        exact += f" and -1 < {x} < {1 << 64}"
+    elif tp is bytes:
+        fast = f"{header}(b'B', len({x})) + {x}"
+    elif get_origin(tp) is tuple:
+        item = next(fresh)
+        fast = (f"{header}(b'L', len({x})) + b''.join(["
+                f"{_packing(item, _item(tp), const, fresh)} for {item} in {x}])")
+    elif tp is str or issubclass(tp, Enum):
+        text = x if tp is str else f"{x}.value"
+        fast = f"{header}(b'S', len({x}s := {text}.encode())) + {x}s"
+    elif issubclass(tp, Wire) and tp.to_field is Wire.to_field:
+        fast = _joined(x, tp, None, 0, const, fresh)
+    else:
+        fast = f"{x}.to_field().raw"
+    return f"({fast} if {exact} else pack({x}))"

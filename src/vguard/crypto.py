@@ -27,16 +27,18 @@ result. A "sig" key (verify key, digest, signature) holds the bool one
 real Ed25519 check returned, for accepts and rejects alike; that check
 parses the key through a "pub" key. Signing fills the memo too: Ed25519
 signing is deterministic and `sign(sk, m)` always verifies under `pk(sk)`
-(RFC 8032), so `SigningKey.sign` `remember`s its own "sig" key as True. A
-raw `Ed25519PrivateKey` records nothing, and a flipped bit in any input is
-another key. The other kinds are "cert" (`BoothProfile.check_certified`:
-booth hash, certificate, digest, and the registry's keys for the booth's
-members), the digests "order-cert" and "commit-cert", and "msg" (decoded
-messages, see `messages`). A compute that raises stores nothing. The memo
-holds at most `MEMO_SIZE` entries and is emptied when full and by
-`clear_caches`, which `harness.run` calls at its start and end, so no run
-sees another run's entries and none outlives its run. Callers charge
-modeled cost (`CostMeter.verify`) before the lookup.
+(RFC 8032), so `SigningKey.sign` `remember`s its own "sig" key as True,
+and signs each "sign" key (verify key, digest) once. A raw
+`Ed25519PrivateKey` records nothing; a flipped bit in any input is another
+key. The other kinds are "cert" (`BoothProfile.check_certified`'s reason
+and verify charge, keyed on booth hash, certificate, digest, the
+registry's keys for the members and whether it holds the pivot as one),
+the digests "order-cert" and "commit-cert", and "msg" (decoded messages,
+see `messages`). A compute that raises stores nothing. The memo holds at
+most `MEMO_SIZE` entries and is emptied when full and by `clear_caches`,
+which `harness.run` calls at its start and end, so no run sees another
+run's entries and none outlives its run. Callers charge modeled cost
+(`CostMeter`) on a hit as on a miss.
 
 `SigningKey.sign` signs through libsodium (`crypto_sign_ed25519_detached`)
 when it loads at import, else through `cryptography`: RFC 8032 signing is
@@ -122,6 +124,10 @@ class SigningKey:
         self._secret = seed + self.verify_key
 
     def sign(self, payload_digest: bytes) -> bytes:
+        return recall(("sign", self.verify_key, payload_digest), self._signed,
+                      payload_digest)
+
+    def _signed(self, payload_digest: bytes) -> bytes:
         if _sodium_sign is None:
             sig = self._key.sign(payload_digest)
         else:

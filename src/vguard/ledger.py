@@ -33,7 +33,7 @@ from functools import cached_property
 from typing import Callable, Collection, Iterable, Optional, Sequence
 
 from .booths import BoothProfile
-from .codec import digest, pack, pack_pairs, Packed, Reader, Wire
+from .codec import digest, pack, pack_pairs, Packed, Reader, Wire  # pack: perfbench
 from .crypto import (
     AggregateSignature,
     Identity,
@@ -115,8 +115,9 @@ class DataBatch:
     def __repr__(self) -> str:
         return f"DataBatch({self.count} entries, {len(self.packed)} bytes)"
 
-    def to_field(self) -> list:
-        return [Packed(self.packed)]
+    def to_field(self) -> Packed:
+        """The batch as one field: a list holding its entry list."""
+        return Packed(b"L\x00\x00\x00\x01" + self.packed)
 
     @classmethod
     def read_from(cls, r: Reader) -> "DataBatch":
@@ -288,7 +289,7 @@ class Transaction(Wire):
     def packed(self) -> bytes:
         """Canonical bytes of the transaction: packed once, or the slice it
         was decoded from, which the canonical format makes the same bytes."""
-        return pack(super().to_field())
+        return super().to_field().raw
 
     def to_field(self) -> Packed:
         return Packed(self.packed)

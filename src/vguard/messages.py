@@ -7,9 +7,9 @@ class declares. A message carried inside another (a gossip's commit)
 packs as the list of its fields after instance and sender. Decoding
 failures raise ValueError and are treated as silent rejects by receivers.
 
-Both directions do their deterministic work once. `encode` stores the
-bytes on the frozen message the first time it runs, so a broadcast is
-packed once, not once per recipient; a rewritten message (say, a
+Both directions do their deterministic work once. `encode` packs with
+the class's generated encoder (`codec.encoder`) and stores the bytes on
+the frozen message, so a broadcast is packed once; a rewritten message (a
 byzantine forgery made with `dataclasses.replace`) is a new object and is
 packed afresh. A carried booth profile, data batch or transaction is
 spliced into the message as the canonical bytes it keeps (see
@@ -36,7 +36,7 @@ from dataclasses import dataclass, fields, replace
 from typing import ClassVar
 
 from .booths import BoothProfile
-from .codec import pack, Reader, digest, u64_packer, Wire
+from .codec import encoder, pack, Packed, Reader, digest, Wire  # pack: perfbench
 from .crypto import AggregateSignature, PartialSignature, recall, remember
 from .ledger import DataBatch, Transaction
 
@@ -50,27 +50,29 @@ class _Message(Wire):
     instance_id: int
     sender: int
 
+    _wire = None                    # the encoding, once `encode` made it
+
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         # what `_parse` reads a message of this type with: each message
         # type has one, and nothing else does
         cls.read_body = cls.read_fields
+        cls._header = bytes((WIRE_VERSION, cls.TAG))
 
     def encode(self) -> bytes:
-        wire = self.__dict__.get("_wire")
+        wire = self._wire
         if wire is None:
             # every field, instance and sender too, one after another
-            packer = u64_packer(type(self))
-            wire = bytes((WIRE_VERSION, self.TAG)) + (
-                packer(self) if packer else pack(*super().to_field()))
+            wire = encoder(type(self), self._header)(self)
             object.__setattr__(self, "_wire", wire)
             remember(("msg", wire), self)
         return wire
 
-    def to_field(self) -> list:
-        """A message carried inside another packs as its body: the fields
-        after its instance and sender, which the carrier supplies."""
-        return super().to_field()[2:]
+    def to_field(self) -> Packed:
+        """A message carried inside another packs as its body: the list of
+        the fields after its instance and sender, which the carrier
+        supplies."""
+        return Packed(encoder(type(self), skip=2)(self))
 
     @classmethod
     def read_from(cls, r: Reader) -> "_Message":

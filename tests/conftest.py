@@ -79,6 +79,16 @@ def impostor_identity(node_id: int) -> tuple[Identity, SigningKey]:
     return make_identity(node_id, Role.VEHICLE, rng.bytes(32))
 
 
+class CountingMeter:
+    """A cost meter that records each verify charge."""
+
+    def __init__(self):
+        self.verifies = []
+
+    def verify(self, count):
+        self.verifies.append(count)
+
+
 def rekeyed_registry(registry: KeyService, node_id: int) -> KeyService:
     """A copy of `registry` that holds another key for `node_id`."""
     out = KeyService()

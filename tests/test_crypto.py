@@ -1,6 +1,7 @@
 """Identity signatures, the identity registry, and quorum certificates."""
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -30,8 +31,8 @@ from vguard.errors import (
 )
 from vguard.harness import RunSpec, run
 
-from conftest import (certify, impostor_identity, make_booth, make_pool,
-                      rekeyed_registry)
+from conftest import (CountingMeter, certify, impostor_identity, make_booth,
+                      make_pool, rekeyed_registry)
 
 # Aggregates are certified multisigs, not a constant-size threshold scheme:
 # the accepted size envelope is t 64-byte signatures for t signers plus the
@@ -278,7 +279,8 @@ def test_signing_records_its_triple_and_needs_no_real_check(real_checks):
     ident, key = make_identity(5, Role.VEHICLE, _rng(6).bytes(32))
     payload = digest("t", b"signed here")
     sig = key.sign(payload)
-    assert crypto._memo == {("sig", ident.verify_key, payload, sig): True}
+    assert crypto._memo == {("sig", ident.verify_key, payload, sig): True,
+                            ("sign", ident.verify_key, payload): sig}
     assert verify_raw(ident.verify_key, payload, sig)
     assert verify_partial(make_partial(key, payload), ident.verify_key)
     assert real_checks == []
@@ -452,16 +454,6 @@ def test_loaded_signer_never_falls_back(cryptography_signs):
 
 # -- verdicts in the run memo ---------------------------------------------
 
-class CountingMeter:
-    def __init__(self):
-        self.verifies = []
-
-    def verify(self, count):
-        self.verifies.append(count)
-
-
-
-
 def _own_verdict(kind, check):
     """`check()` twice: first beside what the memo holds now, where it must
     add a `kind` entry of its own, then with the memo emptied."""
@@ -529,19 +521,46 @@ def test_certificate_signed_by_another_key_is_bad_cert(pool4, booth4):
         assert profile.check_certified(honest, payload, registry) is None
 
 
+def _without_pivot(registry: KeyService) -> KeyService:
+    """A copy of `registry` that holds pivot 2, under the same key, as a
+    vehicle."""
+    out = KeyService()
+    for ident in registry.identities.values():
+        out.register(replace(ident, role=Role.VEHICLE)
+                     if ident.node_id == 2 else ident)
+    return out
+
+
 def test_memo_hit_charges_the_meter_as_a_miss_does(pool4, booth4):
-    booth = booth4
+    booth, registry = booth4, pool4.registry
     payload = digest("t", b"meter")
     certs = {signers: certify(pool4, booth, payload, signers)[1]
-             for signers in [(2, 3), (2, 4), (3, 4), (2,)]}
+             for signers in [(2, 3), (2, 4), (3, 4), (2,), (1, 2)]}
+    honest = certs[(2, 3)].sig_bytes
+    # a bit set past the last of the four members: not a canonical bitmap
+    certs["past"] = AggregateSignature(bytes([honest[0] | 0b10000])
+                                       + honest[1:])
+    no_pivot = _without_pivot(registry)
+    assert no_pivot.keys_of(booth.member_ids) == registry.keys_of(
+        booth.member_ids)
+    cases = [((2, 3), registry, None, [2]),
+             ((2, 4), registry, None, [2]),
+             ((2, 4), registry, "BAD_CERT", [2]),       # signed another digest
+             ("past", registry, "BAD_CERT", []),
+             ((2,), registry, "QUORUM_MISMATCH", []),    # 2f - 1 signers
+             ((1, 2), registry, "FOREIGN_QUORUM_MEMBER", []),
+             ((3, 4), registry, "PIVOT_MISSING", []),
+             # the first case's keys, whose verdict is held: whether the
+             # registry holds the pivot as one is part of the key
+             ((2, 3), no_pivot, "NOT_PIVOT", [])]
     crypto.clear_caches()
-    charges = []
-    for signers in [(2, 3), (2, 3), (2, 4), (2, 4), (3, 4), (2,)]:
-        meter = CountingMeter()
-        booth.check_certified(certs[signers], payload, pool4.registry, meter)
-        charges.append(meter.verifies)
-    # miss, hit, miss, hit; the last two fail their shape and charge nothing
-    assert charges == [[2], [2], [2], [2], [], []]
+    for i, (signers, held, reason, charge) in enumerate(cases):
+        digest_ = digest("t", b"other") if i == 2 else payload
+        for _ in ("miss", "hit"):
+            meter = CountingMeter()
+            got = booth.check_certified(certs[signers], digest_, held, meter)
+            assert (got, meter.verifies) == (
+                reason and RejectReason[reason], charge), (signers, reason)
 
 
 def test_certificate_digests_are_memoised_on_all_their_arguments(monkeypatch):

@@ -15,7 +15,8 @@ from pathlib import Path
 
 import pytest
 from cryptography.exceptions import InvalidSignature
-from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PublicKey
+from cryptography.hazmat.primitives.asymmetric.ed25519 import (
+    Ed25519PrivateKey, Ed25519PublicKey)
 
 from vguard import crypto, messages, node
 from vguard.booths import BoothProfile
@@ -23,6 +24,8 @@ from vguard.codec import digest
 from vguard.crypto import KeyService
 from vguard.harness import RunSpec, run, write_artifacts
 from vguard.netsim import ChurnEvent, Network, SimConfig
+
+from conftest import CountingMeter
 
 SPECS = {
     "clean_n4": RunSpec(booth_size=4, duration_ms=300.0, grace_ms=300.0,
@@ -357,12 +360,37 @@ def test_memo_answers_what_a_real_verify_would(name, monkeypatch,
         assert ok == _really_verifies(key, payload, sig)
 
 
+@pytest.mark.parametrize("name", sorted(n for n, spec in SPECS.items()
+                                         if spec.sim.dup_rate))
+def test_each_digest_is_signed_once_per_key_per_run(name, monkeypatch):
+    """A duplicated or retransmitted pre-order or pre-commit, and a retried
+    consensus round, ask a validator to sign a digest it signed before.
+    Ed25519 signing is deterministic, so the run signs each (key, digest)
+    once and answers the repeats from the run memo."""
+    signed = []
+    sodium = crypto._sodium_sign
+
+    def counting_signer(out, _, payload, size, secret):
+        signed.append((secret[32:], payload))       # (verify key, digest)
+        if sodium is not None:
+            return sodium(out, None, payload, size, secret)
+        out.raw = Ed25519PrivateKey.from_private_bytes(secret[:32]).sign(
+            payload)
+        return 0
+
+    monkeypatch.setattr(crypto, "_sodium_sign", counting_signer)
+    run(SPECS[name])
+    assert signed and len(signed) == len(set(signed))
+
+
 @pytest.mark.parametrize("name", sorted(SPECS))
 def test_verdict_memo_answers_what_a_fresh_check_would(name, monkeypatch):
     """Every certificate verdict and certificate digest the run memo holds
     at the end of the run equals the same check made with the memo
-    emptied, so with real Ed25519 verifications. A certificate's key
-    carries the keys the run's registry holds for the booth's members."""
+    emptied, so with real Ed25519 verifications: the same reason, and the
+    same verify charged to a meter. A certificate's key carries the keys
+    the run's registry holds for the booth's members and whether it holds
+    the booth's pivot as one."""
     snapshots, profiles = [], {}
     clear, check = crypto.clear_caches, BoothProfile.check_certified
 
@@ -386,9 +414,14 @@ def test_verdict_memo_answers_what_a_fresh_check_would(name, monkeypatch):
     for key, verdict in memo.items():
         clear()
         if key[0] == "cert":
-            _, booth_hash, cert, payload, keys = key
-            assert keys == registry.keys_of(profiles[booth_hash].member_ids)
-            fresh = check(profiles[booth_hash], cert, payload, registry)
+            _, booth_hash, cert, payload, keys, is_pivot = key
+            booth = profiles[booth_hash]
+            assert keys == registry.keys_of(booth.member_ids)
+            assert is_pivot == registry.is_pivot(booth.pivot_id)
+            meter = CountingMeter()
+            reason = check(booth, cert, payload, registry, meter)
+            fresh = (reason, sum(meter.verifies))
+            assert len(meter.verifies) == (fresh[1] > 0)
         else:
             fresh = digest(*key)
         assert fresh == verdict, key

@@ -2,20 +2,25 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import replace
 from functools import lru_cache
+from typing import get_args, get_origin, get_type_hints
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (certify_entry, commit_window, default_quorum,
                       fresh_profile, make_batch, make_booth, make_pool)
-from vguard import codec, crypto, harness, messages, node
-from vguard.codec import pack
+from vguard import booths, codec, crypto, harness, ledger, messages, node
+from vguard.booths import BoothProfile
+from vguard.codec import Wire, pack
 from vguard.netsim import SimConfig
-from vguard.crypto import AggregateSignature, Role, make_partial
-from vguard.ledger import Transaction, commit_cert_digest, order_cert_digest
+from vguard.crypto import (AggregateSignature, Identity, PartialSignature,
+                           Role, make_partial)
+from vguard.ledger import (DataBatch, MembershipLink, Transaction, TxEntry,
+                           commit_cert_digest, order_cert_digest)
 from vguard.messages import (WIRE_VERSION, CommitMsg, CommitReply, GossipAck,
                              GossipMsg, OrderMsg, OrderReply, Ping, Pong,
                              PreCommitSeen, PreCommitUnseen, PreOrder,
@@ -158,26 +163,39 @@ def test_all_u64_messages_pack_as_pack_does(cls, values):
     assert messages._parse(msg.encode()) == msg
 
 
-@pytest.mark.parametrize("bad", [True, False, -1, 2**64, 1.5, None])
+@pytest.mark.parametrize("bad", [True, False, -1, 2**64, 1.5, None, "text"])
 def test_all_u64_messages_reject_what_pack_rejects(bad):
-    with pytest.raises((TypeError, ValueError)) as expected:
-        pack(1, 2, bad, 4)
-    with pytest.raises(expected.type) as got:
-        Ping(1, 2, bad, 4).encode()
-    assert str(got.value) == str(expected.value)
+    """At every int and bytes field position of every wire type, nested
+    `Wire` values and tuple items included, a value of another type packs,
+    or raises, as `pack` does: a bool, an int outside u64, a float or None
+    raises `pack`'s error, and text where bytes are due packs as text."""
+    positions = 0
+    for value in _wire_examples():
+        for path, tp in _positions(type(value)):
+            if bad == "text" and tp is not bytes:
+                continue
+            positions += 1
+            got = _outcome(lambda: _encoded(_with(value, path, bad)))
+            assert got == _outcome(
+                lambda: _referenced(_with(value, path, bad))), path
+            if bad == "text":
+                assert isinstance(got, bytes)
+            else:
+                assert got == _outcome(lambda: pack(bad)), path
+    assert positions >= (30 if bad == "text" else 91)
 
 
-def test_all_u64_layouts_pack_in_one_struct_step(monkeypatch):
+def test_encoding_a_valid_message_never_calls_pack(monkeypatch):
+    """Every message, and each profile, transaction and nested value it
+    carries, is packed by its generated encoder alone."""
+    fresh = [_rebuilt(msg) for msg in _valid_messages()]
+
     def no_pack(*fields):
         raise AssertionError("packed field by field")
 
-    monkeypatch.setattr(codec, "pack", no_pack)
-    monkeypatch.setattr(messages, "pack", no_pack)
-    assert Pong(3, 4, 5, 6).encode() == bytes((WIRE_VERSION, Pong.TAG)) + b"".join(
-        b"I" + v.to_bytes(8, "big") for v in (3, 4, 5, 6))
-    assert codec.u64_packer(Ping) is not None
-    assert codec.u64_packer(TraverseHop) is None          # carries bytes
-    assert codec.u64_packer(OrderReply) is None
+    for module in (codec, messages, booths, ledger, crypto):
+        monkeypatch.setattr(module, "pack", no_pack)
+    assert [msg.encode() for msg in fresh] == list(_valid_wires())
 
 
 def test_decode_rejects_short_and_bad_header():
@@ -455,6 +473,12 @@ def test_a_run_parses_no_message(monkeypatch):
 
 @lru_cache(maxsize=1)
 def _valid_wires() -> tuple[bytes, ...]:
+    return tuple(m.encode() for m in _valid_messages())
+
+
+@lru_cache(maxsize=1)
+def _valid_messages() -> tuple:
+    """One message of each type."""
     pool = make_pool([1, 2, 3, 4], seed=31)
     booth = make_booth(pool, [1, 2, 3, 4], proposer_id=1, pivot_id=2)
     entries = [certify_entry(pool, booth, i, make_batch(pool, size=2))
@@ -483,7 +507,7 @@ def _valid_wires() -> tuple[bytes, ...]:
         Ping(instance_id=0, sender=2, seq=9, sent_at_us=123),
         Pong(instance_id=0, sender=3, seq=9, sent_at_us=123),
     ]
-    return tuple(m.encode() for m in msgs)
+    return tuple(msgs)
 
 
 def _decodes_canonically_or_rejects(raw: bytes) -> None:
@@ -544,3 +568,157 @@ def test_valid_wires_decode_to_themselves_and_no_prefix_decodes():
         for cut in range(len(raw)):
             with pytest.raises(ValueError):
                 decode_message(raw[:cut])
+
+
+# -- the generated encoder ----------------------------------------------------
+
+def _reference(value, skip: int = 0) -> list:
+    """The fields of a `Wire` value, after the first `skip`, as `pack` takes
+    them, worked out from the annotations on every call: the packing the
+    generated encoders replaced, kept as their reference."""
+    hints = get_type_hints(type(value))
+    return [_reference_field(getattr(value, f.name), hints[f.name])
+            for f in dataclasses.fields(value)][skip:]
+
+
+def _reference_field(value, tp):
+    if tp in (int, bytes, str):
+        return value
+    if tp is Role:
+        return value.value
+    if get_origin(tp) is tuple:
+        return [_reference_field(item, get_args(tp)[0]) for item in value]
+    if tp is DataBatch:
+        return [[[e.origin_seq, e.payload] for e in value.entries]]
+    if issubclass(tp, messages._Message):       # carried: the body
+        return _reference(value, skip=2)
+    return _reference(value)
+
+
+def _encoded(value) -> bytes:
+    if isinstance(value, messages._Message):
+        return value.encode()
+    return value.to_field().raw
+
+
+def _referenced(value) -> bytes:
+    if isinstance(value, messages._Message):
+        return bytes((WIRE_VERSION, value.TAG)) + pack(*_reference(value))
+    return pack(_reference(value))
+
+
+def _outcome(encode):
+    """What `encode()` returned, or the type and message of what it raised."""
+    try:
+        return encode()
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def _inlined(tp) -> bool:
+    """Whether an encoder packs a field of type `tp` field by field."""
+    return isinstance(tp, type) and issubclass(tp, Wire) \
+        and tp.to_field is Wire.to_field
+
+
+def _positions(cls, path=()):
+    """(path, type) of every int and bytes field of `cls`, and of the
+    `Wire` values and the first item of the tuples of them it inlines."""
+    hints = get_type_hints(cls)
+    for f in dataclasses.fields(cls):
+        tp = hints[f.name]
+        if tp in (int, bytes):
+            yield path + (f.name,), tp
+        elif get_origin(tp) is tuple and _inlined(get_args(tp)[0]):
+            yield from _positions(get_args(tp)[0], path + (f.name, 0))
+        elif _inlined(tp):
+            yield from _positions(tp, path + (f.name,))
+
+
+def _with(value, path, bad):
+    """A fresh copy of `value` that holds `bad` at `path`, set past any
+    check its constructor makes."""
+    name, *rest = path
+    if isinstance(value, tuple):
+        return (*value[:name], _with(value[name], rest, bad),
+                *value[name + 1:])
+    out = replace(value)
+    object.__setattr__(out, name,
+                       _with(getattr(value, name), rest, bad) if rest else bad)
+    return out
+
+
+def _rebuilt(value):
+    """An equal value in which every `Wire` is built afresh, so nothing in
+    it has been packed yet."""
+    if isinstance(value, tuple):
+        return tuple(map(_rebuilt, value))
+    if isinstance(value, Wire):
+        return replace(value, **{f.name: _rebuilt(getattr(value, f.name))
+                                 for f in dataclasses.fields(value)})
+    return value
+
+
+def _wire_examples() -> list:
+    """A valid value of every wire type: each message, and what they
+    carry."""
+    msgs = {type(m): m for m in _valid_messages()}
+    tx, booth = msgs[PreCommitUnseen].tx, msgs[PreCommitUnseen].booth
+    return [*msgs.values(), booth, booth.members[0], tx, tx.entries[0],
+            tx.membership_links[0], msgs[OrderReply].partial,
+            msgs[OrderMsg].cert, msgs[GossipMsg].traverse[0]]
+
+
+_U64 = st.one_of(st.sampled_from([0, 1, 2**63, 2**64 - 1]),
+                 st.integers(0, 2**64 - 1))
+_BLOBS = st.one_of(st.binary(max_size=80),
+                   st.sampled_from([b"", bytes(70_000)]))
+
+
+@st.composite
+def _booths(draw) -> BoothProfile:
+    members = draw(st.lists(_values(Identity), min_size=1, max_size=4,
+                            unique_by=lambda m: m.node_id))
+    members.sort(key=lambda m: m.node_id)
+    ids = [m.node_id for m in members]
+    return BoothProfile(draw(st.sampled_from(ids)), draw(st.sampled_from(ids)),
+                        draw(_U64), tuple(members))
+
+
+def _values(tp):
+    """A strategy for any valid value of a wire annotation: boundary ints,
+    empty and long bytes, and empty tuples among them."""
+    if tp is int:
+        return _U64
+    if tp is bytes:
+        return _BLOBS
+    if tp is str:
+        return st.text(max_size=12)
+    if tp is Role:
+        return st.sampled_from(Role)
+    if get_origin(tp) is tuple:
+        return st.lists(_values(get_args(tp)[0]), max_size=3).map(tuple)
+    if tp is DataBatch:
+        return st.builds(DataBatch.from_payloads,
+                         st.integers(0, 2**64 - 4),
+                         st.lists(st.binary(max_size=20), max_size=3))
+    if tp is BoothProfile:
+        return _booths()
+    hints = get_type_hints(tp)
+    fields_ = {f.name: _values(hints[f.name]) for f in dataclasses.fields(tp)}
+    if tp is Identity:
+        fields_["verify_key"] = st.binary(min_size=32, max_size=32)
+    return st.builds(tp, **fields_)
+
+
+_WIRE_TYPES = [*messages._BY_TAG.values(), BoothProfile, Identity,
+               PartialSignature, AggregateSignature, Transaction, TxEntry,
+               MembershipLink, TraverseHop]
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(st.sampled_from(_WIRE_TYPES).flatmap(_values))
+def test_generated_encoders_pack_as_the_reference_does(value):
+    assert _encoded(value) == _referenced(value)
+    if isinstance(value, messages._Message):      # as a carried message
+        assert value.to_field().raw == pack(_reference(value, skip=2))

@@ -11,18 +11,21 @@ it records what the traced benchmark cannot show:
   real `crypto.verify_raw`, one `aggregate` and one
   `BoothProfile.check_certified` for a 4- and a 7-member booth, one
   `verify_chain` window of `WINDOW_ENTRIES` entries (a 4-member booth),
-  and one encode and one `messages._parse` of an `OrderMsg`, a
-  `CommitMsg` and a `PreCommitUnseen` carrying that window, with the run
-  memo emptied between calls, so no call is answered from the memo. Each
+  one encode and one `messages._parse` of each of the eleven message types
+  (the commit messages and gossip carry that window), and one scheduler
+  event (`Scheduler.at`, then the pop that runs it, a no-op, with
+  `SCHEDULER_PENDING` later events in the queue), with the run memo
+  emptied between calls, so no call is answered from the memo. Each
   encode is of a fresh message whose transaction is packed afresh, as a
   message's first encode in a run is. A certificate is an entry's whole
   evidence, so `check_certified` and `verify_chain` carry the whole cost
   of checking one;
-- `message_bytes`: the wire size of each of those three messages;
+- `message_bytes`: the wire size of each of those messages;
 - `signatures_per_unit`: the `SigningKey.sign` calls made by one pass
   over a workload's specs (one benchmark unit), counted in this process,
   with the batches that pass committed and the signatures per committed
-  batch: a unit that commits more batches signs more.
+  batch: a unit that commits more batches signs more. `real_signatures`
+  counts the calls that really signed, the rest being run-memo hits.
 
 The file also names the git head the sources came from, whether the
 working tree differed from it, and the host.
@@ -52,12 +55,17 @@ from vguard.crypto import (KeyService, Role, aggregate, make_identity,  # noqa: 
 from vguard.ledger import (CommitRecord, DataBatch, Ledger, LogEntry,  # noqa: E402
                            commit_cert_digest, order_cert_digest,
                            verify_chain, window_transaction)
-from vguard.messages import CommitMsg, OrderMsg, PreCommitUnseen  # noqa: E402
+from vguard.messages import (CommitMsg, CommitReply, GossipAck,  # noqa: E402
+                             GossipMsg, OrderMsg, OrderReply, Ping, Pong,
+                             PreCommitSeen, PreCommitUnseen, PreOrder,
+                             TraverseHop, traverse_digest)
+from vguard.netsim import Scheduler  # noqa: E402
 
 SEED = 1
 PRIMITIVE_CALLS = 200
 WINDOW_ENTRIES = 8
 WINDOW_US = 100_000
+SCHEDULER_PENDING = 256
 
 
 def bench_run(workload: str, seconds: float, trace: int) -> dict:
@@ -77,8 +85,8 @@ def bench_run(workload: str, seconds: float, trace: int) -> dict:
 
 def primitive_us() -> dict:
     """Median and quartiles, in us, of a real sign, a real verify, the
-    certificate work, and the encode and parse of three messages; and the
-    wire size of each of those messages."""
+    certificate work, the encode and parse of every message type and one
+    scheduler event; and the wire size of each message."""
     _, key = make_identity(1, Role.VEHICLE, bytes(range(32)))
     payloads = [digest("bench", i) for i in range(PRIMITIVE_CALLS)]
     sigs, signs = [], []
@@ -114,7 +122,26 @@ def primitive_us() -> dict:
                                        lambda: (build(),))
         out[f"parse_{name}"] = _timed(
             lambda: messages._parse(raw) is not None)
+    out["scheduler_event"] = _timed(_one_event, _pending_scheduler)
     return out, sizes
+
+
+def _pending_scheduler() -> tuple:
+    """A scheduler holding SCHEDULER_PENDING events due after time 1."""
+    sched = Scheduler()
+    for i in range(SCHEDULER_PENDING):
+        sched.at(2.0 + i, _no_op)
+    return (sched,)
+
+
+def _one_event(sched: Scheduler) -> bool:
+    sched.at(1.0, _no_op)
+    sched.run_until(1.0)
+    return sched.now == 1.0
+
+
+def _no_op() -> None:
+    pass
 
 
 def _timed(check, setup=tuple) -> dict:
@@ -180,22 +207,61 @@ def _one_window(booth, registry, keys):
 
 
 def _messages(booth, keys, entries, record, tx) -> dict:
-    """A builder of a fresh copy of each timed message."""
-    partial = make_partial(keys[booth.proposer_id], commit_cert_digest(
-        0, record.tx_hash, booth.booth_hash))
-    return {
-        "OrderMsg": lambda: OrderMsg(
-            instance_id=1, sender=1, ordering_id=entries[0].ordering_id,
-            cert=entries[0].cert),
-        "CommitMsg": lambda: CommitMsg(
+    """A builder of a fresh copy of each timed message: one of each type,
+    the first entry's ordering messages and the window's commit messages."""
+    first = entries[0]
+    ordered = order_cert_digest(first.ordering_id, first.batch_hash,
+                                booth.booth_hash)
+    committed = commit_cert_digest(0, record.tx_hash, booth.booth_hash)
+    partial = make_partial(keys[booth.proposer_id], committed)
+    pre, reply = make_partial(keys[1], ordered), make_partial(keys[2], ordered)
+    commit_reply = make_partial(keys[2], committed)
+
+    def commit():
+        return CommitMsg(
             instance_id=1, sender=1, window_start_us=0,
             booth_hash=record.booth_hash, cert=record.cert,
-            tx_hash=record.tx_hash),
+            tx_hash=record.tx_hash)
+
+    commit_hash = commit().commit_hash()
+    hop = TraverseHop(lifetime=2, node_id=1,
+                      sig=keys[1].sign(traverse_digest(commit_hash, 2)))
+    return {
+        "PreOrder": lambda: PreOrder(
+            instance_id=1, sender=1, ordering_id=first.ordering_id,
+            batch=first.batch, batch_hash=first.batch_hash, booth=booth,
+            booth_hash=booth.booth_hash,
+            proposer_partial=pre),
+        "OrderReply": lambda: OrderReply(
+            instance_id=1, sender=2, ordering_id=first.ordering_id,
+            partial=reply),
+        "OrderMsg": lambda: OrderMsg(
+            instance_id=1, sender=1, ordering_id=first.ordering_id,
+            cert=first.cert),
+        "PreCommitSeen": lambda: PreCommitSeen(
+            instance_id=1, sender=1, window_start_us=0,
+            window_len_us=WINDOW_US, tx_hash=record.tx_hash,
+            first_id=first.ordering_id, last_id=entries[-1].ordering_id,
+            booth=booth, booth_hash=booth.booth_hash,
+            proposer_partial=partial),
         "PreCommitUnseen": lambda: PreCommitUnseen(
             instance_id=1, sender=1, window_start_us=0,
             window_len_us=WINDOW_US, tx_hash=record.tx_hash, tx=tx(),
             booth=booth, booth_hash=booth.booth_hash,
             proposer_partial=partial),
+        "CommitReply": lambda: CommitReply(
+            instance_id=1, sender=2, window_start_us=0,
+            partial=commit_reply),
+        "CommitMsg": commit,
+        "GossipMsg": lambda: GossipMsg(
+            instance_id=1, sender=1, commit=commit(), tx=tx(),
+            traverse=(hop,)),
+        "GossipAck": lambda: GossipAck(
+            instance_id=1, sender=3, commit_hash=commit_hash, propagator=3),
+        "Ping": lambda: Ping(instance_id=0, sender=2, seq=9,
+                             sent_at_us=123_456),
+        "Pong": lambda: Pong(instance_id=0, sender=3, seq=9,
+                             sent_at_us=123_456),
     }
 
 
