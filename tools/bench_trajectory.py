@@ -272,30 +272,38 @@ def _spread(samples: list[float]) -> dict:
 
 
 def signatures_per_unit(workloads) -> dict:
-    """`SigningKey.sign` calls over one pass of each workload's specs, and
-    the batches that pass committed."""
-    sign = crypto.SigningKey.sign
-    count = [0]
+    """`SigningKey.sign` calls over one pass of each workload's specs, the
+    calls among them that really signed (`SigningKey._signed`), and the
+    batches that pass committed."""
+    originals = {attr: getattr(crypto.SigningKey, attr)
+                 for attr in ("sign", "_signed")}
+    count = dict.fromkeys(originals, 0)
 
-    def counted(key, payload_digest):
-        count[0] += 1
-        return sign(key, payload_digest)
+    def counting(attr):
+        def counted(key, payload_digest):
+            count[attr] += 1
+            return originals[attr](key, payload_digest)
+        return counted
 
     out = {}
-    crypto.SigningKey.sign = counted
+    for attr in originals:
+        setattr(crypto.SigningKey, attr, counting(attr))
     try:
         for name, build in sorted(workloads.items()):
-            count[0] = committed = 0
+            count.update(dict.fromkeys(count, 0))
+            committed = 0
             for spec in build(SEED).specs:
                 report = harness.run(spec).report
                 committed += sum(i["committed_batches"]
                                  for i in report["instances"])
-            out[name] = {"signatures": count[0],
+            out[name] = {"signatures": count["sign"],
+                         "real_signatures": count["_signed"],
                          "committed_batches": committed,
                          "per_committed_batch":
-                             round(count[0] / max(committed, 1), 3)}
+                             round(count["sign"] / max(committed, 1), 3)}
     finally:
-        crypto.SigningKey.sign = sign
+        for attr, original in originals.items():
+            setattr(crypto.SigningKey, attr, original)
     return out
 
 
