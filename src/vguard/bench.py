@@ -14,14 +14,13 @@ from __future__ import annotations
 
 import heapq
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 from typing import Optional
 
 from .errors import ConfigInvalid
 from .netsim import CostModel, Network, Scheduler
 
-_FREE = CostModel(base_ms=0.0, sign_ms=0.0, verify_ms=0.0, hash_byte_ms=0.0,
-                  wire_byte_ms=0.0, wire_byte_quad_ms=0.0)
+_FREE = CostModel(**{f.name: 0.0 for f in fields(CostModel)})
 
 
 class WallClock(Scheduler):

@@ -9,8 +9,9 @@ from dataclasses import replace
 from pathlib import Path
 
 from .errors import ConfigInvalid, VGuardError
-from .harness import RunSpec, load_spec_file, run, sweep, write_artifacts
-from .netsim import load_byzantine_file, load_churn_file
+from .harness import (RunSpec, load_spec_file, run, spec_from_dict, sweep,
+                      write_artifacts)
+from .netsim import SimConfig
 
 _SWEEPABLE = ("booth_size", "pool", "batch_size", "gamma", "lambda0",
               "rate_per_s", "duration_ms")
@@ -18,7 +19,7 @@ _SWEEPABLE = ("booth_size", "pool", "batch_size", "gamma", "lambda0",
 
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--spec", type=Path, help="JSON RunSpec file; flags override")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, help="the run's seed")
     p.add_argument("--booth-size", type=int, dest="booth_size",
                    help="members per booth, 3f+1")
     p.add_argument("--pool", type=int, help="total vehicles in the pool")
@@ -39,36 +40,34 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--delay-sd-ms", type=float, dest="delay_sd_ms")
     p.add_argument("--churn", type=Path, help="JSON churn schedule file")
     p.add_argument("--byzantine", type=Path,
-                   help="JSON file mapping node id to behavior list")
-    p.add_argument("--trace", action="store_true",
+                   help="JSON byzantine schedule file")
+    p.add_argument("--trace", action="store_true", default=None,
                    help="record per-message trace events")
     p.add_argument("--mode", choices=("reference", "benchmark"),
                    default="reference",
                    help="reference = deterministic simulation, "
                         "benchmark = simulated network on the wall clock")
-    p.add_argument("--label", default="")
+    p.add_argument("--label")
     p.add_argument("--out", type=Path, help="artifact directory")
 
 
 def _spec_from_args(args: argparse.Namespace) -> RunSpec:
+    """The spec file's spec, or the default, with each flag that was given
+    set on the spec field, or else the `sim` field, that its dest names. A
+    schedule flag names a JSON file, read as that field is in a spec."""
     spec = load_spec_file(args.spec) if args.spec else RunSpec()
-    direct = {name: getattr(args, name) for name in
-              ("seed", "booth_size", "pool", "batch_size", "gamma", "delta_us",
-               "lambda0", "duration_ms", "rate_per_s", "label")
-              if getattr(args, name, None) is not None}
-    if direct:
-        spec = replace(spec, **direct)
+    for dest, value in vars(args).items():
+        if value is None:
+            continue
+        if dest in RunSpec.__dataclass_fields__:
+            if isinstance(value, Path):
+                data = json.loads(value.read_text(encoding="utf-8"))
+                value = getattr(spec_from_dict({dest: data}), dest)
+            spec = replace(spec, **{dest: value})
+        elif dest in SimConfig.__dataclass_fields__:
+            spec = replace(spec, sim=replace(spec.sim, **{dest: value}))
     if args.saturate:
         spec = replace(spec, rate_per_s=None)
-    sim_over = {name: getattr(args, name) for name in
-                ("gst_ms", "drop_rate", "delay_mean_ms", "delay_sd_ms")
-                if getattr(args, name, None) is not None}
-    if sim_over or args.trace:
-        spec = replace(spec, sim=replace(spec.sim, trace=args.trace, **sim_over))
-    if args.churn:
-        spec = replace(spec, churn=tuple(load_churn_file(args.churn)))
-    if args.byzantine:
-        spec = replace(spec, byzantine=load_byzantine_file(args.byzantine))
     return spec
 
 
@@ -94,15 +93,22 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
+def _number(token: str):
+    """A sweep value: an int if the token reads as one, else a float."""
+    for kind in (int, float):
+        try:
+            return kind(token)
+        except ValueError:
+            pass
+    raise ConfigInvalid(f"sweep value must be a number, got {token!r}")
+
+
 def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.dimension not in _SWEEPABLE:
         raise ConfigInvalid(
             f"sweep dimension must be one of {_SWEEPABLE}, got {args.dimension}")
     base = _spec_from_args(args)
-    values = []
-    for token in args.values.split(","):
-        token = token.strip()
-        values.append(float(token) if "." in token else int(token))
+    values = [_number(token.strip()) for token in args.values.split(",")]
     outcome = sweep(base, args.dimension, values)
     if args.out:
         args.out.mkdir(parents=True, exist_ok=True)

@@ -19,9 +19,11 @@ class ConfigInvalid(VGuardError):
     """A run or module configuration violates a structural constraint."""
 
 
-# Metadata of a numeric config field that must be above zero; every other
-# numeric field must be at least zero (see `harness.RunSpec.validate`).
+# Metadata of a numeric config field that must be above zero, and of one
+# that must stay below one; every numeric field must be finite and at least
+# zero (see `harness.check`, which reads these).
 POSITIVE = {"positive": True}
+BELOW_ONE = {"below": 1}
 
 
 # -- crypto --------------------------------------------------------------

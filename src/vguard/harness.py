@@ -17,10 +17,12 @@ from __future__ import annotations
 import csv
 import json
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field, fields, is_dataclass, replace
+from functools import cache
 from numbers import Integral, Real
 from pathlib import Path
-from typing import Optional
+from typing import Optional, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -36,12 +38,14 @@ from .node import MetricSink, NodeRuntime, ProtocolConfig
 from .storage import RetentionPolicy, StorageMaster
 
 PIVOT_ID = 1
-_NUMERIC = {"int": Integral, "Optional[int]": Integral, "float": Real,
-            "Optional[float]": Real}
+_ABSTRACT = {int: Integral, float: Real}      # so numpy scalars pass too
 
 
 @dataclass(frozen=True)
 class RunSpec:
+    """A run's settings, each declared once by its field: `check` and
+    `spec_from_dict` read its annotation and metadata."""
+
     booth_size: int = 4                  # 3f+1 members per booth
     pool: Optional[int] = None           # total vehicles; defaults to booth_size
     batch_size: int = field(default=8, metadata=POSITIVE)  # entries per round
@@ -58,18 +62,22 @@ class RunSpec:
     sim: SimConfig = field(default_factory=lambda: SimConfig(seed=0))
     protocol: ProtocolConfig = field(default_factory=ProtocolConfig)
     mmu: MmuConfig = field(default_factory=MmuConfig)
-    churn: tuple[ChurnEvent, ...] = ()
-    byzantine: tuple[tuple[int, tuple[str, ...]], ...] = ()
-    overlay: Optional[tuple[tuple[int, tuple[int, ...]], ...]] = None
+    churn: tuple[ChurnEvent, ...] = field(default=(),
+                                          metadata={"read": churn_events})
+    byzantine: tuple[tuple[int, tuple[str, ...]], ...] = field(
+        default=(), metadata={"read": byzantine_schedule})
     strict_audit: bool = True
     label: str = ""
 
     def validate(self) -> "RunSpec":
-        _check_numbers(self)
+        check(self)
+        if self.sim.seed:
+            raise ConfigInvalid(f"sim.seed must be 0, got {self.sim.seed!r}: "
+                                "`seed` seeds the run, its network included")
         if self.booth_size < 4 or (self.booth_size - 1) % 3 != 0:
             raise ConfigInvalid(
                 f"booth size must be 3f+1 with f >= 1, got {self.booth_size}")
-        pool = self.pool if self.pool is not None else self.booth_size
+        pool = self.pool_size
         if pool < self.booth_size:
             raise ConfigInvalid(f"pool {pool} smaller than booth {self.booth_size}")
         if self.gamma < 1 or self.gamma > pool - 1:
@@ -80,31 +88,45 @@ class RunSpec:
     def pool_size(self) -> int:
         return self.pool if self.pool is not None else self.booth_size
 
-    @property
-    def fault_budget(self) -> int:
-        return (self.booth_size - 1) // 3
+
+@cache
+def _settings(cls) -> tuple[tuple[str, type, bool, Mapping], ...]:
+    """(name, type, optional, metadata) of each field of a config dataclass
+    by its resolved annotation: `Optional[T]` gives T, `tuple[...]` tuple."""
+    hints, out = get_type_hints(cls), []
+    for f in fields(cls):
+        hint = hints[f.name]
+        optional = type(None) in get_args(hint)
+        kind = get_args(hint)[0] if optional else get_origin(hint) or hint
+        out.append((f.name, kind, optional, f.metadata))
+    return tuple(out)
 
 
-def _check_numbers(config, prefix: str = "") -> None:
-    """Check each int and float field of a config dataclass, and of the
-    config dataclasses nested in it, by annotation: its type, that it is
-    finite, and that it is at least zero, or above zero if its metadata is
-    `POSITIVE`. A message names the field by its dotted path."""
-    for f in fields(config):
-        value, kind = getattr(config, f.name), _NUMERIC.get(f.type)
-        name = prefix + f.name
-        if is_dataclass(value):
-            _check_numbers(value, name + ".")
-        if not kind or (value is None and "Optional" in f.type):
+def check(config, prefix: str = "") -> None:
+    """Check every field of a config dataclass, and of the configs nested
+    in it, against its annotation; None passes where it is `Optional`. A
+    number must also be finite and at least zero, above zero if its
+    metadata is `POSITIVE` and below one if `BELOW_ONE`. A message names
+    the field by its dotted path."""
+    for name, kind, optional, meta in _settings(type(config)):
+        value, where = getattr(config, name), prefix + name
+        if value is None and optional:
             continue
-        if not isinstance(value, kind) or isinstance(value, bool):
-            raise ConfigInvalid(f"{name} must be {kind.__name__.lower()}, got {value!r}")
-        if not math.isfinite(value):
-            raise ConfigInvalid(f"{name} must be finite, got {value!r}")
-        if f.metadata.get("positive") and value <= 0:
-            raise ConfigInvalid(f"{name} must be positive, got {value!r}")
-        if value < 0:
-            raise ConfigInvalid(f"{name} must not be negative, got {value!r}")
+        if (not isinstance(value, _ABSTRACT.get(kind, kind))
+                or (isinstance(value, bool) and kind is not bool)):
+            raise ConfigInvalid(f"{where} must be {kind.__name__}, got {value!r}")
+        if is_dataclass(kind):
+            check(value, where + ".")
+        elif kind in _ABSTRACT:
+            if not isinstance(value, Integral) and not math.isfinite(value):
+                raise ConfigInvalid(f"{where} must be finite, got {value!r}")
+            if meta.get("positive") and value <= 0:
+                raise ConfigInvalid(f"{where} must be positive, got {value!r}")
+            if value < 0:
+                raise ConfigInvalid(f"{where} must not be negative, got {value!r}")
+            if value >= meta.get("below", math.inf):
+                raise ConfigInvalid(
+                    f"{where} must be below {meta['below']}, got {value!r}")
 
 
 @dataclass
@@ -243,8 +265,7 @@ def run(spec: RunSpec, net=None) -> RunResult:
     for node_id, behaviors in spec.byzantine:
         net.wrap_byzantine(node_id, list(behaviors))
 
-    overlay = (dict((n, list(ps)) for n, ps in spec.overlay)
-               if spec.overlay is not None else default_overlay(node_ids))
+    overlay = default_overlay(node_ids)
     gossip_cfg = (GossipConfig(initial_lifetime=spec.lambda0)
                   if spec.lambda0 > 0 else None)
 
@@ -491,31 +512,23 @@ def load_spec_file(path: Path) -> RunSpec:
     return spec_from_dict(data)
 
 
-def spec_from_dict(data: dict) -> RunSpec:
-    """RunSpec from a JSON object; `byzantine` maps node ids to behavior
-    lists, or is a list as in a `--byzantine` file."""
+def spec_from_dict(data: dict, cls=RunSpec, prefix: str = ""):
+    """A RunSpec, or the nested config `cls` at `prefix`, from a JSON
+    object, read by each field's annotation: a nested config from a nested
+    object, a schedule by its `read` parser, and any other value as it is,
+    for `RunSpec.validate` to check. A value that is not an object, or an
+    unknown key, is refused by its dotted path."""
     if not isinstance(data, dict):
-        raise ConfigInvalid("a spec must be a JSON object")
-    kwargs = dict(data)
-    for name, build in (("sim", lambda d: SimConfig.from_dict({"seed": 0, **d})),
-                        ("protocol", lambda d: ProtocolConfig(**d)),
-                        ("mmu", lambda d: MmuConfig(**d))):
-        if name in kwargs:
-            if not isinstance(kwargs[name], dict):
-                raise ConfigInvalid(f"spec field {name!r} must be a JSON object")
-            try:
-                kwargs[name] = build(kwargs[name])
-            except TypeError as exc:
-                raise ConfigInvalid(f"spec field {name!r}: {exc}") from None
-    if "churn" in kwargs and kwargs["churn"]:
-        kwargs["churn"] = tuple(churn_events(kwargs["churn"]))
-    byzantine = kwargs.get("byzantine")
-    if isinstance(byzantine, dict):
-        byzantine = [{"node_id": node, "behaviors": behaviors}
-                     for node, behaviors in byzantine.items()]
-    if byzantine:
-        kwargs["byzantine"] = byzantine_schedule(byzantine)
-    unknown = set(kwargs) - set(RunSpec.__dataclass_fields__)
-    if unknown:
-        raise ConfigInvalid(f"unknown spec fields: {sorted(unknown)}")
-    return RunSpec(**kwargs)
+        raise ConfigInvalid(f"{prefix[:-1] or 'a spec'} must be a JSON object")
+    declared = {name: (kind, meta) for name, kind, _, meta in _settings(cls)}
+    values = {}
+    for name, value in data.items():
+        if name not in declared:
+            raise ConfigInvalid(f"unknown spec field {prefix}{name}")
+        kind, meta = declared[name]
+        if is_dataclass(kind):
+            value = spec_from_dict(value, kind, f"{prefix}{name}.")
+        elif "read" in meta:
+            value = meta["read"](value)
+        values[name] = value
+    return cls(**values)

@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import json
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
@@ -50,7 +49,7 @@ from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from .errors import ConfigInvalid, UnknownEndpoint
+from .errors import BELOW_ONE, ConfigInvalid, UnknownEndpoint
 
 
 class Category(str, Enum):
@@ -96,30 +95,17 @@ class CostModel:
 
 @dataclass(frozen=True)
 class SimConfig:
-    seed: int = 0
+    seed: int = 0             # a run sets it from `RunSpec.seed`
     delay_mean_ms: float = 1.0
     delay_sd_ms: float = 0.2
-    drop_rate: float = 0.0
-    dup_rate: float = 0.0
+    drop_rate: float = field(default=0.0, metadata=BELOW_ONE)
+    dup_rate: float = field(default=0.0, metadata=BELOW_ONE)
     reorder: bool = True
     gst_ms: Optional[float] = None
     gst_bound_ms: float = 20.0
     bandwidth_bytes_per_ms: Optional[float] = 400_000.0
     cost: CostModel = field(default_factory=CostModel)
     trace: bool = False
-
-    def __post_init__(self):
-        # types, finiteness and signs: `harness.RunSpec.validate`
-        if not 0.0 <= self.drop_rate < 1.0:
-            raise ConfigInvalid("drop_rate must be in [0, 1)")
-        if not 0.0 <= self.dup_rate < 1.0:
-            raise ConfigInvalid("dup_rate must be in [0, 1)")
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "SimConfig":
-        obj = dict(obj)
-        cost = CostModel(**obj.pop("cost", {}))
-        return cls(cost=cost, **obj)
 
 
 class Timer:
@@ -216,14 +202,9 @@ def _json_objects(data, what: str) -> list:
     raise ConfigInvalid(f"{what} must be a JSON list of objects")
 
 
-def churn_events(data) -> list[ChurnEvent]:
-    return [ChurnEvent.from_dict(obj)
-            for obj in _json_objects(data, "a churn schedule")]
-
-
-def load_churn_file(path) -> list[ChurnEvent]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return churn_events(json.load(fh))
+def churn_events(data) -> tuple[ChurnEvent, ...]:
+    return tuple(ChurnEvent.from_dict(obj)
+                 for obj in _json_objects(data, "a churn schedule"))
 
 
 class ByzantineBehavior(str, Enum):
@@ -243,8 +224,12 @@ class ByzantineBehavior(str, Enum):
 
 
 def byzantine_schedule(data) -> tuple[tuple[int, tuple[str, ...]], ...]:
-    """A JSON list of {node_id, behaviors} objects as `RunSpec.byzantine`:
-    (node, behaviors) pairs in node order."""
+    """A JSON list of {node_id, behaviors} objects, or a map of node ids to
+    behavior lists, as `RunSpec.byzantine`: (node, behaviors) pairs in node
+    order."""
+    if isinstance(data, dict):
+        data = [{"node_id": node, "behaviors": behaviors}
+                for node, behaviors in data.items()]
     out: dict[int, tuple[str, ...]] = {}
     for obj in _json_objects(data, "a byzantine schedule"):
         try:
@@ -254,11 +239,6 @@ def byzantine_schedule(data) -> tuple[tuple[int, tuple[str, ...]], ...]:
             raise ConfigInvalid(
                 f"byzantine entry needs a node_id and a behaviors list: {obj}") from exc
     return tuple(sorted(out.items()))
-
-
-def load_byzantine_file(path) -> tuple[tuple[int, tuple[str, ...]], ...]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return byzantine_schedule(json.load(fh))
 
 
 class _RunQueue:

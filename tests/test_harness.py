@@ -512,19 +512,26 @@ def test_cli_rejects_bad_schedule_files(tmp_path, capsys, flag, entries):
     assert capsys.readouterr().err.startswith("error:")
 
 
-@pytest.mark.parametrize("data", [[1, 2], {"sim": [1]}, {"protocol": 3},
-                                  {"mmu": "deep"}, {"protocol": {"bogus": 1}},
-                                  {"sim": {"cost": 5}},
-                                  {"mmu": {"booth_size": 7}},
-                                  {"protocol": {"delta_us": 5000}}],
-                         ids=["list", "sim-list", "protocol-int", "mmu-str",
-                              "protocol-unknown-field", "sim-cost-int",
-                              "mmu-booth-size", "protocol-delta-us"])
-def test_cli_rejects_spec_files_of_the_wrong_shape(tmp_path, capsys, data):
+@pytest.mark.parametrize("data, error", [
+    ([1, 2], "a spec must be a JSON object"),
+    ({"sim": [1]}, "sim must be a JSON object"),
+    ({"protocol": 3}, "protocol must be a JSON object"),
+    ({"mmu": "deep"}, "mmu must be a JSON object"),
+    ({"protocol": {"bogus": 1}}, "unknown spec field protocol.bogus"),
+    ({"sim": {"cost": 5}}, "sim.cost must be a JSON object"),
+    ({"mmu": {"booth_size": 7}}, "unknown spec field mmu.booth_size"),
+    ({"protocol": {"delta_us": 5000}}, "unknown spec field protocol.delta_us"),
+    ({"sim": {"cost": {"zz": 1}}}, "unknown spec field sim.cost.zz"),
+    ({"overlay": 5}, "unknown spec field overlay"),
+], ids=["list", "sim-list", "protocol-int", "mmu-str", "protocol-unknown-field",
+        "sim-cost-int", "mmu-booth-size", "protocol-delta-us",
+        "sim-cost-unknown-field", "overlay"])
+def test_cli_rejects_spec_files_of_the_wrong_shape(tmp_path, capsys, data,
+                                                   error, no_run_starts):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(data))
     assert cli.main(["run", "--duration-ms", "200", "--spec", str(path)]) == 2
-    assert capsys.readouterr().err.startswith("error:")
+    assert capsys.readouterr().err.startswith(f"error: {error}")
 
 
 BAD_FIELDS = {
@@ -554,6 +561,13 @@ BAD_FIELDS = {
     "sim-cost-base-negative": {"sim": {"cost": {"base_ms": -1}}},
     "sim-delay-sd-negative": {"sim": {"delay_sd_ms": -0.5}},
     "batch-size-zero": {"batch_size": 0},
+    "strict-audit-str": {"strict_audit": "no"},
+    "label-int": {"label": 5},
+    "sim-reorder-str": {"sim": {"reorder": "no"}},
+    "sim-trace-int": {"sim": {"trace": 1}},
+    "sim-drop-rate-one": {"sim": {"drop_rate": 1.0}},
+    "sim-dup-rate-above-one": {"sim": {"dup_rate": 1.5}},
+    "sim-seed-nonzero": {"sim": {"seed": 5}},
 }
 
 
@@ -588,6 +602,69 @@ def test_cli_rejects_spec_fields_of_the_wrong_type_or_range(tmp_path, capsys,
 def test_cli_rejects_non_finite_flags(capsys, no_run_starts, flag, value):
     assert cli.main(["run", "--duration-ms", "50", flag, value]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("dimension, token, error", [
+    ("duration_ms", "x", "sweep value must be a number"),
+    ("duration_ms", "inf", "duration_ms must be finite"),
+    ("batch_size", "1e5", "batch_size must be int")])
+def test_cli_sweep_reads_each_value_as_an_int_else_a_float(
+        capsys, no_run_starts, dimension, token, error):
+    assert cli.main(["sweep", "--dimension", dimension, "--values", token]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {error}")
+
+
+def test_cli_sweep_takes_a_float_in_exponent_form(tmp_path):
+    code = cli.main(["sweep", "--dimension", "duration_ms", "--values", "1e2",
+                     "--rate", "100", "--out", str(tmp_path)])
+    assert code == 0
+    (cell,) = json.loads((tmp_path / "sweep.json").read_text())["cells"]
+    assert cell["value"] == 100.0
+    assert cell["report"]["config"]["duration_ms"] == 100.0
+
+
+def test_each_setting_flag_sets_its_field_and_seed_seeds_the_run(tmp_path,
+                                                                monkeypatch):
+    """Each flag lands on the field its dest names; `--seed` is the run's
+    seed, and a schedule flag's file is read as that field is in a spec."""
+    specs = []
+    monkeypatch.setattr(cli, "_cmd_run",
+                        lambda args: specs.append(cli._spec_from_args(args)) or 0)
+    churn, byzantine = tmp_path / "churn.json", tmp_path / "byzantine.json"
+    churn.write_text(json.dumps([{"at_ms": 5, "node_id": 9, "status": "down"}]))
+    byzantine.write_text(json.dumps({"8": ["silent"]}))
+    assert cli.main([
+        "run", "--seed", "9", "--booth-size", "7", "--pool", "9",
+        "--batch-size", "3", "--gamma", "2", "--delta-us", "5000",
+        "--lambda0", "2", "--duration-ms", "10", "--rate", "5", "--gst-ms", "7",
+        "--drop-rate", "0.1", "--delay-mean-ms", "2", "--delay-sd-ms", "0.5",
+        "--trace", "--label", "x", "--churn", str(churn),
+        "--byzantine", str(byzantine)]) == 0
+    (spec,) = specs
+    assert spec.churn == (ChurnEvent(at_ms=5.0, node_id=9, up=False),)
+    assert spec.byzantine == ((8, ("silent",)),)
+    assert (spec.seed, spec.booth_size, spec.pool, spec.batch_size, spec.gamma,
+            spec.delta_us, spec.lambda0, spec.duration_ms, spec.rate_per_s,
+            spec.label) == (9, 7, 9, 3, 2, 5000, 2, 10.0, 5.0, "x")
+    assert (spec.sim.seed, spec.sim.gst_ms, spec.sim.drop_rate,
+            spec.sim.delay_mean_ms, spec.sim.delay_sd_ms, spec.sim.trace) == \
+        (0, 7.0, 0.1, 2.0, 0.5, True)
+    assert spec.validate() is spec
+
+
+def test_cli_flags_that_are_not_given_keep_the_spec_file(tmp_path):
+    """An absent `--label` or `--trace` leaves the spec file's value, also
+    when another sim flag is given."""
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"label": "from-file", "duration_ms": 100.0,
+                                "grace_ms": 100.0, "sim": {"trace": True}}))
+    out = tmp_path / "out"
+    assert cli.main(["run", "--spec", str(path), "--drop-rate", "0.01",
+                     "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["label"] == "from-file"
+    assert report["config"]["drop_rate"] == 0.01
+    assert (out / "trace.jsonl").exists()
 
 
 def test_report_names_byzantine_nodes_and_counts_stalled_windows():
