@@ -9,8 +9,8 @@ from dataclasses import replace
 from pathlib import Path
 
 from .errors import ConfigInvalid, VGuardError
-from .harness import (RunSpec, load_spec_file, run, spec_from_dict, sweep,
-                      write_artifacts)
+from .harness import (RunSpec, load_spec_file, read_json_file, run,
+                      spec_from_dict, sweep, write_artifacts)
 from .netsim import SimConfig
 
 _SWEEPABLE = ("booth_size", "pool", "batch_size", "gamma", "lambda0",
@@ -61,8 +61,8 @@ def _spec_from_args(args: argparse.Namespace) -> RunSpec:
             continue
         if dest in RunSpec.__dataclass_fields__:
             if isinstance(value, Path):
-                data = json.loads(value.read_text(encoding="utf-8"))
-                value = getattr(spec_from_dict({dest: data}), dest)
+                value = getattr(spec_from_dict({dest: read_json_file(value)}),
+                                dest)
             spec = replace(spec, **{dest: value})
         elif dest in SimConfig.__dataclass_fields__:
             spec = replace(spec, sim=replace(spec.sim, **{dest: value}))

@@ -26,7 +26,8 @@ from the field annotations. The encoder is generated code, one flat
 function per class (`encoder`), that packs a value in one pass. A list of
 [u64, bytes] pairs, the shape of a batch's entry list and the bulk of the
 data on the wire, has a fast path both ways instead: `pack_pairs` and
-`Reader.skip_pairs` frame or check each pair in one struct step.
+`Reader.skip_pairs` frame or check each pair in one struct step, and
+`pack_pair_lists` frames the pairs of many equal lists in one numpy step.
 """
 
 from __future__ import annotations
@@ -38,6 +39,8 @@ from enum import Enum
 from functools import cache
 from itertools import count
 from typing import Iterable, Union, get_args, get_origin, get_type_hints
+
+import numpy as np
 
 
 class Packed:
@@ -55,6 +58,7 @@ _HEADER = struct.Struct(">cI")         # tag, then a length or a count
 _U64 = struct.Struct(">cQ")            # tag, then the value
 # the framing of one [u64, bytes] pair: list of 2, the u64, the byte length
 _PAIR = struct.Struct(">cIcQcI")
+_PAIR_U64 = slice(6, 14)               # where the u64 sits in that framing
 
 
 def pack(*fields: Field) -> bytes:
@@ -133,6 +137,27 @@ def pack_pairs(pairs: Iterable[tuple[int, bytes]]) -> bytes:
         raise ValueError("integer field out of u64 range") from None
     parts[0] = b"L" + (len(parts) // 2).to_bytes(4, "big")
     return b"".join(parts)
+
+
+def pack_pair_lists(first_seq: int, payloads: np.ndarray,
+                    per_list: int) -> list[bytes]:
+    """`pack_pairs` of the pairs (first_seq, row 0), (first_seq + 1, row 1),
+    ... over the rows of `payloads`, a 2-D uint8 array, cut into lists of
+    `per_list` pairs, which divides the row count. All pairs are framed in
+    one vectorised step; each list is one row of the result."""
+    rows, size = payloads.shape
+    if first_seq < 0 or first_seq + rows > 1 << 64:
+        raise ValueError("integer field out of u64 range")
+    shape = (rows // per_list, per_list)
+    lists = np.empty((shape[0], 5 + per_list * (_PAIR.size + size)), np.uint8)
+    lists[:, :5] = np.frombuffer(b"L" + per_list.to_bytes(4, "big"), np.uint8)
+    pairs = lists[:, 5:].reshape(*shape, _PAIR.size + size)    # a view
+    pairs[..., :_PAIR.size] = np.frombuffer(
+        _PAIR.pack(b"L", 2, b"I", 0, b"B", size), np.uint8)
+    seqs = np.arange(first_seq, first_seq + rows, dtype=">u8")
+    pairs[..., _PAIR_U64] = seqs.view(np.uint8).reshape(*shape, 8)
+    pairs[..., _PAIR.size:] = payloads.reshape(*shape, size)
+    return [row.tobytes() for row in lists]
 
 
 def digest(label: str, *fields: Field) -> bytes:

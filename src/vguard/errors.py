@@ -19,11 +19,13 @@ class ConfigInvalid(VGuardError):
     """A run or module configuration violates a structural constraint."""
 
 
-# Metadata of a numeric config field that must be above zero, and of one
-# that must stay below one; every numeric field must be finite and at least
-# zero (see `harness.check`, which reads these).
+# Metadata of a numeric config field that must be above zero, of one that
+# must stay below one, and of one that may reach one but not pass it; every
+# numeric field must be finite and at least zero (see `harness.check`,
+# which reads these).
 POSITIVE = {"positive": True}
 BELOW_ONE = {"below": 1}
+AT_MOST_ONE = {"at_most": 1}
 
 
 # -- crypto --------------------------------------------------------------

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, fields, is_dataclass, replace
 from functools import cache
 from numbers import Integral, Real
 from pathlib import Path
-from typing import Optional, get_args, get_origin, get_type_hints
+from typing import Iterator, Optional, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -106,8 +106,8 @@ def check(config, prefix: str = "") -> None:
     """Check every field of a config dataclass, and of the configs nested
     in it, against its annotation; None passes where it is `Optional`. A
     number must also be finite and at least zero, above zero if its
-    metadata is `POSITIVE` and below one if `BELOW_ONE`. A message names
-    the field by its dotted path."""
+    metadata is `POSITIVE`, below one if `BELOW_ONE` and at most one if
+    `AT_MOST_ONE`. A message names the field by its dotted path."""
     for name, kind, optional, meta in _settings(type(config)):
         value, where = getattr(config, name), prefix + name
         if value is None and optional:
@@ -127,6 +127,9 @@ def check(config, prefix: str = "") -> None:
             if value >= meta.get("below", math.inf):
                 raise ConfigInvalid(
                     f"{where} must be below {meta['below']}, got {value!r}")
+            if value > meta.get("at_most", math.inf):
+                raise ConfigInvalid(f"{where} must be at most "
+                                    f"{meta['at_most']}, got {value!r}")
 
 
 @dataclass
@@ -153,17 +156,27 @@ def default_overlay(node_ids: list[int]) -> dict[int, list[int]]:
     return out
 
 
-def draw_payloads(rng: np.random.Generator, count: int, size: int) -> list[bytes]:
-    """`count` payloads of `size` bytes, the same bytes and the same
-    generator state as `count` calls of `rng.bytes(size)`, in one draw.
+# Batches a workload draws and frames at once: enough to spread the fixed
+# cost of one draw, few enough that a short run leaves few unused.
+BATCH_BLOCK = 16
 
-    `Generator.bytes(size)` draws ceil(size / 4) 32-bit words, but at least
-    one, and keeps the first `size` bytes of them, so each payload is the
-    head of its own slot of whole words."""
-    slot = 4 * max(1, -(-size // 4))
-    raw = rng.integers(0, 1 << 32, size=count * slot // 4,
-                       dtype=np.uint32).astype("<u4").tobytes()
-    return [raw[i * slot:i * slot + size] for i in range(count)]
+
+def batch_stream(rng: np.random.Generator, count: int, size: int,
+                 first_seq: int) -> Iterator[DataBatch]:
+    """Endless batches of `count` entries of `size` bytes, numbered on from
+    `first_seq`, drawn and framed `BATCH_BLOCK` batches at a time. The
+    payloads, and the generator state after each block, are those of one
+    `rng.bytes(size)` call per entry: that call keeps the first `size`
+    bytes of ceil(size / 4) 32-bit words, but at least one, and PCG64 keeps
+    its spare 32-bit half in its state, so one `integers` call over many
+    rows of words draws the words of one call per row."""
+    words = max(1, -(-size // 4))
+    while True:
+        block = rng.integers(0, 1 << 32, size=(BATCH_BLOCK * count, words),
+                             dtype=np.uint32)
+        payloads = block.astype("<u4", copy=False).view(np.uint8)[:, :size]
+        yield from DataBatch.consecutive(first_seq, payloads, count)
+        first_seq += BATCH_BLOCK * count
 
 
 class Workload:
@@ -174,8 +187,9 @@ class Workload:
         self.runtime = runtime
         self.instance = instance
         self.spec = spec
-        self.rng = rng
-        self.origin_seq = 0
+        # not a method: the stream must hold no reference back to the workload
+        self._batches = batch_stream(rng, spec.batch_size, spec.payload_bytes,
+                                     first_seq=1)
         self.submitted_batches = 0
         self.stopped = False
 
@@ -191,17 +205,11 @@ class Workload:
     def stop(self) -> None:
         self.stopped = True
 
-    def _make_batch(self) -> DataBatch:
-        count, size = self.spec.batch_size, self.spec.payload_bytes
-        first = self.origin_seq + 1
-        self.origin_seq += count
-        return DataBatch.from_payloads(first, draw_payloads(self.rng, count, size))
-
     def _submit_one(self) -> None:
         if self.stopped:
             return
         self.submitted_batches += 1
-        self.instance.ordering.submit(self._make_batch())
+        self.instance.ordering.submit(next(self._batches))
 
     def _fill(self) -> None:
         if self.stopped:
@@ -209,7 +217,7 @@ class Workload:
         cap = self.spec.protocol.max_inflight * 2
         while self.instance.ordering.inflight() < cap:
             self.submitted_batches += 1
-            self.instance.ordering.submit(self._make_batch())
+            self.instance.ordering.submit(next(self._batches))
 
 
 @dataclass
@@ -506,10 +514,17 @@ def sweep(base: RunSpec, dimension: str, values: list) -> dict:
     return {"dimension": dimension, "base_seed": base.seed, "cells": cells}
 
 
+def read_json_file(path: Path):
+    """The value a JSON file holds; a file that is not JSON is refused."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:            # a JSON or a UTF-8 decoding error
+        raise ConfigInvalid(f"{path} is not valid JSON: {exc}") from None
+
+
 def load_spec_file(path: Path) -> RunSpec:
     """RunSpec from a JSON file; nested sim/protocol/mmu dicts supported."""
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
-    return spec_from_dict(data)
+    return spec_from_dict(read_json_file(path))
 
 
 def spec_from_dict(data: dict, cls=RunSpec, prefix: str = ""):

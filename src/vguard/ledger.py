@@ -32,8 +32,11 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable, Collection, Iterable, Optional, Sequence
 
+import numpy as np
+
 from .booths import BoothProfile
-from .codec import digest, pack, pack_pairs, Packed, Reader, Wire  # pack: perfbench
+from .codec import (digest, pack, pack_pair_lists,  # pack: perfbench
+                    pack_pairs, Packed, Reader, Wire)
 from .crypto import (
     AggregateSignature,
     Identity,
@@ -80,11 +83,13 @@ class DataBatch:
         return batch
 
     @classmethod
-    def from_payloads(cls, first_seq: int, payloads: Sequence[bytes]) -> "DataBatch":
-        """Entries first_seq, first_seq + 1, ... carrying `payloads`,
-        packed straight into the batch's bytes."""
-        n = len(payloads)
-        return cls._of(pack_pairs(zip(range(first_seq, first_seq + n), payloads)), n)
+    def consecutive(cls, first_seq: int, payloads: np.ndarray,
+                    count: int) -> list["DataBatch"]:
+        """Batches of `count` entries each: entries first_seq, first_seq + 1,
+        ... carrying the rows of `payloads`, a 2-D uint8 array, packed
+        straight into the batches' bytes."""
+        return [cls._of(packed, count)
+                for packed in pack_pair_lists(first_seq, payloads, count)]
 
     @property
     def batch_hash(self) -> bytes:

@@ -20,13 +20,13 @@ from typing import Callable, Optional
 
 from .booths import BoothProfile, build_profile
 from .crypto import Identity
-from .errors import POSITIVE, InsufficientMembers, UnknownNode
+from .errors import AT_MOST_ONE, POSITIVE, InsufficientMembers, UnknownNode
 
 
 @dataclass
 class MmuConfig:
     queue_depth: int = field(default=4, metadata=POSITIVE)
-    ewma_alpha: float = 0.2
+    ewma_alpha: float = field(default=0.2, metadata=AT_MOST_ONE)
     ping_period_ms: float = field(default=20.0, metadata=POSITIVE)
     ping_miss_limit: int = field(default=3, metadata=POSITIVE)
 

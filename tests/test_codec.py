@@ -6,12 +6,14 @@ from __future__ import annotations
 
 import hashlib
 
+import numpy as np
 import pytest
 
 from conftest import (certify_entry, commit_window, fresh_profile, make_batch,
                       make_booth, make_pool)
 from vguard.booths import BoothProfile
-from vguard.codec import Packed, Reader, digest, pack, pack_pairs
+from vguard.codec import (Packed, Reader, digest, pack, pack_pair_lists,
+                          pack_pairs)
 from vguard.ledger import DataBatch, DataEntry, Transaction
 from vguard.ordering import batch_wire_bytes
 
@@ -121,6 +123,31 @@ def test_pack_pairs_equals_nested_pack(size):
         pack_pairs([(1 << 64, b"x")])
 
 
+@pytest.mark.parametrize("size", [*range(10), *range(62, 67)])
+def test_pack_pair_lists_equals_pack_pairs_per_list(size):
+    rng = np.random.default_rng(size)
+    for per_list in (1, 3, 64):
+        for lists in (0, 1, 4):
+            for first in (0, 7, 2**40 + 7, 2**64 - lists * per_list):
+                rows = rng.integers(0, 256, (lists * per_list, size), np.uint8)
+                pairs = [(first + i, row.tobytes())
+                         for i, row in enumerate(rows)]
+                assert pack_pair_lists(first, rows, per_list) == [
+                    pack_pairs(pairs[k:k + per_list])
+                    for k in range(0, len(pairs), per_list)]
+
+
+@pytest.mark.parametrize("first", [2**64 - 2, 2**64, -1])
+def test_pack_pair_lists_refuses_a_seq_outside_u64(first):
+    """As `pack_pairs` does, for a list whose last seq passes 2**64 - 1, or
+    whose first is negative."""
+    rows = np.zeros((3, 4), np.uint8)
+    with pytest.raises(ValueError):
+        pack_pairs([(first + i, row.tobytes()) for i, row in enumerate(rows)])
+    with pytest.raises(ValueError):
+        pack_pair_lists(first, rows, 3)
+
+
 def _batch_bytes(entries: list) -> bytes:
     """A PreOrder's batch field: a list of one field, the entry list."""
     return pack([entries])
@@ -174,7 +201,9 @@ def test_batch_entries_len_eq_and_hash_round_trip():
     assert len(decoded) == 3
     assert decoded == batch and hash(decoded) == hash(batch)
     assert DataBatch(entries=entries) == batch
-    assert DataBatch.from_payloads(5, [b"x" * 9]) == DataBatch(entries[:1])
+    assert DataBatch.consecutive(
+        5, np.frombuffer(b"x" * 9 + b"y" * 9, np.uint8).reshape(2, 9), 1) == [
+            DataBatch(entries[:1]), DataBatch([DataEntry(6, b"y" * 9)])]
     assert DataBatch(entries[:2]) != batch
     assert DataBatch(entries[::-1]) != batch
     assert len({batch, decoded, DataBatch(entries[:2])}) == 2
@@ -184,7 +213,8 @@ def test_batch_entries_len_eq_and_hash_round_trip():
 @pytest.mark.parametrize("size", [*range(10), *range(62, 67)])
 def test_batch_wire_bytes_equals_the_per_entry_sum(size):
     for count in (1, 2, 8, 64):
-        batch = DataBatch.from_payloads(1, [b"\xa5" * size] * count)
+        batch = DataBatch(DataEntry(1 + i, b"\xa5" * size)
+                          for i in range(count))
         assert batch_wire_bytes(batch) == \
             sum(len(e.payload) + 16 for e in batch.entries) + 8
 

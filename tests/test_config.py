@@ -42,10 +42,11 @@ def values(hint, meta):
     if hint is str:
         return st.text(max_size=8)
     positive, below = meta.get("positive", False), meta.get("below")
+    at_most = meta.get("at_most")
     if hint is int:
-        return st.integers(min_value=int(positive), max_value=2**40)
+        return st.integers(min_value=int(positive), max_value=at_most or 2**40)
     if hint is float:
-        return st.floats(min_value=0.0, max_value=below or 1e9,
+        return st.floats(min_value=0.0, max_value=below or at_most or 1e9,
                          exclude_min=positive, exclude_max=below is not None)
     return None
 
@@ -81,8 +82,9 @@ LEAVES = list(leaves(RunSpec))
 
 def bad_values(hint, meta) -> list:
     """Values just past the field's declaration: the wrong type, and for a
-    number a negative, NaN, zero where it must be positive, and one where
-    it must stay below one."""
+    number a negative, NaN, zero where it must be positive, one where it
+    must stay below one, and the next value above its bound where it may
+    reach the bound."""
     kind = next(t for t in (int, float, bool, str) if t in {hint, *get_args(hint)})
     if kind is bool:
         return [1, "no"]
@@ -97,6 +99,10 @@ def bad_values(hint, meta) -> list:
         out.append(0)
     if "below" in meta:
         out.append(meta["below"])
+    if "at_most" in meta:
+        bound = meta["at_most"]
+        out.append(math.nextafter(bound, math.inf) if kind is float
+                   else bound + 1)
     return out
 
 

@@ -18,9 +18,9 @@ import pytest
 
 from vguard import cli, crypto, harness, messages, node
 from vguard.bench import run_benchmark
-from vguard.codec import Reader, pack
+from vguard.codec import Reader, pack, pack_pairs
 from vguard.errors import ConfigInvalid
-from vguard.harness import (RunSpec, draw_payloads, load_spec_file,
+from vguard.harness import (BATCH_BLOCK, RunSpec, batch_stream, load_spec_file,
                             plan_instances, run, seed_for_cell, spec_from_dict,
                             sweep, write_artifacts)
 from vguard.ledger import DataBatch, DataEntry
@@ -204,17 +204,28 @@ def test_every_process_wide_memo_stays_within_its_bound(monkeypatch):
 
 @pytest.mark.parametrize("size", [*range(10), *range(62, 67)])
 def test_one_draw_per_batch_matches_one_draw_per_entry(size):
-    """The workload draws a batch's payloads at once; they and the
-    generator state after them equal one `rng.bytes` call per entry."""
+    """The workload draws and frames a block of batches at once. Across
+    three blocks, each batch equals `pack_pairs` over one `rng.bytes` call
+    per entry, and the generator state after each block's draw equals the
+    state after that block's calls."""
     for count in (1, 3, 8, 64):
-        per_entry = np.random.default_rng([size, count])
-        per_batch = np.random.default_rng([size, count])
-        per_entry.bytes(3)        # start off a 64-bit boundary as well
-        per_batch.bytes(3)
-        expected = [per_entry.bytes(size) for _ in range(count)]
-        assert draw_payloads(per_batch, count, size) == expected
-        assert per_batch.bit_generator.state == per_entry.bit_generator.state
-        assert per_batch.bytes(7) == per_entry.bytes(7)
+        for first in (1, 2**40 + 7):
+            per_entry = np.random.default_rng([size, count])
+            per_block = np.random.default_rng([size, count])
+            per_entry.bytes(3)        # start off a 64-bit boundary as well
+            per_block.bytes(3)
+            stream = batch_stream(per_block, count, size, first)
+            seq = first
+            for index in range(3 * BATCH_BLOCK):
+                expected = pack_pairs([(seq + i, per_entry.bytes(size))
+                                       for i in range(count)])
+                seq += count
+                batch = next(stream)
+                assert (batch.packed, len(batch)) == (expected, count)
+                if index % BATCH_BLOCK == BATCH_BLOCK - 1:
+                    assert (per_block.bit_generator.state
+                            == per_entry.bit_generator.state)
+            assert per_block.bytes(7) == per_entry.bytes(7)
 
 
 def test_churned_vehicle_triggers_rebooking_not_loss():
@@ -318,15 +329,15 @@ def _flip_by_repacking(batch: DataBatch) -> DataBatch:
 @pytest.mark.parametrize("size", [*range(1, 10), *range(62, 67)])
 @pytest.mark.parametrize("count", [1, 3, 64])
 def test_forgery_edits_the_packed_bytes_as_a_repack_would(size, count):
-    batch = DataBatch.from_payloads(
-        2**40 + 7, draw_payloads(np.random.default_rng(size), count, size))
+    batch = next(batch_stream(np.random.default_rng(size), count, size,
+                              2**40 + 7))
     forged = node._flip_first_byte(batch)
     assert forged == _flip_by_repacking(batch)
     assert len(forged) == count
 
 
 def test_forgery_of_an_empty_first_payload_flips_its_origin_seq():
-    batch = DataBatch.from_payloads(5, [b"", b"ab"])
+    batch = DataBatch([DataEntry(5, b""), DataEntry(6, b"ab")])
     forged = node._flip_first_byte(batch)
     assert forged.entries == (DataEntry(5 ^ 0xFF, b""), DataEntry(6, b"ab"))
     assert DataBatch.read_from(Reader(pack(forged.to_field()))) == forged
@@ -512,6 +523,18 @@ def test_cli_rejects_bad_schedule_files(tmp_path, capsys, flag, entries):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("raw", [b'[{"node_id": 3,', b'["\xff"]'],
+                         ids=["cut-short", "not-utf8"])
+@pytest.mark.parametrize("flag", ["--spec", "--churn", "--byzantine"])
+def test_cli_rejects_files_that_are_not_json(tmp_path, capsys, flag, raw,
+                                             no_run_starts):
+    path = tmp_path / "file.json"
+    path.write_bytes(raw)
+    assert cli.main(["run", "--duration-ms", "200", flag, str(path)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: {path} is not valid JSON: ")
+
+
 @pytest.mark.parametrize("data, error", [
     ([1, 2], "a spec must be a JSON object"),
     ({"sim": [1]}, "sim must be a JSON object"),
@@ -555,6 +578,7 @@ BAD_FIELDS = {
     "sim-bandwidth-nan": {"sim": {"bandwidth_bytes_per_ms": float("nan")}},
     "mmu-ping-period-zero": {"mmu": {"ping_period_ms": 0}},
     "mmu-ping-period-nan": {"mmu": {"ping_period_ms": float("nan")}},
+    "mmu-ewma-alpha-above-one": {"mmu": {"ewma_alpha": 5}},
     "protocol-timeout-factor-nan": {"protocol": {"timeout_factor": float("nan")}},
     "protocol-max-inflight-zero": {"protocol": {"max_inflight": 0}},
     "sim-cost-verify-nan": {"sim": {"cost": {"verify_ms": float("nan")}}},

@@ -19,8 +19,8 @@ from vguard.codec import Wire, pack
 from vguard.netsim import SimConfig
 from vguard.crypto import (AggregateSignature, Identity, PartialSignature,
                            Role, make_partial)
-from vguard.ledger import (DataBatch, MembershipLink, Transaction, TxEntry,
-                           commit_cert_digest, order_cert_digest)
+from vguard.ledger import (DataBatch, DataEntry, MembershipLink, Transaction,
+                           TxEntry, commit_cert_digest, order_cert_digest)
 from vguard.messages import (WIRE_VERSION, CommitMsg, CommitReply, GossipAck,
                              GossipMsg, OrderMsg, OrderReply, Ping, Pong,
                              PreCommitSeen, PreCommitUnseen, PreOrder,
@@ -699,9 +699,11 @@ def _values(tp):
     if get_origin(tp) is tuple:
         return st.lists(_values(get_args(tp)[0]), max_size=3).map(tuple)
     if tp is DataBatch:
-        return st.builds(DataBatch.from_payloads,
-                         st.integers(0, 2**64 - 4),
-                         st.lists(st.binary(max_size=20), max_size=3))
+        return st.builds(
+            lambda first, payloads: DataBatch(
+                DataEntry(first + i, p) for i, p in enumerate(payloads)),
+            st.integers(0, 2**64 - 4),
+            st.lists(st.binary(max_size=20), max_size=3))
     if tp is BoothProfile:
         return _booths()
     hints = get_type_hints(tp)

@@ -52,8 +52,8 @@ from vguard.booths import build_profile  # noqa: E402
 from vguard.codec import digest  # noqa: E402
 from vguard.crypto import (KeyService, Role, aggregate, make_identity,  # noqa: E402
                            make_partial)
-from vguard.ledger import (CommitRecord, DataBatch, Ledger, LogEntry,  # noqa: E402
-                           commit_cert_digest, order_cert_digest,
+from vguard.ledger import (CommitRecord, DataBatch, DataEntry, Ledger,  # noqa: E402
+                           LogEntry, commit_cert_digest, order_cert_digest,
                            verify_chain, window_transaction)
 from vguard.messages import (CommitMsg, CommitReply, GossipAck,  # noqa: E402
                              GossipMsg, OrderMsg, OrderReply, Ping, Pong,
@@ -192,7 +192,7 @@ def _one_window(booth, registry, keys):
     a fresh copy of the window's transaction."""
     entries = []
     for oid in range(1, WINDOW_ENTRIES + 1):
-        batch = DataBatch.from_payloads(8 * oid, [bytes(64)] * 8)
+        batch = DataBatch(DataEntry(8 * oid + i, bytes(64)) for i in range(8))
         cert = _certify(booth, registry, keys, order_cert_digest(
             oid, batch.batch_hash, booth.booth_hash))
         entries.append(LogEntry(oid, batch, booth.booth_hash, cert))
