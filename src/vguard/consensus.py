@@ -65,7 +65,6 @@ class ConsensusCoordinator:
         self.parked: dict[int, tuple[Transaction, int, frozenset[int]]] = {}
         self.next_window_us = 0
         self.release_next_us = 0
-        self.stalled_windows: list[int] = []
         ctx.mmu.on_booth_invalidated(self._booth_lost)
         ctx.mmu.on_booth_available(self._unpark)
 
@@ -150,7 +149,7 @@ class ConsensusCoordinator:
         if rnd is None:
             ts = msg.window_start_us
             if ts in self.ready or ts < self.release_next_us:
-                ctx.counters["late_reply"] += 1
+                ctx.env.drops[ctx.node_id, "late_reply"] += 1
             else:
                 ctx.diag(RejectReason.STALE)
             return
@@ -178,6 +177,10 @@ class ConsensusCoordinator:
             ctx.ledger.note_booth(booth)
             ctx.ledger.append_commit(record, tx)
             ctx.metrics.committed(tx, ctx.env.now_us())
+            ctx.count("committed_windows")
+            ctx.count("committed_batches", len(tx.entries))
+            ctx.count("committed_entries",
+                      sum(len(entry.batch) for entry in tx.entries))
             commit = CommitMsg(
                 instance_id=ctx.instance_id, sender=ctx.node_id,
                 window_start_us=ts, booth_hash=record.booth_hash, cert=record.cert,
@@ -201,7 +204,7 @@ class ConsensusCoordinator:
         silent = {v for v in rnd.booth.validators()} - set(rnd.replies)
         demoted = rnd.demoted | silent
         if attempt + 1 > self.ctx.config.max_retries:
-            self.stalled_windows.append(ts)
+            self.ctx.count("stalled_windows")
             self.ctx.diag(RejectReason.EXPIRED)
             return
         self._attempt(ts, rnd.tx, attempt + 1, frozenset(demoted))

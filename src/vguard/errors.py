@@ -2,8 +2,8 @@
 
 Exceptions are for contract violations surfaced to callers. Message-level
 rejections during normal operation (bad signature on a reply, reused id, and
-so on) are silent drops tracked by diagnostic counters; RejectReason names
-them so counters and tests agree on spelling.
+so on) are silent drops counted in the run's `drops` tally; RejectReason
+names them so the tally, the report and tests agree on spelling.
 """
 
 from __future__ import annotations
@@ -101,7 +101,7 @@ class VerificationFailed(VGuardError):
 
 
 class RejectReason(str, Enum):
-    """Why a message was silently dropped. Keys into diagnostic counters."""
+    """Why a message was silently dropped: a key of `Network.drops`."""
 
     BAD_HASH = "bad_hash"
     BAD_SIG = "bad_sig"
@@ -122,5 +122,5 @@ class RejectReason(str, Enum):
     EXPIRED = "expired"
     NON_MONOTONE_LIFETIME = "non_monotone_lifetime"
 
-    def __str__(self) -> str:  # keep counter keys terse
+    def __str__(self) -> str:  # keep tally keys terse
         return self.value

@@ -9,18 +9,22 @@ still has budget. It then acks directly to the proposer and the pivot,
 decrements the budget, and forwards while budget remains. The seen set is
 an LRU over commit hashes and records only stored commits, so a rejected
 message can be retried later with a fresh traverse.
+
+An agent counts what it stores, forwards and acks in the run's `events`,
+and what it refuses in `drops` under a `gossip.` reason, not yet reported.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .crypto import KeyService, SigningKey, verify_raw
 from .errors import RejectReason, UnknownNode
 from .ledger import CommitRecord
 from .messages import CommitMsg, GossipAck, GossipMsg, TraverseHop, traverse_digest
+from .netsim import NodeEnv
 from .storage import GOSSIPER, StorageMaster
 
 
@@ -31,24 +35,13 @@ class GossipConfig:
     seen_cap: int = 10_000
 
 
-@dataclass
-class GossipStats:
-    stored: int = 0
-    forwarded: int = 0
-    acks_sent: int = 0
-    acks_received: int = 0
-    rejects: dict[str, int] = field(default_factory=dict)
-
-    def reject(self, reason: RejectReason) -> None:
-        self.rejects[reason.value] = self.rejects.get(reason.value, 0) + 1
-
-
 class GossipAgent:
-    def __init__(self, node_id: int, registry: KeyService, key: SigningKey,
+    def __init__(self, env: NodeEnv, registry: KeyService, key: SigningKey,
                  peers: list[int], config: GossipConfig,
                  storage: Optional[StorageMaster],
                  send: Callable[[int, object], None]):
-        self.node_id = node_id
+        self.node_id = node_id = env.node_id
+        self.drops, self.events = env.drops, env.events
         self.registry = registry
         self.key = key
         self.peers = sorted(p for p in peers if p != node_id)[:config.fanout]
@@ -57,7 +50,6 @@ class GossipAgent:
         self.send = send
         self.seen: OrderedDict[bytes, bool] = OrderedDict()
         self.propagators: dict[bytes, list[int]] = {}
-        self.stats = GossipStats()
 
     # -- origination -------------------------------------------------------
 
@@ -80,7 +72,7 @@ class GossipAgent:
             if peer in exclude:
                 continue
             self.send(peer, msg)
-            self.stats.forwarded += 1
+            self.events["forwarded", self.node_id] += 1
 
     def expect_acks(self, commit_hash: bytes) -> None:
         """Pivot-side registration so acks for a known commit are accepted."""
@@ -92,20 +84,20 @@ class GossipAgent:
         h = msg.commit.commit_hash()
         if h in self.seen:
             self.seen.move_to_end(h)
-            self.stats.reject(RejectReason.DUPLICATE)
+            self._drop(RejectReason.DUPLICATE)
             return False
         if not msg.traverse:
-            self.stats.reject(RejectReason.MALFORMED)
+            self._drop(RejectReason.MALFORMED)
             return False
         if not self._traverse_ok(h, msg.traverse):
             return False
         if msg.tx.tx_hash != msg.commit.tx_hash:
-            self.stats.reject(RejectReason.BAD_HASH)
+            self._drop(RejectReason.BAD_HASH)
             return False
 
         self._store(msg)
         self._remember(h)
-        self.stats.stored += 1
+        self.events["stored", self.node_id] += 1
         self._ack(msg, h)
 
         remaining = max(msg.traverse[-1].lifetime - 1, 0)
@@ -120,24 +112,24 @@ class GossipAgent:
                 if peer == src:
                     continue
                 self.send(peer, out)
-                self.stats.forwarded += 1
+                self.events["forwarded", self.node_id] += 1
         return True
 
     def _traverse_ok(self, commit_hash: bytes, hops) -> bool:
         prev = None
         for hop in hops:
             if hop.lifetime <= 0 or (prev is not None and hop.lifetime >= prev):
-                self.stats.reject(RejectReason.NON_MONOTONE_LIFETIME)
+                self._drop(RejectReason.NON_MONOTONE_LIFETIME)
                 return False
             prev = hop.lifetime
             try:
                 key = self.registry.verify_key(hop.node_id)
             except UnknownNode:
-                self.stats.reject(RejectReason.UNKNOWN_BOOTH)
+                self._drop(RejectReason.UNKNOWN_BOOTH)
                 return False
             if not verify_raw(key, traverse_digest(commit_hash, hop.lifetime),
                               hop.sig):
-                self.stats.reject(RejectReason.BAD_SIG)
+                self._drop(RejectReason.BAD_SIG)
                 return False
         return True
 
@@ -164,17 +156,20 @@ class GossipAgent:
         for dst in sorted(targets):
             if dst != self.node_id:
                 self.send(dst, ack)
-                self.stats.acks_sent += 1
+                self.events["acks_sent", self.node_id] += 1
 
     def handle_ack(self, src: int, msg: GossipAck) -> bool:
         bucket = self.propagators.get(msg.commit_hash)
         if bucket is None:
-            self.stats.reject(RejectReason.UNKNOWN_COMMIT)
+            self._drop(RejectReason.UNKNOWN_COMMIT)
             return False
         if msg.propagator not in bucket:
             bucket.append(msg.propagator)
-        self.stats.acks_received += 1
+        self.events["acks_received", self.node_id] += 1
         return True
+
+    def _drop(self, reason: RejectReason) -> None:
+        self.drops[self.node_id, f"gossip.{reason}"] += 1
 
     def _remember(self, commit_hash: bytes) -> None:
         self.seen[commit_hash] = True

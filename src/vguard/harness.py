@@ -5,8 +5,9 @@ and summarized into a plain-dict report safe to serialize and diff: the
 same spec always yields byte-identical reports, ledgers, and traces. The
 harness wires the whole stack (simulated network, runtimes, membership
 units, workload sources, churn and byzantine schedules), runs the clock,
-audits every correct node's ledger, and aggregates throughput, latency
-percentiles, message counts, and diagnostic counters.
+audits every correct node's ledger, and reports throughput and every
+count from the run's tally (see `Network`), and latency percentiles from
+each proposer's samples.
 
 Sweeps rerun a base spec across one varying dimension, deriving a fresh
 seed per cell so cells are independent but reproducible.
@@ -34,7 +35,7 @@ from .ledger import ChainCheck, DataBatch, Ledger, verify_chain
 from .mmu import MembershipUnit, MmuConfig
 from .netsim import (Category, ChurnEvent, Network, NodeEnv, SimConfig,
                      byzantine_schedule, churn_events)
-from .node import MetricSink, NodeRuntime, ProtocolConfig
+from .node import NodeRuntime, ProtocolConfig
 from .storage import RetentionPolicy, StorageMaster
 
 PIVOT_ID = 1
@@ -182,24 +183,21 @@ def batch_stream(rng: np.random.Generator, count: int, size: int,
 class Workload:
     """Feeds one proposer instance with fixed-size batches."""
 
-    def __init__(self, runtime: NodeRuntime, instance, spec: RunSpec,
-                 rng: np.random.Generator):
-        self.runtime = runtime
+    def __init__(self, instance, spec: RunSpec, rng: np.random.Generator):
         self.instance = instance
         self.spec = spec
         # not a method: the stream must hold no reference back to the workload
         self._batches = batch_stream(rng, spec.batch_size, spec.payload_bytes,
                                      first_seq=1)
-        self.submitted_batches = 0
         self.stopped = False
 
     def start(self) -> None:
-        env = self.runtime.env
+        env = self.instance.ctx.env
         if self.spec.rate_per_s is not None:
             period = 1000.0 / self.spec.rate_per_s
             env.every(period, self._submit_one, start_at_ms=period)
         else:
-            self.instance.ctx.metrics.on_capacity = self._fill
+            self.instance.ordering.on_capacity = self._fill
             env.after(0.5, self._fill)
 
     def stop(self) -> None:
@@ -208,7 +206,7 @@ class Workload:
     def _submit_one(self) -> None:
         if self.stopped:
             return
-        self.submitted_batches += 1
+        self.instance.ctx.count("submitted_batches")
         self.instance.ordering.submit(next(self._batches))
 
     def _fill(self) -> None:
@@ -216,7 +214,7 @@ class Workload:
             return
         cap = self.spec.protocol.max_inflight * 2
         while self.instance.ordering.inflight() < cap:
-            self.submitted_batches += 1
+            self.instance.ctx.count("submitted_batches")
             self.instance.ordering.submit(next(self._batches))
 
 
@@ -226,7 +224,6 @@ class RunResult:
     report: dict
     net: Network
     runtimes: dict[int, NodeRuntime]
-    workloads: dict[int, Workload]
     audits: dict[tuple[int, int], ChainCheck]
     identities: list[Identity]
 
@@ -288,32 +285,31 @@ def run(spec: RunSpec, net=None) -> RunResult:
             gossip_peers=overlay.get(node_id, []),
             gossip_config=gossip_cfg)
 
-    workloads: dict[int, Workload] = {}
+    workloads: list[Workload] = []
     wl_children = workload_seq.spawn(spec.gamma)
     for plan, wl_child in zip(plan_instances(spec), wl_children):
         runtime = runtimes[plan.proposer_id]
         mmu = MembershipUnit(
             instance_id=plan.instance_id, proposer_id=plan.proposer_id,
             pivot_id=plan.pivot_id, pool=identities,
-            booth_size=spec.booth_size, config=spec.mmu,
-            now_us=runtime.env.now_us)
+            booth_size=spec.booth_size, config=spec.mmu, env=runtime.env)
         instance = runtime.add_proposer(plan.instance_id, mmu)
-        workloads[plan.instance_id] = Workload(
-            runtime, instance, spec, np.random.default_rng(wl_child))
+        workloads.append(Workload(instance, spec,
+                                  np.random.default_rng(wl_child)))
 
     for runtime in runtimes.values():
         runtime.start()
-    for workload in workloads.values():
+    for workload in workloads:
         workload.start()
     net.inject_churn(list(spec.churn))
 
     net.run_until(spec.duration_ms)
-    for workload in workloads.values():
+    for workload in workloads:
         workload.stop()
     net.run_until(spec.duration_ms + spec.grace_ms)
 
     audits = _audit(spec, runtimes, registry)
-    report = _report(spec, net, runtimes, workloads, audits)
+    report = _report(spec, net, runtimes, audits)
     # a finished run is one web of callbacks; cutting it lets reference
     # counting free the run as soon as its result is dropped
     net.close()
@@ -321,11 +317,7 @@ def run(spec: RunSpec, net=None) -> RunResult:
         runtime.close()
     crypto.clear_caches()
     return RunResult(spec=spec, report=report, net=net, runtimes=runtimes,
-                     workloads=workloads, audits=audits, identities=identities)
-
-
-def _byzantine_nodes(spec: RunSpec) -> set[int]:
-    return {node_id for node_id, _ in spec.byzantine}
+                     audits=audits, identities=identities)
 
 
 def _audit(spec: RunSpec, runtimes: dict[int, NodeRuntime],
@@ -334,7 +326,7 @@ def _audit(spec: RunSpec, runtimes: dict[int, NodeRuntime],
     proposer's ledger faces the strict window-tiling audit when the run had
     no churn, whatever other nodes did; ordering ids the proposer retired
     on a timeout or a lost booth are the only gaps that audit accepts."""
-    bad = _byzantine_nodes(spec)
+    bad = {node_id for node_id, _ in spec.byzantine}
     audits: dict[tuple[int, int], ChainCheck] = {}
     for plan in plan_instances(spec):
         for node_id, runtime in runtimes.items():
@@ -380,45 +372,36 @@ def _ordering_message_stats(net: Network, instance_id: int) -> dict:
             "max_per_round": max(counts)}
 
 
+# what each proposer instance and each gossip agent reports of `Network.events`
+INSTANCE_EVENTS = ("submitted_batches", "ordered_batches", "ordered_entries",
+                   "committed_windows", "committed_batches", "committed_entries",
+                   "abandoned_batches", "stalled_windows", "booth_changes")
+GOSSIP_EVENTS = ("stored", "forwarded", "acks_sent", "acks_received")
+
+
 def _report(spec: RunSpec, net: Network, runtimes: dict[int, NodeRuntime],
-            workloads: dict[int, Workload],
             audits: dict[tuple[int, int], ChainCheck]) -> dict:
     duration_s = spec.duration_ms / 1000.0
     instances = []
     for plan in plan_instances(spec):
-        runtime = runtimes[plan.proposer_id]
-        inst = runtime.proposers[plan.instance_id]
-        metrics: MetricSink = inst.ctx.metrics
-        ledger = runtime.ledgers[plan.instance_id]
+        iid, runtime = plan.instance_id, runtimes[plan.proposer_id]
+        metrics = runtime.proposers[iid].ctx.metrics
+        counts = {event: net.events[event, iid] for event in INSTANCE_EVENTS}
         instances.append({
-            "instance": plan.instance_id,
+            "instance": iid,
             "proposer": plan.proposer_id,
-            "submitted_batches": workloads[plan.instance_id].submitted_batches,
-            "ordered_batches": metrics.ordered_batches,
-            "ordered_entries": metrics.ordered_entries,
-            "committed_windows": metrics.committed_windows,
-            "committed_batches": metrics.committed_batches,
-            "committed_entries": metrics.committed_entries,
-            "abandoned_batches": metrics.abandoned_batches,
-            "stalled_windows": len(inst.consensus.stalled_windows),
-            "ordering_tps": round(metrics.ordered_entries / duration_s, 3),
-            "consensus_tps": round(metrics.committed_entries / duration_s, 3),
+            **counts,
+            "ordering_tps": round(counts["ordered_entries"] / duration_s, 3),
+            "consensus_tps": round(counts["committed_entries"] / duration_s, 3),
             "ordering_latency_ms": _percentiles_ms(metrics.ordering_latency_us),
             "commit_latency_ms": _percentiles_ms(metrics.commit_latency_us),
-            "booth_changes": inst.ctx.mmu.booth_changes,
-            "covered_empty_windows": len(ledger.covered_empty),
-            "ordering_messages": _ordering_message_stats(net, plan.instance_id),
+            "covered_empty_windows": len(runtime.ledgers[iid].covered_empty),
+            "ordering_messages": _ordering_message_stats(net, iid),
         })
-    gossip_stats = {}
-    for node_id in sorted(runtimes):
-        agent = runtimes[node_id].gossip
-        if agent is not None:
-            gossip_stats[str(node_id)] = {
-                "stored": agent.stats.stored,
-                "forwarded": agent.stats.forwarded,
-                "acks_sent": agent.stats.acks_sent,
-                "acks_received": agent.stats.acks_received,
-            }
+    rejects: dict[str, dict[str, int]] = {}
+    for (node_id, reason), count in sorted(net.drops.items()):
+        if not reason.startswith("gossip."):     # not reported yet
+            rejects.setdefault(str(node_id), {})[reason] = count
     return {
         "version": __version__,
         "label": spec.label,
@@ -439,9 +422,10 @@ def _report(spec: RunSpec, net: Network, runtimes: dict[int, NodeRuntime],
         },
         "instances": instances,
         "messages_by_category": dict(sorted(net.totals_by_category().items())),
-        "counters": {str(n): dict(sorted(runtimes[n].counters.items()))
-                     for n in sorted(runtimes) if runtimes[n].counters},
-        "gossip": gossip_stats,
+        "counters": rejects,
+        "gossip": {str(n): {event: net.events[event, n]
+                            for event in GOSSIP_EVENTS}
+                   for n in sorted(runtimes) if runtimes[n].gossip is not None},
         "audits": {f"{i}:{n}": bool(check.ok)
                    for (i, n), check in sorted(audits.items())},
         "storage": {str(n): runtimes[n].storage.totals()
@@ -515,9 +499,12 @@ def sweep(base: RunSpec, dimension: str, values: list) -> dict:
 
 
 def read_json_file(path: Path):
-    """The value a JSON file holds; a file that is not JSON is refused."""
+    """The value a JSON file holds; a path that cannot be read, or a file
+    that is not JSON, is refused."""
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise ConfigInvalid(f"cannot read {path}: {exc.strerror}") from None
     except ValueError as exc:            # a JSON or a UTF-8 decoding error
         raise ConfigInvalid(f"{path} is not valid JSON: {exc}") from None
 

@@ -21,6 +21,7 @@ from typing import Callable, Optional
 from .booths import BoothProfile, build_profile
 from .crypto import Identity
 from .errors import AT_MOST_ONE, POSITIVE, InsufficientMembers, UnknownNode
+from .netsim import NodeEnv
 
 
 @dataclass
@@ -52,7 +53,7 @@ class QueuedBooth:
 class MembershipUnit:
     def __init__(self, instance_id: int, proposer_id: int, pivot_id: int,
                  pool: list[Identity], booth_size: int, config: MmuConfig,
-                 now_us: Callable[[], int] = lambda: 0):
+                 env: NodeEnv):
         self.instance_id = instance_id
         self.proposer_id = proposer_id
         self.pivot_id = pivot_id
@@ -61,14 +62,13 @@ class MembershipUnit:
         if proposer_id not in self.pool or pivot_id not in self.pool:
             raise UnknownNode("proposer and pivot must be in the pool")
         self.config = config
-        self._now_us = now_us
+        self.env = env                  # the proposer's clock and tally
         self.status: dict[int, NodeStatus] = {
             node_id: NodeStatus() for node_id in self.pool}
         self.queue: list[QueuedBooth] = []
         self._profile_cache: dict[frozenset, BoothProfile] = {}
         self._available_listeners: list[Callable[[], None]] = []
         self._invalidated_listeners: list[Callable[[bytes], None]] = []
-        self.booth_changes = 0
         self._last_served: Optional[bytes] = None
         self.refill()
 
@@ -165,7 +165,7 @@ class MembershipUnit:
             profile = build_profile(
                 members=[self.pool[m] for m in member_ids],
                 proposer_id=self.proposer_id, pivot_id=self.pivot_id,
-                created_at_us=self._now_us(),
+                created_at_us=self.env.now_us(),
             )
             self._profile_cache[members] = profile
         return profile
@@ -224,6 +224,6 @@ class MembershipUnit:
             return None
         profile = valid[0].profile
         if profile.booth_hash != self._last_served:
-            self.booth_changes += 1
+            self.env.events["booth_changes", self.instance_id] += 1
             self._last_served = profile.booth_hash
         return profile

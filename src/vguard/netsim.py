@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
@@ -278,7 +278,10 @@ def _lane(seed_seq: np.random.SeedSequence, mean_ms: float,
 
 class Network:
     """Simulated transport plus node CPU accounting. `sched` drives it;
-    the default is the reference discrete-event clock."""
+    the default is the reference discrete-event clock. It holds the run's
+    tally, one dict increment per count: sends per (category, instance
+    key), deliveries per category, `drops` per (node, reason) and `events`
+    per (event, proposer instance or node)."""
 
     def __init__(self, config: SimConfig, sched: Optional[Scheduler] = None):
         self.config = config
@@ -300,6 +303,8 @@ class Network:
         self._byzantine: dict[int, list[ByzantineBehavior]] = {}
         self.counters: dict[tuple[str, object], int] = {}
         self.delivered: dict[str, int] = {}
+        self.drops: Counter = Counter()
+        self.events: Counter = Counter()
         self.trace: list[dict] = []
         # pending effects of the handler executing now (handlers never nest)
         self._active_node: Optional[int] = None
@@ -549,8 +554,7 @@ class Network:
         """End the simulation: drop pending events, run queues, handlers and
         listeners. They close the reference cycles between the network and
         the nodes, so without this a finished run lingers until the cyclic
-        garbage collector finds it. Counters, delivery tallies and the trace
-        stay."""
+        garbage collector finds it. The tally and the trace stay."""
         self.sched.clear()
         self._queues.clear()
         self._handlers.clear()
@@ -570,13 +574,16 @@ def _key_repr(instance_key: object):
 
 
 class NodeEnv:
-    """A node's bound view of the network: what engines are allowed to use."""
+    """A node's bound view of the network: what engines are allowed to use,
+    the run's `drops` and `events` tallies among it."""
 
-    __slots__ = ("net", "node_id")
+    __slots__ = ("net", "node_id", "drops", "events")
 
     def __init__(self, net: Network, node_id: int):
         self.net = net
         self.node_id = node_id
+        self.drops = net.drops
+        self.events = net.events
 
     def now_us(self) -> int:
         return int(round(self.net.sched.now * 1000.0))

@@ -13,7 +13,6 @@ receivers apply.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
@@ -41,42 +40,23 @@ class ProtocolConfig:
 
 
 class MetricSink:
-    """Per-instance latency and throughput collection on the proposer."""
+    """A proposer instance's latency samples; it counts through `ctx.count`."""
 
     def __init__(self):
         self.ordering_latency_us: list[int] = []
         self.commit_latency_us: list[int] = []
-        self.ordered_batches = 0
-        self.ordered_entries = 0
-        self.committed_windows = 0
-        self.committed_batches = 0
-        self.committed_entries = 0
-        self.abandoned_batches = 0
         self._submit_us: dict[int, int] = {}
-        self.on_capacity: Optional[Callable[[], None]] = None
 
-    def ordered(self, ordering_id: int, batch: DataBatch,
-                submitted_at_us: int, now_us: int) -> None:
+    def ordered(self, ordering_id: int, submitted_at_us: int,
+                now_us: int) -> None:
         self.ordering_latency_us.append(now_us - submitted_at_us)
         self._submit_us[ordering_id] = submitted_at_us
-        self.ordered_batches += 1
-        self.ordered_entries += len(batch)
 
     def committed(self, tx, now_us: int) -> None:
-        self.committed_windows += 1
         for entry in tx.entries:
-            self.committed_batches += 1
-            self.committed_entries += len(entry.batch)
             submitted = self._submit_us.get(entry.ordering_id)
             if submitted is not None:
                 self.commit_latency_us.append(now_us - submitted)
-
-    def abandoned(self, batch: DataBatch) -> None:
-        self.abandoned_batches += 1
-
-    def capacity_freed(self) -> None:
-        if self.on_capacity is not None:
-            self.on_capacity()
 
 
 @dataclass
@@ -93,7 +73,6 @@ class InstanceContext:
     send: Callable[[int, object, Category, object], None]
     log: TotalOrderLog
     ledger: Ledger
-    counters: Counter
     metrics: MetricSink
     storage: Optional[StorageMaster] = None
     gossip: Optional[GossipAgent] = None
@@ -101,7 +80,10 @@ class InstanceContext:
     committed_hook: Optional[Callable] = None
 
     def diag(self, reason: RejectReason) -> None:
-        self.counters[str(reason)] += 1
+        self.env.drops[self.node_id, str(reason)] += 1
+
+    def count(self, event: str, n: int = 1) -> None:
+        self.env.events[event, self.instance_id] += n
 
 
 @dataclass
@@ -267,7 +249,6 @@ class NodeRuntime:
         self.config = config
         self.delta_us = delta_us
         self.storage = storage
-        self.counters: Counter = Counter()
         self.proposers: dict[int, ProposerInstance] = {}
         self.validators: dict[int, ValidatorInstance] = {}
         self.pingers: dict[int, PingDaemon] = {}
@@ -277,7 +258,7 @@ class NodeRuntime:
         self.gossip: Optional[GossipAgent] = None
         if gossip_config is not None and gossip_config.initial_lifetime > 0:
             self.gossip = GossipAgent(
-                node_id=node_id, registry=registry, key=key,
+                env=env, registry=registry, key=key,
                 peers=gossip_peers or [], config=gossip_config,
                 storage=storage, send=self._send_gossip)
         env.net.register(node_id, self.handle)
@@ -315,7 +296,6 @@ class NodeRuntime:
             send=lambda dst, msg, cat, sub: self.send_msg(
                 dst, msg, cat, (instance_id, sub)),
             log=log, ledger=self.ledgers[instance_id],
-            counters=self.counters,
             metrics=MetricSink(), storage=self.storage, **role)
 
     def add_proposer(self, instance_id: int, mmu: MembershipUnit) -> ProposerInstance:
@@ -356,12 +336,12 @@ class NodeRuntime:
         the gossip agent's send. Each closes a reference cycle, so without
         this a finished run lingers until the cyclic garbage collector
         finds it. What the report and the audits read (logs, ledgers,
-        engines, counters) stays."""
+        engines) stays."""
         for inst in (*self.proposers.values(), *self.validators.values()):
             inst.ctx.send = None
             inst.ctx.committed_hook = None
-            inst.ctx.metrics.on_capacity = None
         for inst in self.proposers.values():
+            inst.ordering.on_capacity = None
             inst.ctx.mmu.drop_listeners()
         self.pingers.clear()
         self.actor = None
@@ -382,7 +362,7 @@ class NodeRuntime:
         try:
             msg = decode_message(raw)
         except ValueError:
-            self.counters[str(RejectReason.MALFORMED)] += 1
+            self.env.drops[self.node_id, str(RejectReason.MALFORMED)] += 1
             return
         if isinstance(msg, Ping):
             pong = Pong(instance_id=msg.instance_id, sender=self.node_id,
@@ -406,7 +386,8 @@ class NodeRuntime:
         if isinstance(msg, (OrderReply, CommitReply)):
             prop = self.proposers.get(msg.instance_id)
             if prop is None:
-                self.counters[str(RejectReason.UNKNOWN_INSTANCE)] += 1
+                self.env.drops[self.node_id,
+                               str(RejectReason.UNKNOWN_INSTANCE)] += 1
                 return
             if isinstance(msg, OrderReply):
                 prop.ordering.handle_reply(src, msg)
@@ -426,4 +407,4 @@ class NodeRuntime:
         elif isinstance(msg, CommitMsg):
             inst.consensus.handle_commit(src, msg)
         else:
-            self.counters[str(RejectReason.MALFORMED)] += 1
+            self.env.drops[self.node_id, str(RejectReason.MALFORMED)] += 1

@@ -19,14 +19,14 @@ through `BoothProfile.check_certified`.
 
 The coordinator and the validator handler both lean on a context object
 supplied by the node runtime: clocks, transport, key material, the shared
-log, diagnostic counters, and metric sinks.
+log, the run's tally and the proposer's latency samples.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 from .booths import BoothProfile
 from .crypto import (AggregateSignature, PartialSignature, aggregate,
@@ -129,6 +129,8 @@ class OrderingCoordinator:
         self.finished: dict[int, OrderingRound] = {}
         self.retired_ids: set[int] = set()
         self.append_next = 1
+        # a saturating workload refills when a round frees capacity
+        self.on_capacity: Optional[Callable[[], None]] = None
         ctx.mmu.on_booth_invalidated(self._booth_lost)
         ctx.mmu.on_booth_available(self._unpark)
 
@@ -179,7 +181,8 @@ class OrderingCoordinator:
         if rnd is None:
             # an issued id leaves `rounds` certified or retired
             if 0 < oid < self.next_id and oid not in self.retired_ids:
-                ctx.counters["late_reply"] += 1   # round met quorum without it
+                # the round met quorum without it
+                ctx.env.drops[ctx.node_id, "late_reply"] += 1
             else:
                 ctx.diag(RejectReason.STALE)
             return
@@ -206,8 +209,10 @@ class OrderingCoordinator:
                 appended_at_us=ctx.env.now_us())
             ctx.log.append(entry)
             ctx.ledger.note_booth(rnd.booth)
-            ctx.metrics.ordered(rnd.ordering_id, rnd.batch,
-                                rnd.submitted_at_us, ctx.env.now_us())
+            ctx.metrics.ordered(rnd.ordering_id, rnd.submitted_at_us,
+                                ctx.env.now_us())
+            ctx.count("ordered_batches")
+            ctx.count("ordered_entries", len(rnd.batch))
             out = OrderMsg(instance_id=ctx.instance_id, sender=ctx.node_id,
                            ordering_id=rnd.ordering_id, cert=rnd.cert)
             for member in rnd.booth.validators():
@@ -235,7 +240,7 @@ class OrderingCoordinator:
         self._drain_appends()
         pb = PendingBatch(rnd.batch, rnd.submitted_at_us, rnd.retries + 1)
         if pb.retries > ctx.config.max_retries:
-            ctx.metrics.abandoned(rnd.batch)
+            ctx.count("abandoned_batches")
             self._pump()
             return
         self._start(pb)
@@ -250,7 +255,8 @@ class OrderingCoordinator:
     def _pump(self) -> None:
         while self.backlog and len(self.rounds) < self.ctx.config.max_inflight:
             self._start(self.backlog.popleft())
-        self.ctx.metrics.capacity_freed()
+        if self.on_capacity is not None:
+            self.on_capacity()
 
 
 # -- validator side -------------------------------------------------------

@@ -17,7 +17,7 @@ from vguard.errors import RejectReason
 from vguard.ledger import LogEntry, commit_cert_digest, order_cert_digest
 from vguard.messages import (CommitMsg, CommitReply, PreCommitSeen,
                              PreCommitUnseen)
-from test_ordering import FakeMmu, make_ctx, pivot_posing_booth
+from test_ordering import FakeMmu, make_ctx, pivot_posing_booth, rejects
 
 DELTA = 100_000
 
@@ -72,7 +72,7 @@ def seed_log(ctx, entries, booth) -> None:
 
 
 def only_reject(ctx, reason: str) -> None:
-    assert dict(ctx.counters) == {reason: 1}
+    assert rejects(ctx) == {reason: 1}
 
 
 # -- hash-only path (validator sat in every ordering booth) ----------------
@@ -85,7 +85,7 @@ def test_seen_valid_binds_and_replies(world):
     engine = ValidatorConsensus(ctx)
     seed_log(ctx, entries, booth)
     engine.handle_seen(1, seen_msg(pool, booth, tx, 0, 1))
-    assert not ctx.counters
+    assert not rejects(ctx)
     (dst, reply, _), = sent
     assert dst == 1
     expected = commit_cert_digest(0, tx.tx_hash, booth.booth_hash)
@@ -143,7 +143,7 @@ def test_window_shape_must_match_protocol(world):
                                    window_len_us=DELTA // 2))
     engine.handle_seen(1, seen_msg(pool, booth, tx, 0, 0,
                                    window_start_us=50))  # not a multiple
-    assert ctx.counters == {"malformed": 2}
+    assert rejects(ctx) == {"malformed": 2}
 
 
 def test_second_proposal_for_bound_window_rejected(world):
@@ -179,7 +179,7 @@ def test_unseen_verifies_adopts_and_replies(world):
     ctx, sent = make_ctx(pool, node_id=5)
     engine = ValidatorConsensus(ctx)
     engine.handle_unseen(1, unseen_msg(pool, cbooth, tx))
-    assert not ctx.counters
+    assert not rejects(ctx)
     assert len(sent) == 1
     # certified entries become local state, closing the gap for later windows
     assert ctx.log.get(0) is not None
@@ -332,7 +332,7 @@ def test_commit_lands_window_in_ledger(world):
     pool, booth, engine, ctx, record, tx = bound_engine(
         world, hooked=lambda msg, tx: committed.append((msg, tx)))
     engine.handle_commit(1, commit_msg(record))
-    assert not ctx.counters
+    assert not rejects(ctx)
     assert ctx.ledger.has_window(0)
     window = ctx.ledger.window(0)
     assert window.tx.tx_hash == tx.tx_hash
@@ -455,11 +455,11 @@ def test_reply_endorsing_another_digest_is_wrong_digest_not_bad_sig(world):
 
     for reason, msg in (("wrong_digest", reply(3, 3, DELTA)),
                         ("bad_sig", reply(3, 4, 0))):
-        ctx.counters.clear()
+        ctx.env.drops.clear()
         coord.handle_reply(3, msg)
         only_reject(ctx, reason)
     assert rnd.replies == {}
-    ctx.counters.clear()
+    ctx.env.drops.clear()
     coord.handle_reply(3, reply(3, 3, 0))
-    assert not ctx.counters
+    assert not rejects(ctx)
     assert set(rnd.replies) == {3}

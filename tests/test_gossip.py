@@ -15,20 +15,24 @@ import pytest
 from conftest import certify_entry, commit_window, make_batch, make_booth, make_pool
 from vguard.gossip import GossipAgent, GossipConfig
 from vguard.messages import CommitMsg, GossipMsg, TraverseHop, traverse_digest
+from vguard.netsim import Network, NodeEnv, SimConfig
 from vguard.storage import GOSSIPER, RetentionPolicy, StorageMaster
 
 
 class Mesh:
-    """Synchronous message fabric between gossip agents."""
+    """Synchronous message fabric between gossip agents, whose counts go
+    to the tally of a network that carries none of their messages."""
 
     def __init__(self):
         self.agents: dict[int, GossipAgent] = {}
         self.queue: deque = deque()
+        self.net = Network(SimConfig())
 
     def attach(self, node_id: int, registry, key, peers, config,
                storage=None) -> GossipAgent:
         agent = GossipAgent(
-            node_id=node_id, registry=registry, key=key, peers=peers,
+            env=NodeEnv(self.net, node_id), registry=registry, key=key,
+            peers=peers,
             config=config, storage=storage,
             send=lambda dst, msg, src=node_id: self.queue.append(
                 (src, dst, msg)))
@@ -89,8 +93,18 @@ def build_mesh(pool, peers: dict[int, list[int]], lifetime: int,
 
 
 def stored_nodes(mesh: Mesh, root: int) -> set[int]:
-    return {n for n, a in mesh.agents.items()
-            if n != root and a.stats.stored > 0}
+    return {n for n in mesh.agents
+            if n != root and mesh.net.events["stored", n] > 0}
+
+
+def counted(agent: GossipAgent, event: str) -> int:
+    return agent.events[event, agent.node_id]
+
+
+def drops(agent: GossipAgent) -> dict[str, int]:
+    """What the agent refused, by reason."""
+    return {reason: n for (node, reason), n in agent.drops.items()
+            if node == agent.node_id}
 
 
 def test_lifetime_two_reaches_exactly_depth_two(committed):
@@ -151,7 +165,7 @@ def test_zero_lifetime_disables_gossip(committed):
     mesh.agents[1].init_gossip(commit, tx, exclude=set())
     mesh.run()
     assert stored_nodes(mesh, 1) == set()
-    assert mesh.agents[1].stats.forwarded == 0
+    assert counted(mesh.agents[1], "forwarded") == 0
 
 
 def test_duplicate_commit_rejected_once_seen(committed):
@@ -166,8 +180,8 @@ def test_duplicate_commit_rejected_once_seen(committed):
                     traverse=(hop,))
     assert agent.handle_gossip(1, msg)
     assert not agent.handle_gossip(1, msg)
-    assert agent.stats.stored == 1
-    assert agent.stats.rejects == {"duplicate": 1}
+    assert counted(agent, "stored") == 1
+    assert drops(agent) == {"gossip.duplicate": 1}
 
 
 def test_traverse_rejection_matrix(committed):
@@ -193,37 +207,37 @@ def test_traverse_rejection_matrix(committed):
     agent = fresh_agent()
     assert not agent.handle_gossip(1, GossipMsg(
         instance_id=1, sender=1, commit=commit, tx=tx, traverse=()))
-    assert agent.stats.rejects == {"malformed": 1}
+    assert drops(agent) == {"gossip.malformed": 1}
 
     # a forwarder inflated its remaining budget
     agent = fresh_agent()
     assert not agent.handle_gossip(2, msg(hop(2, 1), hop(3, 2)))
-    assert agent.stats.rejects == {"non_monotone_lifetime": 1}
+    assert drops(agent) == {"gossip.non_monotone_lifetime": 1}
 
     # equal budget is also not a decrease
     agent = fresh_agent()
     assert not agent.handle_gossip(2, msg(hop(2, 1), hop(2, 2)))
-    assert agent.stats.rejects == {"non_monotone_lifetime": 1}
+    assert drops(agent) == {"gossip.non_monotone_lifetime": 1}
 
     # exhausted budget cannot be replayed
     agent = fresh_agent()
     assert not agent.handle_gossip(1, msg(hop(0, 1)))
-    assert agent.stats.rejects == {"non_monotone_lifetime": 1}
+    assert drops(agent) == {"gossip.non_monotone_lifetime": 1}
 
     # hop signed over a different lifetime than claimed
     agent = fresh_agent()
     bad = TraverseHop(lifetime=2,
                       sig=pool.keys[1].sign(traverse_digest(h, 3)), node_id=1)
     assert not agent.handle_gossip(1, msg(bad))
-    assert agent.stats.rejects == {"bad_sig": 1}
+    assert drops(agent) == {"gossip.bad_sig": 1}
 
     # forwarder unknown to the registry
     agent = fresh_agent()
     ghost = TraverseHop(lifetime=2, sig=b"\x00" * 64, node_id=999)
     assert not agent.handle_gossip(1, msg(hop(3, 1), ghost))
-    assert agent.stats.rejects == {"unknown_booth": 1}
+    assert drops(agent) == {"gossip.unknown_booth": 1}
 
-    assert agent.stats.stored == 0
+    assert counted(agent, "stored") == 0
 
 
 def test_payload_must_match_committed_hash(committed):
@@ -238,7 +252,7 @@ def test_payload_must_match_committed_hash(committed):
     wrong = GossipMsg(instance_id=1, sender=1, commit=commit, tx=other_tx,
                       traverse=(hop,))
     assert not agent.handle_gossip(1, wrong)
-    assert agent.stats.rejects == {"bad_hash": 1}
+    assert drops(agent) == {"gossip.bad_hash": 1}
 
 
 def test_seen_lru_evicts_and_allows_retry(committed):
@@ -261,7 +275,7 @@ def test_seen_lru_evicts_and_allows_retry(committed):
         assert deliver(ts)
     assert len(agent.seen) == 3
     assert deliver(stamps[0])        # evicted, so a retry stores again
-    assert agent.stats.stored == 5
+    assert counted(agent, "stored") == 5
 
 
 def test_ack_bookkeeping(committed):
@@ -273,12 +287,12 @@ def test_ack_bookkeeping(committed):
     root.init_gossip(commit, tx, exclude=set())
     mesh.run()
     assert sorted(root.propagators[h]) == [3, 4]
-    assert root.stats.acks_received == 2
+    assert counted(root, "acks_received") == 2
     # acks for commits never initiated here are rejected
     from vguard.messages import GossipAck
     assert not bystander.handle_ack(
         3, GossipAck(instance_id=1, sender=3, commit_hash=h, propagator=3))
-    assert bystander.stats.rejects == {"unknown_commit": 1}
+    assert drops(bystander) == {"gossip.unknown_commit": 1}
     assert h not in bystander.propagators
 
 

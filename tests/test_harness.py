@@ -77,6 +77,10 @@ def test_gossip_does_not_perturb_consensus(tmp_path):
     assert chatty.report["gossip"]        # but gossip did happen
     assert sum(s["stored"] for s in chatty.report["gossip"].values()) > 0
     assert quiet.report["gossip"] == {}
+    # gossip drops are counted per reason, and not reported yet
+    assert chatty.net.drops[3, "gossip.duplicate"] > 0
+    assert not any(reason.startswith("gossip.") for counters
+                   in chatty.report["counters"].values() for reason in counters)
 
 
 def test_lossy_run_passes_strict_audit_over_retired_ids():
@@ -535,6 +539,17 @@ def test_cli_rejects_files_that_are_not_json(tmp_path, capsys, flag, raw,
         f"error: {path} is not valid JSON: ")
 
 
+@pytest.mark.parametrize("flag, name", [
+    ("--spec", "missing.json"), ("--byzantine", "missing.json"),
+    ("--churn", "a-directory")])
+def test_cli_rejects_paths_that_cannot_be_read(tmp_path, capsys, flag, name,
+                                               no_run_starts):
+    (tmp_path / "a-directory").mkdir()
+    path = tmp_path / name
+    assert cli.main(["run", "--duration-ms", "200", flag, str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot read {path}: ")
+
+
 @pytest.mark.parametrize("data, error", [
     ([1, 2], "a spec must be a JSON object"),
     ({"sim": [1]}, "sim must be a JSON object"),
@@ -703,8 +718,8 @@ def test_report_names_byzantine_nodes_and_counts_stalled_windows():
     result = run(spec)
     assert result.report["config"]["byzantine"] == {"4": ["silent"]}
     (inst,) = result.report["instances"]
-    stalled = result.runtimes[2].proposers[1].consensus.stalled_windows
-    assert inst["stalled_windows"] == len(stalled) > 0
+    assert inst["stalled_windows"] == result.net.events["stalled_windows", 1] > 0
+    assert inst["stalled_windows"] == result.net.drops[2, "expired"]
     assert run(small_spec()).report["config"]["byzantine"] == {}
 
 

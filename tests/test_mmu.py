@@ -7,6 +7,7 @@ import pytest
 from conftest import make_pool
 from vguard.errors import InsufficientMembers, UnknownNode
 from vguard.mmu import MembershipUnit, MmuConfig
+from vguard.netsim import Network, NodeEnv, SimConfig
 
 POOL_IDS = [1, 2, 3, 4, 5, 6, 7, 8]
 
@@ -16,7 +17,8 @@ def make_mmu(queue_depth: int = 4, pool_ids=POOL_IDS, booth_size: int = 4):
     mmu = MembershipUnit(
         instance_id=1, proposer_id=2, pivot_id=1,
         pool=[pool.identities[i] for i in pool_ids],
-        booth_size=booth_size, config=MmuConfig(queue_depth=queue_depth))
+        booth_size=booth_size, config=MmuConfig(queue_depth=queue_depth),
+        env=NodeEnv(Network(SimConfig()), 2))
     return mmu, pool
 
 
@@ -172,14 +174,15 @@ def test_unknown_node_rejected():
 def test_booth_changes_counts_head_switches():
     mmu, _ = make_mmu()
     first = mmu.current_booth()
-    assert mmu.booth_changes == 1
+    assert mmu.env.events == {("booth_changes", 1): 1}
     again = mmu.current_booth()
     assert again.booth_hash == first.booth_hash
-    assert mmu.booth_changes == 1    # serving the same head is not a change
+    # serving the same head is not a change
+    assert mmu.env.events == {("booth_changes", 1): 1}
     victim = max(m for m in first.member_ids if m not in (1, 2))
     mmu.mark_availability(victim, False)
     mmu.current_booth()
-    assert mmu.booth_changes == 2
+    assert mmu.env.events == {("booth_changes", 1): 2}
 
 
 def test_same_seeds_build_identical_queues():

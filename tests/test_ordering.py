@@ -22,11 +22,13 @@ from vguard.ordering import OrderingCoordinator, ValidatorOrdering
 
 
 class FakeEnv:
-    """Engine-facing clock and meter with no scheduler behind them."""
+    """Engine-facing clock, meter and tally with no scheduler behind them."""
 
     def __init__(self):
         self.t_us = 0
         self.meter = CostMeter()
+        self.drops: Counter = Counter()
+        self.events: Counter = Counter()
 
     def now_us(self) -> int:
         return self.t_us
@@ -63,8 +65,14 @@ def make_ctx(pool, node_id: int, instance_id: int = 1,
         config=ProtocolConfig(), delta_us=delta_us,
         send=lambda dst, msg, cat, sub=None: sent.append((dst, msg, cat)),
         log=TotalOrderLog(), ledger=Ledger(node_id, delta_us),
-        counters=Counter(), metrics=MetricSink())
+        metrics=MetricSink())
     return ctx, sent
+
+
+def rejects(ctx) -> dict[str, int]:
+    """What the context's node dropped, by reason."""
+    assert {node for node, _ in ctx.env.drops} <= {ctx.node_id}
+    return {reason: n for (_, reason), n in ctx.env.drops.items()}
 
 
 @pytest.fixture
@@ -88,7 +96,7 @@ def pre_order(pool, booth, ordering_id: int, batch=None, **over) -> PreOrder:
 
 
 def only_reject(ctx, reason: str) -> None:
-    assert dict(ctx.counters) == {reason: 1}
+    assert rejects(ctx) == {reason: 1}
 
 
 def test_valid_pre_order_yields_anchored_reply(world):
@@ -97,7 +105,7 @@ def test_valid_pre_order_yields_anchored_reply(world):
     engine = ValidatorOrdering(ctx)
     msg = pre_order(pool, booth, 0)
     engine.handle_pre_order(1, msg)
-    assert not ctx.counters
+    assert not rejects(ctx)
     (dst, reply, category), = sent
     assert dst == 1
     assert reply.ordering_id == 0
@@ -116,7 +124,7 @@ def test_repeated_pre_order_replies_again_without_new_state(world):
     engine.handle_pre_order(1, msg)
     engine.handle_pre_order(1, msg)
     assert len(sent) == 2            # lost-reply retransmits stay answerable
-    assert not ctx.counters
+    assert not rejects(ctx)
     assert len(engine.pending) == 1
 
 
@@ -170,7 +178,7 @@ def test_conflicting_batch_for_pending_id_is_rejected(world):
                                          batch=make_batch(pool, start_seq=0)))
     engine.handle_pre_order(1, pre_order(pool, booth, 0,
                                          batch=make_batch(pool, start_seq=50)))
-    assert ctx.counters == {"reused_id": 1}
+    assert rejects(ctx) == {"reused_id": 1}
     assert len(sent) == 1            # only the first earned a signature
 
 
@@ -200,7 +208,7 @@ def test_reply_is_one_identity_signature_whatever_keys_the_profile_carries(
     msg = pre_order(pool, swapped, 0)
     ctx, sent = make_ctx(pool, node_id=3)
     ValidatorOrdering(ctx).handle_pre_order(1, msg)
-    assert not ctx.counters
+    assert not rejects(ctx)
     (_, reply, _), = sent
     assert len(reply.partial.sig_bytes) == 64
     expected = order_cert_digest(0, msg.batch_hash, swapped.booth_hash)
@@ -256,7 +264,7 @@ def test_valid_order_appends_certified_entry(world):
     prime(pool, booth, engine, 4, batch)
     entry = certify_entry(pool, booth, 4, batch)
     engine.handle_order(1, order_msg(entry))
-    assert not ctx.counters
+    assert not rejects(ctx)
     stored = ctx.log.get(4)
     assert stored is not None
     assert stored.batch.batch_hash == batch.batch_hash
@@ -275,7 +283,7 @@ def test_order_without_pending_state(world):
 
     ctx.log.append(entry)            # already appended: replay is benign
     engine.handle_order(1, order_msg(entry))
-    assert ctx.counters == {"unknown_instance": 1, "duplicate": 1}
+    assert rejects(ctx) == {"unknown_instance": 1, "duplicate": 1}
 
 
 def test_order_reject_matrix(world):
@@ -371,13 +379,13 @@ def test_reply_endorsing_another_digest_is_wrong_digest_not_bad_sig(world):
     other = order_cert_digest(2, rnd.batch.batch_hash, booth.booth_hash)
     for reason, msg in (("wrong_digest", reply(3, 3, other)),
                         ("bad_sig", reply(3, 4, rnd.cert_digest))):
-        ctx.counters.clear()
+        ctx.env.drops.clear()
         coord.handle_reply(3, msg)
         only_reject(ctx, reason)
     assert rnd.replies == {}
-    ctx.counters.clear()
+    ctx.env.drops.clear()
     coord.handle_reply(3, reply(3, 3, rnd.cert_digest))
-    assert not ctx.counters
+    assert not rejects(ctx)
     assert set(rnd.replies) == {3}
 
 
@@ -406,6 +414,6 @@ def test_replies_after_a_round_closes_are_late_or_stale(world):
     assert sorted(coord.rounds) == [3]
     for oid, counter in ((1, "late_reply"), (2, "stale"), (0, "stale"),
                          (4, "stale"), (99, "stale")):
-        ctx.counters.clear()
+        ctx.env.drops.clear()
         coord.handle_reply(4, reply(4, oid))
-        assert dict(ctx.counters) == {counter: 1}, oid
+        assert rejects(ctx) == {counter: 1}, oid

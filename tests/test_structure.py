@@ -16,6 +16,9 @@ certificate verdicts and digests, decoded messages) in one memo behind
 `crypto.recall`: no other module keeps a memo to clear, and only
 `harness.run` clears it.
 
+Everything a run counts goes to one tally, held by its `Network`: no other
+module makes a `Counter` of its own for the report to gather.
+
 A receiver decodes bytes encoded in this process to the sender's own
 message object, so every class a message carries is a frozen dataclass.
 Each of them is a `codec.Wire`, whose layout is its field list, so no
@@ -32,7 +35,9 @@ The benchmark's tracer (`perfbench/tracer.py`) patches functions and
 methods of the sources by name. A rename it does not follow breaks only the
 traced benchmark run, so one short traced run is checked here: the tracer
 covers every binding it needs, records spans in each layer it names, and
-leaves the run's report as it was.
+leaves the run's report as it was. The benchmark's worker
+(`perfbench/worker.py`) reads a finished run's delivery tally and latency
+samples by name, so each workload's warm-up run goes through it here too.
 """
 
 from __future__ import annotations
@@ -41,7 +46,10 @@ import ast
 import dataclasses
 import importlib.util
 import json
+import sys
 from pathlib import Path
+
+import pytest
 
 import vguard
 from vguard import harness
@@ -53,8 +61,8 @@ from vguard.messages import TraverseHop, _Message
 from vguard.netsim import SimConfig
 
 SOURCES = sorted(Path(vguard.__file__).parent.glob("*.py"))
-PERFBENCH = sorted((Path(__file__).resolve().parent.parent / "perfbench")
-                   .glob("*.py"))
+PERFBENCH_DIR = Path(__file__).resolve().parent.parent / "perfbench"
+PERFBENCH = sorted(PERFBENCH_DIR.glob("*.py"))
 
 
 def callers(name: str) -> set[str]:
@@ -124,6 +132,10 @@ def test_one_module_owns_the_run_memo():
     assert callers("clear_caches") == {"harness:run"}
 
 
+def test_one_network_owns_the_run_tally():
+    assert callers("Counter") == {"netsim:Network.__init__"}
+
+
 CARRIED = [*_Message.__subclasses__(), BoothProfile, Identity,
            PartialSignature, AggregateSignature, Transaction, TxEntry,
            MembershipLink, TraverseHop]
@@ -163,9 +175,10 @@ def test_each_wire_layout_is_declared_once():
     assert [cls.__name__ for cls in CARRIED if not issubclass(cls, Wire)] == []
 
 
-def test_no_module_imports_a_name_it_never_uses():
+def test_no_module_imports_a_name_it_never_uses(monkeypatch):
+    tracer = _load_perfbench("tracer", monkeypatch)
     required = {(module.rsplit(".", 1)[1], name) for name, modules
-                in _load_tracer().REQUIRED_BINDINGS.items() for module in modules}
+                in tracer.REQUIRED_BINDINGS.items() for module in modules}
     unused = []
     for path in SOURCES:
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -228,16 +241,34 @@ def test_every_function_is_referenced_from_the_sources_or_perfbench():
     assert unreferenced == UNREFERENCED_API
 
 
-def _load_tracer():
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+def _load_perfbench(name: str, monkeypatch):
+    """A perfbench script as a module. It imports its siblings from
+    `perfbench/`, as it does when run, through a `sys.path` that the test
+    restores, and is registered while the test runs, as `dataclasses`
+    needs."""
+    monkeypatch.setattr(sys, "path", [str(PERFBENCH_DIR), *sys.path])
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PERFBENCH_DIR / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
     spec.loader.exec_module(module)
     return module
 
 
-def test_benchmark_tracer_covers_the_sources_and_changes_no_report():
-    tracer_mod = _load_tracer()
+@pytest.mark.parametrize("workload",
+                         ["chaos_mix", "saturated_b64", "lossy_gossip"])
+def test_benchmark_worker_reads_a_run(monkeypatch, workload):
+    worker = _load_perfbench("worker", monkeypatch)
+    spec = worker.WORKLOADS[workload](1, tiny=True).warmup
+    outcome = worker.run_spec(spec, worker.RefClock())
+    assert outcome.ok, outcome.error or outcome.problems
+    assert outcome.delivered > 0
+    assert outcome.commit_latency_us
+
+
+def test_benchmark_tracer_covers_the_sources_and_changes_no_report(
+        monkeypatch):
+    tracer_mod = _load_perfbench("tracer", monkeypatch)
     spec = harness.RunSpec(booth_size=4, duration_ms=60.0, grace_ms=120.0,
                    rate_per_s=100.0, seed=5, strict_audit=False,
                    byzantine=((3, ("tamper_payload",)),),
