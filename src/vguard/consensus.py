@@ -241,8 +241,7 @@ class PendingCommit:
 class ValidatorConsensus:
     def __init__(self, ctx):
         self.ctx = ctx
-        self.binding: dict[int, bytes] = {}      # window ts -> tx hash
-        self.pending: dict[int, PendingCommit] = {}
+        self.pending: dict[int, PendingCommit] = {}   # window ts -> bound tx
 
     # shared screening for both pre-commit variants; returns booth or None
     def _screen(self, src: int, msg) -> Optional[BoothProfile]:
@@ -261,14 +260,13 @@ class ValidatorConsensus:
                         tx_hash: bytes, pc: PendingCommit) -> None:
         ctx = self.ctx
         ts = msg.window_start_us
-        bound = self.binding.get(ts)
-        if bound is not None and bound != tx_hash:
+        bound = self.pending.get(ts)
+        if bound is not None and bound.tx_hash != tx_hash:
             ctx.diag(RejectReason.REUSED_WINDOW)
             return
         expected = commit_cert_digest(ts, tx_hash, booth.booth_hash)
         if not proposer_signed(ctx, booth, msg.proposer_partial, expected):
             return
-        self.binding[ts] = tx_hash
         self.pending[ts] = pc
         ctx.env.meter.sign(1)
         reply = CommitReply(instance_id=ctx.instance_id, sender=ctx.node_id,
@@ -353,7 +351,7 @@ class ValidatorConsensus:
             else:
                 ctx.diag(RejectReason.UNKNOWN_COMMIT)
             return
-        if msg.tx_hash != pc.tx_hash or self.binding.get(ts) != msg.tx_hash:
+        if msg.tx_hash != pc.tx_hash:
             ctx.diag(RejectReason.REUSED_WINDOW)
             return
         booth = pc.booth

@@ -267,13 +267,12 @@ def run(spec: RunSpec, net=None) -> RunResult:
     node_ids = [ident.node_id for ident in identities]
     if net is None:
         net = Network(replace(spec.sim, seed=net_seed))
-    for node_id, behaviors in spec.byzantine:
-        net.wrap_byzantine(node_id, list(behaviors))
 
     overlay = default_overlay(node_ids)
     gossip_cfg = (GossipConfig(initial_lifetime=spec.lambda0)
                   if spec.lambda0 > 0 else None)
 
+    byzantine = dict(spec.byzantine)
     runtimes: dict[int, NodeRuntime] = {}
     for node_id in node_ids:
         env = NodeEnv(net, node_id)
@@ -283,7 +282,7 @@ def run(spec: RunSpec, net=None) -> RunResult:
             storage=StorageMaster(node_id,
                                   RetentionPolicy(temp_ttl_us=spec.tau_us)),
             gossip_peers=overlay.get(node_id, []),
-            gossip_config=gossip_cfg)
+            gossip_config=gossip_cfg, byzantine=byzantine.get(node_id, ()))
 
     workloads: list[Workload] = []
     wl_children = workload_seq.spawn(spec.gamma)

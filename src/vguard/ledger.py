@@ -5,7 +5,9 @@ moment the workload packs it: it is hashed, sent, logged and committed as
 those bytes, and its entries are parsed only to export them. The other
 types that go on the wire are `codec.Wire` dataclasses, whose layout is
 their field list; a transaction keeps the bytes it was packed as or read
-from. The JSON export is a separate format, written field by field.
+from. The JSON export is a separate format, but it too is read off the
+field list: each exported object is its type's fields, under the few
+renames in `_JSON_NAMES`.
 
 The total order log holds what ordering produced: one certified entry per
 ordering id. Consensus slices the proposer's log into fixed windows, prunes
@@ -28,22 +30,18 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left, insort
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
+from enum import Enum
 from functools import cached_property
-from typing import Callable, Collection, Iterable, Optional, Sequence
+from typing import (Callable, Collection, Iterable, Optional, Sequence,
+                    get_args, get_origin, get_type_hints)
 
 import numpy as np
 
 from .booths import BoothProfile
 from .codec import (digest, pack, pack_pair_lists,  # pack: perfbench
                     pack_pairs, Packed, Reader, Wire)
-from .crypto import (
-    AggregateSignature,
-    Identity,
-    KeyService,
-    Role,
-    recall,
-)
+from .crypto import AggregateSignature, Identity, KeyService, recall
 from .errors import DuplicateOrderingId, WindowError
 
 
@@ -385,21 +383,14 @@ class Ledger:
         lines = [dump({"kind": "meta", "version": 2, "node": self.node_id,
                        "window_len_us": self.window_len_us})]
         for ident in identities or ():
-            lines.append(dump({
-                "kind": "identity", "node_id": ident.node_id,
-                "role": ident.role.value, "verify_key": ident.verify_key.hex(),
-                "net_addr": ident.net_addr,
-            }))
+            lines.append(dump({"kind": "identity", **_to_json(ident)}))
         for booth_hash in sorted(self.booth_table):
             lines.append(dump({"kind": "booth",
-                               "profile": _booth_to_json(self.booth_table[booth_hash])}))
+                               "profile": _to_json(self.booth_table[booth_hash])}))
         for ts in self._order:
             win = self._windows[ts]
-            lines.append(dump({
-                "kind": "commit",
-                "record": _record_to_json(win.record),
-                "tx": _tx_to_json(win.tx),
-            }))
+            lines.append(dump({"kind": "commit", "record": _to_json(win.record),
+                               "tx": _to_json(win.tx)}))
         if self.covered_empty:
             lines.append(dump({"kind": "covered", "ts": sorted(self.covered_empty)}))
         return lines
@@ -420,16 +411,12 @@ class Ledger:
                 elif ledger is None:
                     raise ValueError("ledger export must start with a meta line")
                 elif kind == "identity":
-                    registry.register(Identity(
-                        node_id=obj["node_id"], role=Role(obj["role"]),
-                        verify_key=bytes.fromhex(obj["verify_key"]),
-                        net_addr=obj["net_addr"]))
+                    registry.register(_from_json(Identity, obj))
                 elif kind == "booth":
-                    booth = _booth_from_json(obj["profile"])
-                    ledger.note_booth(booth)
+                    ledger.note_booth(_from_json(BoothProfile, obj["profile"]))
                 elif kind == "commit":
-                    ledger.append_commit(_record_from_json(obj["record"]),
-                                         _tx_from_json(obj["tx"]))
+                    ledger.append_commit(_from_json(CommitRecord, obj["record"]),
+                                         _from_json(Transaction, obj["tx"]))
                 elif kind == "covered":
                     for ts in obj["ts"]:
                         ledger.mark_covered(ts)
@@ -566,98 +553,46 @@ def _unexplained_gap(first: int, stop: int, retired_ids: Collection[int]) -> boo
     return any(oid not in retired_ids for oid in range(first, stop))
 
 
-# -- json helpers ---------------------------------------------------------
+# -- json export ----------------------------------------------------------
 
-def _agg_to_json(agg: AggregateSignature) -> dict:
-    return {"sig": agg.sig_bytes.hex()}
-
-
-def _agg_from_json(obj: dict) -> AggregateSignature:
-    return AggregateSignature(sig_bytes=bytes.fromhex(obj["sig"]))
+# fields the export names differently from their dataclass
+_JSON_NAMES = {"proposer_id": "proposer", "pivot_id": "pivot",
+               "booth_hash": "booth", "first_id": "first", "last_id": "last",
+               "membership_links": "links", "sig_bytes": "sig"}
 
 
-def _booth_to_json(booth: BoothProfile) -> dict:
-    return {
-        "proposer": booth.proposer_id,
-        "pivot": booth.pivot_id,
-        "created_at_us": booth.created_at_us,
-        "members": [
-            {"node_id": m.node_id, "role": m.role.value,
-             "verify_key": m.verify_key.hex(), "net_addr": m.net_addr}
-            for m in booth.members
-        ],
-    }
+def _to_json(value):
+    """The export's rendering of a value: a dataclass as the object of its
+    fields, bytes as hex, an enum as its value, a tuple as a list and a
+    batch as its [origin_seq, payload hex] pairs."""
+    if isinstance(value, DataBatch):
+        return [[e.origin_seq, e.payload.hex()] for e in value.entries]
+    if isinstance(value, bytes):
+        return value.hex()
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, tuple):
+        return [_to_json(item) for item in value]
+    if is_dataclass(value):
+        return {_JSON_NAMES.get(f.name, f.name): _to_json(getattr(value, f.name))
+                for f in fields(value)}
+    return value
 
 
-def _booth_from_json(obj: dict) -> BoothProfile:
-    members = tuple(
-        Identity(node_id=m["node_id"], role=Role(m["role"]),
-                 verify_key=bytes.fromhex(m["verify_key"]), net_addr=m["net_addr"])
-        for m in obj["members"]
-    )
-    return BoothProfile(
-        members=members,
-        proposer_id=obj["proposer"],
-        pivot_id=obj["pivot"],
-        created_at_us=obj["created_at_us"],
-    )
-
-
-def _record_to_json(record: CommitRecord) -> dict:
-    return {
-        "consensus_id": record.consensus_id,
-        "booth": record.booth_hash.hex(),
-        "cert": _agg_to_json(record.cert),
-        "tx_hash": record.tx_hash.hex(),
-        "committed_at_us": record.committed_at_us,
-    }
-
-
-def _record_from_json(obj: dict) -> CommitRecord:
-    return CommitRecord(
-        consensus_id=obj["consensus_id"],
-        booth_hash=bytes.fromhex(obj["booth"]),
-        cert=_agg_from_json(obj["cert"]),
-        tx_hash=bytes.fromhex(obj["tx_hash"]),
-        committed_at_us=obj["committed_at_us"],
-    )
-
-
-def _link_to_json(link: MembershipLink) -> dict:
-    return {"booth": _booth_to_json(link.booth),
-            "first": link.first_id, "last": link.last_id}
-
-
-def _link_from_json(obj: dict) -> MembershipLink:
-    return MembershipLink(booth=_booth_from_json(obj["booth"]),
-                          first_id=obj["first"], last_id=obj["last"])
-
-
-def _tx_to_json(tx: Transaction) -> dict:
-    return {
-        "window_start_us": tx.window_start_us,
-        "window_len_us": tx.window_len_us,
-        "entries": [
-            {"ordering_id": e.ordering_id,
-             "batch": [[d.origin_seq, d.payload.hex()] for d in e.batch.entries],
-             "cert": _agg_to_json(e.cert)}
-            for e in tx.entries
-        ],
-        "links": [_link_to_json(l) for l in tx.membership_links],
-    }
-
-
-def _tx_from_json(obj: dict) -> Transaction:
-    entries = tuple(
-        TxEntry(
-            ordering_id=e["ordering_id"],
-            batch=DataBatch(entries=tuple(
-                DataEntry(seq, bytes.fromhex(payload)) for seq, payload in e["batch"])),
-            cert=_agg_from_json(e["cert"]),
-        )
-        for e in obj["entries"]
-    )
-    links = tuple(_link_from_json(l) for l in obj["links"])
-    return Transaction(window_start_us=obj["window_start_us"],
-                       window_len_us=obj["window_len_us"],
-                       entries=entries, membership_links=links)
+def _from_json(tp, obj):
+    """The value of annotation `tp` that `_to_json` rendered as `obj`."""
+    if tp is DataBatch:
+        return DataBatch(DataEntry(seq, bytes.fromhex(payload))
+                         for seq, payload in obj)
+    if tp is bytes:
+        return bytes.fromhex(obj)
+    if get_origin(tp) is tuple:
+        return tuple(_from_json(get_args(tp)[0], item) for item in obj)
+    if is_dataclass(tp):
+        hints = get_type_hints(tp)
+        return tp(**{f.name: _from_json(hints[f.name],
+                                        obj[_JSON_NAMES.get(f.name, f.name)])
+                     for f in fields(tp)})
+    if issubclass(tp, Enum):
+        return tp(obj)
+    return obj

@@ -5,7 +5,9 @@ notices, keeps a short queue of pre-provisioned booths sorted by their
 worst-member smoothed round-trip time, and serves the head booth to
 ordering and consensus instances. Booths are immutable once served; when
 enough members fall away the booth is dropped from the queue and listeners
-(in-flight instances pinned to it) are told to abort and re-book.
+(in-flight instances pinned to it) are told to abort and re-book. So the
+queue holds only valid booths: a booth turns invalid only inside
+`mark_availability`, which drops it before any listener or caller runs.
 
 Booth composition slides a window over the latency-sorted vehicle list, so
 adjacent queued booths overlap in membership; the proposer and the pivot
@@ -43,11 +45,10 @@ class NodeStatus:
 @dataclass
 class QueuedBooth:
     profile: BoothProfile
-    latency_ms: float = 0.0
     down_members: set[int] = field(default_factory=set)
 
-    def valid(self, fault_budget: int) -> bool:
-        return len(self.down_members) < max(fault_budget, 1)
+    def valid(self) -> bool:
+        return len(self.down_members) < max(self.profile.fault_budget, 1)
 
 
 class MembershipUnit:
@@ -176,7 +177,7 @@ class MembershipUnit:
         except InsufficientMembers:
             sets = []
         queued = {frozenset(b.profile.member_ids) for b in self.queue}
-        had_none = not self._valid_queue()
+        had_none = not self.queue
         filled = len(queued)
         for members in sets:
             if filled >= self.config.queue_depth:
@@ -184,45 +185,34 @@ class MembershipUnit:
             if members in queued:
                 continue
             profile = self._provision(members)
-            booth = QueuedBooth(profile=profile,
-                                latency_ms=self.latency_of(profile),
-                                down_members=set())
-            self.queue.append(booth)
+            self.queue.append(QueuedBooth(profile))
             queued.add(members)
             filled += 1
         self._resort()
-        if had_none and self._valid_queue():
+        if had_none and self.queue:
             for fn in list(self._available_listeners):
                 fn()
 
-    def _valid_queue(self) -> list[QueuedBooth]:
-        return [b for b in self.queue if b.valid(b.profile.fault_budget)]
-
     def _purge_and_refill(self) -> None:
-        invalid = [b for b in self.queue if not b.valid(b.profile.fault_budget)]
-        self.queue = self._valid_queue()
+        invalid = [b for b in self.queue if not b.valid()]
+        self.queue = [b for b in self.queue if b.valid()]
         for booth in invalid:
             for fn in list(self._invalidated_listeners):
                 fn(booth.profile.booth_hash)
         self.refill()
 
     def _resort(self) -> None:
-        for booth in self.queue:
-            booth.latency_ms = self.latency_of(booth.profile)
-        self.queue.sort(key=lambda b: b.latency_ms)   # stable: ties keep order
+        # stable: ties keep order
+        self.queue.sort(key=lambda b: self.latency_of(b.profile))
 
     # -- serving booths ----------------------------------------------------
 
     def current_booth(self) -> Optional[BoothProfile]:
-        """Head of the queue, or None when no valid booth exists (callers
-        park their work and resume on the availability callback)."""
-        valid = self._valid_queue()
-        if self.queue != valid:
-            self._purge_and_refill()
-            valid = self._valid_queue()
-        if not valid:
+        """Head of the queue, or None when it is empty (callers park their
+        work and resume on the availability callback)."""
+        if not self.queue:
             return None
-        profile = valid[0].profile
+        profile = self.queue[0].profile
         if profile.booth_hash != self._last_served:
             self.env.events["booth_changes", self.instance_id] += 1
             self._last_served = profile.booth_hash

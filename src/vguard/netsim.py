@@ -30,8 +30,8 @@ at busy_until on its own:
 
 Fault injection: per-message drops and duplicates, optional per-link FIFO,
 node churn (down nodes neither send nor receive), a global stabilization
-time after which delays clamp to a bound and losses stop, and Byzantine
-behavior registration consumed by the node runtime. Each lane's delay and
+time after which delays clamp to a bound and losses stop, and the names of
+the Byzantine behaviors that the node runtime acts out. Each lane's delay and
 fault streams serve one distribution each, so they are drawn `LANE_BLOCK`
 values at a time: `Generator.normal(m, s, size=n)` and `random(size=n)`
 yield the values of n scalar calls, in the same order.
@@ -300,7 +300,6 @@ class Network:
         self._meters: dict[int, CostMeter] = {}
         self._last_arrival: dict[tuple[int, int], float] = {}
         self._availability_listeners: list[Callable[[int, bool, float], None]] = []
-        self._byzantine: dict[int, list[ByzantineBehavior]] = {}
         self.counters: dict[tuple[str, object], int] = {}
         self.delivered: dict[str, int] = {}
         self.drops: Counter = Counter()
@@ -340,13 +339,6 @@ class Network:
         for event in events:
             self.sched.at(event.at_ms,
                           partial(self.set_up, event.node_id, event.up))
-
-    def wrap_byzantine(self, node_id: int,
-                       behaviors: Iterable[ByzantineBehavior | str]) -> None:
-        self._byzantine[node_id] = [ByzantineBehavior(b) for b in behaviors]
-
-    def byzantine_behaviors(self, node_id: int) -> list[ByzantineBehavior]:
-        return self._byzantine.get(node_id, [])
 
     # -- sending ----------------------------------------------------------
 

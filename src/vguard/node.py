@@ -14,7 +14,7 @@ receivers apply.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional, Sequence
 
 from .consensus import ConsensusCoordinator, ValidatorConsensus
 from .crypto import AggregateSignature, KeyService, SigningKey, make_partial
@@ -80,7 +80,7 @@ class InstanceContext:
     committed_hook: Optional[Callable] = None
 
     def diag(self, reason: RejectReason) -> None:
-        self.env.drops[self.node_id, str(reason)] += 1
+        self.env.drops[self.node_id, reason] += 1
 
     def count(self, event: str, n: int = 1) -> None:
         self.env.events[event, self.instance_id] += n
@@ -150,10 +150,10 @@ class ByzantineActor:
     cached, and every recipient gets the same forged object, which is then
     encoded once."""
 
-    def __init__(self, runtime: "NodeRuntime",
-                 behaviors: list[ByzantineBehavior]):
+    def __init__(self, runtime: "NodeRuntime", behaviors: Iterable[str]):
         self.runtime = runtime
-        self.behaviors = set(behaviors)
+        # an unknown name raises ConfigInvalid
+        self.behaviors = {ByzantineBehavior(b) for b in behaviors}
         self._last: Optional[tuple[object, object]] = None
 
     def transform(self, dst: int, msg) -> list[tuple[int, object]]:
@@ -241,7 +241,8 @@ class NodeRuntime:
                  key: SigningKey, config: ProtocolConfig, delta_us: int,
                  storage: Optional[StorageMaster] = None,
                  gossip_peers: Optional[list[int]] = None,
-                 gossip_config: Optional[GossipConfig] = None):
+                 gossip_config: Optional[GossipConfig] = None,
+                 byzantine: Sequence[str] = ()):
         self.node_id = node_id
         self.env = env
         self.registry = registry
@@ -254,7 +255,7 @@ class NodeRuntime:
         self.pingers: dict[int, PingDaemon] = {}
         self.logs: dict[int, TotalOrderLog] = {}
         self.ledgers: dict[int, Ledger] = {}
-        self.actor: Optional[ByzantineActor] = None
+        self.actor = ByzantineActor(self, byzantine) if byzantine else None
         self.gossip: Optional[GossipAgent] = None
         if gossip_config is not None and gossip_config.initial_lifetime > 0:
             self.gossip = GossipAgent(
@@ -262,9 +263,6 @@ class NodeRuntime:
                 peers=gossip_peers or [], config=gossip_config,
                 storage=storage, send=self._send_gossip)
         env.net.register(node_id, self.handle)
-        behaviors = env.net.byzantine_behaviors(node_id)
-        if behaviors:
-            self.actor = ByzantineActor(self, behaviors)
 
     # -- transport ---------------------------------------------------------
 
@@ -362,7 +360,7 @@ class NodeRuntime:
         try:
             msg = decode_message(raw)
         except ValueError:
-            self.env.drops[self.node_id, str(RejectReason.MALFORMED)] += 1
+            self.env.drops[self.node_id, RejectReason.MALFORMED] += 1
             return
         if isinstance(msg, Ping):
             pong = Pong(instance_id=msg.instance_id, sender=self.node_id,
@@ -386,8 +384,7 @@ class NodeRuntime:
         if isinstance(msg, (OrderReply, CommitReply)):
             prop = self.proposers.get(msg.instance_id)
             if prop is None:
-                self.env.drops[self.node_id,
-                               str(RejectReason.UNKNOWN_INSTANCE)] += 1
+                self.env.drops[self.node_id, RejectReason.UNKNOWN_INSTANCE] += 1
                 return
             if isinstance(msg, OrderReply):
                 prop.ordering.handle_reply(src, msg)
@@ -407,4 +404,4 @@ class NodeRuntime:
         elif isinstance(msg, CommitMsg):
             inst.consensus.handle_commit(src, msg)
         else:
-            self.env.drops[self.node_id, str(RejectReason.MALFORMED)] += 1
+            self.env.drops[self.node_id, RejectReason.MALFORMED] += 1

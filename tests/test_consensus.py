@@ -90,7 +90,7 @@ def test_seen_valid_binds_and_replies(world):
     assert dst == 1
     expected = commit_cert_digest(0, tx.tx_hash, booth.booth_hash)
     assert verify_partial(reply.partial, pool.registry.verify_key(3), expected)
-    assert engine.binding[0] == tx.tx_hash
+    assert engine.pending[0].tx_hash == tx.tx_hash
     assert 0 in engine.pending
 
 
@@ -130,7 +130,7 @@ def test_pre_commit_naming_a_pivot_the_registry_does_not_hold_is_refused(
         (engine.handle_seen if isinstance(msg, PreCommitSeen)
          else engine.handle_unseen)(1, msg)
         only_reject(ctx, "not_pivot")
-        assert sent == [] and not engine.binding
+        assert sent == [] and not engine.pending
 
 
 def test_window_shape_must_match_protocol(world):
@@ -186,7 +186,7 @@ def test_unseen_verifies_adopts_and_replies(world):
     assert ctx.log.get(1) is not None
     assert ctx.log.get(0).cert == entries[0].cert
     assert booth.booth_hash in ctx.ledger.booth_table
-    assert engine.binding[0] == tx.tx_hash
+    assert engine.pending[0].tx_hash == tx.tx_hash
 
 
 def _one_signer_short(pool, booth, payload):

@@ -1,13 +1,15 @@
 """Total order log, membership pruning, transactions, and chain audits."""
 
 import itertools
+import json
 from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from vguard.booths import BoothProfile
 from vguard.codec import Reader
-from vguard.crypto import AggregateSignature
+from vguard.crypto import AggregateSignature, Identity, Role
 from vguard.errors import DuplicateOrderingId, RejectReason, WindowError
 from vguard.harness import RunSpec, run
 from vguard.ledger import (
@@ -16,12 +18,15 @@ from vguard.ledger import (
     DataEntry,
     Ledger,
     LogEntry,
+    MembershipLink,
     TotalOrderLog,
     Transaction,
     TxEntry,
     expand_memberships,
     prune_memberships,
     tx_hash_over,
+    _from_json,
+    _to_json,
     verify_chain,
 )
 
@@ -34,6 +39,7 @@ from conftest import (
     make_booth,
     make_pool,
 )
+from test_messages import _values
 
 DELTA_US = 100_000   # 100 ms windows
 
@@ -423,6 +429,60 @@ def test_export_import_roundtrip(tmp_path, pool4, booth4):
     path2 = tmp_path / "again.jsonl"
     restored.export_jsonl(path2, registry.identities.values())
     assert path.read_bytes() == path2.read_bytes()
+
+
+@settings(max_examples=80, derandomize=True, deadline=None, database=None)
+@given(st.sampled_from([Identity, BoothProfile, CommitRecord, Transaction])
+       .flatmap(lambda tp: st.tuples(st.just(tp), _values(tp))))
+def test_json_rendering_round_trips(case):
+    tp, value = case
+    assert _from_json(tp, json.loads(json.dumps(_to_json(value)))) == value
+
+
+# One of each exported line, with every key spelled out: a renamed field
+# shows here by name, not only as a changed golden digest.
+_PIVOT = Identity(2, Role.PIVOT, bytes(range(32)), "10.0.0.2")
+_VEHICLE = Identity(3, Role.VEHICLE, bytes(range(32, 64)), "10.0.0.3")
+_BOOTH = BoothProfile(proposer_id=3, pivot_id=2, created_at_us=5,
+                      members=(_PIVOT, _VEHICLE))
+_PIVOT_JSON = {"node_id": 2, "role": "pivot_validator",
+               "verify_key": bytes(range(32)).hex(), "net_addr": "10.0.0.2"}
+_BOOTH_JSON = {
+    "proposer": 3, "pivot": 2, "created_at_us": 5,
+    "members": [_PIVOT_JSON,
+                {"node_id": 3, "role": "vehicle_validator",
+                 "verify_key": bytes(range(32, 64)).hex(),
+                 "net_addr": "10.0.0.3"}]}
+EXPORTED_LINES = {
+    "identity": {"kind": "identity", **_PIVOT_JSON},
+    "booth": {"kind": "booth", "profile": _BOOTH_JSON},
+    "commit": {
+        "kind": "commit",
+        "record": {"consensus_id": DELTA_US, "booth": "bbbb",
+                   "cert": {"sig": "0102"}, "tx_hash": "cccc",
+                   "committed_at_us": 9},
+        "tx": {"window_start_us": DELTA_US, "window_len_us": DELTA_US,
+               "entries": [{"ordering_id": 1, "batch": [[7, "ab"], [8, ""]],
+                            "cert": {"sig": "03"}}],
+               "links": [{"booth": _BOOTH_JSON, "first": 1, "last": 1}]}},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(EXPORTED_LINES))
+def test_export_line_layout(kind):
+    ledger = Ledger(1, DELTA_US)
+    tx = Transaction(
+        window_start_us=DELTA_US, window_len_us=DELTA_US,
+        entries=(TxEntry(1, DataBatch((DataEntry(7, b"\xab"), DataEntry(8, b""))),
+                         AggregateSignature(b"\x03")),),
+        membership_links=(MembershipLink(_BOOTH, 1, 1),))
+    ledger.append_commit(CommitRecord(
+        consensus_id=DELTA_US, booth_hash=b"\xbb\xbb",
+        cert=AggregateSignature(b"\x01\x02"), tx_hash=b"\xcc\xcc",
+        committed_at_us=9), tx)
+    lines = [json.loads(line) for line in ledger.export_lines([_PIVOT])]
+    assert [line for line in lines if line["kind"] == kind] == \
+        [EXPORTED_LINES[kind]]
 
 
 def test_ledger_commit_conflict_detected(pool4, booth4):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from conftest import make_pool
@@ -69,7 +71,7 @@ def test_compositions_slide_over_latency_sorted_vehicles():
 def test_queue_resorts_by_worst_member_latency():
     mmu, _ = make_mmu()
     feed_descending_rtts(mmu)
-    latencies = [b.latency_ms for b in mmu.queue]
+    latencies = [mmu.latency_of(b.profile) for b in mmu.queue]
     assert latencies == sorted(latencies)
     # worst member dominates: the {6,7} window (max rtt 2.0) leads
     assert members_of(mmu)[0] == frozenset({1, 2, 6, 7})
@@ -199,3 +201,32 @@ def test_larger_booths_use_wider_windows():
         assert {1, 2} <= members
     head = mmu.current_booth()
     assert head.fault_budget == 2
+
+
+@pytest.mark.parametrize("booth_size, pool_ids",
+                         [(4, POOL_IDS), (7, list(range(1, 11)))])
+def test_queue_holds_only_valid_booths_under_random_churn(booth_size,
+                                                          pool_ids):
+    """Whatever mix of churn, round trips and missed pings arrives, every
+    queued booth is valid and the head is what `current_booth` serves,
+    after each step and inside every listener the unit calls."""
+    mmu, _ = make_mmu(pool_ids=pool_ids, booth_size=booth_size)
+    rng = random.Random(booth_size)
+
+    def check(*_):
+        assert all(b.valid() for b in mmu.queue)
+        head = mmu.current_booth()
+        assert head is (mmu.queue[0].profile if mmu.queue else None)
+
+    mmu.on_booth_invalidated(check)
+    mmu.on_booth_available(check)
+    for _ in range(400):
+        node_id = rng.choice(pool_ids)
+        step = rng.randrange(3)
+        if step == 0:
+            mmu.mark_availability(node_id, rng.random() < 0.6)
+        elif step == 1:
+            mmu.note_rtt(node_id, rng.uniform(0.0, 10.0))
+        else:
+            mmu.note_missed_ping(node_id)
+        check()

@@ -13,10 +13,13 @@ from functools import partial
 import numpy as np
 import pytest
 
+from conftest import make_pool
 from vguard.bench import WallClock
-from vguard.errors import UnknownEndpoint
-from vguard.netsim import (LANE_BLOCK, Category, ChurnEvent, CostModel,
-                           Network, Scheduler, SimConfig, _lane)
+from vguard.errors import ConfigInvalid, UnknownEndpoint
+from vguard.netsim import (LANE_BLOCK, ByzantineBehavior, Category,
+                           ChurnEvent, CostModel, Network, NodeEnv, Scheduler,
+                           SimConfig, _lane)
+from vguard.node import NodeRuntime, ProtocolConfig
 
 # Nothing costs service time but what a handler bills through `charge_ms`,
 # which counts each billed millisecond as one 1 ms signature.
@@ -352,11 +355,18 @@ def test_counters_track_sends_by_instance_key():
     assert totals["control"] == 1
 
 
-def test_byzantine_registration_lookup():
-    net = Network(quiet())
-    net.wrap_byzantine(4, ["silent"])
-    assert [str(b) for b in net.byzantine_behaviors(4)] == ["silent"]
-    assert net.byzantine_behaviors(5) == []
+def test_byzantine_behaviors_reach_the_runtime():
+    pool = make_pool([4, 5])
+
+    def runtime(node_id, byzantine=()):
+        return NodeRuntime(node_id, NodeEnv(Network(quiet()), node_id),
+                           pool.registry, pool.keys[node_id],
+                           ProtocolConfig(), 100_000, byzantine=byzantine)
+
+    with pytest.raises(ConfigInvalid):
+        runtime(4, ["sulk"])
+    assert runtime(4, ["silent"]).actor.behaviors == {ByzantineBehavior.SILENT}
+    assert runtime(5).actor is None
 
 
 # -- per-node run queues ------------------------------------------------------
