@@ -37,7 +37,7 @@ import struct
 from dataclasses import fields
 from enum import Enum
 from functools import cache
-from itertools import count
+from itertools import count, groupby
 from typing import Iterable, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
@@ -319,11 +319,12 @@ def encoder(cls: type, head: bytes = None, skip: int = 0):
     """The generated encoder of a `Wire` class: a function that packs a
     value's fields after the first `skip`, behind `head` (by default the
     header of the list they form), in one pass. It takes each field
-    straight from the value, writes an int or a header with `struct`,
-    inlines a nested `Wire` and splices a type with its own `to_field` as
-    the bytes that gives. A field whose value is not exactly its annotated
-    type (a bool, an int subclass, None, ...) goes through `pack`, so it
-    packs, or raises, as `pack` does."""
+    straight from the value, writes a header, or a run of consecutive int
+    fields, with one `struct` step, inlines a nested `Wire` and splices a
+    type with its own `to_field` as the bytes that gives. A field whose
+    value is not exactly its annotated type (a bool, an int subclass,
+    None, ...), or an int out of u64 range, goes through `pack` with the
+    rest of its run, so it packs, or raises, as `pack` does."""
     consts: dict = {}                       # value -> its name in the code
 
     def const(value) -> str:
@@ -341,22 +342,35 @@ def _joined(src: str, cls: type, head, skip: int, const, fresh) -> str:
     value, after the first `skip`, behind `head`."""
     hints = get_type_hints(cls)
     names = [f.name for f in fields(cls)][skip:]
-    head = _HEADER.pack(b"L", len(names)) if head is None else head
-    return "b''.join((" + ", ".join([const(head)] + [
-        _packing(f"{src}.{name}", hints[name], const, fresh)
-        for name in names]) + ",))"
+    parts = [const(_HEADER.pack(b"L", len(names)) if head is None else head)]
+    for ints, run in groupby(names, lambda name: hints[name] is int):
+        parts += [_ints([f"{src}.{n}" for n in run], const, fresh)] if ints \
+            else [_packing(f"{src}.{n}", hints[n], const, fresh) for n in run]
+    return "b''.join((" + ", ".join(parts) + ",))"
+
+
+def _ints(srcs: list[str], const, fresh) -> str:
+    """Source of an expression that packs the int values of `srcs` in one
+    `struct` step if each is exactly an int in u64 range (so is their OR),
+    else with `pack`."""
+    xs = [next(fresh) for _ in srcs]
+    exact = " is ".join(f"type({x} := {src})" for x, src in zip(xs, srcs))
+    fast = ", ".join(f"b'I', {x}" for x in xs)
+    run = const(struct.Struct(">" + "cQ" * len(xs)).pack)
+    return (f"({run}({fast}) if {exact} is {const(int)} "
+            f"and -1 < ({' | '.join(xs)}) < {1 << 64} "
+            f"else pack({', '.join(srcs)}))")
 
 
 def _packing(src: str, tp, const, fresh) -> str:
     """Source of an expression that packs the value of `src`, annotated
     `tp`: in one pass if its type is exactly `tp`, else with `pack`."""
+    if tp is int:
+        return _ints([src], const, fresh)
     x = next(fresh)
     exact = f"type({x} := {src}) is {const(tuple if get_origin(tp) else tp)}"
     header = const(_HEADER.pack)
-    if tp is int:
-        fast = f"{const(_U64.pack)}(b'I', {x})"
-        exact += f" and -1 < {x} < {1 << 64}"
-    elif tp is bytes:
+    if tp is bytes:
         fast = f"{header}(b'B', len({x})) + {x}"
     elif get_origin(tp) is tuple:
         item = next(fresh)

@@ -307,9 +307,11 @@ class KeyService:
 
     def __init__(self):
         self.identities: dict[int, Identity] = {}
+        self._keys: dict[tuple[int, ...], tuple[Optional[bytes], ...]] = {}
 
     def register(self, identity: Identity) -> None:
         self.identities[identity.node_id] = identity
+        self._keys.clear()
 
     def verify_key(self, node_id: int) -> bytes:
         try:
@@ -325,6 +327,11 @@ class KeyService:
         return ident is not None and ident.role == Role.PIVOT
 
     def keys_of(self, node_ids: Iterable[int]) -> tuple[Optional[bytes], ...]:
-        """Each node's registered verify key, or None if it has none."""
-        get = self.identities.get
-        return tuple(getattr(get(n), "verify_key", None) for n in node_ids)
+        """Each node's registered verify key, or None; kept per id tuple
+        until the next `register`."""
+        node_ids = tuple(node_ids)
+        keys = self._keys.get(node_ids)
+        if keys is None:
+            keys = self._keys[node_ids] = tuple(getattr(
+                self.identities.get(n), "verify_key", None) for n in node_ids)
+        return keys

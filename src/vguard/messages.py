@@ -8,7 +8,8 @@ packs as the list of its fields after instance and sender. Decoding
 failures raise ValueError and are treated as silent rejects by receivers.
 
 Both directions do their deterministic work once. `encode` packs with
-the class's generated encoder (`codec.encoder`) and stores the bytes on
+the class's generated encoder (`codec.encoder`, made once per class when
+the module loads and kept on the class) and stores the bytes on
 the frozen message, so a broadcast is packed once; a rewritten message (a
 byzantine forgery made with `dataclasses.replace`) is a new object and is
 packed afresh. A carried booth profile, data batch or transaction is
@@ -62,9 +63,7 @@ class _Message(Wire):
     def encode(self) -> bytes:
         wire = self._wire
         if wire is None:
-            # every field, instance and sender too, one after another
-            wire = encoder(type(self), self._header)(self)
-            object.__setattr__(self, "_wire", wire)
+            wire = self.__dict__["_wire"] = self._packed()
             remember(("msg", wire), self)
         return wire
 
@@ -240,6 +239,10 @@ class Pong(_Message):
 _BY_TAG = {cls.TAG: cls for cls in (
     PreOrder, OrderReply, OrderMsg, PreCommitSeen, PreCommitUnseen,
     CommitReply, CommitMsg, GossipMsg, GossipAck, Ping, Pong)}
+
+for _cls in _BY_TAG.values():   # all fields behind the header, as a method
+    _cls._packed = encoder(_cls, _cls._header)
+del _cls
 
 
 def decode_message(raw: bytes):

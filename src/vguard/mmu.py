@@ -18,6 +18,7 @@ so a booth that re-forms after a flap keeps its hash.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Callable, Optional
 
 from .booths import BoothProfile, build_profile
@@ -42,13 +43,20 @@ class NodeStatus:
     missed_pings: int = 0
 
 
+_RTT = attrgetter("rtt_ewma_ms")
+
+
 @dataclass
 class QueuedBooth:
     profile: BoothProfile
-    down_members: set[int] = field(default_factory=set)
+    statuses: list[NodeStatus]          # its members', in member order
+
+    def latency_ms(self) -> float:
+        """Worst smoothed round trip among the booth's members."""
+        return max(map(_RTT, self.statuses))
 
     def valid(self) -> bool:
-        return len(self.down_members) < max(self.profile.fault_budget, 1)
+        return sum(not s.up for s in self.statuses) < max(self.profile.fault_budget, 1)
 
 
 class MembershipUnit:
@@ -95,10 +103,6 @@ class MembershipUnit:
             return
         status.up = up
         status.missed_pings = 0
-        if not up:
-            for booth in self.queue:
-                if node_id in booth.profile:
-                    booth.down_members.add(node_id)
         self._purge_and_refill()
 
     def note_rtt(self, node_id: int, rtt_ms: float) -> None:
@@ -185,7 +189,8 @@ class MembershipUnit:
             if members in queued:
                 continue
             profile = self._provision(members)
-            self.queue.append(QueuedBooth(profile))
+            self.queue.append(QueuedBooth(
+                profile, [self.status[m] for m in profile.member_ids]))
             queued.add(members)
             filled += 1
         self._resort()
@@ -203,7 +208,7 @@ class MembershipUnit:
 
     def _resort(self) -> None:
         # stable: ties keep order
-        self.queue.sort(key=lambda b: self.latency_of(b.profile))
+        self.queue.sort(key=QueuedBooth.latency_ms)
 
     # -- serving booths ----------------------------------------------------
 

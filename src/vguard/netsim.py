@@ -35,16 +35,23 @@ the Byzantine behaviors that the node runtime acts out. Each lane's delay and
 fault streams serve one distribution each, so they are drawn `LANE_BLOCK`
 values at a time: `Generator.normal(m, s, size=n)` and `random(size=n)`
 yield the values of n scalar calls, in the same order.
+
+One per-message path serves traced and untraced runs. It keeps the hook
+points that the benchmark's tracer and the golden probes patch by name, or
+their work would be hidden from them: `Network.send`, `_deliver`,
+`run_until`, `_invoke(node_id, fn, preload_ms)` called through `self` with
+its `_busy` and `_up` dicts, and `Scheduler.at` for every heap event.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
+from heapq import heappop, heappush
+from operator import itemgetter
 from typing import Callable, Iterable, Optional
 
 import numpy as np
@@ -68,19 +75,19 @@ class Category(str, Enum):
 
 # Categories that bypass the CPU queue and use the auxiliary RNG lane.
 _AUX = {Category.GOSSIP, Category.ACK}
-_PING = {Category.PING}
 # Counter and tally keys, looked up rather than formatted per message.
 _NAMES = {category: category.value for category in Category}
+_WIRE_COST = itemgetter(5)       # of a pending send; 0 on the aux lane
 
 
 @dataclass(frozen=True)
 class CostModel:
     """Service-time coefficients, all in milliseconds.
 
-    The quadratic wire term models allocation and copy pressure on large
-    payloads; it is what eventually makes very large batches counter-
-    productive, matching observed batching behavior.
-    """
+    Sending n bytes costs n * wire_byte_ms + n * n * wire_byte_quad_ms, and
+    receiving them as much. The quadratic term models allocation and copy
+    pressure on large payloads: it makes very large batches counter-
+    productive, matching observed batching behavior."""
 
     base_ms: float = 0.02
     sign_ms: float = 0.045
@@ -88,9 +95,6 @@ class CostModel:
     hash_byte_ms: float = 3.0e-6
     wire_byte_ms: float = 2.0e-6
     wire_byte_quad_ms: float = 2.0e-9
-
-    def wire_cost(self, size: int) -> float:
-        return size * self.wire_byte_ms + size * size * self.wire_byte_quad_ms
 
 
 @dataclass(frozen=True)
@@ -124,17 +128,17 @@ class Scheduler:
     def __init__(self):
         self.now: float = 0.0
         self._heap: list[tuple[float, int, Callable[[], None]]] = []
-        self._seq = itertools.count()
+        self._next_seq = itertools.count().__next__
 
     def at(self, when_ms: float, fn: Callable[[], None]) -> None:
         if when_ms < self.now:
             when_ms = self.now
-        heapq.heappush(self._heap, (when_ms, next(self._seq), fn))
+        heappush(self._heap, (when_ms, self._next_seq(), fn))
 
     def run_until(self, until_ms: float) -> None:
-        heap, pop = self._heap, heapq.heappop
+        heap = self._heap
         while heap and heap[0][0] <= until_ms:
-            when, _, fn = pop(heap)
+            when, _, fn = heappop(heap)
             self.now = when
             fn()
         self.now = max(self.now, until_ms)
@@ -150,12 +154,7 @@ class CostMeter:
     __slots__ = ("signs", "verifies", "hashed_bytes")
 
     def __init__(self):
-        self.reset()
-
-    def reset(self) -> None:
-        self.signs = 0
-        self.verifies = 0
-        self.hashed_bytes = 0
+        self.signs = self.verifies = self.hashed_bytes = 0
 
     def sign(self, n: int = 1) -> None:
         self.signs += n
@@ -165,13 +164,6 @@ class CostMeter:
 
     def hash_bytes(self, n: int) -> None:
         self.hashed_bytes += n
-
-    def drain(self, model: CostModel) -> float:
-        total = (self.signs * model.sign_ms
-                 + self.verifies * model.verify_ms
-                 + self.hashed_bytes * model.hash_byte_ms)
-        self.reset()
-        return total
 
 
 @dataclass
@@ -268,12 +260,15 @@ def _stream(draw: Callable[[], np.ndarray]) -> Callable[[], float]:
 
 def _lane(seed_seq: np.random.SeedSequence, mean_ms: float,
           sd_ms: float) -> tuple[Callable[[], float], Callable[[], float]]:
-    """One group's (delay, fault) streams: normal delays and uniform fault
-    draws, each from its own generator, `LANE_BLOCK` values at a time."""
+    """One group's (delay, fault) streams: normal delays clamped at zero
+    (with no jitter, the mean, and nothing drawn) and uniform fault draws,
+    each from its own generator, `LANE_BLOCK` values at a time."""
     delays, faults = (np.random.Generator(np.random.PCG64(seed))
                       for seed in seed_seq.spawn(2))
-    return (_stream(partial(delays.normal, mean_ms, sd_ms, LANE_BLOCK)),
-            _stream(partial(faults.random, LANE_BLOCK)))
+    next_delay = _stream(lambda: np.maximum(
+        delays.normal(mean_ms, sd_ms, LANE_BLOCK), 0.0)) if sd_ms > 0 \
+        else itertools.repeat(max(mean_ms, 0.0)).__next__
+    return next_delay, _stream(partial(faults.random, LANE_BLOCK))
 
 
 class Network:
@@ -290,9 +285,15 @@ class Network:
             _lane(seq, config.delay_mean_ms, config.delay_sd_ms)
             for seq in np.random.SeedSequence(config.seed).spawn(4)[:3])
         self._lane_of = {category: aux if category in _AUX else
-                         ping if category in _PING else protocol
+                         ping if category is Category.PING else protocol
                          for category in Category}
         self._tracing = config.trace
+        cost = config.cost          # read once for the per-message path
+        self._base_ms, self._sign_ms = cost.base_ms, cost.sign_ms
+        self._verify_ms, self._hash_byte_ms = cost.verify_ms, cost.hash_byte_ms
+        self._wire_ms, self._wire_quad_ms = cost.wire_byte_ms, cost.wire_byte_quad_ms
+        self._faults_until = float("inf") if config.gst_ms is None else config.gst_ms
+        self._drop_rate, self._dup_rate = config.drop_rate, config.dup_rate
         self._handlers: dict[int, Callable[[int, bytes, Category], None]] = {}
         self._up: dict[int, bool] = {}
         self._busy: dict[int, float] = {}
@@ -318,10 +319,11 @@ class Network:
         self._up.setdefault(node_id, True)
         self._busy.setdefault(node_id, 0.0)
         self._queues.setdefault(node_id, _RunQueue())
-        self._meters[node_id] = CostMeter()
+        self.meter(node_id)
 
     def meter(self, node_id: int) -> CostMeter:
-        return self._meters[node_id]
+        """The node's cost meter, made on first use."""
+        return self._meters.setdefault(node_id, CostMeter())
 
     def on_availability_change(self, fn: Callable[[int, bool, float], None]) -> None:
         self._availability_listeners.append(fn)
@@ -348,8 +350,10 @@ class Network:
         src, the send takes effect when that handler's service completes."""
         if dst not in self._handlers:
             raise UnknownEndpoint(f"no endpoint for node {dst}")
-        send = (src, dst, payload, category, instance_key,
-                self.config.cost.wire_cost(len(payload)))
+        size = len(payload)
+        wire_cost = 0.0 if category in _AUX else \
+            size * self._wire_ms + size * size * self._wire_quad_ms
+        send = (src, dst, payload, category, instance_key, wire_cost)
         if self._active_node == src:
             self._deferred_sends.append(send)
         else:
@@ -371,21 +375,21 @@ class Network:
             note("send")
         config = self.config
         next_delay, next_fault = self._lane_of[category]
-        faulty = config.gst_ms is None or at_ms < config.gst_ms
+        faulty = at_ms < self._faults_until
         copies = 1
-        if faulty and config.drop_rate and next_fault() < config.drop_rate:
-            if note:
-                note("drop")
-            return
-        if faulty and config.dup_rate and next_fault() < config.dup_rate:
-            copies = 2
-            if note:
-                note("dup")
+        if faulty:
+            if self._drop_rate and next_fault() < self._drop_rate:
+                if note:
+                    note("drop")
+                return
+            if self._dup_rate and next_fault() < self._dup_rate:
+                copies = 2
+                if note:
+                    note("dup")
         deliver = partial(self._deliver, src, dst, payload, category,
                           instance_key, wire_cost)
         for _ in range(copies):
-            delay = max(next_delay() if config.delay_sd_ms > 0
-                        else config.delay_mean_ms, 0.0)
+            delay = next_delay()
             if not faulty:
                 delay = min(delay, config.gst_bound_ms)
             if config.bandwidth_bytes_per_ms:
@@ -437,17 +441,18 @@ class Network:
         if not self._up.get(node_id, False):
             return
         meter = self._meters[node_id]
-        meter.reset()
+        meter.signs = meter.verifies = meter.hashed_bytes = 0
         self._active_node = node_id
-        sends, timers = self._deferred_sends, self._deferred_timers = [], []
+        self._deferred_sends = sends = []
+        self._deferred_timers = timers = []
         try:
             fn()
         finally:
             self._active_node = None
-        wire_out = sum([send[5] for send in sends if send[3] not in _AUX])
-        cost = self.config.cost.base_ms + preload_ms + wire_out \
-            + meter.drain(self.config.cost)
-        done = self.sched.now + cost
+        done = self.sched.now + (
+            self._base_ms + preload_ms + sum(map(_WIRE_COST, sends))
+            + (meter.signs * self._sign_ms + meter.verifies * self._verify_ms
+               + meter.hashed_bytes * self._hash_byte_ms))
         self._busy[node_id] = done
         for send in sends:
             self._dispatch_send(done, *send)
@@ -567,22 +572,21 @@ def _key_repr(instance_key: object):
 
 class NodeEnv:
     """A node's bound view of the network: what engines are allowed to use,
-    the run's `drops` and `events` tallies among it."""
+    the run's clock (`sched`), the node's cost meter and the run's `drops`
+    and `events` tallies among it."""
 
-    __slots__ = ("net", "node_id", "drops", "events")
+    __slots__ = ("net", "node_id", "sched", "meter", "drops", "events")
 
     def __init__(self, net: Network, node_id: int):
         self.net = net
         self.node_id = node_id
+        self.sched = net.sched
+        self.meter = net.meter(node_id)
         self.drops = net.drops
         self.events = net.events
 
     def now_us(self) -> int:
-        return int(round(self.net.sched.now * 1000.0))
-
-    @property
-    def meter(self) -> CostMeter:
-        return self.net.meter(self.node_id)
+        return int(round(self.sched.now * 1000.0))
 
     def after(self, delay_ms: float, fn: Callable[[], None]) -> Timer:
         return self.net.schedule(self.node_id, delay_ms, fn)

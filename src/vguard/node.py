@@ -110,6 +110,7 @@ class PingDaemon:
         self.runtime = runtime
         self.mmu = mmu
         self.instance_id = instance_id
+        self.targets = sorted(set(mmu.pool) - {runtime.node_id})
         self.seq = 0
         self.outstanding: dict[int, Optional[int]] = {}
 
@@ -117,18 +118,16 @@ class PingDaemon:
         self.runtime.env.every(self.mmu.config.ping_period_ms, self.tick)
 
     def tick(self) -> None:
-        env = self.runtime.env
-        for target in sorted(self.mmu.pool):
-            if target == self.runtime.node_id:
-                continue
-            if self.outstanding.get(target) is not None:
+        runtime, outstanding = self.runtime, self.outstanding
+        now_us = runtime.env.now_us()
+        for target in self.targets:
+            if outstanding.get(target) is not None:
                 self.mmu.note_missed_ping(target)
-            self.seq += 1
-            ping = Ping(instance_id=self.instance_id,
-                        sender=self.runtime.node_id,
-                        seq=self.seq, sent_at_us=env.now_us())
-            self.outstanding[target] = self.seq
-            self.runtime.send_msg(target, ping, Category.PING, None)
+            self.seq = seq = self.seq + 1
+            outstanding[target] = seq
+            runtime.send_msg(target, Ping(
+                instance_id=self.instance_id, sender=runtime.node_id, seq=seq,
+                sent_at_us=now_us), Category.PING, None)
 
     def on_pong(self, src: int, msg: Pong) -> None:
         if self.outstanding.get(src) != msg.seq:
@@ -268,9 +267,11 @@ class NodeRuntime:
 
     def send_msg(self, dst: int, msg, category: Category,
                  instance_key: object) -> None:
-        pairs = [(dst, msg)] if self.actor is None else \
-            self.actor.transform(dst, msg)
-        for to, out in pairs:
+        if self.actor is None:
+            self.env.net.send(self.node_id, dst, msg.encode(), category,
+                              instance_key)
+            return
+        for to, out in self.actor.transform(dst, msg):
             self.env.net.send(self.node_id, to, out.encode(), category,
                               instance_key)
 
@@ -317,15 +318,22 @@ class NodeRuntime:
             inst.consensus.start()
             self.pingers[instance_id].start()
 
-    def _validator_instance(self, instance_id: int) -> ValidatorInstance:
-        inst = self.validators.get(instance_id)
+    def _validator(self, msg) -> ValidatorInstance:
+        inst = self.validators.get(msg.instance_id)
         if inst is None:
-            ctx = self._context(instance_id,
+            ctx = self._context(msg.instance_id,
                                 committed_hook=self._on_validator_commit)
             inst = ValidatorInstance(ctx=ctx, ordering=ValidatorOrdering(ctx),
                                      consensus=ValidatorConsensus(ctx))
-            self.validators[instance_id] = inst
+            self.validators[msg.instance_id] = inst
         return inst
+
+    def _proposer(self, msg) -> Optional[ProposerInstance]:
+        """The proposer instance a reply is for, or None (counted dropped)."""
+        prop = self.proposers.get(msg.instance_id)
+        if prop is None:
+            self.env.drops[self.node_id, RejectReason.UNKNOWN_INSTANCE] += 1
+        return prop
 
     def close(self) -> None:
         """Drop the callbacks wired between this runtime's parts: the
@@ -362,46 +370,33 @@ class NodeRuntime:
         except ValueError:
             self.env.drops[self.node_id, RejectReason.MALFORMED] += 1
             return
-        if isinstance(msg, Ping):
-            pong = Pong(instance_id=msg.instance_id, sender=self.node_id,
-                        seq=msg.seq, sent_at_us=msg.sent_at_us)
-            self.send_msg(src, pong, Category.PING, None)
-            return
-        if isinstance(msg, Pong):
-            pinger = self.pingers.get(msg.instance_id)
-            if pinger is not None:
-                pinger.on_pong(src, msg)
-            return
-        if isinstance(msg, GossipMsg):
-            if self.gossip is not None:
-                self.gossip.handle_gossip(src, msg)
-            return
-        if isinstance(msg, GossipAck):
-            if self.gossip is not None:
-                self.gossip.handle_ack(src, msg)
-            return
-
-        if isinstance(msg, (OrderReply, CommitReply)):
-            prop = self.proposers.get(msg.instance_id)
-            if prop is None:
-                self.env.drops[self.node_id, RejectReason.UNKNOWN_INSTANCE] += 1
-                return
-            if isinstance(msg, OrderReply):
-                prop.ordering.handle_reply(src, msg)
-            else:
-                prop.consensus.handle_reply(src, msg)
-            return
-
-        inst = self._validator_instance(msg.instance_id)
-        if isinstance(msg, PreOrder):
-            inst.ordering.handle_pre_order(src, msg)
-        elif isinstance(msg, OrderMsg):
-            inst.ordering.handle_order(src, msg)
-        elif isinstance(msg, PreCommitSeen):
-            inst.consensus.handle_seen(src, msg)
-        elif isinstance(msg, PreCommitUnseen):
-            inst.consensus.handle_unseen(src, msg)
-        elif isinstance(msg, CommitMsg):
-            inst.consensus.handle_commit(src, msg)
-        else:
+        route = _ROUTES.get(type(msg))
+        if route is None:
             self.env.drops[self.node_id, RejectReason.MALFORMED] += 1
+        else:
+            route(self, src, msg)
+
+    def _answer_ping(self, src: int, msg: Ping) -> None:
+        pong = Pong(instance_id=msg.instance_id, sender=self.node_id,
+                    seq=msg.seq, sent_at_us=msg.sent_at_us)
+        self.send_msg(src, pong, Category.PING, None)
+
+
+# How `NodeRuntime.handle` acts on a message (`m`, from `s`), by its class.
+# Each route looks its method up when the message arrives, so a method
+# patched on its class is the one called.
+_ROUTES = {
+    Ping: NodeRuntime._answer_ping,
+    Pong: lambda rt, s, m: (p := rt.pingers.get(m.instance_id)) and p.on_pong(s, m),
+    GossipMsg: lambda rt, s, m: rt.gossip and rt.gossip.handle_gossip(s, m),
+    GossipAck: lambda rt, s, m: rt.gossip and rt.gossip.handle_ack(s, m),
+    OrderReply: lambda rt, s, m: (
+        (p := rt._proposer(m)) and p.ordering.handle_reply(s, m)),
+    CommitReply: lambda rt, s, m: (
+        (p := rt._proposer(m)) and p.consensus.handle_reply(s, m)),
+    PreOrder: lambda rt, s, m: rt._validator(m).ordering.handle_pre_order(s, m),
+    OrderMsg: lambda rt, s, m: rt._validator(m).ordering.handle_order(s, m),
+    PreCommitSeen: lambda rt, s, m: rt._validator(m).consensus.handle_seen(s, m),
+    PreCommitUnseen: lambda rt, s, m: rt._validator(m).consensus.handle_unseen(s, m),
+    CommitMsg: lambda rt, s, m: rt._validator(m).consensus.handle_commit(s, m),
+}

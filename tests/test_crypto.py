@@ -380,6 +380,16 @@ def test_registry_gives_registered_keys_and_none_for_outsiders(pool4):
         pool4.registry.verify_key(outsider)
 
 
+def test_registry_keys_are_kept_per_id_tuple_until_a_registration(pool4):
+    ids = tuple(sorted(pool4.keys))
+    keys = pool4.registry.keys_of(ids)
+    assert pool4.registry.keys_of(list(ids)) is keys
+    impostor, _ = impostor_identity(ids[2])
+    pool4.registry.register(impostor)
+    assert pool4.registry.keys_of(ids) == keys[:2] + (impostor.verify_key,) \
+        + keys[3:]
+
+
 def test_memo_stays_bounded_while_signing_records(monkeypatch, real_checks):
     monkeypatch.setattr(crypto, "MEMO_SIZE", 4)
     ident, key = make_identity(5, Role.VEHICLE, _rng(10).bytes(32))

@@ -16,7 +16,12 @@ from conftest import (certify_entry, commit_window, default_quorum,
 from vguard import booths, codec, crypto, harness, ledger, messages, node
 from vguard.booths import BoothProfile
 from vguard.codec import Wire, pack
-from vguard.netsim import SimConfig
+from vguard.consensus import ConsensusCoordinator, ValidatorConsensus
+from vguard.errors import RejectReason
+from vguard.gossip import GossipAgent, GossipConfig
+from vguard.mmu import MembershipUnit, MmuConfig
+from vguard.netsim import Category, Network, NodeEnv, SimConfig
+from vguard.ordering import OrderingCoordinator, ValidatorOrdering
 from vguard.crypto import (AggregateSignature, Identity, PartialSignature,
                            Role, make_partial)
 from vguard.ledger import (DataBatch, DataEntry, MembershipLink, Transaction,
@@ -508,6 +513,56 @@ def _valid_messages() -> tuple:
         Pong(instance_id=0, sender=3, seq=9, sent_at_us=123),
     ]
     return tuple(msgs)
+
+
+# Where `NodeRuntime.handle` hands each message type (Ping is answered by
+# the runtime itself with a Pong).
+HANDLERS = {
+    Pong: (node.PingDaemon, "on_pong"),
+    GossipMsg: (GossipAgent, "handle_gossip"),
+    GossipAck: (GossipAgent, "handle_ack"),
+    OrderReply: (OrderingCoordinator, "handle_reply"),
+    CommitReply: (ConsensusCoordinator, "handle_reply"),
+    PreOrder: (ValidatorOrdering, "handle_pre_order"),
+    OrderMsg: (ValidatorOrdering, "handle_order"),
+    PreCommitSeen: (ValidatorConsensus, "handle_seen"),
+    PreCommitUnseen: (ValidatorConsensus, "handle_unseen"),
+    CommitMsg: (ValidatorConsensus, "handle_commit"),
+}
+
+
+def test_every_message_type_reaches_its_handler(monkeypatch):
+    """`NodeRuntime.handle` routes a message of each type in the wire's tag
+    table to its handler, looked up on its class when the message arrives;
+    none of them is counted as a drop. A type the routing table missed
+    would be counted MALFORMED and reach nothing."""
+    pool = make_pool([1, 2, 3, 4], seed=31)
+    net = Network(SimConfig())
+    env = NodeEnv(net, 1)
+    runtime = node.NodeRuntime(1, env, pool.registry, pool.keys[1],
+                               node.ProtocolConfig(), 100_000,
+                               gossip_peers=[2, 3, 4],
+                               gossip_config=GossipConfig())
+    for peer in (2, 3, 4):
+        net.register(peer, lambda *args: None)
+    runtime.add_proposer(1, MembershipUnit(
+        1, proposer_id=1, pivot_id=2,
+        pool=[pool.identities[i] for i in (1, 2, 3, 4)], booth_size=4,
+        config=MmuConfig(), env=env))
+    reached = []
+    for cls, name in HANDLERS.values():
+        monkeypatch.setattr(cls, name, lambda self, src, msg, name=name:
+                            reached.append((type(msg), name)))
+    msgs = [replace(msg, instance_id=1) for msg in _valid_messages()]
+    assert {type(msg) for msg in msgs} == set(messages._BY_TAG.values())
+    for msg in msgs:
+        runtime.handle(2, msg.encode(), Category.CONTROL)
+    assert reached == [(type(msg), HANDLERS[type(msg)][1]) for msg in msgs
+                       if type(msg) is not Ping]
+    assert net.counters == {("ping", None): 1}        # the Ping's Pong
+    assert not net.drops
+    runtime.handle(2, b"\x01\x00", Category.CONTROL)  # no such tag
+    assert net.drops == {(1, RejectReason.MALFORMED): 1}
 
 
 def _decodes_canonically_or_rejects(raw: bytes) -> None:

@@ -106,6 +106,25 @@ def test_one_down_member_invalidates_booth_of_four():
     assert victim not in replacement.member_ids
 
 
+def test_a_member_back_up_no_longer_counts_against_queued_booths():
+    """Only members down now count against a queued booth's fault budget:
+    member 3 going down and back up, then member 4 going down, leaves one
+    member of the 7-member booth {1..7} (fault budget 2) down, so the
+    booth stays queued."""
+    mmu, _ = make_mmu(pool_ids=range(1, 11), booth_size=7)
+    booth = frozenset(range(1, 8))
+    assert booth in members_of(mmu)
+    invalidated = []
+    mmu.on_booth_invalidated(invalidated.append)
+    mmu.mark_availability(3, False)
+    mmu.mark_availability(3, True)
+    mmu.mark_availability(4, False)
+    assert invalidated == []
+    assert booth in members_of(mmu)
+    mmu.mark_availability(5, False)          # now two of its members are down
+    assert booth not in members_of(mmu)
+
+
 def test_refill_restores_depth_after_churn():
     mmu, _ = make_mmu()
     feed_descending_rtts(mmu)

@@ -171,7 +171,8 @@ def test_aux_lane_bypasses_cpu_queue():
 def test_lane_draws_in_blocks_what_scalar_draws_would(mean, sd):
     """A lane's streams give the values of one scalar `Generator` call per
     message, in order, across block boundaries and whatever the other
-    stream has drawn. The scalar loop is the reference."""
+    stream has drawn, each delay clamped at zero. The scalar loop is the
+    reference."""
     count = 2 * LANE_BLOCK + 7
     next_delay, next_fault = _lane(np.random.SeedSequence(41), mean, sd)
     delay_seed, fault_seed = np.random.SeedSequence(41).spawn(2)
@@ -182,7 +183,8 @@ def test_lane_draws_in_blocks_what_scalar_draws_would(mean, sd):
         got_delays.append(next_delay())
         if i % 3:
             got_faults.append(next_fault())
-    assert got_delays == [delays.normal(mean, sd) for _ in range(count)]
+    assert got_delays == [max(delays.normal(mean, sd), 0.0)
+                          for _ in range(count)]
     assert got_faults == [faults.random() for _ in range(len(got_faults))]
     assert len(got_faults) > LANE_BLOCK
     assert all(type(v) is float for v in got_delays + got_faults)

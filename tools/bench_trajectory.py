@@ -25,7 +25,13 @@ it records what the traced benchmark cannot show:
   over a workload's specs (one benchmark unit), counted in this process,
   with the batches that pass committed and the signatures per committed
   batch: a unit that commits more batches signs more. `real_signatures`
-  counts the calls that really signed, the rest being run-memo hits.
+  counts the calls that really signed, the rest being run-memo hits;
+- `bytecodes_per_unit`: the Python bytecodes executed (`sys.settrace`
+  opcode events), the Python calls made (its call events) and the
+  messages delivered by one pass over a workload's seed-1 specs, counted
+  in a fresh child process (`--count-bytecodes <workload>`). The count is
+  made twice, each in its own process, and must come out equal: it is a
+  deterministic measure of host work that the host's speed does not move.
 
 The file also names the git head the sources came from, whether the
 working tree differed from it, and the host.
@@ -307,6 +313,54 @@ def signatures_per_unit(workloads) -> dict:
     return out
 
 
+def count_bytecodes(workload: str) -> dict:
+    """Bytecodes, Python calls and deliveries of one pass over the
+    workload's specs in this process, after its warm-up run, as the
+    benchmark times it. Only the pass is traced: not the building of the
+    specs, nor the warm-up, which makes the one-time set-up (generated
+    encoders, type hints) that a timed unit does not pay."""
+    load = load_workloads()[workload](SEED)
+    harness.run(load.warmup)
+    counts = {"bytecodes": 0, "calls": 0}
+
+    def per_opcode(frame, event, arg):
+        if event == "opcode":
+            counts["bytecodes"] += 1
+        return per_opcode
+
+    def per_call(frame, event, arg):
+        counts["calls"] += 1
+        frame.f_trace_lines = False
+        frame.f_trace_opcodes = True
+        return per_opcode
+
+    delivered = 0
+    for spec in load.specs:
+        sys.settrace(per_call)
+        try:
+            result = harness.run(spec)
+        finally:
+            sys.settrace(None)
+        delivered += sum(result.net.delivered.values())
+    return {**counts, "deliveries": delivered}
+
+
+def bytecodes_per_unit(names) -> dict:
+    """`count_bytecodes` of each workload, made twice, each time in a new
+    child process; a count that differs between the two is an error."""
+    out = {}
+    for name in names:
+        first, second = (json.loads(subprocess.run(
+            [sys.executable, __file__, "--count-bytecodes", name],
+            cwd=ROOT, stdout=subprocess.PIPE, text=True, check=True).stdout)
+            for _ in range(2))
+        if first != second:
+            raise RuntimeError(f"{name}: bytecode counts differ between "
+                               f"processes: {first} vs {second}")
+        out[name] = first
+    return out
+
+
 def load_workloads():
     path = ROOT / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
@@ -324,10 +378,19 @@ def git(*args: str) -> str:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--out", type=Path, required=True)
+    parser.add_argument("--out", type=Path)
+    parser.add_argument("--count-bytecodes", metavar="WORKLOAD",
+                        help="print `count_bytecodes` of one workload as JSON "
+                             "and exit (the child process of "
+                             "`bytecodes_per_unit`)")
     parser.add_argument("--seconds", type=float, default=25.0,
                         help="--seconds of each untraced benchmark run")
     args = parser.parse_args(argv)
+    if args.count_bytecodes:
+        print(json.dumps(count_bytecodes(args.count_bytecodes)))
+        return 0
+    if args.out is None:
+        parser.error("--out is required")
     bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     names = [w["name"] for w in bench["workloads"]]
     runs = {name: {"trace0": bench_run(name, args.seconds, 0)}
@@ -350,6 +413,7 @@ def main(argv=None) -> int:
         "primitives_us": primitives,
         "message_bytes": sizes,
         "signatures_per_unit": signatures_per_unit(load_workloads()),
+        "bytecodes_per_unit": bytecodes_per_unit(names),
     }
     args.out.write_text(json.dumps(out, indent=1, sort_keys=True) + "\n",
                         encoding="utf-8")
