@@ -16,17 +16,17 @@ them to the booth's shape rules.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
 
-from .codec import digest, pack, Packed, Reader, Wire  # pack: perfbench
+from .codec import (digest, pack, Packed, Reader,  # pack: perfbench
+                    record, Wire)
 from .crypto import (AggregateSignature, Identity, KeyService, recall,
                      verify_aggregate)
 from .errors import RejectReason
 
 
-@dataclass(frozen=True)
+@record
 class BoothProfile(Wire):
     proposer_id: int
     pivot_id: int

@@ -28,17 +28,26 @@ function per class (`encoder`), that packs a value in one pass. A list of
 data on the wire, has a fast path both ways instead: `pack_pairs` and
 `Reader.skip_pairs` frame or check each pair in one struct step, and
 `pack_pair_lists` frames the pairs of many equal lists in one numpy step.
+
+A record, a frozen dataclass that a run builds per message or per log
+entry, gets its constructor the way it gets its encoder: generated once
+per class from its fields (`record`), a flat `__init__` that stores the
+values into the instance's `__dict__` in one step. Dataclass's own
+constructor for a frozen class has to get past the frozen `__setattr__`,
+so it calls `object.__setattr__` once per field.
 """
 
 from __future__ import annotations
 
 import hashlib
+import inspect
 import struct
-from dataclasses import fields
+from dataclasses import MISSING, dataclass, fields
 from enum import Enum
 from functools import cache
 from itertools import count, groupby
-from typing import Iterable, Union, get_args, get_origin, get_type_hints
+from typing import (ClassVar, Iterable, Union, dataclass_transform, get_args,
+                    get_origin, get_type_hints)
 
 import numpy as np
 
@@ -126,13 +135,17 @@ _PACKERS = {
 
 def pack_pairs(pairs: Iterable[tuple[int, bytes]]) -> bytes:
     """`pack([[n, raw], ...])` for a list of (u64, bytes) pairs, the shape of
-    a batch's entry list, framed in one struct step per pair."""
+    a batch's entry list, framed in one struct step per pair. A pair that is
+    not exactly an int and bytes (a bool, a bytearray, ...) goes through
+    `pack`, so it packs, or raises, as `pack` does."""
     parts = [b""]             # the list header, once the pairs are counted
     frame = _PAIR.pack
     try:
         for n, raw in pairs:
-            parts.append(frame(b"L", 2, b"I", n, b"B", len(raw)))
-            parts.append(raw)
+            if type(n) is int and type(raw) is bytes:
+                parts += (frame(b"L", 2, b"I", n, b"B", len(raw)), raw)
+            else:
+                parts += (pack([n, raw]), b"")
     except struct.error:
         raise ValueError("integer field out of u64 range") from None
     parts[0] = b"L" + (len(parts) // 2).to_bytes(4, "big")
@@ -384,3 +397,36 @@ def _packing(src: str, tp, const, fresh) -> str:
     else:
         fast = f"{x}.to_field().raw"
     return f"({fast} if {exact} else pack({x}))"
+
+
+@dataclass_transform(frozen_default=True)
+def record(cls: type) -> type:
+    """`cls` made a frozen dataclass with `init=False` and given a generated
+    `__init__`: it takes the fields as dataclass's would (in order, by
+    position or name, with their defaults), stores them into the instance's
+    `__dict__` in one step and calls `__post_init__`, if the class has one.
+    A field it could not take so (a default factory, `init=False`,
+    keyword-only, an `InitVar`) is refused when the class is made."""
+    doc = cls.__doc__
+    cls = dataclass(frozen=True, init=False)(cls)
+    fields_ = fields(cls)
+    names = [f.name for f in fields_]
+    if any(not f.init or f.kw_only or f.default_factory is not MISSING
+           for f in fields_) or any(
+            get_origin(get_type_hints(cls)[name]) is not ClassVar
+            for name in cls.__dataclass_fields__ if name not in names):
+        raise TypeError(f"record {cls.__name__} has a field that only "
+                        "dataclass's own constructor takes")
+    scope = {f"d_{f.name}": f.default for f in fields_
+             if f.default is not MISSING}       # where the def finds them
+    params = "".join(f", {n}=d_{n}" if f"d_{n}" in scope else f", {n}"
+                     for n in names)
+    stores = ", ".join(f"{n}={n}" for n in names)
+    post = "; self.__post_init__()" if hasattr(cls, "__post_init__") else ""
+    exec(f"def __init__(self{params}):\n self.__dict__.update({stores}){post}",
+         scope)
+    cls.__init__ = scope["__init__"]
+    cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
+    if doc is None:             # dataclass's, from the constructor it saw
+        cls.__doc__ = cls.__name__ + str(inspect.signature(cls))
+    return cls

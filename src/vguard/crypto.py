@@ -51,7 +51,6 @@ from __future__ import annotations
 
 from ctypes import (CDLL, CFUNCTYPE, c_char_p, c_int, c_ulonglong, c_void_p,
                     create_string_buffer)
-from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -61,7 +60,7 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PublicKey,
 )
 
-from .codec import digest, pack, Wire   # digest, pack: perfbench's tracer
+from .codec import digest, pack, record, Wire   # digest, pack: perfbench
 from .errors import (
     InsufficientPartials,
     InvalidPartial,
@@ -80,7 +79,10 @@ class Role(str, Enum):
     VEHICLE = "vehicle_validator"
 
 
-@dataclass(frozen=True)
+_PIVOT = Role.PIVOT             # read once: `is_pivot` runs per certificate
+
+
+@record
 class Identity(Wire):
     """Public face of a node: stable id, role hint, verify key, address."""
 
@@ -115,13 +117,15 @@ _sodium_sign = _load_sodium_sign()
 class SigningKey:
     """Private half of an identity. Signing is deterministic (RFC 8032)."""
 
-    __slots__ = ("node_id", "_key", "_secret", "verify_key")
+    __slots__ = ("node_id", "_key", "_secret", "verify_key", "_out")
 
     def __init__(self, node_id: int, seed: bytes):
         self.node_id = node_id
         self._key = Ed25519PrivateKey.from_private_bytes(seed)
         self.verify_key = self._key.public_key().public_bytes_raw()
         self._secret = seed + self.verify_key
+        # libsodium's output, reused by every signature: `.raw` copies it
+        self._out = create_string_buffer(SIG_LEN)
 
     def sign(self, payload_digest: bytes) -> bytes:
         return recall(("sign", self.verify_key, payload_digest), self._signed,
@@ -131,7 +135,7 @@ class SigningKey:
         if _sodium_sign is None:
             sig = self._key.sign(payload_digest)
         else:
-            out = create_string_buffer(SIG_LEN)
+            out = self._out
             if _sodium_sign(out, None, payload_digest, len(payload_digest),
                             self._secret):
                 raise RuntimeError("crypto_sign_ed25519_detached failed")
@@ -193,7 +197,7 @@ def _really_verifies(verify_key: bytes, payload_digest: bytes,
 
 # -- partial signatures ---------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class PartialSignature(Wire):
     """One member's endorsement of a payload digest: sig_bytes is its
     identity key's 64-byte signature over the digest."""
@@ -219,7 +223,7 @@ def verify_partial(partial: PartialSignature, verify_key: bytes,
 
 # -- quorum certificates --------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class AggregateSignature(Wire):
     """Quorum certificate over one payload digest.
 
@@ -324,7 +328,7 @@ class KeyService:
         names its own pivot, so this is what keeps a proposer from passing
         off any member (a colluder, say) as the manufacturer's node."""
         ident = self.identities.get(node_id)
-        return ident is not None and ident.role == Role.PIVOT
+        return ident is not None and ident.role == _PIVOT
 
     def keys_of(self, node_ids: Iterable[int]) -> tuple[Optional[bytes], ...]:
         """Each node's registered verify key, or None; kept per id tuple

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left, insort
-from dataclasses import dataclass, field, fields, is_dataclass, replace
+from dataclasses import dataclass, field, fields, is_dataclass
 from enum import Enum
 from functools import cached_property
 from typing import (Callable, Collection, Iterable, Optional, Sequence,
@@ -40,7 +40,7 @@ import numpy as np
 
 from .booths import BoothProfile
 from .codec import (digest, pack, pack_pair_lists,  # pack: perfbench
-                    pack_pairs, Packed, Reader, Wire)
+                    pack_pairs, Packed, Reader, record, Wire)
 from .crypto import AggregateSignature, Identity, KeyService, recall
 from .errors import DuplicateOrderingId, WindowError
 
@@ -147,7 +147,7 @@ def commit_cert_digest(window_start_us: int, tx_hash: bytes, booth_hash: bytes) 
 
 # -- total order log ------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class LogEntry:
     """One ordered batch with its certificate. The certificate is the
     entry's whole evidence: anyone holding the identity registry can check
@@ -222,7 +222,7 @@ class TotalOrderLog:
 
 # -- membership pruning ---------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class MembershipLink(Wire):
     """Run-length record: entries first_id..last_id share one booth."""
 
@@ -233,20 +233,21 @@ class MembershipLink(Wire):
 
 def prune_memberships(entries: Sequence[LogEntry],
                       booth_lookup: Callable[[bytes], BoothProfile]) -> list[MembershipLink]:
-    """Collapse consecutive entries ordered in one booth into links."""
-    links: list[MembershipLink] = []
+    """Collapse each run of entries ordered in one booth, with consecutive
+    ordering ids, into one link, made once the run is known: the booth is
+    looked up once per run, in order."""
+    runs: list[list[LogEntry]] = []        # each run's first and last entry
+    last = None
     for entry in entries:
-        if (links
-                and links[-1].booth.booth_hash == entry.booth_hash
-                and links[-1].last_id + 1 == entry.ordering_id):
-            links[-1] = replace(links[-1], last_id=entry.ordering_id)
+        if (last is not None and entry.booth_hash == last.booth_hash
+                and entry.ordering_id == last.ordering_id + 1):
+            run[1] = entry
         else:
-            links.append(MembershipLink(
-                booth=booth_lookup(entry.booth_hash),
-                first_id=entry.ordering_id,
-                last_id=entry.ordering_id,
-            ))
-    return links
+            run = [entry, entry]
+            runs.append(run)
+        last = entry
+    return [MembershipLink(booth_lookup(first.booth_hash), first.ordering_id,
+                           last.ordering_id) for first, last in runs]
 
 
 def expand_memberships(links: Sequence[MembershipLink]
@@ -258,7 +259,7 @@ def expand_memberships(links: Sequence[MembershipLink]
 
 # -- transactions and commit records -------------------------------------
 
-@dataclass(frozen=True)
+@record
 class TxEntry(Wire):
     """Entry as carried inside a committed transaction."""
 
@@ -269,11 +270,14 @@ class TxEntry(Wire):
 
 def tx_hash_over(window_start_us: int, window_len_us: int,
                  id_hash_pairs: Iterable[tuple[int, bytes]]) -> bytes:
+    """`digest("tx", window_start_us, window_len_us, [[i, h], ...])` over
+    the window's (ordering id, batch hash) pairs, which `pack_pairs` frames
+    and `digest` splices as the same bytes."""
     return digest("tx", window_start_us, window_len_us,
-                  [[i, h] for i, h in id_hash_pairs])
+                  Packed(pack_pairs(id_hash_pairs)))
 
 
-@dataclass(frozen=True)
+@record
 class Transaction(Wire):
     """All entries a consensus window agreed on, memberships pruned."""
 
@@ -305,7 +309,7 @@ class Transaction(Wire):
         return tx
 
 
-@dataclass(frozen=True)
+@record
 class CommitRecord:
     consensus_id: int                  # window start, microseconds
     booth_hash: bytes                  # consensus booth

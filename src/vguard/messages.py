@@ -33,18 +33,19 @@ so modeled cost does not change.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import fields, replace
 from typing import ClassVar
 
 from .booths import BoothProfile
-from .codec import encoder, pack, Packed, Reader, digest, Wire  # pack: perfbench
+from .codec import (encoder, pack, Packed, Reader, digest,  # pack: perfbench
+                    record, Wire)
 from .crypto import AggregateSignature, PartialSignature, recall, remember
 from .ledger import DataBatch, Transaction
 
 WIRE_VERSION = 1
 
 
-@dataclass(frozen=True)
+@record
 class _Message(Wire):
     TAG: ClassVar[int] = 0
 
@@ -82,7 +83,7 @@ class _Message(Wire):
         return cls.read_fields(r, (0, 0))
 
 
-@dataclass(frozen=True)
+@record
 class PreOrder(_Message):
     """O1: proposer asks the ordering booth to endorse a batch."""
 
@@ -96,7 +97,7 @@ class PreOrder(_Message):
     proposer_partial: PartialSignature
 
 
-@dataclass(frozen=True)
+@record
 class OrderReply(_Message):
     """O2: a validator's endorsement of one ordering id."""
 
@@ -106,7 +107,7 @@ class OrderReply(_Message):
     partial: PartialSignature
 
 
-@dataclass(frozen=True)
+@record
 class OrderMsg(_Message):
     """O3: the certified result; validators append after O4 checks."""
 
@@ -116,7 +117,7 @@ class OrderMsg(_Message):
     cert: AggregateSignature
 
 
-@dataclass(frozen=True)
+@record
 class PreCommitSeen(_Message):
     """C1, booth members who ordered every entry: hashes only."""
 
@@ -132,7 +133,7 @@ class PreCommitSeen(_Message):
     proposer_partial: PartialSignature
 
 
-@dataclass(frozen=True)
+@record
 class PreCommitUnseen(_Message):
     """C1, members outside some ordering booth: the full transaction. Its
     entries' ordering certificates, checked against the membership links
@@ -149,7 +150,7 @@ class PreCommitUnseen(_Message):
     proposer_partial: PartialSignature
 
 
-@dataclass(frozen=True)
+@record
 class CommitReply(_Message):
     """C2: a consensus-booth member's endorsement of one window."""
 
@@ -159,7 +160,7 @@ class CommitReply(_Message):
     partial: PartialSignature
 
 
-@dataclass(frozen=True)
+@record
 class CommitMsg(_Message):
     """C3: the commit certificate for one window."""
 
@@ -176,7 +177,7 @@ class CommitMsg(_Message):
                       self.tx_hash)
 
 
-@dataclass(frozen=True)
+@record
 class TraverseHop(Wire):
     """One gossip hop: remaining lifetime, signed by the forwarding node."""
 
@@ -189,7 +190,7 @@ def traverse_digest(commit_hash: bytes, lifetime: int) -> bytes:
     return digest("gossip-hop", commit_hash, lifetime)
 
 
-@dataclass(frozen=True)
+@record
 class GossipMsg(_Message):
     """Lifetime-bounded dissemination of one committed window."""
 
@@ -210,7 +211,7 @@ class GossipMsg(_Message):
                 commit, instance_id=self.instance_id, sender=self.sender))
 
 
-@dataclass(frozen=True)
+@record
 class GossipAck(_Message):
     """Receipt confirmation sent straight to the proposer and the pivot."""
 
@@ -220,7 +221,7 @@ class GossipAck(_Message):
     propagator: int
 
 
-@dataclass(frozen=True)
+@record
 class Ping(_Message):
     TAG: ClassVar[int] = 10
 
@@ -228,7 +229,7 @@ class Ping(_Message):
     sent_at_us: int
 
 
-@dataclass(frozen=True)
+@record
 class Pong(_Message):
     TAG: ClassVar[int] = 11
 

@@ -137,6 +137,13 @@ class PingDaemon:
         self.mmu.note_rtt(src, rtt_ms)
 
 
+# each behavior, read off its enum once: `transform` runs per message
+_SILENT, _EQUIVOCATE, _TAMPER, _FORGE, _MUTATE_LIFETIME = (
+    ByzantineBehavior.SILENT, ByzantineBehavior.EQUIVOCATE_ORDERING_ID,
+    ByzantineBehavior.TAMPER_PAYLOAD, ByzantineBehavior.FORGE_QUORUM,
+    ByzantineBehavior.MUTATE_GOSSIP_LIFETIME)
+
+
 class ByzantineActor:
     """Rewrites outgoing traffic according to the configured behaviors.
     The actor holds the node's real key, so its forgeries are exactly as
@@ -156,23 +163,20 @@ class ByzantineActor:
         self._last: Optional[tuple[object, object]] = None
 
     def transform(self, dst: int, msg) -> list[tuple[int, object]]:
-        if (ByzantineBehavior.SILENT in self.behaviors
-                and not isinstance(msg, (Ping, Pong))):
+        behaviors = self.behaviors
+        if _SILENT in behaviors and not isinstance(msg, (Ping, Pong)):
             return []
-        if (ByzantineBehavior.EQUIVOCATE_ORDERING_ID in self.behaviors
-                and isinstance(msg, PreOrder)):
+        if _EQUIVOCATE in behaviors and isinstance(msg, PreOrder):
             # the pivot alone gets the true batch
             if dst == msg.booth.pivot_id:
                 return [(dst, msg)]
             return [(dst, self._once(msg, self._equivocate))]
-        if (ByzantineBehavior.TAMPER_PAYLOAD in self.behaviors
-                and isinstance(msg, PreOrder)):
+        if _TAMPER in behaviors and isinstance(msg, PreOrder):
             return [(dst, self._once(msg, _tamper))]
-        if ByzantineBehavior.FORGE_QUORUM in self.behaviors and isinstance(
-                msg, (OrderMsg, CommitMsg)):
+        if _FORGE in behaviors and isinstance(msg, (OrderMsg, CommitMsg)):
             return [(dst, self._once(msg, self._forge_quorum))]
-        if (ByzantineBehavior.MUTATE_GOSSIP_LIFETIME in self.behaviors
-                and isinstance(msg, GossipMsg) and msg.traverse):
+        if (_MUTATE_LIFETIME in behaviors and isinstance(msg, GossipMsg)
+                and msg.traverse):
             return [(dst, self._once(msg, self._inflate_lifetime))]
         return [(dst, msg)]
 

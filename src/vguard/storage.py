@@ -17,6 +17,7 @@ from pathlib import Path
 from typing import Iterator, Optional
 
 from .errors import NotFound, StorageError
+from .codec import record
 from .ledger import CommitRecord, Transaction
 
 PROPOSER = "proposer"
@@ -27,7 +28,7 @@ _ROLES = (PROPOSER, VALIDATOR, GOSSIPER)
 DEFAULT_TEMP_TTL_US = 24 * 3600 * 1_000_000   # prune temp entries older than a day
 
 
-@dataclass(frozen=True)
+@record
 class StoredTx:
     tx_hash: bytes
     tx: Transaction

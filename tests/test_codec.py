@@ -4,6 +4,7 @@ captured bytes."""
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -13,7 +14,7 @@ from conftest import (certify_entry, commit_window, fresh_profile, make_batch,
                       make_booth, make_pool)
 from vguard.booths import BoothProfile
 from vguard.codec import (Packed, Reader, digest, pack, pack_pair_lists,
-                          pack_pairs)
+                          pack_pairs, record)
 from vguard.ledger import DataBatch, DataEntry, Transaction
 from vguard.ordering import batch_wire_bytes
 
@@ -110,6 +111,18 @@ def test_decoded_batch_hashes_the_slice_it_was_read_from(world):
         "packed": entry_list, "count": 5, "_hash": expected}
 
 
+class _Count(int):
+    pass
+
+
+# pairs that are not exactly (int in u64 range, bytes): `pack_pairs` packs
+# or refuses each as `pack` does
+_ODD_PAIRS = [(True, b"x"), (False, b""), (1, bytearray(b"x")),
+              (1, memoryview(b"x")), (1, "x"), (1.0, b"x"), (None, b"x"),
+              (1, None), (-1, b"x"), (1 << 64, b"x"), (_Count(3), b"x"),
+              ((1 << 64) - 1, b"x")]
+
+
 @pytest.mark.parametrize("size", [*range(10), *range(62, 67)])
 def test_pack_pairs_equals_nested_pack(size):
     for count in (0, 1, 3, 64):
@@ -121,6 +134,17 @@ def test_pack_pairs_equals_nested_pack(size):
         assert r.done()
     with pytest.raises(ValueError):
         pack_pairs([(1 << 64, b"x")])
+    for odd in _ODD_PAIRS:
+        pairs = [(1, bytes(size)), odd, (2, b"")]
+        try:
+            expected = pack([list(pair) for pair in pairs])
+        except (TypeError, ValueError) as exc:
+            with pytest.raises(type(exc)):
+                pack_pairs(pairs)
+        else:
+            assert pack_pairs(pairs) == expected
+    with pytest.raises(TypeError):           # packs as DataEntry(1, b"x") did
+        DataBatch([DataEntry(True, bytes(size))])
 
 
 @pytest.mark.parametrize("size", [*range(10), *range(62, 67)])
@@ -258,3 +282,16 @@ def test_readers_reject_truncation_and_wrong_tags():
 
 def test_digest_is_sha256_of_the_packed_label_and_fields():
     assert digest("t", 1, b"x") == hashlib.sha256(pack("t", 1, b"x")).digest()
+
+
+@pytest.mark.parametrize("declaration", [
+    "x: list = dataclasses.field(default_factory=list)",
+    "x: int = dataclasses.field(default=0, init=False)",
+    "x: int = dataclasses.field(default=0, kw_only=True)",
+    "_: dataclasses.KW_ONLY\n    x: int = 0",
+    "x: dataclasses.InitVar[int] = 0",
+])
+def test_record_refuses_a_field_its_constructor_cannot_take(declaration):
+    with pytest.raises(TypeError, match="record C"):
+        exec(f"@record\nclass C:\n    y: int = 1\n    {declaration}\n",
+             dict(globals()))

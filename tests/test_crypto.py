@@ -443,8 +443,9 @@ def test_signing_key_matches_cryptography_byte_for_byte(signer_backend):
     for seed, key in signers:
         reference = Ed25519PrivateKey.from_private_bytes(seed)
         assert key.verify_key == reference.public_key().public_bytes_raw()
-        for message in messages:
-            assert key.sign(message) == reference.sign(message)
+        sigs = [key.sign(message) for message in messages]
+        # each a bytes of its own, not a view of the key's reused buffer
+        assert sigs == [reference.sign(message) for message in messages]
 
 
 @pytest.mark.skipif(crypto._sodium_sign is None,

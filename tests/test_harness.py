@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vguard import cli, crypto, harness, messages, node
 from vguard.bench import run_benchmark
@@ -796,3 +797,12 @@ def test_churn_entries_read_status_or_up():
     assert parse({"at_ms": 2, "node_id": 3, "status": "Up"}).up is True
     assert parse({"at_ms": 3, "node_id": 3, "up": False}) == \
         ChurnEvent(at_ms=3.0, node_id=3, up=False)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(st.lists(st.integers(0, 10**9), min_size=1, max_size=500))
+def test_latency_percentiles_equal_one_percentile_call_each(values_us):
+    """The reference: one `np.percentile` call per reported percentile."""
+    arr = np.asarray(values_us, dtype=np.float64) / 1000.0
+    assert harness._percentiles_ms(values_us) == {
+        f"p{q}": round(float(np.percentile(arr, q)), 3) for q in (50, 95, 99)}

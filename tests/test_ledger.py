@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vguard.booths import BoothProfile
-from vguard.codec import Reader
+from vguard.codec import Reader, digest
 from vguard.crypto import AggregateSignature, Identity, Role
 from vguard.errors import DuplicateOrderingId, RejectReason, WindowError
 from vguard.harness import RunSpec, run
@@ -39,7 +39,7 @@ from conftest import (
     make_booth,
     make_pool,
 )
-from test_messages import _values
+from test_messages import _U64, _values
 
 DELTA_US = 100_000   # 100 ms windows
 
@@ -498,3 +498,62 @@ def test_ledger_commit_conflict_detected(pool4, booth4):
     r2, t2 = commit_window(pool4, booth, 0, DELTA_US, [e2])
     with pytest.raises(DuplicateOrderingId):
         ledger.append_commit(r2, t2)
+
+
+# -- the flat commit path against the code it replaced ------------------
+
+def _pruned_by_replace(entries, booth_lookup):
+    """The reference: extend the last link with one `replace` per entry."""
+    links = []
+    for entry in entries:
+        if (links
+                and links[-1].booth.booth_hash == entry.booth_hash
+                and links[-1].last_id + 1 == entry.ordering_id):
+            links[-1] = replace(links[-1], last_id=entry.ordering_id)
+        else:
+            links.append(MembershipLink(
+                booth=booth_lookup(entry.booth_hash),
+                first_id=entry.ordering_id,
+                last_id=entry.ordering_id,
+            ))
+    return links
+
+
+_BOOTHS = [replace(_BOOTH, created_at_us=k) for k in range(3)]
+
+
+@st.composite
+def _window_entries(draw) -> list:
+    """Log entries with booth switches and id gaps (steps of 1, 2 and 9,
+    and repeats), whose ids may end at 2**64 - 1."""
+    steps = draw(st.lists(st.tuples(st.integers(0, 2),
+                                    st.sampled_from([1, 1, 1, 2, 9, 0])),
+                          max_size=30))
+    top = 2**64 - 1 - sum(gap for _, gap in steps)
+    ordering_id = draw(st.one_of(st.just(top), st.integers(0, top)))
+    entries = []
+    for booth, gap in steps:
+        entries.append(LogEntry(ordering_id, DataBatch(),
+                                _BOOTHS[booth].booth_hash,
+                                AggregateSignature(b"")))
+        ordering_id += gap
+    return entries
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(_window_entries())
+def test_prune_memberships_equals_one_replace_per_entry(entries):
+    table = {booth.booth_hash: booth for booth in _BOOTHS}
+    seen, seen_by_reference = [], []
+    got = prune_memberships(entries, lambda h: seen.append(h) or table[h])
+    assert got == _pruned_by_replace(
+        entries, lambda h: seen_by_reference.append(h) or table[h])
+    assert seen == seen_by_reference            # once per run, in order
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(_U64, _U64, st.lists(st.tuples(_U64, st.binary(max_size=40)),
+                            max_size=30))
+def test_tx_hash_over_equals_the_nested_digest(start, length, pairs):
+    assert tx_hash_over(start, length, pairs) == digest(
+        "tx", start, length, [[i, h] for i, h in pairs])

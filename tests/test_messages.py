@@ -6,7 +6,7 @@ import dataclasses
 import json
 from dataclasses import replace
 from functools import lru_cache
-from typing import get_args, get_origin, get_type_hints
+from typing import Union, get_args, get_origin, get_type_hints
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,10 +22,12 @@ from vguard.gossip import GossipAgent, GossipConfig
 from vguard.mmu import MembershipUnit, MmuConfig
 from vguard.netsim import Category, Network, NodeEnv, SimConfig
 from vguard.ordering import OrderingCoordinator, ValidatorOrdering
+from vguard.storage import StoredTx
 from vguard.crypto import (AggregateSignature, Identity, PartialSignature,
                            Role, make_partial)
-from vguard.ledger import (DataBatch, DataEntry, MembershipLink, Transaction,
-                           TxEntry, commit_cert_digest, order_cert_digest)
+from vguard.ledger import (CommitRecord, DataBatch, DataEntry, LogEntry,
+                           MembershipLink, Transaction, TxEntry,
+                           commit_cert_digest, order_cert_digest)
 from vguard.messages import (WIRE_VERSION, CommitMsg, CommitReply, GossipAck,
                              GossipMsg, OrderMsg, OrderReply, Ping, Pong,
                              PreCommitSeen, PreCommitUnseen, PreOrder,
@@ -761,11 +763,24 @@ def _values(tp):
             st.lists(st.binary(max_size=20), max_size=3))
     if tp is BoothProfile:
         return _booths()
+    if tp is type(None):
+        return st.none()
+    if get_origin(tp) is Union:
+        return st.one_of([_values(arg) for arg in get_args(tp)])
+    return _arguments(tp).map(lambda kwargs: tp(**kwargs))
+
+
+def _arguments(tp):
+    """A strategy for the constructor arguments, by field name, of a valid
+    value of the dataclass `tp`."""
+    if tp is BoothProfile:
+        return _booths().map(lambda booth: {
+            f.name: getattr(booth, f.name) for f in dataclasses.fields(tp)})
     hints = get_type_hints(tp)
     fields_ = {f.name: _values(hints[f.name]) for f in dataclasses.fields(tp)}
     if tp is Identity:
         fields_["verify_key"] = st.binary(min_size=32, max_size=32)
-    return st.builds(tp, **fields_)
+    return st.fixed_dictionaries(fields_)
 
 
 _WIRE_TYPES = [*messages._BY_TAG.values(), BoothProfile, Identity,
@@ -779,3 +794,69 @@ def test_generated_encoders_pack_as_the_reference_does(value):
     assert _encoded(value) == _referenced(value)
     if isinstance(value, messages._Message):      # as a carried message
         assert value.to_field().raw == pack(_reference(value, skip=2))
+
+
+# the records whose constructor `codec.record` generates: every type a run
+# builds per message or per entry
+_RECORDS = [messages._Message, *_WIRE_TYPES, LogEntry, CommitRecord, StoredTx]
+
+# what `dataclasses` writes into a class it makes
+_DATACLASS_MADE = {"__init__", "__setattr__", "__delattr__", "__eq__",
+                   "__hash__", "__repr__", "__match_args__", "__dict__",
+                   "__weakref__", "__dataclass_fields__",
+                   "__dataclass_params__"}
+
+
+def _dataclass_made(cls):
+    """The reference: a copy of `cls` made a frozen dataclass afresh, so
+    its constructor, like the rest, is the one `dataclasses` generates."""
+    namespace = {k: v for k, v in vars(cls).items()
+                 if k not in _DATACLASS_MADE}
+    return dataclasses.dataclass(frozen=True)(
+        type(cls.__name__, cls.__bases__, namespace))
+
+
+def test_each_record_has_a_generated_constructor():
+    assert [cls.__name__ for cls in _RECORDS
+            if cls.__dataclass_params__.init] == []
+    # built once per run: dataclass's own constructor
+    assert all(cls.__dataclass_params__.init for cls in (
+        SimConfig, MmuConfig, GossipConfig, node.ProtocolConfig,
+        harness.RunSpec))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(st.sampled_from(_RECORDS).flatmap(
+    lambda cls: st.tuples(st.just(cls), _arguments(cls))))
+def test_generated_constructors_build_what_dataclass_builds(case):
+    cls, kwargs = case
+    reference = _dataclass_made(cls)(**kwargs)
+    args = [kwargs[f.name] for f in dataclasses.fields(cls)]
+    for made in (cls(**kwargs), cls(*args)):
+        assert list(vars(made).items()) == list(vars(reference).items())
+        assert hash(made) == hash(reference)
+        assert repr(made) == repr(reference)
+        assert made == cls(*args) == replace(made) == replace(made, **kwargs)
+        for name in kwargs:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(made, name, None)
+
+
+def test_generated_constructors_apply_defaults_and_post_init(world):
+    _, booth = world
+    batch, cert = DataBatch(), AggregateSignature(b"")
+    for cls, args, name in (
+            (LogEntry, (1, batch, b"h", cert), "appended_at_us"),
+            (CommitRecord, (1, b"h", cert, b"t"), "committed_at_us")):
+        made = cls(*args)
+        assert getattr(made, name) == 0
+        assert vars(made) == vars(_dataclass_made(cls)(*args))
+    members = booth.members
+    for cls in (Identity, _dataclass_made(Identity)):
+        with pytest.raises(ValueError, match="32 raw"):
+            cls(1, Role.VEHICLE, bytes(31), "sim://node/1")
+    for cls in (BoothProfile, _dataclass_made(BoothProfile)):
+        with pytest.raises(ValueError, match="sorted"):
+            cls(booth.proposer_id, booth.pivot_id, 0, members[::-1])
+        with pytest.raises(ValueError, match="proposer and pivot"):
+            cls(99, booth.pivot_id, 0, members)

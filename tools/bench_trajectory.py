@@ -14,12 +14,16 @@ it records what the traced benchmark cannot show:
   one encode and one `messages._parse` of each of the eleven message types
   (the commit messages and gossip carry that window), and one scheduler
   event (`Scheduler.at`, then the pop that runs it, a no-op, with
-  `SCHEDULER_PENDING` later events in the queue), with the run memo
-  emptied between calls, so no call is answered from the memo. Each
-  encode is of a fresh message whose transaction is packed afresh, as a
-  message's first encode in a run is. A certificate is an entry's whole
-  evidence, so `check_certified` and `verify_chain` carry the whole cost
-  of checking one;
+  `SCHEDULER_PENDING` later events in the queue), the commit path's
+  `tx_hash_over` and `prune_memberships` over a window of `LONG_WINDOW`
+  entries in one booth, and the construction of the records built most
+  often (`build_<Type>`: the mean of `BUILD_CALLS` calls per sample, one
+  being too quick to time), with the run memo emptied between calls, so
+  no call is answered from the memo. Each encode is of a fresh message
+  whose transaction is packed afresh, as a message's first encode in a
+  run is. A certificate is an entry's whole evidence, so
+  `check_certified` and `verify_chain` carry the whole cost of checking
+  one;
 - `message_bytes`: the wire size of each of those messages;
 - `signatures_per_unit`: the `SigningKey.sign` calls made by one pass
   over a workload's specs (one benchmark unit), counted in this process,
@@ -56,10 +60,11 @@ sys.path.insert(0, str(ROOT / "src"))
 from vguard import crypto, harness, messages  # noqa: E402
 from vguard.booths import build_profile  # noqa: E402
 from vguard.codec import digest  # noqa: E402
-from vguard.crypto import (KeyService, Role, aggregate, make_identity,  # noqa: E402
-                           make_partial)
+from vguard.crypto import (KeyService, PartialSignature, Role,  # noqa: E402
+                           aggregate, make_identity, make_partial)
 from vguard.ledger import (CommitRecord, DataBatch, DataEntry, Ledger,  # noqa: E402
-                           LogEntry, commit_cert_digest, order_cert_digest,
+                           LogEntry, TxEntry, commit_cert_digest,
+                           order_cert_digest, prune_memberships, tx_hash_over,
                            verify_chain, window_transaction)
 from vguard.messages import (CommitMsg, CommitReply, GossipAck,  # noqa: E402
                              GossipMsg, OrderMsg, OrderReply, Ping, Pong,
@@ -72,6 +77,8 @@ PRIMITIVE_CALLS = 200
 WINDOW_ENTRIES = 8
 WINDOW_US = 100_000
 SCHEDULER_PENDING = 256
+LONG_WINDOW = 112
+BUILD_CALLS = 1000
 
 
 def bench_run(workload: str, seconds: float, trace: int) -> dict:
@@ -129,7 +136,34 @@ def primitive_us() -> dict:
         out[f"parse_{name}"] = _timed(
             lambda: messages._parse(raw) is not None)
     out["scheduler_event"] = _timed(_one_event, _pending_scheduler)
+    first = entries[0]
+    window = [LogEntry(oid, first.batch, booth.booth_hash, first.cert)
+              for oid in range(1, LONG_WINDOW + 1)]
+    pairs = [(e.ordering_id, digest("bench", e.ordering_id)) for e in window]
+    out[f"tx_hash_{LONG_WINDOW}"] = _timed(
+        lambda: len(tx_hash_over(0, WINDOW_US, pairs)) == 32)
+    out[f"prune_{LONG_WINDOW}"] = _timed(
+        lambda: len(prune_memberships(window, lambda _: booth)) == 1)
+    for name, build in _records(keys, first).items():
+        out[f"build_{name}"] = _timed(
+            lambda: [build() for _ in range(BUILD_CALLS)],
+            scale=1 / BUILD_CALLS)
     return out, sizes
+
+
+def _records(keys, entry) -> dict:
+    """A builder of each record type a run builds most often."""
+    partial = make_partial(keys[2], digest("bench", "partial"))
+    return {
+        "Ping": lambda: Ping(0, 2, 9, 123_456),
+        "PartialSignature": lambda: PartialSignature(
+            partial.signer, partial.payload_digest, partial.sig_bytes),
+        "OrderReply": lambda: OrderReply(1, 2, entry.ordering_id, partial),
+        "LogEntry": lambda: LogEntry(entry.ordering_id, entry.batch,
+                                     entry.booth_hash, entry.cert, 5),
+        "TxEntry": lambda: TxEntry(entry.ordering_id, entry.batch,
+                                   entry.cert),
+    }
 
 
 def _pending_scheduler() -> tuple:
@@ -150,17 +184,17 @@ def _no_op() -> None:
     pass
 
 
-def _timed(check, setup=tuple) -> dict:
+def _timed(check, setup=tuple, scale: float = 1.0) -> dict:
     """`_spread` of PRIMITIVE_CALLS calls of `check(*setup())`, each after
-    the run memo is emptied, timing the check alone; every call must
-    return True."""
+    the run memo is emptied, timing the check alone, times `scale`; every
+    call must return True."""
     samples = []
     for _ in range(PRIMITIVE_CALLS):
         crypto.clear_caches()
         args = setup()
         start = time.perf_counter()
         ok = check(*args)
-        samples.append(time.perf_counter() - start)
+        samples.append((time.perf_counter() - start) * scale)
         assert ok
     crypto.clear_caches()
     return _spread(samples)
