@@ -13,18 +13,18 @@ all the evidence an entry needs: its bitmap names 2f signers, validators
 of the entry's booth, never its proposer, the pivot among them, and each
 signed only after checking the proposer's own signature.
 
-A window that cannot gather its quorum is retried under a fresh booth with
-the same window timestamp, and members who failed to reply are demoted to
-the full-payload path; a member that missed entries (drops, late arrival)
-can therefore still countersign on retry. The window timestamp binds each
-member to a single transaction hash, which is what makes the timestamp a
-safe dedup key across retries.
-
-Each commit round is a `QuorumRound`, the collector ordering uses too, and
-validators accept its certificate through `BoothProfile.check_certified`.
+Commit rounds run ordering's round lifecycle (`RoundCoordinator`), keyed
+by window timestamp. A window that cannot gather its quorum is retried in
+the head booth under the same timestamp; after a timeout, members who
+failed to reply are demoted to the full-payload path, so a member that
+missed entries (drops, late arrival) can still countersign on retry; a
+lost booth demotes no one. The window timestamp binds each member to a
+single transaction hash, which is what makes the timestamp a safe dedup
+key across retries. An empty window settles with no round, as covered.
 
 Commits release in window order on the proposer, so its ledger tiles the
 timeline; validators append whatever commits reach them and may hold gaps.
+Validators accept a commit through `booth_certified`, as they do an order.
 """
 
 from __future__ import annotations
@@ -33,40 +33,33 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .booths import BoothProfile
-from .crypto import make_partial
+from .crypto import PartialSignature, make_partial
 from .errors import RejectReason
-from .ledger import (CommitRecord, LogEntry, Transaction, commit_cert_digest,
-                     expand_memberships, order_cert_digest, tx_hash_over,
+from .ledger import (CommitRecord, Transaction, commit_cert_digest,
+                     expand_memberships, tx_hash_over, uncertified_entries,
                      window_transaction)
 from .messages import (CommitMsg, CommitReply, PreCommitSeen, PreCommitUnseen)
 from .netsim import Category
-from .ordering import (QuorumRound, booth_admitted, proposer_signed,
-                       round_timeout_ms)
+from .ordering import (QuorumRound, RoundCoordinator, booth_admitted,
+                       booth_certified, proposer_signed)
 from .storage import PROPOSER, VALIDATOR
 
 
 @dataclass
 class ConsensusRound(QuorumRound):
-    window_start_us: int
     tx: Transaction
-    attempt: int
-    demoted: frozenset[int]
+    demoted: frozenset[int] = frozenset()
 
 
-class ConsensusCoordinator:
+class ConsensusCoordinator(RoundCoordinator):
     """Proposer side: slices the log into windows and drives commit rounds."""
 
     def __init__(self, ctx):
-        self.ctx = ctx
-        self.rounds: dict[int, ConsensusRound] = {}
-        # window ts -> (record, tx, booth), or None for an empty
-        # window; drained in ts order by _release
-        self.ready: dict[int, Optional[tuple]] = {}
-        self.parked: dict[int, tuple[Transaction, int, frozenset[int]]] = {}
+        super().__init__(ctx, first_key=0, step=ctx.delta_us)
         self.next_window_us = 0
-        self.release_next_us = 0
-        ctx.mmu.on_booth_invalidated(self._booth_lost)
-        ctx.mmu.on_booth_available(self._unpark)
+
+    # the first window not yet committed or covered
+    release_next_us = property(lambda self: self.release_next)
 
     def start(self) -> None:
         self.ctx.env.every(self.ctx.delta_us / 1000.0, self._tick)
@@ -85,29 +78,19 @@ class ConsensusCoordinator:
         delta = ctx.delta_us
         entries = ctx.log.window_slice(ts, ts + delta)
         if not entries:
-            self.ready[ts] = None
-            self._release()
+            self._settle(ts, None)
             return
         entries = sorted(entries, key=lambda e: e.ordering_id)
         tx = window_transaction(ts, delta, entries,
                                 ctx.ledger.booth_table.__getitem__)
-        self._attempt(ts, tx, attempt=0, demoted=frozenset())
+        self._open(ts, ConsensusRound(tx=tx))
 
-    def _attempt(self, ts: int, tx: Transaction, attempt: int,
-                 demoted: frozenset[int]) -> None:
-        ctx = self.ctx
-        booth = ctx.mmu.current_booth()
-        if booth is None:
-            self.parked[ts] = (tx, attempt, demoted)
-            return
-        payload = commit_cert_digest(ts, tx.tx_hash, booth.booth_hash)
-        ctx.env.meter.sign(1)
-        own = make_partial(ctx.key, payload)
-        rnd = ConsensusRound(window_start_us=ts, tx=tx, booth=booth,
-                             attempt=attempt, demoted=demoted,
-                             cert_digest=payload)
-        self.rounds[ts] = rnd
+    def _digest(self, ts: int, rnd: ConsensusRound) -> bytes:
+        return commit_cert_digest(ts, rnd.tx.tx_hash, rnd.booth.booth_hash)
 
+    def _propose(self, ts: int, rnd: ConsensusRound,
+                 own: PartialSignature) -> float:
+        ctx, tx, booth, demoted = self.ctx, rnd.tx, rnd.booth, rnd.demoted
         first = tx.entries[0].ordering_id
         last = tx.entries[-1].ordering_id
         contiguous = (last - first + 1) == len(tx.entries)
@@ -136,95 +119,57 @@ class ConsensusCoordinator:
                 msg = unseen_msg
             ctx.send(v, msg, Category.CONSENSUS, ts)
 
-        timeout = round_timeout_ms(ctx, booth)
-        if unseen_msg is not None:
-            timeout += len(tx.entries) * ctx.config.unseen_allowance_ms
-        rnd.timer = ctx.env.after(timeout, lambda: self._timed_out(ts, attempt))
+        return (0 if unseen_msg is None
+                else len(tx.entries) * ctx.config.unseen_allowance_ms)
 
     # -- replies and release ----------------------------------------------
 
     def handle_reply(self, src: int, msg: CommitReply) -> None:
-        ctx = self.ctx
-        rnd = self.rounds.get(msg.window_start_us)
-        if rnd is None:
-            ts = msg.window_start_us
-            if ts in self.ready or ts < self.release_next_us:
-                ctx.env.drops[ctx.node_id, "late_reply"] += 1
-            else:
-                ctx.diag(RejectReason.STALE)
-            return
-        if not rnd.add_reply(ctx, src, msg.partial):
-            return
-        record = CommitRecord(
-            consensus_id=rnd.window_start_us,
-            booth_hash=rnd.booth.booth_hash, cert=rnd.certify(ctx),
-            tx_hash=rnd.tx.tx_hash, committed_at_us=ctx.env.now_us())
-        self.ready[rnd.window_start_us] = (record, rnd.tx, rnd.booth)
-        del self.rounds[rnd.window_start_us]
-        self._release()
+        self._take_reply(src, msg.window_start_us, msg.partial)
 
-    def _release(self) -> None:
+    def _release(self, ts: int, rnd: Optional[ConsensusRound]) -> None:
+        """Commit a certified window and send it to the booth, storage and
+        gossip; an empty window is recorded as covered."""
         ctx = self.ctx
-        delta = ctx.delta_us
-        while self.release_next_us in self.ready:
-            item = self.ready.pop(self.release_next_us)
-            ts = self.release_next_us
-            self.release_next_us += delta
-            if item is None:
-                ctx.ledger.mark_covered(ts)
-                continue
-            record, tx, booth = item
-            ctx.ledger.note_booth(booth)
-            ctx.ledger.append_commit(record, tx)
-            ctx.metrics.committed(tx, ctx.env.now_us())
-            ctx.count("committed_windows")
-            ctx.count("committed_batches", len(tx.entries))
-            ctx.count("committed_entries",
-                      sum(len(entry.batch) for entry in tx.entries))
-            commit = CommitMsg(
-                instance_id=ctx.instance_id, sender=ctx.node_id,
-                window_start_us=ts, booth_hash=record.booth_hash, cert=record.cert,
-                tx_hash=record.tx_hash)
-            for v in booth.validators():
-                ctx.send(v, commit, Category.CONSENSUS, ts)
-            if ctx.storage is not None:
-                smi = ctx.storage.get(ctx.instance_id, PROPOSER)
-                smi.register_to_temp(tx, record, ctx.env.now_us())
-            if ctx.gossip is not None:
-                ctx.gossip.init_gossip(commit, tx,
-                                       exclude=set(booth.member_ids))
+        if rnd is None:
+            ctx.ledger.mark_covered(ts)
+            return
+        tx, booth = rnd.tx, rnd.booth
+        record = CommitRecord(
+            consensus_id=ts, booth_hash=booth.booth_hash, cert=rnd.cert,
+            tx_hash=tx.tx_hash, committed_at_us=rnd.certified_at_us)
+        ctx.ledger.note_booth(booth)
+        ctx.ledger.append_commit(record, tx)
+        ctx.metrics.committed(tx, ctx.env.now_us())
+        ctx.count("committed_windows")
+        ctx.count("committed_batches", len(tx.entries))
+        ctx.count("committed_entries",
+                  sum(len(entry.batch) for entry in tx.entries))
+        commit = CommitMsg(
+            instance_id=ctx.instance_id, sender=ctx.node_id,
+            window_start_us=ts, booth_hash=record.booth_hash, cert=record.cert,
+            tx_hash=record.tx_hash)
+        for v in booth.validators():
+            ctx.send(v, commit, Category.CONSENSUS, ts)
+        if ctx.storage is not None:
+            smi = ctx.storage.get(ctx.instance_id, PROPOSER)
+            smi.register_to_temp(tx, record, ctx.env.now_us())
+        if ctx.gossip is not None:
+            ctx.gossip.init_gossip(commit, tx,
+                                   exclude=set(booth.member_ids))
 
     # -- retries -----------------------------------------------------------
 
-    def _timed_out(self, ts: int, attempt: int) -> None:
-        rnd = self.rounds.get(ts)
-        if rnd is None or rnd.attempt != attempt:
-            return
-        del self.rounds[ts]
-        silent = {v for v in rnd.booth.validators()} - set(rnd.replies)
-        demoted = rnd.demoted | silent
-        if attempt + 1 > self.ctx.config.max_retries:
-            self.ctx.count("stalled_windows")
-            self.ctx.diag(RejectReason.EXPIRED)
-            return
-        self._attempt(ts, rnd.tx, attempt + 1, frozenset(demoted))
+    def _again(self, ts: int, rnd: ConsensusRound, timed_out: bool) -> None:
+        demoted = rnd.demoted
+        if timed_out:            # a lost booth is not its members' fault
+            demoted |= set(rnd.booth.validators()) - set(rnd.replies)
+        self._open(ts, ConsensusRound(tx=rnd.tx, attempt=rnd.attempt + 1,
+                                      demoted=demoted))
 
-    def _booth_lost(self, booth_hash: bytes) -> None:
-        hit = [ts for ts, r in self.rounds.items()
-               if r.booth.booth_hash == booth_hash]
-        for ts in hit:
-            rnd = self.rounds.pop(ts)
-            if rnd.timer is not None:
-                rnd.timer.cancel()
-            # not the members' fault: no demotion on booth loss
-            self._attempt(ts, rnd.tx, rnd.attempt + 1, rnd.demoted)
-
-    def _unpark(self) -> None:
-        for ts in sorted(self.parked):
-            if self.ctx.mmu.current_booth() is None:
-                return
-            tx, attempt, demoted = self.parked.pop(ts)
-            self._attempt(ts, tx, attempt, demoted)
+    def _give_up(self, ts: int, rnd: ConsensusRound) -> None:
+        self.ctx.count("stalled_windows")
+        self.ctx.diag(RejectReason.EXPIRED)
 
 
 # -- validator side -------------------------------------------------------
@@ -315,30 +260,16 @@ class ValidatorConsensus:
 
     def _verify_foreign_entries(self, tx: Transaction) -> bool:
         """Full recheck of entries ordered in booths this node never sat in:
-        each entry's ordering certificate against its membership link."""
+        each entry's ordering certificate against its membership link.
+        Certified entries are adopted into the log."""
         ctx = self.ctx
+        for _, reason in uncertified_entries(tx, ctx.registry, ctx.env.meter):
+            ctx.diag(reason)
+            return False
         memberships = expand_memberships(tx.membership_links)
         for entry in tx.entries:
-            link_booth = memberships.get(entry.ordering_id)
-            if link_booth is None:
-                ctx.diag(RejectReason.MALFORMED)
-                return False
-            cert_digest = order_cert_digest(
-                entry.ordering_id, entry.batch.batch_hash,
-                link_booth.booth_hash)
-            reason = link_booth.check_certified(entry.cert, cert_digest,
-                                                ctx.registry, ctx.env.meter)
-            if reason is not None:
-                ctx.diag(reason)
-                return False
-        # adopt: these entries are certified, make them local
-        for entry in tx.entries:
-            link_booth = memberships[entry.ordering_id]
-            ctx.log.append(LogEntry(
-                ordering_id=entry.ordering_id, batch=entry.batch,
-                booth_hash=link_booth.booth_hash, cert=entry.cert,
-                appended_at_us=ctx.env.now_us()))
-            ctx.ledger.note_booth(link_booth)
+            ctx.log_certified(entry.ordering_id, entry.batch,
+                              memberships[entry.ordering_id], entry.cert)
         return True
 
     def handle_commit(self, src: int, msg: CommitMsg) -> None:
@@ -358,14 +289,8 @@ class ValidatorConsensus:
         if msg.booth_hash != booth.booth_hash:
             ctx.diag(RejectReason.UNKNOWN_BOOTH)
             return
-        if src != booth.proposer_id or msg.sender != booth.proposer_id:
-            ctx.diag(RejectReason.MALFORMED)
-            return
         expected = commit_cert_digest(ts, msg.tx_hash, booth.booth_hash)
-        reason = booth.check_certified(msg.cert, expected, ctx.registry,
-                                       ctx.env.meter)
-        if reason is not None:
-            ctx.diag(reason)
+        if not booth_certified(ctx, src, msg, booth, expected):
             return
 
         tx = pc.tx

@@ -117,6 +117,7 @@ class RejectReason(str, Enum):
     UNKNOWN_INSTANCE = "unknown_instance"
     UNKNOWN_COMMIT = "unknown_commit"
     STALE = "stale"
+    LATE_REPLY = "late_reply"
     MALFORMED = "malformed"
     DUPLICATE = "duplicate"
     EXPIRED = "expired"

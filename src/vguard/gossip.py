@@ -49,7 +49,7 @@ class GossipAgent:
         self.storage = storage
         self.send = send
         self.seen: OrderedDict[bytes, bool] = OrderedDict()
-        self.propagators: dict[bytes, list[int]] = {}
+        self.ackable: set[bytes] = set()   # commits this agent takes acks for
 
     # -- origination -------------------------------------------------------
 
@@ -60,7 +60,7 @@ class GossipAgent:
             return
         h = commit.commit_hash()
         self._remember(h)
-        self.propagators.setdefault(h, [])
+        self.ackable.add(h)
         hop = TraverseHop(
             lifetime=self.config.initial_lifetime,
             sig=self.key.sign(traverse_digest(h, self.config.initial_lifetime)),
@@ -76,7 +76,7 @@ class GossipAgent:
 
     def expect_acks(self, commit_hash: bytes) -> None:
         """Pivot-side registration so acks for a known commit are accepted."""
-        self.propagators.setdefault(commit_hash, [])
+        self.ackable.add(commit_hash)
 
     # -- receive path ------------------------------------------------------
 
@@ -159,12 +159,9 @@ class GossipAgent:
                 self.events["acks_sent", self.node_id] += 1
 
     def handle_ack(self, src: int, msg: GossipAck) -> bool:
-        bucket = self.propagators.get(msg.commit_hash)
-        if bucket is None:
+        if msg.commit_hash not in self.ackable:
             self._drop(RejectReason.UNKNOWN_COMMIT)
             return False
-        if msg.propagator not in bucket:
-            bucket.append(msg.propagator)
         self.events["acks_received", self.node_id] += 1
         return True
 

@@ -33,8 +33,8 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass, field, fields, is_dataclass
 from enum import Enum
 from functools import cached_property
-from typing import (Callable, Collection, Iterable, Optional, Sequence,
-                    get_args, get_origin, get_type_hints)
+from typing import (Callable, Collection, Iterable, Iterator, Optional,
+                    Sequence, get_args, get_origin, get_type_hints)
 
 import numpy as np
 
@@ -42,7 +42,7 @@ from .booths import BoothProfile
 from .codec import (digest, pack, pack_pair_lists,  # pack: perfbench
                     pack_pairs, Packed, Reader, record, Wire)
 from .crypto import AggregateSignature, Identity, KeyService, recall
-from .errors import DuplicateOrderingId, WindowError
+from .errors import DuplicateOrderingId, RejectReason, WindowError
 
 
 # -- data entries and batches --------------------------------------------
@@ -445,6 +445,22 @@ def window_transaction(window_start_us: int, window_len_us: int,
 
 # -- chain verification ---------------------------------------------------
 
+def uncertified_entries(tx: Transaction, registry: KeyService, meter=None
+                        ) -> Iterator[tuple[TxEntry, RejectReason]]:
+    """Each entry of `tx` whose ordering certificate does not count in the
+    booth of its membership link, lazily, with the reason: malformed if no
+    link covers it, else `BoothProfile.check_certified`'s."""
+    memberships = expand_memberships(tx.membership_links)
+    for entry in tx.entries:
+        booth = memberships.get(entry.ordering_id)
+        reason = RejectReason.MALFORMED if booth is None else \
+            booth.check_certified(entry.cert, order_cert_digest(
+                entry.ordering_id, entry.batch.batch_hash, booth.booth_hash),
+                registry, meter)
+        if reason is not None:
+            yield entry, reason
+
+
 @dataclass
 class ChainCheck:
     ok: bool
@@ -511,20 +527,11 @@ def verify_chain(ledger: Ledger, registry: KeyService, strict: bool = False,
                                            registry)
             if reason is not None:
                 fail(f"window {ts}: commit certificate rejected: {reason}")
-        memberships = expand_memberships(tx.membership_links)
-        for entry in tx.entries:
-            check.entries_checked += 1
-            link_booth = memberships.get(entry.ordering_id)
-            if link_booth is None:
-                fail(f"entry {entry.ordering_id}: no membership link covers it")
-                continue
-            cert_digest = order_cert_digest(
-                entry.ordering_id, entry.batch.batch_hash, link_booth.booth_hash)
-            reason = link_booth.check_certified(entry.cert, cert_digest,
-                                                registry)
-            if reason is not None:
-                fail(f"entry {entry.ordering_id}: ordering certificate "
-                     f"rejected: {reason}")
+        check.entries_checked += len(tx.entries)
+        for entry, reason in uncertified_entries(tx, registry):
+            fail(f"entry {entry.ordering_id}: " + (
+                "no membership link covers it" if reason is RejectReason.MALFORMED
+                else f"ordering certificate rejected: {reason}"))
         ids = [e.ordering_id for e in tx.entries]
         if ids:
             if ids != sorted(ids) or len(set(ids)) != len(ids):

@@ -16,11 +16,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Optional, Sequence
 
+from .booths import BoothProfile
 from .consensus import ConsensusCoordinator, ValidatorConsensus
 from .crypto import AggregateSignature, KeyService, SigningKey, make_partial
 from .errors import POSITIVE, RejectReason
 from .gossip import GossipAgent, GossipConfig
-from .ledger import DataBatch, Ledger, TotalOrderLog, order_cert_digest
+from .ledger import (DataBatch, Ledger, LogEntry, TotalOrderLog,
+                     order_cert_digest)
 from .messages import (CommitMsg, CommitReply, GossipAck, GossipMsg, OrderMsg,
                        OrderReply, Ping, Pong, PreCommitSeen, PreCommitUnseen,
                        PreOrder, TraverseHop, decode_message, traverse_digest)
@@ -84,6 +86,13 @@ class InstanceContext:
 
     def count(self, event: str, n: int = 1) -> None:
         self.env.events[event, self.instance_id] += n
+
+    def log_certified(self, ordering_id: int, batch: DataBatch,
+                      booth: BoothProfile, cert: AggregateSignature) -> None:
+        """Log an entry certified in `booth`, and note the booth."""
+        self.log.append(LogEntry(ordering_id, batch, booth.booth_hash, cert,
+                                 self.env.now_us()))
+        self.ledger.note_booth(booth)
 
 
 @dataclass

@@ -8,14 +8,16 @@ finalizes once enough validators have countersigned and the pivot is among
 them; the proposer aggregates a certificate, appends to its total order
 log, and broadcasts the result so validators append too.
 
-A round that times out or loses its booth is retired and the batch retried
-under a fresh id and the current head booth. Ids are never reused across
-attempts, so validator logs stay conflict-free; the proposer keeps the
-retired ids, the only gaps its log and the post-run audit allow.
+Ordering and consensus share one round lifecycle, `RoundCoordinator`,
+and one collector, `QuorumRound`. Ordering adds its keys: an id is never
+reused, so a round that times out or loses its booth is retired and its
+batch retried under a fresh id in the current head booth. The proposer
+keeps the retired ids, the only gaps its log and the post-run audit
+allow. Batches beyond `max_inflight` open rounds wait in a backlog.
 
-`QuorumRound` collects the countersignatures of a round and builds its
-certificate, here and in consensus; validators accept a certificate only
-through `BoothProfile.check_certified`.
+Validators of both phases screen a proposal with `booth_admitted` and
+`proposer_signed`, and accept a certified result through
+`booth_certified`, which calls `BoothProfile.check_certified`.
 
 The coordinator and the validator handler both lean on a context object
 supplied by the node runtime: clocks, transport, key material, the shared
@@ -32,7 +34,7 @@ from .booths import BoothProfile
 from .crypto import (AggregateSignature, PartialSignature, aggregate,
                      make_partial, verify_partial)
 from .errors import RejectReason
-from .ledger import DataBatch, LogEntry, order_cert_digest
+from .ledger import DataBatch, order_cert_digest
 from .messages import OrderMsg, OrderReply, PreOrder
 from .netsim import Category
 
@@ -44,29 +46,17 @@ def batch_wire_bytes(batch: DataBatch) -> int:
     return len(batch.packed) - 3 * len(batch) + 3
 
 
-@dataclass
-class PendingBatch:
-    batch: DataBatch
-    submitted_at_us: int
-    retries: int = 0
-
-
-def round_timeout_ms(ctx, booth: BoothProfile) -> float:
-    """How long a proposer waits for a booth's quorum: a multiple of the
-    booth's round-trip latency, never under the configured floor."""
-    cfg = ctx.config
-    return max(cfg.timeout_factor * ctx.mmu.latency_of(booth),
-               cfg.timeout_floor_ms)
-
-
 @dataclass(kw_only=True)
 class QuorumRound:
     """A proposer's round of countersignatures over one digest."""
 
-    booth: BoothProfile
-    cert_digest: bytes               # what the booth countersigns
+    booth: Optional[BoothProfile] = None   # set when the round opens
+    cert_digest: bytes = b""               # what the booth countersigns
+    attempt: int = 0                       # earlier tries of its work
     replies: dict[int, PartialSignature] = field(default_factory=dict)
     timer: Optional[object] = None
+    cert: Optional[AggregateSignature] = None
+    certified_at_us: int = 0
 
     def add_reply(self, ctx, src: int, partial: PartialSignature) -> bool:
         """Screen one member's countersignature and keep it if it verifies;
@@ -89,9 +79,10 @@ class QuorumRound:
         return (len(self.replies) >= 2 * self.booth.fault_budget
                 and self.booth.pivot_id in self.replies)
 
-    def certify(self, ctx) -> AggregateSignature:
-        """Close the round: the certificate aggregates the partials of the
-        pivot plus the first other repliers up to 2f."""
+    def certify(self, ctx) -> None:
+        """Close the round: keep its certificate, which aggregates the
+        partials of the pivot plus the first other repliers up to 2f, and
+        the time it was made."""
         if self.timer is not None:
             self.timer.cancel()
         need = 2 * self.booth.fault_budget
@@ -103,158 +94,204 @@ class QuorumRound:
             if signer != pivot:
                 parts.append(partial)
         ctx.env.meter.verify(len(parts))
-        return aggregate(parts, self.booth.member_ids, ctx.registry)
+        self.cert = aggregate(parts, self.booth.member_ids, ctx.registry)
+        self.certified_at_us = ctx.env.now_us()
+
+
+class RoundCoordinator:
+    """The proposer's round lifecycle over int keys (ordering ids, window
+    timestamps). A round opens in the head booth, or parks until there is
+    one; parked keys resume in key order. A round that times out or loses
+    its booth is tried again until `max_retries` tries have failed,
+    whatever ended each. Keys release in key order, each settled certified
+    or skipped (None: a retired id or an empty window). A subclass gives
+    `_digest`, `_propose` (send; the extra wait), `_release`, `_again`,
+    `_give_up` and, to start queued work, `_pump`."""
+
+    def __init__(self, ctx, first_key: int, step: int):
+        self.ctx = ctx
+        self.step = step
+        self.first_key = self.release_next = first_key
+        self.rounds: dict[int, QuorumRound] = {}
+        self.parked: dict[int, QuorumRound] = {}
+        # closed keys wait here until every smaller key has closed, so the
+        # log and the ledger see keys in order
+        self.settled: dict[int, Optional[QuorumRound]] = {}
+        self.retired_ids: set[int] = set()   # ordering's; consensus has none
+        ctx.mmu.on_booth_invalidated(self._booth_lost)
+        ctx.mmu.on_booth_available(self._unpark)
+
+    def _open(self, key: int, rnd: QuorumRound) -> None:
+        """Sign the round's digest in the head booth, propose it and arm
+        the timer: a multiple of the booth's round trip, never under the
+        floor, plus the proposal's extra wait. With no booth, park it."""
+        ctx, cfg = self.ctx, self.ctx.config
+        booth = ctx.mmu.current_booth()
+        if booth is None:
+            self.parked[key] = rnd
+            return
+        rnd.booth = booth
+        rnd.cert_digest = payload = self._digest(key, rnd)
+        ctx.env.meter.sign(1)
+        self.rounds[key] = rnd
+        extra_ms = self._propose(key, rnd, make_partial(ctx.key, payload))
+        timeout = max(cfg.timeout_factor * ctx.mmu.latency_of(booth),
+                      cfg.timeout_floor_ms) + extra_ms
+        # a timer that fired while the CPU was busy runs late, and its
+        # round may have closed or been reopened by then
+        rnd.timer = ctx.env.after(timeout, lambda: (
+            self.rounds.get(key) is rnd and self._timed_out(key)))
+
+    def _take_reply(self, src: int, key: int,
+                    partial: PartialSignature) -> None:
+        """Screen one countersignature; certify and settle its round once
+        it completes the quorum. A reply for a round that is no longer open
+        counts late if the round was certified, else stale."""
+        ctx = self.ctx
+        rnd = self.rounds.get(key)
+        if rnd is None:
+            certified = (self.settled.get(key) is not None
+                         or (self.first_key <= key < self.release_next
+                             and key not in self.retired_ids))
+            ctx.diag(RejectReason.LATE_REPLY if certified
+                     else RejectReason.STALE)
+            return
+        if not rnd.add_reply(ctx, src, partial):
+            return
+        rnd.certify(ctx)
+        del self.rounds[key]
+        self._settle(key, rnd)
+        self._pump()
+
+    def _settle(self, key: int, rnd: Optional[QuorumRound]) -> None:
+        """Record how `key` closed, then release every settled key that no
+        unsettled smaller key holds back, in key order."""
+        settled = self.settled
+        settled[key] = rnd
+        while self.release_next in settled:
+            key = self.release_next
+            self.release_next += self.step
+            self._release(key, settled.pop(key))
+
+    def _timed_out(self, key: int) -> None:
+        self._retry(key, self.rounds.pop(key), timed_out=True)
+
+    def _booth_lost(self, booth_hash: bytes) -> None:
+        for key in [k for k, r in self.rounds.items()
+                    if r.booth.booth_hash == booth_hash]:
+            rnd = self.rounds.pop(key)
+            rnd.timer.cancel()
+            self._retry(key, rnd, timed_out=False)
+
+    def _retry(self, key: int, rnd: QuorumRound, timed_out: bool) -> None:
+        """Charge the try that just failed to its work's budget."""
+        if rnd.attempt + 1 > self.ctx.config.max_retries:
+            self._give_up(key, rnd)
+        else:
+            self._again(key, rnd, timed_out)
+
+    def _unpark(self) -> None:
+        for key in sorted(self.parked):
+            if self.ctx.mmu.current_booth() is None:
+                return
+            self._open(key, self.parked.pop(key))
+        self._pump()
+
+    def _pump(self) -> None:
+        """Start queued work once a round frees capacity; none by default."""
 
 
 @dataclass
 class OrderingRound(QuorumRound):
-    ordering_id: int
     batch: DataBatch
     submitted_at_us: int
-    retries: int
-    cert: Optional[AggregateSignature] = None
 
 
-class OrderingCoordinator:
+class OrderingCoordinator(RoundCoordinator):
     """Proposer side: one instance of this per consensus instance."""
 
     def __init__(self, ctx):
-        self.ctx = ctx
+        super().__init__(ctx, first_key=1, step=1)
         self.next_id = 1
-        self.rounds: dict[int, OrderingRound] = {}
-        self.backlog: deque[PendingBatch] = deque()
-        self.parked: deque[PendingBatch] = deque()
-        # certified rounds wait here until every smaller id is appended or
-        # retired, so the log (and its windows) see ids in order
-        self.finished: dict[int, OrderingRound] = {}
-        self.retired_ids: set[int] = set()
-        self.append_next = 1
+        self.backlog: deque[tuple[DataBatch, int]] = deque()
         # a saturating workload refills when a round frees capacity
         self.on_capacity: Optional[Callable[[], None]] = None
-        ctx.mmu.on_booth_invalidated(self._booth_lost)
-        ctx.mmu.on_booth_available(self._unpark)
 
     # -- intake ------------------------------------------------------------
 
     def submit(self, batch: DataBatch) -> None:
-        pb = PendingBatch(batch, self.ctx.env.now_us())
         if len(self.rounds) >= self.ctx.config.max_inflight:
-            self.backlog.append(pb)
+            self.backlog.append((batch, self.ctx.env.now_us()))
         else:
-            self._start(pb)
+            self._start(batch, self.ctx.env.now_us())
 
     def inflight(self) -> int:
         return len(self.rounds) + len(self.backlog) + len(self.parked)
 
-    def _start(self, pb: PendingBatch) -> None:
-        ctx = self.ctx
-        booth = ctx.mmu.current_booth()
-        if booth is None:
-            self.parked.append(pb)
-            return
+    def _start(self, batch: DataBatch, submitted_at_us: int,
+               attempt: int = 0) -> None:
+        """Open a round under the next id, taken even if the round parks:
+        parked rounds reopen in id order before any later one opens."""
         oid = self.next_id
         self.next_id += 1
-        payload = order_cert_digest(oid, pb.batch.batch_hash, booth.booth_hash)
-        ctx.env.meter.hash_bytes(batch_wire_bytes(pb.batch))
-        ctx.env.meter.sign(1)
-        own = make_partial(ctx.key, payload)
-        rnd = OrderingRound(
-            ordering_id=oid, batch=pb.batch, booth=booth,
-            submitted_at_us=pb.submitted_at_us, retries=pb.retries,
-            cert_digest=payload)
-        self.rounds[oid] = rnd
+        self._open(oid, OrderingRound(
+            batch=batch, submitted_at_us=submitted_at_us, attempt=attempt))
+
+    def _digest(self, oid: int, rnd: OrderingRound) -> bytes:
+        return order_cert_digest(oid, rnd.batch.batch_hash,
+                                 rnd.booth.booth_hash)
+
+    def _propose(self, oid: int, rnd: OrderingRound,
+                 own: PartialSignature) -> float:
+        ctx, batch, booth = self.ctx, rnd.batch, rnd.booth
+        ctx.env.meter.hash_bytes(batch_wire_bytes(batch))
         msg = PreOrder(instance_id=ctx.instance_id, sender=ctx.node_id,
-                       ordering_id=oid, batch=pb.batch,
-                       batch_hash=pb.batch.batch_hash, booth=booth,
+                       ordering_id=oid, batch=batch,
+                       batch_hash=batch.batch_hash, booth=booth,
                        booth_hash=booth.booth_hash, proposer_partial=own)
         for member in booth.validators():
             ctx.send(member, msg, Category.ORDERING, oid)
-        rnd.timer = ctx.env.after(round_timeout_ms(ctx, booth),
-                                  lambda: self._timed_out(oid))
+        return 0
 
-    # -- replies -----------------------------------------------------------
+    # -- replies and release ----------------------------------------------
 
     def handle_reply(self, src: int, msg: OrderReply) -> None:
-        ctx = self.ctx
-        oid = msg.ordering_id
-        rnd = self.rounds.get(oid)
-        if rnd is None:
-            # an issued id leaves `rounds` certified or retired
-            if 0 < oid < self.next_id and oid not in self.retired_ids:
-                # the round met quorum without it
-                ctx.env.drops[ctx.node_id, "late_reply"] += 1
-            else:
-                ctx.diag(RejectReason.STALE)
-            return
-        if not rnd.add_reply(ctx, src, msg.partial):
-            return
-        rnd.cert = rnd.certify(ctx)
-        del self.rounds[rnd.ordering_id]
-        self.finished[rnd.ordering_id] = rnd
-        self._drain_appends()
-        self._pump()
+        self._take_reply(src, msg.ordering_id, msg.partial)
 
-    def _drain_appends(self) -> None:
+    def _release(self, oid: int, rnd: Optional[OrderingRound]) -> None:
+        """Append a certified round to the log and send its certificate to
+        the booth; a retired id appends nothing."""
+        if rnd is None:
+            return
         ctx = self.ctx
-        while True:
-            if self.append_next in self.retired_ids:
-                self.append_next += 1
-                continue
-            rnd = self.finished.pop(self.append_next, None)
-            if rnd is None:
-                return
-            entry = LogEntry(
-                ordering_id=rnd.ordering_id, batch=rnd.batch,
-                booth_hash=rnd.booth.booth_hash, cert=rnd.cert,
-                appended_at_us=ctx.env.now_us())
-            ctx.log.append(entry)
-            ctx.ledger.note_booth(rnd.booth)
-            ctx.metrics.ordered(rnd.ordering_id, rnd.submitted_at_us,
-                                ctx.env.now_us())
-            ctx.count("ordered_batches")
-            ctx.count("ordered_entries", len(rnd.batch))
-            out = OrderMsg(instance_id=ctx.instance_id, sender=ctx.node_id,
-                           ordering_id=rnd.ordering_id, cert=rnd.cert)
-            for member in rnd.booth.validators():
-                ctx.send(member, out, Category.ORDERING, rnd.ordering_id)
-            self.append_next += 1
+        ctx.log_certified(oid, rnd.batch, rnd.booth, rnd.cert)
+        ctx.metrics.ordered(oid, rnd.submitted_at_us, ctx.env.now_us())
+        ctx.count("ordered_batches")
+        ctx.count("ordered_entries", len(rnd.batch))
+        out = OrderMsg(instance_id=ctx.instance_id, sender=ctx.node_id,
+                       ordering_id=oid, cert=rnd.cert)
+        for member in rnd.booth.validators():
+            ctx.send(member, out, Category.ORDERING, oid)
 
     # -- retries -----------------------------------------------------------
 
-    def _timed_out(self, oid: int) -> None:
-        rnd = self.rounds.pop(oid, None)
-        if rnd is not None:
-            self._retire(rnd, "timeout")
+    def _again(self, oid: int, rnd: OrderingRound, timed_out: bool) -> None:
+        self._retire(oid)
+        self._start(rnd.batch, rnd.submitted_at_us, rnd.attempt + 1)
 
-    def _booth_lost(self, booth_hash: bytes) -> None:
-        for oid in [o for o, r in self.rounds.items()
-                    if r.booth.booth_hash == booth_hash]:
-            rnd = self.rounds.pop(oid)
-            if rnd.timer is not None:
-                rnd.timer.cancel()
-            self._retire(rnd, "booth lost")
-
-    def _retire(self, rnd: OrderingRound, why: str) -> None:
-        ctx = self.ctx
-        self.retired_ids.add(rnd.ordering_id)
-        self._drain_appends()
-        pb = PendingBatch(rnd.batch, rnd.submitted_at_us, rnd.retries + 1)
-        if pb.retries > ctx.config.max_retries:
-            ctx.count("abandoned_batches")
-            self._pump()
-            return
-        self._start(pb)
-
-    def _unpark(self) -> None:
-        while self.parked:
-            if self.ctx.mmu.current_booth() is None:
-                return
-            self._start(self.parked.popleft())
+    def _give_up(self, oid: int, rnd: OrderingRound) -> None:
+        self._retire(oid)
+        self.ctx.count("abandoned_batches")
         self._pump()
+
+    def _retire(self, oid: int) -> None:
+        """Ids are never reused, so validator logs stay conflict-free."""
+        self.retired_ids.add(oid)
+        self._settle(oid, None)
 
     def _pump(self) -> None:
         while self.backlog and len(self.rounds) < self.ctx.config.max_inflight:
-            self._start(self.backlog.popleft())
+            self._start(*self.backlog.popleft())
         if self.on_capacity is not None:
             self.on_capacity()
 
@@ -292,6 +329,20 @@ def proposer_signed(ctx, booth: BoothProfile, p: PartialSignature,
         ctx.diag(RejectReason.BAD_SIG)
         return False
     return True
+
+
+def booth_certified(ctx, src: int, msg, booth: BoothProfile,
+                    expected: bytes) -> bool:
+    """A validator's check of a certified order or commit: the booth's
+    proposer sent it, and its certificate over `expected` counts in the
+    booth. A failure is counted under its reason."""
+    reason = (RejectReason.MALFORMED
+              if src != booth.proposer_id or msg.sender != booth.proposer_id
+              else booth.check_certified(msg.cert, expected, ctx.registry,
+                                         ctx.env.meter))
+    if reason is not None:
+        ctx.diag(reason)
+    return reason is None
 
 
 @dataclass
@@ -347,20 +398,9 @@ class ValidatorOrdering:
                 ctx.diag(RejectReason.UNKNOWN_INSTANCE)
             return
         booth = po.booth
-        if src != booth.proposer_id or msg.sender != booth.proposer_id:
-            ctx.diag(RejectReason.MALFORMED)
-            return
         expected = order_cert_digest(msg.ordering_id, po.batch.batch_hash,
                                      booth.booth_hash)
-        reason = booth.check_certified(msg.cert, expected, ctx.registry,
-                                       ctx.env.meter)
-        if reason is not None:
-            ctx.diag(reason)
+        if not booth_certified(ctx, src, msg, booth, expected):
             return
-        entry = LogEntry(
-            ordering_id=msg.ordering_id, batch=po.batch,
-            booth_hash=booth.booth_hash, cert=msg.cert,
-            appended_at_us=ctx.env.now_us())
-        ctx.log.append(entry)
-        ctx.ledger.note_booth(booth)
+        ctx.log_certified(msg.ordering_id, po.batch, booth, msg.cert)
         del self.pending[msg.ordering_id]

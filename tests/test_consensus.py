@@ -441,8 +441,7 @@ def test_reply_endorsing_another_digest_is_wrong_digest_not_bad_sig(world):
     ctx, _ = make_ctx(pool, node_id=1)
     ctx.mmu = FakeMmu(booth)
     coord = ConsensusCoordinator(ctx)
-    rnd = ConsensusRound(window_start_us=0, tx=tx, booth=booth, attempt=0,
-                         demoted=frozenset(),
+    rnd = ConsensusRound(tx=tx, booth=booth,
                          cert_digest=commit_cert_digest(0, tx.tx_hash,
                                                         booth.booth_hash))
     coord.rounds[0] = rnd

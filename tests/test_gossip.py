@@ -120,9 +120,10 @@ def test_lifetime_two_reaches_exactly_depth_two(committed):
     assert stored_nodes(mesh, 1) == expected
     assert 11 not in stored_nodes(mesh, 1)      # depth 3: budget exhausted
     # every stored node acked the proposer; all but the pivot also ack it
-    assert len(mesh.agents[1].propagators[commit.commit_hash()]) == len(expected)
-    assert len(mesh.agents[2].propagators[commit.commit_hash()]) == \
-        len(expected) - 1
+    assert counted(mesh.agents[1], "acks_received") == len(expected)
+    assert counted(mesh.agents[2], "acks_received") == len(expected) - 1
+    assert {n for n in mesh.agents if counted(mesh.agents[n], "acks_sent")} \
+        == expected
 
 
 @pytest.mark.parametrize("lifetime", [1, 2, 3])
@@ -286,14 +287,15 @@ def test_ack_bookkeeping(committed):
     root, bystander = mesh.agents[1], mesh.agents[5]
     root.init_gossip(commit, tx, exclude=set())
     mesh.run()
-    assert sorted(root.propagators[h]) == [3, 4]
     assert counted(root, "acks_received") == 2
+    # each storing node acks the proposer and the pivot
+    assert [counted(mesh.agents[n], "acks_sent") for n in (3, 4, 5)] == [2, 2, 0]
     # acks for commits never initiated here are rejected
     from vguard.messages import GossipAck
     assert not bystander.handle_ack(
         3, GossipAck(instance_id=1, sender=3, commit_hash=h, propagator=3))
     assert drops(bystander) == {"gossip.unknown_commit": 1}
-    assert h not in bystander.propagators
+    assert h in root.ackable and h not in bystander.ackable
 
 
 def test_gossip_lands_in_gossiper_storage(committed):

@@ -3,7 +3,10 @@
 The quorum-certificate rule has one owner on each side: validators and the
 auditor accept a certificate only through `BoothProfile.check_certified`,
 and proposers build one only through `QuorumRound.certify`. A second caller
-of the crypto primitives would be a second copy of the rule.
+of the crypto primitives would be a second copy of the rule. Validators
+and the auditor walk a transaction's entry certificates through one
+function, and ordering and consensus drive their rounds through one
+lifecycle, `RoundCoordinator`, whose steps no coordinator writes again.
 
 Every run is single-threaded, so `MembershipUnit` and the network hold no
 locks; no module may bring threads in.
@@ -96,6 +99,40 @@ def test_certificates_are_checked_in_one_place():
 
 def test_certificates_are_built_in_one_place():
     assert callers("aggregate") == {"ordering:QuorumRound.certify"}
+
+
+def test_entry_certificates_are_walked_in_one_place():
+    assert callers("uncertified_entries") == {
+        "consensus:ValidatorConsensus._verify_foreign_entries",
+        "ledger:verify_chain"}
+
+
+def definitions(name: str) -> set[str]:
+    """`module:Qualified.name` of every function in `vguard` named `name`."""
+    found: set[str] = set()
+
+    def visit(node: ast.AST, scope: tuple[str, ...], module: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if (isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and child.name == name):
+                found.add(f"{module}:{'.'.join(scope + (name,))}")
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                visit(child, scope + (child.name,), module)
+
+    for path in SOURCES:
+        visit(ast.parse(path.read_text(encoding="utf-8")), (), path.stem)
+    return found
+
+
+@pytest.mark.parametrize("step", ["_open", "_take_reply", "_settle",
+                                  "_timed_out", "_booth_lost", "_retry",
+                                  "_unpark"])
+def test_each_round_lifecycle_step_is_written_once(step):
+    """Opening, the reply screen, release in key order, the timeout, a lost
+    booth, the retry budget and resuming parked work: a second copy in a
+    coordinator would drift from the first."""
+    assert definitions(step) == {f"ordering:RoundCoordinator.{step}"}
 
 
 def importers(*packages: str) -> set[str]:

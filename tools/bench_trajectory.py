@@ -35,7 +35,9 @@ it records what the traced benchmark cannot show:
   messages delivered by one pass over a workload's seed-1 specs, counted
   in a fresh child process (`--count-bytecodes <workload>`). The count is
   made twice, each in its own process, and must come out equal: it is a
-  deterministic measure of host work that the host's speed does not move.
+  deterministic measure of host work that the host's speed does not move;
+- `src_lines`: the lines of each `src/vguard` module and their total, the
+  code size that each change reports.
 
 The file also names the git head the sources came from, whether the
 working tree differed from it, and the host.
@@ -395,6 +397,13 @@ def bytecodes_per_unit(names) -> dict:
     return out
 
 
+def src_lines() -> dict:
+    """Lines of each module of `src/vguard`, and their total."""
+    modules = {path.name: len(path.read_text(encoding="utf-8").splitlines())
+               for path in sorted((ROOT / "src" / "vguard").glob("*.py"))}
+    return {"modules": modules, "total": sum(modules.values())}
+
+
 def load_workloads():
     path = ROOT / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
@@ -448,6 +457,7 @@ def main(argv=None) -> int:
         "message_bytes": sizes,
         "signatures_per_unit": signatures_per_unit(load_workloads()),
         "bytecodes_per_unit": bytecodes_per_unit(names),
+        "src_lines": src_lines(),
     }
     args.out.write_text(json.dumps(out, indent=1, sort_keys=True) + "\n",
                         encoding="utf-8")
