@@ -31,10 +31,16 @@ data on the wire, has a fast path both ways instead: `pack_pairs` and
 
 A record, a frozen dataclass that a run builds per message or per log
 entry, gets its constructor the way it gets its encoder: generated once
-per class from its fields (`record`), a flat `__init__` that stores the
-values into the instance's `__dict__` in one step. Dataclass's own
-constructor for a frozen class has to get past the frozen `__setattr__`,
-so it calls `object.__setattr__` once per field.
+per class from its fields (`record`), a flat `__init__` that stores each
+value through its slot's member descriptor. Dataclass's own constructor
+for a frozen class has to get past the frozen `__setattr__`, so it calls
+`object.__setattr__` once per field. A record keeps its fields in
+`__slots__`, so an instance carries no `__dict__`: a run holds thousands
+of records at once, and a dict more than triples the memory of a small
+record. A record that caches through `cached_property` needs a dict to
+cache into, so it keeps one and its constructor stores the fields there
+in one step: `BoothProfile` and `Transaction`, which also keep there the
+bytes they were decoded from.
 """
 
 from __future__ import annotations
@@ -44,7 +50,7 @@ import inspect
 import struct
 from dataclasses import MISSING, dataclass, fields
 from enum import Enum
-from functools import cache
+from functools import cache, cached_property
 from itertools import count, groupby
 from typing import (ClassVar, Iterable, Union, dataclass_transform, get_args,
                     get_origin, get_type_hints)
@@ -280,6 +286,8 @@ class Wire:
     out from its annotations once, on first use.
     """
 
+    __slots__ = ()
+
     def to_field(self) -> Packed:
         """The value as one field, as `pack` takes it: its packing."""
         return Packed(encoder(type(self))(self))
@@ -403,10 +411,14 @@ def _packing(src: str, tp, const, fresh) -> str:
 def record(cls: type) -> type:
     """`cls` made a frozen dataclass with `init=False` and given a generated
     `__init__`: it takes the fields as dataclass's would (in order, by
-    position or name, with their defaults), stores them into the instance's
-    `__dict__` in one step and calls `__post_init__`, if the class has one.
-    A field it could not take so (a default factory, `init=False`,
-    keyword-only, an `InitVar`) is refused when the class is made."""
+    position or name, with their defaults), stores them and calls
+    `__post_init__`, if the class has one. Unless the class caches through
+    a `cached_property`, it is made again with its own fields, and any
+    slots it declares, as `__slots__`, and the constructor stores each
+    field through its slot and starts each slot declared beside the
+    fields, in the class or a base, as None. A field it could not take so
+    (a default factory, `init=False`, keyword-only, an `InitVar`) is
+    refused when the class is made."""
     doc = cls.__doc__
     cls = dataclass(frozen=True, init=False)(cls)
     fields_ = fields(cls)
@@ -421,12 +433,45 @@ def record(cls: type) -> type:
              if f.default is not MISSING}       # where the def finds them
     params = "".join(f", {n}=d_{n}" if f"d_{n}" in scope else f", {n}"
                      for n in names)
-    stores = ", ".join(f"{n}={n}" for n in names)
+    if any(isinstance(value, cached_property)
+           for klass in cls.__mro__ for value in vars(klass).values()):
+        stores = "self.__dict__.update(" + ", ".join(
+            f"{n}={n}" for n in names) + ")"
+    else:
+        cls = _slotted(cls, names)
+        caches = [s for klass in cls.__mro__
+                  for s in vars(klass).get("__slots__", ()) if s not in names]
+        scope.update({f"s_{n}": getattr(cls, n).__set__
+                      for n in names + caches})
+        stores = "; ".join([f"s_{n}(self, {n})" for n in names]
+                           + [f"s_{n}(self, None)" for n in caches])
     post = "; self.__post_init__()" if hasattr(cls, "__post_init__") else ""
-    exec(f"def __init__(self{params}):\n self.__dict__.update({stores}){post}",
-         scope)
+    exec(f"def __init__(self{params}):\n {stores}{post}", scope)
     cls.__init__ = scope["__init__"]
     cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
     if doc is None:             # dataclass's, from the constructor it saw
         cls.__doc__ = cls.__name__ + str(inspect.signature(cls))
     return cls
+
+
+def _slotted(cls: type, names: list[str]) -> type:
+    """The dataclass `cls` made again with `__slots__`: the slots it
+    declares, then its fields that no base holds a slot for. Slots can only
+    be given when a class is made. The methods that name the class through
+    a closure cell (a zero-argument `super()`, dataclass's frozen
+    `__setattr__`) are pointed at the new one."""
+    inherited = {s for klass in cls.__mro__[1:]
+                 for s in vars(klass).get("__slots__", ())}
+    slots = (*vars(cls).get("__slots__", ()),
+             *[n for n in names if n not in inherited])
+    namespace = {k: v for k, v in vars(cls).items()
+                 if k not in {*slots, "__dict__", "__weakref__"}}
+    made = type(cls)(cls.__name__, cls.__bases__,
+                     {**namespace, "__slots__": slots})
+    made.__qualname__ = cls.__qualname__
+    for value in namespace.values():
+        for cell in getattr(getattr(value, "__func__", value),
+                            "__closure__", None) or ():
+            if cell.cell_contents is cls:
+                cell.cell_contents = made
+    return made

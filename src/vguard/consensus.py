@@ -45,7 +45,7 @@ from .ordering import (QuorumRound, RoundCoordinator, booth_admitted,
 from .storage import PROPOSER, VALIDATOR
 
 
-@dataclass
+@dataclass(slots=True)
 class ConsensusRound(QuorumRound):
     tx: Transaction
     demoted: frozenset[int] = frozenset()
@@ -174,7 +174,7 @@ class ConsensusCoordinator(RoundCoordinator):
 
 # -- validator side -------------------------------------------------------
 
-@dataclass
+@dataclass(slots=True)
 class PendingCommit:
     booth: BoothProfile
     tx_hash: bytes

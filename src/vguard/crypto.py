@@ -35,9 +35,10 @@ and verify charge, keyed on booth hash, certificate, digest, the
 registry's keys for the members and whether it holds the pivot as one),
 the digests "order-cert" and "commit-cert", and "msg" (decoded messages,
 see `messages`). A compute that raises stores nothing. The memo holds at
-most `MEMO_SIZE` entries and is emptied when full and by `clear_caches`,
-which `harness.run` calls at its start and end, so no run sees another
-run's entries and none outlives its run. Callers charge modeled cost
+most `MEMO_SIZE` entries: when full it drops its older half, in insertion
+order, so a long run keeps the verdicts it reached last. `clear_caches`,
+which `harness.run` calls at its start and end, empties it, so no run sees
+another run's entries and none outlives its run. Callers charge modeled cost
 (`CostMeter`) on a hit as on a miss.
 
 `SigningKey.sign` signs through libsodium (`crypto_sign_ed25519_detached`)
@@ -52,6 +53,7 @@ from __future__ import annotations
 from ctypes import (CDLL, CFUNCTYPE, c_char_p, c_int, c_ulonglong, c_void_p,
                     create_string_buffer)
 from enum import Enum
+from itertools import islice
 from typing import Callable, Iterable, Optional, Sequence
 
 from cryptography.exceptions import InvalidSignature
@@ -163,7 +165,8 @@ def clear_caches() -> None:
 def remember(key: tuple, value) -> None:
     """Record `value` as what `key`'s computation returns in this run."""
     if len(_memo) >= MEMO_SIZE:
-        _memo.clear()
+        for old in list(islice(_memo, (len(_memo) + 1) // 2)):
+            del _memo[old]
     _memo[key] = value
 
 

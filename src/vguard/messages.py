@@ -21,7 +21,7 @@ spliced into the message as the canonical bytes it keeps (see
 message equal to the one encoded, and `decode_message` hands every
 receiver the sender's own object: a run parses none of the messages it
 sends. Only bytes this process did not encode are parsed (tests, fuzzing,
-or a message still in flight when the memo was emptied), and the result is
+or a message whose entry the full memo dropped), and the result is
 memoised under the raw bytes, so the copies that reach every booth member
 are parsed once. A parsed profile, batch or transaction keeps the slice it
 was read from as its canonical bytes; a batch checks its entries' framing
@@ -49,10 +49,10 @@ WIRE_VERSION = 1
 class _Message(Wire):
     TAG: ClassVar[int] = 0
 
+    __slots__ = ("_wire",)          # the encoding, once `encode` made it
+
     instance_id: int
     sender: int
-
-    _wire = None                    # the encoding, once `encode` made it
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -64,7 +64,8 @@ class _Message(Wire):
     def encode(self) -> bytes:
         wire = self._wire
         if wire is None:
-            wire = self.__dict__["_wire"] = self._packed()
+            wire = self._packed()
+            _keep_wire(self, wire)
             remember(("msg", wire), self)
         return wire
 
@@ -81,6 +82,9 @@ class _Message(Wire):
         if r.seq_len() != len(fields(cls)) - 2:
             raise ValueError(f"malformed embedded {cls.__name__}")
         return cls.read_fields(r, (0, 0))
+
+
+_keep_wire = _Message._wire.__set__     # past the frozen `__setattr__`
 
 
 @record

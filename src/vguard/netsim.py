@@ -113,6 +113,9 @@ class SimConfig:
 
 
 class Timer:
+    """What `schedule` and `every` return. Cancelling it stops every run of
+    the callback not yet started, also one queued behind the busy CPU."""
+
     __slots__ = ("cancelled",)
 
     def __init__(self):
@@ -120,6 +123,19 @@ class Timer:
 
     def cancel(self) -> None:
         self.cancelled = True
+
+
+class _TimerRun:
+    """A timer's callback due to run, as `_invoke` takes it. (A timer that
+    held its callback would close a cycle: engines hold their timers.)"""
+
+    __slots__ = ("fn", "timer")
+
+    def __init__(self, fn: Callable[[], None], timer: Timer):
+        self.fn, self.timer = fn, timer
+
+    def __call__(self) -> None:
+        self.fn()
 
 
 class Scheduler:
@@ -462,18 +478,23 @@ class Network:
 
     def _wake(self, node_id: int) -> None:
         """The node's CPU was due to be free: hand the head of its run queue
-        to `_invoke`, then wait for the next free CPU if more are queued."""
+        to `_invoke`, then wait for the next free CPU if more are queued.
+        A timer cancelled while it waited is dropped, not run."""
         queue = self._queues[node_id]
+        waiting = queue.waiting
         busy = self._busy[node_id]
         queue.ahead = 0
         if busy <= self.sched.now:
             if not self._up.get(node_id, False):
-                queue.waiting.clear()
+                waiting.clear()
                 queue.wake_at = None
                 return
-            fn, preload_ms = queue.waiting.popleft()
-            self._invoke(node_id, fn, preload_ms)
-            if not queue.waiting:
+            while waiting and type(head := waiting[0][0]) is _TimerRun \
+                    and head.timer.cancelled:
+                waiting.popleft()
+            if waiting:
+                self._invoke(node_id, *waiting.popleft())
+            if not waiting:
                 queue.wake_at = None
                 return
             busy = self._busy[node_id]
@@ -496,7 +517,7 @@ class Network:
 
     def _fire(self, node_id: int, fn: Callable[[], None], timer: Timer) -> None:
         if not timer.cancelled:
-            self._invoke(node_id, fn)
+            self._invoke(node_id, _TimerRun(fn, timer))
 
     def every(self, node_id: int, period_ms: float, fn: Callable[[], None],
               start_at_ms: Optional[float] = None) -> Timer:
@@ -513,7 +534,7 @@ class Network:
         if timer.cancelled:
             return
         if self._up.get(node_id, False):
-            self._invoke(node_id, fn)
+            self._invoke(node_id, _TimerRun(fn, timer))
         when += period_ms
         self.sched.at(when, partial(self._tick, node_id, period_ms, fn, timer,
                                     when))

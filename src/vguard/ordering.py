@@ -46,7 +46,7 @@ def batch_wire_bytes(batch: DataBatch) -> int:
     return len(batch.packed) - 3 * len(batch) + 3
 
 
-@dataclass(kw_only=True)
+@dataclass(kw_only=True, slots=True)
 class QuorumRound:
     """A proposer's round of countersignatures over one digest."""
 
@@ -137,8 +137,8 @@ class RoundCoordinator:
         extra_ms = self._propose(key, rnd, make_partial(ctx.key, payload))
         timeout = max(cfg.timeout_factor * ctx.mmu.latency_of(booth),
                       cfg.timeout_floor_ms) + extra_ms
-        # a timer that fired while the CPU was busy runs late, and its
-        # round may have closed or been reopened by then
+        # every other way a round closes cancels this timer, and the network
+        # runs no cancelled timer; the check ties it to its round all the same
         rnd.timer = ctx.env.after(timeout, lambda: (
             self.rounds.get(key) is rnd and self._timed_out(key)))
 
@@ -201,7 +201,7 @@ class RoundCoordinator:
         """Start queued work once a round frees capacity; none by default."""
 
 
-@dataclass
+@dataclass(slots=True)
 class OrderingRound(QuorumRound):
     batch: DataBatch
     submitted_at_us: int
@@ -345,7 +345,7 @@ def booth_certified(ctx, src: int, msg, booth: BoothProfile,
     return reason is None
 
 
-@dataclass
+@dataclass(slots=True)
 class PendingOrder:
     batch: DataBatch
     booth: BoothProfile

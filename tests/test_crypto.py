@@ -275,6 +275,17 @@ def test_verify_memo_stays_bounded(monkeypatch):
     assert not crypto._memo
 
 
+def test_a_full_memo_drops_only_its_older_half(monkeypatch):
+    monkeypatch.setattr(crypto, "MEMO_SIZE", 4)
+    crypto.clear_caches()
+    for i in range(5):                  # the fifth finds the memo full
+        crypto.remember(("t", i), i)
+    assert list(crypto._memo) == [("t", 2), ("t", 3), ("t", 4)]
+    # remembered just before the overflow, recalled after it
+    assert crypto.recall(("t", 3), pytest.fail) == 3
+    crypto.clear_caches()
+
+
 def test_signing_records_its_triple_and_needs_no_real_check(real_checks):
     ident, key = make_identity(5, Role.VEHICLE, _rng(6).bytes(32))
     payload = digest("t", b"signed here")

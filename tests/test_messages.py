@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from dataclasses import replace
+from dataclasses import MISSING, replace
 from functools import lru_cache
 from typing import Union, get_args, get_origin, get_type_hints
 
@@ -16,12 +16,14 @@ from conftest import (certify_entry, commit_window, default_quorum,
 from vguard import booths, codec, crypto, harness, ledger, messages, node
 from vguard.booths import BoothProfile
 from vguard.codec import Wire, pack
-from vguard.consensus import ConsensusCoordinator, ValidatorConsensus
+from vguard.consensus import (ConsensusCoordinator, ConsensusRound,
+                              PendingCommit, ValidatorConsensus)
 from vguard.errors import RejectReason
 from vguard.gossip import GossipAgent, GossipConfig
 from vguard.mmu import MembershipUnit, MmuConfig
 from vguard.netsim import Category, Network, NodeEnv, SimConfig
-from vguard.ordering import OrderingCoordinator, ValidatorOrdering
+from vguard.ordering import (OrderingCoordinator, OrderingRound, PendingOrder,
+                             ValidatorOrdering)
 from vguard.storage import StoredTx
 from vguard.crypto import (AggregateSignature, Identity, PartialSignature,
                            Role, make_partial)
@@ -809,11 +811,22 @@ _DATACLASS_MADE = {"__init__", "__setattr__", "__delattr__", "__eq__",
 
 def _dataclass_made(cls):
     """The reference: a copy of `cls` made a frozen dataclass afresh, so
-    its constructor, like the rest, is the one `dataclasses` generates."""
+    its constructor, like the rest, is the one `dataclasses` generates.
+    The copy keeps no slots: its own fields are class annotations again,
+    with their defaults, as the class body declared them."""
+    slots = vars(cls).get("__slots__", ())
     namespace = {k: v for k, v in vars(cls).items()
-                 if k not in _DATACLASS_MADE}
+                 if k not in {*_DATACLASS_MADE, "__slots__", *slots}}
+    namespace.update({f.name: f.default for f in dataclasses.fields(cls)
+                      if f.name in slots and f.default is not MISSING})
     return dataclasses.dataclass(frozen=True)(
         type(cls.__name__, cls.__bases__, namespace))
+
+
+def _field_values(value) -> list:
+    """(name, value) of each field, in declaration order."""
+    return [(f.name, getattr(value, f.name))
+            for f in dataclasses.fields(value)]
 
 
 def test_each_record_has_a_generated_constructor():
@@ -833,13 +846,34 @@ def test_generated_constructors_build_what_dataclass_builds(case):
     reference = _dataclass_made(cls)(**kwargs)
     args = [kwargs[f.name] for f in dataclasses.fields(cls)]
     for made in (cls(**kwargs), cls(*args)):
-        assert list(vars(made).items()) == list(vars(reference).items())
+        assert _field_values(made) == _field_values(reference)
         assert hash(made) == hash(reference)
         assert repr(made) == repr(reference)
         assert made == cls(*args) == replace(made) == replace(made, **kwargs)
         for name in kwargs:
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(made, name, None)
+
+
+def test_only_the_records_that_cache_keep_an_instance_dict():
+    assert [cls.__name__ for cls in _RECORDS if cls.__dictoffset__] == [
+        "BoothProfile", "Transaction"]
+    # nor does a proposer's or a validator's per-round state
+    assert not any(cls.__dictoffset__ for cls in (
+        OrderingRound, ConsensusRound, PendingOrder, PendingCommit))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(st.sampled_from(_RECORDS).flatmap(
+    lambda cls: st.tuples(st.just(cls), _arguments(cls))))
+def test_a_record_refuses_a_field_and_a_new_attribute(case):
+    cls, kwargs = case
+    made = cls(**kwargs)
+    for name in (*kwargs, "not_a_field"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(made, name, None)
+    assert not hasattr(made, "not_a_field")
+    assert made == cls(**kwargs)
 
 
 def test_generated_constructors_apply_defaults_and_post_init(world):
@@ -850,7 +884,8 @@ def test_generated_constructors_apply_defaults_and_post_init(world):
             (CommitRecord, (1, b"h", cert, b"t"), "committed_at_us")):
         made = cls(*args)
         assert getattr(made, name) == 0
-        assert vars(made) == vars(_dataclass_made(cls)(*args))
+        assert _field_values(made) == _field_values(
+            _dataclass_made(cls)(*args))
     members = booth.members
     for cls in (Identity, _dataclass_made(Identity)):
         with pytest.raises(ValueError, match="32 raw"):

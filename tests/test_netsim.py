@@ -447,7 +447,7 @@ def test_node_that_goes_down_drops_its_queued_invocations():
     assert log == [("a", 1.0), ("d", 13.0), ("e", 18.0)]
 
 
-def test_timer_cancelled_while_queued_still_runs_and_charges_base():
+def test_timer_cancelled_while_queued_does_not_run_or_charge():
     cost = CostModel(base_ms=0.5, sign_ms=1.0, verify_ms=0.0,
                      hash_byte_ms=0.0, wire_byte_ms=0.0, wire_byte_quad_ms=0.0)
     net = Network(quiet(cost=cost))
@@ -461,4 +461,24 @@ def test_timer_cancelled_while_queued_still_runs_and_charges_base():
     net.run_until(4.0)
     net.send(1, 2, b"b", Category.CONTROL)              # arrives at 5.0
     net.run_until(40.0)
-    assert log == [("a", 1.0), ("timer", 6.5), ("b", 7.0)]
+    # b runs once a is done, as if the timer had never queued, and the
+    # node's CPU is busy for a and b alone
+    assert log == [("a", 1.0), ("b", 6.5)]
+    assert net._busy[2] == 6.5 + 0.5 + 5.0
+
+
+def test_recurring_timer_cancelled_while_queued_does_not_run_or_charge():
+    cost = CostModel(base_ms=0.5, sign_ms=1.0, verify_ms=0.0,
+                     hash_byte_ms=0.0, wire_byte_ms=0.0, wire_byte_quad_ms=0.0)
+    net = Network(quiet(cost=cost))
+    log = []
+    wire(net, [1])
+    busy_node(net, log)
+    net.send(1, 2, b"a", Category.CONTROL)              # busy 1.0 .. 6.5
+    timer = net.every(2, 2.0, lambda: log.append(("tick", net.now)))
+    net.run_until(3.0)
+    timer.cancel()                                      # ticked at 2.0, queued
+    net.send(1, 2, b"b", Category.CONTROL)              # arrives at 4.0
+    net.run_until(40.0)
+    assert log == [("a", 1.0), ("b", 6.5)]
+    assert net._busy[2] == 6.5 + 0.5 + 5.0

@@ -36,6 +36,14 @@ it records what the traced benchmark cannot show:
   in a fresh child process (`--count-bytecodes <workload>`). The count is
   made twice, each in its own process, and must come out equal: it is a
   deterministic measure of host work that the host's speed does not move;
+- `long_run`: the saturated_b64 seed-1 spec run for `LONG_RUN_MS`, twice
+  the benchmark's duration, after its warm-up run: the real Ed25519
+  verifies (memo misses of `crypto.verify_raw`) made during the run and
+  in its end-of-run audit, the real message parses (memo misses of
+  `messages.decode_message`), host microseconds per delivery over the
+  whole `harness.run` (audit included), and the sha256 of the report as
+  `report.json` holds it. A run memo that forgets
+  what a long run already checked shows here as real work repeated;
 - `src_lines`: the lines of each `src/vguard` module and their total, the
   code size that each change reports.
 
@@ -46,6 +54,7 @@ working tree differed from it, and the host.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import importlib.util
 import json
 import os
@@ -54,6 +63,7 @@ import statistics
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -81,6 +91,7 @@ WINDOW_US = 100_000
 SCHEDULER_PENDING = 256
 LONG_WINDOW = 112
 BUILD_CALLS = 1000
+LONG_RUN_MS = 800.0
 
 
 def bench_run(workload: str, seconds: float, trace: int) -> dict:
@@ -397,6 +408,45 @@ def bytecodes_per_unit(names) -> dict:
     return out
 
 
+def long_run() -> dict:
+    """Real verifies, in the run and in its audit, real parses, host us
+    per delivery and the report digest of the saturated_b64 seed-1 spec
+    run for LONG_RUN_MS."""
+    load = load_workloads()["saturated_b64"](SEED)
+    spec = replace(load.specs[0], duration_ms=LONG_RUN_MS)
+    harness.run(load.warmup)
+    counts = {"run_verifies": 0, "audit_verifies": 0, "parses": 0}
+    phase = ["run_verifies"]
+    originals = (crypto._really_verifies, messages._parse, harness._audit)
+    verifies, parse, audit = originals
+
+    def counted_verifies(*args):
+        counts[phase[0]] += 1
+        return verifies(*args)
+
+    def counted_parse(raw):
+        counts["parses"] += 1
+        return parse(raw)
+
+    def audit_phase(*args):
+        phase[0] = "audit_verifies"
+        return audit(*args)
+
+    crypto._really_verifies, messages._parse, harness._audit = (
+        counted_verifies, counted_parse, audit_phase)
+    try:
+        start = time.perf_counter()
+        result = harness.run(spec)
+        elapsed = time.perf_counter() - start
+    finally:
+        crypto._really_verifies, messages._parse, harness._audit = originals
+    delivered = sum(result.net.delivered.values())
+    report = json.dumps(result.report, indent=2, sort_keys=True) + "\n"
+    return {**counts, "duration_ms": LONG_RUN_MS, "deliveries": delivered,
+            "us_per_delivery": round(elapsed / delivered * 1e6, 2),
+            "report_sha256": hashlib.sha256(report.encode()).hexdigest()}
+
+
 def src_lines() -> dict:
     """Lines of each module of `src/vguard`, and their total."""
     modules = {path.name: len(path.read_text(encoding="utf-8").splitlines())
@@ -457,6 +507,7 @@ def main(argv=None) -> int:
         "message_bytes": sizes,
         "signatures_per_unit": signatures_per_unit(load_workloads()),
         "bytecodes_per_unit": bytecodes_per_unit(names),
+        "long_run": long_run(),
         "src_lines": src_lines(),
     }
     args.out.write_text(json.dumps(out, indent=1, sort_keys=True) + "\n",
