@@ -32,14 +32,15 @@ and signs each "sign" key (verify key, digest) once. A raw
 `Ed25519PrivateKey` records nothing; a flipped bit in any input is another
 key. The other kinds are "cert" (`BoothProfile.check_certified`'s reason
 and verify charge, keyed on booth hash, certificate, digest, the
-registry's keys for the members and whether it holds the pivot as one),
-the digests "order-cert" and "commit-cert", and "msg" (decoded messages,
-see `messages`). A compute that raises stores nothing. The memo holds at
-most `MEMO_SIZE` entries: when full it drops its older half, in insertion
-order, so a long run keeps the verdicts it reached last. `clear_caches`,
-which `harness.run` calls at its start and end, empties it, so no run sees
-another run's entries and none outlives its run. Callers charge modeled cost
-(`CostMeter`) on a hit as on a miss.
+registry's keys for the members and whether it holds the pivot as one)
+and the digests "order-cert" and "commit-cert": verdicts only, as a
+delivered message reaches its receiver by reference (see `messages`). A
+compute that raises stores nothing. The memo holds at most `MEMO_SIZE`
+entries: when full it drops its older half, in insertion order, so a long
+run keeps the verdicts it reached last. `clear_caches`, which
+`harness.run` calls at its start and end, empties it, so no run sees
+another run's entries and none outlives its run. Callers charge modeled
+cost (`CostMeter`) on a hit as on a miss.
 
 `SigningKey.sign` signs through libsodium (`crypto_sign_ed25519_detached`)
 when it loads at import, else through `cryptography`: RFC 8032 signing is

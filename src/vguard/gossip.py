@@ -3,12 +3,13 @@
 Commits travel outside consensus booths over a fixed peer overlay on the
 side radio channel. Every message carries a traverse list: one signed
 (lifetime, signature) hop per forwarder, rooted at the proposer. A
-receiver stores the commit only if it has not seen it, every hop signature
-checks out, lifetimes strictly decrease along the list, and the last hop
-still has budget. It then acks directly to the proposer and the pivot,
-decrements the budget, and forwards while budget remains. The seen set is
-an LRU over commit hashes and records only stored commits, so a rejected
-message can be retried later with a fresh traverse.
+receiver stores the commit, stamped with the simulated time it arrived,
+only if it has not seen it, every hop signature checks out, lifetimes
+strictly decrease along the list, and the last hop still has budget. It
+then acks directly to the proposer and the pivot, decrements the budget,
+and forwards while budget remains. The seen set is an LRU over commit
+hashes and records only stored commits, so a rejected message can be
+retried later with a fresh traverse.
 
 An agent counts what it stores, forwards and acks in the run's `events`,
 and what it refuses in `drops` under a `gossip.` reason, not yet reported.
@@ -41,6 +42,7 @@ class GossipAgent:
                  storage: Optional[StorageMaster],
                  send: Callable[[int, object], None]):
         self.node_id = node_id = env.node_id
+        self.now_us = env.now_us
         self.drops, self.events = env.drops, env.events
         self.registry = registry
         self.key = key
@@ -144,7 +146,7 @@ class GossipAgent:
             committed_at_us=0,
         )
         smi = self.storage.get(msg.instance_id, GOSSIPER)
-        smi.register_to_temp(msg.tx, record, now_us=0)
+        smi.register_to_temp(msg.tx, record, self.now_us())
 
     def _ack(self, msg: GossipMsg, commit_hash: bytes) -> None:
         proposer = msg.traverse[0].node_id

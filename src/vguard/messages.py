@@ -16,19 +16,20 @@ packed afresh. A carried booth profile, data batch or transaction is
 spliced into the message as the canonical bytes it keeps (see
 `codec.Packed`), not packed field by field.
 
-`encode` also `remember`s the message under its bytes in the run memo
-(`crypto.recall`). The codec is canonical, so those bytes parse to a
-message equal to the one encoded, and `decode_message` hands every
-receiver the sender's own object: a run parses none of the messages it
-sends. Only bytes this process did not encode are parsed (tests, fuzzing,
-or a message whose entry the full memo dropped), and the result is
-memoised under the raw bytes, so the copies that reach every booth member
-are parsed once. A parsed profile, batch or transaction keeps the slice it
-was read from as its canonical bytes; a batch checks its entries' framing
-but builds no entry objects. Messages and all they carry are frozen, so
-sharing them is safe. A parse that raises stores nothing: malformed bytes
-raise on every call. Wire bytes are charged by the network per delivery,
-so modeled cost does not change.
+`encode` returns a `Frame`: the message's bytes, made afresh per call,
+whose `msg` is the message. The network carries frames as bytes, and
+`decode_message` hands a receiver the sender's own object by reference
+through the frame, so a run parses none of the messages it sends. The
+codec is canonical, so those bytes parse to a message equal to the one
+encoded. A message does not hold its frames: a frame lives only while its
+deliveries are pending, and the message is freed by reference counting
+once the last is done. Only bytes that are not a frame are parsed (tests,
+fuzzing, a copy of a frame's bytes); nothing is memoised. A parsed
+profile, batch or transaction keeps the slice it was read from as its
+canonical bytes; a batch checks its entries' framing but builds no entry
+objects. Messages and all they carry are frozen, so sharing them is safe.
+Wire bytes are charged by the network per delivery, so modeled cost does
+not change.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from typing import ClassVar
 from .booths import BoothProfile
 from .codec import (encoder, pack, Packed, Reader, digest,  # pack: perfbench
                     record, Wire)
-from .crypto import AggregateSignature, PartialSignature, recall, remember
+from .crypto import AggregateSignature, PartialSignature
 from .ledger import DataBatch, Transaction
 
 WIRE_VERSION = 1
@@ -61,13 +62,14 @@ class _Message(Wire):
         cls.read_body = cls.read_fields
         cls._header = bytes((WIRE_VERSION, cls.TAG))
 
-    def encode(self) -> bytes:
+    def encode(self) -> "Frame":
         wire = self._wire
         if wire is None:
             wire = self._packed()
             _keep_wire(self, wire)
-            remember(("msg", wire), self)
-        return wire
+        frame = Frame(wire)
+        frame.msg = self
+        return frame
 
     def to_field(self) -> Packed:
         """A message carried inside another packs as its body: the list of
@@ -85,6 +87,11 @@ class _Message(Wire):
 
 
 _keep_wire = _Message._wire.__set__     # past the frozen `__setattr__`
+
+
+class Frame(bytes):
+    """A message's wire bytes that carry the message (`msg`) they were
+    packed from. Slicing or copying gives plain bytes."""
 
 
 @record
@@ -251,8 +258,9 @@ del _cls
 
 
 def decode_message(raw: bytes):
-    """Parse any protocol message; raises ValueError on malformation."""
-    return recall(("msg", raw), _parse, raw)
+    """The message a frame carries, or a parse of any other bytes; raises
+    ValueError on malformation."""
+    return raw.msg if type(raw) is Frame else _parse(raw)
 
 
 def _parse(raw: bytes):

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import certify_entry, commit_window, make_batch, make_booth, make_pool
+from vguard import harness
 from vguard.gossip import GossipAgent, GossipConfig
 from vguard.messages import CommitMsg, GossipMsg, TraverseHop, traverse_digest
 from vguard.netsim import Network, NodeEnv, SimConfig
@@ -314,3 +315,35 @@ def test_gossip_lands_in_gossiper_storage(committed):
     smi = storage.get(1, GOSSIPER)
     assert smi.lookup(tx.tx_hash) is not None
     assert smi.layer_of(tx.tx_hash) == "temp"
+
+
+def test_gossip_stores_at_the_time_the_commit_arrived(monkeypatch):
+    """In a pool-8, lifetime-2 run every commit a gossiper stores is stored
+    at the simulated time it arrived, never at time 0: storage ages its
+    entries from that time."""
+    envs, arrived = {}, {}
+    init, handle = GossipAgent.__init__, GossipAgent.handle_gossip
+
+    def keeping_env(agent, env, *args, **kwargs):
+        init(agent, env, *args, **kwargs)
+        envs[agent.node_id] = env
+
+    def noting_arrival(agent, src, msg):
+        now = envs[agent.node_id].now_us()
+        stored = handle(agent, src, msg)
+        if stored:
+            key = (agent.node_id, msg.instance_id, msg.tx.tx_hash)
+            arrived.setdefault(key, now)
+        return stored
+
+    monkeypatch.setattr(GossipAgent, "__init__", keeping_env)
+    monkeypatch.setattr(GossipAgent, "handle_gossip", noting_arrival)
+    result = harness.run(harness.RunSpec(pool=8, lambda0=2, duration_ms=400.0,
+                                         grace_ms=400.0, rate_per_s=100.0,
+                                         seed=2))
+    stored = {(node, instance_id, item.tx_hash): item.stored_at_us
+              for node, runtime in result.runtimes.items()
+              for (instance_id, role), smi in runtime.storage.instances.items()
+              if role == GOSSIPER for item in smi.temp.values()}
+    assert stored and stored == arrived
+    assert 0 not in stored.values()

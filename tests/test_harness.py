@@ -11,13 +11,14 @@ import sys
 import weakref
 from copy import copy
 from dataclasses import replace
+from heapq import heappop
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vguard import cli, crypto, harness, messages, node
+from vguard import cli, crypto, harness, messages, netsim, node
 from vguard.bench import run_benchmark
 from vguard.codec import Reader, pack, pack_pairs
 from vguard.errors import ConfigInvalid
@@ -141,7 +142,7 @@ def test_back_to_back_runs_make_the_same_real_verifications(monkeypatch):
 
 
 # every kind of key the run memo holds
-MEMO_KINDS = {"sig", "pub", "cert", "order-cert", "commit-cert", "msg"}
+MEMO_KINDS = {"sig", "pub", "cert", "order-cert", "commit-cert"}
 
 
 def _module_containers() -> dict[str, object]:
@@ -463,6 +464,81 @@ def test_finished_run_is_freed_by_reference_counting(mode):
         assert node() is None
     finally:
         gc.enable()
+
+
+class _CountedFrame(messages.Frame):
+    """A frame that counts how many of its kind are alive."""
+
+    live = 0
+
+    def __new__(cls, wire):
+        _CountedFrame.live += 1
+        return super().__new__(cls, wire)
+
+    def __del__(self):
+        _CountedFrame.live -= 1
+
+
+@pytest.mark.parametrize("duration_ms", [1_000.0, 3_000.0])
+def test_frames_are_bounded_by_in_flight_work(duration_ms, monkeypatch):
+    """A frame lives only while its delivery is pending or running: between
+    any two scheduler events no more frames are alive than pending events
+    and invocations queued behind a busy CPU, plus the delivery the last
+    event ran, in a lossy pool-8 gossip run with a byzantine validator, at
+    1 s as at 3 s. None is alive once the run has returned."""
+    samples = []
+
+    def sampled_run_until(net, until_ms):
+        sched = net.sched
+        heap = sched._heap
+        while heap and heap[0][0] <= until_ms:
+            when, _, fn = heappop(heap)
+            sched.now = when
+            fn()
+            queued = sum(len(q.waiting) for q in net._queues.values())
+            samples.append((_CountedFrame.live, len(heap) + queued + 1))
+        sched.now = max(sched.now, until_ms)
+
+    monkeypatch.setattr(messages, "Frame", _CountedFrame)
+    monkeypatch.setattr(netsim.Network, "run_until", sampled_run_until)
+    _CountedFrame.live = 0
+    result = run(RunSpec(
+        booth_size=4, pool=8, lambda0=2, rate_per_s=200.0,
+        duration_ms=duration_ms, seed=3, strict_audit=False,
+        sim=SimConfig(seed=0, drop_rate=0.05, dup_rate=0.02),
+        byzantine=((3, ("forge_quorum",)),)))
+    assert result.report["instances"][0]["committed_batches"] > 0
+    assert max(live for live, _ in samples) > 0
+    assert all(live <= bound for live, bound in samples)
+    assert _CountedFrame.live == 0
+
+
+def _benchmark_workloads(monkeypatch):
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    loader = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(loader)
+    monkeypatch.setitem(sys.modules, loader.name, module)   # for @dataclass
+    loader.loader.exec_module(module)
+    return module.WORKLOADS
+
+
+def test_saturated_benchmark_run_makes_no_real_verify(monkeypatch):
+    """The run memo holds verdicts only, so the saturated_b64 seed-1 spec
+    run for 0.8 s keeps every signature it made until its audit: neither
+    the run nor the audit makes a real Ed25519 verify."""
+    spec = _benchmark_workloads(monkeypatch)["saturated_b64"](1).specs[0]
+    real = []
+    verifies = crypto._really_verifies
+
+    def counting(*args):
+        real.append(args)
+        return verifies(*args)
+
+    monkeypatch.setattr(crypto, "_really_verifies", counting)
+    result = run(replace(spec, duration_ms=800.0))
+    assert result.report["instances"][0]["committed_batches"] > 0
+    assert all(result.audits.values())
+    assert real == []
 
 
 def test_benchmark_mode_rejects_fault_schedules():

@@ -255,39 +255,54 @@ def test_malformed_bytes_raise_on_every_call(world):
     assert decode_message(raw).ordering_id == 4
 
 
-def test_decode_interns_by_bytes_and_stays_bounded(world, monkeypatch):
+def test_decode_goes_by_reference_and_memoises_nothing(world):
     pool, booth = world
     entry = certify_entry(pool, booth, 6, make_batch(pool))
     msg = OrderMsg(instance_id=1, sender=1, ordering_id=6,
                    cert=entry.cert)
-    raw = msg.encode()
-    # a second copy of the bytes, as every booth member receives one
-    assert decode_message(bytes(bytearray(raw))) is decode_message(raw)
-    monkeypatch.setattr(crypto, "MEMO_SIZE", 3)
     crypto.clear_caches()
+    raw = msg.encode()
+    assert decode_message(raw) is msg
+    # a plain copy of the bytes is parsed, to an equal message
+    copy = bytes(bytearray(raw))
+    assert type(copy) is bytes and decode_message(copy) == msg
+    assert decode_message(copy) is not msg
     for seq in range(10):
         ping = Ping(instance_id=0, sender=2, seq=seq, sent_at_us=seq)
-        assert decode_message(ping.encode()) == ping
-        assert len(crypto._memo) <= 3
+        assert decode_message(ping.encode()) is ping
+        assert decode_message(bytes(ping.encode())) == ping
+    assert not crypto._memo
 
 
-def test_encode_once_per_message_object(world):
+def test_encode_once_per_message_object(world, monkeypatch):
     pool, booth = world
     entry = certify_entry(pool, booth, 7, make_batch(pool))
     msg = OrderMsg(instance_id=1, sender=1, ordering_id=7,
                    cert=entry.cert)
-    wire = msg.encode()
-    assert msg.encode() is wire
+    packs = []
+    packed = OrderMsg._packed
+
+    def counting(self):
+        packs.append(self)
+        return packed(self)
+
+    monkeypatch.setattr(OrderMsg, "_packed", counting)
+    frames = [msg.encode() for _ in range(3)]
+    assert packs == [msg]           # packed once, framed per call
+    wire = bytes(frames[0])
+    assert all(frame == wire and decode_message(frame) is msg
+               for frame in frames)
     # a rewritten copy, as a byzantine sender makes, is encoded afresh
     forged = replace(msg, cert=AggregateSignature(
         bytes([msg.cert.sig_bytes[0] ^ 0b1000]) + msg.cert.sig_bytes[1:]))
     assert forged.encode() != wire
+    assert len(packs) == 2
     assert messages._parse(forged.encode()) == forged
     parsed = messages._parse(wire)
     assert msg == parsed and repr(msg) == repr(parsed)
 
 
-# -- decoding through the run memo ---------------------------------------------------
+# -- decoding by reference ---------------------------------------------------
 
 def _pre_order(pool, booth, ordering_id=5):
     batch = make_batch(pool, size=2)
@@ -373,7 +388,7 @@ def test_sub_value_interns_are_bounded_and_cleared(world, monkeypatch):
         commit, tx = _commit_msg(pool, booth, [entry])
         assert decode_message(_gossip(pool, commit, tx, [(1, 2)]).encode()).tx == tx
         assert len(crypto._memo) <= 2
-    assert any(key[0] == "msg" for key in crypto._memo)
+    assert not any(key[0] == "msg" for key in crypto._memo)
     crypto.clear_caches()
     assert not crypto._memo
 
@@ -441,12 +456,13 @@ def test_back_to_back_runs_report_identically(monkeypatch):
     clear = crypto.clear_caches
 
     def note_then_clear():
-        used.append(any(key[0] == "msg" for key in crypto._memo))
+        used.append(any(isinstance(value, messages._Message)
+                        for value in crypto._memo.values()))
         clear()
 
     monkeypatch.setattr(crypto, "clear_caches", note_then_clear)
     first = harness.run(spec)
-    assert used[-1]       # messages were memoised, up to the end-of-run clear
+    assert used and not any(used)    # no message is in the memo at a clear
     second = harness.run(spec)
     assert json.dumps(first.report, sort_keys=True) == \
         json.dumps(second.report, sort_keys=True)

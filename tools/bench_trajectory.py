@@ -36,14 +36,17 @@ it records what the traced benchmark cannot show:
   in a fresh child process (`--count-bytecodes <workload>`). The count is
   made twice, each in its own process, and must come out equal: it is a
   deterministic measure of host work that the host's speed does not move;
-- `long_run`: the saturated_b64 seed-1 spec run for `LONG_RUN_MS`, twice
-  the benchmark's duration, after its warm-up run: the real Ed25519
-  verifies (memo misses of `crypto.verify_raw`) made during the run and
-  in its end-of-run audit, the real message parses (memo misses of
-  `messages.decode_message`), host microseconds per delivery over the
-  whole `harness.run` (audit included), and the sha256 of the report as
-  `report.json` holds it. A run memo that forgets
-  what a long run already checked shows here as real work repeated;
+- `long_run`: the saturated_b64 seed-1 spec run for each of `LONG_RUN_MS`,
+  twice and four times the benchmark's duration, each after its warm-up
+  run: the real Ed25519 verifies (memo misses of `crypto.verify_raw`) made
+  during the run and in its end-of-run audit, the real message parses
+  (`messages._parse` calls: bytes `decode_message` got that were not a
+  frame), the run memo's entries per kind at the end of the run (read
+  just before `crypto.clear_caches` empties it), host microseconds per
+  delivery over the whole `harness.run` (audit included), and the sha256
+  of the report as `report.json` holds it. A run memo that forgets what a
+  long run already checked shows here as real work repeated, and one that
+  grows with the run's length shows in its entry counts;
 - `src_lines`: the lines of each `src/vguard` module and their total, the
   code size that each change reports.
 
@@ -63,6 +66,7 @@ import statistics
 import subprocess
 import sys
 import time
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -91,7 +95,7 @@ WINDOW_US = 100_000
 SCHEDULER_PENDING = 256
 LONG_WINDOW = 112
 BUILD_CALLS = 1000
-LONG_RUN_MS = 800.0
+LONG_RUN_MS = (800.0, 1600.0)
 
 
 def bench_run(workload: str, seconds: float, trace: int) -> dict:
@@ -408,17 +412,20 @@ def bytecodes_per_unit(names) -> dict:
     return out
 
 
-def long_run() -> dict:
-    """Real verifies, in the run and in its audit, real parses, host us
-    per delivery and the report digest of the saturated_b64 seed-1 spec
-    run for LONG_RUN_MS."""
+def long_run(duration_ms: float) -> dict:
+    """Real verifies, in the run and in its audit, real parses, the run
+    memo's entries per kind at the end of the run, host us per delivery
+    and the report digest of the saturated_b64 seed-1 spec run for
+    `duration_ms`."""
     load = load_workloads()["saturated_b64"](SEED)
-    spec = replace(load.specs[0], duration_ms=LONG_RUN_MS)
+    spec = replace(load.specs[0], duration_ms=duration_ms)
     harness.run(load.warmup)
     counts = {"run_verifies": 0, "audit_verifies": 0, "parses": 0}
     phase = ["run_verifies"]
-    originals = (crypto._really_verifies, messages._parse, harness._audit)
-    verifies, parse, audit = originals
+    memo_kinds = []
+    originals = (crypto._really_verifies, messages._parse, harness._audit,
+                 crypto.clear_caches)
+    verifies, parse, audit, clear = originals
 
     def counted_verifies(*args):
         counts[phase[0]] += 1
@@ -432,17 +439,26 @@ def long_run() -> dict:
         phase[0] = "audit_verifies"
         return audit(*args)
 
-    crypto._really_verifies, messages._parse, harness._audit = (
-        counted_verifies, counted_parse, audit_phase)
+    def count_then_clear():
+        memo_kinds.append(dict(sorted(Counter(
+            key[0] for key in crypto._memo).items())))
+        clear()
+
+    (crypto._really_verifies, messages._parse, harness._audit,
+     crypto.clear_caches) = (counted_verifies, counted_parse, audit_phase,
+                             count_then_clear)
     try:
         start = time.perf_counter()
         result = harness.run(spec)
         elapsed = time.perf_counter() - start
     finally:
-        crypto._really_verifies, messages._parse, harness._audit = originals
+        (crypto._really_verifies, messages._parse, harness._audit,
+         crypto.clear_caches) = originals
     delivered = sum(result.net.delivered.values())
     report = json.dumps(result.report, indent=2, sort_keys=True) + "\n"
-    return {**counts, "duration_ms": LONG_RUN_MS, "deliveries": delivered,
+    at_end = memo_kinds[-1]                 # the clear that ends the run
+    return {**counts, "duration_ms": duration_ms, "deliveries": delivered,
+            "memo_at_end": {"kinds": at_end, "total": sum(at_end.values())},
             "us_per_delivery": round(elapsed / delivered * 1e6, 2),
             "report_sha256": hashlib.sha256(report.encode()).hexdigest()}
 
@@ -507,7 +523,7 @@ def main(argv=None) -> int:
         "message_bytes": sizes,
         "signatures_per_unit": signatures_per_unit(load_workloads()),
         "bytecodes_per_unit": bytecodes_per_unit(names),
-        "long_run": long_run(),
+        "long_run": [long_run(ms) for ms in LONG_RUN_MS],
         "src_lines": src_lines(),
     }
     args.out.write_text(json.dumps(out, indent=1, sort_keys=True) + "\n",
