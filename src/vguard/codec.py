@@ -22,7 +22,8 @@ since a position, so a decoder can keep the packing of what it just read.
 Each structured type on the wire declares its layout once, as its
 dataclass fields: a `Wire` subclass packs as the list of its fields in
 declaration order, and `Wire` derives both its encoder and its decoder
-from the field annotations. The encoder is generated code, one flat
+from the field annotations. A type packs one way wherever it sits, alone
+or as a field of another. The encoder is generated code, one flat
 function per class (`encoder`), that packs a value in one pass. A list of
 [u64, bytes] pairs, the shape of a batch's entry list and the bulk of the
 data on the wire, has a fast path both ways instead: `pack_pairs` and
@@ -293,11 +294,10 @@ class Wire:
         return Packed(encoder(type(self))(self))
 
     @classmethod
-    def read_fields(cls, r: Reader, head: tuple = ()):
-        """Read the fields after `head`, which are given, with no list
-        header in front of them, and build the value."""
-        readers = _readers(cls)
-        return cls(*head, *[read(r) for read in readers[len(head):]])
+    def read_fields(cls, r: Reader):
+        """Read the fields, with no list header in front of them, and build
+        the value."""
+        return cls(*[read(r) for read in _readers(cls)])
 
     @classmethod
     def read_from(cls, r: Reader):
@@ -336,33 +336,33 @@ def _item(tp):
 
 
 @cache
-def encoder(cls: type, head: bytes = None, skip: int = 0):
+def encoder(cls: type, head: bytes = None):
     """The generated encoder of a `Wire` class: a function that packs a
-    value's fields after the first `skip`, behind `head` (by default the
-    header of the list they form), in one pass. It takes each field
-    straight from the value, writes a header, or a run of consecutive int
-    fields, with one `struct` step, inlines a nested `Wire` and splices a
-    type with its own `to_field` as the bytes that gives. A field whose
-    value is not exactly its annotated type (a bool, an int subclass,
-    None, ...), or an int out of u64 range, goes through `pack` with the
-    rest of its run, so it packs, or raises, as `pack` does."""
+    value's fields behind `head` (by default the header of the list they
+    form), in one pass. It takes each field straight from the value,
+    writes a header, or a run of consecutive int fields, with one `struct`
+    step, inlines a nested `Wire` and splices a type with its own
+    `to_field` as the bytes that gives. A field whose value is not
+    exactly its annotated type (a bool, an int subclass, None, ...), or an
+    int out of u64 range, goes through `pack` with the rest of its run, so
+    it packs, or raises, as `pack` does."""
     consts: dict = {}                       # value -> its name in the code
 
     def const(value) -> str:
         return consts.setdefault(value, f"c{len(consts)}")
 
-    body = _joined("v", cls, head, skip, const, (f"x{i}" for i in count()))
+    body = _joined("v", cls, head, const, (f"x{i}" for i in count()))
     scope: dict = {}
     exec(f"def make({', '.join(consts.values())}):\n return lambda v: {body}",
          globals(), scope)
     return scope["make"](*consts)
 
 
-def _joined(src: str, cls: type, head, skip: int, const, fresh) -> str:
+def _joined(src: str, cls: type, head, const, fresh) -> str:
     """Source of an expression that packs the fields of `src`, a `cls`
-    value, after the first `skip`, behind `head`."""
+    value, behind `head`."""
     hints = get_type_hints(cls)
-    names = [f.name for f in fields(cls)][skip:]
+    names = [f.name for f in fields(cls)]
     parts = [const(_HEADER.pack(b"L", len(names)) if head is None else head)]
     for ints, run in groupby(names, lambda name: hints[name] is int):
         parts += [_ints([f"{src}.{n}" for n in run], const, fresh)] if ints \
@@ -401,7 +401,7 @@ def _packing(src: str, tp, const, fresh) -> str:
         text = x if tp is str else f"{x}.value"
         fast = f"{header}(b'S', len({x}s := {text}.encode())) + {x}s"
     elif issubclass(tp, Wire) and tp.to_field is Wire.to_field:
-        fast = _joined(x, tp, None, 0, const, fresh)
+        fast = _joined(x, tp, None, const, fresh)
     else:
         fast = f"{x}.to_field().raw"
     return f"({fast} if {exact} else pack({x}))"

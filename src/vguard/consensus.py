@@ -309,5 +309,8 @@ class ValidatorConsensus:
         if ctx.storage is not None:
             smi = ctx.storage.get(ctx.instance_id, VALIDATOR)
             smi.register_to_temp(tx, record, ctx.env.now_us())
-        if ctx.committed_hook is not None:
-            ctx.committed_hook(msg, tx)
+        # gossip receivers ack the pivot, which takes acks only for the
+        # commits it knows
+        if (ctx.gossip is not None and tx.membership_links
+                and tx.membership_links[0].booth.pivot_id == ctx.node_id):
+            ctx.gossip.expect_acks(msg.commit_hash())

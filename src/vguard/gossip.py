@@ -1,8 +1,10 @@
 """Lifetime-bounded gossip of committed windows to off-booth vehicles.
 
 Commits travel outside consensus booths over a fixed peer overlay on the
-side radio channel. Every message carries a traverse list: one signed
-(lifetime, signature) hop per forwarder, rooted at the proposer. A
+side radio channel. A gossip carries the commit as a record of its
+certified fields (`CertifiedCommit`), not as a commit message, beside the
+window's transaction and a traverse list: one signed (lifetime,
+signature) hop per forwarder, rooted at the proposer. A
 receiver stores the commit, stamped with the simulated time it arrived,
 only if it has not seen it, every hop signature checks out, lifetimes
 strictly decrease along the list, and the last hop still has budget. It
@@ -18,7 +20,6 @@ and what it refuses in `drops` under a `gossip.` reason, not yet reported.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .crypto import KeyService, SigningKey, verify_raw
@@ -28,17 +29,12 @@ from .messages import CommitMsg, GossipAck, GossipMsg, TraverseHop, traverse_dig
 from .netsim import NodeEnv
 from .storage import GOSSIPER, StorageMaster
 
-
-@dataclass
-class GossipConfig:
-    initial_lifetime: int = 2
-    fanout: int = 8
-    seen_cap: int = 10_000
+SEEN_CAP = 10_000           # commit hashes an agent remembers
 
 
 class GossipAgent:
     def __init__(self, env: NodeEnv, registry: KeyService, key: SigningKey,
-                 peers: list[int], config: GossipConfig,
+                 peers: list[int], lifetime: int,
                  storage: Optional[StorageMaster],
                  send: Callable[[int, object], None]):
         self.node_id = node_id = env.node_id
@@ -46,8 +42,8 @@ class GossipAgent:
         self.drops, self.events = env.drops, env.events
         self.registry = registry
         self.key = key
-        self.peers = sorted(p for p in peers if p != node_id)[:config.fanout]
-        self.config = config
+        self.peers = sorted(p for p in peers if p != node_id)
+        self.lifetime = lifetime
         self.storage = storage
         self.send = send
         self.seen: OrderedDict[bytes, bool] = OrderedDict()
@@ -58,18 +54,17 @@ class GossipAgent:
     def init_gossip(self, commit: CommitMsg, tx, exclude: set[int]) -> None:
         """Proposer entry point: push a fresh commit to peers outside the
         consensus booth with the full lifetime budget."""
-        if self.config.initial_lifetime <= 0:
-            return
-        h = commit.commit_hash()
+        certified = commit.certified()
+        h = certified.commit_hash()
         self._remember(h)
         self.ackable.add(h)
         hop = TraverseHop(
-            lifetime=self.config.initial_lifetime,
-            sig=self.key.sign(traverse_digest(h, self.config.initial_lifetime)),
+            lifetime=self.lifetime,
+            sig=self.key.sign(traverse_digest(h, self.lifetime)),
             node_id=self.node_id,
         )
         msg = GossipMsg(instance_id=commit.instance_id, sender=self.node_id,
-                        commit=commit, tx=tx, traverse=(hop,))
+                        commit=certified, tx=tx, traverse=(hop,))
         for peer in self.peers:
             if peer in exclude:
                 continue
@@ -138,15 +133,16 @@ class GossipAgent:
     def _store(self, msg: GossipMsg) -> None:
         if self.storage is None:
             return
+        commit, now_us = msg.commit, self.now_us()
         record = CommitRecord(
-            consensus_id=msg.commit.window_start_us,
-            booth_hash=msg.commit.booth_hash,
-            cert=msg.commit.cert,
-            tx_hash=msg.commit.tx_hash,
-            committed_at_us=0,
+            consensus_id=commit.window_start_us,
+            booth_hash=commit.booth_hash,
+            cert=commit.cert,
+            tx_hash=commit.tx_hash,
+            committed_at_us=now_us,
         )
         smi = self.storage.get(msg.instance_id, GOSSIPER)
-        smi.register_to_temp(msg.tx, record, self.now_us())
+        smi.register_to_temp(msg.tx, record, now_us)
 
     def _ack(self, msg: GossipMsg, commit_hash: bytes) -> None:
         proposer = msg.traverse[0].node_id
@@ -154,7 +150,7 @@ class GossipAgent:
         if msg.tx.membership_links:
             targets.add(msg.tx.membership_links[0].booth.pivot_id)
         ack = GossipAck(instance_id=msg.instance_id, sender=self.node_id,
-                        commit_hash=commit_hash, propagator=self.node_id)
+                        commit_hash=commit_hash)
         for dst in sorted(targets):
             if dst != self.node_id:
                 self.send(dst, ack)
@@ -173,5 +169,5 @@ class GossipAgent:
     def _remember(self, commit_hash: bytes) -> None:
         self.seen[commit_hash] = True
         self.seen.move_to_end(commit_hash)
-        while len(self.seen) > self.config.seen_cap:
+        while len(self.seen) > SEEN_CAP:
             self.seen.popitem(last=False)

@@ -30,7 +30,6 @@ import numpy as np
 from . import __version__, crypto
 from .crypto import Identity, KeyService, Role, SigningKey, make_identity
 from .errors import POSITIVE, ConfigInvalid, VerificationFailed
-from .gossip import GossipConfig
 from .ledger import ChainCheck, DataBatch, Ledger, verify_chain
 from .mmu import MembershipUnit, MmuConfig
 from .netsim import (Category, ChurnEvent, Network, NodeEnv, SimConfig,
@@ -269,9 +268,6 @@ def run(spec: RunSpec, net=None) -> RunResult:
         net = Network(replace(spec.sim, seed=net_seed))
 
     overlay = default_overlay(node_ids)
-    gossip_cfg = (GossipConfig(initial_lifetime=spec.lambda0)
-                  if spec.lambda0 > 0 else None)
-
     byzantine = dict(spec.byzantine)
     runtimes: dict[int, NodeRuntime] = {}
     for node_id in node_ids:
@@ -282,7 +278,7 @@ def run(spec: RunSpec, net=None) -> RunResult:
             storage=StorageMaster(node_id,
                                   RetentionPolicy(temp_ttl_us=spec.tau_us)),
             gossip_peers=overlay.get(node_id, []),
-            gossip_config=gossip_cfg, byzantine=byzantine.get(node_id, ()))
+            gossip_lifetime=spec.lambda0, byzantine=byzantine.get(node_id, ()))
 
     workloads: list[Workload] = []
     wl_children = workload_seq.spawn(spec.gamma)

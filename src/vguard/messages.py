@@ -3,9 +3,10 @@
 Layout: two raw header bytes (wire version, message tag) followed by the
 message's dataclass fields, packed one after another in declaration order
 as `codec.Wire` derives them: instance id, sender, then the fields the
-class declares. A message carried inside another (a gossip's commit)
-packs as the list of its fields after instance and sender. Decoding
-failures raise ValueError and are treated as silent rejects by receivers.
+class declares. No message is carried inside another: what a gossip
+carries of its commit is a `CertifiedCommit` record, the commit's fields
+after instance and sender, packed as a list. Decoding failures raise
+ValueError and are treated as silent rejects by receivers.
 
 Both directions do their deterministic work once. `encode` packs with
 the class's generated encoder (`codec.encoder`, made once per class when
@@ -34,11 +35,10 @@ not change.
 
 from __future__ import annotations
 
-from dataclasses import fields, replace
 from typing import ClassVar
 
 from .booths import BoothProfile
-from .codec import (encoder, pack, Packed, Reader, digest,  # pack: perfbench
+from .codec import (encoder, pack, Reader, digest,  # pack: perfbench
                     record, Wire)
 from .crypto import AggregateSignature, PartialSignature
 from .ledger import DataBatch, Transaction
@@ -70,20 +70,6 @@ class _Message(Wire):
         frame = Frame(wire)
         frame.msg = self
         return frame
-
-    def to_field(self) -> Packed:
-        """A message carried inside another packs as its body: the list of
-        the fields after its instance and sender, which the carrier
-        supplies."""
-        return Packed(encoder(type(self), skip=2)(self))
-
-    @classmethod
-    def read_from(cls, r: Reader) -> "_Message":
-        """Read a carried message's body. It holds instance and sender 0
-        until its carrier gives it the carrier's (see `GossipMsg`)."""
-        if r.seq_len() != len(fields(cls)) - 2:
-            raise ValueError(f"malformed embedded {cls.__name__}")
-        return cls.read_fields(r, (0, 0))
 
 
 _keep_wire = _Message._wire.__set__     # past the frozen `__setattr__`
@@ -182,6 +168,25 @@ class CommitMsg(_Message):
     cert: AggregateSignature
     tx_hash: bytes
 
+    def certified(self) -> "CertifiedCommit":
+        """What gossip carries of this commit: all but instance and sender."""
+        return CertifiedCommit(self.window_start_us, self.booth_hash,
+                               self.cert, self.tx_hash)
+
+    def commit_hash(self) -> bytes:
+        return self.certified().commit_hash()
+
+
+@record
+class CertifiedCommit(Wire):
+    """A certified window as gossip carries it: the fields of its
+    `CommitMsg` after instance and sender."""
+
+    window_start_us: int
+    booth_hash: bytes
+    cert: AggregateSignature
+    tx_hash: bytes
+
     def commit_hash(self) -> bytes:
         """Identity of this commit in gossip: digest of the certified core."""
         return digest("gossip-commit", self.window_start_us, self.booth_hash,
@@ -207,19 +212,9 @@ class GossipMsg(_Message):
 
     TAG: ClassVar[int] = 8
 
-    commit: CommitMsg
+    commit: CertifiedCommit
     tx: Transaction
     traverse: tuple[TraverseHop, ...]
-
-    def __post_init__(self):
-        # The wire carries only the commit's body, which a receiver reads
-        # with the gossip's instance and sender. Holding the commit with
-        # them too makes a gossip equal to what its bytes decode to.
-        commit = self.commit
-        if (commit.instance_id, commit.sender) != (self.instance_id,
-                                                   self.sender):
-            object.__setattr__(self, "commit", replace(
-                commit, instance_id=self.instance_id, sender=self.sender))
 
 
 @record
@@ -229,7 +224,6 @@ class GossipAck(_Message):
     TAG: ClassVar[int] = 9
 
     commit_hash: bytes
-    propagator: int
 
 
 @record

@@ -20,7 +20,7 @@ from .booths import BoothProfile
 from .consensus import ConsensusCoordinator, ValidatorConsensus
 from .crypto import AggregateSignature, KeyService, SigningKey, make_partial
 from .errors import POSITIVE, RejectReason
-from .gossip import GossipAgent, GossipConfig
+from .gossip import GossipAgent
 from .ledger import (DataBatch, Ledger, LogEntry, TotalOrderLog,
                      order_cert_digest)
 from .messages import (CommitMsg, CommitReply, GossipAck, GossipMsg, OrderMsg,
@@ -79,7 +79,6 @@ class InstanceContext:
     storage: Optional[StorageMaster] = None
     gossip: Optional[GossipAgent] = None
     mmu: Optional[MembershipUnit] = None
-    committed_hook: Optional[Callable] = None
 
     def diag(self, reason: RejectReason) -> None:
         self.env.drops[self.node_id, reason] += 1
@@ -253,7 +252,7 @@ class NodeRuntime:
                  key: SigningKey, config: ProtocolConfig, delta_us: int,
                  storage: Optional[StorageMaster] = None,
                  gossip_peers: Optional[list[int]] = None,
-                 gossip_config: Optional[GossipConfig] = None,
+                 gossip_lifetime: int = 0,
                  byzantine: Sequence[str] = ()):
         self.node_id = node_id
         self.env = env
@@ -269,10 +268,10 @@ class NodeRuntime:
         self.ledgers: dict[int, Ledger] = {}
         self.actor = ByzantineActor(self, byzantine) if byzantine else None
         self.gossip: Optional[GossipAgent] = None
-        if gossip_config is not None and gossip_config.initial_lifetime > 0:
+        if gossip_lifetime > 0:
             self.gossip = GossipAgent(
                 env=env, registry=registry, key=key,
-                peers=gossip_peers or [], config=gossip_config,
+                peers=gossip_peers or [], lifetime=gossip_lifetime,
                 storage=storage, send=self._send_gossip)
         env.net.register(node_id, self.handle)
 
@@ -308,10 +307,11 @@ class NodeRuntime:
             send=lambda dst, msg, cat, sub: self.send_msg(
                 dst, msg, cat, (instance_id, sub)),
             log=log, ledger=self.ledgers[instance_id],
-            metrics=MetricSink(), storage=self.storage, **role)
+            metrics=MetricSink(), storage=self.storage, gossip=self.gossip,
+            **role)
 
     def add_proposer(self, instance_id: int, mmu: MembershipUnit) -> ProposerInstance:
-        ctx = self._context(instance_id, gossip=self.gossip, mmu=mmu)
+        ctx = self._context(instance_id, mmu=mmu)
         inst = ProposerInstance(
             ctx=ctx, ordering=OrderingCoordinator(ctx),
             consensus=ConsensusCoordinator(ctx))
@@ -334,8 +334,7 @@ class NodeRuntime:
     def _validator(self, msg) -> ValidatorInstance:
         inst = self.validators.get(msg.instance_id)
         if inst is None:
-            ctx = self._context(msg.instance_id,
-                                committed_hook=self._on_validator_commit)
+            ctx = self._context(msg.instance_id)
             inst = ValidatorInstance(ctx=ctx, ordering=ValidatorOrdering(ctx),
                                      consensus=ValidatorConsensus(ctx))
             self.validators[msg.instance_id] = inst
@@ -350,15 +349,14 @@ class NodeRuntime:
 
     def close(self) -> None:
         """Drop the callbacks wired between this runtime's parts: the
-        engines' send and commit hooks, the workload's capacity hook, the
-        membership units' listeners, the pingers, the byzantine actor and
-        the gossip agent's send. Each closes a reference cycle, so without
-        this a finished run lingers until the cyclic garbage collector
-        finds it. What the report and the audits read (logs, ledgers,
-        engines) stays."""
+        engines' sends, the workload's capacity hook, the membership
+        units' listeners, the pingers, the byzantine actor and the gossip
+        agent's send. Each closes a reference cycle, so without this a
+        finished run lingers until the cyclic garbage collector finds it.
+        What the report and the audits read (logs, ledgers, engines)
+        stays."""
         for inst in (*self.proposers.values(), *self.validators.values()):
             inst.ctx.send = None
-            inst.ctx.committed_hook = None
         for inst in self.proposers.values():
             inst.ordering.on_capacity = None
             inst.ctx.mmu.drop_listeners()
@@ -366,14 +364,6 @@ class NodeRuntime:
         self.actor = None
         if self.gossip is not None:
             self.gossip.send = None
-
-    def _on_validator_commit(self, commit: CommitMsg, tx) -> None:
-        # the pivot fields acks from gossip receivers, so it must know the
-        # commit hashes it may be acked for
-        if self.gossip is None or not tx.membership_links:
-            return
-        if tx.membership_links[0].booth.pivot_id == self.node_id:
-            self.gossip.expect_acks(commit.commit_hash())
 
     # -- dispatch ----------------------------------------------------------
 

@@ -11,10 +11,8 @@ pruned by age or, optionally, by a FIFO cap.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Iterator, Optional
+from typing import Optional
 
 from .errors import NotFound, StorageError
 from .codec import record
@@ -104,18 +102,6 @@ class StorageInstance:
             return "perm"
         return None
 
-    def snapshot_lines(self) -> Iterator[str]:
-        for layer_name, layer in (("temp", self.temp), ("perm", self.perm)):
-            for item in sorted(layer.values(),
-                               key=lambda s: (s.stored_at_us, s.tx_hash)):
-                yield json.dumps({
-                    "layer": layer_name,
-                    "tx_hash": item.tx_hash.hex(),
-                    "window_start_us": item.tx.window_start_us,
-                    "stored_at_us": item.stored_at_us,
-                    "entries": len(item.tx.entries),
-                }, sort_keys=True)
-
 
 class StorageMaster:
     """Owns every storage instance on one node and runs their cleanup."""
@@ -147,15 +133,3 @@ class StorageMaster:
             "rejected_reinserts": sum(s.rejected_reinserts
                                       for s in self.instances.values()),
         }
-
-    def export(self, directory: Path) -> list[Path]:
-        """One snapshot file per interface, named <instance>.<role>.log."""
-        directory.mkdir(parents=True, exist_ok=True)
-        written = []
-        for (instance_id, role), smi in sorted(self.instances.items()):
-            path = directory / f"{instance_id}.{role}.log"
-            with path.open("w", encoding="utf-8") as fh:
-                for line in smi.snapshot_lines():
-                    fh.write(line + "\n")
-            written.append(path)
-        return written

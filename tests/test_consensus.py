@@ -14,8 +14,9 @@ from vguard.consensus import (ConsensusCoordinator, ConsensusRound,
 from vguard.crypto import (SIG_LEN, AggregateSignature, aggregate,
                            make_partial, verify_partial)
 from vguard.errors import RejectReason
+from vguard.gossip import GossipAgent
 from vguard.ledger import LogEntry, commit_cert_digest, order_cert_digest
-from vguard.messages import (CommitMsg, CommitReply, PreCommitSeen,
+from vguard.messages import (CommitMsg, CommitReply, GossipAck, PreCommitSeen,
                              PreCommitUnseen)
 from test_ordering import FakeMmu, make_ctx, pivot_posing_booth, rejects
 
@@ -315,11 +316,14 @@ def commit_msg(record, **over) -> CommitMsg:
     return CommitMsg(**fields)
 
 
-def bound_engine(world, hooked=None):
+def bound_engine(world, node_id=3, gossip=False):
     pool, booth = world
     entries, record, tx = window_of(pool, booth, [0, 1])
-    ctx, sent = make_ctx(pool, node_id=3)
-    ctx.committed_hook = hooked
+    ctx, sent = make_ctx(pool, node_id=node_id)
+    if gossip:
+        ctx.env.node_id = node_id
+        ctx.gossip = GossipAgent(ctx.env, pool.registry, pool.keys[node_id],
+                                 [], 2, None, lambda dst, msg: None)
     engine = ValidatorConsensus(ctx)
     seed_log(ctx, entries, booth)
     engine.handle_seen(1, seen_msg(pool, booth, tx, 0, 1))
@@ -328,19 +332,22 @@ def bound_engine(world, hooked=None):
 
 
 def test_commit_lands_window_in_ledger(world):
-    committed = []
-    pool, booth, engine, ctx, record, tx = bound_engine(
-        world, hooked=lambda msg, tx: committed.append((msg, tx)))
-    engine.handle_commit(1, commit_msg(record))
-    assert not rejects(ctx)
-    assert ctx.ledger.has_window(0)
-    window = ctx.ledger.window(0)
-    assert window.tx.tx_hash == tx.tx_hash
-    assert window.record.cert == record.cert
-    assert committed and committed[0][1].tx_hash == tx.tx_hash
-    # replayed delivery of the identical commit is a no-op
-    engine.handle_commit(1, commit_msg(record))
-    assert ctx.ledger.has_window(0)
+    # the pivot (node 2) takes gossip acks for the commit; node 3 does not
+    for node_id, takes_acks in ((2, True), (3, False)):
+        pool, booth, engine, ctx, record, tx = bound_engine(
+            world, node_id, gossip=True)
+        engine.handle_commit(1, commit_msg(record))
+        assert not rejects(ctx)
+        assert ctx.ledger.has_window(0)
+        window = ctx.ledger.window(0)
+        assert window.tx.tx_hash == tx.tx_hash
+        assert window.record.cert == record.cert
+        ack = GossipAck(instance_id=1, sender=5,
+                        commit_hash=commit_msg(record).commit_hash())
+        assert ctx.gossip.handle_ack(5, ack) is takes_acks
+        # replayed delivery of the identical commit is a no-op
+        engine.handle_commit(1, commit_msg(record))
+        assert ctx.ledger.has_window(0)
 
 
 def test_commit_without_bound_window(world):

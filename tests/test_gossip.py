@@ -2,20 +2,22 @@
 
 Agents are wired through a synchronous FIFO queue, so delivery order is
 exactly breadth-first and reachability must equal the set of nodes within
-graph distance initial_lifetime of the proposer.
+graph distance lifetime of the proposer.
 """
 
 from __future__ import annotations
 
+import hashlib
 from collections import deque
 
 import numpy as np
 import pytest
 
 from conftest import certify_entry, commit_window, make_batch, make_booth, make_pool
-from vguard import harness
-from vguard.gossip import GossipAgent, GossipConfig
-from vguard.messages import CommitMsg, GossipMsg, TraverseHop, traverse_digest
+from vguard import gossip, harness
+from vguard.gossip import GossipAgent
+from vguard.messages import (CommitMsg, GossipAck, GossipMsg, TraverseHop,
+                             traverse_digest)
 from vguard.netsim import Network, NodeEnv, SimConfig
 from vguard.storage import GOSSIPER, RetentionPolicy, StorageMaster
 
@@ -29,12 +31,11 @@ class Mesh:
         self.queue: deque = deque()
         self.net = Network(SimConfig())
 
-    def attach(self, node_id: int, registry, key, peers, config,
+    def attach(self, node_id: int, registry, key, peers, lifetime,
                storage=None) -> GossipAgent:
         agent = GossipAgent(
             env=NodeEnv(self.net, node_id), registry=registry, key=key,
-            peers=peers,
-            config=config, storage=storage,
+            peers=peers, lifetime=lifetime, storage=storage,
             send=lambda dst, msg, src=node_id: self.queue.append(
                 (src, dst, msg)))
         self.agents[node_id] = agent
@@ -83,13 +84,11 @@ def committed():
 TREE = {1: [2, 3, 4], 2: [5, 6], 3: [7, 8], 4: [9, 10], 5: [11]}
 
 
-def build_mesh(pool, peers: dict[int, list[int]], lifetime: int,
-               **config_over) -> Mesh:
+def build_mesh(pool, peers: dict[int, list[int]], lifetime: int) -> Mesh:
     mesh = Mesh()
-    config = GossipConfig(initial_lifetime=lifetime, **config_over)
     for node_id in pool.keys:
         mesh.attach(node_id, pool.registry, pool.keys[node_id],
-                    peers.get(node_id, []), config)
+                    peers.get(node_id, []), lifetime)
     return mesh
 
 
@@ -149,25 +148,23 @@ def test_random_topologies_match_bfs_oracle(committed, lifetime):
             f"trial {trial} lifetime {lifetime}"
 
 
-def test_init_exclusions_and_fanout_cap(committed):
+def test_init_exclusions(committed):
     pool, commit_at = committed
     commit, tx = commit_at(10_000_000)
-    peers = {1: [2, 3, 4, 5, 6, 7]}
-    mesh = build_mesh(pool, peers, lifetime=1, fanout=4)
-    assert mesh.agents[1].peers == [2, 3, 4, 5]  # sorted, capped
+    peers = {1: [5, 2, 1, 3, 4]}
+    mesh = build_mesh(pool, peers, lifetime=1)
+    assert mesh.agents[1].peers == [2, 3, 4, 5]  # sorted, never itself
     mesh.agents[1].init_gossip(commit, tx, exclude={2, 3})
     mesh.run()
     assert stored_nodes(mesh, 1) == {4, 5}
 
 
-def test_zero_lifetime_disables_gossip(committed):
-    pool, commit_at = committed
-    commit, tx = commit_at(20_000_000)
-    mesh = build_mesh(pool, TREE, lifetime=0)
-    mesh.agents[1].init_gossip(commit, tx, exclude=set())
-    mesh.run()
-    assert stored_nodes(mesh, 1) == set()
-    assert counted(mesh.agents[1], "forwarded") == 0
+def test_zero_lifetime_disables_gossip():
+    result = harness.run(harness.RunSpec(pool=8, lambda0=0, duration_ms=50.0,
+                                         grace_ms=50.0, rate_per_s=100.0,
+                                         seed=2))
+    assert [n for n, runtime in result.runtimes.items()
+            if runtime.gossip is not None] == []
 
 
 def test_duplicate_commit_rejected_once_seen(committed):
@@ -178,7 +175,7 @@ def test_duplicate_commit_rejected_once_seen(committed):
     h = commit.commit_hash()
     hop = TraverseHop(lifetime=2,
                       sig=pool.keys[1].sign(traverse_digest(h, 2)), node_id=1)
-    msg = GossipMsg(instance_id=1, sender=1, commit=commit, tx=tx,
+    msg = GossipMsg(instance_id=1, sender=1, commit=commit.certified(), tx=tx,
                     traverse=(hop,))
     assert agent.handle_gossip(1, msg)
     assert not agent.handle_gossip(1, msg)
@@ -204,11 +201,12 @@ def test_traverse_rejection_matrix(committed):
 
     def msg(*hops):
         return GossipMsg(instance_id=1, sender=hops[-1].node_id,
-                         commit=commit, tx=tx, traverse=hops)
+                         commit=commit.certified(), tx=tx, traverse=hops)
 
     agent = fresh_agent()
     assert not agent.handle_gossip(1, GossipMsg(
-        instance_id=1, sender=1, commit=commit, tx=tx, traverse=()))
+        instance_id=1, sender=1, commit=commit.certified(), tx=tx,
+        traverse=()))
     assert drops(agent) == {"gossip.malformed": 1}
 
     # a forwarder inflated its remaining budget
@@ -251,15 +249,16 @@ def test_payload_must_match_committed_hash(committed):
     h = commit.commit_hash()
     hop = TraverseHop(lifetime=2,
                       sig=pool.keys[1].sign(traverse_digest(h, 2)), node_id=1)
-    wrong = GossipMsg(instance_id=1, sender=1, commit=commit, tx=other_tx,
-                      traverse=(hop,))
+    wrong = GossipMsg(instance_id=1, sender=1, commit=commit.certified(),
+                      tx=other_tx, traverse=(hop,))
     assert not agent.handle_gossip(1, wrong)
     assert drops(agent) == {"gossip.bad_hash": 1}
 
 
-def test_seen_lru_evicts_and_allows_retry(committed):
+def test_seen_lru_evicts_and_allows_retry(committed, monkeypatch):
     pool, commit_at = committed
-    mesh = build_mesh(pool, {}, lifetime=2, seen_cap=3)
+    monkeypatch.setattr(gossip, "SEEN_CAP", 3)
+    mesh = build_mesh(pool, {}, lifetime=2)
     agent = mesh.agents[4]
 
     def deliver(ts: int) -> bool:
@@ -269,8 +268,8 @@ def test_seen_lru_evicts_and_allows_retry(committed):
                           sig=pool.keys[1].sign(traverse_digest(h, 2)),
                           node_id=1)
         return agent.handle_gossip(
-            1, GossipMsg(instance_id=1, sender=1, commit=commit, tx=tx,
-                         traverse=(hop,)))
+            1, GossipMsg(instance_id=1, sender=1, commit=commit.certified(),
+                         tx=tx, traverse=(hop,)))
 
     stamps = [70_000_000, 70_100_000, 70_200_000, 70_300_000]
     for ts in stamps:
@@ -292,9 +291,8 @@ def test_ack_bookkeeping(committed):
     # each storing node acks the proposer and the pivot
     assert [counted(mesh.agents[n], "acks_sent") for n in (3, 4, 5)] == [2, 2, 0]
     # acks for commits never initiated here are rejected
-    from vguard.messages import GossipAck
     assert not bystander.handle_ack(
-        3, GossipAck(instance_id=1, sender=3, commit_hash=h, propagator=3))
+        3, GossipAck(instance_id=1, sender=3, commit_hash=h))
     assert drops(bystander) == {"gossip.unknown_commit": 1}
     assert h in root.ackable and h not in bystander.ackable
 
@@ -304,13 +302,13 @@ def test_gossip_lands_in_gossiper_storage(committed):
     commit, tx = commit_at(90_000_000)
     mesh = Mesh()
     storage = StorageMaster(6, RetentionPolicy(temp_ttl_us=10**9))
-    agent = mesh.attach(6, pool.registry, pool.keys[6], [],
-                        GossipConfig(initial_lifetime=2), storage=storage)
+    agent = mesh.attach(6, pool.registry, pool.keys[6], [], 2,
+                        storage=storage)
     h = commit.commit_hash()
     hop = TraverseHop(lifetime=1,
                       sig=pool.keys[1].sign(traverse_digest(h, 1)), node_id=1)
     assert agent.handle_gossip(
-        1, GossipMsg(instance_id=1, sender=1, commit=commit, tx=tx,
+        1, GossipMsg(instance_id=1, sender=1, commit=commit.certified(), tx=tx,
                      traverse=(hop,)))
     smi = storage.get(1, GOSSIPER)
     assert smi.lookup(tx.tx_hash) is not None
@@ -320,7 +318,8 @@ def test_gossip_lands_in_gossiper_storage(committed):
 def test_gossip_stores_at_the_time_the_commit_arrived(monkeypatch):
     """In a pool-8, lifetime-2 run every commit a gossiper stores is stored
     at the simulated time it arrived, never at time 0: storage ages its
-    entries from that time."""
+    entries from that time. Its commit record is stamped with that time,
+    as a validator stamps its own at the commit."""
     envs, arrived = {}, {}
     init, handle = GossipAgent.__init__, GossipAgent.handle_gossip
 
@@ -341,9 +340,35 @@ def test_gossip_stores_at_the_time_the_commit_arrived(monkeypatch):
     result = harness.run(harness.RunSpec(pool=8, lambda0=2, duration_ms=400.0,
                                          grace_ms=400.0, rate_per_s=100.0,
                                          seed=2))
-    stored = {(node, instance_id, item.tx_hash): item.stored_at_us
-              for node, runtime in result.runtimes.items()
-              for (instance_id, role), smi in runtime.storage.instances.items()
-              if role == GOSSIPER for item in smi.temp.values()}
+    items = {(node, instance_id, item.tx_hash): item
+             for node, runtime in result.runtimes.items()
+             for (instance_id, role), smi in runtime.storage.instances.items()
+             if role == GOSSIPER for item in smi.temp.values()}
+    stored = {key: item.stored_at_us for key, item in items.items()}
     assert stored and stored == arrived
     assert 0 not in stored.values()
+    assert all(item.record.committed_at_us == item.stored_at_us
+               for item in items.values())
+
+
+def test_gossip_frames_of_the_pool8_run_are_pinned(monkeypatch):
+    """Every `GossipMsg` frame the golden pool-8, lifetime-2 run sends,
+    hashed in send order as its 4-byte length and then its bytes: the
+    gossip wire is pinned byte for byte, which no golden digest does (no
+    golden run traces with gossip on)."""
+    from test_golden import SPECS
+
+    send, h, frames = Network.send, hashlib.sha256(), []
+
+    def hashing(net, src, dst, payload, *args, **kwargs):
+        if payload[1] == GossipMsg.TAG:
+            frames.append(payload)
+            h.update(len(payload).to_bytes(4, "big") + payload)
+        return send(net, src, dst, payload, *args, **kwargs)
+
+    monkeypatch.setattr(Network, "send", hashing)
+    harness.run(SPECS["pool8_gossip2"])
+    assert len(frames) == 28
+    assert h.hexdigest() == \
+        "31f9686439cb0818eb41f77d616d353ee62b3cfa32626b4e7552c484a07bae6f"
+

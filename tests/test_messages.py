@@ -19,7 +19,7 @@ from vguard.codec import Wire, pack
 from vguard.consensus import (ConsensusCoordinator, ConsensusRound,
                               PendingCommit, ValidatorConsensus)
 from vguard.errors import RejectReason
-from vguard.gossip import GossipAgent, GossipConfig
+from vguard.gossip import GossipAgent
 from vguard.mmu import MembershipUnit, MmuConfig
 from vguard.netsim import Category, Network, NodeEnv, SimConfig
 from vguard.ordering import (OrderingCoordinator, OrderingRound, PendingOrder,
@@ -30,10 +30,11 @@ from vguard.crypto import (AggregateSignature, Identity, PartialSignature,
 from vguard.ledger import (CommitRecord, DataBatch, DataEntry, LogEntry,
                            MembershipLink, Transaction, TxEntry,
                            commit_cert_digest, order_cert_digest)
-from vguard.messages import (WIRE_VERSION, CommitMsg, CommitReply, GossipAck,
-                             GossipMsg, OrderMsg, OrderReply, Ping, Pong,
-                             PreCommitSeen, PreCommitUnseen, PreOrder,
-                             TraverseHop, decode_message, traverse_digest)
+from vguard.messages import (WIRE_VERSION, CertifiedCommit, CommitMsg,
+                             CommitReply, GossipAck, GossipMsg, OrderMsg,
+                             OrderReply, Ping, Pong, PreCommitSeen,
+                             PreCommitUnseen, PreOrder, TraverseHop,
+                             decode_message, traverse_digest)
 
 
 @pytest.fixture(scope="module")
@@ -145,12 +146,13 @@ def test_gossip_roundtrip(world):
     hop_payload = traverse_digest(commit.commit_hash(), 2)
     hop = TraverseHop(lifetime=2, sig=pool.keys[1].sign(hop_payload),
                       node_id=1)
-    msg = GossipMsg(instance_id=1, sender=1, commit=commit, tx=tx,
-                    traverse=(hop,))
+    msg = GossipMsg(instance_id=1, sender=1, commit=commit.certified(),
+                    tx=tx, traverse=(hop,))
     decoded = roundtrip(msg)
     assert decoded.traverse[0].lifetime == 2
+    assert decoded.commit.commit_hash() == commit.commit_hash()
     roundtrip(GossipAck(instance_id=1, sender=5,
-                        commit_hash=commit.commit_hash(), propagator=5))
+                        commit_hash=commit.commit_hash()))
 
 
 def test_ping_pong_roundtrip():
@@ -319,8 +321,8 @@ def _gossip(pool, commit, tx, hops):
                     sig=pool.keys[node].sign(
                         traverse_digest(commit.commit_hash(), life)))
         for node, life in hops)
-    return GossipMsg(instance_id=1, sender=hops[-1][0], commit=commit, tx=tx,
-                     traverse=traverse)
+    return GossipMsg(instance_id=1, sender=hops[-1][0],
+                     commit=commit.certified(), tx=tx, traverse=traverse)
 
 
 def test_messages_carrying_one_booth_share_its_profile(world):
@@ -341,14 +343,14 @@ def test_messages_carrying_one_booth_share_its_profile(world):
 
 
 def test_forwarded_gossip_holds_its_commit_as_its_bytes_decode_it(world):
-    """The wire carries a gossip's commit without the commit's own instance
-    and sender; a receiver reads them from the gossip. A forwarder's gossip
-    holds the commit that way too, so it equals what its bytes parse to."""
+    """A gossip carries its commit's certified fields, without the
+    commit's instance and sender. A forwarder's gossip holds them as it got
+    them, so it equals what its bytes parse to."""
     pool, booth = world
     entry = certify_entry(pool, booth, 0, make_batch(pool))
     commit, tx = _commit_msg(pool, booth, [entry])
     forwarded = _gossip(pool, commit, tx, [(1, 2), (3, 1)])
-    assert commit.sender == 1 and forwarded.commit.sender == 3
+    assert forwarded.sender == 3 and forwarded.commit == commit.certified()
     assert messages._parse(forwarded.encode()) == forwarded
 
 
@@ -527,8 +529,7 @@ def _valid_messages() -> tuple:
         CommitReply(instance_id=1, sender=4, window_start_us=0, partial=partial),
         commit,
         _gossip(pool, commit, tx, [(1, 2), (3, 1)]),
-        GossipAck(instance_id=1, sender=5, commit_hash=commit.commit_hash(),
-                  propagator=5),
+        GossipAck(instance_id=1, sender=5, commit_hash=commit.commit_hash()),
         Ping(instance_id=0, sender=2, seq=9, sent_at_us=123),
         Pong(instance_id=0, sender=3, seq=9, sent_at_us=123),
     ]
@@ -562,7 +563,7 @@ def test_every_message_type_reaches_its_handler(monkeypatch):
     runtime = node.NodeRuntime(1, env, pool.registry, pool.keys[1],
                                node.ProtocolConfig(), 100_000,
                                gossip_peers=[2, 3, 4],
-                               gossip_config=GossipConfig())
+                               gossip_lifetime=2)
     for peer in (2, 3, 4):
         net.register(peer, lambda *args: None)
     runtime.add_proposer(1, MembershipUnit(
@@ -647,13 +648,13 @@ def test_valid_wires_decode_to_themselves_and_no_prefix_decodes():
 
 # -- the generated encoder ----------------------------------------------------
 
-def _reference(value, skip: int = 0) -> list:
-    """The fields of a `Wire` value, after the first `skip`, as `pack` takes
-    them, worked out from the annotations on every call: the packing the
-    generated encoders replaced, kept as their reference."""
+def _reference(value) -> list:
+    """The fields of a `Wire` value as `pack` takes them, worked out from
+    the annotations on every call: the packing the generated encoders
+    replaced, kept as their reference."""
     hints = get_type_hints(type(value))
     return [_reference_field(getattr(value, f.name), hints[f.name])
-            for f in dataclasses.fields(value)][skip:]
+            for f in dataclasses.fields(value)]
 
 
 def _reference_field(value, tp):
@@ -665,8 +666,6 @@ def _reference_field(value, tp):
         return [_reference_field(item, get_args(tp)[0]) for item in value]
     if tp is DataBatch:
         return [[[e.origin_seq, e.payload] for e in value.entries]]
-    if issubclass(tp, messages._Message):       # carried: the body
-        return _reference(value, skip=2)
     return _reference(value)
 
 
@@ -741,7 +740,8 @@ def _wire_examples() -> list:
     tx, booth = msgs[PreCommitUnseen].tx, msgs[PreCommitUnseen].booth
     return [*msgs.values(), booth, booth.members[0], tx, tx.entries[0],
             tx.membership_links[0], msgs[OrderReply].partial,
-            msgs[OrderMsg].cert, msgs[GossipMsg].traverse[0]]
+            msgs[OrderMsg].cert, msgs[GossipMsg].commit,
+            msgs[GossipMsg].traverse[0]]
 
 
 _U64 = st.one_of(st.sampled_from([0, 1, 2**63, 2**64 - 1]),
@@ -803,15 +803,13 @@ def _arguments(tp):
 
 _WIRE_TYPES = [*messages._BY_TAG.values(), BoothProfile, Identity,
                PartialSignature, AggregateSignature, Transaction, TxEntry,
-               MembershipLink, TraverseHop]
+               MembershipLink, CertifiedCommit, TraverseHop]
 
 
 @settings(max_examples=150, derandomize=True, deadline=None, database=None)
 @given(st.sampled_from(_WIRE_TYPES).flatmap(_values))
 def test_generated_encoders_pack_as_the_reference_does(value):
     assert _encoded(value) == _referenced(value)
-    if isinstance(value, messages._Message):      # as a carried message
-        assert value.to_field().raw == pack(_reference(value, skip=2))
 
 
 # the records whose constructor `codec.record` generates: every type a run
@@ -850,7 +848,7 @@ def test_each_record_has_a_generated_constructor():
             if cls.__dataclass_params__.init] == []
     # built once per run: dataclass's own constructor
     assert all(cls.__dataclass_params__.init for cls in (
-        SimConfig, MmuConfig, GossipConfig, node.ProtocolConfig,
+        SimConfig, MmuConfig, node.ProtocolConfig,
         harness.RunSpec))
 
 

@@ -8,7 +8,6 @@ The acceptance suite reruns it at larger scale.
 
 from __future__ import annotations
 
-import json
 
 import numpy as np
 import pytest
@@ -126,21 +125,6 @@ def test_master_cleanup_and_totals():
     assert master.totals() == {"temp": 2, "perm": 1, "rejected_reinserts": 0}
     assert master.cleanup(now_us=120) == 2
     assert master.totals() == {"temp": 0, "perm": 1, "rejected_reinserts": 0}
-
-
-def test_export_writes_one_snapshot_per_interface(tmp_path):
-    master = StorageMaster(7)
-    master.get(1, PROPOSER).register_to_temp(tx_at(0), None, now_us=3)
-    smi = master.get(2, GOSSIPER)
-    smi.register_to_temp(tx_at(1), None, now_us=4)
-    smi.move_to_perm(tx_at(1).tx_hash)
-    paths = master.export(tmp_path)
-    assert sorted(p.name for p in paths) == ["1.proposer.log", "2.gossiper.log"]
-    lines = [json.loads(line) for line in
-             (tmp_path / "2.gossiper.log").read_text().splitlines()]
-    assert lines == [{"layer": "perm", "tx_hash": tx_at(1).tx_hash.hex(),
-                      "window_start_us": DELTA, "stored_at_us": 4,
-                      "entries": 0}]
 
 
 # -- randomized sequences ---------------------------------------------------

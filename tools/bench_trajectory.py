@@ -311,10 +311,10 @@ def _messages(booth, keys, entries, record, tx) -> dict:
             partial=commit_reply),
         "CommitMsg": commit,
         "GossipMsg": lambda: GossipMsg(
-            instance_id=1, sender=1, commit=commit(), tx=tx(),
+            instance_id=1, sender=1, commit=commit().certified(), tx=tx(),
             traverse=(hop,)),
         "GossipAck": lambda: GossipAck(
-            instance_id=1, sender=3, commit_hash=commit_hash, propagator=3),
+            instance_id=1, sender=3, commit_hash=commit_hash),
         "Ping": lambda: Ping(instance_id=0, sender=2, seq=9,
                              sent_at_us=123_456),
         "Pong": lambda: Pong(instance_id=0, sender=3, seq=9,
