@@ -28,6 +28,8 @@ from .errors import RejectReason
 
 @record
 class BoothProfile(Wire):
+    """A booth: its proposer, pivot, composition time and members."""
+
     proposer_id: int
     pivot_id: int
     created_at_us: int

@@ -47,7 +47,6 @@ bytes they were decoded from.
 from __future__ import annotations
 
 import hashlib
-import inspect
 import struct
 from dataclasses import MISSING, dataclass, fields
 from enum import Enum
@@ -419,7 +418,6 @@ def record(cls: type) -> type:
     fields, in the class or a base, as None. A field it could not take so
     (a default factory, `init=False`, keyword-only, an `InitVar`) is
     refused when the class is made."""
-    doc = cls.__doc__
     cls = dataclass(frozen=True, init=False)(cls)
     fields_ = fields(cls)
     names = [f.name for f in fields_]
@@ -449,8 +447,6 @@ def record(cls: type) -> type:
     exec(f"def __init__(self{params}):\n {stores}{post}", scope)
     cls.__init__ = scope["__init__"]
     cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
-    if doc is None:             # dataclass's, from the constructor it saw
-        cls.__doc__ = cls.__name__ + str(inspect.signature(cls))
     return cls
 
 

@@ -47,6 +47,8 @@ from .storage import PROPOSER, VALIDATOR
 
 @dataclass(slots=True)
 class ConsensusRound(QuorumRound):
+    """A commit round over one window's transaction."""
+
     tx: Transaction
     demoted: frozenset[int] = frozenset()
 
@@ -176,6 +178,8 @@ class ConsensusCoordinator(RoundCoordinator):
 
 @dataclass(slots=True)
 class PendingCommit:
+    """A pre-commit a validator holds until the window's commit."""
+
     booth: BoothProfile
     tx_hash: bytes
     tx: Optional[Transaction]            # full tx on the unseen path

@@ -23,12 +23,15 @@ scheme could replace it without touching callers.
 A run does its deterministic work once: `recall(key, compute, *args)`
 returns what `compute(*args)` returned for `key` earlier in the run, from
 one memo. Each key names its kind first and holds every input of its
-result. A "sig" key (verify key, digest, signature) holds the bool one
-real Ed25519 check returned, for accepts and rejects alike; that check
-parses the key through a "pub" key. Signing fills the memo too: Ed25519
-signing is deterministic and `sign(sk, m)` always verifies under `pk(sk)`
-(RFC 8032), so `SigningKey.sign` `remember`s its own "sig" key as True,
-and signs each "sign" key (verify key, digest) once. A raw
+result. Signing keeps one entry per signature: `SigningKey.sign` signs
+each "sign" key (verify key, digest) once and holds the signature it made.
+Ed25519 signing is deterministic and `sign(sk, m)` always verifies under
+`pk(sk)` (RFC 8032), so `verify_raw` accepts, with no check, exactly the
+signature a "sign" entry holds for its key and digest. Any other bytes get
+one real Ed25519 check, whose bool, for accepts and rejects alike, a "sig"
+key (verify key, digest, signature) holds; that check parses the key
+through a "pub" key. So a "sig" entry is only ever a signature this run
+did not make, or one whose "sign" entry was dropped. A raw
 `Ed25519PrivateKey` records nothing; a flipped bit in any input is another
 key. The other kinds are "cert" (`BoothProfile.check_certified`'s reason
 and verify charge, keyed on booth hash, certificate, digest, the
@@ -136,15 +139,12 @@ class SigningKey:
 
     def _signed(self, payload_digest: bytes) -> bytes:
         if _sodium_sign is None:
-            sig = self._key.sign(payload_digest)
-        else:
-            out = self._out
-            if _sodium_sign(out, None, payload_digest, len(payload_digest),
-                            self._secret):
-                raise RuntimeError("crypto_sign_ed25519_detached failed")
-            sig = out.raw
-        remember(("sig", self.verify_key, payload_digest, sig), True)
-        return sig
+            return self._key.sign(payload_digest)
+        out = self._out
+        if _sodium_sign(out, None, payload_digest, len(payload_digest),
+                        self._secret):
+            raise RuntimeError("crypto_sign_ed25519_detached failed")
+        return out.raw
 
 
 def make_identity(node_id: int, role: Role, seed: bytes,
@@ -185,6 +185,8 @@ def recall(key: tuple, compute: Callable[..., object], *args):
 
 
 def verify_raw(verify_key: bytes, payload_digest: bytes, sig: bytes) -> bool:
+    if _memo.get(("sign", verify_key, payload_digest)) == sig:
+        return True                         # the signature this run made
     return recall(("sig", verify_key, payload_digest, sig), _really_verifies,
                   verify_key, payload_digest, sig)
 

@@ -49,6 +49,8 @@ from .errors import DuplicateOrderingId, RejectReason, WindowError
 
 @dataclass(frozen=True)
 class DataEntry:
+    """One client payload and the sequence number its origin gave it."""
+
     origin_seq: int
     payload: bytes
 
@@ -311,6 +313,8 @@ class Transaction(Wire):
 
 @record
 class CommitRecord:
+    """A window's commit: start, booth, certificate and tx hash."""
+
     consensus_id: int                  # window start, microseconds
     booth_hash: bytes                  # consensus booth
     cert: AggregateSignature
@@ -325,6 +329,8 @@ class CommitRecord:
 
 @dataclass
 class CommittedWindow:
+    """A committed window in a ledger: its record and transaction."""
+
     record: CommitRecord
     tx: Transaction
 
@@ -463,6 +469,8 @@ def uncertified_entries(tx: Transaction, registry: KeyService, meter=None
 
 @dataclass
 class ChainCheck:
+    """What `verify_chain` found: a verdict, violations and counts."""
+
     ok: bool
     violations: list[str] = field(default_factory=list)
     windows_checked: int = 0

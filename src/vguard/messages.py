@@ -48,6 +48,8 @@ WIRE_VERSION = 1
 
 @record
 class _Message(Wire):
+    """The fields every message starts with: instance and sender."""
+
     TAG: ClassVar[int] = 0
 
     __slots__ = ("_wire",)          # the encoding, once `encode` made it
@@ -228,6 +230,8 @@ class GossipAck(_Message):
 
 @record
 class Ping(_Message):
+    """A proposer's liveness probe, stamped with its send time."""
+
     TAG: ClassVar[int] = 10
 
     seq: int
@@ -236,6 +240,8 @@ class Ping(_Message):
 
 @record
 class Pong(_Message):
+    """The answer to a ping: its sequence number and send time."""
+
     TAG: ClassVar[int] = 11
 
     seq: int

@@ -29,6 +29,8 @@ from .netsim import NodeEnv
 
 @dataclass
 class MmuConfig:
+    """Booth queue depth, round-trip smoothing and ping settings."""
+
     queue_depth: int = field(default=4, metadata=POSITIVE)
     ewma_alpha: float = field(default=0.2, metadata=AT_MOST_ONE)
     ping_period_ms: float = field(default=20.0, metadata=POSITIVE)
@@ -37,6 +39,8 @@ class MmuConfig:
 
 @dataclass
 class NodeStatus:
+    """One member as its membership unit sees it: up, and its RTT."""
+
     up: bool = True
     rtt_ewma_ms: float = 0.0
     have_rtt: bool = False
@@ -48,6 +52,8 @@ _RTT = attrgetter("rtt_ewma_ms")
 
 @dataclass
 class QueuedBooth:
+    """A queued booth and the statuses of its members."""
+
     profile: BoothProfile
     statuses: list[NodeStatus]          # its members', in member order
 

@@ -99,6 +99,8 @@ class CostModel:
 
 @dataclass(frozen=True)
 class SimConfig:
+    """The simulated network: delays, faults, bandwidth and costs."""
+
     seed: int = 0             # a run sets it from `RunSpec.seed`
     delay_mean_ms: float = 1.0
     delay_sd_ms: float = 0.2
@@ -184,6 +186,8 @@ class CostMeter:
 
 @dataclass
 class ChurnEvent:
+    """One node going up or down at a simulated time."""
+
     at_ms: float
     node_id: int
     up: bool

@@ -34,6 +34,8 @@ from .storage import StorageMaster
 
 @dataclass(frozen=True)
 class ProtocolConfig:
+    """Round timeouts, retries and in-flight limits of the engines."""
+
     timeout_floor_ms: float = 25.0
     timeout_factor: float = 4.0
     max_retries: int = 50
@@ -96,6 +98,8 @@ class InstanceContext:
 
 @dataclass
 class ProposerInstance:
+    """A node's proposer side of one instance."""
+
     ctx: InstanceContext
     ordering: OrderingCoordinator
     consensus: ConsensusCoordinator
@@ -103,6 +107,8 @@ class ProposerInstance:
 
 @dataclass
 class ValidatorInstance:
+    """A node's validator side of one instance."""
+
     ctx: InstanceContext
     ordering: ValidatorOrdering
     consensus: ValidatorConsensus

@@ -203,6 +203,8 @@ class RoundCoordinator:
 
 @dataclass(slots=True)
 class OrderingRound(QuorumRound):
+    """An ordering round over one batch, and its submit time."""
+
     batch: DataBatch
     submitted_at_us: int
 
@@ -347,6 +349,8 @@ def booth_certified(ctx, src: int, msg, booth: BoothProfile,
 
 @dataclass(slots=True)
 class PendingOrder:
+    """A pre-order a validator holds until the batch's order."""
+
     batch: DataBatch
     booth: BoothProfile
 

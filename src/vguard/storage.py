@@ -28,6 +28,8 @@ DEFAULT_TEMP_TTL_US = 24 * 3600 * 1_000_000   # prune temp entries older than a 
 
 @record
 class StoredTx:
+    """A stored transaction, its commit record and its store time."""
+
     tx_hash: bytes
     tx: Transaction
     record: Optional[CommitRecord]

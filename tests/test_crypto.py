@@ -287,14 +287,49 @@ def test_a_full_memo_drops_only_its_older_half(monkeypatch):
 
 
 def test_signing_records_its_triple_and_needs_no_real_check(real_checks):
+    """Signing keeps one entry, (key, digest) -> signature, and a check of
+    that very signature is answered from it: no real check, no "sig"
+    entry."""
     ident, key = make_identity(5, Role.VEHICLE, _rng(6).bytes(32))
     payload = digest("t", b"signed here")
     sig = key.sign(payload)
-    assert crypto._memo == {("sig", ident.verify_key, payload, sig): True,
-                            ("sign", ident.verify_key, payload): sig}
+    assert crypto._memo == {("sign", ident.verify_key, payload): sig}
     assert verify_raw(ident.verify_key, payload, sig)
     assert verify_partial(make_partial(key, payload), ident.verify_key)
     assert real_checks == []
+    assert crypto._memo == {("sign", ident.verify_key, payload): sig}
+
+
+def _malleated(sig: bytes) -> bytes:
+    """`sig` with its scalar S replaced by S + L, the group order: the same
+    point equation, in bytes that RFC 8032 requires a verifier to refuse."""
+    order = 2 ** 252 + 27742317777372353535851937790883648493
+    scalar = int.from_bytes(sig[32:], "little") + order
+    return sig[:32] + scalar.to_bytes(32, "little")
+
+
+def test_other_bytes_for_a_signed_digest_get_a_real_check(real_checks):
+    """Only the exact signature signing made for a (key, digest) skips the
+    real check: any other bytes offered for that pair get one, are
+    rejected, and are memoised as a "sig" verdict beside the "sign"
+    entry, which they leave as it was."""
+    ident, key = make_identity(5, Role.VEHICLE, _rng(12).bytes(32))
+    _, other_key = make_identity(6, Role.VEHICLE, _rng(13).bytes(32))
+    payload = digest("t", b"signed, then forged")
+    sig = key.sign(payload)
+    vk = ident.verify_key
+    others = [other_key.sign(payload), key.sign(digest("t", b"elsewhere")),
+              sig[:-1] + bytes([sig[-1] ^ 1]), _malleated(sig), bytes(64),
+              sig[:63], sig + b"\x00"]
+    for count, forged in enumerate(others, start=1):
+        assert not verify_raw(vk, payload, forged)
+        assert len(real_checks) == count
+        assert crypto._memo[("sig", vk, payload, forged)] is False
+        assert not verify_raw(vk, payload, forged)      # the memoised verdict
+        assert len(real_checks) == count
+    assert crypto._memo[("sign", vk, payload)] == sig
+    assert verify_raw(vk, payload, sig)
+    assert len(real_checks) == len(others)
 
 
 def test_one_flipped_bit_after_signing_gets_a_real_check(real_checks):

@@ -337,12 +337,14 @@ def _really_verifies(key: bytes, payload: bytes, sig: bytes) -> bool:
 @pytest.mark.parametrize("name", sorted(SPECS))
 def test_memo_answers_what_a_real_verify_would(name, monkeypatch,
                                                real_checks):
-    """Signing records its triples as valid, so no golden run makes a real
-    Ed25519 check: honest signatures were all made in this process, and
-    every forgery in these specs fails a digest, quorum or signer check
-    before its signature is looked at. Each memo entry left at the end of
-    the run, whether it came from signing or from a check, must be what a
-    fresh real verify returns."""
+    """A check of a signature the run made is answered from its "sign"
+    entry, so no golden run makes a real Ed25519 check: honest signatures
+    were all made in this process, and every forgery in these specs fails
+    a digest, quorum or signer check before its signature is looked at.
+    At the end of the run, every signature a "sign" entry holds must pass
+    a fresh real verify, and every "sig" verdict, which only a signature
+    the run did not make may have, must be what a fresh real verify
+    returns."""
     snapshots = []
     clear = crypto.clear_caches
 
@@ -353,10 +355,14 @@ def test_memo_answers_what_a_real_verify_would(name, monkeypatch,
     monkeypatch.setattr(crypto, "clear_caches", snapshot_then_clear)
     run(SPECS[name])
     assert real_checks == []
-    memo = {key[1:]: ok for key, ok in snapshots[-1].items()  # at run end
-            if key[0] == "sig"}
-    assert memo
-    for (key, payload, sig), ok in memo.items():
+    at_end = snapshots[-1]
+    signed = {key[1:]: sig for key, sig in at_end.items() if key[0] == "sign"}
+    checked = {key[1:]: ok for key, ok in at_end.items() if key[0] == "sig"}
+    assert signed
+    for (key, payload), sig in signed.items():
+        assert _really_verifies(key, payload, sig)
+    for (key, payload, sig), ok in checked.items():
+        assert signed.get((key, payload)) != sig
         assert ok == _really_verifies(key, payload, sig)
 
 

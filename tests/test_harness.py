@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from vguard import cli, crypto, harness, messages, netsim, node
 from vguard.bench import run_benchmark
@@ -882,3 +882,50 @@ def test_latency_percentiles_equal_one_percentile_call_each(values_us):
     arr = np.asarray(values_us, dtype=np.float64) / 1000.0
     assert harness._percentiles_ms(values_us) == {
         f"p{q}": round(float(np.percentile(arr, q)), 3) for q in (50, 95, 99)}
+
+
+_TIED = st.lists(st.integers(0, 10**9), min_size=1, max_size=3).flatmap(
+    lambda pool: st.lists(st.sampled_from(pool), max_size=2000))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(st.one_of(st.lists(st.integers(0, 10**9), max_size=2000), _TIED))
+@example([])
+@example([7])
+@example([5, 5, 5, 5])
+@example([0, 10**9])
+def test_latency_percentiles_are_numpy_linear_percentiles(values_us):
+    """The report's percentiles are what one `np.percentile` call over all
+    three gives, rounded to 3 places and as floats, so `report.json` reads
+    the same; with no samples, each is 0.0."""
+    got = harness._percentiles_ms(values_us)
+    if values_us:
+        ms = np.percentile(np.asarray(values_us, np.float64) / 1000,
+                           (50, 95, 99))
+        assert got == {key: round(float(value), 3)
+                       for key, value in zip(("p50", "p95", "p99"), ms)}
+    else:
+        assert got == {"p50": 0.0, "p95": 0.0, "p99": 0.0}
+    assert all(type(value) is float for value in got.values())
+
+
+def test_a_run_and_its_report_never_import_numpy_ma():
+    """`np.percentile` imports `numpy.ma`, which no run needs: a golden run,
+    report included, leaves it unloaded in a fresh process."""
+    root = Path(__file__).resolve().parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root.parent / "src"), str(root),
+                    env.get("PYTHONPATH")) if p)
+    code = ("import json, sys\n"
+            "from test_golden import SPECS\n"
+            "from vguard import harness\n"
+            "before = 'numpy.ma' in sys.modules\n"
+            "report = harness.run(SPECS['clean_n4']).report\n"
+            "print(json.dumps([before, 'numpy.ma' in sys.modules,\n"
+            "                  report['instances'][0]['committed_batches']]))\n")
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    before, after, committed = json.loads(out.stdout)
+    assert (before, after) == (False, False)
+    assert committed > 0

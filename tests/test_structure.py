@@ -211,6 +211,29 @@ def test_each_wire_layout_is_declared_once():
     assert [cls.__name__ for cls in CARRIED if not issubclass(cls, Wire)] == []
 
 
+def test_every_dataclass_declares_its_own_docstring():
+    """`dataclass` makes a class without a docstring one from its
+    constructor's signature, through `inspect.signature`, as each module
+    is imported; a class that declares its own costs nothing."""
+    undocumented = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef) and any(
+                    _called(dec) in ("dataclass", "record")
+                    for dec in node.decorator_list) and \
+                    ast.get_docstring(node) is None:
+                undocumented.append(f"{path.stem}:{node.name}")
+    assert undocumented == []
+
+
+def _called(decorator: ast.expr) -> str:
+    """The name a decorator is, or calls: `dataclass` for
+    `@dataclass(slots=True)`."""
+    if isinstance(decorator, ast.Call):
+        decorator = decorator.func
+    return getattr(decorator, "id", getattr(decorator, "attr", ""))
+
+
 def test_no_module_imports_a_name_it_never_uses(monkeypatch):
     tracer = _load_perfbench("tracer", monkeypatch)
     required = {(module.rsplit(".", 1)[1], name) for name, modules

@@ -47,6 +47,13 @@ it records what the traced benchmark cannot show:
   of the report as `report.json` holds it. A run memo that forgets what a
   long run already checked shows here as real work repeated, and one that
   grows with the run's length shows in its entry counts;
+- `cold_start`: over `COLD_STARTS` fresh child processes, the median
+  seconds of `import vguard.harness`, the median growth of the process's
+  peak RSS across it (VmHWM, the `ru_maxrss` of a process that started
+  from nothing larger), and the modules that a first run (the `COLD_RUN`
+  spec) imports beyond that import, which must be the same in every
+  child. What a process pays before its first run, and what a report
+  loads that no run needs, show here;
 - `src_lines`: the lines of each `src/vguard` module and their total, the
   code size that each change reports.
 
@@ -96,6 +103,31 @@ SCHEDULER_PENDING = 256
 LONG_WINDOW = 112
 BUILD_CALLS = 1000
 LONG_RUN_MS = (800.0, 1600.0)
+COLD_STARTS = 7
+# the clean_n4 golden spec: a short open-loop run of one booth of four
+COLD_RUN = "harness.RunSpec(duration_ms=300.0, grace_ms=300.0, " \
+    "rate_per_s=100.0, seed=21)"
+# A child's `ru_maxrss` starts at its parent's peak on Linux, so the child
+# reads its own peak, VmHWM, where the kernel shows it.
+_COLD_CHILD = f"""
+import json, resource, sys, time
+def peak_kb():
+    try:
+        with open("/proc/self/status") as status:
+            return next(int(line.split()[1]) for line in status
+                        if line.startswith("VmHWM:"))
+    except OSError:
+        return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+rss = peak_kb()
+start = time.perf_counter()
+from vguard import harness
+import_s = time.perf_counter() - start
+grown = peak_kb() - rss
+loaded = set(sys.modules)
+harness.run({COLD_RUN})
+print(json.dumps({{"import_s": import_s, "import_rss_kb": grown,
+                  "first_run_imports": sorted(set(sys.modules) - loaded)}}))
+"""
 
 
 def bench_run(workload: str, seconds: float, trace: int) -> dict:
@@ -463,6 +495,28 @@ def long_run(duration_ms: float) -> dict:
             "report_sha256": hashlib.sha256(report.encode()).hexdigest()}
 
 
+def cold_start() -> dict:
+    """`_COLD_CHILD` in COLD_STARTS fresh processes: the medians of the
+    import's seconds and peak-RSS growth, and the modules a first run
+    imports, which differ between processes only by an error."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    children = [json.loads(subprocess.run(
+        [sys.executable, "-c", _COLD_CHILD], cwd=ROOT, env=env,
+        stdout=subprocess.PIPE, text=True, check=True).stdout)
+        for _ in range(COLD_STARTS)]
+    imports = {tuple(child["first_run_imports"]) for child in children}
+    if len(imports) != 1:
+        raise RuntimeError(f"first runs import different modules: {imports}")
+    return {"processes": COLD_STARTS, "run": COLD_RUN,
+            "import_s": round(statistics.median(
+                c["import_s"] for c in children), 4),
+            "import_rss_mb": round(statistics.median(
+                c["import_rss_kb"] for c in children) / 1024, 2),
+            "first_run_imports": list(imports.pop())}
+
+
 def src_lines() -> dict:
     """Lines of each module of `src/vguard`, and their total."""
     modules = {path.name: len(path.read_text(encoding="utf-8").splitlines())
@@ -524,6 +578,7 @@ def main(argv=None) -> int:
         "signatures_per_unit": signatures_per_unit(load_workloads()),
         "bytecodes_per_unit": bytecodes_per_unit(names),
         "long_run": [long_run(ms) for ms in LONG_RUN_MS],
+        "cold_start": cold_start(),
         "src_lines": src_lines(),
     }
     args.out.write_text(json.dumps(out, indent=1, sort_keys=True) + "\n",
