@@ -20,7 +20,8 @@ failed to reply are demoted to the full-payload path, so a member that
 missed entries (drops, late arrival) can still countersign on retry; a
 lost booth demotes no one. The window timestamp binds each member to a
 single transaction hash, which is what makes the timestamp a safe dedup
-key across retries. An empty window settles with no round, as covered.
+key across retries. An empty window settles with no round, as covered; a
+window given up settles as skipped, so it holds back no later window.
 
 Commits release in window order on the proposer, so its ledger tiles the
 timeline; validators append whatever commits reach them and may hold gaps.
@@ -42,7 +43,6 @@ from .messages import (CommitMsg, CommitReply, PreCommitSeen, PreCommitUnseen)
 from .netsim import Category
 from .ordering import (QuorumRound, RoundCoordinator, booth_admitted,
                        booth_certified, proposer_signed)
-from .storage import PROPOSER, VALIDATOR
 
 
 @dataclass(slots=True)
@@ -130,11 +130,12 @@ class ConsensusCoordinator(RoundCoordinator):
         self._take_reply(src, msg.window_start_us, msg.partial)
 
     def _release(self, ts: int, rnd: Optional[ConsensusRound]) -> None:
-        """Commit a certified window and send it to the booth, storage and
-        gossip; an empty window is recorded as covered."""
+        """Commit a certified window and send it to the booth and gossip;
+        an empty window is recorded as covered, a given-up one not at all."""
         ctx = self.ctx
         if rnd is None:
-            ctx.ledger.mark_covered(ts)
+            if ts not in self.retired_ids:
+                ctx.ledger.mark_covered(ts)
             return
         tx, booth = rnd.tx, rnd.booth
         record = CommitRecord(
@@ -153,9 +154,6 @@ class ConsensusCoordinator(RoundCoordinator):
             tx_hash=record.tx_hash)
         for v in booth.validators():
             ctx.send(v, commit, Category.CONSENSUS, ts)
-        if ctx.storage is not None:
-            smi = ctx.storage.get(ctx.instance_id, PROPOSER)
-            smi.register_to_temp(tx, record, ctx.env.now_us())
         if ctx.gossip is not None:
             ctx.gossip.init_gossip(commit, tx,
                                    exclude=set(booth.member_ids))
@@ -172,6 +170,7 @@ class ConsensusCoordinator(RoundCoordinator):
     def _give_up(self, ts: int, rnd: ConsensusRound) -> None:
         self.ctx.count("stalled_windows")
         self.ctx.diag(RejectReason.EXPIRED)
+        self._retire(ts)
 
 
 # -- validator side -------------------------------------------------------
@@ -310,9 +309,6 @@ class ValidatorConsensus:
             committed_at_us=ctx.env.now_us())
         ctx.ledger.note_booth(booth)
         ctx.ledger.append_commit(record, tx)
-        if ctx.storage is not None:
-            smi = ctx.storage.get(ctx.instance_id, VALIDATOR)
-            smi.register_to_temp(tx, record, ctx.env.now_us())
         # gossip receivers ack the pivot, which takes acks only for the
         # commits it knows
         if (ctx.gossip is not None and tx.membership_links

@@ -27,7 +27,7 @@ from .errors import RejectReason, UnknownNode
 from .ledger import CommitRecord
 from .messages import CommitMsg, GossipAck, GossipMsg, TraverseHop, traverse_digest
 from .netsim import NodeEnv
-from .storage import GOSSIPER, StorageMaster
+from .storage import StorageMaster
 
 SEEN_CAP = 10_000           # commit hashes an agent remembers
 
@@ -141,7 +141,7 @@ class GossipAgent:
             tx_hash=commit.tx_hash,
             committed_at_us=now_us,
         )
-        smi = self.storage.get(msg.instance_id, GOSSIPER)
+        smi = self.storage.get(msg.instance_id)
         smi.register_to_temp(msg.tx, record, now_us)
 
     def _ack(self, msg: GossipMsg, commit_hash: bytes) -> None:

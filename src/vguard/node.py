@@ -78,7 +78,6 @@ class InstanceContext:
     log: TotalOrderLog
     ledger: Ledger
     metrics: MetricSink
-    storage: Optional[StorageMaster] = None
     gossip: Optional[GossipAgent] = None
     mmu: Optional[MembershipUnit] = None
 
@@ -313,7 +312,7 @@ class NodeRuntime:
             send=lambda dst, msg, cat, sub: self.send_msg(
                 dst, msg, cat, (instance_id, sub)),
             log=log, ledger=self.ledgers[instance_id],
-            metrics=MetricSink(), storage=self.storage, gossip=self.gossip,
+            metrics=MetricSink(), gossip=self.gossip,
             **role)
 
     def add_proposer(self, instance_id: int, mmu: MembershipUnit) -> ProposerInstance:

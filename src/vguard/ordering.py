@@ -104,7 +104,7 @@ class RoundCoordinator:
     one; parked keys resume in key order. A round that times out or loses
     its booth is tried again until `max_retries` tries have failed,
     whatever ended each. Keys release in key order, each settled certified
-    or skipped (None: a retired id or an empty window). A subclass gives
+    or skipped (None: a retired key or an empty window). A subclass gives
     `_digest`, `_propose` (send; the extra wait), `_release`, `_again`,
     `_give_up` and, to start queued work, `_pump`."""
 
@@ -117,7 +117,7 @@ class RoundCoordinator:
         # closed keys wait here until every smaller key has closed, so the
         # log and the ledger see keys in order
         self.settled: dict[int, Optional[QuorumRound]] = {}
-        self.retired_ids: set[int] = set()   # ordering's; consensus has none
+        self.retired_ids: set[int] = set()   # keys settled as skipped
         ctx.mmu.on_booth_invalidated(self._booth_lost)
         ctx.mmu.on_booth_available(self._unpark)
 
@@ -196,6 +196,12 @@ class RoundCoordinator:
                 return
             self._open(key, self.parked.pop(key))
         self._pump()
+
+    def _retire(self, key: int) -> None:
+        """Settle `key` as skipped: it releases nothing, a late reply to it
+        counts stale, and it holds back no later key."""
+        self.retired_ids.add(key)
+        self._settle(key, None)
 
     def _pump(self) -> None:
         """Start queued work once a round frees capacity; none by default."""
@@ -285,11 +291,6 @@ class OrderingCoordinator(RoundCoordinator):
         self._retire(oid)
         self.ctx.count("abandoned_batches")
         self._pump()
-
-    def _retire(self, oid: int) -> None:
-        """Ids are never reused, so validator logs stay conflict-free."""
-        self.retired_ids.add(oid)
-        self._settle(oid, None)
 
     def _pump(self) -> None:
         while self.backlog and len(self.rounds) < self.ctx.config.max_inflight:

@@ -1,9 +1,9 @@
-"""Two-layer commit storage behind per-instance storage interfaces.
+"""Two-layer storage of the commits a node learned through gossip alone.
 
-Each node runs one storage master. The master hands out storage instances
-keyed by (consensus instance, role); a node holds at most one proposer
-interface, one validator interface per instance it validates in, and one
-gossiper interface per instance it overhears. Every interface keeps a
+A node's ledger is its one record of the windows it committed; storage
+keeps what the ledger cannot, the commits gossip brought, and the gossip
+agent is its one writer. Each node runs one storage master, which hands
+out one storage instance per consensus instance. Every instance keeps a
 temporary layer for fresh commits and a permanent layer for archived ones;
 a transaction lives in exactly one layer at a time. The temporary layer is
 pruned by age or, optionally, by a FIFO cap.
@@ -14,14 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import NotFound, StorageError
+from .errors import NotFound
 from .codec import record
 from .ledger import CommitRecord, Transaction
-
-PROPOSER = "proposer"
-VALIDATOR = "validator"
-GOSSIPER = "gossiper"
-_ROLES = (PROPOSER, VALIDATOR, GOSSIPER)
 
 DEFAULT_TEMP_TTL_US = 24 * 3600 * 1_000_000   # prune temp entries older than a day
 
@@ -44,14 +39,10 @@ class RetentionPolicy:
 
 
 class StorageInstance:
-    def __init__(self, instance_id: int, role: str):
-        if role not in _ROLES:
-            raise StorageError(f"unknown storage role {role!r}")
+    def __init__(self, instance_id: int):
         self.instance_id = instance_id
-        self.role = role
         self.temp: dict[bytes, StoredTx] = {}
         self.perm: dict[bytes, StoredTx] = {}
-        self.rejected_reinserts = 0
 
     def register_to_temp(self, tx: Transaction, record: Optional[CommitRecord],
                          now_us: int) -> bool:
@@ -59,7 +50,6 @@ class StorageInstance:
         touching anything when the transaction is already archived."""
         h = tx.tx_hash
         if h in self.perm:
-            self.rejected_reinserts += 1
             return False
         if h not in self.temp:
             self.temp[h] = StoredTx(h, tx, record, now_us)
@@ -94,16 +84,6 @@ class StorageInstance:
                 removed += 1
         return removed
 
-    def lookup(self, tx_hash: bytes) -> Optional[StoredTx]:
-        return self.temp.get(tx_hash) or self.perm.get(tx_hash)
-
-    def layer_of(self, tx_hash: bytes) -> Optional[str]:
-        if tx_hash in self.temp:
-            return "temp"
-        if tx_hash in self.perm:
-            return "perm"
-        return None
-
 
 class StorageMaster:
     """Owns every storage instance on one node and runs their cleanup."""
@@ -111,17 +91,12 @@ class StorageMaster:
     def __init__(self, node_id: int, policy: Optional[RetentionPolicy] = None):
         self.node_id = node_id
         self.policy = policy or RetentionPolicy()
-        self.instances: dict[tuple[int, str], StorageInstance] = {}
+        self.instances: dict[int, StorageInstance] = {}
 
-    def get(self, instance_id: int, role: str) -> StorageInstance:
-        key = (instance_id, role)
-        smi = self.instances.get(key)
+    def get(self, instance_id: int) -> StorageInstance:
+        smi = self.instances.get(instance_id)
         if smi is None:
-            if role == PROPOSER and any(r == PROPOSER for _, r in self.instances):
-                raise StorageError(
-                    f"node {self.node_id} already holds a proposer interface")
-            smi = StorageInstance(instance_id, role)
-            self.instances[key] = smi
+            smi = self.instances[instance_id] = StorageInstance(instance_id)
         return smi
 
     def cleanup(self, now_us: int) -> int:
@@ -132,6 +107,4 @@ class StorageMaster:
         return {
             "temp": sum(len(s.temp) for s in self.instances.values()),
             "perm": sum(len(s.perm) for s in self.instances.values()),
-            "rejected_reinserts": sum(s.rejected_reinserts
-                                      for s in self.instances.values()),
         }

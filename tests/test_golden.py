@@ -60,6 +60,11 @@ SPECS = {
         sim=SimConfig(seed=0, drop_rate=0.03, dup_rate=0.02, gst_ms=150.0)),
 }
 
+# the report with its `storage` block removed pins every other report key:
+# these held when every report digest here and in GOLDEN_SIZE_BLIND moved,
+# as storage stopped holding a second copy of each node's own commits
+WITHOUT_STORAGE = "report.json without storage"
+
 GOLDEN = {
     "clean_n4": {
         "ledger-1-1.jsonl":
@@ -71,7 +76,9 @@ GOLDEN = {
         "ledger-1-4.jsonl":
             "113e78c51b5c49a3cfd302c100ceba64316af3e1735adf6bd96842512f8778d4",
         "report.json":
-            "b674f8237d0ba7a4cd5697f50ba4ac10f0a8b9f8aa7e70fc3be4b5377260c2f7",
+            "fef3bfae88d1a442f29ce3283b6d453c7e6f954efcdbe566f0d058ea7d16017e",
+        WITHOUT_STORAGE:
+            "2c68604f7b11db26a746597eb049b8218e81452af99f0dacbfc9b41b64ccaa48",
     },
     "forging_quorum_n4": {
         "ledger-1-1.jsonl":
@@ -83,7 +90,9 @@ GOLDEN = {
         "ledger-1-4.jsonl":
             "77018b1bab044c858b19de15fa91db9419093ca085c640b154b949606553d9f4",
         "report.json":
-            "f712dd864d12395dc41770e88bb47b5c8ec115c3934f0c3353e5d8b0648419ac",
+            "b5cf6e8a881019548010b06fbc81875ad722e9d75a28d0e9caa7a782fb3d248f",
+        WITHOUT_STORAGE:
+            "8ed0d14e04fd6883f39f95f67edd95955cb743f1eb11fb09085dac8b502b13e7",
     },
     "lossy_n7_byzantine": {
         "ledger-1-1.jsonl":
@@ -101,7 +110,9 @@ GOLDEN = {
         "ledger-1-7.jsonl":
             "3e91758db7f4f1a55678f5fbe2a02508ab83081fa45625ea2d4b546139c6dacc",
         "report.json":
-            "93e6ae8eaafd083ac0132ebc41c82afa2cf2f1231e6efdcd75cccc5b26e68a47",
+            "45542658a1cbfdb409c16595251b151557a168efa8892d05a7181d1a0872504c",
+        WITHOUT_STORAGE:
+            "314dc87a7c46f8118e0bfcd27a963b2d64d0a74bb87c08f444b5139ede661351",
     },
     "pool8_gossip2": {
         "ledger-1-1.jsonl":
@@ -117,7 +128,9 @@ GOLDEN = {
         "ledger-1-7.jsonl":
             "e44bc24c03e3b87d2619cf7b1512cbbf209d4056a1a78b50b3ae445531235f5b",
         "report.json":
-            "f369389ce58eec52557f8f2071d5cdf518e4d11648f9f358d505530b99a9aaa8",
+            "4e340d4e5449cefd3dce5b1c091fe54b2743858ffec360200cc5d2ce1ca6d720",
+        WITHOUT_STORAGE:
+            "8c3705e25d709df2fed582cd044b0d5b105758829d81709015b99f593e203765",
     },
     "saturated_b64": {
         "ledger-1-1.jsonl":
@@ -129,7 +142,9 @@ GOLDEN = {
         "ledger-1-4.jsonl":
             "b338a488684d8d8e822a28ffc59af92dcb830de56b2ea56c3be83ce159e342aa",
         "report.json":
-            "3c95db1fae49bb2859bcb75156b78c0092651367badf310f196fe0e9e1ad095e",
+            "b46307d7276db5beb04aee3acae890496dd56baad10cef82413f5c55e9a75c96",
+        WITHOUT_STORAGE:
+            "eabc7c44ca41a4466d8c7be328969396e3adb29449a314df4f4fa3889b4094e5",
     },
     "equivocating_proposer_n4": {
         "ledger-1-1.jsonl":
@@ -143,7 +158,9 @@ GOLDEN = {
         # re-pinned when replies endorsing another digest moved from
         # bad_sig to wrong_digest; the ledgers did not move
         "report.json":
-            "3184b8a1d0abb918ea0cde60caa0ab30cf289889462e9f86c9fb78b7e3be8d0b",
+            "fb72f9672868f80e605ed87c3d4b6064ad116de19e0a528b7c5893246e77c362",
+        WITHOUT_STORAGE:
+            "dc15ba6e5a325096ad5708a29199dc74bd35042723f2ba69b7447fd284dd81ce",
     },
     "tampering_proposer_n7": {
         "ledger-1-1.jsonl":
@@ -161,7 +178,9 @@ GOLDEN = {
         "ledger-1-7.jsonl":
             "f5aacf2c6e4290cbda03ed041859334ffbba95672060abbc95e15103d26cdbb8",
         "report.json":
-            "21eba7cd66c4f61c82b9a4560af715453800999a9b82ffc4d62f0d953206a1b9",
+            "42d02f340aba7816395399107631b0607a626f9ff661ee3ea17a2ec60516b26d",
+        WITHOUT_STORAGE:
+            "cc7b636abda28f525a993264a3a6814712cec34a38c2509a5a8b4140f8973209",
     },
 }
 
@@ -195,43 +214,43 @@ def size_blind_digests(spec: RunSpec, outdir: Path) -> dict[str, str]:
 GOLDEN_SIZE_BLIND = {
     "clean_n4": {
         "report.json":
-            "dd511b2e090bdd4b2e2137a9c2283158378622bd4b23af4e5aae2b0f30505d3b",
+            "92f948955fcbcb3d8edf9460eab4623e6ff60bad2c86dc8228f81bd00c16e3b2",
         "chains":
             "c0646846aa64263e46cc54d096e5b95c18b383cdf93b13e912c15e19c85da981",
     },
     "equivocating_proposer_n4": {
         "report.json":
-            "e58f3aa92c322613ccbdd3b9cf3fe798b14c5d55e4aac47c5aab435c633235c5",
+            "018f962dc1d2e73cb56a926219728fb512b681c53c728479bbc986bf71f401da",
         "chains":
             "1ae36a79bfaf48c087ef8a47053d007a87ec72f2de7574ab97a6cd3dbfce2fe7",
     },
     "forging_quorum_n4": {
         "report.json":
-            "c6dbcd6d6034037f2f5560128a856dd77671f4818d6bb3528faf668d94b3cb7d",
+            "6d0e955402e7a4392d9d0329857dfb99da4f6b4d21e3a338dc8bc05c287aed09",
         "chains":
             "922ea20f9f89545eb7f04c5a0dab6d61d2ed5a20db8e0959d04a321406cc9ac0",
     },
     "lossy_n7_byzantine": {
         "report.json":
-            "4803b8a98ce389e33fb9ed93a65f81508a00107e8728f2a5d3a25036b592ce57",
+            "3d61dd4a836470be80787fd96974879e9f1e5d0e93ebd2a28fadc0a9995694a2",
         "chains":
             "92b6ec259dd186fc45058e251da6f72f1f1c194cc2ddfb1b882eb44c969ac3ff",
     },
     "pool8_gossip2": {
         "report.json":
-            "f07d34f559ad7523ec2a3bfeb52386786b662a3fb2517659d72ccb1f45641a90",
+            "5782811f0a94740905db45bc30c319abc2b247e95eaef32c2bdc1356318b5cba",
         "chains":
             "bcb691ec0a371f3e02e3dd3f0167fc93e1691a7e6e329a5f9dd99024062520a2",
     },
     "saturated_b64": {
         "report.json":
-            "13d3828bd5d95764b1947df8779dcab8634050fb18aaeb2a46b56f01f3c4f0f5",
+            "ee66e46069126286006dba6473942852d80772b7a14e50f1f184e0347d38b785",
         "chains":
             "2d6278afdd31763716bff8a3c4cb2f4ddd86ddece40b4d3eae4ce05528d88beb",
     },
     "tampering_proposer_n7": {
         "report.json":
-            "21eba7cd66c4f61c82b9a4560af715453800999a9b82ffc4d62f0d953206a1b9",
+            "42d02f340aba7816395399107631b0607a626f9ff661ee3ea17a2ec60516b26d",
         "chains":
             "e91c94bfbc4da0cb706e8a3287d9f74b959e458140f003fd4cfd4fe0bc19cd97",
     },
@@ -244,10 +263,17 @@ def test_size_blind_runs_decide_the_same(name, tmp_path):
 
 
 def artifact_digests(spec: RunSpec, outdir: Path) -> dict[str, str]:
-    """sha256 of report.json and of each ledger export of one run."""
+    """sha256 of report.json, of the same report written without its
+    `storage` block, and of each ledger export of one run."""
     paths = write_artifacts(run(spec), outdir)
-    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in paths
-            if p.name == "report.json" or p.name.startswith("ledger-")}
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in paths
+               if p.name == "report.json" or p.name.startswith("ledger-")}
+    report = json.loads((outdir / "report.json").read_text(encoding="utf-8"))
+    del report["storage"]
+    rest = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    digests[WITHOUT_STORAGE] = hashlib.sha256(rest.encode()).hexdigest()
+    return digests
 
 
 @pytest.mark.parametrize("name", sorted(SPECS))
@@ -264,6 +290,26 @@ def test_fallback_signer_reproduces_golden_artifacts(name, tmp_path,
     monkeypatch.setattr(crypto, "_sodium_sign", None)
     assert artifact_digests(SPECS[name], tmp_path) == GOLDEN[name]
     assert cryptography_signs
+
+
+# commits each node of the pool-8, lifetime-2 run stores from gossip; node 2,
+# the proposer, has seen every commit it gossips, so it stores none
+POOL8_GOSSIP_STORED = {"1": 3, "2": 0, "3": 2, "4": 2, "5": 2, "6": 3,
+                       "7": 3, "8": 3}
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_storage_holds_what_gossip_stored_alone(name):
+    """A node's ledger is its one copy of what it committed, so storage
+    holds only the commits gossip stored: none in a run without gossip."""
+    spec = SPECS[name]
+    report = run(spec).report
+    stored = {node: events["stored"]
+              for node, events in report["gossip"].items()}
+    assert stored == (POOL8_GOSSIP_STORED if name == "pool8_gossip2" else {})
+    assert report["storage"] == {
+        str(node): {"temp": stored.get(str(node), 0), "perm": 0}
+        for node in range(1, spec.pool_size + 1)}
 
 
 def test_equivocation_split_is_wrong_digest_not_bad_sig():

@@ -19,7 +19,7 @@ from vguard.gossip import GossipAgent
 from vguard.messages import (CommitMsg, GossipAck, GossipMsg, TraverseHop,
                              traverse_digest)
 from vguard.netsim import Network, NodeEnv, SimConfig
-from vguard.storage import GOSSIPER, RetentionPolicy, StorageMaster
+from vguard.storage import RetentionPolicy, StorageMaster
 
 
 class Mesh:
@@ -310,9 +310,8 @@ def test_gossip_lands_in_gossiper_storage(committed):
     assert agent.handle_gossip(
         1, GossipMsg(instance_id=1, sender=1, commit=commit.certified(), tx=tx,
                      traverse=(hop,)))
-    smi = storage.get(1, GOSSIPER)
-    assert smi.lookup(tx.tx_hash) is not None
-    assert smi.layer_of(tx.tx_hash) == "temp"
+    smi = storage.get(1)
+    assert tx.tx_hash in smi.temp and tx.tx_hash not in smi.perm
 
 
 def test_gossip_stores_at_the_time_the_commit_arrived(monkeypatch):
@@ -342,8 +341,8 @@ def test_gossip_stores_at_the_time_the_commit_arrived(monkeypatch):
                                          seed=2))
     items = {(node, instance_id, item.tx_hash): item
              for node, runtime in result.runtimes.items()
-             for (instance_id, role), smi in runtime.storage.instances.items()
-             if role == GOSSIPER for item in smi.temp.values()}
+             for instance_id, smi in runtime.storage.instances.items()
+             for item in smi.temp.values()}
     stored = {key: item.stored_at_us for key, item in items.items()}
     assert stored and stored == arrived
     assert 0 not in stored.values()

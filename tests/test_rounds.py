@@ -274,3 +274,25 @@ def test_replies_to_a_closed_round_are_late_or_stale(world, side):
         partial = make_partial(pool.keys[4], digests.get(key, b"\x00" * 32))
         coord.handle_reply(4, side.reply(4, key, partial))
         assert rejects(ctx) == {counted: 1}, key
+
+
+def test_a_given_up_window_does_not_hold_back_later_windows(world):
+    """A window given up settles as skipped, not as covered: the windows
+    after it still reach the ledger, it never does, and a late reply to it
+    counts stale."""
+    pool, booth, _ = world
+    ctx, coord, _ = coordinator(world, Consensus, booth, max_retries=0)
+    stalled, later = Consensus.feed(ctx, coord, pool, booth, 2)
+    digest = coord.rounds[stalled].cert_digest
+    (_, times_out), _ = ctx.env.timers            # the two windows' timers
+    times_out()                                   # budget 0: given up
+    assert list(coord.rounds) == [later]
+    assert ctx.env.events["stalled_windows", 1] == 1
+    answer(world, Consensus, coord, later, 2, 3)
+    assert ctx.ledger.has_window(later)
+    assert not ctx.ledger.has_window(stalled)
+    assert stalled not in ctx.ledger.covered_empty
+    ctx.env.drops.clear()
+    coord.handle_reply(4, Consensus.reply(4, stalled,
+                                          make_partial(pool.keys[4], digest)))
+    assert rejects(ctx) == {"stale": 1}

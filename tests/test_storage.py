@@ -14,10 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vguard.errors import NotFound, StorageError
+from vguard.errors import NotFound
 from vguard.ledger import Transaction
-from vguard.storage import (GOSSIPER, PROPOSER, VALIDATOR, RetentionPolicy,
-                            StorageInstance, StorageMaster)
+from vguard.storage import RetentionPolicy, StorageInstance, StorageMaster
 
 DELTA = 100_000
 
@@ -28,63 +27,55 @@ def tx_at(k: int) -> Transaction:
 
 
 def test_register_then_archive_keeps_layers_exclusive():
-    smi = StorageInstance(1, PROPOSER)
+    smi = StorageInstance(1)
     tx = tx_at(0)
     assert smi.register_to_temp(tx, None, now_us=10)
-    assert smi.layer_of(tx.tx_hash) == "temp"
-    assert smi.lookup(tx.tx_hash).stored_at_us == 10
+    assert tx.tx_hash in smi.temp and tx.tx_hash not in smi.perm
+    assert smi.temp[tx.tx_hash].stored_at_us == 10
 
     smi.move_to_perm(tx.tx_hash)
-    assert smi.layer_of(tx.tx_hash) == "perm"
+    assert tx.tx_hash in smi.perm
     assert tx.tx_hash not in smi.temp
-    assert smi.lookup(tx.tx_hash) is not None
 
     # archived data refuses the hot layer
     assert not smi.register_to_temp(tx, None, now_us=20)
-    assert smi.rejected_reinserts == 1
-    assert smi.layer_of(tx.tx_hash) == "perm"
+    assert tx.tx_hash in smi.perm and tx.tx_hash not in smi.temp
 
     smi.move_to_perm(tx.tx_hash)     # already archived: no-op
     smi.delete_perm(tx.tx_hash)
-    assert smi.layer_of(tx.tx_hash) is None
+    assert tx.tx_hash not in smi.temp and tx.tx_hash not in smi.perm
 
 
 def test_temp_register_is_idempotent():
-    smi = StorageInstance(1, VALIDATOR)
+    smi = StorageInstance(1)
     tx = tx_at(0)
     assert smi.register_to_temp(tx, None, now_us=5)
     assert smi.register_to_temp(tx, None, now_us=99)
-    assert smi.lookup(tx.tx_hash).stored_at_us == 5   # first write wins
+    assert smi.temp[tx.tx_hash].stored_at_us == 5     # first write wins
     assert len(smi.temp) == 1
 
 
 def test_missing_hashes_raise():
-    smi = StorageInstance(1, GOSSIPER)
+    smi = StorageInstance(1)
     with pytest.raises(NotFound):
         smi.move_to_perm(b"\x00" * 32)
     with pytest.raises(NotFound):
         smi.delete_perm(b"\x00" * 32)
 
 
-def test_unknown_role_rejected():
-    with pytest.raises(StorageError):
-        StorageInstance(1, "archivist")
-
-
 def test_age_expiry_is_inclusive_at_ttl():
-    smi = StorageInstance(1, VALIDATOR)
+    smi = StorageInstance(1)
     policy = RetentionPolicy(temp_ttl_us=100)
     for k, stamp in enumerate([0, 50, 100]):
         smi.register_to_temp(tx_at(k), None, now_us=stamp)
     removed = smi.cleanup_temp(now_us=100, policy=policy)
     assert removed == 1              # only the age-100 entry expired
-    assert smi.layer_of(tx_at(0).tx_hash) is None
-    assert smi.layer_of(tx_at(1).tx_hash) == "temp"
-    assert smi.layer_of(tx_at(2).tx_hash) == "temp"
+    assert set(smi.temp) == {tx_at(1).tx_hash, tx_at(2).tx_hash}
+    assert smi.perm == {}
 
 
 def test_fifo_cap_evicts_oldest_first():
-    smi = StorageInstance(1, VALIDATOR)
+    smi = StorageInstance(1)
     policy = RetentionPolicy(temp_ttl_us=10**9, temp_cap=3)
     for k in range(6):
         smi.register_to_temp(tx_at(k), None, now_us=k)
@@ -95,36 +86,26 @@ def test_fifo_cap_evicts_oldest_first():
 
 
 def test_archived_entries_ignore_retention():
-    smi = StorageInstance(1, VALIDATOR)
+    smi = StorageInstance(1)
     policy = RetentionPolicy(temp_ttl_us=10, temp_cap=0)
     smi.register_to_temp(tx_at(0), None, now_us=0)
     smi.move_to_perm(tx_at(0).tx_hash)
     assert smi.cleanup_temp(now_us=10**6, policy=policy) == 0
-    assert smi.layer_of(tx_at(0).tx_hash) == "perm"
-
-
-def test_master_allows_one_proposer_interface_per_node():
-    master = StorageMaster(7)
-    smi = master.get(1, PROPOSER)
-    assert master.get(1, PROPOSER) is smi           # same interface back
-    master.get(1, VALIDATOR)
-    master.get(2, VALIDATOR)
-    master.get(2, GOSSIPER)
-    with pytest.raises(StorageError):
-        master.get(2, PROPOSER)      # a node can front at most one instance
+    assert tx_at(0).tx_hash in smi.perm and smi.temp == {}
 
 
 def test_master_cleanup_and_totals():
     master = StorageMaster(7, RetentionPolicy(temp_ttl_us=100))
-    a = master.get(1, PROPOSER)
-    b = master.get(2, VALIDATOR)
+    a = master.get(1)
+    assert master.get(1) is a                       # same interface back
+    b = master.get(2)
     a.register_to_temp(tx_at(0), None, now_us=0)
     b.register_to_temp(tx_at(1), None, now_us=0)
     b.register_to_temp(tx_at(2), None, now_us=90)
     b.move_to_perm(tx_at(2).tx_hash)
-    assert master.totals() == {"temp": 2, "perm": 1, "rejected_reinserts": 0}
+    assert master.totals() == {"temp": 2, "perm": 1}
     assert master.cleanup(now_us=120) == 2
-    assert master.totals() == {"temp": 0, "perm": 1, "rejected_reinserts": 0}
+    assert master.totals() == {"temp": 0, "perm": 1}
 
 
 # -- randomized sequences ---------------------------------------------------
@@ -134,7 +115,7 @@ def run_storage_sequence(seed: int, steps: int) -> dict[str, int]:
     """Random register/archive/delete/cleanup stream checked against a
     dict model after every operation. Returns operation counts."""
     rng = np.random.default_rng(seed)
-    smi = StorageInstance(9, VALIDATOR)
+    smi = StorageInstance(9)
     policy = RetentionPolicy(temp_ttl_us=500, temp_cap=40)
     model_temp: dict[bytes, int] = {}
     model_perm: set[bytes] = set()

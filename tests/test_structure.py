@@ -107,6 +107,12 @@ def test_entry_certificates_are_walked_in_one_place():
         "ledger:verify_chain"}
 
 
+def test_storage_is_written_by_gossip_alone():
+    """A node's ledger holds what it committed; storage holds only the
+    commits it learned through gossip."""
+    assert callers("register_to_temp") == {"gossip:GossipAgent._store"}
+
+
 def definitions(name: str) -> set[str]:
     """`module:Qualified.name` of every function in `vguard` named `name`."""
     found: set[str] = set()
@@ -262,8 +268,6 @@ def test_no_module_imports_a_name_it_never_uses(monkeypatch):
 # criterion exercises.
 UNREFERENCED_API = {
     "ledger:Ledger.import_jsonl",
-    "storage:StorageInstance.lookup",
-    "storage:StorageInstance.layer_of",
     "storage:StorageInstance.move_to_perm",
     "storage:StorageInstance.delete_perm",
 }
