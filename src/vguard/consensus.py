@@ -24,7 +24,9 @@ key across retries. An empty window settles with no round, as covered; a
 window given up settles as skipped, so it holds back no later window.
 
 Commits release in window order on the proposer, so its ledger tiles the
-timeline; validators append whatever commits reach them and may hold gaps.
+timeline. A validator holds the transaction it countersigned (on the
+hash-only path, built from its own log) and appends that one if the
+window's commit reaches it, so a validator's ledger may hold gaps.
 Validators accept a commit through `booth_certified`, as they do an order.
 """
 
@@ -37,7 +39,7 @@ from .booths import BoothProfile
 from .crypto import PartialSignature, make_partial
 from .errors import RejectReason
 from .ledger import (CommitRecord, Transaction, commit_cert_digest,
-                     expand_memberships, tx_hash_over, uncertified_entries,
+                     expand_memberships, uncertified_entries,
                      window_transaction)
 from .messages import (CommitMsg, CommitReply, PreCommitSeen, PreCommitUnseen)
 from .netsim import Category
@@ -177,13 +179,11 @@ class ConsensusCoordinator(RoundCoordinator):
 
 @dataclass(slots=True)
 class PendingCommit:
-    """A pre-commit a validator holds until the window's commit."""
+    """The transaction a validator countersigned for a window, and the
+    booth it was asked in: the window's commit appends this transaction."""
 
     booth: BoothProfile
-    tx_hash: bytes
-    tx: Optional[Transaction]            # full tx on the unseen path
-    first_id: int = 0
-    last_id: int = 0
+    tx: Transaction
 
 
 class ValidatorConsensus:
@@ -204,12 +204,12 @@ class ValidatorConsensus:
             return None
         return booth
 
-    def _bind_and_reply(self, src: int, msg, booth: BoothProfile,
-                        tx_hash: bytes, pc: PendingCommit) -> None:
+    def _bind_and_reply(self, src: int, msg, pc: PendingCommit) -> None:
         ctx = self.ctx
         ts = msg.window_start_us
+        booth, tx_hash = pc.booth, pc.tx.tx_hash
         bound = self.pending.get(ts)
-        if bound is not None and bound.tx_hash != tx_hash:
+        if bound is not None and bound.tx.tx_hash != tx_hash:
             ctx.diag(RejectReason.REUSED_WINDOW)
             return
         expected = commit_cert_digest(ts, tx_hash, booth.booth_hash)
@@ -232,15 +232,12 @@ class ValidatorConsensus:
             ctx.diag(RejectReason.UNKNOWN_INSTANCE)
             return
         ctx.env.meter.hash_bytes(48 * len(entries))
-        local_hash = tx_hash_over(
-            msg.window_start_us, msg.window_len_us,
-            [(e.ordering_id, e.batch.batch_hash) for e in entries])
-        if local_hash != msg.tx_hash:
+        tx = window_transaction(msg.window_start_us, msg.window_len_us,
+                                entries, ctx.ledger.booth_table.__getitem__)
+        if tx.tx_hash != msg.tx_hash:
             ctx.diag(RejectReason.BAD_HASH)
             return
-        pc = PendingCommit(booth=booth, tx_hash=local_hash, tx=None,
-                           first_id=msg.first_id, last_id=msg.last_id)
-        self._bind_and_reply(src, msg, booth, local_hash, pc)
+        self._bind_and_reply(src, msg, PendingCommit(booth, tx))
 
     def handle_unseen(self, src: int, msg: PreCommitUnseen) -> None:
         ctx = self.ctx
@@ -258,8 +255,7 @@ class ValidatorConsensus:
             return
         if not self._verify_foreign_entries(tx):
             return
-        pc = PendingCommit(booth=booth, tx_hash=tx.tx_hash, tx=tx)
-        self._bind_and_reply(src, msg, booth, tx.tx_hash, pc)
+        self._bind_and_reply(src, msg, PendingCommit(booth, tx))
 
     def _verify_foreign_entries(self, tx: Transaction) -> bool:
         """Full recheck of entries ordered in booths this node never sat in:
@@ -285,25 +281,16 @@ class ValidatorConsensus:
             else:
                 ctx.diag(RejectReason.UNKNOWN_COMMIT)
             return
-        if msg.tx_hash != pc.tx_hash:
+        booth, tx = pc.booth, pc.tx
+        if msg.tx_hash != tx.tx_hash:
             ctx.diag(RejectReason.REUSED_WINDOW)
             return
-        booth = pc.booth
         if msg.booth_hash != booth.booth_hash:
             ctx.diag(RejectReason.UNKNOWN_BOOTH)
             return
         expected = commit_cert_digest(ts, msg.tx_hash, booth.booth_hash)
         if not booth_certified(ctx, src, msg, booth, expected):
             return
-
-        tx = pc.tx
-        if tx is None:
-            entries = ctx.log.id_range(pc.first_id, pc.last_id)
-            if entries is None:
-                ctx.diag(RejectReason.UNKNOWN_INSTANCE)
-                return
-            tx = window_transaction(ts, ctx.delta_us, entries,
-                                    ctx.ledger.booth_table.__getitem__)
         record = CommitRecord(
             consensus_id=ts, booth_hash=msg.booth_hash, cert=msg.cert, tx_hash=msg.tx_hash,
             committed_at_us=ctx.env.now_us())

@@ -195,8 +195,7 @@ class Workload:
     def start(self) -> None:
         env = self.instance.ctx.env
         if self.spec.rate_per_s is not None:
-            period = 1000.0 / self.spec.rate_per_s
-            env.every(period, self._submit_one, start_at_ms=period)
+            env.every(1000.0 / self.spec.rate_per_s, self._submit_one)
         else:
             self.instance.ordering.on_capacity = self._fill
             env.after(0.5, self._fill)
@@ -279,8 +278,7 @@ def run(spec: RunSpec, net=None) -> RunResult:
         runtimes[node_id] = NodeRuntime(
             node_id, env, registry, keys[node_id], spec.protocol,
             spec.delta_us,
-            storage=StorageMaster(node_id,
-                                  RetentionPolicy(temp_ttl_us=spec.tau_us)),
+            storage=StorageMaster(RetentionPolicy(temp_ttl_us=spec.tau_us)),
             gossip_peers=overlay.get(node_id, []),
             gossip_lifetime=spec.lambda0, byzantine=byzantine.get(node_id, ()))
 
@@ -323,8 +321,9 @@ def _audit(spec: RunSpec, runtimes: dict[int, NodeRuntime],
            registry: KeyService) -> dict[tuple[int, int], ChainCheck]:
     """verify_chain on every ledger every correct node holds. An honest
     proposer's ledger faces the strict window-tiling audit when the run had
-    no churn, whatever other nodes did; ordering ids the proposer retired
-    on a timeout or a lost booth are the only gaps that audit accepts."""
+    no churn, whatever other nodes did. That audit accepts only the gaps
+    the proposer explains: ordering ids it retired on a timeout or a lost
+    booth, and the windows it gave up, with their entries' ids."""
     bad = {node_id for node_id, _ in spec.byzantine}
     audits: dict[tuple[int, int], ChainCheck] = {}
     for plan in plan_instances(spec):
@@ -334,13 +333,17 @@ def _audit(spec: RunSpec, runtimes: dict[int, NodeRuntime],
                 continue
             strict = (spec.strict_audit and node_id == plan.proposer_id
                       and node_id not in bad and not spec.churn)
-            horizon, retired = None, frozenset()
+            horizon, retired, given_up = None, frozenset(), frozenset()
             if strict:
                 prop = runtime.proposers[plan.instance_id]
                 horizon = prop.consensus.release_next_us
-                retired = prop.ordering.retired_ids
+                given_up = prop.consensus.retired_ids
+                retired = prop.ordering.retired_ids.union(
+                    entry.ordering_id for ts in given_up for entry
+                    in prop.ctx.log.window_slice(ts, ts + spec.delta_us))
             check = verify_chain(ledger, registry, strict=strict,
-                                 horizon_us=horizon, retired_ids=retired)
+                                 horizon_us=horizon, retired_ids=retired,
+                                 given_up=given_up)
             audits[(plan.instance_id, node_id)] = check
             if not check.ok and node_id not in bad:
                 raise VerificationFailed(

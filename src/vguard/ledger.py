@@ -486,7 +486,8 @@ class ChainCheck:
 
 def verify_chain(ledger: Ledger, registry: KeyService, strict: bool = False,
                  horizon_us: Optional[int] = None,
-                 retired_ids: Collection[int] = frozenset()) -> ChainCheck:
+                 retired_ids: Collection[int] = frozenset(),
+                 given_up: Collection[int] = frozenset()) -> ChainCheck:
     """Audit a ledger against the identity registry.
 
     Always checked: commit certificates and per-entry ordering certificates
@@ -501,8 +502,9 @@ def verify_chain(ledger: Ledger, registry: KeyService, strict: bool = False,
     strict adds the proposer/auditor view: ordering ids must be gapless
     starting at 1 across the whole chain, and committed plus covered-empty
     windows must tile [0, horizon_us) on the window grid. The only gaps it
-    allows are the ids in retired_ids: the proposer's record of rounds
-    retired on a timeout or a lost booth, which never reach any log.
+    allows are those the proposer explains: the ids in retired_ids (rounds
+    retired on a timeout or a lost booth, and the entries of windows given
+    up), and the windows in given_up, which count as covered.
     """
     check = ChainCheck(ok=True)
 
@@ -555,7 +557,8 @@ def verify_chain(ledger: Ledger, registry: KeyService, strict: bool = False,
             prev_last_id = ids[-1]
             expected_next_id = ids[-1] + 1
     if strict:
-        covered = set(ledger.committed_windows()) | set(ledger.covered_empty)
+        covered = (set(ledger.committed_windows()) | set(ledger.covered_empty)
+                   | set(given_up))
         horizon = horizon_us
         if horizon is None:
             horizon = (max(covered) + delta) if covered else 0

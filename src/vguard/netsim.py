@@ -523,12 +523,12 @@ class Network:
         if not timer.cancelled:
             self._invoke(node_id, _TimerRun(fn, timer))
 
-    def every(self, node_id: int, period_ms: float, fn: Callable[[], None],
-              start_at_ms: Optional[float] = None) -> Timer:
-        """Recurring timer: re-arms regardless of node state, runs the body
-        only while the node is up."""
+    def every(self, node_id: int, period_ms: float,
+              fn: Callable[[], None]) -> Timer:
+        """Recurring timer, first one period from now: re-arms regardless of
+        node state, runs the body only while the node is up."""
         timer = Timer()
-        first = self.sched.now + period_ms if start_at_ms is None else start_at_ms
+        first = self.sched.now + period_ms
         self.sched.at(first, partial(self._tick, node_id, period_ms, fn, timer,
                                      first))
         return timer
@@ -616,6 +616,5 @@ class NodeEnv:
     def after(self, delay_ms: float, fn: Callable[[], None]) -> Timer:
         return self.net.schedule(self.node_id, delay_ms, fn)
 
-    def every(self, period_ms: float, fn: Callable[[], None],
-              start_at_ms: Optional[float] = None) -> Timer:
-        return self.net.every(self.node_id, period_ms, fn, start_at_ms)
+    def every(self, period_ms: float, fn: Callable[[], None]) -> Timer:
+        return self.net.every(self.node_id, period_ms, fn)

@@ -88,8 +88,7 @@ class StorageInstance:
 class StorageMaster:
     """Owns every storage instance on one node and runs their cleanup."""
 
-    def __init__(self, node_id: int, policy: Optional[RetentionPolicy] = None):
-        self.node_id = node_id
+    def __init__(self, policy: Optional[RetentionPolicy] = None):
         self.policy = policy or RetentionPolicy()
         self.instances: dict[int, StorageInstance] = {}
 

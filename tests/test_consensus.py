@@ -91,7 +91,7 @@ def test_seen_valid_binds_and_replies(world):
     assert dst == 1
     expected = commit_cert_digest(0, tx.tx_hash, booth.booth_hash)
     assert verify_partial(reply.partial, pool.registry.verify_key(3), expected)
-    assert engine.pending[0].tx_hash == tx.tx_hash
+    assert engine.pending[0].tx.tx_hash == tx.tx_hash
     assert 0 in engine.pending
 
 
@@ -187,7 +187,7 @@ def test_unseen_verifies_adopts_and_replies(world):
     assert ctx.log.get(1) is not None
     assert ctx.log.get(0).cert == entries[0].cert
     assert booth.booth_hash in ctx.ledger.booth_table
-    assert engine.pending[0].tx_hash == tx.tx_hash
+    assert engine.pending[0].tx.tx_hash == tx.tx_hash
 
 
 def _one_signer_short(pool, booth, payload):
@@ -348,6 +348,17 @@ def test_commit_lands_window_in_ledger(world):
         # replayed delivery of the identical commit is a no-op
         engine.handle_commit(1, commit_msg(record))
         assert ctx.ledger.has_window(0)
+
+
+def test_seen_commit_appends_the_transaction_bound_at_pre_commit(world):
+    """On the hash-only path too, the validator builds the transaction it
+    countersigns, and the commit appends that one object."""
+    pool, booth, engine, ctx, record, tx = bound_engine(world)
+    bound = engine.pending[0].tx
+    assert bound.tx_hash == tx.tx_hash
+    engine.handle_commit(1, commit_msg(record))
+    assert not rejects(ctx)
+    assert ctx.ledger.window(0).tx is bound
 
 
 def test_commit_without_bound_window(world):

@@ -301,7 +301,7 @@ def test_gossip_lands_in_gossiper_storage(committed):
     pool, commit_at = committed
     commit, tx = commit_at(90_000_000)
     mesh = Mesh()
-    storage = StorageMaster(6, RetentionPolicy(temp_ttl_us=10**9))
+    storage = StorageMaster(RetentionPolicy(temp_ttl_us=10**9))
     agent = mesh.attach(6, pool.registry, pool.keys[6], [], 2,
                         storage=storage)
     h = commit.commit_hash()

@@ -98,6 +98,23 @@ def test_lossy_run_passes_strict_audit_over_retired_ids():
     assert inst["committed_batches"] == inst["submitted_batches"]
 
 
+def test_strict_audit_accepts_windows_an_honest_proposer_gave_up():
+    """With no commit retries, loss makes the proposer give up windows. A
+    given-up window is neither committed nor covered, and its entries'
+    ids are missing from the chain: both are gaps the strict audit must
+    accept, as it accepts retired ordering ids."""
+    stalled = 0
+    for seed in range(1, 9):
+        spec = RunSpec(duration_ms=400.0, seed=seed,
+                       sim=SimConfig(seed=0, drop_rate=0.1),
+                       protocol=ProtocolConfig(max_retries=0))
+        assert spec.strict_audit
+        result = run(spec)
+        assert all(result.report["audits"].values())
+        stalled += result.report["instances"][0]["stalled_windows"]
+    assert stalled > 0
+
+
 def test_back_to_back_runs_make_the_same_real_verifications(monkeypatch):
     """harness.run empties the run memo, so a repeated run cannot lean on
     the previous run's signatures or checks: every signature hit is on a

@@ -416,6 +416,31 @@ def test_strict_mode_rejects_gaps_no_retirement_explains(pool4, booth4):
     assert check.violations == [f"window {DELTA_US}: ordering ids skip 2..3"]
 
 
+def test_strict_mode_steps_over_given_up_windows_and_nothing_else(pool4,
+                                                                  booth4):
+    """A window the proposer gave up counts as covered and its entries'
+    ids as explained; a gap neither it nor a retired id explains fails."""
+    ledger = _ledger_with_ids(pool4, booth4, [[1, 2]])
+    entries = [certify_entry(pool4, booth4, oid,
+                             make_batch(pool4, start_seq=oid * 10),
+                             appended_at_us=2 * DELTA_US + 10)
+               for oid in (5, 6)]
+    ledger.append_commit(*commit_window(pool4, booth4, 2 * DELTA_US,
+                                        DELTA_US, entries))
+    horizon = 3 * DELTA_US
+    # window 1 held ids 3 and 4 and was given up
+    check = verify_chain(ledger, pool4.registry, strict=True, horizon_us=horizon,
+                         retired_ids={3, 4}, given_up={DELTA_US})
+    assert check.ok, check.violations
+    check = verify_chain(ledger, pool4.registry, strict=True, horizon_us=horizon,
+                         retired_ids={3}, given_up={DELTA_US})
+    assert check.violations == [f"window {2 * DELTA_US}: ordering ids skip 3..4"]
+    check = verify_chain(ledger, pool4.registry, strict=True, horizon_us=horizon,
+                         retired_ids={3, 4})
+    assert check.violations == [f"coverage gap: windows [{DELTA_US}] "
+                                "neither committed nor covered"]
+
+
 def test_export_import_roundtrip(tmp_path, pool4, booth4):
     booth = booth4
     ledger = _build_ledger(pool4, booth)

@@ -95,7 +95,7 @@ def test_archived_entries_ignore_retention():
 
 
 def test_master_cleanup_and_totals():
-    master = StorageMaster(7, RetentionPolicy(temp_ttl_us=100))
+    master = StorageMaster(RetentionPolicy(temp_ttl_us=100))
     a = master.get(1)
     assert master.get(1) is a                       # same interface back
     b = master.get(2)

@@ -113,6 +113,22 @@ def test_storage_is_written_by_gossip_alone():
     assert callers("register_to_temp") == {"gossip:GossipAgent._store"}
 
 
+def test_a_validator_commits_what_it_countersigned_without_reading_its_log():
+    """`ValidatorConsensus.handle_commit` appends the transaction bound at
+    pre-commit; it never rebuilds one from `ctx.log`."""
+    path = Path(vguard.__file__).parent / "consensus.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    validator = next(node for node in ast.walk(tree)
+                     if isinstance(node, ast.ClassDef)
+                     and node.name == "ValidatorConsensus")
+    handler = next(node for node in validator.body
+                   if isinstance(node, ast.FunctionDef)
+                   and node.name == "handle_commit")
+    reads = [ast.unparse(node) for node in ast.walk(handler)
+             if isinstance(node, ast.Attribute) and node.attr == "log"]
+    assert reads == []
+
+
 def definitions(name: str) -> set[str]:
     """`module:Qualified.name` of every function in `vguard` named `name`."""
     found: set[str] = set()
