@@ -42,7 +42,6 @@ from .ledger import (CommitRecord, Transaction, commit_cert_digest,
                      expand_memberships, uncertified_entries,
                      window_transaction)
 from .messages import (CommitMsg, CommitReply, PreCommitSeen, PreCommitUnseen)
-from .netsim import Category
 from .ordering import (QuorumRound, RoundCoordinator, booth_admitted,
                        booth_certified, proposer_signed)
 
@@ -121,7 +120,7 @@ class ConsensusCoordinator(RoundCoordinator):
                         tx_hash=tx.tx_hash, tx=tx, booth=booth,
                         booth_hash=booth.booth_hash, proposer_partial=own)
                 msg = unseen_msg
-            ctx.send(v, msg, Category.CONSENSUS, ts)
+            ctx.send(v, msg)
 
         return (0 if unseen_msg is None
                 else len(tx.entries) * ctx.config.unseen_allowance_ms)
@@ -155,7 +154,7 @@ class ConsensusCoordinator(RoundCoordinator):
             window_start_us=ts, booth_hash=record.booth_hash, cert=record.cert,
             tx_hash=record.tx_hash)
         for v in booth.validators():
-            ctx.send(v, commit, Category.CONSENSUS, ts)
+            ctx.send(v, commit)
         if ctx.gossip is not None:
             ctx.gossip.init_gossip(commit, tx,
                                    exclude=set(booth.member_ids))
@@ -220,7 +219,7 @@ class ValidatorConsensus:
         reply = CommitReply(instance_id=ctx.instance_id, sender=ctx.node_id,
                             window_start_us=ts,
                             partial=make_partial(ctx.key, expected))
-        ctx.send(src, reply, Category.CONSENSUS, ts)
+        ctx.send(src, reply)
 
     def handle_seen(self, src: int, msg: PreCommitSeen) -> None:
         ctx = self.ctx

@@ -3,15 +3,15 @@
 Commits travel outside consensus booths over a fixed peer overlay on the
 side radio channel. A gossip carries the commit as a record of its
 certified fields (`CertifiedCommit`), not as a commit message, beside the
-window's transaction and a traverse list: one signed (lifetime,
-signature) hop per forwarder, rooted at the proposer. A
-receiver stores the commit, stamped with the simulated time it arrived,
-only if it has not seen it, every hop signature checks out, lifetimes
-strictly decrease along the list, and the last hop still has budget. It
-then acks directly to the proposer and the pivot, decrements the budget,
-and forwards while budget remains. The seen set is an LRU over commit
-hashes and records only stored commits, so a rejected message can be
-retried later with a fresh traverse.
+window's transaction and a traverse list: one signed (lifetime, signature)
+hop per forwarder, rooted at the proposer. A receiver stores the carried
+record and transaction, stamped with the time they arrived, only if it has
+not seen the commit, every hop signature checks out, lifetimes strictly
+decrease along the list, and the last hop still has budget. It acks to the
+proposer and the pivot and, while budget remains, pushes on as the
+proposer did: one hop signed with one less, sent to every peer but its
+sender. The seen set is an LRU over commit hashes and records only stored
+commits, so a rejected message can be retried later with a fresh traverse.
 
 An agent counts what it stores, forwards and acks in the run's `events`,
 and what it refuses in `drops` under a `gossip.` reason, not yet reported.
@@ -20,12 +20,12 @@ and what it refuses in `drops` under a `gossip.` reason, not yet reported.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Callable, Optional
+from typing import Callable, Collection, Optional
 
 from .crypto import KeyService, SigningKey, verify_raw
 from .errors import RejectReason, UnknownNode
-from .ledger import CommitRecord
-from .messages import CommitMsg, GossipAck, GossipMsg, TraverseHop, traverse_digest
+from .messages import (CertifiedCommit, CommitMsg, GossipAck, GossipMsg,
+                       TraverseHop, traverse_digest)
 from .netsim import NodeEnv
 from .storage import StorageMaster
 
@@ -58,18 +58,22 @@ class GossipAgent:
         h = certified.commit_hash()
         self._remember(h)
         self.ackable.add(h)
-        hop = TraverseHop(
-            lifetime=self.lifetime,
-            sig=self.key.sign(traverse_digest(h, self.lifetime)),
-            node_id=self.node_id,
-        )
-        msg = GossipMsg(instance_id=commit.instance_id, sender=self.node_id,
-                        commit=certified, tx=tx, traverse=(hop,))
+        self._push(commit.instance_id, certified, tx, (), h, self.lifetime,
+                   exclude)
+
+    def _push(self, instance_id: int, commit: CertifiedCommit, tx,
+              traverse: tuple, commit_hash: bytes, lifetime: int,
+              skip: Collection[int]) -> None:
+        """Sign a hop with `lifetime` onto `traverse` and send the gossip
+        to every peer not in `skip`."""
+        sig = self.key.sign(traverse_digest(commit_hash, lifetime))
+        hop = TraverseHop(lifetime=lifetime, sig=sig, node_id=self.node_id)
+        msg = GossipMsg(instance_id=instance_id, sender=self.node_id,
+                        commit=commit, tx=tx, traverse=traverse + (hop,))
         for peer in self.peers:
-            if peer in exclude:
-                continue
-            self.send(peer, msg)
-            self.events["forwarded", self.node_id] += 1
+            if peer not in skip:
+                self.send(peer, msg)
+                self.events["forwarded", self.node_id] += 1
 
     def expect_acks(self, commit_hash: bytes) -> None:
         """Pivot-side registration so acks for a known commit are accepted."""
@@ -97,19 +101,10 @@ class GossipAgent:
         self.events["stored", self.node_id] += 1
         self._ack(msg, h)
 
-        remaining = max(msg.traverse[-1].lifetime - 1, 0)
+        remaining = msg.traverse[-1].lifetime - 1
         if remaining > 0:
-            hop = TraverseHop(lifetime=remaining,
-                              sig=self.key.sign(traverse_digest(h, remaining)),
-                              node_id=self.node_id)
-            out = GossipMsg(instance_id=msg.instance_id, sender=self.node_id,
-                            commit=msg.commit, tx=msg.tx,
-                            traverse=msg.traverse + (hop,))
-            for peer in self.peers:
-                if peer == src:
-                    continue
-                self.send(peer, out)
-                self.events["forwarded", self.node_id] += 1
+            self._push(msg.instance_id, msg.commit, msg.tx, msg.traverse, h,
+                       remaining, (src,))
         return True
 
     def _traverse_ok(self, commit_hash: bytes, hops) -> bool:
@@ -131,18 +126,9 @@ class GossipAgent:
         return True
 
     def _store(self, msg: GossipMsg) -> None:
-        if self.storage is None:
-            return
-        commit, now_us = msg.commit, self.now_us()
-        record = CommitRecord(
-            consensus_id=commit.window_start_us,
-            booth_hash=commit.booth_hash,
-            cert=commit.cert,
-            tx_hash=commit.tx_hash,
-            committed_at_us=now_us,
-        )
-        smi = self.storage.get(msg.instance_id)
-        smi.register_to_temp(msg.tx, record, now_us)
+        if self.storage is not None:
+            self.storage.get(msg.instance_id).register_to_temp(
+                msg.tx, msg.commit, self.now_us())
 
     def _ack(self, msg: GossipMsg, commit_hash: bytes) -> None:
         proposer = msg.traverse[0].node_id

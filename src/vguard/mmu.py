@@ -1,13 +1,19 @@
-"""Membership management: availability tracking and the booth queue.
+"""Membership management: liveness probes, availability, the booth queue.
 
-The unit watches the node pool through ping latencies and explicit churn
-notices, keeps a short queue of pre-provisioned booths sorted by their
-worst-member smoothed round-trip time, and serves the head booth to
-ordering and consensus instances. Booths are immutable once served; when
-enough members fall away the booth is dropped from the queue and listeners
-(in-flight instances pinned to it) are told to abort and re-book. So the
-queue holds only valid booths: a booth turns invalid only inside
-`mark_availability`, which drops it before any listener or caller runs.
+The unit is its proposer's one failure detector: it pings every other
+member each period and takes the network's churn notices. A probe still
+unanswered when the next fires is a miss; enough in a row mark the member
+down. A pong is evidence only for the probe it answers: one round-trip
+sample (ping sent to pong arrived, so a busy CPU reads as a slow member)
+that revives a member misses took down. A churn notice that marks a member
+down closes its probe, so a pong then in flight revives nothing. The unit
+keeps a short queue of pre-provisioned booths sorted by their worst-member
+smoothed round trip, and serves the head booth to ordering and consensus
+instances. Booths are immutable once served; when enough members fall
+away the booth is dropped from the queue and listeners (in-flight
+instances pinned to it) are told to abort and re-book. So the queue holds
+only valid booths: a booth turns invalid only inside `mark_availability`,
+which drops it before any listener or caller runs.
 
 Booth composition slides a window over the latency-sorted vehicle list, so
 adjacent queued booths overlap in membership; the proposer and the pivot
@@ -18,12 +24,14 @@ so a booth that re-forms after a flap keeps its hash.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from operator import attrgetter
 from typing import Callable, Optional
 
 from .booths import BoothProfile, build_profile
 from .crypto import Identity
 from .errors import AT_MOST_ONE, POSITIVE, InsufficientMembers, UnknownNode
+from .messages import Ping, Pong
 from .netsim import NodeEnv
 
 
@@ -57,10 +65,6 @@ class QueuedBooth:
     profile: BoothProfile
     statuses: list[NodeStatus]          # its members', in member order
 
-    def latency_ms(self) -> float:
-        """Worst smoothed round trip among the booth's members."""
-        return max(map(_RTT, self.statuses))
-
     def valid(self) -> bool:
         return sum(not s.up for s in self.statuses) < max(self.profile.fault_budget, 1)
 
@@ -85,6 +89,9 @@ class MembershipUnit:
         self._available_listeners: list[Callable[[], None]] = []
         self._invalidated_listeners: list[Callable[[bytes], None]] = []
         self._last_served: Optional[bytes] = None
+        self._probes: dict[int, Optional[int]] = {}   # member -> seq unanswered
+        self._seq = 0
+        env.net.on_availability_change(self._churn_notice)
         self.refill()
 
     # -- listeners ---------------------------------------------------------
@@ -98,6 +105,37 @@ class MembershipUnit:
     def drop_listeners(self) -> None:
         self._available_listeners.clear()
         self._invalidated_listeners.clear()
+
+    # -- liveness probes ---------------------------------------------------
+
+    def start_probes(self, send: Callable[[int, object], None]) -> None:
+        """Ping every other pool member each period through `send`."""
+        targets = sorted(set(self.pool) - {self.proposer_id})
+        self.env.every(self.config.ping_period_ms,
+                       partial(self._probe, send, targets))
+
+    def _probe(self, send: Callable, targets: list[int]) -> None:
+        probes, now_us = self._probes, self.env.now_us()
+        for target in targets:
+            if probes.get(target) is not None:
+                self.note_missed_ping(target)
+            self._seq = seq = self._seq + 1
+            probes[target] = seq
+            send(target, Ping(instance_id=self.instance_id,
+                              sender=self.proposer_id, seq=seq,
+                              sent_at_us=now_us))
+
+    def on_pong(self, src: int, msg: Pong) -> None:
+        """A pong counts only if it answers `src`'s outstanding probe."""
+        if self._probes.get(src) == msg.seq:
+            self._probes[src] = None
+            self.note_rtt(src, (self.env.now_us() - msg.sent_at_us) / 1000.0)
+
+    def _churn_notice(self, node_id: int, up: bool, _now) -> None:
+        if node_id in self.pool:
+            if not up:
+                self._probes[node_id] = None
+            self.mark_availability(node_id, up)
 
     # -- availability updates ---------------------------------------------
 
@@ -140,8 +178,7 @@ class MembershipUnit:
 
     def latency_of(self, profile: BoothProfile) -> float:
         """Worst smoothed round trip among the booth's members."""
-        return max(self.status[m].rtt_ewma_ms for m in profile.member_ids
-                   if m in self.status)
+        return max(map(_RTT, map(self.status.__getitem__, profile.member_ids)))
 
     def _candidate_vehicles(self) -> list[int]:
         """Up vehicles sorted by smoothed latency, ties by id."""
@@ -214,7 +251,7 @@ class MembershipUnit:
 
     def _resort(self) -> None:
         # stable: ties keep order
-        self.queue.sort(key=QueuedBooth.latency_ms)
+        self.queue.sort(key=lambda b: self.latency_of(b.profile))
 
     # -- serving booths ----------------------------------------------------
 

@@ -1,10 +1,12 @@
 """Node runtime: one process worth of protocol state.
 
-A runtime owns a node's signing key, decodes incoming envelopes, and
-routes them to per-instance engines. Proposer instances are declared up
-front (membership unit, workload intake, window clock); validator state
-is created lazily the first time an instance's traffic arrives, since any
-pool member can be drafted into a booth at any time.
+A runtime owns a node's signing key and only routes: it hands each
+decoded message to its engine, and sends each message on the lane and
+under the count key of its class's row in `_ROUTES`, so no engine names
+a lane. Proposer instances are declared up front (membership unit, which
+runs their liveness probes, workload intake, window clock); validator
+state is created lazily the first time an instance's traffic arrives,
+since any pool member can be drafted into a booth at any time.
 
 Byzantine nodes run the same runtime with a transform bolted onto the
 send path, so their misbehavior is subject to exactly the checks honest
@@ -14,6 +16,7 @@ receivers apply.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from operator import attrgetter
 from typing import Callable, Iterable, Optional, Sequence
 
 from .booths import BoothProfile
@@ -74,7 +77,7 @@ class InstanceContext:
     key: SigningKey
     config: ProtocolConfig
     delta_us: int                      # window length
-    send: Callable[[int, object, Category, object], None]
+    send: Callable[[int, object], None]   # the runtime's `send_msg`
     log: TotalOrderLog
     ledger: Ledger
     metrics: MetricSink
@@ -111,43 +114,6 @@ class ValidatorInstance:
     ctx: InstanceContext
     ordering: ValidatorOrdering
     consensus: ValidatorConsensus
-
-
-class PingDaemon:
-    """Proposer-side liveness probe per pool member. An unanswered probe
-    counts as a miss when the next one fires; the membership unit decides
-    when misses become a down mark."""
-
-    def __init__(self, runtime: "NodeRuntime", mmu: MembershipUnit,
-                 instance_id: int):
-        self.runtime = runtime
-        self.mmu = mmu
-        self.instance_id = instance_id
-        self.targets = sorted(set(mmu.pool) - {runtime.node_id})
-        self.seq = 0
-        self.outstanding: dict[int, Optional[int]] = {}
-
-    def start(self) -> None:
-        self.runtime.env.every(self.mmu.config.ping_period_ms, self.tick)
-
-    def tick(self) -> None:
-        runtime, outstanding = self.runtime, self.outstanding
-        now_us = runtime.env.now_us()
-        for target in self.targets:
-            if outstanding.get(target) is not None:
-                self.mmu.note_missed_ping(target)
-            self.seq = seq = self.seq + 1
-            outstanding[target] = seq
-            runtime.send_msg(target, Ping(
-                instance_id=self.instance_id, sender=runtime.node_id, seq=seq,
-                sent_at_us=now_us), Category.PING, None)
-
-    def on_pong(self, src: int, msg: Pong) -> None:
-        if self.outstanding.get(src) != msg.seq:
-            return
-        self.outstanding[src] = None
-        rtt_ms = (self.runtime.env.now_us() - msg.sent_at_us) / 1000.0
-        self.mmu.note_rtt(src, rtt_ms)
 
 
 # each behavior, read off its enum once: `transform` runs per message
@@ -268,7 +234,6 @@ class NodeRuntime:
         self.storage = storage
         self.proposers: dict[int, ProposerInstance] = {}
         self.validators: dict[int, ValidatorInstance] = {}
-        self.pingers: dict[int, PingDaemon] = {}
         self.logs: dict[int, TotalOrderLog] = {}
         self.ledgers: dict[int, Ledger] = {}
         self.actor = ByzantineActor(self, byzantine) if byzantine else None
@@ -277,24 +242,23 @@ class NodeRuntime:
             self.gossip = GossipAgent(
                 env=env, registry=registry, key=key,
                 peers=gossip_peers or [], lifetime=gossip_lifetime,
-                storage=storage, send=self._send_gossip)
+                storage=storage, send=self.send_msg)
         env.net.register(node_id, self.handle)
 
     # -- transport ---------------------------------------------------------
 
-    def send_msg(self, dst: int, msg, category: Category,
-                 instance_key: object) -> None:
+    def send_msg(self, dst: int, msg) -> None:
+        """Send `msg` on the lane and under the count key of its class;
+        a byzantine node's actor may rewrite it first."""
+        _, category, key = _ROUTES[type(msg)]
         if self.actor is None:
             self.env.net.send(self.node_id, dst, msg.encode(), category,
-                              instance_key)
+                              key(msg))
             return
+        instance_key = key(msg)
         for to, out in self.actor.transform(dst, msg):
             self.env.net.send(self.node_id, to, out.encode(), category,
                               instance_key)
-
-    def _send_gossip(self, dst: int, msg) -> None:
-        category = Category.ACK if isinstance(msg, GossipAck) else Category.GOSSIP
-        self.send_msg(dst, msg, category, ("gossip", msg.instance_id))
 
     # -- instance wiring ---------------------------------------------------
 
@@ -308,12 +272,9 @@ class NodeRuntime:
         return InstanceContext(
             instance_id=instance_id, node_id=self.node_id, env=self.env,
             registry=self.registry, key=self.key, config=self.config,
-            delta_us=self.delta_us,
-            send=lambda dst, msg, cat, sub: self.send_msg(
-                dst, msg, cat, (instance_id, sub)),
-            log=log, ledger=self.ledgers[instance_id],
-            metrics=MetricSink(), gossip=self.gossip,
-            **role)
+            delta_us=self.delta_us, send=self.send_msg, log=log,
+            ledger=self.ledgers[instance_id], metrics=MetricSink(),
+            gossip=self.gossip, **role)
 
     def add_proposer(self, instance_id: int, mmu: MembershipUnit) -> ProposerInstance:
         ctx = self._context(instance_id, mmu=mmu)
@@ -321,20 +282,12 @@ class NodeRuntime:
             ctx=ctx, ordering=OrderingCoordinator(ctx),
             consensus=ConsensusCoordinator(ctx))
         self.proposers[instance_id] = inst
-        pinger = PingDaemon(self, mmu, instance_id)
-        self.pingers[instance_id] = pinger
-        self.env.net.on_availability_change(
-            lambda node, up, _now: self._churn_notice(mmu, node, up))
         return inst
 
-    def _churn_notice(self, mmu: MembershipUnit, node: int, up: bool) -> None:
-        if node in mmu.pool:
-            mmu.mark_availability(node, up)
-
     def start(self) -> None:
-        for instance_id, inst in self.proposers.items():
+        for inst in self.proposers.values():
             inst.consensus.start()
-            self.pingers[instance_id].start()
+            inst.ctx.mmu.start_probes(self.send_msg)
 
     def _validator(self, msg) -> ValidatorInstance:
         inst = self.validators.get(msg.instance_id)
@@ -355,8 +308,8 @@ class NodeRuntime:
     def close(self) -> None:
         """Drop the callbacks wired between this runtime's parts: the
         engines' sends, the workload's capacity hook, the membership
-        units' listeners, the pingers, the byzantine actor and the gossip
-        agent's send. Each closes a reference cycle, so without this a
+        units' listeners, the byzantine actor and the gossip agent's
+        send. Each closes a reference cycle, so without this a
         finished run lingers until the cyclic garbage collector finds it.
         What the report and the audits read (logs, ledgers, engines)
         stays."""
@@ -365,7 +318,6 @@ class NodeRuntime:
         for inst in self.proposers.values():
             inst.ordering.on_capacity = None
             inst.ctx.mmu.drop_listeners()
-        self.pingers.clear()
         self.actor = None
         if self.gossip is not None:
             self.gossip.send = None
@@ -382,29 +334,42 @@ class NodeRuntime:
         if route is None:
             self.env.drops[self.node_id, RejectReason.MALFORMED] += 1
         else:
-            route(self, src, msg)
+            route[0](self, src, msg)
 
     def _answer_ping(self, src: int, msg: Ping) -> None:
-        pong = Pong(instance_id=msg.instance_id, sender=self.node_id,
-                    seq=msg.seq, sent_at_us=msg.sent_at_us)
-        self.send_msg(src, pong, Category.PING, None)
+        self.send_msg(src, Pong(instance_id=msg.instance_id,
+                                sender=self.node_id, seq=msg.seq,
+                                sent_at_us=msg.sent_at_us))
 
 
-# How `NodeRuntime.handle` acts on a message (`m`, from `s`), by its class.
-# Each route looks its method up when the message arrives, so a method
-# patched on its class is the one called.
+# Each message class's row: how `NodeRuntime.handle` acts on it (`m`, from
+# `s`; the method is looked up as it arrives, so a patched one is called),
+# then the lane and the count key `send_msg` sends it under: its round, its
+# instance's gossip, or none for a liveness probe.
+_ORDERING = Category.ORDERING, attrgetter("instance_id", "ordering_id")
+_CONSENSUS = Category.CONSENSUS, attrgetter("instance_id", "window_start_us")
+_PROBE = Category.PING, lambda m: None
+_gossip = lambda m: ("gossip", m.instance_id)
 _ROUTES = {
-    Ping: NodeRuntime._answer_ping,
-    Pong: lambda rt, s, m: (p := rt.pingers.get(m.instance_id)) and p.on_pong(s, m),
-    GossipMsg: lambda rt, s, m: rt.gossip and rt.gossip.handle_gossip(s, m),
-    GossipAck: lambda rt, s, m: rt.gossip and rt.gossip.handle_ack(s, m),
-    OrderReply: lambda rt, s, m: (
-        (p := rt._proposer(m)) and p.ordering.handle_reply(s, m)),
-    CommitReply: lambda rt, s, m: (
-        (p := rt._proposer(m)) and p.consensus.handle_reply(s, m)),
-    PreOrder: lambda rt, s, m: rt._validator(m).ordering.handle_pre_order(s, m),
-    OrderMsg: lambda rt, s, m: rt._validator(m).ordering.handle_order(s, m),
-    PreCommitSeen: lambda rt, s, m: rt._validator(m).consensus.handle_seen(s, m),
-    PreCommitUnseen: lambda rt, s, m: rt._validator(m).consensus.handle_unseen(s, m),
-    CommitMsg: lambda rt, s, m: rt._validator(m).consensus.handle_commit(s, m),
+    Ping: (NodeRuntime._answer_ping, *_PROBE),
+    Pong: (lambda rt, s, m: (p := rt.proposers.get(m.instance_id))
+           and p.ctx.mmu.on_pong(s, m), *_PROBE),
+    GossipMsg: (lambda rt, s, m: rt.gossip and rt.gossip.handle_gossip(s, m),
+                Category.GOSSIP, _gossip),
+    GossipAck: (lambda rt, s, m: rt.gossip and rt.gossip.handle_ack(s, m),
+                Category.ACK, _gossip),
+    OrderReply: (lambda rt, s, m: (p := rt._proposer(m))
+                 and p.ordering.handle_reply(s, m), *_ORDERING),
+    CommitReply: (lambda rt, s, m: (p := rt._proposer(m))
+                  and p.consensus.handle_reply(s, m), *_CONSENSUS),
+    PreOrder: (lambda rt, s, m: rt._validator(m).ordering.handle_pre_order(s, m),
+               *_ORDERING),
+    OrderMsg: (lambda rt, s, m: rt._validator(m).ordering.handle_order(s, m),
+               *_ORDERING),
+    PreCommitSeen: (lambda rt, s, m: rt._validator(m).consensus.handle_seen(s, m),
+                    *_CONSENSUS),
+    PreCommitUnseen: (lambda rt, s, m:
+                      rt._validator(m).consensus.handle_unseen(s, m), *_CONSENSUS),
+    CommitMsg: (lambda rt, s, m: rt._validator(m).consensus.handle_commit(s, m),
+                *_CONSENSUS),
 }

@@ -36,7 +36,6 @@ from .crypto import (AggregateSignature, PartialSignature, aggregate,
 from .errors import RejectReason
 from .ledger import DataBatch, order_cert_digest
 from .messages import OrderMsg, OrderReply, PreOrder
-from .netsim import Category
 
 
 def batch_wire_bytes(batch: DataBatch) -> int:
@@ -258,7 +257,7 @@ class OrderingCoordinator(RoundCoordinator):
                        batch_hash=batch.batch_hash, booth=booth,
                        booth_hash=booth.booth_hash, proposer_partial=own)
         for member in booth.validators():
-            ctx.send(member, msg, Category.ORDERING, oid)
+            ctx.send(member, msg)
         return 0
 
     # -- replies and release ----------------------------------------------
@@ -279,7 +278,7 @@ class OrderingCoordinator(RoundCoordinator):
         out = OrderMsg(instance_id=ctx.instance_id, sender=ctx.node_id,
                        ordering_id=oid, cert=rnd.cert)
         for member in rnd.booth.validators():
-            ctx.send(member, out, Category.ORDERING, oid)
+            ctx.send(member, out)
 
     # -- retries -----------------------------------------------------------
 
@@ -391,7 +390,7 @@ class ValidatorOrdering:
         reply = OrderReply(instance_id=ctx.instance_id, sender=ctx.node_id,
                            ordering_id=msg.ordering_id,
                            partial=make_partial(ctx.key, expected))
-        ctx.send(src, reply, Category.ORDERING, msg.ordering_id)
+        ctx.send(src, reply)
 
     def handle_order(self, src: int, msg: OrderMsg) -> None:
         ctx = self.ctx

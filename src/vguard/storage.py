@@ -1,12 +1,13 @@
 """Two-layer storage of the commits a node learned through gossip alone.
 
 A node's ledger is its one record of the windows it committed; storage
-keeps what the ledger cannot, the commits gossip brought, and the gossip
-agent is its one writer. Each node runs one storage master, which hands
-out one storage instance per consensus instance. Every instance keeps a
-temporary layer for fresh commits and a permanent layer for archived ones;
-a transaction lives in exactly one layer at a time. The temporary layer is
-pruned by age or, optionally, by a FIFO cap.
+keeps what the ledger cannot, the commits gossip brought. The gossip
+agent is its one writer: it stores each transaction with the certified
+commit it came with and the time it arrived. Each node runs one storage
+master, which hands out one storage instance per consensus instance.
+Every instance keeps a temporary layer for fresh commits and a permanent
+layer for archived ones; a transaction lives in exactly one layer at a
+time. The temporary layer is pruned by age or, optionally, by a FIFO cap.
 """
 
 from __future__ import annotations
@@ -16,18 +17,19 @@ from typing import Optional
 
 from .errors import NotFound
 from .codec import record
-from .ledger import CommitRecord, Transaction
+from .ledger import Transaction
+from .messages import CertifiedCommit
 
 DEFAULT_TEMP_TTL_US = 24 * 3600 * 1_000_000   # prune temp entries older than a day
 
 
 @record
 class StoredTx:
-    """A stored transaction, its commit record and its store time."""
+    """A stored transaction, the commit it came with, and when it came."""
 
     tx_hash: bytes
     tx: Transaction
-    record: Optional[CommitRecord]
+    record: Optional[CertifiedCommit]
     stored_at_us: int
 
 
@@ -44,7 +46,7 @@ class StorageInstance:
         self.temp: dict[bytes, StoredTx] = {}
         self.perm: dict[bytes, StoredTx] = {}
 
-    def register_to_temp(self, tx: Transaction, record: Optional[CommitRecord],
+    def register_to_temp(self, tx: Transaction, record: Optional[CertifiedCommit],
                          now_us: int) -> bool:
         """Idempotent insert into the temporary layer. Returns False without
         touching anything when the transaction is already archived."""

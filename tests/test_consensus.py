@@ -87,7 +87,7 @@ def test_seen_valid_binds_and_replies(world):
     seed_log(ctx, entries, booth)
     engine.handle_seen(1, seen_msg(pool, booth, tx, 0, 1))
     assert not rejects(ctx)
-    (dst, reply, _), = sent
+    (dst, reply), = sent
     assert dst == 1
     expected = commit_cert_digest(0, tx.tx_hash, booth.booth_hash)
     assert verify_partial(reply.partial, pool.registry.verify_key(3), expected)
@@ -435,10 +435,10 @@ def test_pre_commit_is_built_once_per_attempt(monkeypatch):
     sent: dict[bytes, list] = {}
     send_msg = NodeRuntime.send_msg
 
-    def spy(self, dst, msg, category, instance_key):
+    def spy(self, dst, msg):
         if isinstance(msg, (PreCommitSeen, PreCommitUnseen)):
             sent.setdefault(msg.encode(), []).append(msg)
-        send_msg(self, dst, msg, category, instance_key)
+        send_msg(self, dst, msg)
 
     monkeypatch.setattr(NodeRuntime, "send_msg", spy)
     run(RunSpec(booth_size=4, pool=8, lambda0=2, duration_ms=300.0,

@@ -317,8 +317,8 @@ def test_gossip_lands_in_gossiper_storage(committed):
 def test_gossip_stores_at_the_time_the_commit_arrived(monkeypatch):
     """In a pool-8, lifetime-2 run every commit a gossiper stores is stored
     at the simulated time it arrived, never at time 0: storage ages its
-    entries from that time. Its commit record is stamped with that time,
-    as a validator stamps its own at the commit."""
+    entries from that time. Its record is the certified commit the gossip
+    carried."""
     envs, arrived = {}, {}
     init, handle = GossipAgent.__init__, GossipAgent.handle_gossip
 
@@ -331,7 +331,7 @@ def test_gossip_stores_at_the_time_the_commit_arrived(monkeypatch):
         stored = handle(agent, src, msg)
         if stored:
             key = (agent.node_id, msg.instance_id, msg.tx.tx_hash)
-            arrived.setdefault(key, now)
+            arrived.setdefault(key, (now, msg.commit))
         return stored
 
     monkeypatch.setattr(GossipAgent, "__init__", keeping_env)
@@ -343,11 +343,10 @@ def test_gossip_stores_at_the_time_the_commit_arrived(monkeypatch):
              for node, runtime in result.runtimes.items()
              for instance_id, smi in runtime.storage.instances.items()
              for item in smi.temp.values()}
-    stored = {key: item.stored_at_us for key, item in items.items()}
+    stored = {key: (item.stored_at_us, item.record)
+              for key, item in items.items()}
     assert stored and stored == arrived
-    assert 0 not in stored.values()
-    assert all(item.record.committed_at_us == item.stored_at_us
-               for item in items.values())
+    assert all(item.stored_at_us > 0 for item in items.values())
 
 
 def test_gossip_frames_of_the_pool8_run_are_pinned(monkeypatch):

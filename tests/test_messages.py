@@ -539,7 +539,7 @@ def _valid_messages() -> tuple:
 # Where `NodeRuntime.handle` hands each message type (Ping is answered by
 # the runtime itself with a Pong).
 HANDLERS = {
-    Pong: (node.PingDaemon, "on_pong"),
+    Pong: (MembershipUnit, "on_pong"),
     GossipMsg: (GossipAgent, "handle_gossip"),
     GossipAck: (GossipAgent, "handle_ack"),
     OrderReply: (OrderingCoordinator, "handle_reply"),

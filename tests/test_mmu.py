@@ -8,6 +8,7 @@ import pytest
 
 from conftest import make_pool
 from vguard.errors import InsufficientMembers, UnknownNode
+from vguard.messages import Pong
 from vguard.mmu import MembershipUnit, MmuConfig
 from vguard.netsim import Network, NodeEnv, SimConfig
 
@@ -249,3 +250,45 @@ def test_queue_holds_only_valid_booths_under_random_churn(booth_size,
         else:
             mmu.note_missed_ping(node_id)
         check()
+
+
+def test_a_pong_from_before_a_churn_down_does_not_revive_the_node(monkeypatch):
+    """The README run (seed 7) with node 3 down from 101.3 ms to 401.3 ms,
+    off the 20 ms ping grid: the ping sent at 100 ms is answered before
+    node 3 goes down, and its pong lands after the churn notice. That pong
+    answers a probe the notice closed, so no unit marks node 3 up before
+    it comes back."""
+    from vguard import harness
+    from vguard.netsim import ChurnEvent
+
+    marks = []
+    mark = MembershipUnit.mark_availability
+
+    def noting(mmu, node_id, up):
+        marks.append((mmu.env.now_us(), node_id, up))
+        mark(mmu, node_id, up)
+
+    monkeypatch.setattr(MembershipUnit, "mark_availability", noting)
+    harness.run(harness.RunSpec(
+        booth_size=4, duration_ms=1000.0, rate_per_s=200.0, seed=7,
+        churn=(ChurnEvent(at_ms=101.3, node_id=3, up=False),
+               ChurnEvent(at_ms=401.3, node_id=3, up=True))))
+    assert (101_300, 3, False) in marks and (401_300, 3, True) in marks
+    assert [t for t, node, up in marks if node == 3 and up and t < 401_300] == []
+
+
+def test_a_node_marked_down_by_missed_pings_comes_back_when_it_answers():
+    """Probes that go unanswered take a node down; a pong that answers an
+    older probe is no evidence, and one that answers its latest brings
+    the node back."""
+    mmu, _ = make_mmu()
+    net, sent = mmu.env.net, []
+    net.register(2, lambda *args: None)
+    mmu.start_probes(lambda dst, msg: sent.append((dst, msg)))
+    net.run_until(mmu.config.ping_period_ms * (mmu.config.ping_miss_limit + 1))
+    assert not mmu.status[8].up
+    first, *_, last = [msg for dst, msg in sent if dst == 8]
+    for ping, up in ((first, False), (last, True)):
+        mmu.on_pong(8, Pong(instance_id=1, sender=8, seq=ping.seq,
+                            sent_at_us=ping.sent_at_us))
+        assert mmu.status[8].up is up

@@ -63,7 +63,7 @@ def make_ctx(pool, node_id: int, instance_id: int = 1,
         instance_id=instance_id, node_id=node_id, env=FakeEnv(),
         registry=pool.registry, key=pool.keys[node_id],
         config=ProtocolConfig(), delta_us=delta_us,
-        send=lambda dst, msg, cat, sub=None: sent.append((dst, msg, cat)),
+        send=lambda dst, msg: sent.append((dst, msg)),
         log=TotalOrderLog(), ledger=Ledger(node_id, delta_us),
         metrics=MetricSink())
     return ctx, sent
@@ -106,7 +106,7 @@ def test_valid_pre_order_yields_anchored_reply(world):
     msg = pre_order(pool, booth, 0)
     engine.handle_pre_order(1, msg)
     assert not rejects(ctx)
-    (dst, reply, category), = sent
+    (dst, reply), = sent
     assert dst == 1
     assert reply.ordering_id == 0
     assert reply.partial.signer == 3
@@ -209,7 +209,7 @@ def test_reply_is_one_identity_signature_whatever_keys_the_profile_carries(
     ctx, sent = make_ctx(pool, node_id=3)
     ValidatorOrdering(ctx).handle_pre_order(1, msg)
     assert not rejects(ctx)
-    (_, reply, _), = sent
+    (_, reply), = sent
     assert len(reply.partial.sig_bytes) == 64
     expected = order_cert_digest(0, msg.batch_hash, swapped.booth_hash)
     assert verify_partial(reply.partial, pool.registry.verify_key(3), expected)

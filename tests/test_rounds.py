@@ -190,7 +190,7 @@ def test_a_lost_booth_retries_in_the_new_head_booth(world, side):
         assert again == key + 1 and coord.retired_ids == {key}
     else:
         assert again == key and rnd.demoted == frozenset()   # nobody's fault
-    assert {dst for dst, _, _ in sent[-3:]} == set(other.validators())
+    assert {dst for dst, _ in sent[-3:]} == set(other.validators())
     answer(world, side, coord, again, 2, 5)
     assert side.released(ctx, again)
 

@@ -8,6 +8,10 @@ and the auditor walk a transaction's entry certificates through one
 function, and ordering and consensus drive their rounds through one
 lifecycle, `RoundCoordinator`, whose steps no coordinator writes again.
 
+A message's class picks its handler, its lane (`netsim.Category`) and
+the key it is counted under, in one routing table in `node`: no protocol
+engine names a lane, and every class on the wire has one row.
+
 Every run is single-threaded, so `MembershipUnit` and the network hold no
 locks; no module may bring threads in.
 
@@ -127,6 +131,33 @@ def test_a_validator_commits_what_it_countersigned_without_reading_its_log():
     reads = [ast.unparse(node) for node in ast.walk(handler)
              if isinstance(node, ast.Attribute) and node.attr == "log"]
     assert reads == []
+
+
+def test_only_the_network_the_router_and_the_harness_name_a_lane():
+    """Ordering, consensus and gossip send a message by its class alone;
+    neither ordering nor consensus imports anything from `netsim`."""
+    naming, from_netsim = set(), set()
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Name) and node.id == "Category"
+                    or isinstance(node, ast.Attribute)
+                    and node.attr == "Category"
+                    or isinstance(node, ast.alias) and node.name == "Category"):
+                naming.add(path.stem)
+            if isinstance(node, ast.ImportFrom) and node.module == "netsim":
+                from_netsim.add(path.stem)
+    assert naming == {"netsim", "node", "harness"}
+    assert not from_netsim & {"ordering", "consensus"}
+
+
+def test_the_routing_table_has_one_row_per_wire_class():
+    from vguard import messages, node
+    from vguard.netsim import Category
+
+    assert set(node._ROUTES) == set(messages._BY_TAG.values())
+    for handle, lane, key in node._ROUTES.values():
+        assert callable(handle) and callable(key)
+        assert isinstance(lane, Category)
 
 
 def definitions(name: str) -> set[str]:
