@@ -12,7 +12,6 @@ from .errors import (
     AggregationError,
     ConfigInvalid,
     DuplicateOrderingId,
-    InsufficientMembers,
     InsufficientPartials,
     MixedDigests,
     RejectReason,
@@ -25,7 +24,6 @@ __all__ = [
     "AggregationError",
     "ConfigInvalid",
     "DuplicateOrderingId",
-    "InsufficientMembers",
     "InsufficientPartials",
     "MixedDigests",
     "RejectReason",

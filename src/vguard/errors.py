@@ -78,10 +78,6 @@ class UnknownNode(MembershipError):
     pass
 
 
-class InsufficientMembers(MembershipError):
-    """Too few available members to compose a booth of the requested size."""
-
-
 # -- storage -------------------------------------------------------------
 
 class StorageError(VGuardError):

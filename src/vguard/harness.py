@@ -82,6 +82,15 @@ class RunSpec:
             raise ConfigInvalid(f"pool {pool} smaller than booth {self.booth_size}")
         if self.gamma < 1 or self.gamma > pool - 1:
             raise ConfigInvalid(f"gamma must be in [1, pool-1], got {self.gamma}")
+        named = {e.node_id for e in self.churn} | {n for n, _ in self.byzantine}
+        outside = sorted(n for n in named if not 1 <= n <= pool)
+        if outside:
+            raise ConfigInvalid(f"churn and byzantine schedules name nodes "
+                                f"{outside} outside the pool 1..{pool}")
+        for event in self.churn:
+            if not (math.isfinite(event.at_ms) and event.at_ms >= 0):
+                raise ConfigInvalid(f"churn at_ms must be finite and not "
+                                    f"negative, got {event.at_ms!r}")
         return self
 
     @property

@@ -1,12 +1,15 @@
 """Membership management: liveness probes, availability, the booth queue.
 
 The unit is its proposer's one failure detector: it pings every other
-member each period and takes the network's churn notices. A probe still
-unanswered when the next fires is a miss; enough in a row mark the member
-down. A pong is evidence only for the probe it answers: one round-trip
-sample (ping sent to pong arrived, so a busy CPU reads as a slow member)
-that revives a member misses took down. A churn notice that marks a member
-down closes its probe, so a pong then in flight revives nothing. The unit
+member each period and takes the network's churn notices. A member's
+`NodeStatus` is the unit's one record of it: up or down, its smoothed
+round trip, its miss streak and its open probe. A probe still unanswered
+when the next fires is a miss; enough in a row mark the member down. A
+pong is evidence only for the probe it answers: one round-trip sample
+(ping sent to pong arrived, so a busy CPU reads as a slow member) that
+revives a member misses took down. Any churn notice, down or up, closes
+the member's probe: a pong then in flight revives nothing, and a probe
+sent while the member was down is no miss once it is back. The unit
 keeps a short queue of pre-provisioned booths sorted by their worst-member
 smoothed round trip, and serves the head booth to ordering and consensus
 instances. Booths are immutable once served; when enough members fall
@@ -30,7 +33,7 @@ from typing import Callable, Optional
 
 from .booths import BoothProfile, build_profile
 from .crypto import Identity
-from .errors import AT_MOST_ONE, POSITIVE, InsufficientMembers, UnknownNode
+from .errors import AT_MOST_ONE, POSITIVE, UnknownNode
 from .messages import Ping, Pong
 from .netsim import NodeEnv
 
@@ -47,26 +50,18 @@ class MmuConfig:
 
 @dataclass
 class NodeStatus:
-    """One member as its membership unit sees it: up, and its RTT."""
+    """One member as its membership unit sees it, and the unit's one record
+    of it: up, its RTT, its miss streak, and `probe`, the seq of the probe
+    it has not answered yet (None when none is open)."""
 
     up: bool = True
     rtt_ewma_ms: float = 0.0
     have_rtt: bool = False
     missed_pings: int = 0
+    probe: Optional[int] = None
 
 
 _RTT = attrgetter("rtt_ewma_ms")
-
-
-@dataclass
-class QueuedBooth:
-    """A queued booth and the statuses of its members."""
-
-    profile: BoothProfile
-    statuses: list[NodeStatus]          # its members', in member order
-
-    def valid(self) -> bool:
-        return sum(not s.up for s in self.statuses) < max(self.profile.fault_budget, 1)
 
 
 class MembershipUnit:
@@ -84,12 +79,11 @@ class MembershipUnit:
         self.env = env                  # the proposer's clock and tally
         self.status: dict[int, NodeStatus] = {
             node_id: NodeStatus() for node_id in self.pool}
-        self.queue: list[QueuedBooth] = []
+        self.queue: list[BoothProfile] = []
         self._profile_cache: dict[frozenset, BoothProfile] = {}
         self._available_listeners: list[Callable[[], None]] = []
         self._invalidated_listeners: list[Callable[[bytes], None]] = []
         self._last_served: Optional[bytes] = None
-        self._probes: dict[int, Optional[int]] = {}   # member -> seq unanswered
         self._seq = 0
         env.net.on_availability_change(self._churn_notice)
         self.refill()
@@ -115,26 +109,27 @@ class MembershipUnit:
                        partial(self._probe, send, targets))
 
     def _probe(self, send: Callable, targets: list[int]) -> None:
-        probes, now_us = self._probes, self.env.now_us()
+        now_us = self.env.now_us()
         for target in targets:
-            if probes.get(target) is not None:
+            status = self.status[target]
+            if status.probe is not None:
                 self.note_missed_ping(target)
-            self._seq = seq = self._seq + 1
-            probes[target] = seq
+            self._seq = status.probe = self._seq + 1
             send(target, Ping(instance_id=self.instance_id,
-                              sender=self.proposer_id, seq=seq,
+                              sender=self.proposer_id, seq=self._seq,
                               sent_at_us=now_us))
 
     def on_pong(self, src: int, msg: Pong) -> None:
         """A pong counts only if it answers `src`'s outstanding probe."""
-        if self._probes.get(src) == msg.seq:
-            self._probes[src] = None
+        status = self.status.get(src)
+        if status is not None and status.probe == msg.seq:
+            status.probe = None
             self.note_rtt(src, (self.env.now_us() - msg.sent_at_us) / 1000.0)
 
     def _churn_notice(self, node_id: int, up: bool, _now) -> None:
-        if node_id in self.pool:
-            if not up:
-                self._probes[node_id] = None
+        status = self.status.get(node_id)
+        if status is not None:
+            status.probe = None
             self.mark_availability(node_id, up)
 
     # -- availability updates ---------------------------------------------
@@ -147,7 +142,12 @@ class MembershipUnit:
             return
         status.up = up
         status.missed_pings = 0
-        self._purge_and_refill()
+        invalid = [b for b in self.queue if not self.valid(b)]
+        self.queue = [b for b in self.queue if self.valid(b)]
+        for booth in invalid:
+            for fn in list(self._invalidated_listeners):
+                fn(booth.booth_hash)
+        self.refill()
 
     def note_rtt(self, node_id: int, rtt_ms: float) -> None:
         """Feed one measured round trip; revives nodes marked down by misses."""
@@ -176,6 +176,12 @@ class MembershipUnit:
 
     # -- queue maintenance -------------------------------------------------
 
+    def valid(self, profile: BoothProfile) -> bool:
+        """Whether fewer of the booth's members are down than its fault
+        budget, or than one when the budget is zero."""
+        down = sum(not self.status[m].up for m in profile.member_ids)
+        return down < max(profile.fault_budget, 1)
+
     def latency_of(self, profile: BoothProfile) -> float:
         """Worst smoothed round trip among the booth's members."""
         return max(map(_RTT, map(self.status.__getitem__, profile.member_ids)))
@@ -191,16 +197,13 @@ class MembershipUnit:
 
     def _compositions(self) -> list[frozenset]:
         """Sliding-window member sets over the sorted vehicle list, nearest
-        first. Raises InsufficientMembers when one booth cannot be seated."""
-        size = self.booth_size
-        anchors_up = (self.status[self.proposer_id].up
-                      and self.status[self.pivot_id].up)
+        first; none when the proposer or the pivot is down or too few
+        vehicles are up to seat one booth."""
+        if not (self.status[self.proposer_id].up
+                and self.status[self.pivot_id].up):
+            return []
         vehicles = self._candidate_vehicles()
-        need = size - 2
-        if not anchors_up or len(vehicles) < need:
-            raise InsufficientMembers(
-                f"cannot seat a booth of {size}: pivot/proposer down or "
-                f"only {len(vehicles)} vehicles up")
+        need = self.booth_size - 2
         return [
             frozenset([self.proposer_id, self.pivot_id, *vehicles[k:k + need]])
             for k in range(len(vehicles) - need + 1)
@@ -219,39 +222,21 @@ class MembershipUnit:
         return profile
 
     def refill(self) -> None:
-        try:
-            sets = self._compositions()
-        except InsufficientMembers:
-            sets = []
-        queued = {frozenset(b.profile.member_ids) for b in self.queue}
+        queued = {frozenset(b.member_ids) for b in self.queue}
         had_none = not self.queue
-        filled = len(queued)
-        for members in sets:
-            if filled >= self.config.queue_depth:
+        for members in self._compositions():
+            if len(self.queue) >= self.config.queue_depth:
                 break
-            if members in queued:
-                continue
-            profile = self._provision(members)
-            self.queue.append(QueuedBooth(
-                profile, [self.status[m] for m in profile.member_ids]))
-            queued.add(members)
-            filled += 1
+            if members not in queued:
+                self.queue.append(self._provision(members))
         self._resort()
         if had_none and self.queue:
             for fn in list(self._available_listeners):
                 fn()
 
-    def _purge_and_refill(self) -> None:
-        invalid = [b for b in self.queue if not b.valid()]
-        self.queue = [b for b in self.queue if b.valid()]
-        for booth in invalid:
-            for fn in list(self._invalidated_listeners):
-                fn(booth.profile.booth_hash)
-        self.refill()
-
     def _resort(self) -> None:
         # stable: ties keep order
-        self.queue.sort(key=lambda b: self.latency_of(b.profile))
+        self.queue.sort(key=self.latency_of)
 
     # -- serving booths ----------------------------------------------------
 
@@ -260,7 +245,7 @@ class MembershipUnit:
         work and resume on the availability callback)."""
         if not self.queue:
             return None
-        profile = self.queue[0].profile
+        profile = self.queue[0]
         if profile.booth_hash != self._last_served:
             self.env.events["booth_changes", self.instance_id] += 1
             self._last_served = profile.booth_hash

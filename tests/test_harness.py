@@ -611,10 +611,20 @@ def test_cli_run_and_sweep(tmp_path, capsys):
     ("--churn", {"at_ms": 100, "node_id": 3, "status": "down"}),
     ("--byzantine", 5),
     ("--spec", {"churn": {"at_ms": 100, "node_id": 3, "status": "down"}}),
+    ("--churn", [{"at_ms": float("nan"), "node_id": 3, "status": "down"}]),
+    ("--churn", [{"at_ms": float("inf"), "node_id": 3, "status": "down"}]),
+    ("--churn", [{"at_ms": -5, "node_id": 3, "status": "down"}]),
+    ("--churn", [{"at_ms": 100, "node_id": 99, "status": "down"}]),
+    ("--churn", [{"at_ms": 100, "node_id": 0, "status": "down"}]),
+    ("--byzantine", [{"node_id": 99, "behaviors": ["silent"]}]),
+    ("--spec", {"byzantine": {"5": ["silent"]}}),
 ], ids=["churn-no-status", "churn-misspelled-status", "byzantine-unknown",
         "spec-byzantine-unknown", "churn-one-object", "byzantine-not-a-list",
-        "spec-churn-one-object"])
-def test_cli_rejects_bad_schedule_files(tmp_path, capsys, flag, entries):
+        "spec-churn-one-object", "churn-at-nan", "churn-at-inf",
+        "churn-at-negative", "churn-node-outside-pool", "churn-node-zero",
+        "byzantine-node-outside-pool", "spec-byzantine-node-outside-pool"])
+def test_cli_rejects_bad_schedule_files(tmp_path, capsys, flag, entries,
+                                        no_run_starts):
     path = tmp_path / "schedule.json"
     path.write_text(json.dumps(entries))
     assert cli.main(["run", "--duration-ms", "200", flag, str(path)]) == 2

@@ -11,7 +11,7 @@ from vguard.booths import BoothProfile
 from vguard.codec import Reader, digest
 from vguard.crypto import AggregateSignature, Identity, Role
 from vguard.errors import DuplicateOrderingId, RejectReason, WindowError
-from vguard.harness import RunSpec, run
+from vguard.harness import RunSpec, run, write_artifacts
 from vguard.ledger import (
     CommitRecord,
     DataBatch,
@@ -39,6 +39,7 @@ from conftest import (
     make_booth,
     make_pool,
 )
+from test_golden import SPECS as GOLDEN_SPECS
 from test_messages import _U64, _values
 
 DELTA_US = 100_000   # 100 ms windows
@@ -454,6 +455,25 @@ def test_export_import_roundtrip(tmp_path, pool4, booth4):
     path2 = tmp_path / "again.jsonl"
     restored.export_jsonl(path2, registry.identities.values())
     assert path.read_bytes() == path2.read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SPECS))
+def test_every_golden_ledger_export_imports_as_it_was_written(name, tmp_path):
+    """Each ledger export of a golden run imports to a ledger that audits
+    clean against the imported registry and exports the same lines again;
+    the same file with its meta line moved off the top is refused."""
+    paths = [path for path in write_artifacts(run(GOLDEN_SPECS[name]), tmp_path)
+             if path.name.startswith("ledger-")]
+    assert paths
+    for path in paths:
+        lines = path.read_text(encoding="utf-8").splitlines()
+        ledger, registry = Ledger.import_jsonl(path)
+        check = verify_chain(ledger, registry)
+        assert check.ok, (path.name, check.violations)
+        assert ledger.export_lines(registry.identities.values()) == lines
+        path.write_text("\n".join(lines[1:] + lines[:1]), encoding="utf-8")
+        with pytest.raises(ValueError, match="must start with a meta line"):
+            Ledger.import_jsonl(path)
 
 
 @settings(max_examples=80, derandomize=True, deadline=None, database=None)

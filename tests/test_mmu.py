@@ -7,7 +7,7 @@ import random
 import pytest
 
 from conftest import make_pool
-from vguard.errors import InsufficientMembers, UnknownNode
+from vguard.errors import UnknownNode
 from vguard.messages import Pong
 from vguard.mmu import MembershipUnit, MmuConfig
 from vguard.netsim import Network, NodeEnv, SimConfig
@@ -26,7 +26,7 @@ def make_mmu(queue_depth: int = 4, pool_ids=POOL_IDS, booth_size: int = 4):
 
 
 def members_of(mmu: MembershipUnit) -> list[frozenset]:
-    return [frozenset(b.profile.member_ids) for b in mmu.queue]
+    return [frozenset(b.member_ids) for b in mmu.queue]
 
 
 def compose_booths(mmu: MembershipUnit) -> list:
@@ -72,7 +72,7 @@ def test_compositions_slide_over_latency_sorted_vehicles():
 def test_queue_resorts_by_worst_member_latency():
     mmu, _ = make_mmu()
     feed_descending_rtts(mmu)
-    latencies = [mmu.latency_of(b.profile) for b in mmu.queue]
+    latencies = [mmu.latency_of(b) for b in mmu.queue]
     assert latencies == sorted(latencies)
     # worst member dominates: the {6,7} window (max rtt 2.0) leads
     assert members_of(mmu)[0] == frozenset({1, 2, 6, 7})
@@ -142,7 +142,7 @@ def test_booth_identity_survives_flap():
     head = mmu.current_booth()
     victim = max(m for m in head.member_ids if m not in (1, 2))
     mmu.mark_availability(victim, False)
-    assert all(head.booth_hash != b.profile.booth_hash for b in mmu.queue)
+    assert all(head.booth_hash != b.booth_hash for b in mmu.queue)
     mmu.mark_availability(victim, True)
     # same member set re-forms with the same cached profile
     refreshed = compose_booths(mmu)[0]
@@ -157,8 +157,7 @@ def test_no_booth_parks_then_availability_listener_fires():
     mmu.on_booth_available(lambda: woke.append(True))
     mmu.mark_availability(3, False)
     assert mmu.current_booth() is None  # 2 vehicles needed, 1 up
-    with pytest.raises(InsufficientMembers):
-        compose_booths(mmu)
+    assert compose_booths(mmu) == []
     mmu.mark_availability(3, True)
     assert woke
     assert mmu.current_booth() is not None
@@ -210,8 +209,7 @@ def test_booth_changes_counts_head_switches():
 def test_same_seeds_build_identical_queues():
     a, _ = make_mmu()
     b, _ = make_mmu()
-    assert [q.profile.booth_hash for q in a.queue] == \
-        [q.profile.booth_hash for q in b.queue]
+    assert [q.booth_hash for q in a.queue] == [q.booth_hash for q in b.queue]
 
 
 def test_larger_booths_use_wider_windows():
@@ -234,9 +232,9 @@ def test_queue_holds_only_valid_booths_under_random_churn(booth_size,
     rng = random.Random(booth_size)
 
     def check(*_):
-        assert all(b.valid() for b in mmu.queue)
+        assert all(mmu.valid(b) for b in mmu.queue)
         head = mmu.current_booth()
-        assert head is (mmu.queue[0].profile if mmu.queue else None)
+        assert head is (mmu.queue[0] if mmu.queue else None)
 
     mmu.on_booth_invalidated(check)
     mmu.on_booth_available(check)
@@ -252,15 +250,22 @@ def test_queue_holds_only_valid_booths_under_random_churn(booth_size,
         check()
 
 
-def test_a_pong_from_before_a_churn_down_does_not_revive_the_node(monkeypatch):
+def run_with_node_3_down_off_the_ping_grid() -> None:
     """The README run (seed 7) with node 3 down from 101.3 ms to 401.3 ms,
-    off the 20 ms ping grid: the ping sent at 100 ms is answered before
-    node 3 goes down, and its pong lands after the churn notice. That pong
-    answers a probe the notice closed, so no unit marks node 3 up before
-    it comes back."""
+    off the 20 ms ping grid."""
     from vguard import harness
     from vguard.netsim import ChurnEvent
 
+    harness.run(harness.RunSpec(
+        booth_size=4, duration_ms=1000.0, rate_per_s=200.0, seed=7,
+        churn=(ChurnEvent(at_ms=101.3, node_id=3, up=False),
+               ChurnEvent(at_ms=401.3, node_id=3, up=True))))
+
+
+def test_a_pong_from_before_a_churn_down_does_not_revive_the_node(monkeypatch):
+    """The ping sent at 100 ms is answered before node 3 goes down, and its
+    pong lands after the churn notice. That pong answers a probe the notice
+    closed, so no unit marks node 3 up before it comes back."""
     marks = []
     mark = MembershipUnit.mark_availability
 
@@ -269,12 +274,27 @@ def test_a_pong_from_before_a_churn_down_does_not_revive_the_node(monkeypatch):
         mark(mmu, node_id, up)
 
     monkeypatch.setattr(MembershipUnit, "mark_availability", noting)
-    harness.run(harness.RunSpec(
-        booth_size=4, duration_ms=1000.0, rate_per_s=200.0, seed=7,
-        churn=(ChurnEvent(at_ms=101.3, node_id=3, up=False),
-               ChurnEvent(at_ms=401.3, node_id=3, up=True))))
+    run_with_node_3_down_off_the_ping_grid()
     assert (101_300, 3, False) in marks and (401_300, 3, True) in marks
     assert [t for t, node, up in marks if node == 3 and up and t < 401_300] == []
+
+
+def test_a_probe_sent_while_a_node_was_down_is_no_miss_once_it_is_back(
+        monkeypatch):
+    """The ping sent at 400 ms is dropped at node 3, which is down. The
+    churn notice at 401.3 ms that brings node 3 back closes that probe, so
+    no miss is charged to node 3 while it is up."""
+    misses = []
+    miss = MembershipUnit.note_missed_ping
+
+    def noting(mmu, node_id):
+        misses.append((mmu.env.now_us(), node_id))
+        miss(mmu, node_id)
+
+    monkeypatch.setattr(MembershipUnit, "note_missed_ping", noting)
+    run_with_node_3_down_off_the_ping_grid()
+    assert [t for t, node in misses
+            if node == 3 and not 101_300 <= t < 401_300] == []
 
 
 def test_a_node_marked_down_by_missed_pings_comes_back_when_it_answers():

@@ -12,6 +12,9 @@ A message's class picks its handler, its lane (`netsim.Category`) and
 the key it is counted under, in one routing table in `node`: no protocol
 engine names a lane, and every class on the wire has one row.
 
+The membership unit keeps one record per member, its `NodeStatus`, and
+no second table of per-member state beside it.
+
 Every run is single-threaded, so `MembershipUnit` and the network hold no
 locks; no module may bring threads in.
 
@@ -131,6 +134,18 @@ def test_a_validator_commits_what_it_countersigned_without_reading_its_log():
     reads = [ast.unparse(node) for node in ast.walk(handler)
              if isinstance(node, ast.Attribute) and node.attr == "log"]
     assert reads == []
+
+
+def test_the_membership_unit_keeps_one_record_per_member():
+    """`mmu` declares its config, its record of a member and the unit, and
+    no other class: a second table of per-member state (a probe map, a
+    queued booth's copy of its members' statuses) would split the unit's
+    liveness evidence again."""
+    path = Path(vguard.__file__).parent / "mmu.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    classes = {node.name for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef)}
+    assert classes == {"MmuConfig", "NodeStatus", "MembershipUnit"}
 
 
 def test_only_the_network_the_router_and_the_harness_name_a_lane():
@@ -311,7 +326,9 @@ def test_no_module_imports_a_name_it_never_uses(monkeypatch):
 
 
 # API that callers outside these files drive: the ledger import that reads
-# back an export, and the storage operations that the storage lifecycle
+# back an export (`test_ledger.py::
+# test_every_golden_ledger_export_imports_as_it_was_written` reads back every
+# golden run's), and the storage operations that the storage lifecycle
 # criterion exercises.
 UNREFERENCED_API = {
     "ledger:Ledger.import_jsonl",
