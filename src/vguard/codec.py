@@ -26,9 +26,10 @@ from the field annotations. A type packs one way wherever it sits, alone
 or as a field of another. The encoder is generated code, one flat
 function per class (`encoder`), that packs a value in one pass. A list of
 [u64, bytes] pairs, the shape of a batch's entry list and the bulk of the
-data on the wire, has a fast path both ways instead: `pack_pairs` and
-`Reader.skip_pairs` frame or check each pair in one struct step, and
-`pack_pair_lists` frames the pairs of many equal lists in one numpy step.
+data on the wire, is packed on a fast path instead: `pack_pairs` frames
+each pair in one struct step, and `pack_pair_lists` the pairs of many
+equal lists in one numpy step. Reading has none: no run parses a byte
+(see `messages.Frame`), so a decoder is strict, not fast.
 
 A record, a frozen dataclass that a run builds per message or per log
 entry, gets its constructor the way it gets its encoder: generated once
@@ -40,8 +41,8 @@ for a frozen class has to get past the frozen `__setattr__`, so it calls
 of records at once, and a dict more than triples the memory of a small
 record. A record that caches through `cached_property` needs a dict to
 cache into, so it keeps one and its constructor stores the fields there
-in one step: `BoothProfile` and `Transaction`, which also keep there the
-bytes they were decoded from.
+in one step: `BoothProfile` and `Transaction`, which keep their packing
+there, and a decoded profile the bytes it was read from.
 """
 
 from __future__ import annotations
@@ -228,26 +229,6 @@ class Reader:
 
     def bytes_(self) -> bytes:
         return self._body(b"B")
-
-    def skip_pairs(self) -> int:
-        """Step over a list of [u64, bytes] pairs, as `pack_pairs` makes,
-        checking each pair's arity, tags and length; return the count."""
-        count = self.seq_len()
-        buf, pos = self._buf, self._pos
-        frame = _PAIR.unpack_from
-        try:
-            for _ in range(count):
-                list_tag, arity, int_tag, _, bytes_tag, n = frame(buf, pos)
-                if (list_tag != b"L" or arity != 2 or int_tag != b"I"
-                        or bytes_tag != b"B"):
-                    raise ValueError("malformed [u64, bytes] pair")
-                pos += 19 + n
-        except struct.error:
-            raise ValueError("truncated field") from None
-        if pos > len(buf):
-            raise ValueError("truncated field")
-        self._pos = pos
-        return count
 
     def str_(self) -> str:
         return self._body(b"S").decode("utf-8")

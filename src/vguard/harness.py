@@ -35,7 +35,7 @@ from .mmu import MembershipUnit, MmuConfig
 from .netsim import (Category, ChurnEvent, Network, NodeEnv, SimConfig,
                      byzantine_schedule, churn_events)
 from .node import NodeRuntime, ProtocolConfig
-from .storage import RetentionPolicy, StorageMaster
+from .storage import StorageMaster
 
 PIVOT_ID = 1
 _ABSTRACT = {int: Integral, float: Real}      # so numpy scalars pass too
@@ -52,7 +52,6 @@ class RunSpec:
     gamma: int = 1                       # co-located proposer instances
     delta_us: int = field(default=100_000, metadata=POSITIVE)  # window length
     lambda0: int = 0                     # gossip lifetime; 0 disables gossip
-    tau_us: int = 24 * 3600 * 1_000_000  # temp storage age bound
     duration_ms: float = field(default=1_000.0, metadata=POSITIVE)  # workload
     grace_ms: float = 400.0              # drain time after workload stops
     # batches per second; None saturates
@@ -287,7 +286,7 @@ def run(spec: RunSpec, net=None) -> RunResult:
         runtimes[node_id] = NodeRuntime(
             node_id, env, registry, keys[node_id], spec.protocol,
             spec.delta_us,
-            storage=StorageMaster(RetentionPolicy(temp_ttl_us=spec.tau_us)),
+            storage=StorageMaster(),
             gossip_peers=overlay.get(node_id, []),
             gossip_lifetime=spec.lambda0, byzantine=byzantine.get(node_id, ()))
 
@@ -329,11 +328,13 @@ def run(spec: RunSpec, net=None) -> RunResult:
 def _audit(spec: RunSpec, runtimes: dict[int, NodeRuntime],
            registry: KeyService) -> dict[tuple[int, int], ChainCheck]:
     """verify_chain on every ledger every correct node holds. An honest
-    proposer's ledger faces the strict window-tiling audit when the run had
-    no churn, whatever other nodes did. That audit accepts only the gaps
-    the proposer explains: ordering ids it retired on a timeout or a lost
-    booth, and the windows it gave up, with their entries' ids."""
+    proposer's ledger faces the strict window-tiling audit unless a churn
+    event names the proposer, whatever other nodes did. That audit accepts
+    only the gaps the proposer explains: ordering ids it retired on a
+    timeout or a lost booth, and the windows it gave up, with their
+    entries' ids."""
     bad = {node_id for node_id, _ in spec.byzantine}
+    churned = {event.node_id for event in spec.churn}
     audits: dict[tuple[int, int], ChainCheck] = {}
     for plan in plan_instances(spec):
         for node_id, runtime in runtimes.items():
@@ -341,7 +342,7 @@ def _audit(spec: RunSpec, runtimes: dict[int, NodeRuntime],
             if ledger is None:
                 continue
             strict = (spec.strict_audit and node_id == plan.proposer_id
-                      and node_id not in bad and not spec.churn)
+                      and node_id not in bad and node_id not in churned)
             horizon, retired, given_up = None, frozenset(), frozenset()
             if strict:
                 prop = runtime.proposers[plan.instance_id]

@@ -2,12 +2,12 @@
 
 A data batch is carried as the canonical bytes of its entry list from the
 moment the workload packs it: it is hashed, sent, logged and committed as
-those bytes, and its entries are parsed only to export them. The other
-types that go on the wire are `codec.Wire` dataclasses, whose layout is
-their field list; a transaction keeps the bytes it was packed as or read
-from. The JSON export is a separate format, but it too is read off the
-field list: each exported object is its type's fields, under the few
-renames in `_JSON_NAMES`.
+those bytes, and its entries are parsed only to export them, by the read
+that checks a decoded batch. The other types that go on the wire are
+`codec.Wire` dataclasses, whose layout is their field list; a transaction
+packs itself once, when first asked. The JSON export is a separate format,
+but it too is read off the field list: each exported object is its type's
+fields, under the few renames in `_JSON_NAMES`.
 
 The total order log holds what ordering produced: one certified entry per
 ordering id. Consensus slices the proposer's log into fixed windows, prunes
@@ -47,8 +47,8 @@ from .errors import DuplicateOrderingId, RejectReason, WindowError
 
 # -- data entries and batches --------------------------------------------
 
-@dataclass(frozen=True)
-class DataEntry:
+@record
+class DataEntry(Wire):
     """One client payload and the sequence number its origin gave it."""
 
     origin_seq: int
@@ -99,12 +99,12 @@ class DataBatch:
 
     @property
     def entries(self) -> tuple[DataEntry, ...]:
-        r = Reader(self.packed)
-        out = []
-        for _ in range(r.seq_len()):
-            r.seq_len()
-            out.append(DataEntry(r.u64(), r.bytes_()))
-        return tuple(out)
+        return self._read_entries(Reader(self.packed))
+
+    @staticmethod
+    def _read_entries(r: Reader) -> tuple[DataEntry, ...]:
+        """An entry list, each entry read and checked as a `Wire` value."""
+        return tuple([DataEntry.read_from(r) for _ in range(r.seq_len())])
 
     def __len__(self) -> int:
         return self.count
@@ -126,13 +126,11 @@ class DataBatch:
 
     @classmethod
     def read_from(cls, r: Reader) -> "DataBatch":
-        """Check every entry's framing and keep the entry list as read: it
-        is its own canonical packing."""
+        """Read every entry and pack them again: the canonical format makes
+        that the entry list as read."""
         if r.seq_len() != 1:
             raise ValueError("malformed batch")
-        start = r.tell()
-        n = r.skip_pairs()
-        return cls._of(r.slice_from(start), n)
+        return cls(cls._read_entries(r))
 
 
 def order_cert_digest(ordering_id: int, batch_hash: bytes, booth_hash: bytes) -> bytes:
@@ -296,19 +294,12 @@ class Transaction(Wire):
 
     @cached_property
     def packed(self) -> bytes:
-        """Canonical bytes of the transaction: packed once, or the slice it
-        was decoded from, which the canonical format makes the same bytes."""
+        """Canonical bytes of the transaction, packed once on first use,
+        whether it was built or decoded."""
         return super().to_field().raw
 
     def to_field(self) -> Packed:
         return Packed(self.packed)
-
-    @classmethod
-    def read_from(cls, r: Reader) -> "Transaction":
-        start = r.tell()
-        tx = super().read_from(r)
-        tx.__dict__["packed"] = r.slice_from(start)
-        return tx
 
 
 @record

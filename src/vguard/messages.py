@@ -25,12 +25,12 @@ codec is canonical, so those bytes parse to a message equal to the one
 encoded. A message does not hold its frames: a frame lives only while its
 deliveries are pending, and the message is freed by reference counting
 once the last is done. Only bytes that are not a frame are parsed (tests,
-fuzzing, a copy of a frame's bytes); nothing is memoised. A parsed
-profile, batch or transaction keeps the slice it was read from as its
-canonical bytes; a batch checks its entries' framing but builds no entry
-objects. Messages and all they carry are frozen, so sharing them is safe.
-Wire bytes are charged by the network per delivery, so modeled cost does
-not change.
+fuzzing, a copy of a frame's bytes), strictly, and nothing is memoised. A
+parsed profile keeps the slice it was read from as its canonical bytes; a
+parsed batch or transaction packs itself again, as a built one does, to
+the same bytes. Messages and all they carry are frozen, so sharing them
+is safe. Wire bytes are charged by the network per delivery, so modeled
+cost does not change.
 """
 
 from __future__ import annotations

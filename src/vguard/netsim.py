@@ -51,6 +51,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
 from heapq import heappop, heappush
+from numbers import Integral
 from operator import itemgetter
 from typing import Callable, Iterable, Optional
 
@@ -201,11 +202,19 @@ class ChurnEvent:
         if not isinstance(up, bool):
             raise ConfigInvalid(f'churn entry needs status "up" or "down": {obj}')
         try:
-            return cls(at_ms=float(obj["at_ms"]), node_id=int(obj["node_id"]),
-                       up=up)
+            return cls(at_ms=float(obj["at_ms"]),
+                       node_id=_node_id(obj["node_id"]), up=up)
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigInvalid(
                 f"churn entry needs a numeric at_ms and node_id: {obj}") from exc
+
+
+def _node_id(value) -> int:
+    """A schedule's node id: an integer, since a fraction or a bool names
+    some other node once truncated."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ConfigInvalid(f"node_id must be an integer, got {value!r}")
+    return int(value)
 
 
 def _json_objects(data, what: str) -> list:
@@ -236,17 +245,17 @@ class ByzantineBehavior(str, Enum):
 
 
 def byzantine_schedule(data) -> tuple[tuple[int, tuple[str, ...]], ...]:
-    """A JSON list of {node_id, behaviors} objects, or a map of node ids to
-    behavior lists, as `RunSpec.byzantine`: (node, behaviors) pairs in node
-    order."""
+    """A JSON list of {node_id, behaviors} objects, or a map of node ids,
+    as integers or their decimal text (JSON keys), to behavior lists, as
+    `RunSpec.byzantine`: (node, behaviors) pairs in node order."""
     if isinstance(data, dict):
-        data = [{"node_id": node, "behaviors": behaviors}
-                for node, behaviors in data.items()]
+        data = [{"node_id": int(node) if str(node).isdecimal() else node,
+                 "behaviors": behaviors} for node, behaviors in data.items()]
     out: dict[int, tuple[str, ...]] = {}
     for obj in _json_objects(data, "a byzantine schedule"):
         try:
-            out[int(obj["node_id"])] = tuple(str(ByzantineBehavior(b))
-                                             for b in obj["behaviors"])
+            out[_node_id(obj["node_id"])] = tuple(
+                str(ByzantineBehavior(b)) for b in obj["behaviors"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigInvalid(
                 f"byzantine entry needs a node_id and a behaviors list: {obj}") from exc

@@ -1,6 +1,6 @@
 """Canonical codec: per-type packing, spliced packed fields, the Reader and
-its skip, the [u64, bytes] pair fast path, and the hashes computed from
-captured bytes."""
+the strict read of a batch's entries, the [u64, bytes] pair fast path, and
+the hashes computed from captured bytes."""
 
 from __future__ import annotations
 
@@ -129,8 +129,9 @@ def test_pack_pairs_equals_nested_pack(size):
         pairs = [(7 + i, bytes([i]) * size) for i in range(count)]
         raw = pack_pairs(pairs)
         assert raw == pack([[n, payload] for n, payload in pairs])
-        r = Reader(raw)
-        assert r.skip_pairs() == count
+        r = Reader(pack([Packed(raw)]))
+        batch = DataBatch.read_from(r)
+        assert (len(batch), batch.packed) == (count, raw)
         assert r.done()
     with pytest.raises(ValueError):
         pack_pairs([(1 << 64, b"x")])
@@ -213,6 +214,37 @@ def test_batch_read_from_rejects_bad_entry_tag_arity_or_length():
         DataBatch.read_from(Reader(overlong))
     with pytest.raises(ValueError):
         DataBatch.read_from(Reader(pack([good, good])))    # two fields
+
+
+@pytest.mark.parametrize("size", [0, 1, 9, 64])
+def test_batch_read_from_refuses_malformed_entry_lists(size):
+    """Every pair of an entry list is read whole, wherever it sits: a list
+    of exactly a u64 and bytes, with a length inside the buffer, as many
+    pairs as the list's count says."""
+    payload = bytes(range(size))
+    good = [[1, payload], [2, payload], [3, payload]]
+    assert len(DataBatch.read_from(Reader(_batch_bytes(good)))) == 3
+    bad_pairs = [
+        [2],                                  # arity 1
+        [2, payload, 3],                      # arity 3
+        ["2", payload],                       # S where I belongs
+        [b"2", payload],                      # B where I belongs
+    ]
+    for bad in bad_pairs:
+        for at in range(3):
+            entries = good[:at] + [bad] + good[at + 1:]
+            with pytest.raises(ValueError):
+                DataBatch.read_from(Reader(_batch_bytes(entries)))
+    raw = _batch_bytes(good)
+    last = pack([3, payload])
+    # the last payload's length one past the end of the buffer
+    overlong = raw[:-size - 4] + (size + 1).to_bytes(4, "big") + payload
+    assert len(overlong) == len(raw)
+    with pytest.raises(ValueError):
+        DataBatch.read_from(Reader(overlong))
+    # a list that counts three pairs and holds two
+    with pytest.raises(ValueError):
+        DataBatch.read_from(Reader(raw[:-len(last)]))
 
 
 def test_batch_entries_len_eq_and_hash_round_trip():

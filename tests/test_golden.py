@@ -1,5 +1,5 @@
 """Golden outputs: the sha256 of `report.json` and of every ledger export for
-seven fixed seeded runs, and of the network trace of two traced runs.
+eight fixed seeded runs, and of the network trace of two traced runs.
 
 A change that only restructures or speeds up the code must leave every one
 of these bytes unchanged. If a digest moves, behaviour moved: say so and
@@ -58,6 +58,14 @@ SPECS = {
         booth_size=4, duration_ms=300.0, grace_ms=500.0, rate_per_s=60.0,
         seed=27, byzantine=((2, ("forge_quorum",)),),
         sim=SimConfig(seed=0, drop_rate=0.03, dup_rate=0.02, gst_ms=150.0)),
+    # the README churn schedule: a vehicle (node 3) leaves the proposer's
+    # booth and comes back, and the proposer's ledger is held to the
+    # strict audit all the same
+    "churned_pool5": RunSpec(
+        booth_size=4, pool=5, duration_ms=500.0, grace_ms=300.0,
+        rate_per_s=100.0, seed=28,
+        churn=(ChurnEvent(at_ms=100.0, node_id=3, up=False),
+               ChurnEvent(at_ms=400.0, node_id=3, up=True))),
 }
 
 # the report with its `storage` block removed pins every other report key:
@@ -66,6 +74,22 @@ SPECS = {
 WITHOUT_STORAGE = "report.json without storage"
 
 GOLDEN = {
+    "churned_pool5": {
+        "ledger-1-1.jsonl":
+            "141248e3da1ae4a1f44fd63b0af332670d26bf30235950d4fd1291ccb60dce11",
+        "ledger-1-2.jsonl":
+            "981ede4c5575f05e95eb58723f6d550f2077fd69c842228a7d9963c4e772d5da",
+        "ledger-1-3.jsonl":
+            "fdaf28ba3dcc8b8e0f69c2d766ce7066a5a774c8d78df30deed63901a90d8055",
+        "ledger-1-4.jsonl":
+            "f3f81caa729d1c7bae28e4e1f401c52b088c80bb52e0020a7bea26321bb637f3",
+        "ledger-1-5.jsonl":
+            "0145585f8fafb19e6884d49bc41eeb334425bb269461059e66d28403829d81ca",
+        "report.json":
+            "be30e7ccc96cd0c5162911462ed8f6bbfc7c2b54b240469d5bac4cbc5061c361",
+        WITHOUT_STORAGE:
+            "b7607eca8cce5d0a8457cd57b24512c4a14d854be718c5d0858534da17f7e2de",
+    },
     "clean_n4": {
         "ledger-1-1.jsonl":
             "85a7073deb4aea9362078de481ffb8d32fe69be1418e9ebc3b4098473370b266",
@@ -212,6 +236,12 @@ def size_blind_digests(spec: RunSpec, outdir: Path) -> dict[str, str]:
 # to wire bytes alone (a field added or deleted, a hash domain renamed)
 # leaves every one of these digests where it is.
 GOLDEN_SIZE_BLIND = {
+    "churned_pool5": {
+        "report.json":
+            "fcfdb57cd34c6830f213e6d8d50428337dbdc968e6a9c0654e0d473ef6b03126",
+        "chains":
+            "6b6edd0689243355b1df5a843c047593f99410b3650936841eb7c51c10d99b0f",
+    },
     "clean_n4": {
         "report.json":
             "92f948955fcbcb3d8edf9460eab4623e6ff60bad2c86dc8228f81bd00c16e3b2",

@@ -26,7 +26,7 @@ from vguard.harness import (BATCH_BLOCK, RunSpec, batch_stream, load_spec_file,
                             plan_instances, run, seed_for_cell, spec_from_dict,
                             sweep, write_artifacts)
 from vguard.ledger import DataBatch, DataEntry
-from vguard.netsim import ChurnEvent, SimConfig
+from vguard.netsim import ChurnEvent, SimConfig, byzantine_schedule
 from vguard.node import ProtocolConfig
 
 
@@ -289,6 +289,29 @@ def test_strict_audit_reaches_an_honest_proposer_beside_byzantine_nodes(
     monkeypatch.setattr(harness, "verify_chain", recording)
     result = run(small_spec(pool=5, byzantine=byzantine))
     assert result.spec.strict_audit
+    strict = [node_id for node_id, runtime in result.runtimes.items()
+              if any(runtime.ledgers.get(1) is l for l in strict_ledgers)]
+    assert strict == ([strict_node] if strict_node else [])
+
+
+@pytest.mark.parametrize("churned, strict_node", [(3, 2), (1, 2), (2, None)],
+                         ids=["vehicle", "pivot", "proposer"])
+def test_strict_audit_reaches_an_honest_proposer_no_churn_event_names(
+        monkeypatch, churned, strict_node):
+    """Churn exempts the proposer's ledger from the strict audit only when
+    a churn event names the proposer."""
+    strict_ledgers = []
+    audit = harness.verify_chain
+
+    def recording(ledger, registry=None, strict=False, **kw):
+        if strict:
+            strict_ledgers.append(ledger)
+        return audit(ledger, registry, strict=strict, **kw)
+
+    monkeypatch.setattr(harness, "verify_chain", recording)
+    result = run(small_spec(pool=5, churn=(
+        ChurnEvent(at_ms=100.0, node_id=churned, up=False),
+        ChurnEvent(at_ms=300.0, node_id=churned, up=True))))
     strict = [node_id for node_id, runtime in result.runtimes.items()
               if any(runtime.ledgers.get(1) is l for l in strict_ledgers)]
     assert strict == ([strict_node] if strict_node else [])
@@ -680,7 +703,7 @@ BAD_FIELDS = {
     "booth-size-str": {"booth_size": "4"}, "pool-float": {"pool": 8.0},
     "batch-size-bool": {"batch_size": True}, "gamma-none": {"gamma": None},
     "delta-float": {"delta_us": 1e5}, "lambda0-str": {"lambda0": "2"},
-    "tau-list": {"tau_us": [1]}, "payload-float": {"payload_bytes": 6.5},
+    "payload-float": {"payload_bytes": 6.5},
     "seed-str": {"seed": "1"}, "duration-str": {"duration_ms": "300"},
     "grace-none": {"grace_ms": None}, "rate-str": {"rate_per_s": "fast"},
     "rate-bool": {"rate_per_s": True}, "rate-zero": {"rate_per_s": 0},
@@ -900,6 +923,40 @@ def test_churn_entries_read_status_or_up():
     assert parse({"at_ms": 2, "node_id": 3, "status": "Up"}).up is True
     assert parse({"at_ms": 3, "node_id": 3, "up": False}) == \
         ChurnEvent(at_ms=3.0, node_id=3, up=False)
+
+
+@pytest.mark.parametrize("node", [3.7, 3.0, True, "3", None],
+                         ids=["fraction", "float", "bool", "text", "null"])
+def test_schedule_lists_refuse_a_node_id_that_is_not_an_integer(node):
+    """A fractional id is a typo for another node, not that node: it is
+    refused, not truncated."""
+    with pytest.raises(ConfigInvalid):
+        ChurnEvent.from_dict({"at_ms": 100, "node_id": node, "status": "down"})
+    with pytest.raises(ConfigInvalid):
+        byzantine_schedule([{"node_id": node, "behaviors": ["silent"]}])
+    assert ChurnEvent.from_dict(
+        {"at_ms": 100, "node_id": np.int64(3), "up": True}).node_id == 3
+
+
+def test_the_byzantine_map_takes_integer_text_keys_only():
+    assert byzantine_schedule({"3": ["silent"], 2: []}) == (
+        (2, ()), (3, ("silent",)))
+    for key in ("3.7", "true", "", 3.7, True):
+        with pytest.raises(ConfigInvalid):
+            byzantine_schedule({key: ["silent"]})
+
+
+@pytest.mark.parametrize("flag, entries", [
+    ("--churn", [{"at_ms": 100, "node_id": 3.7, "status": "down"}]),
+    ("--byzantine", [{"node_id": 2.9, "behaviors": ["silent"]}]),
+    ("--spec", {"churn": [{"at_ms": 100, "node_id": True, "up": False}]}),
+], ids=["churn", "byzantine", "spec-churn"])
+def test_cli_refuses_a_node_id_that_is_not_an_integer(
+        tmp_path, capsys, flag, entries, no_run_starts):
+    path = tmp_path / "schedule.json"
+    path.write_text(json.dumps(entries))
+    assert cli.main(["run", "--duration-ms", "200", flag, str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
 
 
 @settings(max_examples=200, derandomize=True, deadline=None, database=None)
