@@ -230,7 +230,8 @@ class GossipAck(_Message):
 
 @record
 class Ping(_Message):
-    """A proposer's liveness probe, stamped with its send time."""
+    """A proposer's liveness probe: one per probe round, sent to every
+    member, stamped with the round's seq and send time."""
 
     TAG: ClassVar[int] = 10
 
@@ -240,7 +241,9 @@ class Ping(_Message):
 
 @record
 class Pong(_Message):
-    """The answer to a ping: its sequence number and send time."""
+    """The answer to a ping: its seq, and the send time it echoes, which
+    the membership unit does not trust: it times the round trip from its
+    own send time of the round."""
 
     TAG: ClassVar[int] = 11
 

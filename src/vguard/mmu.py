@@ -1,17 +1,21 @@
 """Membership management: liveness probes, availability, the booth queue.
 
-The unit is its proposer's one failure detector: it pings every other
-member each period and takes the network's churn notices. A member's
-`NodeStatus` is the unit's one record of it: up or down, its smoothed
-round trip, its miss streak and its open probe. A probe still unanswered
-when the next fires is a miss; enough in a row mark the member down. A
-pong is evidence only for the probe it answers: one round-trip sample
-(ping sent to pong arrived, so a busy CPU reads as a slow member) that
-revives a member misses took down. Any churn notice, down or up, closes
-the member's probe: a pong then in flight revives nothing, and a probe
-sent while the member was down is no miss once it is back. The unit
-keeps a short queue of pre-provisioned booths sorted by their worst-member
-smoothed round trip, and serves the head booth to ordering and consensus
+The unit is its proposer's one failure detector: it probes every other
+member in rounds, one each period, and takes the network's churn notices.
+A round is one `Ping` (one seq, one send time) sent to every member, so
+every open probe holds the latest round's seq. A member's `NodeStatus` is
+the unit's one record of it: up or down, its smoothed round trip, its
+miss streak and its open probe. A probe still unanswered when the next
+round fires is a miss; enough in a row mark the member down. A pong is
+evidence only for the round it answers: one round-trip sample, from the
+unit's own send time of the round (not the one the pong echoes) to the
+pong's arrival, so a busy CPU reads as a slow member, that revives a
+member misses took down. Any churn notice, down or up, closes the
+member's probe: a pong then in flight revives nothing, and a probe sent
+while the member was down is no miss once it is back. The unit keeps a
+short queue of pre-provisioned booths sorted by their worst-member
+smoothed round trip (a round trip re-sorts it only when it holds two
+booths or more), and serves the head booth to ordering and consensus
 instances. Booths are immutable once served; when enough members fall
 away the booth is dropped from the queue and listeners (in-flight
 instances pinned to it) are told to abort and re-book. So the queue holds
@@ -52,7 +56,8 @@ class MmuConfig:
 class NodeStatus:
     """One member as its membership unit sees it, and the unit's one record
     of it: up, its RTT, its miss streak, and `probe`, the seq of the probe
-    it has not answered yet (None when none is open)."""
+    round it has not answered yet (None when none is open): the latest
+    round's, whose send time the unit keeps to time the answer."""
 
     up: bool = True
     rtt_ewma_ms: float = 0.0
@@ -84,7 +89,8 @@ class MembershipUnit:
         self._available_listeners: list[Callable[[], None]] = []
         self._invalidated_listeners: list[Callable[[bytes], None]] = []
         self._last_served: Optional[bytes] = None
-        self._seq = 0
+        self._seq = 0                   # the latest probe round
+        self._sent_us = 0               # and when it was sent
         env.net.on_availability_change(self._churn_notice)
         self.refill()
 
@@ -109,22 +115,26 @@ class MembershipUnit:
                        partial(self._probe, send, targets))
 
     def _probe(self, send: Callable, targets: list[int]) -> None:
-        now_us = self.env.now_us()
+        """One round: a member's probe still open is a miss, and every
+        target gets the round's one Ping."""
+        self._seq = seq = self._seq + 1
+        self._sent_us = now_us = self.env.now_us()
+        ping = Ping(self.instance_id, self.proposer_id, seq, now_us)
+        status = self.status
         for target in targets:
-            status = self.status[target]
-            if status.probe is not None:
+            member = status[target]
+            if member.probe is not None:
                 self.note_missed_ping(target)
-            self._seq = status.probe = self._seq + 1
-            send(target, Ping(instance_id=self.instance_id,
-                              sender=self.proposer_id, seq=self._seq,
-                              sent_at_us=now_us))
+            member.probe = seq
+            send(target, ping)
 
     def on_pong(self, src: int, msg: Pong) -> None:
-        """A pong counts only if it answers `src`'s outstanding probe."""
+        """A pong counts only if it answers `src`'s open probe, which is of
+        the latest round: its round trip runs from that round's send time."""
         status = self.status.get(src)
         if status is not None and status.probe == msg.seq:
             status.probe = None
-            self.note_rtt(src, (self.env.now_us() - msg.sent_at_us) / 1000.0)
+            self.note_rtt(src, (self.env.now_us() - self._sent_us) / 1000.0)
 
     def _churn_notice(self, node_id: int, up: bool, _now) -> None:
         status = self.status.get(node_id)
@@ -163,7 +173,7 @@ class MembershipUnit:
         status.missed_pings = 0
         if not status.up:
             self.mark_availability(node_id, True)
-        else:
+        elif len(self.queue) > 1:
             self._resort()
 
     def note_missed_ping(self, node_id: int) -> None:

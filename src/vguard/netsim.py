@@ -31,10 +31,13 @@ at busy_until on its own:
 Fault injection: per-message drops and duplicates, optional per-link FIFO,
 node churn (down nodes neither send nor receive), a global stabilization
 time after which delays clamp to a bound and losses stop, and the names of
-the Byzantine behaviors that the node runtime acts out. Each lane's delay and
-fault streams serve one distribution each, so they are drawn `LANE_BLOCK`
-values at a time: `Generator.normal(m, s, size=n)` and `random(size=n)`
-yield the values of n scalar calls, in the same order.
+the Byzantine behaviors that the node runtime acts out. Each category maps
+to one lane tuple, which `_dispatch_send` and `_deliver` each read once:
+its counter name, whether it is the dissemination lane, and the delay and
+fault streams of its RNG group (protocol, ping or dissemination). Each
+stream serves one distribution, so it is drawn `LANE_BLOCK` values at a
+time: `Generator.normal(m, s, size=n)` and `random(size=n)` yield the
+values of n scalar calls, in the same order.
 
 One per-message path serves traced and untraced runs. It keeps the hook
 points that the benchmark's tracer and the golden probes patch by name, or
@@ -76,8 +79,6 @@ class Category(str, Enum):
 
 # Categories that bypass the CPU queue and use the auxiliary RNG lane.
 _AUX = {Category.GOSSIP, Category.ACK}
-# Counter and tally keys, looked up rather than formatted per message.
-_NAMES = {category: category.value for category in Category}
 _WIRE_COST = itemgetter(5)       # of a pending send; 0 on the aux lane
 
 
@@ -247,18 +248,23 @@ class ByzantineBehavior(str, Enum):
 def byzantine_schedule(data) -> tuple[tuple[int, tuple[str, ...]], ...]:
     """A JSON list of {node_id, behaviors} objects, or a map of node ids,
     as integers or their decimal text (JSON keys), to behavior lists, as
-    `RunSpec.byzantine`: (node, behaviors) pairs in node order."""
+    `RunSpec.byzantine`: (node, behaviors) pairs in node order. A node
+    named twice is refused, not overwritten by its last entry."""
     if isinstance(data, dict):
         data = [{"node_id": int(node) if str(node).isdecimal() else node,
                  "behaviors": behaviors} for node, behaviors in data.items()]
     out: dict[int, tuple[str, ...]] = {}
     for obj in _json_objects(data, "a byzantine schedule"):
         try:
-            out[_node_id(obj["node_id"])] = tuple(
-                str(ByzantineBehavior(b)) for b in obj["behaviors"])
+            node = _node_id(obj["node_id"])
+            behaviors = tuple(str(ByzantineBehavior(b))
+                              for b in obj["behaviors"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigInvalid(
                 f"byzantine entry needs a node_id and a behaviors list: {obj}") from exc
+        if node in out:
+            raise ConfigInvalid(f"byzantine schedule names node {node} twice")
+        out[node] = behaviors
     return tuple(sorted(out.items()))
 
 
@@ -313,9 +319,11 @@ class Network:
         protocol, ping, aux = (
             _lane(seq, config.delay_mean_ms, config.delay_sd_ms)
             for seq in np.random.SeedSequence(config.seed).spawn(4)[:3])
-        self._lane_of = {category: aux if category in _AUX else
-                         ping if category is Category.PING else protocol
-                         for category in Category}
+        self._lanes = {
+            category: (category.value, category in _AUX,
+                       *(aux if category in _AUX else
+                         ping if category is Category.PING else protocol))
+            for category in Category}
         self._tracing = config.trace
         cost = config.cost          # read once for the per-message path
         self._base_ms, self._sign_ms = cost.base_ms, cost.sign_ms
@@ -323,6 +331,9 @@ class Network:
         self._wire_ms, self._wire_quad_ms = cost.wire_byte_ms, cost.wire_byte_quad_ms
         self._faults_until = float("inf") if config.gst_ms is None else config.gst_ms
         self._drop_rate, self._dup_rate = config.drop_rate, config.dup_rate
+        self._gst_bound_ms = config.gst_bound_ms
+        self._bandwidth = config.bandwidth_bytes_per_ms
+        self._fifo = not config.reorder
         self._handlers: dict[int, Callable[[int, bytes, Category], None]] = {}
         self._up: dict[int, bool] = {}
         self._busy: dict[int, float] = {}
@@ -398,12 +409,11 @@ class Network:
             if note:
                 note("send_suppressed")
             return
-        key = (_NAMES[category], instance_key)
+        name, _, next_delay, next_fault = self._lanes[category]
+        key = (name, instance_key)
         self.counters[key] = self.counters.get(key, 0) + 1
         if note:
             note("send")
-        config = self.config
-        next_delay, next_fault = self._lane_of[category]
         faulty = at_ms < self._faults_until
         copies = 1
         if faulty:
@@ -420,11 +430,11 @@ class Network:
         for _ in range(copies):
             delay = next_delay()
             if not faulty:
-                delay = min(delay, config.gst_bound_ms)
-            if config.bandwidth_bytes_per_ms:
-                delay += len(payload) / config.bandwidth_bytes_per_ms
+                delay = min(delay, self._gst_bound_ms)
+            if self._bandwidth:
+                delay += len(payload) / self._bandwidth
             arrival = at_ms + delay
-            if not config.reorder:
+            if self._fifo:
                 arrival = max(arrival, self._last_arrival.get((src, dst), 0.0))
                 self._last_arrival[src, dst] = arrival
             self.sched.at(arrival, deliver)
@@ -440,9 +450,9 @@ class Network:
         if not up:
             return
         handler = self._handlers[dst]
-        name = _NAMES[category]
+        name, aux, _, _ = self._lanes[category]
         self.delivered[name] = self.delivered.get(name, 0) + 1
-        if category in _AUX:
+        if aux:
             # dissemination lane: no CPU contention
             handler(src, payload, category)
             return
@@ -562,7 +572,7 @@ class Network:
 
     def instance_counts(self, category: Category) -> dict[object, int]:
         out: dict[object, int] = {}
-        name = _NAMES[category]
+        name = category.value
         for (cat, key), count in self.counters.items():
             if cat == name and key is not None:
                 out[key] = out.get(key, 0) + count

@@ -337,9 +337,8 @@ class NodeRuntime:
             route[0](self, src, msg)
 
     def _answer_ping(self, src: int, msg: Ping) -> None:
-        self.send_msg(src, Pong(instance_id=msg.instance_id,
-                                sender=self.node_id, seq=msg.seq,
-                                sent_at_us=msg.sent_at_us))
+        self.send_msg(src, Pong(msg.instance_id, self.node_id, msg.seq,
+                                msg.sent_at_us))
 
 
 # Each message class's row: how `NodeRuntime.handle` acts on it (`m`, from

@@ -297,18 +297,71 @@ def test_a_probe_sent_while_a_node_was_down_is_no_miss_once_it_is_back(
             if node == 3 and not 101_300 <= t < 401_300] == []
 
 
-def test_a_node_marked_down_by_missed_pings_comes_back_when_it_answers():
-    """Probes that go unanswered take a node down; a pong that answers an
-    older probe is no evidence, and one that answers its latest brings
-    the node back."""
+def probed(rounds: int):
+    """A unit whose probes ran `rounds` rounds with no answer, and the
+    (target, message) pairs it sent."""
     mmu, _ = make_mmu()
     net, sent = mmu.env.net, []
     net.register(2, lambda *args: None)
     mmu.start_probes(lambda dst, msg: sent.append((dst, msg)))
-    net.run_until(mmu.config.ping_period_ms * (mmu.config.ping_miss_limit + 1))
-    assert not mmu.status[8].up
+    net.run_until(mmu.config.ping_period_ms * rounds + 1.0)
+    return mmu, sent
+
+
+def answer(mmu: MembershipUnit, src: int, ping, sent_at_us=None) -> None:
+    mmu.on_pong(src, Pong(1, src, ping.seq, ping.sent_at_us
+                          if sent_at_us is None else sent_at_us))
+
+
+def test_a_node_marked_down_by_missed_pings_comes_back_when_it_answers():
+    """`ping_miss_limit` unanswered probe rounds leave every target up and
+    one more takes every one down; a pong that answers an older round is
+    no evidence, and one that answers the latest brings the node back."""
+    mmu, _ = probed(MmuConfig().ping_miss_limit)
+    assert all(s.up for s in mmu.status.values())
+    mmu, sent = probed(MmuConfig().ping_miss_limit + 1)
+    assert [n for n, s in mmu.status.items() if s.up] == [2]
     first, *_, last = [msg for dst, msg in sent if dst == 8]
     for ping, up in ((first, False), (last, True)):
-        mmu.on_pong(8, Pong(instance_id=1, sender=8, seq=ping.seq,
-                            sent_at_us=ping.sent_at_us))
+        answer(mmu, 8, ping)
         assert mmu.status[8].up is up
+
+
+def test_a_probe_round_sends_one_ping_to_every_target():
+    mmu, sent = probed(2)
+    first, second = sent[:7], sent[7:]
+    for round_ in (first, second):
+        assert [dst for dst, _ in round_] == [1, 3, 4, 5, 6, 7, 8]
+        ping = round_[0][1]
+        assert all(msg is ping for _, msg in round_)
+        assert {bytes(msg.encode()) for _, msg in round_} == {
+            bytes(ping.encode())}
+    assert first[0][1].seq != second[0][1].seq
+    assert {s.probe for n, s in mmu.status.items() if n != 2} == {
+        second[0][1].seq}
+
+
+def test_a_pong_times_its_round_trip_from_the_units_own_send_time():
+    """A pong that echoes a later send time than the round's (here its own
+    arrival time) reports no shorter round trip: the unit times it from
+    when it sent the round."""
+    mmu, sent = probed(1)
+    dst, ping = sent[-1]
+    net = mmu.env.net
+    net.run_until(net.now + 9.0)
+    answer(mmu, dst, ping, sent_at_us=mmu.env.now_us())
+    rtt = (mmu.env.now_us() - ping.sent_at_us) / 1000.0
+    assert rtt > 9.0
+    assert mmu.status[dst].rtt_ewma_ms == pytest.approx(rtt)
+
+
+@pytest.mark.parametrize("up", [False, True])
+def test_a_churn_notice_closes_the_members_open_round(up):
+    mmu, sent = probed(1)
+    net = mmu.env.net
+    if up:
+        net.set_up(8, False)
+    net.set_up(8, up)
+    assert mmu.status[8].probe is None
+    answer(mmu, 8, sent[-1][1])
+    assert not mmu.status[8].have_rtt and mmu.status[8].up is up

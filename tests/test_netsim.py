@@ -18,7 +18,7 @@ from vguard.bench import WallClock
 from vguard.errors import ConfigInvalid, UnknownEndpoint
 from vguard.netsim import (LANE_BLOCK, ByzantineBehavior, Category,
                            ChurnEvent, CostModel, Network, NodeEnv, Scheduler,
-                           SimConfig, _lane)
+                           SimConfig, _lane, byzantine_schedule)
 from vguard.node import NodeRuntime, ProtocolConfig
 
 # Nothing costs service time but what a handler bills through `charge_ms`,
@@ -482,3 +482,16 @@ def test_recurring_timer_cancelled_while_queued_does_not_run_or_charge():
     net.run_until(40.0)
     assert log == [("a", 1.0), ("b", 6.5)]
     assert net._busy[2] == 6.5 + 0.5 + 5.0
+
+
+@pytest.mark.parametrize("schedule", [
+    [{"node_id": 3, "behaviors": ["silent"]},
+     {"node_id": 3, "behaviors": ["tamper_payload"]}],
+    {"3": ["silent"], "03": ["forge_quorum"]},
+    [{"node_id": 3, "behaviors": []}, {"node_id": 3, "behaviors": []}],
+], ids=["list", "map", "empty"])
+def test_a_byzantine_schedule_that_names_a_node_twice_is_refused(schedule):
+    """Two entries for one node are a typo or a bad merge: neither is
+    kept over the other."""
+    with pytest.raises(ConfigInvalid, match="node 3"):
+        byzantine_schedule(schedule)
